@@ -19,12 +19,16 @@
 // when a site stops answering (say, under -chaos outage windows), computes a
 // repair plan — the dead site's pages re-homed onto survivors, replicas
 // re-replicated — and applies it to the live cluster without a restart,
-// reinstating the original placement once the site returns.
+// reinstating the base placement once the site returns.
 //
 // With -scrub an anti-entropy scrubber walks every replica the live plan
 // stores, verifies its self-describing payload end to end (catching replica
 // rot and wire corruption that availability probes cannot see), and repairs
 // corrupt replicas by re-shipping only their bytes from the repository.
+//
+// -heal, -adapt and -scrub compose: one reconciler owns the plan and the
+// three loops submit what they see to it, so a repair builds on the adapted
+// placement, a recovery returns to it, and a scrub repair reverts neither.
 //
 // With -overload every server gets the admission stack — a bounded
 // deadline-aware queue (CoDel sojourn shedding), AIMD concurrency limits and
@@ -183,9 +187,13 @@ func run(args []string, stdout io.Writer) error {
 	if journal != nil {
 		fmt.Fprintf(stdout, "journal: flight recorder armed (GET %s/debug/journal)\n", cluster.RepoBase)
 		defer func() {
-			fmt.Fprintf(stdout, "journal: %d events recorded\n", len(journal.Events()))
-			for _, tc := range repro.CountJournalEvents(journal.Events()) {
+			events := journal.Events()
+			fmt.Fprintf(stdout, "journal: %d events recorded\n", len(events))
+			for _, tc := range repro.CountJournalEvents(events) {
 				fmt.Fprintf(stdout, "  %-18s %6d\n", tc.Type, tc.Count)
+			}
+			for _, line := range repro.PlanLineage(events) {
+				fmt.Fprintf(stdout, "  plan %s\n", line)
 			}
 		}()
 	}
@@ -199,12 +207,17 @@ func run(args []string, stdout io.Writer) error {
 	}
 	fmt.Fprintf(stdout, "example page: %s\n\n", cluster.PageURL(w.Sites[0].Pages[0]))
 
+	// One reconciler owns the plan; the three loops below only tell it what
+	// they see, so they compose: a repair builds on the adapted base, a
+	// recovery returns to it, and a scrub repair never reverts either.
+	rec := controller.NewReconciler(env, placement, cluster, controller.ReconcilerOptions{
+		Metrics: cluster.Metrics,
+		Log:     stdout,
+		Journal: journal,
+	})
+
 	if *heal {
-		sup := controller.New(env, placement, cluster, controller.Options{
-			Metrics: cluster.Metrics,
-			Log:     stdout,
-			Journal: journal,
-		})
+		sup := rec.Supervisor(controller.Options{})
 		sup.Start()
 		defer func() {
 			sup.Stop()
@@ -219,22 +232,13 @@ func run(args []string, stdout io.Writer) error {
 
 	var scrubber *controller.Scrubber
 	if *scrub {
-		scrubber = controller.NewScrubber(env, cluster, controller.ScrubOptions{
-			Metrics: cluster.Metrics,
-			Log:     stdout,
-			Journal: journal,
-		})
+		scrubber = rec.Scrubber(controller.ScrubOptions{})
 		fmt.Fprintln(stdout, "scrub: anti-entropy integrity scrubber armed (self-verifying payloads, delta-only repair)")
 	}
 
 	var adapter *controller.Adapter
 	if *adapt {
-		adapter, err = controller.NewAdapter(env, placement, cluster, freqEst, controller.AdaptOptions{
-			Interval: 5 * time.Second,
-			Metrics:  cluster.Metrics,
-			Log:      stdout,
-			Journal:  journal,
-		})
+		adapter, err = rec.Adapter(freqEst, controller.AdaptOptions{Interval: 5 * time.Second})
 		if err != nil {
 			return err
 		}

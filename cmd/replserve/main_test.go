@@ -11,13 +11,14 @@ import (
 
 func TestRunServeFetchAdapt(t *testing.T) {
 	var sb strings.Builder
-	if err := run([]string{"-fetch", "6", "-adapt"}, &sb); err != nil {
+	if err := run([]string{"-fetch", "6", "-adapt", "-journal"}, &sb); err != nil {
 		t.Fatal(err)
 	}
 	out := sb.String()
 	for _, want := range []string{
 		"planned: D=", "repository: http://", "site S0:",
 		"fetched 6 pages", "adaptive cycle", "re-planned on observed traffic",
+		"plan gen 1 ← 0: adapt (sites_down=0 copy_bytes=",
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("output missing %q:\n%s", want, out)

@@ -171,6 +171,12 @@ func run(args []string, stdout io.Writer) error {
 		for _, tc := range trace.CountEventTypes(events) {
 			fmt.Fprintf(stdout, "  %-18s %6d\n", tc.Type, tc.Count)
 		}
+		if lineage := trace.PlanLineage(events); len(lineage) > 0 {
+			fmt.Fprintln(stdout, "\nplan lineage:")
+			for _, line := range lineage {
+				fmt.Fprintf(stdout, "  %s\n", line)
+			}
+		}
 	}
 
 	if *chrome != "" {

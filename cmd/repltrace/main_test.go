@@ -58,6 +58,7 @@ func TestObservedVsPredicted(t *testing.T) {
 	j.Record("probe.transition", trace.A("from", "up"), trace.A("to", "suspect"))
 	j.Record("probe.transition", trace.A("from", "suspect"), trace.A("to", "down"))
 	j.Record("repair.planned", trace.I("rehomed", 3))
+	j.Record("plan.applied", trace.I("gen", 1), trace.I("parent", 0), trace.A("cause", "repair"), trace.I("sites_down", 1))
 	f, err := os.Create(journal)
 	if err != nil {
 		t.Fatal(err)
@@ -80,6 +81,8 @@ func TestObservedVsPredicted(t *testing.T) {
 		"pages outside +/-25% of predicted D",
 		"probe.transition",
 		"repair.planned",
+		"plan lineage:",
+		"gen 1 ← 0: repair (sites_down=1)",
 		"Chrome trace written",
 	} {
 		if !strings.Contains(got, want) {

@@ -2,7 +2,6 @@ package controller
 
 import (
 	"fmt"
-	"io"
 	"sync"
 	"time"
 
@@ -13,7 +12,6 @@ import (
 	"repro/internal/telemetry"
 	"repro/internal/trace"
 	"repro/internal/units"
-	"repro/internal/webserve"
 )
 
 // AdaptOptions tunes the adaptive re-planning loop.
@@ -27,23 +25,6 @@ type AdaptOptions struct {
 	// Workers bounds the re-planning concurrency (0 = GOMAXPROCS); plans
 	// are identical at any width.
 	Workers int
-	// Metrics, when non-nil, receives the adapt counters (adapt.checks,
-	// adapt.triggers, adapt.replans, adapt.noops, adapt.copy_bytes) and the
-	// adapt.drift_l1 gauge.
-	Metrics *telemetry.Registry
-	// Log, when non-nil, receives one line per check outcome.
-	Log io.Writer
-	// Journal, when non-nil, records every drift check ("adapt.check"),
-	// re-plan ("adapt.replanned" + "plan.applied" mode=adapt) and no-op
-	// ("adapt.noop") as structured events.
-	Journal *trace.Journal
-}
-
-func (o AdaptOptions) normalize() AdaptOptions {
-	if o.Interval <= 0 {
-		o.Interval = time.Second
-	}
-	return o
 }
 
 // Cycle is one drift check's outcome.
@@ -61,121 +42,91 @@ type Cycle struct {
 	Delta *repair.Delta
 }
 
-// Adapter closes the loop the paper's §4.1 leaves open: it watches a
-// streaming frequency estimate (fed by the cluster's access-log tap),
-// detects drift against the traffic the live plan was built from, and when
-// the drift is worth acting on re-runs the planner and ships only the plan
-// delta through Cluster.ApplyPlan — journaling bytes-moved as the cost.
-// Placement targets are CDN-style clusters, so an unchanged placement is
-// explicitly recognized and never re-copied.
+// Adapter is the drift signal source. It closes the loop the paper's §4.1
+// leaves open: it watches a streaming frequency estimate (fed by the
+// cluster's access-log tap), detects drift against the traffic the base
+// plan was built from, and when the drift is worth acting on re-runs the
+// planner and submits the result as the reconciler's new base — journaling
+// bytes-moved as the cost. Placement targets are CDN-style clusters, so an
+// unchanged placement is explicitly recognized and never submitted.
 //
 // Use CheckNow for a synchronous one-shot cycle (replserve -adapt without
 // -serve), or Start/Stop for the continuous loop.
 type Adapter struct {
-	cluster *webserve.Cluster
-	est     *estimate.Estimator
-	det     *estimate.Detector
-	opts    AdaptOptions
-	start   time.Time
+	source
+	est   *estimate.Estimator
+	det   *estimate.Detector
+	opts  AdaptOptions
+	start time.Time
 
 	mu        sync.Mutex
-	env       *model.Env       // environment the live plan was built from
-	plan      *model.Placement // the live placement
 	checks    int
 	triggers  int
 	replans   int
 	noops     int
 	copyBytes units.ByteSize
-	lastErr   error
 
 	cChecks, cTriggers, cReplans, cNoops, cCopyBytes *telemetry.Counter
 	gDriftL1                                         *telemetry.Gauge
-
-	stop chan struct{}
-	done chan struct{}
 }
 
-// NewAdapter builds the adaptive loop for a running cluster. env and p are
-// the environment and placement the cluster currently serves (the drift
-// baseline); est must be the estimator wired into the cluster as its
+// Adapter builds the adaptive loop over the reconciler's base plan (the
+// drift baseline); est must be the estimator wired into the cluster as its
 // access tap.
-func NewAdapter(env *model.Env, p *model.Placement, cluster *webserve.Cluster, est *estimate.Estimator, opts AdaptOptions) (*Adapter, error) {
+func (r *Reconciler) Adapter(est *estimate.Estimator, opts AdaptOptions) (*Adapter, error) {
+	env, _ := r.Base()
 	det, err := estimate.NewDetector(estimate.BaselineVector(env.W), opts.Detector)
 	if err != nil {
 		return nil, err
 	}
-	opts = opts.normalize()
-	a := &Adapter{
-		cluster: cluster,
-		est:     est,
-		det:     det,
-		opts:    opts,
-		env:     env,
-		plan:    p,
-		start:   time.Now(),
+	if opts.Interval <= 0 {
+		opts.Interval = time.Second
 	}
-	if reg := opts.Metrics; reg != nil {
-		a.cChecks = reg.Counter("adapt.checks")
-		a.cTriggers = reg.Counter("adapt.triggers")
-		a.cReplans = reg.Counter("adapt.replans")
-		a.cNoops = reg.Counter("adapt.noops")
-		a.cCopyBytes = reg.Counter("adapt.copy_bytes")
-		a.gDriftL1 = reg.Gauge("adapt.drift_l1")
-	}
-	return a, nil
+	reg := r.opts.Metrics
+	return &Adapter{
+		source: source{rec: r, name: "adapt"},
+		est:    est,
+		det:    det,
+		opts:   opts,
+		start:  time.Now(),
+
+		cChecks:    reg.Counter("adapt.checks"),
+		cTriggers:  reg.Counter("adapt.triggers"),
+		cReplans:   reg.Counter("adapt.replans"),
+		cNoops:     reg.Counter("adapt.noops"),
+		cCopyBytes: reg.Counter("adapt.copy_bytes"),
+		gDriftL1:   reg.Gauge("adapt.drift_l1"),
+	}, nil
 }
 
 // Start launches the continuous loop: one CheckNow per Interval on the
 // cluster-uptime clock. Stop ends it.
 func (a *Adapter) Start() {
-	a.stop = make(chan struct{})
-	a.done = make(chan struct{})
-	go a.loop()
-}
-
-// Stop ends the loop and waits for it to exit.
-func (a *Adapter) Stop() {
-	close(a.stop)
-	<-a.done
-}
-
-func (a *Adapter) loop() {
-	defer close(a.done)
-	ticker := time.NewTicker(a.opts.Interval)
-	defer ticker.Stop()
-	for {
-		select {
-		case <-a.stop:
-			return
-		case <-ticker.C:
-			if _, err := a.CheckNow(time.Since(a.start).Seconds()); err != nil {
-				a.mu.Lock()
-				a.lastErr = err
-				a.mu.Unlock()
-				a.opts.Journal.Record("adapt.error", trace.A(trace.AttrReason, err.Error()))
-				a.logf("%v", err)
-			}
-		}
-	}
+	a.run(a.opts.Interval, func() error {
+		_, err := a.CheckNow(time.Since(a.start).Seconds())
+		return err
+	})
 }
 
 // CheckNow runs one synchronous adapt cycle at estimator time t (seconds):
 // snapshot the estimate, check drift, and — when the detector triggers —
-// re-plan against the re-estimated workload and ship the placement delta.
+// re-plan against the re-estimated workload and submit it as the new base.
 // Serialized internally; safe to call concurrently with the loop.
 func (a *Adapter) CheckNow(t float64) (*Cycle, error) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
+	journal := a.rec.opts.Journal
+	env, plan := a.rec.Base()
 
 	snap := a.est.Snapshot(t)
-	dec, err := a.det.Check(snap.FreqVector(a.env.W.NumPages()))
+	dec, err := a.det.Check(snap.FreqVector(env.W.NumPages()))
 	if err != nil {
 		return nil, fmt.Errorf("controller: drift check: %w", err)
 	}
 	a.checks++
 	a.cChecks.Inc()
 	a.gDriftL1.Set(dec.L1)
-	a.opts.Journal.Record("adapt.check",
+	journal.Record("adapt.check",
 		trace.F("l1", dec.L1),
 		trace.F("topk_churn", dec.TopKChurn),
 		trace.A("trigger", fmt.Sprint(dec.Trigger)))
@@ -188,35 +139,35 @@ func (a *Adapter) CheckNow(t float64) (*Cycle, error) {
 	a.logf("drift trigger: L1=%.3f topk=%.2f, re-planning", dec.L1, dec.TopKChurn)
 
 	// Re-estimate the workload from the snapshot and re-plan against it.
-	w2, err := snap.EstimateWorkload(a.env.W)
+	w2, err := snap.EstimateWorkload(env.W)
 	if err != nil {
 		return nil, fmt.Errorf("controller: re-estimate: %w", err)
 	}
-	env2, err := model.NewEnv(w2, a.env.Est, a.env.Budgets)
+	env2, err := model.NewEnv(w2, env.Est, env.Budgets)
 	if err != nil {
 		return nil, fmt.Errorf("controller: re-estimated env: %w", err)
 	}
-	env2.Alpha1, env2.Alpha2 = a.env.Alpha1, a.env.Alpha2
+	env2.Alpha1, env2.Alpha2 = env.Alpha1, env.Alpha2
 	fresh, _, err := core.Plan(env2, core.Options{Workers: a.opts.Workers})
 	if err != nil {
 		return nil, fmt.Errorf("controller: re-plan: %w", err)
 	}
 
-	delta := repair.ChangeDelta(a.env, env2, a.plan, fresh)
+	delta := repair.ChangeDelta(env, env2, plan, fresh)
 	out.Delta = &delta
 
-	// Only ship a delta: an unchanged placement (no new replicas, no
-	// flipped local/remote marks) must cost zero bytes and zero churn.
-	diff, err := model.Diff(a.plan, fresh)
+	// Only submit a change: an unchanged placement (no new replicas, no
+	// flipped local/remote marks) must cost zero bytes and zero churn, so
+	// the reconciler never hears of it.
+	diff, err := model.Diff(plan, fresh)
 	if err != nil {
 		return nil, fmt.Errorf("controller: plan diff: %w", err)
 	}
 	if !diff.Changed() {
 		a.noops++
 		a.cNoops.Inc()
-		a.env = env2 // the re-estimated traffic is the new baseline
-		a.det.Rebase(estimate.BaselineVector(w2))
-		a.opts.Journal.Record("adapt.noop",
+		a.det.Rebase(estimate.BaselineVector(w2)) // the re-estimated traffic is the new baseline
+		journal.Record("adapt.noop",
 			trace.F("l1", dec.L1),
 			trace.F("d_stale", delta.DBefore))
 		a.logf("re-plan is a no-op (placement unchanged), baseline rebased")
@@ -224,33 +175,22 @@ func (a *Adapter) CheckNow(t float64) (*Cycle, error) {
 		return out, nil
 	}
 
-	if err := a.cluster.ApplyPlan(w2, fresh); err != nil {
-		return nil, fmt.Errorf("controller: adapt apply: %w", err)
+	if err := a.rec.SetBase(env2, fresh, trace.I("copy_bytes", int64(delta.CopyBytes))); err != nil {
+		return nil, err
 	}
-	a.env = env2
-	a.plan = fresh
 	a.replans++
 	a.copyBytes += delta.CopyBytes
 	a.cReplans.Inc()
 	a.cCopyBytes.Add(int64(delta.CopyBytes))
 	a.det.Rebase(estimate.BaselineVector(w2))
-	a.opts.Journal.Record("adapt.replanned",
+	journal.Record("adapt.replanned",
 		trace.I("copy_bytes", int64(delta.CopyBytes)),
 		trace.F("d_stale", delta.DBefore),
 		trace.F("d_after", delta.DAfter))
-	a.opts.Journal.Record("plan.applied",
-		trace.A("mode", "adapt"),
-		trace.I("copy_bytes", int64(delta.CopyBytes)))
 	a.logf("adapted: D %.4f -> %.4f, %d bytes copied",
 		delta.DBefore, delta.DAfter, int64(delta.CopyBytes))
 	out.Replanned = true
 	return out, nil
-}
-
-func (a *Adapter) logf(format string, args ...interface{}) {
-	if a.opts.Log != nil {
-		fmt.Fprintf(a.opts.Log, "adapt: "+format+"\n", args...)
-	}
 }
 
 // Counts returns how many checks, triggers, re-plans and no-ops the
@@ -268,16 +208,6 @@ func (a *Adapter) CopyBytes() units.ByteSize {
 	return a.copyBytes
 }
 
-// Current returns the environment and placement the cluster serves now.
-func (a *Adapter) Current() (*model.Env, *model.Placement) {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.env, a.plan
-}
-
-// Err returns the last loop error, nil if none.
-func (a *Adapter) Err() error {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.lastErr
-}
+// Current returns the reconciler's base: the environment and placement the
+// cluster serves whenever every site is up.
+func (a *Adapter) Current() (*model.Env, *model.Placement) { return a.rec.Base() }

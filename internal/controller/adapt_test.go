@@ -85,7 +85,8 @@ func TestAdapterReplansOnDrift(t *testing.T) {
 	defer cluster.Close()
 	reg := telemetry.NewRegistry()
 	journal := trace.NewJournal(256)
-	a, err := NewAdapter(env, p, cluster, est, AdaptOptions{Workers: 1, Metrics: reg, Journal: journal})
+	a, err := NewReconciler(env, p, cluster, ReconcilerOptions{Metrics: reg, Journal: journal}).
+		Adapter(est, AdaptOptions{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -176,7 +177,7 @@ func TestAdapterNoopShipsNothing(t *testing.T) {
 	env, p, cluster, est := adaptEnv(t, 1)
 	defer cluster.Close()
 	journal := trace.NewJournal(256)
-	a, err := NewAdapter(env, p, cluster, est, AdaptOptions{Workers: 1, Journal: journal})
+	a, err := NewReconciler(env, p, cluster, ReconcilerOptions{Journal: journal}).Adapter(est, AdaptOptions{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

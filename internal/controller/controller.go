@@ -1,17 +1,18 @@
-// Package controller is the self-healing supervisor: a probe loop over
-// every site's /healthz endpoint drives a per-site state machine
-// (up → suspect → down → recovering → up), and the down/up transitions
-// trigger the repair planner — the repaired placement is pushed into the
-// live cluster with no restarts, and the original placement reinstated when
-// every dead site returns. The paper plans once and assumes sites stay up;
-// this loop closes the gap between that static plan and a production
-// system's churn (ROADMAP: production-scale north star).
+// Package controller is the live cluster's control plane: one Reconciler
+// owns the plan, and three signal sources tell it what they see — the
+// Supervisor (probe transitions: which sites are down), the Adapter (drift
+// triggers: a re-planned base) and the Scrubber (integrity findings:
+// replicas to rewrite). The paper plans once and assumes sites stay up,
+// traffic stays put and replicas stay intact; these loops close the gap
+// between that static plan and a production system's churn.
 //
-// Detection is K-of-N: a site must fail FailThreshold consecutive probes
-// before it is declared down (one lost probe makes it suspect, not dead),
-// and must answer OKThreshold consecutive probes before a recovery is
-// attempted — both thresholds damp flapping. Every transition is recorded
-// and counted in telemetry.
+// The supervisor's probe loop over every site's /healthz endpoint drives a
+// per-site state machine (up → suspect → down → recovering → up). Detection
+// is K-of-N: a site must fail FailThreshold consecutive probes before it is
+// declared down (one lost probe makes it suspect, not dead), and must
+// answer OKThreshold consecutive probes before a recovery is attempted —
+// both thresholds damp flapping. Every transition is recorded and counted
+// in telemetry.
 package controller
 
 import (
@@ -22,11 +23,9 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/model"
 	"repro/internal/repair"
 	"repro/internal/telemetry"
 	"repro/internal/trace"
-	"repro/internal/webserve"
 	"repro/internal/workload"
 )
 
@@ -42,7 +41,7 @@ const (
 	// re-homed by the active repair plan.
 	Down
 	// Recovering: a down site answered OKThreshold consecutive probes; the
-	// supervisor is reinstating the pre-failure placement.
+	// reconciler is committing the plan without it in the down set.
 	Recovering
 )
 
@@ -59,14 +58,6 @@ func (s SiteState) String() string {
 	default:
 		return fmt.Sprintf("SiteState(%d)", int(s))
 	}
-}
-
-// Transition is one recorded state change.
-type Transition struct {
-	At   time.Duration // since Start
-	Site workload.SiteID
-	From SiteState
-	To   SiteState
 }
 
 // Options tunes the supervisor.
@@ -93,22 +84,6 @@ type Options struct {
 	// flap more on one slow probe; the EWMA exists precisely so a single
 	// GC pause does not condemn a healthy site.
 	LatencyAlpha float64
-	// Workers bounds the repair planner's concurrency (0 = GOMAXPROCS).
-	Workers int
-	// Metrics, when non-nil, receives the controller counters
-	// (controller.probes, controller.probe_failures, controller.repairs,
-	// controller.recoveries, controller.transitions) and the
-	// controller.sites_down gauge.
-	Metrics *telemetry.Registry
-	// Log, when non-nil, receives one line per transition and repair.
-	Log io.Writer
-	// Journal, when non-nil, is the control-plane flight recorder: every
-	// probe transition, repair plan, placement push, and supervisor error
-	// lands in it as a structured event. On a reconcile failure the journal
-	// is additionally dumped to Log, so the recorder's tail survives the
-	// crash it explains. Share one journal with webserve.ClusterOptions to
-	// expose it at /debug/journal.
-	Journal *trace.Journal
 }
 
 func (o Options) normalize() Options {
@@ -130,95 +105,61 @@ func (o Options) normalize() Options {
 	return o
 }
 
-// Supervisor runs the control loop against one cluster.
+// Supervisor is the availability signal source: it probes every site and
+// tells the reconciler which are down. A site's Down and Recovering → Up
+// transitions become visible (States, WaitFor) only once the reconciler has
+// committed the plan that reflects them, or the commit's error is in Err.
 type Supervisor struct {
-	env     *model.Env
-	healthy *model.Placement
-	cluster *webserve.Cluster
-	opts    Options
-	probe   *http.Client
-	start   time.Time
+	source
+	opts  Options
+	probe *http.Client
+	start time.Time
 
-	mu          sync.Mutex
-	states      []SiteState
-	fails       []int
-	oks         []int
-	ewma        []float64    // smoothed probe RTT per site, seconds; 0 = no sample yet
-	lastRTT     []float64    // last raw probe RTT per site, seconds
-	plan        *repair.Plan // active repair plan; nil while healthy
-	transitions []Transition
-	repairs     int
-	recoveries  int
-	lastErr     error
+	mu         sync.Mutex // held across the commit: observers never see a down site without its repair
+	states     []SiteState
+	fails      []int
+	oks        []int
+	ewma       []float64 // smoothed probe RTT per site, seconds; 0 = no sample yet
+	lastRTT    []float64 // last raw probe RTT per site, seconds
+	repairs    int
+	recoveries int
 
 	cProbes, cProbeFails, cRepairs, cRecoveries, cTransitions *telemetry.Counter
 	cProbesShed                                               *telemetry.Counter
-	gDown                                                     *telemetry.Gauge
-
-	stop chan struct{}
-	done chan struct{}
 }
 
-// New builds a supervisor for a running cluster. env and placement are the
-// healthy planning environment and the placement the cluster was started
-// with — the state every recovery restores.
-func New(env *model.Env, p *model.Placement, cluster *webserve.Cluster, opts Options) *Supervisor {
+// Supervisor builds the probe loop over the reconciler's cluster.
+func (r *Reconciler) Supervisor(opts Options) *Supervisor {
+	n, reg := len(r.cluster.SiteBases), r.opts.Metrics
 	opts = opts.normalize()
-	s := &Supervisor{
-		env:     env,
-		healthy: p,
-		cluster: cluster,
+	return &Supervisor{
+		source:  source{rec: r, name: "supervisor"},
 		opts:    opts,
 		probe:   &http.Client{Timeout: opts.ProbeTimeout},
-		states:  make([]SiteState, env.W.NumSites()),
-		fails:   make([]int, env.W.NumSites()),
-		oks:     make([]int, env.W.NumSites()),
-		ewma:    make([]float64, env.W.NumSites()),
-		lastRTT: make([]float64, env.W.NumSites()),
+		states:  make([]SiteState, n),
+		fails:   make([]int, n),
+		oks:     make([]int, n),
+		ewma:    make([]float64, n),
+		lastRTT: make([]float64, n),
+
+		cProbes:      reg.Counter("controller.probes"),
+		cProbeFails:  reg.Counter("controller.probe_failures"),
+		cProbesShed:  reg.Counter("controller.probes_shed"),
+		cRepairs:     reg.Counter("controller.repairs"),
+		cRecoveries:  reg.Counter("controller.recoveries"),
+		cTransitions: reg.Counter("controller.transitions"),
 	}
-	if reg := opts.Metrics; reg != nil {
-		s.cProbes = reg.Counter("controller.probes")
-		s.cProbeFails = reg.Counter("controller.probe_failures")
-		s.cProbesShed = reg.Counter("controller.probes_shed")
-		s.cRepairs = reg.Counter("controller.repairs")
-		s.cRecoveries = reg.Counter("controller.recoveries")
-		s.cTransitions = reg.Counter("controller.transitions")
-		s.gDown = reg.Gauge("controller.sites_down")
-	}
-	return s
 }
 
 // Start launches the probe loop. Stop ends it.
 func (s *Supervisor) Start() {
 	s.start = time.Now()
-	s.stop = make(chan struct{})
-	s.done = make(chan struct{})
-	go s.loop()
-}
-
-// Stop ends the probe loop and waits for it to exit.
-func (s *Supervisor) Stop() {
-	close(s.stop)
-	<-s.done
-}
-
-func (s *Supervisor) loop() {
-	defer close(s.done)
-	ticker := time.NewTicker(s.opts.ProbeInterval)
-	defer ticker.Stop()
-	for {
-		select {
-		case <-s.stop:
-			return
-		case <-ticker.C:
-			s.tick()
-		}
-	}
+	s.run(s.opts.ProbeInterval, s.tick)
 }
 
 // tick probes every site once and feeds the state machine.
-func (s *Supervisor) tick() {
-	n := s.env.W.NumSites()
+func (s *Supervisor) tick() error {
+	n := len(s.states)
 	ok := make([]bool, n)
 	rtt := make([]time.Duration, n)
 	var wg sync.WaitGroup
@@ -231,13 +172,14 @@ func (s *Supervisor) tick() {
 	}
 	wg.Wait()
 	s.observe(ok, rtt)
+	return nil
 }
 
 // probeSite performs one /healthz check and reports its round-trip time
 // (meaningful only when ok).
 func (s *Supervisor) probeSite(i int) (bool, time.Duration) {
 	s.cProbes.Inc()
-	req, err := http.NewRequestWithContext(context.Background(), http.MethodGet, s.cluster.SiteBases[i]+"/healthz", nil)
+	req, err := http.NewRequestWithContext(context.Background(), http.MethodGet, s.rec.cluster.SiteBases[i]+"/healthz", nil)
 	if err != nil {
 		s.cProbeFails.Inc()
 		return false, 0
@@ -267,15 +209,16 @@ func (s *Supervisor) probeSite(i int) (bool, time.Duration) {
 }
 
 // observe advances every site's state machine on one probe round, then
-// reconciles the cluster if any site crossed the down or recovered edge.
+// submits the new down set if any site crossed the down or recovered edge.
 // A 200 whose EWMA-smoothed RTT exceeds LatencyThreshold is demoted to a
 // failed probe — the limping-node signal: a site can answer health checks
 // forever while serving data at a crawl, and before this signal the only
 // way it left Up was a hard timeout.
 func (s *Supervisor) observe(ok []bool, rtt []time.Duration) {
 	s.mu.Lock()
+	defer s.mu.Unlock()
 	now := time.Since(s.start)
-	wentDown, cameBack := false, false
+	edge := false
 	for i := range ok {
 		if ok[i] {
 			r := rtt[i].Seconds()
@@ -302,7 +245,7 @@ func (s *Supervisor) observe(ok []bool, rtt []time.Duration) {
 				s.oks[i]++
 				if s.oks[i] >= s.opts.OKThreshold {
 					s.setState(i, Recovering, now)
-					cameBack = true
+					edge = true
 				}
 			}
 		default:
@@ -315,7 +258,7 @@ func (s *Supervisor) observe(ok []bool, rtt []time.Duration) {
 				s.fails[i]++
 				if s.fails[i] >= s.opts.FailThreshold {
 					s.setState(i, Down, now)
-					wentDown = true
+					edge = true
 				}
 			case Recovering:
 				// Flapped during recovery: back to down.
@@ -323,9 +266,8 @@ func (s *Supervisor) observe(ok []bool, rtt []time.Duration) {
 			}
 		}
 	}
-	s.mu.Unlock()
-	if wentDown || cameBack {
-		s.reconcile()
+	if edge {
+		s.submit(now)
 	}
 }
 
@@ -339,9 +281,8 @@ func (s *Supervisor) setState(i int, to SiteState, at time.Duration) {
 		return
 	}
 	s.states[i] = to
-	s.transitions = append(s.transitions, Transition{At: at, Site: workload.SiteID(i), From: from, To: to})
 	s.cTransitions.Inc()
-	s.opts.Journal.Record("probe.transition",
+	s.rec.opts.Journal.Record("probe.transition",
 		trace.I(trace.AttrSite, int64(i)),
 		trace.A("from", from.String()),
 		trace.A("to", to.String()),
@@ -351,95 +292,38 @@ func (s *Supervisor) setState(i int, to SiteState, at time.Duration) {
 		at.Round(time.Millisecond), i, from, to, s.lastRTT[i]*1e3, s.ewma[i]*1e3)
 }
 
-// reconcile drives the cluster to match the current down set: a repair plan
-// over the down sites, or the healthy placement when none remain. Sites in
-// Recovering move to Up once the placement push succeeds.
-func (s *Supervisor) reconcile() {
-	s.mu.Lock()
+// submit hands the reconciler the current down set (mu held). Sites in
+// Recovering move to Up once the commit lands: with others still down the
+// fresh repair no longer re-homes their pages, with none the base plan is
+// back.
+func (s *Supervisor) submit(now time.Duration) {
 	var down []workload.SiteID
 	for i, st := range s.states {
 		if st == Down {
 			down = append(down, workload.SiteID(i))
 		}
 	}
-	s.gDown.Set(float64(len(down)))
-	s.mu.Unlock()
-
-	if len(down) == 0 {
-		// Full recovery: reinstate the healthy placement and routing.
-		if err := s.cluster.ApplyPlan(s.env.W, s.healthy); err != nil {
-			s.fail(fmt.Errorf("controller: recovery apply: %w", err))
-			return
-		}
-		s.mu.Lock()
-		s.plan = nil
-		s.recoveries++
-		now := time.Since(s.start)
-		for i, st := range s.states {
-			if st == Recovering {
-				s.setState(i, Up, now)
-			}
-		}
-		s.mu.Unlock()
-		s.cRecoveries.Inc()
-		s.opts.Journal.Record("plan.applied",
-			trace.A("mode", "recovery"),
-			trace.I("sites_down", 0))
-		s.opts.Journal.Record("controller.recovered")
-		s.logf("recovered: healthy placement reinstated")
+	if err := s.rec.SetDown(down); err != nil {
+		s.fail(err)
 		return
 	}
-
-	plan, err := repair.Compute(s.env, s.healthy, down, repair.Options{Workers: s.opts.Workers, Journal: s.opts.Journal})
-	if err != nil {
-		s.fail(fmt.Errorf("controller: repair plan: %w", err))
-		return
-	}
-	if err := s.cluster.ApplyPlan(plan.Env.W, plan.Placement); err != nil {
-		s.fail(fmt.Errorf("controller: repair apply: %w", err))
-		return
-	}
-	s.mu.Lock()
-	s.plan = plan
-	s.repairs++
-	now := time.Since(s.start)
 	for i, st := range s.states {
 		if st == Recovering {
-			// Partial recovery: this site is healthy again but others are
-			// still down; the fresh plan no longer re-homes its pages.
 			s.setState(i, Up, now)
 		}
 	}
-	s.mu.Unlock()
+	if len(down) == 0 {
+		s.recoveries++
+		s.cRecoveries.Inc()
+		s.rec.opts.Journal.Record("controller.recovered")
+		s.logf("recovered: base placement reinstated")
+		return
+	}
+	s.repairs++
 	s.cRepairs.Inc()
-	s.opts.Journal.Record("plan.applied",
-		trace.A("mode", "repair"),
-		trace.I("sites_down", int64(len(down))),
-		trace.I("rehomed", int64(len(plan.Delta.Rehomed))))
+	d := s.rec.Repair().Delta
 	s.logf("repaired: %d sites down, %d pages re-homed, D %.4f -> %.4f (degraded %.4f)",
-		len(down), len(plan.Delta.Rehomed), plan.Delta.DHealthy, plan.Delta.DAfter, plan.Delta.DBefore)
-}
-
-// fail records a reconcile error (visible via Err) without killing the loop,
-// and dumps the journal's tail to Log — the flight recorder's whole point is
-// explaining this moment.
-func (s *Supervisor) fail(err error) {
-	s.mu.Lock()
-	s.lastErr = err
-	s.mu.Unlock()
-	s.opts.Journal.Record("supervisor.error", trace.A(trace.AttrReason, err.Error()))
-	s.logf("%v", err)
-	if s.opts.Journal != nil && s.opts.Log != nil {
-		fmt.Fprintf(s.opts.Log, "controller: journal dump (%d events, %d dropped):\n",
-			len(s.opts.Journal.Events()), s.opts.Journal.Dropped())
-		_ = s.opts.Journal.WriteText(s.opts.Log)
-	}
-}
-
-func (s *Supervisor) logf(format string, args ...interface{}) {
-	if s.opts.Log != nil {
-		fmt.Fprintf(s.opts.Log, "controller: "+format+"\n", args...)
-	}
+		len(down), len(d.Rehomed), d.DHealthy, d.DAfter, d.DBefore)
 }
 
 // States snapshots the per-site states.
@@ -449,21 +333,11 @@ func (s *Supervisor) States() []SiteState {
 	return append([]SiteState(nil), s.states...)
 }
 
-// Transitions snapshots the recorded transitions.
-func (s *Supervisor) Transitions() []Transition {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return append([]Transition(nil), s.transitions...)
-}
+// CurrentPlan returns the reconciler's active repair plan, nil while healthy.
+func (s *Supervisor) CurrentPlan() *repair.Plan { return s.rec.Repair() }
 
-// CurrentPlan returns the active repair plan, nil while healthy.
-func (s *Supervisor) CurrentPlan() *repair.Plan {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.plan
-}
-
-// Counts returns how many repairs and recoveries the supervisor has applied.
+// Counts returns how many repairs and recoveries the supervisor's signals
+// have committed.
 func (s *Supervisor) Counts() (repairs, recoveries int) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -477,13 +351,6 @@ func (s *Supervisor) Latency(i int) (last, ewma time.Duration) {
 	defer s.mu.Unlock()
 	return time.Duration(s.lastRTT[i] * float64(time.Second)),
 		time.Duration(s.ewma[i] * float64(time.Second))
-}
-
-// Err returns the last reconcile error, nil if none.
-func (s *Supervisor) Err() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.lastErr
 }
 
 // WaitFor polls until pred over the state snapshot holds or the timeout

@@ -55,7 +55,8 @@ func TestStateMachineTransitions(t *testing.T) {
 	defer cluster.Close()
 
 	journal := trace.NewJournal(128)
-	s := New(env, p, cluster, Options{FailThreshold: 3, OKThreshold: 2, Workers: 1, Journal: journal})
+	s := NewReconciler(env, p, cluster, ReconcilerOptions{Workers: 1, Journal: journal}).
+		Supervisor(Options{FailThreshold: 3, OKThreshold: 2})
 	up, down := []bool{true, true, true}, []bool{false, true, true}
 	noRTT := make([]time.Duration, 3)
 
@@ -163,12 +164,10 @@ func TestHealEndToEnd(t *testing.T) {
 	}
 	defer cluster.Close()
 
-	s := New(env, p, cluster, Options{
+	s := NewReconciler(env, p, cluster, ReconcilerOptions{Workers: 2, Metrics: reg}).Supervisor(Options{
 		ProbeInterval: 20 * time.Millisecond,
 		FailThreshold: 3,
 		OKThreshold:   2,
-		Workers:       2,
-		Metrics:       reg,
 	})
 	s.Start()
 	defer func() {

@@ -8,8 +8,6 @@ import (
 	"time"
 
 	"repro/internal/htmlrefs"
-	"repro/internal/model"
-	"repro/internal/repair"
 	"repro/internal/telemetry"
 	"repro/internal/trace"
 	"repro/internal/units"
@@ -24,26 +22,6 @@ type ScrubOptions struct {
 	Interval time.Duration
 	// Timeout bounds each verification fetch (default 5s).
 	Timeout time.Duration
-	// Metrics, when non-nil, receives the scrub counters (scrub.cycles,
-	// scrub.objects, scrub.clean, scrub.corrupt, scrub.errors, scrub.repairs,
-	// scrub.repair_bytes).
-	Metrics *telemetry.Registry
-	// Log, when non-nil, receives one line per finding and repair.
-	Log io.Writer
-	// Journal, when non-nil, records every finding ("scrub.corrupt"), repair
-	// ("scrub.repaired" + "plan.applied" mode=scrub) and cycle summary
-	// ("scrub.cycle") as structured events.
-	Journal *trace.Journal
-}
-
-func (o ScrubOptions) normalize() ScrubOptions {
-	if o.Interval <= 0 {
-		o.Interval = 2 * time.Second
-	}
-	if o.Timeout <= 0 {
-		o.Timeout = 5 * time.Second
-	}
-	return o
 }
 
 // Finding is one corrupt replica the scrubber caught: site i's stored copy
@@ -73,98 +51,68 @@ type ScrubCycle struct {
 	RepairBytes units.ByteSize
 }
 
-// Scrubber is the anti-entropy loop: it walks the live placement replica by
-// replica, re-fetches each stored object from its site, and verifies the
-// self-describing payload end to end — the only check that catches replica
-// rot and wire corruption, which are invisible to availability probes (the
-// transfer succeeds; the bytes are wrong). A finding prunes the replica
-// from a shadow placement, prices the delta-only repair with the same
-// machinery adaptive re-planning uses, re-ships the replicas through
-// ApplyPlan, and re-verifies. The paper assumes replicas, once placed, stay
-// byte-identical to the repository master; this loop enforces that
+// Scrubber is the integrity signal source, the anti-entropy loop: it walks
+// the live placement replica by replica, re-fetches each stored object from
+// its site, and verifies the self-describing payload end to end — the only
+// check that catches replica rot and wire corruption, which are invisible
+// to availability probes (the transfer succeeds; the bytes are wrong). The
+// findings go to the reconciler, which re-ships its current plan so the
+// sites rewrite them (RepairBytes counts exactly the rewritten replicas),
+// and the scrubber re-verifies. The paper assumes replicas, once placed,
+// stay byte-identical to the repository master; this loop enforces that
 // assumption instead of trusting it.
 //
 // Use RunCycle for a synchronous one-shot pass (replserve -scrub without
-// -serve), or Start/Stop for the continuous loop. The scrubber composes
-// with the supervisor and the adapter: it reads whatever placement is live
-// via Cluster.CurrentPlan, so a repair or adaptation mid-scrub is picked up
+// -serve), or Start/Stop for the continuous loop. A cycle walks whatever
+// Cluster.CurrentPlan says is live when it starts; a repair or adaptation
+// that lands mid-walk is never reverted (Reconciler.Reship) and is walked
 // on the next cycle.
 type Scrubber struct {
-	env     *model.Env
-	cluster *webserve.Cluster
-	opts    ScrubOptions
-	http    *http.Client
+	source
+	opts ScrubOptions
+	http *http.Client
 
 	mu          sync.Mutex
 	cycles      int
 	objects     int
-	clean       int
 	corrupt     int
-	fetchErrs   int
 	repairs     int
 	repairBytes units.ByteSize
-	lastErr     error
 
 	cCycles, cObjects, cClean, cCorrupt *telemetry.Counter
 	cErrors, cRepairs, cRepairBytes     *telemetry.Counter
-
-	stop chan struct{}
-	done chan struct{}
 }
 
-// NewScrubber builds the integrity loop for a running cluster. env is the
-// planning environment the cluster serves (used to price repair deltas).
-func NewScrubber(env *model.Env, cluster *webserve.Cluster, opts ScrubOptions) *Scrubber {
-	opts = opts.normalize()
-	s := &Scrubber{
-		env:     env,
-		cluster: cluster,
-		opts:    opts,
-		http:    &http.Client{Timeout: opts.Timeout},
+// Scrubber builds the integrity loop over the reconciler's cluster.
+func (r *Reconciler) Scrubber(opts ScrubOptions) *Scrubber {
+	if opts.Interval <= 0 {
+		opts.Interval = 2 * time.Second
 	}
-	if reg := opts.Metrics; reg != nil {
-		s.cCycles = reg.Counter("scrub.cycles")
-		s.cObjects = reg.Counter("scrub.objects")
-		s.cClean = reg.Counter("scrub.clean")
-		s.cCorrupt = reg.Counter("scrub.corrupt")
-		s.cErrors = reg.Counter("scrub.errors")
-		s.cRepairs = reg.Counter("scrub.repairs")
-		s.cRepairBytes = reg.Counter("scrub.repair_bytes")
+	if opts.Timeout <= 0 {
+		opts.Timeout = 5 * time.Second
 	}
-	return s
+	reg := r.opts.Metrics
+	return &Scrubber{
+		source: source{rec: r, name: "scrub"},
+		opts:   opts,
+		http:   &http.Client{Timeout: opts.Timeout},
+
+		cCycles:      reg.Counter("scrub.cycles"),
+		cObjects:     reg.Counter("scrub.objects"),
+		cClean:       reg.Counter("scrub.clean"),
+		cCorrupt:     reg.Counter("scrub.corrupt"),
+		cErrors:      reg.Counter("scrub.errors"),
+		cRepairs:     reg.Counter("scrub.repairs"),
+		cRepairBytes: reg.Counter("scrub.repair_bytes"),
+	}
 }
 
 // Start launches the continuous loop: one RunCycle per Interval. Stop ends it.
 func (s *Scrubber) Start() {
-	s.stop = make(chan struct{})
-	s.done = make(chan struct{})
-	go s.loop()
-}
-
-// Stop ends the loop and waits for it to exit.
-func (s *Scrubber) Stop() {
-	close(s.stop)
-	<-s.done
-}
-
-func (s *Scrubber) loop() {
-	defer close(s.done)
-	ticker := time.NewTicker(s.opts.Interval)
-	defer ticker.Stop()
-	for {
-		select {
-		case <-s.stop:
-			return
-		case <-ticker.C:
-			if _, err := s.RunCycle(); err != nil {
-				s.mu.Lock()
-				s.lastErr = err
-				s.mu.Unlock()
-				s.opts.Journal.Record("scrub.error", trace.A(trace.AttrReason, err.Error()))
-				s.logf("%v", err)
-			}
-		}
-	}
+	s.run(s.opts.Interval, func() error {
+		_, err := s.RunCycle()
+		return err
+	})
 }
 
 // fetch retrieves one replica's bytes from site i.
@@ -184,25 +132,24 @@ func (s *Scrubber) fetch(base string, k workload.ObjectID) ([]byte, error) {
 // RunCycle walks the live placement once: every replica the plan claims a
 // live site stores is fetched and verified against the workload's payload
 // contract (including provenance — a header claiming another source is a
-// finding too). Corrupt replicas are pruned from a shadow placement, the
-// delta back to the full plan priced with repair.ChangeDelta (so
-// RepairBytes counts exactly the re-shipped replicas), re-shipped via
-// ApplyPlan, cleared in the fault injectors, and re-verified. Serialized
-// internally; safe to call concurrently with the loop.
+// finding too). Corrupt replicas are handed to the reconciler to re-ship,
+// cleared in the fault injectors, and re-verified. Serialized internally;
+// safe to call concurrently with the loop.
 func (s *Scrubber) RunCycle() (*ScrubCycle, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	cluster, journal := s.rec.cluster, s.rec.opts.Journal
 
-	w, p := s.cluster.CurrentPlan()
+	w, p := cluster.CurrentPlan()
 	out := &ScrubCycle{}
 	s.cycles++
 	s.cCycles.Inc()
 	for i := 0; i < w.NumSites(); i++ {
 		site := workload.SiteID(i)
-		if s.cluster.SiteDown(i) {
+		if cluster.SiteDown(i) {
 			continue
 		}
-		base := s.cluster.SiteBases[i]
+		base := cluster.SiteBases[i]
 		p.StoredSet(site).ForEach(func(ki int) bool {
 			k := workload.ObjectID(ki)
 			out.Checked++
@@ -211,7 +158,6 @@ func (s *Scrubber) RunCycle() (*ScrubCycle, error) {
 			data, err := s.fetch(base, k)
 			if err != nil {
 				out.Errors++
-				s.fetchErrs++
 				s.cErrors.Inc()
 				return true
 			}
@@ -219,7 +165,7 @@ func (s *Scrubber) RunCycle() (*ScrubCycle, error) {
 				out.Corrupt = append(out.Corrupt, Finding{Site: site, Object: k, Reason: verr.Error()})
 				s.corrupt++
 				s.cCorrupt.Inc()
-				s.opts.Journal.Record("scrub.corrupt",
+				journal.Record("scrub.corrupt",
 					trace.I(trace.AttrSite, int64(i)),
 					trace.I(trace.AttrObject, int64(k)),
 					trace.A(trace.AttrReason, verr.Error()))
@@ -227,43 +173,36 @@ func (s *Scrubber) RunCycle() (*ScrubCycle, error) {
 				return true
 			}
 			out.Clean++
-			s.clean++
 			s.cClean.Inc()
 			return true
 		})
 	}
 
 	if len(out.Corrupt) > 0 {
-		if err := s.repairFindings(w, p, out); err != nil {
+		if err := s.repairFindings(w, out); err != nil {
 			return out, err
 		}
 	}
-	s.opts.Journal.Record("scrub.cycle",
+	journal.Record("scrub.cycle",
 		trace.I("checked", int64(out.Checked)),
 		trace.I("corrupt", int64(len(out.Corrupt))),
 		trace.I("errors", int64(out.Errors)))
 	return out, nil
 }
 
-// repairFindings is the anti-entropy step: prune the corrupt replicas from
-// a shadow copy of the plan, price the delta back to the full plan, re-ship
-// it, and re-verify each repaired replica.
-func (s *Scrubber) repairFindings(w *workload.Workload, p *model.Placement, out *ScrubCycle) error {
-	pruned := p.Clone()
-	for _, f := range out.Corrupt {
-		pruned.Unstore(f.Site, f.Object)
+// repairFindings is the anti-entropy step: the reconciler re-ships the
+// replicas its plan still stores, and each one is re-verified.
+func (s *Scrubber) repairFindings(w *workload.Workload, out *ScrubCycle) error {
+	cluster := s.rec.cluster
+	shipped, bytes, err := s.rec.Reship(out.Corrupt)
+	if err != nil || len(shipped) == 0 {
+		return err
 	}
-	// from=pruned, to=p: Copies lists exactly the corrupt replicas, so
-	// CopyBytes prices the delta-only repair traffic.
-	delta := repair.ChangeDelta(s.env, s.env, pruned, p)
-	if err := s.cluster.ApplyPlan(w, p); err != nil {
-		return fmt.Errorf("scrub: repair apply: %w", err)
+	for _, f := range shipped {
+		cluster.ClearRot(int(f.Site), f.Object)
 	}
-	for _, f := range out.Corrupt {
-		s.cluster.ClearRot(int(f.Site), f.Object)
-	}
-	for _, f := range out.Corrupt {
-		data, err := s.fetch(s.cluster.SiteBases[f.Site], f.Object)
+	for _, f := range shipped {
+		data, err := s.fetch(cluster.SiteBases[f.Site], f.Object)
 		if err != nil {
 			return fmt.Errorf("scrub: re-verify fetch site %d object %d: %w", f.Site, f.Object, err)
 		}
@@ -273,25 +212,16 @@ func (s *Scrubber) repairFindings(w *workload.Workload, p *model.Placement, out 
 		}
 	}
 	out.Repaired = true
-	out.RepairBytes = delta.CopyBytes
+	out.RepairBytes = bytes
 	s.repairs++
-	s.repairBytes += delta.CopyBytes
+	s.repairBytes += bytes
 	s.cRepairs.Inc()
-	s.cRepairBytes.Add(int64(delta.CopyBytes))
-	s.opts.Journal.Record("scrub.repaired",
-		trace.I("replicas", int64(len(out.Corrupt))),
-		trace.I("copy_bytes", int64(delta.CopyBytes)))
-	s.opts.Journal.Record("plan.applied",
-		trace.A("mode", "scrub"),
-		trace.I("copy_bytes", int64(delta.CopyBytes)))
-	s.logf("repaired %d replicas, %d bytes re-shipped", len(out.Corrupt), int64(delta.CopyBytes))
+	s.cRepairBytes.Add(int64(bytes))
+	s.rec.opts.Journal.Record("scrub.repaired",
+		trace.I("replicas", int64(len(shipped))),
+		trace.I("copy_bytes", int64(bytes)))
+	s.logf("repaired %d replicas, %d bytes re-shipped", len(shipped), int64(bytes))
 	return nil
-}
-
-func (s *Scrubber) logf(format string, args ...interface{}) {
-	if s.opts.Log != nil {
-		fmt.Fprintf(s.opts.Log, "scrub: "+format+"\n", args...)
-	}
 }
 
 // Counts returns the scrubber's lifetime totals.
@@ -306,11 +236,4 @@ func (s *Scrubber) RepairBytes() units.ByteSize {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.repairBytes
-}
-
-// Err returns the last loop error, nil if none.
-func (s *Scrubber) Err() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.lastErr
 }

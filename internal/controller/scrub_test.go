@@ -36,7 +36,7 @@ func TestScrubberFindsAndRepairsRot(t *testing.T) {
 	defer cluster.Close()
 
 	journal := trace.NewJournal(256)
-	s := NewScrubber(penv, cluster, ScrubOptions{Metrics: cluster.Metrics, Journal: journal})
+	s := NewReconciler(penv, p, cluster, ReconcilerOptions{Metrics: cluster.Metrics, Journal: journal}).Scrubber(ScrubOptions{})
 
 	cyc, err := s.RunCycle()
 	if err != nil {
@@ -153,10 +153,8 @@ func TestScrubberRaceWithChaosAndFetches(t *testing.T) {
 	}
 	defer cluster.Close()
 
-	s := NewScrubber(penv, cluster, ScrubOptions{
-		Interval: 20 * time.Millisecond,
-		Metrics:  cluster.Metrics,
-	})
+	s := NewReconciler(penv, p, cluster, ReconcilerOptions{Metrics: cluster.Metrics}).
+		Scrubber(ScrubOptions{Interval: 20 * time.Millisecond})
 	s.Start()
 	defer s.Stop()
 
@@ -218,7 +216,8 @@ func TestSupervisorDetectsLimpingSite(t *testing.T) {
 	defer cluster.Close()
 
 	journal := trace.NewJournal(256)
-	s := New(penv, p, cluster, Options{
+	rec := NewReconciler(penv, p, cluster, ReconcilerOptions{Workers: 1, Journal: journal, Metrics: telemetry.NewRegistry()})
+	s := rec.Supervisor(Options{
 		ProbeInterval: 20 * time.Millisecond,
 		// Far above the limp: every probe answers 200, so only the latency
 		// threshold can demote the site — the gray path under test.
@@ -226,9 +225,6 @@ func TestSupervisorDetectsLimpingSite(t *testing.T) {
 		FailThreshold:    3,
 		OKThreshold:      2,
 		LatencyThreshold: 5 * time.Millisecond,
-		Workers:          1,
-		Journal:          journal,
-		Metrics:          telemetry.NewRegistry(),
 	})
 	s.Start()
 	defer s.Stop()
@@ -264,12 +260,11 @@ func TestObserveLatencyDemotion(t *testing.T) {
 	}
 	defer cluster.Close()
 
-	s := New(penv, p, cluster, Options{
+	s := NewReconciler(penv, p, cluster, ReconcilerOptions{Workers: 1}).Supervisor(Options{
 		FailThreshold:    2,
 		OKThreshold:      1,
 		LatencyThreshold: 10 * time.Millisecond,
 		LatencyAlpha:     1, // no smoothing: each probe's RTT is the EWMA
-		Workers:          1,
 	})
 	slow := []time.Duration{50 * time.Millisecond, time.Millisecond, time.Millisecond}
 	fast := []time.Duration{time.Millisecond, time.Millisecond, time.Millisecond}

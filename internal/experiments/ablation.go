@@ -165,7 +165,7 @@ var DriftGrid = []float64{0, 0.25, 0.5, 0.75, 1.0}
 // ones, both simulated on the drifted traffic, relative to the refreshed
 // plan's own unconstrained optimum.
 func Drift(opts Options) (*stats.Figure, error) {
-	col := newCollector()
+	col := newCollector(opts.Runs)
 	err := forEachRun(&opts, func(r int, env *runEnv) error {
 		// Under 50 % storage the placement actually embodies popularity
 		// choices; at 100 % both plans would store everything relevant.
@@ -217,8 +217,8 @@ func Drift(opts Options) (*stats.Figure, error) {
 			if err != nil {
 				return err
 			}
-			col.add("Stale plan", frac*100, stats.RelativeIncrease(staleRT, freshRT))
-			col.add("Re-planned", frac*100, 0)
+			col.add(r, "Stale plan", frac*100, stats.RelativeIncrease(staleRT, freshRT))
+			col.add(r, "Re-planned", frac*100, 0)
 
 			// The operational price of refreshing: bytes the repository
 			// must push to the sites to realize the fresh plan.
@@ -226,7 +226,7 @@ func Drift(opts Options) (*stats.Figure, error) {
 			if err != nil {
 				return err
 			}
-			col.add("Migration (GB in)", frac*100, float64(diff.TotalAddedBytes())/float64(units.GB))
+			col.add(r, "Migration (GB in)", frac*100, float64(diff.TotalAddedBytes())/float64(units.GB))
 		}
 		return nil
 	})

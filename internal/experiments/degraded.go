@@ -28,18 +28,8 @@ var DegradedFailoverDelay = units.Seconds(0.25)
 // policy decays toward), all on identical traffic with outage draws from a
 // dedicated stream.
 func DegradedMode(opts Options) (*stats.Figure, error) {
-	type point struct {
-		series string
-		x, y   float64
-	}
-	// Runs execute concurrently; buffering each run's points and feeding the
-	// collector in run order afterwards keeps the figure bit-identical per
-	// seed (float accumulation order never depends on scheduling).
-	perRun := make([][]point, opts.Runs)
+	col := newCollector(opts.Runs)
 	err := forEachRun(&opts, func(r int, env *runEnv) error {
-		add := func(series string, x, y float64) {
-			perRun[r] = append(perRun[r], point{series, x, y})
-		}
 		// Plan the proposed policy once at half storage; the placement does
 		// not depend on availability, only its realized response time does.
 		half := unconstrainedBudgets(env.w).Scale(env.w, 0.5, 1)
@@ -83,20 +73,14 @@ func DegradedMode(opts Options) (*stats.Figure, error) {
 				if err != nil {
 					return err
 				}
-				add(pol.name, avail, stats.RelativeIncrease(rt, env.baseRT))
+				col.add(r, pol.name, avail, stats.RelativeIncrease(rt, env.baseRT))
 			}
-			add("Repository only", avail, stats.RelativeIncrease(floorRT, env.baseRT))
+			col.add(r, "Repository only", avail, stats.RelativeIncrease(floorRT, env.baseRT))
 		}
 		return nil
 	})
 	if err != nil {
 		return nil, err
-	}
-	col := newCollector()
-	for _, pts := range perRun {
-		for _, p := range pts {
-			col.add(p.series, p.x, p.y)
-		}
 	}
 	return col.figure("Degraded mode: response time vs site availability",
 		"site availability", []string{

@@ -51,7 +51,7 @@ type EquivalenceResult struct {
 
 // StorageEquivalence measures the claim over the options' runs.
 func StorageEquivalence(opts Options) (*EquivalenceResult, error) {
-	col := newCollector()
+	col := newCollector(opts.Runs)
 	err := forEachRun(&opts, func(r int, env *runEnv) error {
 		full := unconstrainedBudgets(env.w)
 		lruPol, err := policies.NewLRU(env.w, full, env.simSeed+uint64(r))
@@ -62,13 +62,13 @@ func StorageEquivalence(opts Options) (*EquivalenceResult, error) {
 		if err != nil {
 			return err
 		}
-		col.add("LRU@100", 100, stats.RelativeIncrease(lruRT, env.baseRT))
+		col.add(r, "LRU@100", 100, stats.RelativeIncrease(lruRT, env.baseRT))
 
 		localRT, err := env.simulate(policies.NewLocal(env.w), false)
 		if err != nil {
 			return err
 		}
-		col.add("Local", 100, stats.RelativeIncrease(localRT, env.baseRT))
+		col.add(r, "Local", 100, stats.RelativeIncrease(localRT, env.baseRT))
 
 		for _, frac := range StorageGrid {
 			b := unconstrainedBudgets(env.w).Scale(env.w, frac, 1)
@@ -80,7 +80,7 @@ func StorageEquivalence(opts Options) (*EquivalenceResult, error) {
 			if err != nil {
 				return err
 			}
-			col.add("Proposed", frac*100, stats.RelativeIncrease(rt, env.baseRT))
+			col.add(r, "Proposed", frac*100, stats.RelativeIncrease(rt, env.baseRT))
 		}
 		return nil
 	})
@@ -88,13 +88,12 @@ func StorageEquivalence(opts Options) (*EquivalenceResult, error) {
 		return nil, err
 	}
 
-	col.mu.Lock()
-	defer col.mu.Unlock()
+	data, _ := col.fold()
 	res := &EquivalenceResult{Fraction: 1, ProposedAt: make(map[float64]float64)}
-	res.LRUFull = col.data["LRU@100"][100].Mean()
-	res.LocalLevel = col.data["Local"][100].Mean()
+	res.LRUFull = data["LRU@100"][100].Mean()
+	res.LocalLevel = data["Local"][100].Mean()
 	for _, frac := range StorageGrid {
-		res.ProposedAt[frac] = col.data["Proposed"][frac*100].Mean()
+		res.ProposedAt[frac] = data["Proposed"][frac*100].Mean()
 	}
 	for _, frac := range StorageGrid {
 		if res.ProposedAt[frac] <= res.LRUFull {

@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"sync"
 	"time"
 
 	"repro/internal/core"
@@ -20,69 +19,69 @@ func totalFlips(pr *core.Result) int64 {
 	return n
 }
 
-// collector accumulates per-(series, x) relative response times across runs
-// thread-safely (runs execute concurrently).
+// collector buffers every run's (series, x, y) points and folds them in run
+// order when the figure is rendered, so the floating-point accumulation —
+// and with it every byte of the output — is the same however the concurrent
+// runs were scheduled. Run r's buffer is appended to only by run r, which is
+// all the synchronization concurrent runs need.
 type collector struct {
-	mu   sync.Mutex
-	data map[string]map[float64]*stats.Accumulator
-	xs   map[string][]float64 // insertion order per series
+	runs [][]point
 }
 
-func newCollector() *collector {
-	return &collector{
-		data: make(map[string]map[float64]*stats.Accumulator),
-		xs:   make(map[string][]float64),
-	}
+type point struct {
+	series string
+	x, y   float64
 }
 
-// add records one run's relative increase (percent) at x for the series.
-func (c *collector) add(series string, x, relPct float64) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	m, ok := c.data[series]
-	if !ok {
-		m = make(map[float64]*stats.Accumulator)
-		c.data[series] = m
+func newCollector(runs int) *collector {
+	return &collector{runs: make([][]point, max(runs, 0))}
+}
+
+// add records run r's value (a relative increase, percent) at x for the
+// series.
+func (c *collector) add(r int, series string, x, y float64) {
+	c.runs[r] = append(c.runs[r], point{series, x, y})
+}
+
+// fold accumulates the buffered points, run by run, per (series, x); xs
+// keeps each series' x values in first-insertion order.
+func (c *collector) fold() (data map[string]map[float64]*stats.Accumulator, xs map[string][]float64) {
+	data = make(map[string]map[float64]*stats.Accumulator)
+	xs = make(map[string][]float64)
+	for _, pts := range c.runs {
+		for _, pt := range pts {
+			m, ok := data[pt.series]
+			if !ok {
+				m = make(map[float64]*stats.Accumulator)
+				data[pt.series] = m
+			}
+			acc, ok := m[pt.x]
+			if !ok {
+				acc = &stats.Accumulator{}
+				m[pt.x] = acc
+				xs[pt.series] = append(xs[pt.series], pt.x)
+			}
+			acc.Add(pt.y)
+		}
 	}
-	acc, ok := m[x]
-	if !ok {
-		acc = &stats.Accumulator{}
-		m[x] = acc
-		c.xs[series] = append(c.xs[series], x)
-	}
-	acc.Add(relPct)
+	return data, xs
 }
 
 // figure renders the collected series, in the given order, as a Figure.
 func (c *collector) figure(title, xlabel string, order []string) *stats.Figure {
-	c.mu.Lock()
-	defer c.mu.Unlock()
+	data, xs := c.fold()
 	f := &stats.Figure{Title: title, XLabel: xlabel, YLabel: "% increase in response time vs unconstrained proposed"}
 	for _, name := range order {
-		m, ok := c.data[name]
-		if !ok {
+		if _, ok := data[name]; !ok {
 			continue
 		}
 		s := f.AddSeries(name)
-		for _, x := range sortedKeys(c.xs[name], m) {
-			acc := m[x]
+		for _, x := range xs[name] {
+			acc := data[name][x]
 			s.Add(x, acc.Mean(), acc.CI95())
 		}
 	}
 	return f
-}
-
-func sortedKeys(order []float64, m map[float64]*stats.Accumulator) []float64 {
-	// Preserve insertion order but deduplicate (runs insert the same grid).
-	seen := make(map[float64]bool, len(order))
-	out := make([]float64, 0, len(m))
-	for _, x := range order {
-		if !seen[x] {
-			seen[x] = true
-			out = append(out, x)
-		}
-	}
-	return out
 }
 
 // StorageGrid is the Figure-1 sweep of local storage fractions.
@@ -99,7 +98,7 @@ var CentralGrid = []float64{0.9, 0.7, 0.5}
 // proposed policy and ideal LRU, plus the flat Remote and Local reference
 // levels (the paper reports +335 % and +23.8 %).
 func Figure1(opts Options) (*stats.Figure, error) {
-	col := newCollector()
+	col := newCollector(opts.Runs)
 	err := forEachRun(&opts, func(r int, env *runEnv) error {
 		// Flat references, no constraints (§5.2).
 		remoteRT, err := env.simulate(policies.NewRemote(env.w), false)
@@ -124,7 +123,7 @@ func Figure1(opts Options) (*stats.Figure, error) {
 			if err != nil {
 				return err
 			}
-			col.add("Proposed", frac*100, stats.RelativeIncrease(oursRT, env.baseRT))
+			col.add(r, "Proposed", frac*100, stats.RelativeIncrease(oursRT, env.baseRT))
 
 			lruPol, err := policies.NewLRU(env.w, b, env.simSeed+uint64(r))
 			if err != nil {
@@ -134,10 +133,10 @@ func Figure1(opts Options) (*stats.Figure, error) {
 			if err != nil {
 				return err
 			}
-			col.add("LRU", frac*100, stats.RelativeIncrease(lruRT, env.baseRT))
+			col.add(r, "LRU", frac*100, stats.RelativeIncrease(lruRT, env.baseRT))
 
-			col.add("Remote", frac*100, stats.RelativeIncrease(remoteRT, env.baseRT))
-			col.add("Local", frac*100, stats.RelativeIncrease(localRT, env.baseRT))
+			col.add(r, "Remote", frac*100, stats.RelativeIncrease(remoteRT, env.baseRT))
+			col.add(r, "Local", frac*100, stats.RelativeIncrease(localRT, env.baseRT))
 			opts.progressf("fig1 run %d: storage %3.0f%% — plan D=%.1f feasible=%v, proposed %+.1f%%, lru %+.1f%% (%.2fs)",
 				r, frac*100, pr.D, pr.Feasible,
 				stats.RelativeIncrease(oursRT, env.baseRT), stats.RelativeIncrease(lruRT, env.baseRT),
@@ -156,7 +155,7 @@ func Figure1(opts Options) (*stats.Figure, error) {
 // processing capacity at 100 % storage (the paper's double-exponential
 // curve, reaching the Remote level at 0 % capacity).
 func Figure2(opts Options) (*stats.Figure, error) {
-	col := newCollector()
+	col := newCollector(opts.Runs)
 	err := forEachRun(&opts, func(r int, env *runEnv) error {
 		for _, frac := range CapacityGrid {
 			pointStart := time.Now() //repllint:allow determinism — wall-clock progress narration; never feeds results
@@ -166,7 +165,7 @@ func Figure2(opts Options) (*stats.Figure, error) {
 			if err != nil {
 				return err
 			}
-			col.add("Proposed", frac*100, stats.RelativeIncrease(oursRT, env.baseRT))
+			col.add(r, "Proposed", frac*100, stats.RelativeIncrease(oursRT, env.baseRT))
 			opts.progressf("fig2 run %d: capacity %3.0f%% — plan D=%.1f flips=%d, proposed %+.1f%% (%.2fs)",
 				r, frac*100, pr.D, totalFlips(pr),
 				stats.RelativeIncrease(oursRT, env.baseRT), time.Since(pointStart).Seconds()) //repllint:allow determinism — wall-clock progress narration; never feeds results
@@ -178,7 +177,7 @@ func Figure2(opts Options) (*stats.Figure, error) {
 		if err != nil {
 			return err
 		}
-		col.add("Proposed", 0, stats.RelativeIncrease(zeroRT, env.baseRT))
+		col.add(r, "Proposed", 0, stats.RelativeIncrease(zeroRT, env.baseRT))
 		return nil
 	})
 	if err != nil {
@@ -193,7 +192,7 @@ func Figure2(opts Options) (*stats.Figure, error) {
 // workload the sites' pre-offload plans direct at it, activating the
 // off-loading negotiation.
 func Figure3(opts Options) (*stats.Figure, error) {
-	col := newCollector()
+	col := newCollector(opts.Runs)
 	err := forEachRun(&opts, func(r int, env *runEnv) error {
 		for _, localFrac := range CapacityGrid {
 			// Probe: plan with an unconstrained repository to find the
@@ -218,7 +217,7 @@ func Figure3(opts Options) (*stats.Figure, error) {
 				if err != nil {
 					return err
 				}
-				col.add(seriesName(centralFrac), localFrac*100, stats.RelativeIncrease(rt, env.baseRT))
+				col.add(r, seriesName(centralFrac), localFrac*100, stats.RelativeIncrease(rt, env.baseRT))
 				opts.progressf("fig3 run %d: local %3.0f%% central %2.0f%% — offload rounds=%d msgs=%d restored=%v, %+.1f%% (%.2fs)",
 					r, localFrac*100, centralFrac*100, pr.Offload.Rounds, pr.Offload.Messages,
 					pr.Offload.Restored, stats.RelativeIncrease(rt, env.baseRT), time.Since(pointStart).Seconds()) //repllint:allow determinism — wall-clock progress narration; never feeds results

@@ -204,15 +204,13 @@ func FlashCrowd(opts Options) (*FlashCrowdResult, error) {
 		return nil, err
 	}
 
-	// Feed the collector in run order so the figure is deterministic at any
-	// worker count.
-	col := newCollector()
-	for _, run := range runs {
+	col := newCollector(len(runs))
+	for r, run := range runs {
 		rel := func(d float64) float64 { return 100 * (d - run.D0) / run.D0 }
 		for _, ep := range run.Epochs {
-			col.add("Static plan", float64(ep.Epoch), rel(ep.DStatic))
-			col.add("Online planner", float64(ep.Epoch), rel(ep.DOnline))
-			col.add("Oracle re-plan", float64(ep.Epoch), rel(ep.DOracle))
+			col.add(r, "Static plan", float64(ep.Epoch), rel(ep.DStatic))
+			col.add(r, "Online planner", float64(ep.Epoch), rel(ep.DOnline))
+			col.add(r, "Oracle re-plan", float64(ep.Epoch), rel(ep.DOracle))
 		}
 	}
 	fig := col.figure("Flash crowd: objective under hot-page rotation",

@@ -174,15 +174,13 @@ func Overload(opts Options) (*OverloadResult, error) {
 	}
 	wg.Wait()
 
-	// Feed the collector in run order so the figure is deterministic at any
-	// worker count.
-	col := newCollector()
-	for _, run := range runs {
+	col := newCollector(len(runs))
+	for r, run := range runs {
 		for s, g := range run.Off.GoodputPerSec {
-			col.add("Protections off", float64(s), float64(g))
+			col.add(r, "Protections off", float64(s), float64(g))
 		}
 		for s, g := range run.On.GoodputPerSec {
-			col.add("Protections on", float64(s), float64(g))
+			col.add(r, "Protections on", float64(s), float64(g))
 		}
 	}
 	fig := col.figure("Overload: goodput through a 10x flash crowd",

@@ -31,7 +31,7 @@ var PeriodGrid = []int{1, 2, 3, 6, 0}
 // every epoch) and the total replica bytes migrated — responsiveness versus
 // churn, as a function of the period.
 func PeriodStudy(opts Options) (*stats.Figure, error) {
-	col := newCollector()
+	col := newCollector(opts.Runs)
 	err := forEachRun(&opts, func(r int, env *runEnv) error {
 		budget := func(w *workload.Workload) model.Budgets {
 			b := model.FullBudgets(w).Scale(w, 0.5, 1)
@@ -115,8 +115,8 @@ func PeriodStudy(opts Options) (*stats.Figure, error) {
 			if period == 0 {
 				x = float64(PeriodEpochs) // "never" rendered at the far end
 			}
-			col.add("RT vs oracle", x, sumRel/float64(PeriodEpochs))
-			col.add("Churn (GB moved)", x, float64(churn)/float64(units.GB))
+			col.add(r, "RT vs oracle", x, sumRel/float64(PeriodEpochs))
+			col.add(r, "Churn (GB moved)", x, float64(churn)/float64(units.GB))
 		}
 		return nil
 	})

@@ -27,7 +27,7 @@ var QueueingGrid = []float64{0.2, 0.4, 0.6, 0.8, 1.0}
 // 0.3-2 KB/s repository can cost more than the queueing it avoids — an
 // honest trade-off the EXPERIMENTS.md notes record.)
 func QueueingStudy(opts Options) (*stats.Figure, error) {
-	col := newCollector()
+	col := newCollector(opts.Runs)
 	err := forEachRun(&opts, func(r int, env *runEnv) error {
 		// The capacity-ignorant plan never changes with the sweep.
 		ignorantEnv, err := model.NewEnv(env.w, env.est, unconstrainedBudgets(env.w))
@@ -78,8 +78,8 @@ func QueueingStudy(opts Options) (*stats.Figure, error) {
 			if err != nil {
 				return err
 			}
-			col.add("Eq.8-aware plan", frac*100, awareOv)
-			col.add("Capacity-ignorant plan", frac*100, ignorantOv)
+			col.add(r, "Eq.8-aware plan", frac*100, awareOv)
+			col.add(r, "Capacity-ignorant plan", frac*100, ignorantOv)
 		}
 		return nil
 	})

@@ -142,8 +142,7 @@ func Recovery(opts Options) (*RecoveryResult, error) {
 	}
 
 	// Sample every run's step trajectory on a common grid spanning the
-	// slowest episode (plus a settled tail), feeding the collector in run
-	// order so the figure is deterministic at any worker count.
+	// slowest episode (plus a settled tail).
 	var horizon units.Seconds
 	for _, sc := range scheds {
 		if sc.recoveredAt > horizon {
@@ -152,8 +151,8 @@ func Recovery(opts Options) (*RecoveryResult, error) {
 	}
 	horizon *= 1.05
 	step := horizon / RecoveryTimelineSteps
-	col := newCollector()
-	for _, sc := range scheds {
+	col := newCollector(len(scheds))
+	for r, sc := range scheds {
 		rel := func(d float64) float64 { return 100 * (d - sc.dHealthy) / sc.dHealthy }
 		for i := 0; i <= RecoveryTimelineSteps; i++ {
 			t := units.Seconds(i) * step
@@ -169,8 +168,8 @@ func Recovery(opts Options) (*RecoveryResult, error) {
 			if t >= RecoveryFailAt && t < sc.returnAt {
 				fb = sc.dDegraded
 			}
-			col.add("Self-healing", float64(t), rel(heal))
-			col.add("Fallback only", float64(t), rel(fb))
+			col.add(r, "Self-healing", float64(t), rel(heal))
+			col.add(r, "Fallback only", float64(t), rel(fb))
 		}
 	}
 	fig := col.figure("Recovery: objective over a scripted site outage",

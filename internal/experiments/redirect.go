@@ -22,7 +22,7 @@ var RedirectGrid = []float64{0, 0.25, 0.5, 1.0, 2.0}
 // multi-minute transfers drown any latency) and once at 100× those rates
 // (broadband, where per-request latency dominates and the argument bites).
 func RedirectStudy(opts Options) (*stats.Figure, error) {
-	col := newCollector()
+	col := newCollector(opts.Runs)
 	if err := redirectPass(opts, col, 1, " (Table-1 rates)"); err != nil {
 		return nil, err
 	}
@@ -68,8 +68,8 @@ func redirectPass(opts Options, col *collector, _ float64, suffix string) error 
 			if err != nil {
 				return err
 			}
-			col.add("LRU+redirect"+suffix, penalty, stats.RelativeIncrease(res, env.baseRT))
-			col.add("Proposed"+suffix, penalty, stats.RelativeIncrease(oursRT, env.baseRT))
+			col.add(r, "LRU+redirect"+suffix, penalty, stats.RelativeIncrease(res, env.baseRT))
+			col.add(r, "Proposed"+suffix, penalty, stats.RelativeIncrease(oursRT, env.baseRT))
 		}
 		return nil
 	})

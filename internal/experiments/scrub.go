@@ -208,9 +208,11 @@ func Scrub(opts Options) (*ScrubResult, error) {
 
 		// Phase 2: anti-entropy. Cycle 1 finds and repairs every rotted
 		// replica; cycle 2 proves the store verifies clean.
-		scrubber := controller.NewScrubber(penv, cluster, controller.ScrubOptions{
+		rec := controller.NewReconciler(penv, p, cluster, controller.ReconcilerOptions{
+			Workers: env.planWorkers,
 			Metrics: cluster.Metrics,
 		})
+		scrubber := rec.Scrubber(controller.ScrubOptions{})
 		cycle1, err := scrubber.RunCycle()
 		if err != nil {
 			return err
@@ -235,7 +237,7 @@ func Scrub(opts Options) (*ScrubResult, error) {
 		// probe 200 but over the latency threshold; the partitioned site is
 		// unreachable to the supervisor while still serving clients. Both
 		// must walk to Down.
-		sup := controller.New(penv, p, cluster, controller.Options{
+		sup := rec.Supervisor(controller.Options{
 			ProbeInterval: ScrubProbeInterval,
 			// Generous: the limping site must answer 200 (slow), not time
 			// out — only then is its demotion the EWMA signal's doing.
@@ -243,7 +245,6 @@ func Scrub(opts Options) (*ScrubResult, error) {
 			FailThreshold:    ScrubFailThreshold,
 			OKThreshold:      ScrubOKThreshold,
 			LatencyThreshold: ScrubLatencyThreshold,
-			Workers:          env.planWorkers,
 		})
 		sup.Start()
 		run.LimpDetected = sup.WaitFor(func(states []controller.SiteState) bool {

@@ -20,7 +20,7 @@ var SeverityGrid = []float64{0, 0.5, 1.0, 1.5, 2.0}
 // the curves show whether the *gap* survives hostile conditions, not the
 // general slowdown.
 func Sensitivity(opts Options) (*stats.Figure, error) {
-	col := newCollector()
+	col := newCollector(opts.Runs)
 	err := forEachRun(&opts, func(r int, env *runEnv) error {
 		half := unconstrainedBudgets(env.w).Scale(env.w, 0.5, 1)
 		for _, severity := range SeverityGrid {
@@ -31,7 +31,7 @@ func Sensitivity(opts Options) (*stats.Figure, error) {
 			if err != nil {
 				return err
 			}
-			col.add("Proposed", severity, 0)
+			col.add(r, "Proposed", severity, 0)
 
 			lru, err := policies.NewLRU(env.w, half, env.simSeed+uint64(r))
 			if err != nil {
@@ -43,13 +43,13 @@ func Sensitivity(opts Options) (*stats.Figure, error) {
 			if err != nil {
 				return err
 			}
-			col.add("LRU", severity, stats.RelativeIncrease(lruRT, oursRT))
+			col.add(r, "LRU", severity, stats.RelativeIncrease(lruRT, oursRT))
 
 			localRT, err := simulateWithConfig(env, policies.NewLocal(env.w), cfg)
 			if err != nil {
 				return err
 			}
-			col.add("Local", severity, stats.RelativeIncrease(localRT, oursRT))
+			col.add(r, "Local", severity, stats.RelativeIncrease(localRT, oursRT))
 		}
 		return nil
 	})

@@ -16,7 +16,7 @@ var ThresholdGrid = []int64{1, 2, 5, 10, 25, 50}
 // thresholds, against the proposed static plan at the same storage, all on
 // identical traffic and relative to the unconstrained proposed policy.
 func ThresholdStudy(opts Options) (*stats.Figure, error) {
-	col := newCollector()
+	col := newCollector(opts.Runs)
 	err := forEachRun(&opts, func(r int, env *runEnv) error {
 		half := unconstrainedBudgets(env.w).Scale(env.w, 0.5, 1)
 		oursRT, _, err := env.simulatePlanned(half, false)
@@ -35,8 +35,8 @@ func ThresholdStudy(opts Options) (*stats.Figure, error) {
 			if err != nil {
 				return err
 			}
-			col.add("Threshold dynamic", float64(thr), stats.RelativeIncrease(rt, env.baseRT))
-			col.add("Proposed (static plan)", float64(thr), stats.RelativeIncrease(oursRT, env.baseRT))
+			col.add(r, "Threshold dynamic", float64(thr), stats.RelativeIncrease(rt, env.baseRT))
+			col.add(r, "Proposed (static plan)", float64(thr), stats.RelativeIncrease(oursRT, env.baseRT))
 		}
 		return nil
 	})

@@ -18,7 +18,7 @@ var WeightGrid = []float64{0, 0.25, 0.5, 1, 2, 4}
 // plans at 30 % storage and reports the simulated mean page time and mean
 // optional time per view, each relative to the unconstrained reference.
 func WeightsStudy(opts Options) (*stats.Figure, error) {
-	col := newCollector()
+	col := newCollector(opts.Runs)
 	err := forEachRun(&opts, func(r int, env *runEnv) error {
 		// Reference means from the unconstrained plan.
 		refEnv, err := model.NewEnv(env.w, env.est, unconstrainedBudgets(env.w))
@@ -50,9 +50,9 @@ func WeightsStudy(opts Options) (*stats.Figure, error) {
 			if err != nil {
 				return err
 			}
-			col.add("Page RT", ratio, stats.RelativeIncrease(pageMean, refPage))
+			col.add(r, "Page RT", ratio, stats.RelativeIncrease(pageMean, refPage))
 			if refOpt > 0 {
-				col.add("Optional RT", ratio, stats.RelativeIncrease(optMean, refOpt))
+				col.add(r, "Optional RT", ratio, stats.RelativeIncrease(optMean, refOpt))
 			}
 		}
 		return nil

@@ -7,6 +7,7 @@ import (
 	"io"
 	"net/http"
 	"sort"
+	"strings"
 	"sync"
 	"time"
 )
@@ -188,6 +189,29 @@ func CountEventTypes(events []Event) []TypeCount {
 		}
 		return out[i].Type < out[k].Type
 	})
+	return out
+}
+
+// PlanLineage renders the journal's plan.applied events, oldest first, as
+// "gen N ← P: cause (k=v ...)" lines: who changed the plan, from which
+// generation, and why. A parent that is not the previous line's generation
+// means the ring dropped commits in between.
+func PlanLineage(events []Event) []string {
+	var out []string
+	for i := range events {
+		ev := &events[i]
+		if ev.Type != "plan.applied" || ev.Field("gen") == "" {
+			continue
+		}
+		var rest []string
+		for _, f := range ev.Fields {
+			if f.Key != "gen" && f.Key != "parent" && f.Key != "cause" {
+				rest = append(rest, f.Key+"="+f.Value)
+			}
+		}
+		out = append(out, fmt.Sprintf("gen %s ← %s: %s (%s)",
+			ev.Field("gen"), ev.Field("parent"), ev.Field("cause"), strings.Join(rest, " ")))
+	}
 	return out
 }
 

@@ -501,6 +501,10 @@ func CountJournalEvents(events []JournalEvent) []JournalTypeCount {
 	return trace.CountEventTypes(events)
 }
 
+// PlanLineage renders the journal's plan.applied events as
+// "gen N ← P: cause (...)" lines, oldest first.
+func PlanLineage(events []JournalEvent) []string { return trace.PlanLineage(events) }
+
 // NewSpanBuffer returns a span sink holding at most capacity spans
 // (0 = default).
 func NewSpanBuffer(capacity int) *SpanBuffer { return trace.NewBuffer(capacity) }
