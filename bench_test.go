@@ -182,8 +182,9 @@ func BenchmarkAblationPartitionSort(b *testing.B) {
 		dSorted = pl.D()
 	}
 	plU := core.NewPlanner(env)
+	plU.UnsortedPartition = true
 	for j := range env.W.Pages {
-		plU.PartitionPageUnsorted(workload.PageID(j))
+		plU.PartitionPage(workload.PageID(j))
 	}
 	dUnsorted = plU.D()
 	b.ReportMetric(dSorted, "D-sorted")

@@ -92,7 +92,7 @@ func run(args []string, stdout io.Writer) error {
 	if *trace {
 		span = repro.NewSpan("plan")
 	}
-	placement, result, err := repro.Plan(env, repro.PlanOptions{Workers: *workers, Distributed: true, MessageLog: log, Trace: span})
+	placement, result, err := repro.Plan(env, repro.PlanOptions{Workers: *workers, MessageLog: log, Trace: span})
 	if err != nil {
 		return err
 	}

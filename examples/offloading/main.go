@@ -44,10 +44,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	placement, result, err := repro.Plan(env, repro.PlanOptions{
-		Distributed: true, // one goroutine per site, real message exchange
-		MessageLog:  os.Stdout,
-	})
+	placement, result, err := repro.Plan(env, repro.PlanOptions{MessageLog: os.Stdout})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -81,12 +81,6 @@ func (s *Set) Clone() *Set {
 	return c
 }
 
-// CopyFrom overwrites s with the contents of o. Capacities must match.
-func (s *Set) CopyFrom(o *Set) {
-	s.mustMatch(o)
-	copy(s.words, o.words)
-}
-
 func (s *Set) mustMatch(o *Set) {
 	if s.n != o.n {
 		panic(fmt.Sprintf("bitset: capacity mismatch %d vs %d", s.n, o.n))

@@ -116,20 +116,6 @@ func TestEqualAndClone(t *testing.T) {
 	}
 }
 
-func TestCopyFrom(t *testing.T) {
-	a, b := New(64), New(64)
-	a.Set(0)
-	a.Set(63)
-	b.Set(10)
-	b.CopyFrom(a)
-	if !b.Equal(a) {
-		t.Error("CopyFrom did not copy")
-	}
-	if b.Test(10) {
-		t.Error("CopyFrom kept old bit")
-	}
-}
-
 func TestResetAndAny(t *testing.T) {
 	s := New(100)
 	if s.Any() {

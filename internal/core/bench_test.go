@@ -41,9 +41,9 @@ func benchWorkerCounts() []int {
 	return counts
 }
 
-// BenchmarkPlan measures the full planning pipeline — page-pool PARTITION,
+// BenchmarkPlan measures the full planning pipeline — PARTITION over pages,
 // per-site restoration, off-loading coordinator — across worker counts on
-// the Table-1 workload. The benchdiff CI gate watches these series.
+// the Table-1 workload.
 func BenchmarkPlan(b *testing.B) {
 	env := benchEnv(b)
 	for _, workers := range benchWorkerCounts() {
@@ -91,9 +91,9 @@ func BenchmarkPartitionParallel(b *testing.B) {
 	}
 }
 
-// BenchmarkOffloadParallel isolates the negotiation with concurrent
-// scratch-planner scoring, repository capped at 60 % of the pre-offload
-// load so several rounds of AcceptWorkload run.
+// BenchmarkOffloadParallel isolates the negotiation with the sites
+// accepting concurrently in place, repository capped at 60 % of the
+// pre-offload load so several rounds of AcceptWorkload run.
 func BenchmarkOffloadParallel(b *testing.B) {
 	env := benchEnv(b)
 	base := NewPlanner(env)
@@ -124,21 +124,5 @@ func BenchmarkOffloadParallel(b *testing.B) {
 			}
 			env.Budgets.RepoCapacity = model.Infinite()
 		})
-	}
-}
-
-// BenchmarkScratchBuild prices one per-site scratch planner construction —
-// the per-dispatch overhead the off-loading scoring pool pays.
-func BenchmarkScratchBuild(b *testing.B) {
-	env := benchEnv(b)
-	pl := NewPlanner(env)
-	pl.PartitionParallel(runtime.NumCPU(), nil)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		sc := pl.scratchFor(workload.SiteID(i % env.W.NumSites()))
-		if sc == nil {
-			b.Fatal("nil scratch")
-		}
 	}
 }

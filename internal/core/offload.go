@@ -4,8 +4,8 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"sync"
 
+	"repro/internal/telemetry"
 	"repro/internal/units"
 	"repro/internal/workload"
 )
@@ -29,64 +29,23 @@ type OffloadStats struct {
 const maxOffloadRounds = 64
 
 // Offload runs the repository's OFF_LOADING_REPOSITORY loop (Section 4.2)
-// against the planner's sites, sequentially. The distributed variant in
-// RunOffloadDistributed exchanges the same messages over channels and
-// produces the identical placement; this form is the deterministic
-// reference. log, when non-nil, receives a line per protocol message.
+// against the planner's sites with every acceptance evaluated inline, in
+// ascending site order: the sequential reference that OffloadParallel is
+// tested against. log, when non-nil, receives a line per protocol message.
 func (pl *Planner) Offload(log io.Writer) OffloadStats {
-	return pl.offload(log, func(reqs map[workload.SiteID]units.ReqPerSec) []AcceptResult {
-		out := make([]AcceptResult, 0, len(reqs))
-		for i := 0; i < pl.env.W.NumSites(); i++ {
-			if target, ok := reqs[workload.SiteID(i)]; ok {
-				out = append(out, pl.AcceptWorkload(workload.SiteID(i), target))
-			}
-		}
-		return out
-	})
+	return pl.OffloadParallel(log, 1, nil)
 }
 
-// RunOffloadDistributed runs the same negotiation with one goroutine per
-// local server, exchanging request/answer messages over channels — the
-// shape the paper describes, where each phase is a round of messages
-// between the repository and the servers. Distinct sites mutate disjoint
-// planner state, so the concurrent acceptance is race-free, and because the
-// coordinator waits for all answers before the next phase the outcome is
-// identical to Offload.
-func (pl *Planner) RunOffloadDistributed(log io.Writer) OffloadStats {
-	type job struct {
-		site   workload.SiteID
-		target units.ReqPerSec
-	}
-	return pl.offload(log, func(reqs map[workload.SiteID]units.ReqPerSec) []AcceptResult {
-		jobs := make(chan job, len(reqs))
-		answers := make(chan AcceptResult, len(reqs))
-		var wg sync.WaitGroup
-		for w := 0; w < len(reqs); w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for jb := range jobs {
-					answers <- pl.AcceptWorkload(jb.site, jb.target)
-				}
-			}()
-		}
-		for site, target := range reqs {
-			jobs <- job{site, target}
-		}
-		close(jobs)
-		wg.Wait()
-		close(answers)
-		out := make([]AcceptResult, 0, len(reqs))
-		for a := range answers {
-			out = append(out, a)
-		}
-		return out
-	})
-}
-
-// offload is the coordinator loop shared by both execution modes; dispatch
-// runs one phase of NewReq messages and returns the sites' answers.
-func (pl *Planner) offload(log io.Writer, dispatch func(map[workload.SiteID]units.ReqPerSec) []AcceptResult) OffloadStats {
+// OffloadParallel runs the negotiation with each phase's AcceptWorkload
+// calls fanned out over up to workers goroutines — at workers >= sites, the
+// shape the paper describes: every local server answers its NewReq at once
+// and the repository waits for all answers before the next phase. The sites
+// accept in place: AcceptWorkload(i) touches only site i's cells (see
+// parallel.go), and the answers are slotted in ascending site order before
+// the coordinator reads them, so the placement, the statistics and the
+// message log are bit-identical at every worker count. Per-worker busy time
+// accumulates on sp.
+func (pl *Planner) OffloadParallel(log io.Writer, workers int, sp *telemetry.Span) OffloadStats {
 	stats := OffloadStats{RepoLoadBefore: pl.RepoLoad()}
 	capR := float64(pl.env.Budgets.RepoCapacity)
 	logf := func(format string, args ...interface{}) {
@@ -180,7 +139,15 @@ func (pl *Planner) offload(log io.Writer, dispatch func(map[workload.SiteID]unit
 			}
 		}
 
-		answers := dispatch(reqs)
+		answers := make([]AcceptResult, 0, len(reqs))
+		for i := 0; i < pl.env.W.NumSites(); i++ {
+			if target, ok := reqs[workload.SiteID(i)]; ok {
+				answers = append(answers, AcceptResult{Site: workload.SiteID(i), Target: target})
+			}
+		}
+		fanOut(workers, len(answers), sp, func(_, s int) {
+			answers[s] = pl.AcceptWorkload(answers[s].Site, answers[s].Target)
+		})
 		stats.Messages += 2 * len(reqs) // NewReq out + answer back
 		for _, a := range answers {
 			stats.MovedLocal += a.Accepted

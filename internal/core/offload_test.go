@@ -1,7 +1,6 @@
 package core
 
 import (
-	"math"
 	"strings"
 	"testing"
 
@@ -81,50 +80,6 @@ func TestOffloadRestoresConstraint(t *testing.T) {
 		if !strings.Contains(log.String(), want) {
 			t.Errorf("log missing %q", want)
 		}
-	}
-}
-
-func TestOffloadDistributedMatchesSequential(t *testing.T) {
-	mk := func() (*Planner, *model.Env) {
-		pl, env := planned(t, 23, nil)
-		env.Budgets.RepoCapacity = units.ReqPerSec(float64(pl.RepoLoad()) * 0.5)
-		return pl, env
-	}
-	seqPl, _ := mk()
-	seqSt := seqPl.Offload(nil)
-
-	distPl, _ := mk()
-	distSt := distPl.RunOffloadDistributed(nil)
-
-	if seqSt.Restored != distSt.Restored {
-		t.Fatalf("restored: seq %v, dist %v", seqSt.Restored, distSt.Restored)
-	}
-	if math.Abs(float64(seqPl.RepoLoad()-distPl.RepoLoad())) > 1e-6 {
-		t.Errorf("repo load: seq %v, dist %v", seqPl.RepoLoad(), distPl.RepoLoad())
-	}
-	// The placements must be identical: the negotiation is deterministic
-	// because phases are barriers and sites touch disjoint state.
-	w := seqPl.env.W
-	for j := range w.Pages {
-		pid := workload.PageID(j)
-		for idx := range w.Pages[j].Compulsory {
-			if seqPl.p.CompLocal(pid, idx) != distPl.p.CompLocal(pid, idx) {
-				t.Fatalf("page %d comp %d differs between modes", j, idx)
-			}
-		}
-		for idx := range w.Pages[j].Optional {
-			if seqPl.p.OptLocal(pid, idx) != distPl.p.OptLocal(pid, idx) {
-				t.Fatalf("page %d opt %d differs between modes", j, idx)
-			}
-		}
-	}
-	for i := range w.Sites {
-		if !seqPl.p.StoredSet(workload.SiteID(i)).Equal(distPl.p.StoredSet(workload.SiteID(i))) {
-			t.Fatalf("site %d stores differ between modes", i)
-		}
-	}
-	if err := distPl.VerifyConsistency(); err != nil {
-		t.Fatal(err)
 	}
 }
 

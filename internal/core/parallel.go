@@ -1,33 +1,26 @@
-// Parallel planning engine. Three pieces let Plan scale to all cores while
-// staying deterministic:
+// Parallel planning. Every phase of Plan fans out through one helper,
+// fanOut, and every phase is deterministic at any width for one reason: a
+// page belongs to exactly one site, so the planner's mutable cells split
+// into per-page cells (the page's X/X' row, its byte counts, its cached
+// chain time) and per-site cells (the site's store and stored bytes, its
+// objective and load accumulators, its mark counters), and no cell belongs
+// to two sites.
 //
-//   - PartitionParallel fans the PARTITION phase out over a page-level
-//     worker pool. Partitioning one page touches only page-local state (its
-//     placement row, byte counts and cached chain time), so workers need no
-//     locks; each records its page's site-level contribution in a deltas
-//     array, and a per-site reduce folds those contributions into the
-//     planner's accumulators in the site's fixed page order. Float
-//     accumulation order is therefore a function of the workload alone —
-//     never of the worker count or the scheduler — so any Workers value
-//     produces byte-identical placements and an identical D.
+//   - PARTITION fans out over pages. A page's split touches only that page's
+//     cells; its contribution to the site cells is recorded as a delta, and a
+//     second fan-out over sites folds the deltas in each site's fixed page
+//     order. Float accumulation order is a function of the workload alone.
 //
-//   - scratchFor/commitScratch give the off-loading negotiation per-site
-//     scratch planners: copy-on-write views of the placement's X/X' rows
-//     plus private copies of the site-local accumulators. Candidate
-//     flips/swaps are scored (and tentatively applied) concurrently on the
-//     scratches; the coordinator then adopts each site's outcome serially.
-//     Distinct sites touch disjoint planner state, so the scratch outcome is
-//     bit-identical to running the same AcceptWorkload sequentially.
+//   - Restoration, the refine sweep and the off-loading acceptance fan out
+//     over sites and mutate the planner in place. The greedy loops are
+//     sequential within a site and touch only that site's cells and its
+//     pages' cells, so concurrent sites neither race nor observe each other.
 //
-//   - The Planner's pageT / optLocalT / optRemoteT caches (planner.go) make
-//     each concurrent evaluation cheap: flip scoring reads the cached
-//     whole-page time and the precomputed per-link one-download times
-//     instead of recomputing them per candidate.
+// Any Workers value therefore produces byte-identical placements, message
+// logs and statistics, and an identical D.
 package core
 
 import (
-	"io"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -36,6 +29,69 @@ import (
 	"repro/internal/units"
 	"repro/internal/workload"
 )
+
+// clock is the planner's only wall-clock read. It feeds span busy time and
+// never planner state; the fan-out test swaps it to count reads.
+var clock = time.Now //repllint:allow determinism — span busy-time telemetry; never feeds planner state
+
+// lap adds the time since from to sp's busy counter and returns the new lap
+// start; a zero from only starts the clock. With tracing off every span is
+// nil and lap returns its argument — no clock reads, no allocations.
+func lap(sp *telemetry.Span, from time.Time) time.Time {
+	if sp == nil {
+		return from
+	}
+	now := clock()
+	if !from.IsZero() {
+		sp.AddBusy(now.Sub(from))
+	}
+	return now
+}
+
+// fanOutChunk caps how many indices a worker claims at once: big enough to
+// amortize the atomic fetch over PARTITION's pages, small enough to balance
+// the 400-800 page/site skew across workers. Short ranges (sites) shrink the
+// chunk so every worker still gets several claims.
+const fanOutChunk = 64
+
+// fanOut calls fn(w, i) exactly once for every i in [0, n), on up to workers
+// goroutines; w identifies the calling worker, 0 <= w < max(workers, 1), for
+// per-worker scratch state. With workers <= 1 (or n <= 1) it runs inline on
+// the caller's goroutine in index order; otherwise workers claim chunks of
+// the range from an atomic cursor. fn must confine its writes to cells owned
+// by index i. Each worker adds its busy time to sp once.
+func fanOut(workers, n int, sp *telemetry.Span, fn func(w, i int)) {
+	workers = min(workers, n)
+	if workers <= 1 {
+		t := lap(sp, time.Time{})
+		for i := 0; i < n; i++ {
+			fn(0, i)
+		}
+		lap(sp, t)
+		return
+	}
+	chunk := max(1, min(fanOutChunk, n/(4*workers)))
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			t := lap(sp, time.Time{})
+			for {
+				lo := int(next.Add(int64(chunk))) - chunk
+				if lo >= n {
+					break
+				}
+				for i, hi := lo, min(lo+chunk, n); i < hi; i++ {
+					fn(w, i)
+				}
+			}
+			lap(sp, t)
+		}()
+	}
+	wg.Wait()
+}
 
 // partitionDelta is one page's contribution to its site's accumulators: the
 // Eq. 7 objective deltas and the request rate moved from the repository to
@@ -46,54 +102,26 @@ type partitionDelta struct {
 	moved float64 // req/s moved local (added to Eq. 8, removed from Eq. 9)
 }
 
-// partitionPageScratch runs the PARTITION decision loop on page j, touching
-// only page-local state: the page's placement row, its byte counts and its
+// partitionPageDelta applies the PARTITION split to page j touching only
+// page-local state: the page's placement row, its byte counts and its
 // cached chain time. Site-level accounting is returned as a delta for the
 // deterministic per-site reduce. The page must still be in its all-remote
-// initial state. buf is the caller's reusable visit-order scratch buffer.
-//
-// The decision arithmetic — the running chain times and their comparison —
-// is expression-for-expression the one in partitionPage, so the chosen split
-// is identical to the sequential planner's.
-func (pl *Planner) partitionPageScratch(j workload.PageID, buf *[]int) partitionDelta {
+// initial state. buf is the caller's reusable visit-order buffer, returned
+// for the next page.
+func (pl *Planner) partitionPageDelta(j workload.PageID, buf []int) (partitionDelta, []int) {
 	pg := &pl.env.W.Pages[j]
-	est := pl.siteEstimateOf(pg.Site)
 	f := float64(pg.Freq)
 	oldT := pl.pageT[j]
 
-	order := (*buf)[:0]
-	for idx := range pg.Compulsory {
-		order = append(order, idx)
-	}
-	if !pl.UnsortedPartition {
-		sort.Slice(order, func(a, b int) bool {
-			sa := pl.env.W.ObjectSize(pg.Compulsory[order[a]])
-			sb := pl.env.W.ObjectSize(pg.Compulsory[order[b]])
-			if sa != sb {
-				return sa > sb // decreasing size
-			}
-			return order[a] < order[b] // stable tie-break for determinism
-		})
-	}
-	*buf = order
-
-	local := est.LocalOvhd + est.LocalRate.TransferTime(pg.HTMLSize)
-	remote := est.RepoOvhd
 	var localB units.ByteSize
 	nLocal := 0
-	for _, idx := range order {
-		size := pl.env.W.ObjectSize(pg.Compulsory[idx])
-		remoteIf := remote + est.RepoRate.TransferTime(size)
-		localIf := local + est.LocalRate.TransferTime(size)
-		if remoteIf < localIf {
-			remote = remoteIf // stays on the repository chain (X bit is 0)
-		} else {
-			local = localIf
+	buf = pl.partitionSplit(j, buf, func(idx int, toLocal bool) {
+		if toLocal { // a remote object keeps its initial X bit of 0
 			pl.p.SetCompLocal(j, idx, true)
-			localB += size
+			localB += pl.env.W.ObjectSize(pg.Compulsory[idx])
 			nLocal++
 		}
-	}
+	})
 	pl.localBytes[j] += localB
 	pl.remoteBytes[j] -= localB
 
@@ -113,7 +141,7 @@ func (pl *Planner) partitionPageScratch(j workload.PageID, buf *[]int) partition
 		d1:    f * float64(newT-oldT),
 		d2:    d2,
 		moved: float64(nLocal)*f + optMoved,
-	}
+	}, buf
 }
 
 // reducePartitionSite folds the partition deltas of site i's pages into the
@@ -143,206 +171,19 @@ func (pl *Planner) reducePartitionSite(i workload.SiteID, deltas []partitionDelt
 	}
 }
 
-// partitionChunk is the unit of work the page pool hands out: big enough to
-// amortize the atomic fetch, small enough to balance the 400-800 page/site
-// skew across workers.
-const partitionChunk = 64
-
 // PartitionParallel runs PARTITION over every page (and marks all optional
 // links local) using up to workers goroutines, then reduces the site-level
 // accounting deterministically. The planner must be freshly constructed
-// (all-remote). Workers record their busy time on sp. With workers <= 1
-// everything runs inline on the caller's goroutine; the results are
+// (all-remote). Workers record their busy time on sp. The results are
 // byte-identical for every worker count.
 func (pl *Planner) PartitionParallel(workers int, sp *telemetry.Span) {
-	numPages := pl.env.W.NumPages()
-	numSites := pl.env.W.NumSites()
-	deltas := make([]partitionDelta, numPages)
-
-	partitionRange := func(lo, hi int, buf *[]int) {
-		for j := lo; j < hi; j++ {
-			deltas[j] = pl.partitionPageScratch(workload.PageID(j), buf)
-		}
-	}
-
-	if workers <= 1 {
-		var t time.Time
-		if sp != nil {
-			t = time.Now() //repllint:allow determinism — span busy-time telemetry; never feeds planner state
-		}
-		var buf []int
-		partitionRange(0, numPages, &buf)
-		for i := 0; i < numSites; i++ {
-			pl.reducePartitionSite(workload.SiteID(i), deltas)
-		}
-		if sp != nil {
-			sp.AddBusy(time.Since(t)) //repllint:allow determinism — span busy-time telemetry; never feeds planner state
-		}
-		return
-	}
-
-	// Fan out over pages: per-worker scratch buffers, chunked index ranges
-	// claimed by an atomic cursor. Pages touch disjoint state, no locks.
-	if w := (numPages + partitionChunk - 1) / partitionChunk; workers > w {
-		workers = w
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			var t time.Time
-			if sp != nil {
-				t = time.Now() //repllint:allow determinism — span busy-time telemetry; never feeds planner state
-			}
-			var buf []int // per-worker scratch, reused across pages
-			for {
-				c := int(next.Add(1) - 1)
-				lo := c * partitionChunk
-				if lo >= numPages {
-					break
-				}
-				hi := lo + partitionChunk
-				if hi > numPages {
-					hi = numPages
-				}
-				partitionRange(lo, hi, &buf)
-			}
-			if sp != nil {
-				sp.AddBusy(time.Since(t)) //repllint:allow determinism — span busy-time telemetry; never feeds planner state
-			}
-		}()
-	}
-	wg.Wait()
-
-	// Reduce, fanned over sites: each site's accumulators are disjoint and
-	// its pages are folded in fixed order, so the reduction is race-free and
-	// scheduling-independent.
-	rw := workers
-	if rw > numSites {
-		rw = numSites
-	}
-	var nextSite atomic.Int64
-	for w := 0; w < rw; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			var t time.Time
-			if sp != nil {
-				t = time.Now() //repllint:allow determinism — span busy-time telemetry; never feeds planner state
-			}
-			for {
-				i := int(nextSite.Add(1) - 1)
-				if i >= numSites {
-					break
-				}
-				pl.reducePartitionSite(workload.SiteID(i), deltas)
-			}
-			if sp != nil {
-				sp.AddBusy(time.Since(t)) //repllint:allow determinism — span busy-time telemetry; never feeds planner state
-			}
-		}()
-	}
-	wg.Wait()
-}
-
-// scratchFor returns a scratch planner for site i: a copy-on-write view of
-// the placement plus private copies of every accumulator the site's planning
-// phases may write. The scratch shares the immutable environment, the
-// reference index and the precomputed per-link times with its parent, so
-// building one is O(pages + site state), not O(problem).
-func (pl *Planner) scratchFor(i workload.SiteID) *Planner {
-	marks := make(map[workload.ObjectID]int, len(pl.localMarks[i]))
-	for k, v := range pl.localMarks[i] {
-		marks[k] = v
-	}
-	scratchMarks := append([]map[workload.ObjectID]int(nil), pl.localMarks...)
-	scratchMarks[i] = marks
-	return &Planner{
-		env:               pl.env,
-		p:                 pl.p.SiteView(i),
-		UnsortedPartition: pl.UnsortedPartition,
-		NoRepartition:     pl.NoRepartition,
-		localBytes:        append([]units.ByteSize(nil), pl.localBytes...),
-		remoteBytes:       append([]units.ByteSize(nil), pl.remoteBytes...),
-		pageT:             append([]units.Seconds(nil), pl.pageT...),
-		optOff:            pl.optOff,
-		optLocalT:         pl.optLocalT,
-		optRemoteT:        pl.optRemoteT,
-		d1Site:            append([]float64(nil), pl.d1Site...),
-		d2Site:            append([]float64(nil), pl.d2Site...),
-		siteLocalLoad:     append([]float64(nil), pl.siteLocalLoad...),
-		siteRepoLoad:      append([]float64(nil), pl.siteRepoLoad...),
-		refs:              pl.refs,
-		localMarks:        scratchMarks,
-	}
-}
-
-// commitScratch folds site i's state from a scratch planner back into pl:
-// the site's pages' chain caches, its objective and load cells, its mark
-// counters and its placement rows/store. Applied serially by a coordinator,
-// commits for distinct sites compose exactly like running the sites'
-// mutations sequentially, because no cell outside site i ever changes.
-func (pl *Planner) commitScratch(sc *Planner, i workload.SiteID) {
-	for _, j := range pl.env.W.Sites[i].Pages {
-		pl.localBytes[j] = sc.localBytes[j]
-		pl.remoteBytes[j] = sc.remoteBytes[j]
-		pl.pageT[j] = sc.pageT[j]
-	}
-	pl.d1Site[i] = sc.d1Site[i]
-	pl.d2Site[i] = sc.d2Site[i]
-	pl.siteLocalLoad[i] = sc.siteLocalLoad[i]
-	pl.siteRepoLoad[i] = sc.siteRepoLoad[i]
-	pl.localMarks[i] = sc.localMarks[i]
-	pl.p.AdoptSiteView(sc.p, i)
-}
-
-// OffloadParallel runs the off-loading negotiation with each phase's
-// AcceptWorkload evaluations scored concurrently on per-site scratch
-// planners; the coordinator adopts every site's accepted flips and swaps
-// serially, in ascending site order, before starting the next phase. The
-// placement, the statistics and the message log are bit-identical to the
-// sequential Offload. Per-site scoring busy time accumulates on sp.
-func (pl *Planner) OffloadParallel(log io.Writer, workers int, sp *telemetry.Span) OffloadStats {
-	if workers <= 1 {
-		return pl.Offload(log)
-	}
-	return pl.offload(log, func(reqs map[workload.SiteID]units.ReqPerSec) []AcceptResult {
-		sites := make([]workload.SiteID, 0, len(reqs))
-		for i := 0; i < pl.env.W.NumSites(); i++ {
-			if _, ok := reqs[workload.SiteID(i)]; ok {
-				sites = append(sites, workload.SiteID(i))
-			}
-		}
-		scratches := make([]*Planner, len(sites))
-		out := make([]AcceptResult, len(sites))
-		var wg sync.WaitGroup
-		sem := make(chan struct{}, workers)
-		for s := range sites {
-			wg.Add(1)
-			go func(s int) {
-				defer wg.Done()
-				sem <- struct{}{}
-				defer func() { <-sem }()
-				var t time.Time
-				if sp != nil {
-					t = time.Now() //repllint:allow determinism — span busy-time telemetry; never feeds planner state
-				}
-				site := sites[s]
-				sc := pl.scratchFor(site)
-				out[s] = sc.AcceptWorkload(site, reqs[site])
-				scratches[s] = sc
-				if sp != nil {
-					sp.AddBusy(time.Since(t)) //repllint:allow determinism — span busy-time telemetry; never feeds planner state
-				}
-			}(s)
-		}
-		wg.Wait()
-		// Serial application by the coordinator, in site order.
-		for s, site := range sites {
-			pl.commitScratch(scratches[s], site)
-		}
-		return out
+	w := pl.env.W
+	deltas := make([]partitionDelta, w.NumPages())
+	bufs := make([][]int, max(workers, 1)) // per-worker visit-order buffers
+	fanOut(workers, w.NumPages(), sp, func(wk, j int) {
+		deltas[j], bufs[wk] = pl.partitionPageDelta(workload.PageID(j), bufs[wk])
+	})
+	fanOut(workers, w.NumSites(), sp, func(_, i int) {
+		pl.reducePartitionSite(workload.SiteID(i), deltas)
 	})
 }

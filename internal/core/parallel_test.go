@@ -4,11 +4,15 @@ import (
 	"math"
 	"runtime"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/model"
 	"repro/internal/netsim"
 	"repro/internal/rng"
+	"repro/internal/telemetry"
 	"repro/internal/units"
 	"repro/internal/workload"
 )
@@ -79,7 +83,7 @@ func TestPartitionParallelUnsorted(t *testing.T) {
 	seq := NewPlanner(env)
 	seq.UnsortedPartition = true
 	for j := range env.W.Pages {
-		seq.PartitionPageUnsorted(workload.PageID(j))
+		seq.PartitionPage(workload.PageID(j))
 	}
 
 	par := NewPlanner(env)
@@ -97,8 +101,8 @@ func TestPartitionParallelUnsorted(t *testing.T) {
 }
 
 // TestOffloadParallelMatchesSequential runs the same constrained
-// negotiation through the sequential coordinator and through the
-// scratch-planner scoring path, and requires bit-identical stats,
+// negotiation through the sequential coordinator and with the sites
+// accepting concurrently in place, and requires bit-identical stats,
 // placements, message logs and caches.
 func TestOffloadParallelMatchesSequential(t *testing.T) {
 	build := func() *Planner {
@@ -139,45 +143,13 @@ func TestOffloadParallelMatchesSequential(t *testing.T) {
 	}
 }
 
-// TestScratchCommitRoundTrip mutates a scratch planner for one site and
-// commits it back, checking the parent picks up exactly the site's state
-// and that other sites' cells never moved.
-func TestScratchCommitRoundTrip(t *testing.T) {
-	env := genEnv(t, 74)
-	pl := NewPlanner(env)
-	pl.PartitionParallel(1, nil)
-
-	site := workload.SiteID(1)
-	before := pl.Placement().Clone()
-	d1Other := pl.d1Site[0]
-
-	sc := pl.scratchFor(site)
-	res := sc.AcceptWorkload(site, units.ReqPerSec(math.Inf(1)))
-	_ = res
-	// Parent untouched while the scratch mutates.
-	samePlacement(t, before, pl.Placement(), "pre-commit parent")
-
-	pl.commitScratch(sc, site)
-	if pl.d1Site[0] != d1Other {
-		t.Error("commit touched another site's objective cell")
-	}
-	if pl.d1Site[site] != sc.d1Site[site] {
-		t.Error("commit did not adopt the site's objective cell")
-	}
-	if !pl.Placement().StoredSet(site).Equal(sc.Placement().StoredSet(site)) {
-		t.Error("commit did not adopt the site's store")
-	}
-	if err := pl.VerifyConsistency(); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // TestPlanWorkersDeterminismProperty is the race-detector determinism
 // property (run via `go test -race ./internal/core/`): on seeded random
 // workloads with random budget scales — including a constrained repository
-// so the off-loading scratch path runs — Plan with Workers: 1 and with
+// so the off-loading negotiation runs — Plan with Workers: 1 and with
 // Workers: runtime.NumCPU() (and an oversubscribed pool) must produce
-// identical placements and an identical D, bit for bit.
+// identical placements, message logs and off-loading statistics and an
+// identical D, bit for bit.
 func TestPlanWorkersDeterminismProperty(t *testing.T) {
 	workerCounts := []int{1, 4, runtime.NumCPU(), 3 * runtime.NumCPU()}
 	for seed := uint64(0); seed < 6; seed++ {
@@ -208,22 +180,181 @@ func TestPlanWorkersDeterminismProperty(t *testing.T) {
 		pre := model.RepoLoad(probeEnv, probe)
 
 		var refP *model.Placement
-		var refD float64
+		var refRes *Result
+		var refLog string
 		for wi, workers := range workerCounts {
 			env := build()
 			env.Budgets.RepoCapacity = units.ReqPerSec(float64(pre) * repo)
-			p, res, err := Plan(env, Options{Workers: workers, Refine: seed%2 == 0})
+			var log strings.Builder
+			p, res, err := Plan(env, Options{Workers: workers, Refine: seed%2 == 0, MessageLog: &log})
 			if err != nil {
 				t.Fatal(err)
 			}
 			if wi == 0 {
-				refP, refD = p, res.D
+				refP, refRes, refLog = p, res, log.String()
 				continue
 			}
-			if res.D != refD {
-				t.Errorf("seed %d: D with workers=%d is %v, workers=1 gave %v", seed, workers, res.D, refD)
+			if res.D != refRes.D {
+				t.Errorf("seed %d: D with workers=%d is %v, workers=1 gave %v", seed, workers, res.D, refRes.D)
+			}
+			if res.Offload != refRes.Offload {
+				t.Errorf("seed %d: offload stats with workers=%d are %+v, workers=1 gave %+v", seed, workers, res.Offload, refRes.Offload)
+			}
+			if log.String() != refLog {
+				t.Errorf("seed %d: message log with workers=%d differs from workers=1:\n%s--- workers=1\n%s", seed, workers, log.String(), refLog)
 			}
 			samePlacement(t, refP, p, "plan determinism")
 		}
+	}
+}
+
+// TestPlanMessageLogRepeatable is the regression test for the scheduling-
+// order message log: a constrained-repository plan repeated at every worker
+// count must print the same bytes and fold the same OffloadStats (MovedLocal
+// is a float sum over the answers) as the Workers: 1 run, every time. A
+// dispatcher that folds answers in arrival order fails this in most
+// repeats.
+func TestPlanMessageLogRepeatable(t *testing.T) {
+	build := func() *model.Env {
+		env := genEnv(t, 75)
+		env.Budgets = env.Budgets.Scale(env.W, 0.6, 0.7)
+		return env
+	}
+	probeEnv := build()
+	probe, _, err := Plan(probeEnv, Options{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	repoCap := units.ReqPerSec(float64(model.RepoLoad(probeEnv, probe)) * 0.6)
+
+	plan := func(workers int) (string, OffloadStats) {
+		env := build()
+		env.Budgets.RepoCapacity = repoCap
+		var log strings.Builder
+		_, res, err := Plan(env, Options{Workers: workers, MessageLog: &log})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return log.String(), res.Offload
+	}
+	refLog, refStats := plan(1)
+	if !refStats.Ran || strings.Count(refLog, "<- S") < 2 {
+		t.Fatalf("negotiation too small to order anything (stats %+v):\n%s", refStats, refLog)
+	}
+	for _, workers := range []int{1, 2, 4, 3 * runtime.NumCPU()} {
+		for rep := 0; rep < 20; rep++ {
+			log, stats := plan(workers)
+			if log != refLog {
+				t.Fatalf("workers=%d repeat %d: message log differs from Workers: 1:\n%s--- Workers: 1\n%s", workers, rep, log, refLog)
+			}
+			if stats != refStats {
+				t.Fatalf("workers=%d repeat %d: offload stats %+v, Workers: 1 gave %+v", workers, rep, stats, refStats)
+			}
+		}
+	}
+}
+
+// TestFanOutVisitsEachIndexOnce pins the one fan-out helper: every index in
+// [0, n) reaches fn exactly once with a worker id inside the promised range,
+// a nil span costs no clock read, and a span gets one start/stop pair per
+// worker actually started.
+func TestFanOutVisitsEachIndexOnce(t *testing.T) {
+	var reads atomic.Int64
+	clock = func() time.Time {
+		return time.Unix(reads.Add(1), 0)
+	}
+	defer func() { clock = time.Now }()
+
+	for _, n := range []int{0, 1, 63, 64, 65, 1000} {
+		for _, workers := range []int{0, 1, 3, n + 5} {
+			for _, sp := range []*telemetry.Span{nil, telemetry.NewSpan("fan-out")} {
+				visits := make([]atomic.Int32, n)
+				reads.Store(0)
+				fanOut(workers, n, sp, func(w, i int) {
+					if w < 0 || w >= max(workers, 1) {
+						t.Errorf("n=%d workers=%d: worker id %d out of range", n, workers, w)
+					}
+					visits[i].Add(1)
+				})
+				for i := range visits {
+					if v := visits[i].Load(); v != 1 {
+						t.Errorf("n=%d workers=%d: index %d visited %d times", n, workers, i, v)
+					}
+				}
+				wantReads := int64(0)
+				if sp != nil {
+					wantReads = 2 * int64(max(1, min(workers, n)))
+				}
+				if got := reads.Load(); got != wantReads {
+					t.Errorf("n=%d workers=%d span=%v: %d clock reads, want %d", n, workers, sp != nil, got, wantReads)
+				}
+				if sp != nil && sp.Busy() <= 0 {
+					t.Errorf("n=%d workers=%d: no busy time recorded", n, workers)
+				}
+			}
+		}
+	}
+}
+
+// TestSitesMutateDisjointState tests the invariant the parallel planner
+// rests on, directly: restoration and off-loading acceptance for every site
+// at once, on one shared planner, neither race (run under -race) nor
+// disturb each other — the outcome is the one the same calls give site by
+// site, and every cache still agrees with the model.
+func TestSitesMutateDisjointState(t *testing.T) {
+	build := func() *Planner {
+		env := genEnv(t, 76)
+		env.Budgets = env.Budgets.Scale(env.W, 0.5, 0.2)
+		pl := NewPlanner(env)
+		pl.PartitionParallel(1, nil)
+		return pl
+	}
+	type answer struct {
+		deallocs, flips int
+		accept          AcceptResult
+	}
+	perSite := func(pl *Planner, i workload.SiteID) answer {
+		d := pl.RestoreStorageSite(i)
+		f := pl.RestoreProcessingSite(i)
+		return answer{d, f, pl.AcceptWorkload(i, units.ReqPerSec(math.Inf(1)))}
+	}
+
+	seq := build()
+	numSites := seq.env.W.NumSites()
+	want := make([]answer, numSites)
+	var sum answer
+	for i := range want {
+		want[i] = perSite(seq, workload.SiteID(i))
+		sum.deallocs += want[i].deallocs
+		sum.flips += want[i].flips
+		sum.accept.Stored += want[i].accept.Stored
+	}
+	if sum.deallocs == 0 || sum.flips == 0 || sum.accept.Stored == 0 {
+		t.Fatalf("budgets leave a phase idle: %+v", sum)
+	}
+
+	par := build()
+	got := make([]answer, numSites)
+	var wg sync.WaitGroup
+	for i := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[i] = perSite(par, workload.SiteID(i))
+		}()
+	}
+	wg.Wait()
+
+	for i := range want {
+		if got[i] != want[i] {
+			t.Errorf("site %d: concurrent answer %+v, sequential %+v", i, got[i], want[i])
+		}
+	}
+	samePlacement(t, seq.Placement(), par.Placement(), "concurrent sites")
+	if seq.D() != par.D() {
+		t.Errorf("D differs: sequential %v, concurrent %v", seq.D(), par.D())
+	}
+	if err := par.VerifyConsistency(); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -6,36 +6,31 @@ import (
 	"repro/internal/workload"
 )
 
-// PartitionPage runs the paper's PARTITION(W_j) heuristic on one page:
-// compulsory objects are visited in decreasing size order, each tentatively
-// added to both chains, and kept on the side that leaves the smaller
-// running maximum — exactly the pseudocode of Section 4.2 (the object goes
-// to the repository iff RemoteDownload + transfer < LocalDownload +
-// transfer). Objects assigned locally are stored at the page's site.
+// partitionSplit is the paper's PARTITION(W_j) decision, written once:
+// page j's compulsory objects are visited in decreasing size order (page
+// order under UnsortedPartition), each tentatively added to both chains and
+// assigned to the side that leaves the smaller running time — exactly the
+// pseudocode of Section 4.2 (the object goes to the repository iff
+// RemoteDownload + transfer < LocalDownload + transfer). assign is called
+// once per object, in visit order, with its side; the decision depends on
+// the page and the estimates only, never on the placement, so callers may
+// apply it as they go. buf is a reusable visit-order buffer, returned
+// (possibly regrown) for the next call.
 //
 // Per the pseudocode the remote running time starts at Ovhd(R, S_i) even if
-// no object ends up remote; the planner's cached Eq. 4 value (0 for an
-// empty remote chain) is re-established by the flips themselves.
-func (pl *Planner) PartitionPage(j workload.PageID) {
-	pl.partitionPage(j, !pl.UnsortedPartition)
-}
-
-// PartitionPageUnsorted is the ablation of PARTITION's decreasing-size
-// visit order: objects are considered in their page order instead. Used by
-// the ablation benchmarks to quantify what the sort buys.
-func (pl *Planner) PartitionPageUnsorted(j workload.PageID) {
-	pl.partitionPage(j, false)
-}
-
-func (pl *Planner) partitionPage(j workload.PageID, bySize bool) {
+// no object ends up remote.
+func (pl *Planner) partitionSplit(j workload.PageID, buf []int, assign func(idx int, toLocal bool)) []int {
 	pg := &pl.env.W.Pages[j]
 	est := pl.siteEstimateOf(pg.Site)
 
-	order := make([]int, len(pg.Compulsory))
-	for i := range order {
-		order[i] = i
+	order := buf[:0]
+	if cap(order) < len(pg.Compulsory) {
+		order = make([]int, 0, len(pg.Compulsory))
 	}
-	if bySize {
+	for idx := range pg.Compulsory {
+		order = append(order, idx)
+	}
+	if !pl.UnsortedPartition {
 		sort.Slice(order, func(a, b int) bool {
 			sa := pl.env.W.ObjectSize(pg.Compulsory[order[a]])
 			sb := pl.env.W.ObjectSize(pg.Compulsory[order[b]])
@@ -48,20 +43,34 @@ func (pl *Planner) partitionPage(j workload.PageID, bySize bool) {
 
 	local := est.LocalOvhd + est.LocalRate.TransferTime(pg.HTMLSize)
 	remote := est.RepoOvhd
-
 	for _, idx := range order {
 		size := pl.env.W.ObjectSize(pg.Compulsory[idx])
 		remoteIf := remote + est.RepoRate.TransferTime(size)
 		localIf := local + est.LocalRate.TransferTime(size)
 		if remoteIf < localIf {
 			remote = remoteIf
-			pl.flipComp(j, idx, false)
+			assign(idx, false)
 		} else {
 			local = localIf
-			pl.p.Store(pg.Site, pg.Compulsory[idx])
-			pl.flipComp(j, idx, true)
+			assign(idx, true)
 		}
 	}
+	return order
+}
+
+// PartitionPage applies the PARTITION split to one page by flipping, so it
+// is correct on any prior state of the page (AdmitPage and repair need
+// that); objects assigned locally are stored at the page's site. The
+// planner's cached Eq. 4 value (0 for an empty remote chain) is
+// re-established by the flips themselves.
+func (pl *Planner) PartitionPage(j workload.PageID) {
+	pg := &pl.env.W.Pages[j]
+	pl.partitionSplit(j, nil, func(idx int, toLocal bool) {
+		if toLocal {
+			pl.p.Store(pg.Site, pg.Compulsory[idx])
+		}
+		pl.flipComp(j, idx, toLocal)
+	})
 }
 
 // AdmitPage runs the full per-page admission of PARTITION on page j at its

@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"io"
 	"runtime"
-	"sync"
-	"time"
 
 	"repro/internal/model"
 	"repro/internal/telemetry"
@@ -14,17 +12,12 @@ import (
 
 // Options controls plan execution.
 type Options struct {
-	// Workers bounds the planning concurrency: the page-level PARTITION
-	// pool, the per-site restoration pool and the off-loading scoring pool.
+	// Workers bounds the planning concurrency of every phase: PARTITION
+	// over pages, restoration and off-loading acceptance over sites.
 	// 0 means GOMAXPROCS, 1 forces sequential execution. Every value
-	// produces byte-identical placements and an identical D (see
-	// parallel.go for why).
+	// produces byte-identical placements, message logs and statistics and
+	// an identical D (see parallel.go for why).
 	Workers int
-	// Distributed runs the off-loading negotiation over channels with one
-	// goroutine per site instead of the sequential reference loop. The
-	// resulting placement is identical; the message pattern matches the
-	// paper's protocol description.
-	Distributed bool
 	// MessageLog, when non-nil, receives one line per off-loading protocol
 	// message.
 	MessageLog io.Writer
@@ -43,18 +36,6 @@ type Options struct {
 	// per-phase busy time and the dealloc/flip/message counters. The nil
 	// default keeps the hot path allocation-free.
 	Trace *telemetry.Span
-}
-
-// lap accumulates the time since from into sp's busy counter and returns
-// the new lap start. With tracing off every span is nil and lap reduces to
-// returning its argument — no clock reads, no allocations.
-func lap(sp *telemetry.Span, from time.Time) time.Time {
-	if sp == nil {
-		return from
-	}
-	now := time.Now() //repllint:allow determinism — span busy-time telemetry; never feeds planner state
-	sp.AddBusy(now.Sub(from))
-	return now
 }
 
 // SiteStats records what planning did at one site.
@@ -82,12 +63,12 @@ type Result struct {
 }
 
 // Plan runs the full pipeline of Section 4 over the environment: PARTITION
-// fanned out over a page-level worker pool, storage restoration (Eq. 10)
-// and processing restoration (Eq. 8) fanned out per site, followed by the
-// repository off-loading negotiation (Eq. 9) with its acceptance decisions
-// scored concurrently on per-site scratch planners. The placement and the
-// objective are byte-identical for every Workers value. It returns the
-// placement and a result report.
+// fanned out over pages, storage restoration (Eq. 10) and processing
+// restoration (Eq. 8) fanned out over sites, followed by the repository
+// off-loading negotiation (Eq. 9) with each phase's acceptance decisions
+// fanned out over the sites asked. The placement and the objective are
+// byte-identical for every Workers value. It returns the placement and a
+// result report.
 func Plan(env *model.Env, opts Options) (*model.Placement, *Result, error) {
 	pl := NewPlanner(env)
 	pl.UnsortedPartition = opts.UnsortedPartition
@@ -97,89 +78,25 @@ func Plan(env *model.Env, opts Options) (*model.Placement, *Result, error) {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	numSites := env.W.NumSites()
 
-	// Phase spans. The phases interleave across workers, so each phase
-	// span's wall clock covers the whole section while its busy time sums
-	// the per-worker work; counters are filled from the deterministic
-	// per-site stats below. All of this is skipped — zero timing calls,
-	// zero allocations — when tracing is off.
+	// One child span per phase; each carries the per-worker busy time and,
+	// below, counters filled from the deterministic per-site stats. With
+	// tracing off every span is nil: zero timing calls, zero allocations.
 	trace := opts.Trace
-	var spPart, spStore, spProc, spRefine *telemetry.Span
-	if trace != nil {
-		spPart = trace.Child("PARTITION")
-		spStore = trace.Child("storage-restore")
-		spProc = trace.Child("processing-restore")
-		if opts.Refine {
-			spRefine = trace.Child("refine")
-		}
-	}
 
-	// Phase 1: PARTITION, parallel over pages with a deterministic per-site
-	// reduce of the load/storage accounting.
+	spPart := trace.Child("PARTITION")
 	pl.PartitionParallel(workers, spPart)
 	spPart.End()
+	spPart.Count("pages", int64(env.W.NumPages()))
 
-	// Phase 2: constraint restoration (and the optional refine sweep),
-	// parallel over sites — the greedy loops are sequential within a site
-	// but distinct sites touch disjoint planner state.
-	stats := make([]SiteStats, numSites)
-	restoreSite := func(i workload.SiteID) {
-		var t time.Time
-		if trace != nil {
-			t = time.Now() //repllint:allow determinism — span busy-time telemetry; never feeds planner state
-		}
-		d := pl.RestoreStorageSite(i)
-		t = lap(spStore, t)
-		f := pl.RestoreProcessingSite(i)
-		t = lap(spProc, t)
-		if opts.Refine {
-			pl.RefineSite(i)
-			lap(spRefine, t)
-		}
-		stats[i] = SiteStats{Site: i, Deallocs: d, ProcFlips: f}
+	sites := make([]workload.SiteID, env.W.NumSites())
+	for i := range sites {
+		sites[i] = workload.SiteID(i)
 	}
+	stats := pl.RestoreSites(sites, workers, opts.Refine, trace)
 
-	siteWorkers := workers
-	if siteWorkers > numSites {
-		siteWorkers = numSites
-	}
-	if siteWorkers <= 1 {
-		for i := 0; i < numSites; i++ {
-			restoreSite(workload.SiteID(i))
-		}
-	} else {
-		sites := make(chan workload.SiteID)
-		var wg sync.WaitGroup
-		for w := 0; w < siteWorkers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for i := range sites {
-					restoreSite(i)
-				}
-			}()
-		}
-		for i := 0; i < numSites; i++ {
-			sites <- workload.SiteID(i)
-		}
-		close(sites)
-		wg.Wait()
-	}
-
-	spStore.End()
-	spProc.End()
-	spRefine.End()
-
-	// Phase 3: the off-loading negotiation, acceptance scored concurrently
-	// on per-site scratch planners and applied serially by the coordinator.
 	spOff := trace.Child("off-loading")
-	var off OffloadStats
-	if opts.Distributed {
-		off = pl.RunOffloadDistributed(opts.MessageLog)
-	} else {
-		off = pl.OffloadParallel(opts.MessageLog, workers, spOff)
-	}
+	off := pl.OffloadParallel(opts.MessageLog, workers, spOff)
 	spOff.End()
 
 	res := &Result{Sites: stats, Offload: off, D: pl.D(), D1: pl.D1(), D2: pl.D2(), Trace: trace}
@@ -188,24 +105,16 @@ func Plan(env *model.Env, opts Options) (*model.Placement, *Result, error) {
 	res.Feasible = res.Report.Feasible()
 
 	if trace != nil {
-		var deallocs, flips int64
-		for _, s := range stats {
-			deallocs += int64(s.Deallocs)
-			flips += int64(s.ProcFlips)
-		}
 		var localComp, remoteComp, localOpt int64
 		for _, s := range res.Sites {
 			localComp += int64(s.LocalComp)
 			remoteComp += int64(s.RemoteComp)
 			localOpt += int64(s.LocalOpt)
 		}
-		spPart.Count("pages", int64(env.W.NumPages()))
 		// Final assignment shape (after restoration and off-loading).
 		trace.Count("local-comp", localComp)
 		trace.Count("remote-comp", remoteComp)
 		trace.Count("local-opt", localOpt)
-		spStore.Count("deallocs", deallocs)
-		spProc.Count("flips", flips)
 		spOff.Count("rounds", int64(off.Rounds))
 		spOff.Count("messages", int64(off.Messages))
 		spOff.Count("new-replicas", int64(off.NewReplicas))

@@ -77,7 +77,7 @@ func TestPlanWithOffload(t *testing.T) {
 	env2 := genEnv(t, 33)
 	env2.Budgets.RepoCapacity = units.ReqPerSec(float64(pre) * 0.5)
 	var log strings.Builder
-	_, res, err := Plan(env2, Options{Workers: 2, Distributed: true, MessageLog: &log})
+	_, res, err := Plan(env2, Options{Workers: 2, MessageLog: &log})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,7 +88,7 @@ func TestPlanWithOffload(t *testing.T) {
 		t.Fatalf("plan infeasible: %v", res.Report.Violations())
 	}
 	if !strings.Contains(log.String(), "NewReq") {
-		t.Error("distributed offload produced no message log")
+		t.Error("offload produced no message log")
 	}
 }
 
@@ -96,7 +96,7 @@ func TestPlanDeterministic(t *testing.T) {
 	run := func() float64 {
 		env := genEnv(t, 34)
 		env.Budgets = env.Budgets.Scale(env.W, 0.5, 0.4)
-		_, res, err := Plan(env, Options{Workers: 4, Distributed: true})
+		_, res, err := Plan(env, Options{Workers: 4})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -30,8 +30,10 @@ type objRef struct {
 
 // Planner carries the incremental planning state for one environment. It is
 // created by NewPlanner, driven by Plan (or the individual phases), and is
-// not safe for concurrent use except as documented in parallel.go (distinct
-// sites touch disjoint state).
+// not safe for concurrent use except as documented in parallel.go: the
+// per-site methods (RestoreStorageSite, RestoreProcessingSite, RefineSite,
+// AcceptWorkload) may run concurrently for distinct sites, because every
+// mutable cell below is owned by one page or one site.
 type Planner struct {
 	env *model.Env
 	p   *model.Placement

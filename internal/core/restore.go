@@ -2,7 +2,9 @@ package core
 
 import (
 	"math"
+	"time"
 
+	"repro/internal/telemetry"
 	"repro/internal/workload"
 )
 
@@ -208,4 +210,52 @@ func (pl *Planner) RestoreProcessingSite(i workload.SiteID) (flips int) {
 		}
 	}
 	return flips
+}
+
+// RestoreSites runs constraint restoration on each of the given sites, up
+// to workers at a time: RestoreStorageSite (Eq. 10), then
+// RestoreProcessingSite (Eq. 8), then — when refine is set — the RefineSite
+// sweep. The sites must be distinct; each one's greedy loops are sequential
+// and touch only that site's cells (see parallel.go), so the outcome is the
+// same at every worker count. It returns the per-site dealloc and flip
+// counts in the order of sites. A non-nil trace gains one child span per
+// phase ("storage-restore", "processing-restore", "refine") carrying the
+// phase's busy time summed over sites and its counter; the phases interleave
+// across workers, so each span's wall clock covers the whole call.
+func (pl *Planner) RestoreSites(sites []workload.SiteID, workers int, refine bool, trace *telemetry.Span) []SiteStats {
+	spStore := trace.Child("storage-restore")
+	spProc := trace.Child("processing-restore")
+	var spRefine *telemetry.Span
+	if refine {
+		spRefine = trace.Child("refine")
+	}
+
+	// One fan-out feeds three spans, so the laps are per site and phase
+	// here, not per worker in fanOut.
+	stats := make([]SiteStats, len(sites))
+	fanOut(workers, len(sites), nil, func(_, s int) {
+		i := sites[s]
+		t := lap(spStore, time.Time{})
+		d := pl.RestoreStorageSite(i)
+		t = lap(spStore, t)
+		f := pl.RestoreProcessingSite(i)
+		t = lap(spProc, t)
+		if refine {
+			pl.RefineSite(i)
+			lap(spRefine, t)
+		}
+		stats[s] = SiteStats{Site: i, Deallocs: d, ProcFlips: f}
+	})
+
+	spStore.End()
+	spProc.End()
+	spRefine.End()
+	var deallocs, flips int64
+	for _, s := range stats {
+		deallocs += int64(s.Deallocs)
+		flips += int64(s.ProcFlips)
+	}
+	spStore.Count("deallocs", deallocs)
+	spProc.Count("flips", flips)
+	return stats
 }

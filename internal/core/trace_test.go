@@ -96,8 +96,8 @@ func traceShape(span *telemetry.Span) string {
 // names, nesting and every counter value — is identical across repeat runs
 // at a fixed seed, even across worker counts. Only durations may vary.
 func TestPlanTraceDeterministic(t *testing.T) {
-	a, _ := tracedPlan(t, 52, Options{Workers: 4, Distributed: true})
-	b, _ := tracedPlan(t, 52, Options{Workers: 1, Distributed: true})
+	a, _ := tracedPlan(t, 52, Options{Workers: 4})
+	b, _ := tracedPlan(t, 52, Options{Workers: 1})
 	if sa, sb := traceShape(a), traceShape(b); sa != sb {
 		t.Errorf("trace shapes differ across runs/worker counts:\n--- workers=4\n%s--- workers=1\n%s", sa, sb)
 	}

@@ -76,7 +76,7 @@ func StorageEquivalence(opts Options) (*EquivalenceResult, error) {
 				b.SiteCapacity[i] = model.Infinite()
 			}
 			b.RepoCapacity = model.Infinite()
-			rt, _, err := env.simulatePlanned(b, false)
+			rt, _, err := env.simulatePlanned(b)
 			if err != nil {
 				return err
 			}

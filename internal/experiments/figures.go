@@ -119,7 +119,7 @@ func Figure1(opts Options) (*stats.Figure, error) {
 			}
 			b.RepoCapacity = model.Infinite()
 
-			oursRT, pr, err := env.simulatePlanned(b, false)
+			oursRT, pr, err := env.simulatePlanned(b)
 			if err != nil {
 				return err
 			}
@@ -161,7 +161,7 @@ func Figure2(opts Options) (*stats.Figure, error) {
 			pointStart := time.Now() //repllint:allow determinism — wall-clock progress narration; never feeds results
 			b := model.FullBudgets(env.w).Scale(env.w, 1, frac)
 			b.RepoCapacity = model.Infinite()
-			oursRT, pr, err := env.simulatePlanned(b, false)
+			oursRT, pr, err := env.simulatePlanned(b)
 			if err != nil {
 				return err
 			}
@@ -173,7 +173,7 @@ func Figure2(opts Options) (*stats.Figure, error) {
 		// The 0 % anchor: everything is forced remote.
 		b := model.FullBudgets(env.w).Scale(env.w, 1, 0)
 		b.RepoCapacity = model.Infinite()
-		zeroRT, _, err := env.simulatePlanned(b, false)
+		zeroRT, _, err := env.simulatePlanned(b)
 		if err != nil {
 			return err
 		}
@@ -213,7 +213,7 @@ func Figure3(opts Options) (*stats.Figure, error) {
 				pointStart := time.Now() //repllint:allow determinism — wall-clock progress narration; never feeds results
 				b := model.FullBudgets(env.w).Scale(env.w, 1, localFrac)
 				b.RepoCapacity = units.ReqPerSec(float64(preLoad) * centralFrac)
-				rt, pr, err := env.simulatePlanned(b, false)
+				rt, pr, err := env.simulatePlanned(b)
 				if err != nil {
 					return err
 				}

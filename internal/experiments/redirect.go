@@ -52,7 +52,7 @@ func redirectPass(opts Options, col *collector, _ float64, suffix string) error 
 
 		// The proposed policy at the same storage, no penalty (its
 		// "redirection" is the serving-time URL rewrite): a flat reference.
-		oursRT, _, err := env.simulatePlanned(half, false)
+		oursRT, _, err := env.simulatePlanned(half)
 		if err != nil {
 			return err
 		}

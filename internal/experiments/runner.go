@@ -69,7 +69,7 @@ func newRunEnv(opts *Options, r int) (*runEnv, error) {
 
 	// Reference: the proposed policy with no constraints (full storage,
 	// unconstrained processing everywhere) — the figures' denominator.
-	base, _, err := env.simulatePlanned(unconstrainedBudgets(w), false)
+	base, _, err := env.simulatePlanned(unconstrainedBudgets(w))
 	if err != nil {
 		return nil, err
 	}
@@ -114,12 +114,12 @@ func simulateWithConfig(e *runEnv, dec httpsim.Decider, cfg httpsim.Config) (flo
 // simulatePlanned plans the proposed policy under budgets and simulates it,
 // returning the composite mean response time plus the plan's statistics
 // (for progress narration and assertions).
-func (e *runEnv) simulatePlanned(b model.Budgets, distributedOffload bool) (float64, *core.Result, error) {
+func (e *runEnv) simulatePlanned(b model.Budgets) (float64, *core.Result, error) {
 	env, err := model.NewEnv(e.w, e.est, b)
 	if err != nil {
 		return 0, nil, err
 	}
-	p, pr, err := core.Plan(env, core.Options{Workers: e.planWorkers, Distributed: distributedOffload})
+	p, pr, err := core.Plan(env, core.Options{Workers: e.planWorkers})
 	if err != nil {
 		return 0, nil, err
 	}

@@ -19,7 +19,7 @@ func ThresholdStudy(opts Options) (*stats.Figure, error) {
 	col := newCollector(opts.Runs)
 	err := forEachRun(&opts, func(r int, env *runEnv) error {
 		half := unconstrainedBudgets(env.w).Scale(env.w, 0.5, 1)
-		oursRT, _, err := env.simulatePlanned(half, false)
+		oursRT, _, err := env.simulatePlanned(half)
 		if err != nil {
 			return err
 		}

@@ -124,41 +124,6 @@ func (p *Placement) Clone() *Placement {
 	return c
 }
 
-// SiteView returns a copy-on-write view of the placement for site i: the X
-// and X' rows of the site's own pages plus its store are deep-copied, while
-// every other site's rows are shared. Writes confined to site i — the only
-// writes the per-site planning phases perform — leave the original placement
-// untouched, so views for distinct sites can be mutated concurrently and
-// folded back with AdoptSiteView.
-func (p *Placement) SiteView(i workload.SiteID) *Placement {
-	c := &Placement{
-		w:           p.w,
-		xComp:       append([][]bool(nil), p.xComp...),
-		xOpt:        append([][]bool(nil), p.xOpt...),
-		stored:      append([]*bitset.Set(nil), p.stored...),
-		storedBytes: append([]units.ByteSize(nil), p.storedBytes...),
-	}
-	for _, j := range p.w.Sites[i].Pages {
-		c.xComp[j] = append([]bool(nil), p.xComp[j]...)
-		c.xOpt[j] = append([]bool(nil), p.xOpt[j]...)
-	}
-	c.stored[i] = p.stored[i].Clone()
-	return c
-}
-
-// AdoptSiteView copies site i's state — its pages' X/X' rows, its store and
-// the stored-bytes accounting — from a SiteView back into p. Everything
-// outside site i is ignored, so serially adopting the views of distinct
-// sites applies exactly the mutations each view performed.
-func (p *Placement) AdoptSiteView(v *Placement, i workload.SiteID) {
-	for _, j := range p.w.Sites[i].Pages {
-		copy(p.xComp[j], v.xComp[j])
-		copy(p.xOpt[j], v.xOpt[j])
-	}
-	p.stored[i].CopyFrom(v.stored[i])
-	p.storedBytes[i] = v.storedBytes[i]
-}
-
 // AllLocal returns a placement where every compulsory and optional object is
 // downloaded locally and stored (the paper's "Local policy" starting point).
 func AllLocal(w *workload.Workload) *Placement {

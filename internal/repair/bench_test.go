@@ -8,8 +8,7 @@ import (
 
 // BenchmarkRepairPlan measures the repair planner's hot path — the full
 // Compute pipeline (re-home, seeded adoption, per-page admission, survivor
-// restoration, off-loading) for a single-site outage. The name matches
-// cmd/benchdiff's Plan filter, so a regression here fails the CI gate.
+// restoration, off-loading) for a single-site outage.
 func BenchmarkRepairPlan(b *testing.B) {
 	env, p := scaffold(b, 42)
 	b.ResetTimer()

@@ -25,7 +25,6 @@ import (
 	"math"
 	"runtime"
 	"sort"
-	"sync"
 
 	"repro/internal/core"
 	"repro/internal/model"
@@ -184,45 +183,14 @@ func Compute(env *model.Env, p *model.Placement, down []workload.SiteID, opts Op
 		pl.AdmitPage(pid)
 	}
 
-	// Restore Eq. 10 and Eq. 8 on the survivors. Distinct sites touch
-	// disjoint planner state, so the pool is deterministic at any width —
-	// the same argument as core.Plan's restoration phase.
+	// Restore Eq. 10 and Eq. 8 on the survivors.
 	var surviving []workload.SiteID
 	for i := 0; i < w.NumSites(); i++ {
 		if !downSet[workload.SiteID(i)] {
 			surviving = append(surviving, workload.SiteID(i))
 		}
 	}
-	restore := func(i workload.SiteID) {
-		pl.RestoreStorageSite(i)
-		pl.RestoreProcessingSite(i)
-	}
-	if workers <= 1 || len(surviving) <= 1 {
-		for _, i := range surviving {
-			restore(i)
-		}
-	} else {
-		sites := make(chan workload.SiteID)
-		var wg sync.WaitGroup
-		n := workers
-		if n > len(surviving) {
-			n = len(surviving)
-		}
-		for g := 0; g < n; g++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for i := range sites {
-					restore(i)
-				}
-			}()
-		}
-		for _, i := range surviving {
-			sites <- i
-		}
-		close(sites)
-		wg.Wait()
-	}
+	pl.RestoreSites(surviving, workers, false, nil)
 
 	// Eq. 9: the repository absorbed the dead site's whole local service, so
 	// re-negotiate off-loading with the survivors (dead sites have zero

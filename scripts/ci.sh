@@ -2,9 +2,9 @@
 # ci.sh — the full verification pipeline, tiered into named stages.
 # Everything here must pass before a change lands: formatting, build + vet +
 # the repllint analyzer suite, the complete test suite, the race detector
-# cold on every package, coverage on the planner core, and a single
-# pinned-GOMAXPROCS pass of every benchmark followed by a regression diff
-# against the previous snapshot.
+# cold on every package, coverage on the planner core, and a smoke pass that
+# compiles and runs every benchmark once and vets and tests the nested
+# benchmark/ module (measuring is benchmark/run.sh's job, not this script's).
 #
 # CI_STAGES selects a subset, e.g.:
 #
@@ -40,11 +40,11 @@ stage_lint() {
 }
 
 # The interprocedural suite as a strict gate, with the machine-readable
-# finding stream archived next to the BENCH_*.json snapshots: the whole-
-# module run (determinism taint, goroutine leaks, hotpath-alloc against the
-# committed .repllint-hotpath.json baseline) plus -strict-allow, which turns
-# any //repllint:allow that suppresses nothing into an error. A failure
-# reprints the findings with their full call chains for the log.
+# finding stream archived: the whole-module run (determinism taint,
+# goroutine leaks, hotpath-alloc against the committed
+# .repllint-hotpath.json baseline) plus -strict-allow, which turns any
+# //repllint:allow that suppresses nothing into an error. A failure reprints
+# the findings with their full call chains for the log.
 stage_lintx() {
     stamp=$(date -u +%Y%m%dT%H%M%SZ)
     out="REPLLINT_${stamp}.json"
@@ -93,20 +93,16 @@ stage_cover() {
     fi
 }
 
-# Every benchmark once, GOMAXPROCS pinned so ns/op numbers are comparable
-# across runners of different widths and -count=1 so a warm test cache can
-# never skip the pass; then the regression diff against the previous
-# BENCH_<stamp>.json snapshot. A single -benchtime=1x pass is too noisy to
-# block local work on, so the diff only warns here; the CI workflow exports
-# CI_BENCHDIFF_FATAL=1 (and CI_BENCHTIME=3x to average the noise down) to
-# make a >15 % ns/op regression fail the build.
+# Benchmarks must keep compiling and running: every one once, except
+# BenchmarkGreedyGap (10 s and ~1 GB per pass for a certificate the test
+# suite already checks at small scale). Then the nested benchmark/ module,
+# which tier-1's ./... never builds: it compiles against internal/core,
+# repair, controller and experiments, so a rename there would otherwise go
+# unnoticed until the benchmark itself ran. Numbers come from
+# benchmark/run.sh (see benchmark/README.md), never from this 1x pass.
 stage_bench() {
-    GOMAXPROCS=4 scripts/bench.sh . "${CI_BENCHTIME:-1x}"
-    if [ "${CI_BENCHDIFF_FATAL:-0}" = "1" ]; then
-        scripts/benchdiff.sh
-    else
-        scripts/benchdiff.sh || echo "benchdiff: regression reported (non-fatal locally; CI_BENCHDIFF_FATAL=1 enforces)"
-    fi
+    go test -run '^$' -bench . -benchtime 1x -skip '^BenchmarkGreedyGap$' ./...
+    (cd benchmark && go vet ./... && go test ./...)
 }
 
 summary=""
