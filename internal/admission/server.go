@@ -39,11 +39,11 @@ type Metrics struct {
 // counters.
 func MetricsFor(reg *telemetry.Registry, prefix string) Metrics {
 	return Metrics{
-		Admitted:    reg.Counter(prefix + "admitted"),         //repllint:allow telemetry-naming — per-site metric namespace; suffixes are literal
-		ShedSojourn: reg.Counter(prefix + "shed_by.sojourn"),  //repllint:allow telemetry-naming — per-site metric namespace; suffixes are literal
-		ShedQueue:   reg.Counter(prefix + "shed_by.queue"),    //repllint:allow telemetry-naming — per-site metric namespace; suffixes are literal
-		ShedDead:    reg.Counter(prefix + "shed_by.deadline"), //repllint:allow telemetry-naming — per-site metric namespace; suffixes are literal
-		Aborts:      reg.Counter(prefix + "queue_aborts"),     //repllint:allow telemetry-naming — per-site metric namespace; suffixes are literal
+		Admitted:    reg.Counter(prefix + "admitted"),
+		ShedSojourn: reg.Counter(prefix + "shed_by.sojourn"),
+		ShedQueue:   reg.Counter(prefix + "shed_by.queue"),
+		ShedDead:    reg.Counter(prefix + "shed_by.deadline"),
+		Aborts:      reg.Counter(prefix + "queue_aborts"),
 	}
 }
 
@@ -90,7 +90,9 @@ type Server struct {
 func NewServer(cfg Config, clock func() time.Duration, m Metrics) *Server {
 	cfg = cfg.normalize()
 	if clock == nil {
+		//repllint:allow determinism — nil-clock fallback for the live server: a process-relative wall timeline; the study injects a virtual clock
 		start := time.Now()
+		//repllint:allow determinism — the same fallback timeline, read per request
 		clock = func() time.Duration { return time.Since(start) }
 	}
 	return &Server{

@@ -258,8 +258,6 @@ func (pl *Planner) RepoLoad() units.ReqPerSec {
 // flipComp moves page j's idx-th compulsory object between the chains and
 // updates every cached quantity. It is a no-op if already on that side.
 // The caller manages the store (the object must be stored when toLocal).
-//
-//repllint:hotpath — flip-scoring inner loop (ROADMAP item 5 allocation diet)
 func (pl *Planner) flipComp(j workload.PageID, idx int, toLocal bool) {
 	if pl.p.CompLocal(j, idx) == toLocal {
 		return
@@ -290,8 +288,6 @@ func (pl *Planner) flipComp(j workload.PageID, idx int, toLocal bool) {
 
 // flipOpt moves page j's idx-th optional link between the sides and updates
 // the caches.
-//
-//repllint:hotpath — flip-scoring inner loop (ROADMAP item 5 allocation diet)
 func (pl *Planner) flipOpt(j workload.PageID, idx int, toLocal bool) {
 	if pl.p.OptLocal(j, idx) == toLocal {
 		return
@@ -317,8 +313,6 @@ func (pl *Planner) flipOpt(j workload.PageID, idx int, toLocal bool) {
 
 // previewFlipComp returns the change in D if page j's idx-th compulsory
 // object moved to the given side, without mutating anything.
-//
-//repllint:hotpath — flip-scoring inner loop (ROADMAP item 5 allocation diet)
 func (pl *Planner) previewFlipComp(j workload.PageID, idx int, toLocal bool) float64 {
 	if pl.p.CompLocal(j, idx) == toLocal {
 		return 0
@@ -346,8 +340,6 @@ func (pl *Planner) previewFlipComp(j workload.PageID, idx int, toLocal bool) flo
 
 // previewFlipOpt returns the change in D if page j's idx-th optional link
 // moved to the given side.
-//
-//repllint:hotpath — flip-scoring inner loop (ROADMAP item 5 allocation diet)
 func (pl *Planner) previewFlipOpt(j workload.PageID, idx int, toLocal bool) float64 {
 	if pl.p.OptLocal(j, idx) == toLocal {
 		return 0

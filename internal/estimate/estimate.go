@@ -131,8 +131,6 @@ func New(w *workload.Workload, cfg Config) (*Estimator, error) {
 // clock in the simulator). Timestamps must be non-decreasing per site;
 // out-of-range sites or pages are ignored (a malformed request must not
 // poison the estimate). Safe for concurrent use.
-//
-//repllint:hotpath — estimator ingest, called per observed request
 func (e *Estimator) Observe(site workload.SiteID, pid workload.PageID, t float64) {
 	if int(site) >= len(e.sites) || site < 0 || pid < 0 || int(pid) >= e.numPages {
 		return

@@ -86,8 +86,6 @@ func (s *Sketch) decayed(i int) float64 {
 
 // Observe records one access to page pid at time t (seconds, monotone
 // non-decreasing).
-//
-//repllint:hotpath — sketch ingest, called per observed request
 func (s *Sketch) Observe(pid workload.PageID, t float64) {
 	if t > s.now {
 		s.now = t

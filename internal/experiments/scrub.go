@@ -1,3 +1,5 @@
+//repllint:allow determinism — the scrub soak is the one study that drives a live loopback cluster (real servers, probe loop, client); its report carries only counts that the injected faults fix, never a wall-clock reading
+
 package experiments
 
 import (

@@ -39,11 +39,11 @@ func (m Metrics) record(kind string) {
 // "faults.site.0.") in the registry. A nil registry yields no-op counters.
 func MetricsFor(reg *telemetry.Registry, prefix string) Metrics {
 	return Metrics{
-		Failures:    reg.Counter(prefix + "injected_failures"),    //repllint:allow telemetry-naming — per-site metric namespace; suffixes are literal
-		Resets:      reg.Counter(prefix + "injected_resets"),      //repllint:allow telemetry-naming — per-site metric namespace; suffixes are literal
-		Truncations: reg.Counter(prefix + "injected_truncations"), //repllint:allow telemetry-naming — per-site metric namespace; suffixes are literal
-		Corruptions: reg.Counter(prefix + "injected_corruptions"), //repllint:allow telemetry-naming — per-site metric namespace; suffixes are literal
-		Delayed:     reg.Counter(prefix + "injected_delays"),      //repllint:allow telemetry-naming — per-site metric namespace; suffixes are literal
+		Failures:    reg.Counter(prefix + "injected_failures"),
+		Resets:      reg.Counter(prefix + "injected_resets"),
+		Truncations: reg.Counter(prefix + "injected_truncations"),
+		Corruptions: reg.Counter(prefix + "injected_corruptions"),
+		Delayed:     reg.Counter(prefix + "injected_delays"),
 	}
 }
 

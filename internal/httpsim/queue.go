@@ -27,8 +27,6 @@ func newFluidQueue(capacity float64) *fluidQueue {
 // delay advances the queue to time now, records nreqs arriving requests,
 // and returns the waiting time those requests experience. now must not
 // decrease between calls.
-//
-//repllint:hotpath — fluid-queue update, called per simulated request
 func (q *fluidQueue) delay(now, nreqs float64) float64 {
 	if q.perReq == 0 {
 		return 0

@@ -4,12 +4,11 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
-	"sort"
 	"strings"
 )
 
 // This file builds the whole-module call graph the interprocedural
-// analyzers (determinism-taint, goroutine-leak, hotpath-alloc) run over.
+// analyzers (determinism, goroutine-leak) run over.
 // The graph is deliberately conservative in the staticcheck fact-engine
 // tradition, but bounded so a repo-sized lint run stays instant:
 //
@@ -18,7 +17,7 @@ import (
 //   - calls through an interface method resolve to every module type that
 //     implements the interface (method-set dispatch); interfaces declared
 //     outside the module (io.Writer, http.Handler, ...) are treated as
-//     opaque — a documented soundness boundary, see DESIGN §16;
+//     opaque — a documented soundness boundary, see DESIGN §11;
 //   - a module function referenced as a *value* (passed as a callback,
 //     assigned to a variable or field) gets a may-call edge from the
 //     referencing function, since the graph cannot see where the value is
@@ -31,14 +30,12 @@ import (
 //   - package-level var initializers have no enclosing function and are
 //     skipped.
 //
-// Two function-level directives are parsed from declaration doc comments:
+// One function-level directive is parsed from declaration doc comments:
 //
-//	//repllint:hotpath — <why this function is a hot root>
 //	//repllint:pure — <why ambient effects below here cannot escape>
 //
-// hotpath marks a root for the allocation-regression analyzer. pure is a
-// reviewed trust assertion that cuts fact propagation: the function and
-// everything only reachable through it is treated as
+// pure is a reviewed trust assertion that cuts fact propagation: the
+// function and everything only reachable through it is treated as
 // deterministic-by-contract (used for observability-only wall-clock reads
 // whose values never feed plan bytes or experiment output).
 
@@ -48,7 +45,6 @@ type Node struct {
 	Decl *ast.FuncDecl
 	Pkg  *Package
 
-	Hot  bool // //repllint:hotpath directive on the declaration
 	Pure bool // //repllint:pure directive on the declaration
 
 	Calls  []Edge    // outgoing edges, in call-site order
@@ -95,10 +91,7 @@ func (g *Graph) NodeOf(fn *types.Func) *Node {
 	return g.byFn[fn]
 }
 
-const (
-	hotpathPrefix = "//repllint:hotpath"
-	purePrefix    = "//repllint:pure"
-)
+const purePrefix = "//repllint:pure"
 
 // BuildGraph constructs the call graph over the given packages. The
 // packages must all come from one Loader so types.Object identities agree
@@ -120,9 +113,7 @@ func BuildGraph(pkgs []*Package) *Graph {
 				if !ok {
 					continue
 				}
-				n := &Node{Fn: fn, Decl: fd, Pkg: pkg}
-				n.Hot = declHasDirective(fd, hotpathPrefix)
-				n.Pure = declHasDirective(fd, purePrefix)
+				n := &Node{Fn: fn, Decl: fd, Pkg: pkg, Pure: declHasDirective(fd, purePrefix)}
 				g.Nodes = append(g.Nodes, n)
 				g.byFn[fn] = n
 			}
@@ -370,20 +361,4 @@ func (n *Node) ShortName() string {
 		}
 	}
 	return n.Pkg.Name + "." + fn.Name()
-}
-
-// FullName renders the stable, position-independent key used by the
-// hotpath-alloc baseline file.
-func (n *Node) FullName() string { return n.Fn.FullName() }
-
-// sortNodesByPos orders nodes by source position for deterministic
-// reporting helpers.
-func sortNodesByPos(fset *token.FileSet, nodes []*Node) {
-	sort.Slice(nodes, func(i, j int) bool {
-		a, b := fset.Position(nodes[i].Decl.Pos()), fset.Position(nodes[j].Decl.Pos())
-		if a.Filename != b.Filename {
-			return a.Filename < b.Filename
-		}
-		return a.Line < b.Line
-	})
 }

@@ -19,7 +19,7 @@ import (
 // Every parsed (file, line, rule) entry is also recorded so the driver can
 // audit suppressions after a full run: an allow that matched no finding is
 // stale — either the offending code is gone, the rule changed, or the rule
-// name is misspelled — and -strict-allow turns those into errors.
+// name is misspelled — and is reported as a finding itself.
 type Directives struct {
 	// fileAllow maps filename -> rules exempted for the whole file.
 	fileAllow map[string]map[string]bool

@@ -6,16 +6,12 @@ import (
 )
 
 // This file is the facts engine: per-function facts seeded by local
-// inspection and propagated over the call graph to a fixpoint. Two
-// directions exist:
-//
-//   - propagateUp: callee facts infect callers ("calls something impure",
-//     "calls something that never returns"). Rounds of breadth-first
-//     relaxation over the node list give shortest chains, and scanning each
-//     node's call sites in source order makes the chosen chain — and
-//     therefore every reported message — deterministic.
-//   - propagateDown: caller facts infect callees ("reachable from a hot
-//     root"), used by the allocation gate.
+// inspection and propagated over the call graph to a fixpoint. Callee facts
+// infect callers ("calls something impure", "calls something that never
+// returns"). Rounds of breadth-first relaxation over the node list give
+// shortest chains, and scanning each node's call sites in source order
+// makes the chosen chain — and therefore every reported message —
+// deterministic.
 //
 // Every mark remembers the next hop toward its root cause and the call
 // site inside the marked function, so a full chain can be reconstructed
@@ -31,8 +27,6 @@ type Mark struct {
 	// Pos is the responsible site inside this function: the seeding
 	// expression, or the call site of Via.
 	Pos token.Pos
-	// Depth is the chain length to the root cause (0 on seeds).
-	Depth int
 }
 
 // propagateUp computes the least fixpoint of "n is marked if n seeds or n
@@ -59,7 +53,7 @@ func propagateUp(g *Graph, seeds map[*Node]*Mark, useLitEdges bool) map[*Node]*M
 					continue
 				}
 				if m := marked[e.Callee]; m != nil {
-					round[n] = &Mark{Via: e.Callee, Pos: e.Pos, Depth: m.Depth + 1}
+					round[n] = &Mark{Via: e.Callee, Pos: e.Pos}
 					changed = true
 					break
 				}
@@ -67,32 +61,6 @@ func propagateUp(g *Graph, seeds map[*Node]*Mark, useLitEdges bool) map[*Node]*M
 		}
 		for n, m := range round {
 			marked[n] = m
-		}
-	}
-	return marked
-}
-
-// propagateDown computes forward reachability from the seed set: "n is
-// marked if n seeds or a marked function calls n". Via points back toward
-// the seed (the caller), Pos is the call site inside that caller.
-func propagateDown(g *Graph, seeds map[*Node]*Mark) map[*Node]*Mark {
-	marked := make(map[*Node]*Mark, len(seeds))
-	for n, m := range seeds {
-		marked[n] = m
-	}
-	for changed := true; changed; {
-		changed = false
-		for _, n := range g.Nodes {
-			m := marked[n]
-			if m == nil {
-				continue
-			}
-			for _, e := range n.Calls {
-				if marked[e.Callee] == nil {
-					marked[e.Callee] = &Mark{Via: n, Pos: e.Pos, Depth: m.Depth + 1}
-					changed = true
-				}
-			}
 		}
 	}
 	return marked
@@ -110,8 +78,7 @@ func chain(fset *token.FileSet, marks map[*Node]*Mark, n *Node) []string {
 			out = append(out, n.ShortName())
 			break
 		}
-		pos := fset.Position(m.Pos)
-		out = append(out, fmt.Sprintf("%s (%s:%d)", n.ShortName(), pos.Filename, pos.Line))
+		out = append(out, hop(fset, n, m.Pos))
 		if m.Via == nil {
 			out = append(out, m.Reason)
 			break
@@ -121,81 +88,28 @@ func chain(fset *token.FileSet, marks map[*Node]*Mark, n *Node) []string {
 	return out
 }
 
-// GraphAnalyzer is one whole-module rule running over the call graph.
-type GraphAnalyzer struct {
-	Name string
-	Doc  string
-	Run  func(*GraphPass)
+// hop renders one chain entry: the function and the line in it that leads
+// on to the next entry.
+func hop(fset *token.FileSet, n *Node, at token.Pos) string {
+	pos := fset.Position(at)
+	return fmt.Sprintf("%s (%s:%d)", n.ShortName(), pos.Filename, pos.Line)
 }
 
-// GraphPass carries one graph analyzer's run over the whole module.
-type GraphPass struct {
-	Analyzer *GraphAnalyzer
-	Graph    *Graph
-	Fset     *token.FileSet
-	// Baseline is the hotpath-alloc regression baseline; nil means an
-	// all-zero baseline (every allocation in a hot function reports).
-	Baseline *HotpathBaseline
-
-	findings []Finding
-}
-
-// Reportf records a finding attributed to node n's package (so its
-// //repllint:allow directives apply) at pos, with an optional chain.
-func (p *GraphPass) Reportf(n *Node, pos token.Pos, chain []string, format string, args ...any) {
-	p.findings = append(p.findings, Finding{
-		Pos:   p.Fset.Position(pos),
-		Rule:  p.Analyzer.Name,
-		Msg:   fmt.Sprintf(format, args...),
-		Chain: chain,
-		pkg:   n.Pkg,
-	})
-}
-
-// GraphAnalyzers is the interprocedural suite in reporting order.
-var GraphAnalyzers = []*GraphAnalyzer{
-	DeterminismTaintAnalyzer,
-	GoroutineLeakAnalyzer,
-	HotpathAllocAnalyzer,
-}
-
-// GraphByName returns the graph analyzers with the given names, or all of
-// them when names is empty. Unknown names are an error.
-func GraphByName(names []string) ([]*GraphAnalyzer, error) {
-	if len(names) == 0 {
-		return GraphAnalyzers, nil
-	}
-	byName := make(map[string]*GraphAnalyzer, len(GraphAnalyzers))
-	for _, a := range GraphAnalyzers {
-		byName[a.Name] = a
-	}
-	out := make([]*GraphAnalyzer, 0, len(names))
-	for _, n := range names {
-		a, ok := byName[n]
-		if !ok {
-			return nil, fmt.Errorf("lint: unknown graph rule %q", n)
+// chainTail renders the compact single-line form of the fact chain from n
+// down to the root cause, without positions.
+func chainTail(marks map[*Node]*Mark, n *Node) []string {
+	var out []string
+	for hops := 0; n != nil && hops < 64; hops++ {
+		out = append(out, n.ShortName())
+		m := marks[n]
+		if m == nil {
+			break
 		}
-		out = append(out, a)
-	}
-	return out, nil
-}
-
-// RunGraph builds the call graph over the packages and runs the graph
-// analyzers, returning surviving (non-suppressed) findings in position
-// order. fset must be the loader's file set.
-func RunGraph(fset *token.FileSet, pkgs []*Package, analyzers []*GraphAnalyzer, baseline *HotpathBaseline) []Finding {
-	g := BuildGraph(pkgs)
-	var out []Finding
-	for _, az := range analyzers {
-		pass := &GraphPass{Analyzer: az, Graph: g, Fset: fset, Baseline: baseline}
-		az.Run(pass)
-		for _, f := range pass.findings {
-			if f.pkg != nil && f.pkg.Directives.Allows(f.Rule, f.Pos) {
-				continue
-			}
-			out = append(out, f)
+		if m.Via == nil {
+			out = append(out, m.Reason)
+			break
 		}
+		n = m.Via
 	}
-	sortFindings(out)
 	return out
 }

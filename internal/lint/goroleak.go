@@ -30,48 +30,55 @@ import (
 // body whose last act is calling a forever-loop helper leaks just the
 // same), but not across nested `go` statements or function-literal
 // creation — spawning a blocked child does not block the parent.
-var GoroutineLeakAnalyzer = &GraphAnalyzer{
+var GoroutineLeakAnalyzer = &Analyzer{
 	Name: "goroutine-leak",
 	Doc: "flag go statements spawning functions with no reachable termination " +
 		"(infinite for/select{} without return, break, or exit call on any path)",
 	Run: runGoroutineLeak,
 }
 
-func runGoroutineLeak(p *GraphPass) {
-	g := p.Graph
-
-	// Seed: functions directly containing an unexitable infinite loop.
-	seeds := make(map[*Node]*Mark)
-	for _, n := range g.Nodes {
-		if pos, ok := foreverLoop(n.Pkg, n.Decl.Body); ok {
-			seeds[n] = &Mark{Reason: "infinite loop with no exit", Pos: pos}
+func runGoroutineLeak(p *Pass) {
+	forever := p.facts(func(g *Graph) map[*Node]*Mark {
+		// Seed: functions directly containing an unexitable infinite loop.
+		seeds := make(map[*Node]*Mark)
+		for _, n := range g.Nodes {
+			if pos, ok := foreverLoop(n.Pkg, n.Decl.Body); ok {
+				seeds[n] = &Mark{Reason: "infinite loop with no exit", Pos: pos}
+			}
 		}
-	}
-	// Propagate over non-literal, non-spawn edges only.
-	forever := propagateUp(g, seeds, false)
+		// Propagate over non-literal, non-spawn edges only.
+		return propagateUp(g, seeds, false)
+	})
 
-	for _, n := range g.Nodes {
+	for _, n := range p.Graph().Nodes {
+		if n.Pkg != p.Pkg {
+			continue
+		}
 		for _, sp := range n.Spawns {
 			switch {
 			case sp.Lit != nil:
-				checkSpawnedLit(p, n, sp, forever)
-			case sp.Callee != nil:
-				if m := forever[sp.Callee]; m != nil {
-					p.Reportf(n, sp.Stmt.Pos(), chain(p.Fset, forever, sp.Callee),
-						"goroutine never terminates: %s — give it a ctx/done-channel exit path or annotate with %s goroutine-leak",
-						strings.Join(chainTail(forever, sp.Callee), " → "), allowPrefix)
-				}
+				checkSpawnedLit(p, sp, forever)
+			case sp.Callee != nil && forever[sp.Callee] != nil:
+				reportForever(p, sp, forever, sp.Callee)
 			}
 		}
 	}
 }
 
+// reportForever reports a spawn whose goroutine ends up in callee, a
+// function that never terminates.
+func reportForever(p *Pass, sp GoSpawn, forever map[*Node]*Mark, callee *Node) {
+	p.ReportChain(sp.Stmt.Pos(), chain(p.Pkg.Fset, forever, callee),
+		"goroutine never terminates: %s — give it a ctx/done-channel exit path or annotate with %s goroutine-leak",
+		strings.Join(chainTail(forever, callee), " → "), allowPrefix)
+}
+
 // checkSpawnedLit analyzes a `go func(){...}()` literal: its own loops,
 // plus direct calls to never-terminating module functions.
-func checkSpawnedLit(p *GraphPass, n *Node, sp GoSpawn, forever map[*Node]*Mark) {
-	if pos, ok := foreverLoop(n.Pkg, sp.Lit.Body); ok {
-		lpos := p.Fset.Position(pos)
-		p.Reportf(n, sp.Stmt.Pos(), nil,
+func checkSpawnedLit(p *Pass, sp GoSpawn, forever map[*Node]*Mark) {
+	if pos, ok := foreverLoop(p.Pkg, sp.Lit.Body); ok {
+		lpos := p.Pkg.Fset.Position(pos)
+		p.Reportf(sp.Stmt.Pos(),
 			"goroutine never terminates: spawned func literal has an infinite loop with no exit at %s:%d — give it a ctx/done-channel exit path or annotate with %s goroutine-leak",
 			lpos.Filename, lpos.Line, allowPrefix)
 		return
@@ -94,17 +101,15 @@ func checkSpawnedLit(p *GraphPass, n *Node, sp GoSpawn, forever map[*Node]*Mark)
 		if !isCall {
 			return true
 		}
-		if fn := staticCallee(n.Pkg.Info, call); fn != nil {
-			if callee := p.Graph.NodeOf(fn); callee != nil && forever[callee] != nil {
+		if fn := staticCallee(p.Pkg.Info, call); fn != nil {
+			if callee := p.Graph().NodeOf(fn); callee != nil && forever[callee] != nil {
 				hit = callee
 			}
 		}
 		return true
 	})
 	if hit != nil {
-		p.Reportf(n, sp.Stmt.Pos(), chain(p.Fset, forever, hit),
-			"goroutine never terminates: %s — give it a ctx/done-channel exit path or annotate with %s goroutine-leak",
-			strings.Join(chainTail(forever, hit), " → "), allowPrefix)
+		reportForever(p, sp, forever, hit)
 	}
 }
 

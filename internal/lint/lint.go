@@ -1,16 +1,18 @@
 // Package lint is a repo-specific static-analysis suite. It mechanically
 // enforces the conventions every reproducibility claim in this repository
 // rests on: no wall-clock or ambient randomness inside the deterministic
-// packages, named-constant discipline for rng stream labels, sorted
-// iteration before anything that feeds output, no float equality, telemetry
-// metric-name hygiene, error-handling discipline, and span lifecycle
-// balance (every trace/telemetry span creation reaches End or escapes).
+// packages or anything they call, named-constant discipline for rng stream
+// labels, sorted iteration before anything that feeds output, no float
+// equality, telemetry metric-name hygiene, error-handling discipline, span
+// lifecycle balance (every trace/telemetry span creation reaches End or
+// escapes), context-aware sleeps on handler paths, and no goroutine without
+// an exit.
 //
 // The suite is built only on the standard library (go/parser, go/ast,
 // go/types, go/importer) — no golang.org/x/tools — honoring the repo's
-// stdlib-only rule. The cmd/repllint driver loads every package in the
-// module, type-checks it, runs every analyzer, and exits nonzero on any
-// finding.
+// stdlib-only rule. Run loads every package in the module, type-checks it
+// and runs the rules in Analyzers; the cmd/repllint driver prints what it
+// returns and exits nonzero on any finding.
 //
 // # Suppression
 //
@@ -28,7 +30,6 @@ import (
 	"fmt"
 	"go/ast"
 	"go/token"
-	"path/filepath"
 	"sort"
 )
 
@@ -37,14 +38,11 @@ type Finding struct {
 	Pos  token.Position
 	Rule string
 	Msg  string
-	// Chain is the interprocedural call path behind the finding (graph
-	// analyzers only): each hop "pkg.Func (file:line)", ending at the root
-	// cause. Empty for single-function findings.
+	// Chain is the interprocedural call path behind the finding: each hop
+	// "pkg.Func (file:line)" names a function and the line in it that makes
+	// the next hop, ending at the root cause. Empty for single-function
+	// findings.
 	Chain []string
-	// Severity is "" (error) or "warning" (advisory, does not fail a run).
-	Severity string
-
-	pkg *Package // owning package, for suppression lookup
 }
 
 // String renders the canonical file:line: rule: message form.
@@ -52,8 +50,9 @@ func (f Finding) String() string {
 	return fmt.Sprintf("%s:%d: %s: %s", f.Pos.Filename, f.Pos.Line, f.Rule, f.Msg)
 }
 
-// Analyzer is one named rule. Run inspects a single type-checked package and
-// reports findings through the pass.
+// Analyzer is one named rule. Run inspects a single type-checked package
+// and reports findings through the pass; a rule that needs to see across
+// functions or packages asks the pass for the whole-module call graph.
 type Analyzer struct {
 	Name string
 	Doc  string
@@ -65,21 +64,61 @@ type Pass struct {
 	Analyzer *Analyzer
 	Pkg      *Package
 
+	run      *run
 	findings []Finding
+}
+
+// run is the state the passes of one suite run share.
+type run struct {
+	pkgs  []*Package
+	graph *Graph
+	// facts holds each analyzer's fact table once computed (see Pass.facts).
+	facts map[*Analyzer]map[*Node]*Mark
+}
+
+// Graph returns the call graph over every package of the run. It is built
+// on the first request and shared by all later passes.
+func (p *Pass) Graph() *Graph {
+	if p.run.graph == nil {
+		p.run.graph = BuildGraph(p.run.pkgs)
+	}
+	return p.run.graph
+}
+
+// facts returns the analyzer's whole-module fact table: computed by the
+// first pass that asks, reused by the analyzer's passes over the remaining
+// packages.
+func (p *Pass) facts(compute func(*Graph) map[*Node]*Mark) map[*Node]*Mark {
+	m, ok := p.run.facts[p.Analyzer]
+	if !ok {
+		m = compute(p.Graph())
+		p.run.facts[p.Analyzer] = m
+	}
+	return m
 }
 
 // Reportf records a finding at pos.
 func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
+	p.ReportChain(pos, nil, format, args...)
+}
+
+// ReportChain records a finding at pos together with the call chain that
+// explains it.
+func (p *Pass) ReportChain(pos token.Pos, chain []string, format string, args ...any) {
 	p.findings = append(p.findings, Finding{
-		Pos:  p.Pkg.Fset.Position(pos),
-		Rule: p.Analyzer.Name,
-		Msg:  fmt.Sprintf(format, args...),
+		Pos:   p.Pkg.Fset.Position(pos),
+		Rule:  p.Analyzer.Name,
+		Msg:   fmt.Sprintf(format, args...),
+		Chain: chain,
 	})
 }
 
 // DeterministicPackages names the packages whose outputs must be a pure
-// function of (inputs, seed). The determinism and sorted-iteration rules key
-// on the package name: every one of these lives at repro/internal/<name>.
+// function of (inputs, seed), keyed on the package name: every one of these
+// lives at repro/internal/<name>. admission is here because its control
+// laws are clock-agnostic by design (the overload study replays them on a
+// virtual clock); the wall-clock deadline reads of its live HTTP adapter
+// are each justified in place.
 var DeterministicPackages = map[string]bool{
 	"core":        true,
 	"repair":      true,
@@ -90,6 +129,7 @@ var DeterministicPackages = map[string]bool{
 	"policies":    true,
 	"experiments": true,
 	"estimate":    true,
+	"admission":   true,
 }
 
 // Analyzers is the full suite in reporting order.
@@ -102,22 +142,54 @@ var Analyzers = []*Analyzer{
 	ErrorDisciplineAnalyzer,
 	SpanBalanceAnalyzer,
 	CtxSleepAnalyzer,
+	GoroutineLeakAnalyzer,
 }
 
-// ByName returns the analyzers with the given names, or all of them when
-// names is empty. Unknown names are an error.
-func ByName(names []string) ([]*Analyzer, error) {
+// Run loads every package of the module rooted at dir, type-checks it and
+// runs the named rules, or the whole suite when rules is empty. Unknown
+// names are an error. The surviving (non-suppressed) findings come back
+// sorted by position.
+//
+// A whole-suite run also audits the suppressions: an allow directive that
+// matched no finding is itself a finding. A partial run cannot tell a stale
+// allow from one whose rule did not run, so it skips the audit.
+func Run(dir string, rules []string) ([]Finding, error) {
+	analyzers, err := selectRules(rules)
+	if err != nil {
+		return nil, err
+	}
+	pkgs, err := LoadModule(dir)
+	if err != nil {
+		return nil, err
+	}
+	out := analyze(pkgs, analyzers)
+	if len(rules) == 0 {
+		out = append(out, staleFindings(pkgs)...)
+	}
+	sortFindings(out)
+	return out, nil
+}
+
+// ruleByName looks a rule up in the registry, nil when there is none.
+func ruleByName(name string) *Analyzer {
+	for _, a := range Analyzers {
+		if a.Name == name {
+			return a
+		}
+	}
+	return nil
+}
+
+// selectRules resolves rule names against the registry; no names selects
+// every rule.
+func selectRules(names []string) ([]*Analyzer, error) {
 	if len(names) == 0 {
 		return Analyzers, nil
 	}
-	byName := make(map[string]*Analyzer, len(Analyzers))
-	for _, a := range Analyzers {
-		byName[a.Name] = a
-	}
 	out := make([]*Analyzer, 0, len(names))
 	for _, n := range names {
-		a, ok := byName[n]
-		if !ok {
+		a := ruleByName(n)
+		if a == nil {
 			return nil, fmt.Errorf("lint: unknown rule %q", n)
 		}
 		out = append(out, a)
@@ -125,23 +197,22 @@ func ByName(names []string) ([]*Analyzer, error) {
 	return out, nil
 }
 
-// RunPackages runs the analyzers over already-loaded packages and returns
-// the surviving (non-suppressed) findings sorted by position.
-func RunPackages(pkgs []*Package, analyzers []*Analyzer) []Finding {
+// analyze runs the analyzers over already-loaded packages and returns the
+// surviving findings. The packages must all come from one Loader.
+func analyze(pkgs []*Package, analyzers []*Analyzer) []Finding {
+	r := &run{pkgs: pkgs, facts: make(map[*Analyzer]map[*Node]*Mark)}
 	var out []Finding
 	for _, pkg := range pkgs {
 		for _, az := range analyzers {
-			pass := &Pass{Analyzer: az, Pkg: pkg}
+			pass := &Pass{Analyzer: az, Pkg: pkg, run: r}
 			az.Run(pass)
 			for _, f := range pass.findings {
 				if !pkg.Directives.Allows(f.Rule, f.Pos) {
-					f.pkg = pkg
 					out = append(out, f)
 				}
 			}
 		}
 	}
-	sortFindings(out)
 	return out
 }
 
@@ -159,133 +230,23 @@ func sortFindings(out []Finding) {
 	})
 }
 
-// RunModule loads every package under the module rooted at dir, type-checks
-// it, and runs the per-package analyzers.
-func RunModule(dir string, analyzers []*Analyzer) ([]Finding, error) {
-	pkgs, err := LoadModule(dir)
-	if err != nil {
-		return nil, err
-	}
-	return RunPackages(pkgs, analyzers), nil
-}
-
-// SelectAnalyzers resolves rule names across both suites: per-package
-// analyzers and whole-module graph analyzers. Empty names select
-// everything.
-func SelectAnalyzers(names []string) ([]*Analyzer, []*GraphAnalyzer, error) {
-	if len(names) == 0 {
-		return Analyzers, GraphAnalyzers, nil
-	}
-	pkgByName := make(map[string]*Analyzer, len(Analyzers))
-	for _, a := range Analyzers {
-		pkgByName[a.Name] = a
-	}
-	graphByName := make(map[string]*GraphAnalyzer, len(GraphAnalyzers))
-	for _, a := range GraphAnalyzers {
-		graphByName[a.Name] = a
-	}
-	var pa []*Analyzer
-	var ga []*GraphAnalyzer
-	for _, n := range names {
-		switch {
-		case pkgByName[n] != nil:
-			pa = append(pa, pkgByName[n])
-		case graphByName[n] != nil:
-			ga = append(ga, graphByName[n])
-		default:
-			return nil, nil, fmt.Errorf("lint: unknown rule %q", n)
-		}
-	}
-	return pa, ga, nil
-}
-
-// ModuleOptions configures a full-module run across both suites.
-type ModuleOptions struct {
-	// Analyzers and Graph select the rules; both nil-able. A nil slice
-	// runs none of that suite (use SelectAnalyzers(nil) for everything).
-	Analyzers []*Analyzer
-	Graph     []*GraphAnalyzer
-	// BaselinePath points at the hotpath-alloc baseline; "" uses
-	// <root>/.repllint-hotpath.json (a missing file is a zero baseline).
-	BaselinePath string
-	// StrictAllow promotes stale //repllint:allow directives to error
-	// findings. Only meaningful when both full suites ran — a partial run
-	// leaves legitimately-matched allows unmatched.
-	StrictAllow bool
-}
-
-// ModuleResult is a full-module run's outcome.
-type ModuleResult struct {
-	// Findings are the error findings, sorted by position. Includes stale
-	// allows when StrictAllow was set.
-	Findings []Finding
-	// Stale lists the stale-allow audit results (severity "warning"),
-	// whether or not StrictAllow promoted them into Findings.
-	Stale []Finding
-}
-
-// RunModuleOpts loads the module at dir and runs both analyzer suites plus
-// the stale-suppression audit.
-func RunModuleOpts(dir string, opts ModuleOptions) (*ModuleResult, error) {
-	pkgs, err := LoadModule(dir)
-	if err != nil {
-		return nil, err
-	}
-	res := &ModuleResult{}
-	res.Findings = RunPackages(pkgs, opts.Analyzers)
-	if len(opts.Graph) > 0 && len(pkgs) > 0 {
-		path := opts.BaselinePath
-		if path == "" {
-			root, rootErr := filepath.Abs(dir)
-			if rootErr != nil {
-				return nil, rootErr
-			}
-			path = filepath.Join(root, HotpathBaselineName)
-		}
-		baseline, err := LoadHotpathBaseline(path)
-		if err != nil {
-			return nil, err
-		}
-		res.Findings = append(res.Findings, RunGraph(pkgs[0].Fset, pkgs, opts.Graph, baseline)...)
-	}
-	res.Stale = staleFindings(pkgs)
-	if opts.StrictAllow {
-		for _, f := range res.Stale {
-			f.Severity = ""
-			res.Findings = append(res.Findings, f)
-		}
-	}
-	sortFindings(res.Findings)
-	return res, nil
-}
-
-// staleFindings runs the suppression audit over every package: allow
-// directives that matched no finding during this process's analyzer runs.
+// staleFindings is the suppression audit: every allow directive that
+// matched no finding while the whole suite ran over pkgs.
 func staleFindings(pkgs []*Package) []Finding {
-	known := make(map[string]bool, len(Analyzers)+len(GraphAnalyzers))
-	for _, a := range Analyzers {
-		known[a.Name] = true
-	}
-	for _, a := range GraphAnalyzers {
-		known[a.Name] = true
-	}
 	var out []Finding
 	for _, pkg := range pkgs {
 		for _, site := range pkg.Directives.Stale() {
 			msg := fmt.Sprintf("%s %s suppresses nothing (stale) — the offending code moved or was fixed; delete the directive", allowPrefix, site.Rule)
-			if !known[site.Rule] {
+			if ruleByName(site.Rule) == nil {
 				msg = fmt.Sprintf("%s %s names an unknown rule — fix the rule name or delete the directive", allowPrefix, site.Rule)
 			}
 			out = append(out, Finding{
-				Pos:      token.Position{Filename: site.File, Line: site.DeclLine},
-				Rule:     "stale-allow",
-				Msg:      msg,
-				Severity: "warning",
-				pkg:      pkg,
+				Pos:  token.Position{Filename: site.File, Line: site.DeclLine},
+				Rule: "stale-allow",
+				Msg:  msg,
 			})
 		}
 	}
-	sortFindings(out)
 	return out
 }
 

@@ -2,7 +2,6 @@ package lint
 
 import (
 	"fmt"
-	"path/filepath"
 	"regexp"
 	"strings"
 	"testing"
@@ -61,23 +60,10 @@ func collectWants(t *testing.T, pkg *Package) map[string]map[int][]*regexp.Regex
 	return wants
 }
 
-// checkFixture runs the named rules over one fixture package and verifies
-// the findings against the fixture's want comments, both directions.
-func checkFixture(t *testing.T, dir string, rules ...string) {
-	t.Helper()
-	pkg := loadFixture(t, dir)
-	azs, err := ByName(rules)
-	if err != nil {
-		t.Fatal(err)
-	}
-	findings := RunPackages([]*Package{pkg}, azs)
-	checkWants(t, findings, collectWants(t, pkg))
-}
-
-// checkGraphFixture loads a multi-package fixture tree, runs the named
-// graph analyzers over its call graph (zero hotpath baseline), and
-// verifies the findings against the want comments of every package.
-func checkGraphFixture(t *testing.T, dirs []string, rules ...string) {
+// checkFixture runs the named rules over one fixture tree — one package,
+// or several that import each other — and verifies the findings against
+// the want comments of every package, both directions.
+func checkFixture(t *testing.T, dirs []string, rules ...string) {
 	t.Helper()
 	var pkgs []*Package
 	wants := make(map[string]map[int][]*regexp.Regexp)
@@ -88,11 +74,11 @@ func checkGraphFixture(t *testing.T, dirs []string, rules ...string) {
 			wants[file] = byLine
 		}
 	}
-	azs, err := GraphByName(rules)
+	azs, err := selectRules(rules)
 	if err != nil {
 		t.Fatal(err)
 	}
-	checkWants(t, RunGraph(pkgs[0].Fset, pkgs, azs, nil), wants)
+	checkWants(t, analyze(pkgs, azs), wants)
 }
 
 // checkWants verifies findings against want expectations, both directions.
@@ -125,6 +111,10 @@ func checkWants(t *testing.T, findings []Finding, wants map[string]map[int][]*re
 // TestFixtures proves every rule both fires on violations and stays quiet
 // on compliant code, per the golden // want comments in testdata/src.
 func TestFixtures(t *testing.T) {
+	// Runs beside TestModuleClean: each type-checks its own copy of the
+	// stdlib from source, which is most of this package's test time. The
+	// other fixture tests stay serial, so fixtureLoader has one user at a time.
+	t.Parallel()
 	cases := []struct {
 		dir   string
 		rules []string
@@ -141,13 +131,13 @@ func TestFixtures(t *testing.T) {
 		{"ctxsleep", []string{"ctx-aware-sleep"}},
 	}
 	for _, c := range cases {
-		t.Run(c.dir, func(t *testing.T) { checkFixture(t, c.dir, c.rules...) })
+		t.Run(c.dir, func(t *testing.T) { checkFixture(t, []string{c.dir}, c.rules...) })
 	}
 }
 
-// TestGraphFixtures proves the interprocedural analyzers both fire on
+// TestGraphFixtures proves the rules that read the call graph both fire on
 // violations and stay quiet on compliant code, per the golden // want
-// comments — including the cross-package taint chain through an
+// comments — including the cross-package determinism chain through an
 // intermediate helper package.
 func TestGraphFixtures(t *testing.T) {
 	cases := []struct {
@@ -155,127 +145,61 @@ func TestGraphFixtures(t *testing.T) {
 		dirs  []string
 		rules []string
 	}{
-		{"taintchain", []string{"taintchain/core", "taintchain/hub", "taintchain/leaf"}, []string{"determinism-taint"}},
+		{"taintchain", taintChainDirs, []string{"determinism"}},
 		{"goroleak", []string{"goroleak"}, []string{"goroutine-leak"}},
-		{"hotalloc", []string{"hotalloc"}, []string{"hotpath-alloc"}},
 	}
 	for _, c := range cases {
-		t.Run(c.name, func(t *testing.T) { checkGraphFixture(t, c.dirs, c.rules...) })
+		t.Run(c.name, func(t *testing.T) { checkFixture(t, c.dirs, c.rules...) })
 	}
 }
 
+var taintChainDirs = []string{"taintchain/core", "taintchain/hub", "taintchain/leaf"}
+
 // TestTaintChainDepth pins the acceptance shape of the cross-package
-// fixture: the core.Plan finding carries the full call path, depth three
-// from entry to root cause (Plan → hub.Mix → leaf.Stamp → time.Now).
+// fixture: the finding in core.Plan carries the full call path, depth three
+// from the frontier to the root cause (Plan → hub.Mix → leaf.Stamp →
+// time.Now).
 func TestTaintChainDepth(t *testing.T) {
-	pkgs := []*Package{
-		loadFixture(t, "taintchain/core"),
-		loadFixture(t, "taintchain/hub"),
-		loadFixture(t, "taintchain/leaf"),
+	var pkgs []*Package
+	for _, d := range taintChainDirs {
+		pkgs = append(pkgs, loadFixture(t, d))
 	}
-	findings := RunGraph(pkgs[0].Fset, pkgs, []*GraphAnalyzer{DeterminismTaintAnalyzer}, nil)
 	var plan *Finding
+	findings := analyze(pkgs, []*Analyzer{DeterminismAnalyzer})
 	for i, f := range findings {
-		if strings.Contains(f.Msg, "entry core.Plan ") || strings.HasSuffix(f.Msg, "entry core.Plan — break the chain, assert //repllint:pure at a reviewed boundary, or annotate with //repllint:allow determinism-taint") {
+		if len(f.Chain) > 0 && strings.HasPrefix(f.Chain[0], "core.Plan ") {
 			plan = &findings[i]
 			break
 		}
 	}
 	if plan == nil {
-		t.Fatalf("no finding for entry core.Plan among %d findings", len(findings))
+		t.Fatalf("no chained finding in core.Plan among %d findings", len(findings))
 	}
-	if len(plan.Chain) < 4 {
-		t.Fatalf("chain too short, want >= 4 hops (3 calls + root cause): %q", plan.Chain)
+	wantHops := []string{"core.Plan", "hub.Mix", "leaf.Stamp", "time.Now"}
+	if len(plan.Chain) != len(wantHops) {
+		t.Fatalf("chain = %q, want %d hops (3 calls + root cause)", plan.Chain, len(wantHops))
 	}
-	for i, wantHop := range []string{"core.Plan", "hub.Mix", "leaf.Stamp", "time.Now"} {
+	for i, wantHop := range wantHops {
 		if !strings.Contains(plan.Chain[i], wantHop) {
 			t.Errorf("chain hop %d = %q, want it to mention %q (full: %q)", i, plan.Chain[i], wantHop, plan.Chain)
 		}
 	}
 }
 
-// TestHotpathBaselineGates proves the allocation gate is a ratchet: the
-// current tree round-trips through -write-hotpath-baseline to a clean run,
-// and lowering any budget resurfaces exactly the regressed kind.
-func TestHotpathBaselineGates(t *testing.T) {
-	pkg := loadFixture(t, "hotalloc")
-	g := BuildGraph([]*Package{pkg})
-
-	zero := RunGraph(pkg.Fset, []*Package{pkg}, []*GraphAnalyzer{HotpathAllocAnalyzer}, nil)
-	if len(zero) != 5 {
-		t.Fatalf("zero baseline: %d findings, want 5 (make/composite/append/closure/new)", len(zero))
-	}
-
-	path := filepath.Join(t.TempDir(), HotpathBaselineName)
-	nfn, err := WriteHotpathBaseline(g, path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if nfn != 2 {
-		t.Fatalf("baseline recorded %d functions, want 2 (Hot, helper)", nfn)
-	}
-	base, err := LoadHotpathBaseline(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if clean := RunGraph(pkg.Fset, []*Package{pkg}, []*GraphAnalyzer{HotpathAllocAnalyzer}, base); len(clean) != 0 {
-		t.Fatalf("current counts against their own baseline should be clean, got %v", clean)
-	}
-
-	base.Functions["hotalloc.helper"]["new"] = 0
-	regressed := RunGraph(pkg.Fset, []*Package{pkg}, []*GraphAnalyzer{HotpathAllocAnalyzer}, base)
-	if len(regressed) != 1 || !strings.Contains(regressed[0].Msg, "new #1 in hotalloc.helper") {
-		t.Fatalf("lowered budget should fire exactly the new-kind regression, got %v", regressed)
-	}
-
-	missing, err := LoadHotpathBaseline(filepath.Join(t.TempDir(), "absent.json"))
-	if err != nil || missing == nil || len(missing.Functions) != 0 {
-		t.Fatalf("missing baseline should load as zero budget, got %v, %v", missing, err)
-	}
-}
-
-// TestModuleClean runs the full suite — per-package rules, graph rules,
-// and the stale-allow audit in strict mode — over the real module: the
-// tree must stay finding-free, so CI can gate on `repllint -strict-allow`.
+// TestModuleClean runs the full suite, stale-allow audit included, over the
+// real module: the tree must stay finding-free, so CI can gate on a bare
+// `repllint ./...`.
 func TestModuleClean(t *testing.T) {
-	res, err := RunModuleOpts("../..", ModuleOptions{
-		Analyzers:   Analyzers,
-		Graph:       GraphAnalyzers,
-		StrictAllow: true,
-	})
+	t.Parallel()
+	findings, err := Run("../..", nil)
 	if err != nil {
-		t.Fatalf("RunModuleOpts: %v", err)
+		t.Fatalf("Run: %v", err)
 	}
-	for _, f := range res.Findings {
+	for _, f := range findings {
 		t.Errorf("%s", f)
-	}
-}
-
-func TestSelectAnalyzers(t *testing.T) {
-	pa, ga, err := SelectAnalyzers(nil)
-	if err != nil || len(pa) != len(Analyzers) || len(ga) != len(GraphAnalyzers) {
-		t.Fatalf("SelectAnalyzers(nil) = %d+%d, err %v; want full suites", len(pa), len(ga), err)
-	}
-	pa, ga, err = SelectAnalyzers([]string{"determinism", "goroutine-leak"})
-	if err != nil || len(pa) != 1 || len(ga) != 1 || pa[0].Name != "determinism" || ga[0].Name != "goroutine-leak" {
-		t.Fatalf("mixed-suite selection failed: %v %v %v", pa, ga, err)
-	}
-	if _, _, err := SelectAnalyzers([]string{"nope"}); err == nil {
-		t.Fatal("SelectAnalyzers(nope) should fail")
-	}
-}
-
-func TestByName(t *testing.T) {
-	all, err := ByName(nil)
-	if err != nil || len(all) != len(Analyzers) {
-		t.Fatalf("ByName(nil) = %d analyzers, err %v; want %d, nil", len(all), err, len(Analyzers))
-	}
-	got, err := ByName([]string{"determinism", "rng-stream"})
-	if err != nil || len(got) != 2 || got[0].Name != "determinism" || got[1].Name != "rng-stream" {
-		t.Fatalf("ByName(determinism, rng-stream) = %v, %v", got, err)
-	}
-	if _, err := ByName([]string{"nope"}); err == nil {
-		t.Fatal("ByName(nope) should fail")
+		for _, hop := range f.Chain {
+			t.Logf("    at %s", hop)
+		}
 	}
 }
 

@@ -2,121 +2,127 @@ package lint
 
 import (
 	"go/ast"
+	"go/token"
 	"go/types"
 )
 
 // SortedIterAnalyzer flags map iteration whose body has order-sensitive
 // effects. Go randomizes map iteration order per run, so a map range that
-// appends to an outer slice, writes output, or mutates telemetry makes the
-// result depend on the runtime's hash seed — exactly the nondeterminism the
-// byte-identical-plan and bit-reproducible-experiment tests exist to rule
-// out.
+// appends to an outer slice, writes output, mutates telemetry, sends on a
+// channel or starts a goroutine makes the result depend on the runtime's
+// hash seed — exactly the nondeterminism the byte-identical-plan and
+// bit-reproducible-experiment tests exist to rule out.
 //
 // The accepted idiom is "collect keys, sort, range the slice": a map range
 // that only appends keys/values to a slice is fine when the same function
-// later passes that slice to sort.* or slices.Sort*. Direct writes and
-// telemetry mutation from inside a map range are always flagged — no
-// after-the-fact sort can fix an already-emitted order.
+// later passes that slice to sort.* or slices.Sort*. Direct writes,
+// telemetry mutation, sends and spawns from inside a map range are always
+// flagged — no after-the-fact sort can fix an already-emitted order.
 var SortedIterAnalyzer = &Analyzer{
 	Name: "sorted-iteration",
 	Doc: "map ranges with order-sensitive effects (append to outer slice without a later sort, " +
-		"output writes, telemetry mutation) are nondeterministic",
-	Run: runSortedIter,
+		"output writes, telemetry mutation, channel sends, go statements) are nondeterministic",
+	Run: func(p *Pass) {
+		p.eachFile(func(f *ast.File) { mapOrderEffects(p.Pkg, f, p.Reportf) })
+	},
 }
 
-func runSortedIter(p *Pass) {
-	p.eachFile(func(f *ast.File) {
-		// Examine every function body independently so "later sort" is
-		// scoped to the innermost enclosing function.
-		ast.Inspect(f, func(n ast.Node) bool {
-			var body *ast.BlockStmt
-			switch fn := n.(type) {
-			case *ast.FuncDecl:
-				body = fn.Body
-			case *ast.FuncLit:
-				body = fn.Body
-			default:
-				return true
-			}
-			if body != nil {
-				checkFuncMapRanges(p, body)
-			}
+// mapOrderEffects calls report for every map range under root whose body
+// has an order-sensitive effect. It is the one implementation of the check:
+// the sorted-iteration rule reports what it finds, the determinism rule
+// seeds taint from it. Every function body — declaration or literal — is
+// examined on its own, so "later sort" is scoped to the innermost enclosing
+// function.
+func mapOrderEffects(pkg *Package, root ast.Node, report func(token.Pos, string, ...any)) {
+	ast.Inspect(root, func(n ast.Node) bool {
+		var body *ast.BlockStmt
+		switch fn := n.(type) {
+		case *ast.FuncDecl:
+			body = fn.Body
+		case *ast.FuncLit:
+			body = fn.Body
+		default:
 			return true
-		})
+		}
+		if body != nil {
+			checkFuncMapRanges(pkg, body, report)
+		}
+		return true
 	})
 }
 
 // checkFuncMapRanges inspects one function body. Nested function literals
-// are skipped here; the outer Inspect visits them separately.
-func checkFuncMapRanges(p *Pass, body *ast.BlockStmt) {
+// are skipped here; mapOrderEffects visits them separately.
+func checkFuncMapRanges(pkg *Package, body *ast.BlockStmt, report func(token.Pos, string, ...any)) {
 	ast.Inspect(body, func(n ast.Node) bool {
 		if _, ok := n.(*ast.FuncLit); ok {
 			return false
 		}
 		rng, ok := n.(*ast.RangeStmt)
-		if !ok || !isMapType(p, rng.X) {
+		if !ok || !isMapType(pkg, rng.X) {
 			return true
 		}
-		checkMapRange(p, body, rng)
+		checkMapRange(pkg, body, rng, report)
 		return true
 	})
 }
 
-func checkMapRange(p *Pass, funcBody *ast.BlockStmt, rng *ast.RangeStmt) {
+// checkMapRange reports at most one finding per range.
+func checkMapRange(pkg *Package, funcBody *ast.BlockStmt, rng *ast.RangeStmt, report func(token.Pos, string, ...any)) {
 	var appendTargets []*ast.Ident
 	reported := false
 	ast.Inspect(rng.Body, func(n ast.Node) bool {
 		if reported {
 			return false
 		}
-		call, ok := n.(*ast.CallExpr)
-		if !ok {
-			return true
-		}
-		switch fun := call.Fun.(type) {
-		case *ast.Ident:
-			// A builtin append whose target is assigned outside the loop
-			// makes the slice's element order follow map order.
-			if fun.Name == "append" && isBuiltin(p, fun) && len(call.Args) > 0 {
-				if id, ok := call.Args[0].(*ast.Ident); ok {
-					appendTargets = append(appendTargets, id)
+		effect := ""
+		switch nn := n.(type) {
+		case *ast.SendStmt:
+			// Work handed to a channel is consumed in send order.
+			effect = "sends on a channel"
+		case *ast.GoStmt:
+			effect = "starts goroutines"
+		case *ast.CallExpr:
+			switch fun := nn.Fun.(type) {
+			case *ast.Ident:
+				// A builtin append whose target is assigned outside the loop
+				// makes the slice's element order follow map order.
+				if fun.Name == "append" && isBuiltin(pkg, fun) && len(nn.Args) > 0 {
+					if id, ok := nn.Args[0].(*ast.Ident); ok {
+						appendTargets = append(appendTargets, id)
+					}
+				}
+			case *ast.SelectorExpr:
+				if isOutputWrite(pkg, fun) {
+					effect = "writes output via " + selString(fun)
+				} else if isTelemetryMutation(pkg, fun) {
+					effect = "mutates telemetry via " + selString(fun)
 				}
 			}
-		case *ast.SelectorExpr:
-			if isOutputWrite(p, fun) {
-				p.Reportf(rng.Pos(), "map range writes output via %s in map order; iterate a sorted key slice instead", selString(fun))
-				reported = true
-				return false
-			}
-			if isTelemetryMutation(p, fun) {
-				p.Reportf(rng.Pos(), "map range mutates telemetry via %s in map order; iterate a sorted key slice instead", selString(fun))
-				reported = true
-				return false
-			}
 		}
-		return true
+		if effect != "" {
+			report(rng.Pos(), "map range %s in map order; iterate a sorted key slice instead", effect)
+			reported = true
+		}
+		return !reported
 	})
 	if reported {
 		return
 	}
 	for _, target := range appendTargets {
-		if declaredInside(p, target, rng) {
+		if declaredInside(pkg, target, rng) {
 			continue // loop-local scratch; order cannot escape
 		}
-		if sortedAfter(p, funcBody, rng, target) {
+		if sortedAfter(pkg, funcBody, rng, target) {
 			continue
 		}
-		p.Reportf(rng.Pos(), "map range appends to %q without a later sort.* call on it; sort before the order can feed output", target.Name)
-		return // one finding per range is enough
+		report(rng.Pos(), "map range appends to %q without a later sort.* call on it; sort before the order can feed output", target.Name)
+		return
 	}
 }
 
 // isMapType reports whether expr has map underlying type.
-func isMapType(p *Pass, expr ast.Expr) bool { return isMapTypeIn(p.Pkg, expr) }
-
-// isMapTypeIn is the package-level form, shared with the determinism-taint
-// seed scan.
-func isMapTypeIn(pkg *Package, expr ast.Expr) bool {
+func isMapType(pkg *Package, expr ast.Expr) bool {
 	tv, ok := pkg.Info.Types[expr]
 	if !ok || tv.Type == nil {
 		return false
@@ -125,20 +131,14 @@ func isMapTypeIn(pkg *Package, expr ast.Expr) bool {
 	return isMap
 }
 
-func isBuiltin(p *Pass, id *ast.Ident) bool { return isBuiltinIn(p.Pkg, id) }
-
-func isBuiltinIn(pkg *Package, id *ast.Ident) bool {
+func isBuiltin(pkg *Package, id *ast.Ident) bool {
 	_, ok := pkg.Info.Uses[id].(*types.Builtin)
 	return ok
 }
 
 // declaredInside reports whether the identifier's declaration lies within
 // the range statement (a loop-local accumulator).
-func declaredInside(p *Pass, id *ast.Ident, rng *ast.RangeStmt) bool {
-	return declaredInsideIn(p.Pkg, id, rng)
-}
-
-func declaredInsideIn(pkg *Package, id *ast.Ident, rng *ast.RangeStmt) bool {
+func declaredInside(pkg *Package, id *ast.Ident, rng *ast.RangeStmt) bool {
 	obj := pkg.Info.Uses[id]
 	if obj == nil {
 		obj = pkg.Info.Defs[id]
@@ -152,11 +152,7 @@ func declaredInsideIn(pkg *Package, id *ast.Ident, rng *ast.RangeStmt) bool {
 // sortedAfter reports whether, lexically after the range loop inside the
 // same function body, a sort.* / slices.Sort* call mentions the append
 // target — the "collect then sort" idiom.
-func sortedAfter(p *Pass, funcBody *ast.BlockStmt, rng *ast.RangeStmt, target *ast.Ident) bool {
-	return sortedAfterIn(p.Pkg, funcBody, rng, target)
-}
-
-func sortedAfterIn(pkg *Package, funcBody *ast.BlockStmt, rng *ast.RangeStmt, target *ast.Ident) bool {
+func sortedAfter(pkg *Package, funcBody *ast.BlockStmt, rng *ast.RangeStmt, target *ast.Ident) bool {
 	tobj := pkg.Info.Uses[target]
 	if tobj == nil {
 		return false
@@ -207,8 +203,8 @@ func sortedAfterIn(pkg *Package, funcBody *ast.BlockStmt, rng *ast.RangeStmt, ta
 // methods. Writes into in-memory builders are included on purpose — they
 // almost always become output — and the rare order-insensitive use is what
 // the allow directive is for.
-func isOutputWrite(p *Pass, sel *ast.SelectorExpr) bool {
-	fn, ok := p.Pkg.Info.Uses[sel.Sel].(*types.Func)
+func isOutputWrite(pkg *Package, sel *ast.SelectorExpr) bool {
+	fn, ok := pkg.Info.Uses[sel.Sel].(*types.Func)
 	if !ok {
 		return false
 	}
@@ -234,8 +230,8 @@ func isOutputWrite(p *Pass, sel *ast.SelectorExpr) bool {
 // isTelemetryMutation reports whether a selector call mutates a metric from
 // the telemetry package (Counter.Add/Inc, Gauge.Set/Add, Histogram.Observe,
 // registry lookups are reads and stay legal).
-func isTelemetryMutation(p *Pass, sel *ast.SelectorExpr) bool {
-	fn, ok := p.Pkg.Info.Uses[sel.Sel].(*types.Func)
+func isTelemetryMutation(pkg *Package, sel *ast.SelectorExpr) bool {
+	fn, ok := pkg.Info.Uses[sel.Sel].(*types.Func)
 	if !ok || fn.Pkg() == nil || fn.Pkg().Name() != "telemetry" {
 		return false
 	}

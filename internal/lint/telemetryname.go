@@ -2,6 +2,7 @@ package lint
 
 import (
 	"go/ast"
+	"go/token"
 	"go/types"
 	"regexp"
 	"strconv"
@@ -10,15 +11,20 @@ import (
 // TelemetryNameAnalyzer enforces metric-name hygiene at registry call
 // sites. Names must be string literals — a computed name defeats grep,
 // dashboards, and the snapshot goldens — and must match the repo's
-// dotted lower-case convention (e.g. "httpsim.page_rt_seconds").
+// dotted lower-case convention (e.g. "httpsim.page_rt_seconds"). The one
+// computed shape accepted is a per-site namespace in front of a literal
+// suffix, prefix + "page_requests": the suffix is what a grep looks for.
 var TelemetryNameAnalyzer = &Analyzer{
 	Name: "telemetry-naming",
 	Doc: "telemetry registry metric names must be string literals matching " +
-		"^[a-z]+(\\.[a-z0-9_]+)+$",
+		"^[a-z]+(\\.[a-z0-9_]+)+$, or <namespace> + \"literal_suffix\"",
 	Run: runTelemetryName,
 }
 
-var metricNameRE = regexp.MustCompile(`^[a-z]+(\.[a-z0-9_]+)+$`)
+var (
+	metricNameRE   = regexp.MustCompile(`^[a-z]+(\.[a-z0-9_]+)+$`)
+	metricSuffixRE = regexp.MustCompile(`^[a-z0-9_]+(\.[a-z0-9_]+)*$`)
+)
 
 // registryLookups are the telemetry.Registry methods whose first argument
 // is a metric name.
@@ -47,18 +53,21 @@ func runTelemetryName(p *Pass) {
 			if !ok || sig.Recv() == nil {
 				return true
 			}
-			arg := call.Args[0]
+			arg, re := call.Args[0], metricNameRE
+			if sum, ok := arg.(*ast.BinaryExpr); ok && sum.Op == token.ADD {
+				arg, re = sum.Y, metricSuffixRE
+			}
 			lit, ok := arg.(*ast.BasicLit)
 			if !ok {
-				p.Reportf(arg.Pos(), "metric name passed to %s must be a string literal, not a computed value", sel.Sel.Name)
+				p.Reportf(call.Args[0].Pos(), "metric name passed to %s must be a string literal or end in one, not a computed value", sel.Sel.Name)
 				return true
 			}
 			name, err := strconv.Unquote(lit.Value)
 			if err != nil {
 				return true
 			}
-			if !metricNameRE.MatchString(name) {
-				p.Reportf(arg.Pos(), "metric name %q does not match %s", name, metricNameRE)
+			if !re.MatchString(name) {
+				p.Reportf(arg.Pos(), "metric name %q does not match %s", name, re)
 			}
 			return true
 		})

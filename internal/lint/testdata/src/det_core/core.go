@@ -12,8 +12,8 @@ import (
 func Bad() time.Duration {
 	start := time.Now()      // want "determinism: time.Now \(wall clock\)"
 	_ = os.Getenv("HOME")    // want "determinism: os.Getenv \(ambient environment\)"
-	_ = rand.Intn(4)         // want "determinism: global math/rand.Intn"
-	rand.Shuffle(1, nil)     // want "determinism: global math/rand.Shuffle"
+	_ = rand.Intn(4)         // want "determinism: math/rand.Intn \(global rand\)"
+	rand.Shuffle(1, nil)     // want "determinism: math/rand.Shuffle \(global rand\)"
 	time.Sleep(time.Second)  // want "determinism: time.Sleep \(wall clock\)"
 	return time.Since(start) // want "determinism: time.Since \(wall clock\)"
 }

@@ -44,6 +44,21 @@ func Count(reg *telemetry.Registry, m map[string]int) {
 	}
 }
 
+// Dispatch hands work to a channel in map order: the consumer sees a
+// different sequence every run.
+func Dispatch(jobs chan<- string, m map[string]int) {
+	for k := range m { // want "sorted-iteration: map range sends on a channel in map order"
+		jobs <- k
+	}
+}
+
+// Spawn starts one goroutine per key in map order.
+func Spawn(m map[string]int, work func(string)) {
+	for k := range m { // want "sorted-iteration: map range starts goroutines in map order"
+		go work(k)
+	}
+}
+
 // Sum is an order-insensitive reduction: silent.
 func Sum(m map[string]int) int {
 	total := 0

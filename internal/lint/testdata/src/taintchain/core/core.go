@@ -1,19 +1,30 @@
-// Package core mirrors the real entry package by name: its exported
-// functions are determinism-taint entry points, and the fixture proves a
-// taint chain of depth three (Plan → hub.Mix → leaf.Stamp → time.Now)
-// reports at the cross-package frontier with the full call path.
+// Package core mirrors a real deterministic package by name. The fixture
+// proves both halves of the determinism rule: an impurity chain of depth
+// three (Plan → hub.Mix → leaf.Stamp → time.Now) reports at the
+// cross-package frontier with the full call path, and a direct wall-clock
+// read in the package itself reports where it stands.
 package core
 
-import "taintchain/hub"
+import (
+	"time"
 
-// Plan is the entry point of the depth-three chain.
+	"taintchain/hub"
+)
+
+// Plan is the top of the depth-three chain.
 func Plan() int64 {
-	return hub.Mix() // want "determinism-taint: call to hub.Mix is determinism-tainted .hub.Mix → leaf.Stamp → time.Now .wall clock..; reachable from entry core.Plan"
+	return hub.Mix() // want "determinism: call to hub.Mix leaves deterministic package .core. and reaches ambient state .hub.Mix → leaf.Stamp → time.Now .wall clock.."
 }
 
 // PlanOrder hits the map-order seed two hops down.
 func PlanOrder(m map[string]int) []string {
-	return hub.Gather(m) // want "determinism-taint: call to hub.Gather is determinism-tainted .hub.Gather → leaf.Collect → map-order-dependent result.; reachable from entry core.PlanOrder"
+	return hub.Gather(m) // want "determinism: call to hub.Gather leaves deterministic package .core. and reaches ambient state .hub.Gather → leaf.Collect → map iteration order."
+}
+
+// Deadline reads the wall clock itself: the direct half of the rule, no
+// call graph needed.
+func Deadline() time.Time {
+	return time.Now() // want "determinism: time.Now \(wall clock\) is forbidden in deterministic package .core."
 }
 
 // PlanQuiet's callee asserts //repllint:pure: no finding.
@@ -29,11 +40,11 @@ func PlanClean(m map[string]int) []string {
 
 // PlanSuppressed demonstrates suppressing the frontier finding itself.
 func PlanSuppressed() int64 {
-	return hub.Mix() //repllint:allow determinism-taint — fixture: frontier-site suppression
+	return hub.Mix() //repllint:allow determinism — fixture: frontier-site suppression
 }
 
-// hidden is not reachable from any exported entry point, so its tainted
-// call does not report.
-func hidden() int64 {
-	return hub.Mix()
+// viaPlan calls an impure function of its own package: no finding here,
+// the defect is reported once, where Plan crosses the frontier.
+func viaPlan() int64 {
+	return Plan()
 }

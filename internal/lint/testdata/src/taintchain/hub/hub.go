@@ -1,6 +1,6 @@
 // Package hub is the intermediate helper of the taint-chain fixture:
 // impurity flows through it without any direct ambient access, which is
-// exactly what the per-package determinism rule cannot see.
+// exactly what a rule that only looks at direct calls cannot see.
 package hub
 
 import "taintchain/leaf"

@@ -1,5 +1,6 @@
 // telemetry-naming fixture: registry metric names must be string literals
-// in dotted lower-case form.
+// in dotted lower-case form, or a namespace expression followed by a
+// literal suffix.
 package telemetryname
 
 import "telemetry"
@@ -14,4 +15,7 @@ func Register(reg *telemetry.Registry, dynamic string) {
 	_ = reg.Counter("plain")           // want "telemetry-naming: metric name .plain. does not match"
 	_ = reg.Counter(dynamic)           // want "telemetry-naming: metric name passed to Counter must be a string literal"
 	_ = reg.Counter("site." + dynamic) // want "telemetry-naming: metric name passed to Counter must be a string literal"
+	_ = reg.Counter(dynamic + "page_requests")
+	_ = reg.Counter(dynamic + "shed_by.queue")
+	_ = reg.Counter(dynamic + ".Bad") // want "telemetry-naming: metric name ..Bad. does not match"
 }

@@ -77,14 +77,14 @@ func siteCounterPrefix(site int) string {
 // setTelemetry hooks the site's counters into the registry.
 func (s *LocalServer) setTelemetry(reg *telemetry.Registry) {
 	prefix := siteCounterPrefix(int(s.site))
-	s.cPages = reg.Counter(prefix + "page_requests")    //repllint:allow telemetry-naming — per-site metric namespace; suffixes are literal
-	s.cMOs = reg.Counter(prefix + "mo_requests")        //repllint:allow telemetry-naming — per-site metric namespace; suffixes are literal
-	s.cBytes = reg.Counter(prefix + "bytes")            //repllint:allow telemetry-naming — per-site metric namespace; suffixes are literal
-	s.cMisses = reg.Counter(prefix + "misses")          //repllint:allow telemetry-naming — per-site metric namespace; suffixes are literal
-	s.cWriteErrs = reg.Counter(prefix + "write_errors") //repllint:allow telemetry-naming — per-site metric namespace; suffixes are literal
+	s.cPages = reg.Counter(prefix + "page_requests")
+	s.cMOs = reg.Counter(prefix + "mo_requests")
+	s.cBytes = reg.Counter(prefix + "bytes")
+	s.cMisses = reg.Counter(prefix + "misses")
+	s.cWriteErrs = reg.Counter(prefix + "write_errors")
 	s.cAborted = reg.Counter("server.aborted_writes")
-	s.cBrownoutPages = reg.Counter(prefix + "brownout_pages")          //repllint:allow telemetry-naming — per-site metric namespace; suffixes are literal
-	s.cBrownoutDropped = reg.Counter(prefix + "brownout_dropped_refs") //repllint:allow telemetry-naming — per-site metric namespace; suffixes are literal
+	s.cBrownoutPages = reg.Counter(prefix + "brownout_pages")
+	s.cBrownoutDropped = reg.Counter(prefix + "brownout_dropped_refs")
 }
 
 // wrapMux wraps a handler with the optional /metrics, /debug/journal and

@@ -10,14 +10,14 @@
 #
 #	CI_STAGES="fmt lint test" scripts/ci.sh
 #
-# Stages: fmt lint lintx test race cover bench.
+# Stages: fmt lint test race cover bench.
 # The default runs them all, in order, and prints a wall-clock summary at the
 # end (the PR-gate workflow runs each stage as its own named step instead).
 set -eu
 
 cd "$(dirname "$0")/.."
 
-CI_STAGES="${CI_STAGES:-fmt lint lintx test race cover bench}"
+CI_STAGES="${CI_STAGES:-fmt lint test race cover bench}"
 
 # gofmt with -s: any unformatted file fails the stage.
 stage_fmt() {
@@ -29,32 +29,14 @@ stage_fmt() {
     fi
 }
 
-# Build, vet, and the custom analyzer suite (internal/lint): determinism,
-# rng-stream labels, sorted iteration, float compares, telemetry naming,
-# error discipline, span balance. Any finding fails the build; see
-# DESIGN.md §11 for the rules and the //repllint:allow escape hatch.
+# Build, vet, and the custom analyzer suite (internal/lint): nine rules over
+# the whole module, plus the audit that turns any //repllint:allow which
+# suppresses nothing into a finding. Any finding fails the build and prints
+# with its call chain; see DESIGN.md §11 for the rules and the escape hatch.
 stage_lint() {
     go build ./...
     go vet ./...
     go run ./cmd/repllint ./...
-}
-
-# The interprocedural suite as a strict gate, with the machine-readable
-# finding stream archived: the whole-module run (determinism taint,
-# goroutine leaks, hotpath-alloc against the committed
-# .repllint-hotpath.json baseline) plus -strict-allow, which turns any
-# //repllint:allow that suppresses nothing into an error. A failure reprints
-# the findings with their full call chains for the log.
-stage_lintx() {
-    stamp=$(date -u +%Y%m%dT%H%M%SZ)
-    out="REPLLINT_${stamp}.json"
-    if go run ./cmd/repllint -strict-allow -json ./... >"$out"; then
-        echo "repllint strict run clean; archived $out"
-    else
-        echo "repllint strict run failed (archived $out):" >&2
-        go run ./cmd/repllint -strict-allow -chains ./... >&2 || true
-        return 1
-    fi
 }
 
 # The complete test suite, plus two cold -count=1 pins outside any warm
@@ -108,9 +90,9 @@ stage_bench() {
 summary=""
 for stage in $CI_STAGES; do
     case "$stage" in
-    fmt | lint | lintx | test | race | cover | bench) ;;
+    fmt | lint | test | race | cover | bench) ;;
     *)
-        echo "ci.sh: unknown stage \"$stage\" (stages: fmt lint lintx test race cover bench)" >&2
+        echo "ci.sh: unknown stage \"$stage\" (stages: fmt lint test race cover bench)" >&2
         exit 2
         ;;
     esac
