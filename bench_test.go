@@ -1,10 +1,10 @@
 package repro
 
-// Benchmark harness: one benchmark per paper artifact (Table 1, Figures
-// 1-3, the §5.2 equivalence claim) plus kernel and ablation benches. The
-// artifact benches run the experiment at a reduced-but-faithful scale per
-// iteration so `go test -bench=.` finishes in minutes; the full Table-1
-// volume is exercised by the *PaperScale benches and by cmd/replexp.
+// Benchmark harness: one sub-benchmark per entry of the study table
+// (BenchmarkStudy) plus kernel and ablation benches. The study benches run
+// the experiment at a reduced-but-faithful scale per iteration so
+// `go test -bench=.` finishes in minutes; the full Table-1 volume is
+// exercised by the *PaperScale benches and by cmd/replexp.
 
 import (
 	"testing"
@@ -40,47 +40,18 @@ func BenchmarkTable1WorkloadGen(b *testing.B) {
 	}
 }
 
-// BenchmarkFigure1 regenerates the Figure-1 storage sweep (Proposed vs LRU
-// vs the Remote/Local references).
-func BenchmarkFigure1(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		fig, err := Figure1(benchOpts())
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(fig.Series) != 4 {
-			b.Fatal("wrong series count")
-		}
-	}
-}
-
-// BenchmarkFigure2 regenerates the Figure-2 processing-capacity sweep.
-func BenchmarkFigure2(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := Figure2(benchOpts()); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkFigure3 regenerates the Figure-3 constrained-repository sweep
-// (off-loading active).
-func BenchmarkFigure3(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := Figure3(benchOpts()); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkStorageEquivalence measures the §5.2 claim sweep.
-func BenchmarkStorageEquivalence(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res, err := StorageEquivalence(benchOpts())
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(res.Fraction*100, "equiv-storage-%")
+// BenchmarkStudy regenerates every entry of the study table — the paper's
+// Table 1, Figures 1-3 and §5.2 claim, then the extension studies — one
+// sub-benchmark each, named after the function that computes it.
+func BenchmarkStudy(b *testing.B) {
+	for _, s := range Studies {
+		b.Run(s.Func, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if _, _, err := s.Run(benchOpts()); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 
@@ -234,24 +205,6 @@ func BenchmarkGreedyGap(b *testing.B) {
 	}
 }
 
-// BenchmarkRedirectStudy regenerates the Section-6 redirection comparison.
-func BenchmarkRedirectStudy(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := RedirectStudy(benchOpts()); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkDrift regenerates the plan-staleness study.
-func BenchmarkDrift(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := DriftFigure(benchOpts()); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // BenchmarkOffloadNegotiation measures the off-loading protocol alone, with
 // the repository capped at 60 % of its pre-offload load.
 func BenchmarkOffloadNegotiation(b *testing.B) {
@@ -280,32 +233,5 @@ func BenchmarkOffloadNegotiation(b *testing.B) {
 		b.StopTimer()
 		env.Budgets.RepoCapacity = InfiniteCapacity()
 		b.StartTimer()
-	}
-}
-
-// BenchmarkThresholdStudy regenerates the dynamic-replication comparison.
-func BenchmarkThresholdStudy(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := ThresholdStudy(benchOpts()); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkSensitivity regenerates the estimate-error robustness study.
-func BenchmarkSensitivity(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := Sensitivity(benchOpts()); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkQueueingStudy regenerates the Eq. 8 queueing-overhead study.
-func BenchmarkQueueingStudy(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := QueueingStudy(benchOpts()); err != nil {
-			b.Fatal(err)
-		}
 	}
 }

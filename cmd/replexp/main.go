@@ -1,16 +1,15 @@
 // Command replexp regenerates the paper's evaluation artifacts — the
 // Table-1 workload audit, Figures 1-3 and the §5.2 storage-equivalence
-// claim — plus the extension studies (ablation, drift, redirect,
-// sensitivity, threshold). Results print as aligned text tables (mean
-// ± 95 % CI over the runs) and can additionally be written as CSV.
+// claim — plus the extension studies. Results print as aligned text tables
+// (mean ± 95 % CI over the runs) and can additionally be written as CSV.
 //
 // Usage:
 //
-//	replexp -exp table1|fig1|fig2|fig3|equiv|all
-//	        -exp ablation|drift|redirect|sensitivity|threshold
-//	        -exp queueing|period|weights|degraded|critpath|recovery|flashcrowd|scrub|overload
+//	replexp -exp NAME|all
 //	        [-scale paper|quick] [-runs N] [-seed N] [-requests N] [-csv DIR]
 //	        [-progress=false]
+//
+// NAME is one entry of the study table (repro.Studies, listed by -h).
 //
 // Long sweeps narrate to stderr by default — one line per run setup and per
 // sweep point, with wall-clock and plan statistics; -progress=false silences
@@ -26,6 +25,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"strings"
 
 	"repro"
 )
@@ -53,187 +53,53 @@ func writeCSV(stdout io.Writer, dir, name string, fig *repro.Figure) error {
 	return nil
 }
 
-// experimentSpec describes one runnable experiment.
-type experimentSpec struct {
-	name  string
-	inAll bool // part of "-exp all" (the paper's own artifacts)
-	run   func(opts repro.ExperimentOptions, stdout io.Writer, csvDir string, plot bool) error
-}
-
-// figureExperiment adapts a figure-producing experiment.
-func figureExperiment(name string, inAll bool, f func(repro.ExperimentOptions) (*repro.Figure, error)) experimentSpec {
-	return experimentSpec{
-		name:  name,
-		inAll: inAll,
-		run: func(opts repro.ExperimentOptions, stdout io.Writer, csvDir string, plot bool) error {
-			fig, err := f(opts)
-			if err != nil {
-				return err
-			}
-			if err := fig.WriteTable(stdout); err != nil {
-				return err
-			}
-			if plot {
-				fmt.Fprintln(stdout)
-				if err := fig.WritePlot(stdout, 64, 16); err != nil {
-					return err
-				}
-			}
-			return writeCSV(stdout, csvDir, name, fig)
-		},
+// studyNames lists the -exp names of the paper's own artifacts (paper true)
+// or of the extension studies, from the one table of studies.
+func studyNames(paper bool) string {
+	var names []string
+	for _, s := range repro.Studies {
+		if s.Paper == paper {
+			names = append(names, s.Name)
+		}
 	}
+	return strings.Join(names, ", ")
 }
 
-var experiments = []experimentSpec{
-	{
-		name:  "table1",
-		inAll: true,
-		run: func(opts repro.ExperimentOptions, stdout io.Writer, _ string, _ bool) error {
-			sum, err := repro.Table1(opts)
-			if err != nil {
-				return err
-			}
-			fmt.Fprintln(stdout, "== Table 1: workload audit ==")
-			return sum.Write(stdout)
-		},
-	},
-	figureExperiment("fig1", true, repro.Figure1),
-	figureExperiment("fig2", true, repro.Figure2),
-	figureExperiment("fig3", true, repro.Figure3),
-	{
-		name:  "equiv",
-		inAll: true,
-		run: func(opts repro.ExperimentOptions, stdout io.Writer, _ string, _ bool) error {
-			res, err := repro.StorageEquivalence(opts)
-			if err != nil {
-				return err
-			}
-			fmt.Fprintln(stdout, "== Storage equivalence (§5.2) ==")
-			return res.Write(stdout)
-		},
-	},
-	{
-		name: "ablation",
-		run: func(opts repro.ExperimentOptions, stdout io.Writer, _ string, _ bool) error {
-			res, err := repro.Ablations(opts)
-			if err != nil {
-				return err
-			}
-			fmt.Fprintln(stdout, "== Ablations: design choices vs naive splits ==")
-			return res.Write(stdout)
-		},
-	},
-	figureExperiment("drift", false, repro.DriftFigure),
-	figureExperiment("redirect", false, repro.RedirectStudy),
-	figureExperiment("sensitivity", false, repro.Sensitivity),
-	figureExperiment("threshold", false, repro.ThresholdStudy),
-	figureExperiment("queueing", false, repro.QueueingStudy),
-	figureExperiment("period", false, repro.PeriodStudy),
-	figureExperiment("weights", false, repro.WeightsStudy),
-	figureExperiment("degraded", false, repro.DegradedMode),
-	{
-		name: "critpath",
-		run: func(opts repro.ExperimentOptions, stdout io.Writer, _ string, _ bool) error {
-			res, err := repro.CriticalPathStudy(opts)
-			if err != nil {
-				return err
-			}
-			fmt.Fprintln(stdout, "== Critical path: observed (traced sim) vs predicted D ==")
-			return res.Write(stdout)
-		},
-	},
-	{
-		name: "recovery",
-		run: func(opts repro.ExperimentOptions, stdout io.Writer, csvDir string, plot bool) error {
-			res, err := repro.Recovery(opts)
-			if err != nil {
-				return err
-			}
-			fmt.Fprintln(stdout, "== Recovery: self-healing under a scripted site outage ==")
-			if err := res.Write(stdout); err != nil {
-				return err
-			}
-			fmt.Fprintln(stdout)
-			if err := res.Timeline.WriteTable(stdout); err != nil {
-				return err
-			}
-			if plot {
-				fmt.Fprintln(stdout)
-				if err := res.Timeline.WritePlot(stdout, 64, 16); err != nil {
-					return err
-				}
-			}
-			return writeCSV(stdout, csvDir, "recovery", res.Timeline)
-		},
-	},
-	{
-		name: "flashcrowd",
-		run: func(opts repro.ExperimentOptions, stdout io.Writer, csvDir string, plot bool) error {
-			res, err := repro.FlashCrowd(opts)
-			if err != nil {
-				return err
-			}
-			fmt.Fprintln(stdout, "== Flash crowd: online re-planning from live traffic ==")
-			if err := res.Write(stdout); err != nil {
-				return err
-			}
-			fmt.Fprintln(stdout)
-			if err := res.Timeline.WriteTable(stdout); err != nil {
-				return err
-			}
-			if plot {
-				fmt.Fprintln(stdout)
-				if err := res.Timeline.WritePlot(stdout, 64, 16); err != nil {
-					return err
-				}
-			}
-			return writeCSV(stdout, csvDir, "flashcrowd", res.Timeline)
-		},
-	},
-	{
-		name: "scrub",
-		run: func(opts repro.ExperimentOptions, stdout io.Writer, csvDir string, plot bool) error {
-			res, err := repro.Scrub(opts)
-			if err != nil {
-				return err
-			}
-			fmt.Fprintln(stdout, "== Scrub: end-to-end integrity under gray failure ==")
-			return res.Write(stdout)
-		},
-	},
-	{
-		name: "overload",
-		run: func(opts repro.ExperimentOptions, stdout io.Writer, csvDir string, plot bool) error {
-			res, err := repro.Overload(opts)
-			if err != nil {
-				return err
-			}
-			fmt.Fprintln(stdout, "== Overload: metastable failure and the admission stack ==")
-			if err := res.Write(stdout); err != nil {
-				return err
-			}
-			fmt.Fprintln(stdout)
-			if err := res.Timeline.WriteTable(stdout); err != nil {
-				return err
-			}
-			if plot {
-				fmt.Fprintln(stdout)
-				if err := res.Timeline.WritePlot(stdout, 64, 16); err != nil {
-					return err
-				}
-			}
-			return writeCSV(stdout, csvDir, "overload", res.Timeline)
-		},
-	},
+// runStudy computes one study and renders what it returns: the headed text
+// summary, then the figure as a table (and chart, and CSV file).
+func runStudy(s repro.Study, opts repro.ExperimentOptions, stdout io.Writer, csvDir string, plot bool) error {
+	sum, fig, err := s.Run(opts)
+	if err != nil {
+		return err
+	}
+	if sum != nil {
+		fmt.Fprintf(stdout, "== %s ==\n", s.Heading)
+		if err := sum.Write(stdout); err != nil {
+			return err
+		}
+	}
+	if fig == nil {
+		return nil
+	}
+	if sum != nil {
+		fmt.Fprintln(stdout)
+	}
+	if err := fig.WriteTable(stdout); err != nil {
+		return err
+	}
+	if plot {
+		fmt.Fprintln(stdout)
+		if err := fig.WritePlot(stdout, 64, 16); err != nil {
+			return err
+		}
+	}
+	return writeCSV(stdout, csvDir, s.Name, fig)
 }
 
 func run(args []string, stdout io.Writer) error {
 	fs := flag.NewFlagSet("replexp", flag.ContinueOnError)
-	exp := fs.String("exp", "all", "experiment: table1, fig1, fig2, fig3, equiv, all, or one of ablation, drift, redirect, sensitivity, threshold, queueing, period, weights, degraded, critpath, recovery, flashcrowd, scrub, overload")
-	scale := fs.String("scale", "paper", "paper (Table-1 volume, 20 runs) or quick")
-	runs := fs.Int("runs", 0, "override the number of runs")
-	seed := fs.Uint64("seed", 0, "override the experiment seed")
-	requests := fs.Int("requests", 0, "override page requests per site")
+	exp := fs.String("exp", "all", "experiment: "+studyNames(true)+", all, or one of "+studyNames(false))
+	options := repro.ExperimentFlags(fs)
 	planWorkers := fs.Int("plan-workers", 0, "worker pool size inside each planning call; 0 = 1 (runs already parallelize; plans are identical for any value)")
 	csvDir := fs.String("csv", "", "also write CSV files into this directory")
 	plot := fs.Bool("plot", false, "also render figures as text charts")
@@ -241,21 +107,9 @@ func run(args []string, stdout io.Writer) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-
-	opts := repro.PaperExperiment()
-	if *scale == "quick" {
-		opts = repro.QuickExperiment()
-	} else if *scale != "paper" {
-		return fmt.Errorf("unknown scale %q", *scale)
-	}
-	if *runs > 0 {
-		opts.Runs = *runs
-	}
-	if *seed != 0 {
-		opts.Seed = *seed
-	}
-	if *requests > 0 {
-		opts.RequestsPerSite = *requests
+	opts, err := options()
+	if err != nil {
+		return err
 	}
 	if *planWorkers > 0 {
 		opts.PlanWorkers = *planWorkers
@@ -265,17 +119,17 @@ func run(args []string, stdout io.Writer) error {
 	}
 
 	ran := false
-	for _, spec := range experiments {
-		if *exp == spec.name || (*exp == "all" && spec.inAll) {
-			if err := spec.run(opts, stdout, *csvDir, *plot); err != nil {
-				return fmt.Errorf("%s: %w", spec.name, err)
+	for _, s := range repro.Studies {
+		if *exp == s.Name || (*exp == "all" && s.Paper) {
+			if err := runStudy(s, opts, stdout, *csvDir, *plot); err != nil {
+				return fmt.Errorf("%s: %w", s.Name, err)
 			}
 			fmt.Fprintln(stdout)
 			ran = true
 		}
 	}
 	if !ran {
-		return fmt.Errorf("unknown experiment %q", *exp)
+		return fmt.Errorf("unknown experiment %q (want all, %s, or %s)", *exp, studyNames(true), studyNames(false))
 	}
 	return nil
 }

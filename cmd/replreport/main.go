@@ -27,166 +27,33 @@ import (
 	"repro/internal/trace"
 )
 
-// section is one report entry.
-type section struct {
-	name      string
-	extension bool
-	write     func(opts repro.ExperimentOptions, w io.Writer) error
-}
-
-func figureSection(name string, extension bool, f func(repro.ExperimentOptions) (*repro.Figure, error)) section {
-	return section{
-		name:      name,
-		extension: extension,
-		write: func(opts repro.ExperimentOptions, w io.Writer) error {
-			fig, err := f(opts)
-			if err != nil {
-				return err
-			}
-			return fig.WriteMarkdown(w)
-		},
+// writeSection renders one study as a report section: the text summary
+// fenced under its heading, then the figure as a Markdown table.
+func writeSection(w io.Writer, s repro.Study, opts repro.ExperimentOptions) error {
+	sum, fig, err := s.Run(opts)
+	if err != nil {
+		return err
 	}
-}
-
-var sections = []section{
-	{
-		name: "table1",
-		write: func(opts repro.ExperimentOptions, w io.Writer) error {
-			sum, err := repro.Table1(opts)
-			if err != nil {
-				return err
-			}
-			if _, err := fmt.Fprintf(w, "### Table 1: workload audit\n\n```\n"); err != nil {
-				return err
-			}
-			if err := sum.Write(w); err != nil {
-				return err
-			}
-			_, err = fmt.Fprintf(w, "```\n")
+	if sum != nil {
+		if _, err := fmt.Fprintf(w, "### %s\n\n```\n", s.Heading); err != nil {
 			return err
-		},
-	},
-	figureSection("fig1", false, repro.Figure1),
-	figureSection("fig2", false, repro.Figure2),
-	figureSection("fig3", false, repro.Figure3),
-	{
-		name: "equiv",
-		write: func(opts repro.ExperimentOptions, w io.Writer) error {
-			res, err := repro.StorageEquivalence(opts)
-			if err != nil {
-				return err
-			}
-			if _, err := fmt.Fprintf(w, "### Storage equivalence (§5.2)\n\n```\n"); err != nil {
-				return err
-			}
-			if err := res.Write(w); err != nil {
-				return err
-			}
-			_, err = fmt.Fprintf(w, "```\n")
+		}
+		if err := sum.Write(w); err != nil {
 			return err
-		},
-	},
-	{
-		name:      "ablation",
-		extension: true,
-		write: func(opts repro.ExperimentOptions, w io.Writer) error {
-			res, err := repro.Ablations(opts)
-			if err != nil {
-				return err
-			}
-			if _, err := fmt.Fprintf(w, "### Ablations\n\n```\n"); err != nil {
-				return err
-			}
-			if err := res.Write(w); err != nil {
-				return err
-			}
-			_, err = fmt.Fprintf(w, "```\n")
+		}
+		if _, err := fmt.Fprintf(w, "```\n"); err != nil {
 			return err
-		},
-	},
-	figureSection("drift", true, repro.DriftFigure),
-	figureSection("redirect", true, repro.RedirectStudy),
-	figureSection("sensitivity", true, repro.Sensitivity),
-	figureSection("threshold", true, repro.ThresholdStudy),
-	figureSection("queueing", true, repro.QueueingStudy),
-	figureSection("period", true, repro.PeriodStudy),
-	figureSection("weights", true, repro.WeightsStudy),
-	{
-		name:      "critpath",
-		extension: true,
-		write: func(opts repro.ExperimentOptions, w io.Writer) error {
-			res, err := repro.CriticalPathStudy(opts)
-			if err != nil {
-				return err
-			}
-			if _, err := fmt.Fprintf(w, "### Critical path: observed (traced) vs predicted D\n\n```\n"); err != nil {
-				return err
-			}
-			if err := res.Write(w); err != nil {
-				return err
-			}
-			_, err = fmt.Fprintf(w, "```\n")
+		}
+	}
+	if fig == nil {
+		return nil
+	}
+	if sum != nil {
+		if _, err := fmt.Fprintln(w); err != nil {
 			return err
-		},
-	},
-	{
-		name:      "flashcrowd",
-		extension: true,
-		write: func(opts repro.ExperimentOptions, w io.Writer) error {
-			res, err := repro.FlashCrowd(opts)
-			if err != nil {
-				return err
-			}
-			if _, err := fmt.Fprintf(w, "### Flash crowd: online re-planning from live traffic\n\n```\n"); err != nil {
-				return err
-			}
-			if err := res.Write(w); err != nil {
-				return err
-			}
-			if _, err := fmt.Fprintf(w, "```\n\n"); err != nil {
-				return err
-			}
-			return res.Timeline.WriteMarkdown(w)
-		},
-	},
-	{
-		name:      "scrub",
-		extension: true,
-		write: func(opts repro.ExperimentOptions, w io.Writer) error {
-			res, err := repro.Scrub(opts)
-			if err != nil {
-				return err
-			}
-			if _, err := fmt.Fprintf(w, "### Scrub: end-to-end integrity under gray failure\n\n```\n"); err != nil {
-				return err
-			}
-			if err := res.Write(w); err != nil {
-				return err
-			}
-			_, err = fmt.Fprintf(w, "```\n")
-			return err
-		},
-	},
-	{
-		name:      "overload",
-		extension: true,
-		write: func(opts repro.ExperimentOptions, w io.Writer) error {
-			res, err := repro.Overload(opts)
-			if err != nil {
-				return err
-			}
-			if _, err := fmt.Fprintf(w, "### Overload: metastable failure and the admission stack\n\n```\n"); err != nil {
-				return err
-			}
-			if err := res.Write(w); err != nil {
-				return err
-			}
-			if _, err := fmt.Fprintf(w, "```\n\n"); err != nil {
-				return err
-			}
-			return res.Timeline.WriteMarkdown(w)
-		},
-	},
+		}
+	}
+	return fig.WriteMarkdown(w)
 }
 
 // observabilitySection renders the recorded-trace and journal appendix.
@@ -240,10 +107,7 @@ func observabilitySection(w io.Writer, tracePath, journalPath string) error {
 
 func run(args []string, stdout io.Writer) error {
 	fs := flag.NewFlagSet("replreport", flag.ContinueOnError)
-	scale := fs.String("scale", "paper", "paper or quick")
-	runs := fs.Int("runs", 0, "override the number of runs")
-	seed := fs.Uint64("seed", 0, "override the experiment seed")
-	requests := fs.Int("requests", 0, "override page requests per site")
+	options := repro.ExperimentFlags(fs)
 	extensions := fs.Bool("extensions", false, "include the extension studies")
 	tracePath := fs.String("trace", "", "append an observability section analyzing this span forest (JSONL)")
 	journalPath := fs.String("journal", "", "include this control-plane journal dump (JSONL) in the observability section")
@@ -252,20 +116,9 @@ func run(args []string, stdout io.Writer) error {
 		return err
 	}
 
-	opts := repro.PaperExperiment()
-	if *scale == "quick" {
-		opts = repro.QuickExperiment()
-	} else if *scale != "paper" {
-		return fmt.Errorf("unknown scale %q", *scale)
-	}
-	if *runs > 0 {
-		opts.Runs = *runs
-	}
-	if *seed != 0 {
-		opts.Seed = *seed
-	}
-	if *requests > 0 {
-		opts.RequestsPerSite = *requests
+	opts, err := options()
+	if err != nil {
+		return err
 	}
 
 	w := stdout
@@ -291,12 +144,12 @@ func run(args []string, stdout io.Writer) error {
 		opts.Workload.Sites, opts.Workload.GlobalObjects, opts.Runs, reqs, opts.Seed)
 	fmt.Fprintf(w, "Response times are reported relative to the proposed policy with no constraints, as in the paper.\n\n")
 
-	for _, sec := range sections {
-		if sec.extension && !*extensions {
+	for _, s := range repro.Studies {
+		if !s.Paper && !*extensions {
 			continue
 		}
-		if err := sec.write(opts, w); err != nil {
-			return fmt.Errorf("%s: %w", sec.name, err)
+		if err := writeSection(w, s, opts); err != nil {
+			return fmt.Errorf("%s: %w", s.Name, err)
 		}
 		fmt.Fprintln(w)
 	}

@@ -4,6 +4,8 @@ import (
 	"os"
 	"strings"
 	"testing"
+
+	"repro"
 )
 
 func TestRunReportQuick(t *testing.T) {
@@ -56,5 +58,35 @@ func TestRunReportRejects(t *testing.T) {
 	}
 	if err := run([]string{"-zzz"}, &sb); err == nil {
 		t.Error("bad flag accepted")
+	}
+}
+
+// TestRunReportExtensionsCoverEveryStudy: the report iterates the study
+// table, so under -extensions every entry has a section — its heading when
+// it has a text summary, its figure's title when it has a figure.
+func TestRunReportExtensionsCoverEveryStudy(t *testing.T) {
+	var sb strings.Builder
+	if err := run([]string{"-scale", "quick", "-runs", "1", "-requests", "60", "-extensions"}, &sb); err != nil {
+		t.Fatal(err)
+	}
+	out := sb.String()
+
+	opts := repro.QuickExperiment()
+	opts.Runs = 1
+	opts.RequestsPerSite = 60
+	for _, s := range repro.Studies {
+		if s.Heading != "" {
+			if !strings.Contains(out, "### "+s.Heading+"\n") {
+				t.Errorf("%s: no %q section", s.Name, s.Heading)
+			}
+			continue
+		}
+		_, fig, err := s.Run(opts)
+		if err != nil {
+			t.Fatalf("%s: %v", s.Name, err)
+		}
+		if !strings.Contains(out, "### "+fig.Title+"\n") {
+			t.Errorf("%s: no %q section", s.Name, fig.Title)
+		}
 	}
 }

@@ -4,13 +4,10 @@ import (
 	"fmt"
 	"io"
 	"sort"
-	"sync"
 
 	"repro/internal/core"
-	"repro/internal/httpsim"
 	"repro/internal/model"
 	"repro/internal/policies"
-	"repro/internal/rng"
 	"repro/internal/stats"
 	"repro/internal/units"
 	"repro/internal/workload"
@@ -31,91 +28,70 @@ type AblationResult struct {
 	Rows []AblationRow
 }
 
+// ablations are the planner variants the study plans, in reporting order
+// before the sort by measured response time. The re-partitioning step and
+// the refinement sweep (an extension beyond the paper) only matter when
+// storage forces deallocations, so those compare at 40 % storage.
+var ablations = []struct {
+	name    string
+	storage float64
+	tune    core.Options
+}{
+	{"Proposed", 1, core.Options{}},
+	{"Proposed (unsorted PARTITION)", 1, core.Options{UnsortedPartition: true}},
+	{"Proposed @40% storage", 0.4, core.Options{}},
+	{"No re-partition @40% storage", 0.4, core.Options{NoRepartition: true}},
+	{"Refined @40% storage", 0.4, core.Options{Refine: true}},
+}
+
+// naiveSplits are the constraint-blind policies the planner is compared
+// against, costed in the unconstrained environment.
+var naiveSplits = []struct {
+	name string
+	pol  func(*workload.Workload) *policies.Static
+}{
+	{"HalfSplit", policies.HalfSplit},
+	{"SizeThreshold(500K)", func(w *workload.Workload) *policies.Static {
+		return policies.SizeThreshold(w, int64(500*units.KB))
+	}},
+	{"Local", policies.NewLocal},
+}
+
 // Ablations measures, on identical traffic: the full planner, PARTITION
 // without the decreasing-size sort, planning without the re-partitioning
 // step (under 40 % storage where it matters), the naive HalfSplit and
 // SizeThreshold policies, and the Local baseline.
 func Ablations(opts Options) (*AblationResult, error) {
-	type acc struct {
-		rel stats.Accumulator
-		d   stats.Accumulator
-	}
-	var mu sync.Mutex
-	accs := map[string]*acc{}
-	record := func(name string, rel, d float64) {
-		mu.Lock()
-		defer mu.Unlock()
-		a, ok := accs[name]
-		if !ok {
-			a = &acc{}
-			accs[name] = a
-		}
-		a.rel.Add(rel)
-		a.d.Add(d)
-	}
-
-	err := forEachRun(&opts, func(r int, env *runEnv) error {
-		measure := func(name string, b model.Budgets, planOpts core.Options) error {
-			menv, err := model.NewEnv(env.w, env.est, b)
+	// One point per variant and run in each: the simulated % increase over
+	// the baseline, and the objective under the cost model.
+	rels, ds := newCollector(opts.Runs), newCollector(opts.Runs)
+	err := forEachRun(&opts, func(env *runEnv) error {
+		measure := func(name string, menv *model.Env, pol *policies.Static) error {
+			rt, err := env.simulate(env.w, pol, env.simCfg)
 			if err != nil {
 				return err
 			}
-			p, _, err := core.Plan(menv, planOpts)
-			if err != nil {
-				return err
-			}
-			rt, err := env.simulate(policies.NewStatic(name, p), false)
-			if err != nil {
-				return err
-			}
-			record(name, stats.RelativeIncrease(rt, env.baseRT), model.D(menv, p))
+			rels.add(env.r, name, 0, env.rel(rt))
+			ds.add(env.r, name, 0, model.D(menv, pol.Placement()))
 			return nil
 		}
-
-		full := unconstrainedBudgets(env.w)
-		if err := measure("Proposed", full, core.Options{Workers: env.planWorkers}); err != nil {
-			return err
+		for _, a := range ablations {
+			menv, p, _, err := env.plan(env.w, storageOnly(env.w, a.storage), a.tune)
+			if err != nil {
+				return err
+			}
+			if err := measure(a.name, menv, policies.NewStatic(a.name, p)); err != nil {
+				return err
+			}
 		}
-		if err := measure("Proposed (unsorted PARTITION)", full, core.Options{Workers: env.planWorkers, UnsortedPartition: true}); err != nil {
-			return err
-		}
-		// The re-partitioning step only matters when storage forces
-		// deallocations: compare at 40 % storage.
-		tight := unconstrainedBudgets(env.w).Scale(env.w, 0.4, 1)
-		for i := range tight.SiteCapacity {
-			tight.SiteCapacity[i] = model.Infinite()
-		}
-		tight.RepoCapacity = model.Infinite()
-		if err := measure("Proposed @40% storage", tight, core.Options{Workers: env.planWorkers}); err != nil {
-			return err
-		}
-		if err := measure("No re-partition @40% storage", tight, core.Options{Workers: env.planWorkers, NoRepartition: true}); err != nil {
-			return err
-		}
-		// Extension beyond the paper: the post-restoration refinement sweep.
-		if err := measure("Refined @40% storage", tight, core.Options{Workers: env.planWorkers, Refine: true}); err != nil {
-			return err
-		}
-
-		// Naive splits and the Local baseline, unconstrained.
-		menv, err := model.NewEnv(env.w, env.est, full)
+		full, err := model.NewEnv(env.w, env.est, storageOnly(env.w, 1))
 		if err != nil {
 			return err
 		}
-		naive := []struct {
-			name string
-			pol  *policies.Static
-		}{
-			{"HalfSplit", policies.HalfSplit(env.w)},
-			{"SizeThreshold(500K)", policies.SizeThreshold(env.w, int64(500*units.KB))},
-			{"Local", policies.NewLocal(env.w)},
-		}
-		for _, n := range naive {
-			rt, err := env.simulate(n.pol, false)
-			if err != nil {
+		for _, n := range naiveSplits {
+			if err := measure(n.name, full, n.pol(env.w)); err != nil {
 				return err
 			}
-			record(n.name, stats.RelativeIncrease(rt, env.baseRT), model.D(menv, n.pol.Placement()))
 		}
 		return nil
 	})
@@ -123,16 +99,20 @@ func Ablations(opts Options) (*AblationResult, error) {
 		return nil, err
 	}
 
+	relData, _ := rels.fold()
+	dData, _ := ds.fold()
 	res := &AblationResult{}
-	for name, a := range accs {
-		res.Rows = append(res.Rows, AblationRow{
-			Name:   name,
-			RelPct: a.rel.Mean(),
-			CI95:   a.rel.CI95(),
-			DModel: a.d.Mean(),
-		})
+	row := func(name string) {
+		rel, d := relData[name][0], dData[name][0]
+		res.Rows = append(res.Rows, AblationRow{Name: name, RelPct: rel.Mean(), CI95: rel.CI95(), DModel: d.Mean()})
 	}
-	sort.Slice(res.Rows, func(i, j int) bool { return res.Rows[i].RelPct < res.Rows[j].RelPct })
+	for _, a := range ablations {
+		row(a.name)
+	}
+	for _, n := range naiveSplits {
+		row(n.name)
+	}
+	sort.SliceStable(res.Rows, func(i, j int) bool { return res.Rows[i].RelPct < res.Rows[j].RelPct })
 	return res, nil
 }
 
@@ -166,23 +146,10 @@ var DriftGrid = []float64{0, 0.25, 0.5, 0.75, 1.0}
 // plan's own unconstrained optimum.
 func Drift(opts Options) (*stats.Figure, error) {
 	col := newCollector(opts.Runs)
-	err := forEachRun(&opts, func(r int, env *runEnv) error {
+	err := forEachRun(&opts, func(env *runEnv) error {
 		// Under 50 % storage the placement actually embodies popularity
 		// choices; at 100 % both plans would store everything relevant.
-		budget := func(w *workload.Workload) model.Budgets {
-			b := model.FullBudgets(w).Scale(w, 0.5, 1)
-			for i := range b.SiteCapacity {
-				b.SiteCapacity[i] = model.Infinite()
-			}
-			b.RepoCapacity = model.Infinite()
-			return b
-		}
-
-		staleEnv, err := model.NewEnv(env.w, env.est, budget(env.w))
-		if err != nil {
-			return err
-		}
-		stalePlan, _, err := core.Plan(staleEnv, core.Options{Workers: env.planWorkers})
+		_, stalePlan, _, err := env.plan(env.w, storageOnly(env.w, 0.5), core.Options{})
 		if err != nil {
 			return err
 		}
@@ -192,33 +159,20 @@ func Drift(opts Options) (*stats.Figure, error) {
 			if err != nil {
 				return err
 			}
-			simOnDrift := func(p *model.Placement, name string) (float64, error) {
-				cfg := env.simCfg
-				res, err := httpsim.Run(drifted, env.est, policies.NewStatic(name, p), cfg, rng.New(env.simSeed))
-				if err != nil {
-					return 0, err
-				}
-				return res.CompositeMean(), nil
-			}
-
-			freshEnv, err := model.NewEnv(drifted, env.est, budget(drifted))
+			_, freshPlan, _, err := env.plan(drifted, storageOnly(drifted, 0.5), core.Options{})
 			if err != nil {
 				return err
 			}
-			freshPlan, _, err := core.Plan(freshEnv, core.Options{Workers: env.planWorkers})
+			freshRT, err := env.simulate(drifted, policies.NewStatic("fresh", freshPlan), env.simCfg)
 			if err != nil {
 				return err
 			}
-			freshRT, err := simOnDrift(freshPlan, "fresh")
+			staleRT, err := env.simulate(drifted, policies.NewStatic("stale", stalePlan), env.simCfg)
 			if err != nil {
 				return err
 			}
-			staleRT, err := simOnDrift(stalePlan, "stale")
-			if err != nil {
-				return err
-			}
-			col.add(r, "Stale plan", frac*100, stats.RelativeIncrease(staleRT, freshRT))
-			col.add(r, "Re-planned", frac*100, 0)
+			col.add(env.r, "Stale plan", frac*100, stats.RelativeIncrease(staleRT, freshRT))
+			col.add(env.r, "Re-planned", frac*100, 0)
 
 			// The operational price of refreshing: bytes the repository
 			// must push to the sites to realize the fresh plan.
@@ -226,7 +180,7 @@ func Drift(opts Options) (*stats.Figure, error) {
 			if err != nil {
 				return err
 			}
-			col.add(r, "Migration (GB in)", frac*100, float64(diff.TotalAddedBytes())/float64(units.GB))
+			col.add(env.r, "Migration (GB in)", frac*100, float64(diff.TotalAddedBytes())/float64(units.GB))
 		}
 		return nil
 	})

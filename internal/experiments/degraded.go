@@ -3,7 +3,6 @@ package experiments
 import (
 	"repro/internal/core"
 	"repro/internal/httpsim"
-	"repro/internal/model"
 	"repro/internal/policies"
 	"repro/internal/stats"
 	"repro/internal/units"
@@ -29,15 +28,10 @@ var DegradedFailoverDelay = units.Seconds(0.25)
 // dedicated stream.
 func DegradedMode(opts Options) (*stats.Figure, error) {
 	col := newCollector(opts.Runs)
-	err := forEachRun(&opts, func(r int, env *runEnv) error {
+	err := forEachRun(&opts, func(env *runEnv) error {
 		// Plan the proposed policy once at half storage; the placement does
 		// not depend on availability, only its realized response time does.
-		half := unconstrainedBudgets(env.w).Scale(env.w, 0.5, 1)
-		penv, err := model.NewEnv(env.w, env.est, half)
-		if err != nil {
-			return err
-		}
-		p, _, err := core.Plan(penv, core.Options{Workers: env.planWorkers})
+		_, p, _, err := env.plan(env.w, storageOnly(env.w, 0.5), core.Options{})
 		if err != nil {
 			return err
 		}
@@ -55,7 +49,7 @@ func DegradedMode(opts Options) (*stats.Figure, error) {
 
 		// Repository-only floor: availability 0 degrades every view, so the
 		// decider is irrelevant — one simulation, plotted flat.
-		floorRT, err := simulateWithConfig(env, policies.NewRemote(env.w), outageCfg(0))
+		floorRT, err := env.simulate(env.w, policies.NewRemote(env.w), outageCfg(0))
 		if err != nil {
 			return err
 		}
@@ -69,13 +63,13 @@ func DegradedMode(opts Options) (*stats.Figure, error) {
 				{"Full replication", policies.NewLocal(env.w)},
 				{"No replication", policies.NewRemote(env.w)},
 			} {
-				rt, err := simulateWithConfig(env, pol.dec, cfg)
+				rt, err := env.simulate(env.w, pol.dec, cfg)
 				if err != nil {
 					return err
 				}
-				col.add(r, pol.name, avail, stats.RelativeIncrease(rt, env.baseRT))
+				col.add(env.r, pol.name, avail, env.rel(rt))
 			}
-			col.add(r, "Repository only", avail, stats.RelativeIncrease(floorRT, env.baseRT))
+			col.add(env.r, "Repository only", avail, env.rel(floorRT))
 		}
 		return nil
 	})

@@ -42,29 +42,3 @@ func TestDegradedModeShape(t *testing.T) {
 		}
 	}
 }
-
-func TestDegradedModeReproducible(t *testing.T) {
-	a, err := DegradedMode(tiny())
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := DegradedMode(tiny())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(a.Series) != len(b.Series) {
-		t.Fatalf("series count differs: %d vs %d", len(a.Series), len(b.Series))
-	}
-	for i, s := range a.Series {
-		o := b.Series[i]
-		if s.Name != o.Name {
-			t.Fatalf("series order differs: %q vs %q", s.Name, o.Name)
-		}
-		for j := range s.Y {
-			if s.Y[j] != o.Y[j] || s.X[j] != o.X[j] {
-				t.Errorf("%s point %d differs: (%v, %v) vs (%v, %v)",
-					s.Name, j, s.X[j], s.Y[j], o.X[j], o.Y[j])
-			}
-		}
-	}
-}

@@ -4,20 +4,10 @@ import (
 	"fmt"
 	"io"
 
-	"repro/internal/core"
-	"repro/internal/model"
 	"repro/internal/policies"
 	"repro/internal/rng"
-	"repro/internal/stats"
 	"repro/internal/workload"
 )
-
-// planProbe plans the proposed policy under the environment and returns the
-// placement (Figure 3 uses it to size the repository's capacity relative to
-// the pre-offload load).
-func planProbe(env *model.Env, workers int) (*model.Placement, *core.Result, error) {
-	return core.Plan(env, core.Options{Workers: workers})
-}
 
 // Table1 generates one full workload per the options and returns its audit
 // summary — the reproduction of the paper's Table 1 (and the §5.2 "1.8 GB
@@ -52,35 +42,29 @@ type EquivalenceResult struct {
 // StorageEquivalence measures the claim over the options' runs.
 func StorageEquivalence(opts Options) (*EquivalenceResult, error) {
 	col := newCollector(opts.Runs)
-	err := forEachRun(&opts, func(r int, env *runEnv) error {
-		full := unconstrainedBudgets(env.w)
-		lruPol, err := policies.NewLRU(env.w, full, env.simSeed+uint64(r))
+	err := forEachRun(&opts, func(env *runEnv) error {
+		lruPol, err := policies.NewLRU(env.w, storageOnly(env.w, 1), env.simSeed+uint64(env.r))
 		if err != nil {
 			return err
 		}
-		lruRT, err := env.simulate(lruPol, true)
+		lruRT, err := env.simulate(env.w, lruPol, env.warmCfg)
 		if err != nil {
 			return err
 		}
-		col.add(r, "LRU@100", 100, stats.RelativeIncrease(lruRT, env.baseRT))
+		col.add(env.r, "LRU@100", 100, env.rel(lruRT))
 
-		localRT, err := env.simulate(policies.NewLocal(env.w), false)
+		localRT, err := env.simulate(env.w, policies.NewLocal(env.w), env.simCfg)
 		if err != nil {
 			return err
 		}
-		col.add(r, "Local", 100, stats.RelativeIncrease(localRT, env.baseRT))
+		col.add(env.r, "Local", 100, env.rel(localRT))
 
 		for _, frac := range StorageGrid {
-			b := unconstrainedBudgets(env.w).Scale(env.w, frac, 1)
-			for i := range b.SiteCapacity {
-				b.SiteCapacity[i] = model.Infinite()
-			}
-			b.RepoCapacity = model.Infinite()
-			rt, _, err := env.simulatePlanned(b)
+			rt, _, err := env.simulatePlanned(storageOnly(env.w, frac), env.simCfg)
 			if err != nil {
 				return err
 			}
-			col.add(r, "Proposed", frac*100, stats.RelativeIncrease(rt, env.baseRT))
+			col.add(env.r, "Proposed", frac*100, env.rel(rt))
 		}
 		return nil
 	})

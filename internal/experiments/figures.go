@@ -99,47 +99,40 @@ var CentralGrid = []float64{0.9, 0.7, 0.5}
 // levels (the paper reports +335 % and +23.8 %).
 func Figure1(opts Options) (*stats.Figure, error) {
 	col := newCollector(opts.Runs)
-	err := forEachRun(&opts, func(r int, env *runEnv) error {
+	err := forEachRun(&opts, func(env *runEnv) error {
 		// Flat references, no constraints (§5.2).
-		remoteRT, err := env.simulate(policies.NewRemote(env.w), false)
+		remoteRT, err := env.simulate(env.w, policies.NewRemote(env.w), env.simCfg)
 		if err != nil {
 			return err
 		}
-		localRT, err := env.simulate(policies.NewLocal(env.w), false)
+		localRT, err := env.simulate(env.w, policies.NewLocal(env.w), env.simCfg)
 		if err != nil {
 			return err
 		}
 
 		for _, frac := range StorageGrid {
 			pointStart := time.Now() //repllint:allow determinism — wall-clock progress narration; never feeds results
-			b := unconstrainedBudgets(env.w).Scale(env.w, frac, 1)
-			// Scale keeps capacities; re-relax them explicitly.
-			for i := range b.SiteCapacity {
-				b.SiteCapacity[i] = model.Infinite()
-			}
-			b.RepoCapacity = model.Infinite()
-
-			oursRT, pr, err := env.simulatePlanned(b)
+			b := storageOnly(env.w, frac)
+			oursRT, pr, err := env.simulatePlanned(b, env.simCfg)
 			if err != nil {
 				return err
 			}
-			col.add(r, "Proposed", frac*100, stats.RelativeIncrease(oursRT, env.baseRT))
+			col.add(env.r, "Proposed", frac*100, env.rel(oursRT))
 
-			lruPol, err := policies.NewLRU(env.w, b, env.simSeed+uint64(r))
+			lruPol, err := policies.NewLRU(env.w, b, env.simSeed+uint64(env.r))
 			if err != nil {
 				return err
 			}
-			lruRT, err := env.simulate(lruPol, true) // warm (ideal) cache
+			lruRT, err := env.simulate(env.w, lruPol, env.warmCfg) // warm (ideal) cache
 			if err != nil {
 				return err
 			}
-			col.add(r, "LRU", frac*100, stats.RelativeIncrease(lruRT, env.baseRT))
+			col.add(env.r, "LRU", frac*100, env.rel(lruRT))
 
-			col.add(r, "Remote", frac*100, stats.RelativeIncrease(remoteRT, env.baseRT))
-			col.add(r, "Local", frac*100, stats.RelativeIncrease(localRT, env.baseRT))
+			col.add(env.r, "Remote", frac*100, env.rel(remoteRT))
+			col.add(env.r, "Local", frac*100, env.rel(localRT))
 			opts.progressf("fig1 run %d: storage %3.0f%% — plan D=%.1f feasible=%v, proposed %+.1f%%, lru %+.1f%% (%.2fs)",
-				r, frac*100, pr.D, pr.Feasible,
-				stats.RelativeIncrease(oursRT, env.baseRT), stats.RelativeIncrease(lruRT, env.baseRT),
+				env.r, frac*100, pr.D, pr.Feasible, env.rel(oursRT), env.rel(lruRT),
 				time.Since(pointStart).Seconds()) //repllint:allow determinism — wall-clock progress narration; never feeds results
 		}
 		return nil
@@ -156,28 +149,24 @@ func Figure1(opts Options) (*stats.Figure, error) {
 // curve, reaching the Remote level at 0 % capacity).
 func Figure2(opts Options) (*stats.Figure, error) {
 	col := newCollector(opts.Runs)
-	err := forEachRun(&opts, func(r int, env *runEnv) error {
+	err := forEachRun(&opts, func(env *runEnv) error {
 		for _, frac := range CapacityGrid {
 			pointStart := time.Now() //repllint:allow determinism — wall-clock progress narration; never feeds results
-			b := model.FullBudgets(env.w).Scale(env.w, 1, frac)
-			b.RepoCapacity = model.Infinite()
-			oursRT, pr, err := env.simulatePlanned(b)
+			oursRT, pr, err := env.simulatePlanned(capacityOnly(env.w, frac), env.simCfg)
 			if err != nil {
 				return err
 			}
-			col.add(r, "Proposed", frac*100, stats.RelativeIncrease(oursRT, env.baseRT))
+			col.add(env.r, "Proposed", frac*100, env.rel(oursRT))
 			opts.progressf("fig2 run %d: capacity %3.0f%% — plan D=%.1f flips=%d, proposed %+.1f%% (%.2fs)",
-				r, frac*100, pr.D, totalFlips(pr),
-				stats.RelativeIncrease(oursRT, env.baseRT), time.Since(pointStart).Seconds()) //repllint:allow determinism — wall-clock progress narration; never feeds results
+				env.r, frac*100, pr.D, totalFlips(pr), env.rel(oursRT),
+				time.Since(pointStart).Seconds()) //repllint:allow determinism — wall-clock progress narration; never feeds results
 		}
 		// The 0 % anchor: everything is forced remote.
-		b := model.FullBudgets(env.w).Scale(env.w, 1, 0)
-		b.RepoCapacity = model.Infinite()
-		zeroRT, _, err := env.simulatePlanned(b)
+		zeroRT, _, err := env.simulatePlanned(capacityOnly(env.w, 0), env.simCfg)
 		if err != nil {
 			return err
 		}
-		col.add(r, "Proposed", 0, stats.RelativeIncrease(zeroRT, env.baseRT))
+		col.add(env.r, "Proposed", 0, env.rel(zeroRT))
 		return nil
 	})
 	if err != nil {
@@ -193,34 +182,28 @@ func Figure2(opts Options) (*stats.Figure, error) {
 // off-loading negotiation.
 func Figure3(opts Options) (*stats.Figure, error) {
 	col := newCollector(opts.Runs)
-	err := forEachRun(&opts, func(r int, env *runEnv) error {
+	err := forEachRun(&opts, func(env *runEnv) error {
 		for _, localFrac := range CapacityGrid {
 			// Probe: plan with an unconstrained repository to find the
 			// workload the local plans would impose on it.
-			probe := model.FullBudgets(env.w).Scale(env.w, 1, localFrac)
-			probe.RepoCapacity = model.Infinite()
-			probeEnv, err := model.NewEnv(env.w, env.est, probe)
+			b := capacityOnly(env.w, localFrac)
+			probeEnv, probe, _, err := env.plan(env.w, b, core.Options{})
 			if err != nil {
 				return err
 			}
-			pp, _, err := planProbe(probeEnv, env.planWorkers)
-			if err != nil {
-				return err
-			}
-			preLoad := model.RepoLoad(probeEnv, pp)
+			preLoad := model.RepoLoad(probeEnv, probe)
 
 			for _, centralFrac := range CentralGrid {
 				pointStart := time.Now() //repllint:allow determinism — wall-clock progress narration; never feeds results
-				b := model.FullBudgets(env.w).Scale(env.w, 1, localFrac)
 				b.RepoCapacity = units.ReqPerSec(float64(preLoad) * centralFrac)
-				rt, pr, err := env.simulatePlanned(b)
+				rt, pr, err := env.simulatePlanned(b, env.simCfg)
 				if err != nil {
 					return err
 				}
-				col.add(r, seriesName(centralFrac), localFrac*100, stats.RelativeIncrease(rt, env.baseRT))
+				col.add(env.r, seriesName(centralFrac), localFrac*100, env.rel(rt))
 				opts.progressf("fig3 run %d: local %3.0f%% central %2.0f%% — offload rounds=%d msgs=%d restored=%v, %+.1f%% (%.2fs)",
-					r, localFrac*100, centralFrac*100, pr.Offload.Rounds, pr.Offload.Messages,
-					pr.Offload.Restored, stats.RelativeIncrease(rt, env.baseRT), time.Since(pointStart).Seconds()) //repllint:allow determinism — wall-clock progress narration; never feeds results
+					env.r, localFrac*100, centralFrac*100, pr.Offload.Rounds, pr.Offload.Messages,
+					pr.Offload.Restored, env.rel(rt), time.Since(pointStart).Seconds()) //repllint:allow determinism — wall-clock progress narration; never feeds results
 			}
 		}
 		return nil

@@ -87,17 +87,14 @@ type FlashCrowdResult struct {
 // seeded, so the result is bit-reproducible per seed at any worker count.
 func FlashCrowd(opts Options) (*FlashCrowdResult, error) {
 	runs := make([]FlashCrowdRun, opts.Runs)
-	err := forEachRun(&opts, func(r int, env *runEnv) error {
+	err := forEachRun(&opts, func(env *runEnv) error {
+		r := env.r
 		root := rng.New(opts.Seed)
 
 		// Static plan at half storage: replicas are a constrained resource,
 		// so rotating the hot set genuinely strands them.
-		half := unconstrainedBudgets(env.w).Scale(env.w, 0.5, 1)
-		env0, err := model.NewEnv(env.w, env.est, half)
-		if err != nil {
-			return err
-		}
-		static, _, err := core.Plan(env0, core.Options{Workers: env.planWorkers})
+		half := storageOnly(env.w, 0.5)
+		env0, static, _, err := env.plan(env.w, half, core.Options{})
 		if err != nil {
 			return err
 		}
@@ -124,17 +121,20 @@ func FlashCrowd(opts Options) (*FlashCrowdResult, error) {
 		perSite := env.simCfg.RequestsPerSite
 
 		for e := 0; e <= FlashCrowdEpochs; e++ {
+			// The clairvoyant bound re-plans on the true frequencies.
+			dOracle := d0
 			if e > 0 {
 				wTrue, err = workload.Drift(wTrue, FlashCrowdSwapFrac,
 					root.Split(flashDriftStream, uint64(r), uint64(e)).Seed())
 				if err != nil {
 					return err
 				}
-				envTrue, err = model.NewEnv(wTrue, env.est, half)
+				var oracle *model.Placement
+				envTrue, oracle, _, err = env.plan(wTrue, half, core.Options{})
 				if err != nil {
 					return err
 				}
-				envTrue.Alpha1, envTrue.Alpha2 = env0.Alpha1, env0.Alpha2
+				dOracle = model.D(envTrue, oracle)
 			}
 
 			// One epoch of sampled request traffic from the true demand.
@@ -154,12 +154,7 @@ func FlashCrowd(opts Options) (*FlashCrowdResult, error) {
 				if err != nil {
 					return err
 				}
-				envEst, err := model.NewEnv(wEst, env.est, half)
-				if err != nil {
-					return err
-				}
-				envEst.Alpha1, envEst.Alpha2 = env0.Alpha1, env0.Alpha2
-				fresh, _, err := core.Plan(envEst, core.Options{Workers: env.planWorkers})
+				envEst, fresh, _, err := env.plan(wEst, half, core.Options{})
 				if err != nil {
 					return err
 				}
@@ -180,15 +175,6 @@ func FlashCrowd(opts Options) (*FlashCrowdResult, error) {
 				det.Rebase(estimate.BaselineVector(wEst))
 			}
 
-			// Clairvoyant bound: re-plan on the true frequencies.
-			dOracle := d0
-			if e > 0 {
-				oracle, _, err := core.Plan(envTrue, core.Options{Workers: env.planWorkers})
-				if err != nil {
-					return err
-				}
-				dOracle = model.D(envTrue, oracle)
-			}
 			ep.DStatic = model.D(envTrue, static)
 			ep.DOnline = model.D(envTrue, online)
 			ep.DOracle = dOracle

@@ -1,10 +1,6 @@
 package experiments
 
-import (
-	"bytes"
-	"reflect"
-	"testing"
-)
+import "testing"
 
 func flashOpts() Options {
 	o := Quick()
@@ -72,38 +68,5 @@ func TestFlashCrowdStaticDegradesOnlineTracks(t *testing.T) {
 		if len(s.X) != FlashCrowdEpochs+1 {
 			t.Errorf("series %q has %d points, want %d", s.Name, len(s.X), FlashCrowdEpochs+1)
 		}
-	}
-}
-
-// TestFlashCrowdReproducible pins the study's bit-reproducibility: the same
-// seed yields identical results at any worker count.
-func TestFlashCrowdReproducible(t *testing.T) {
-	opts := flashOpts()
-	opts.Runs = 2
-	opts.Workers = 1
-	a, err := FlashCrowd(opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	opts.Workers = 2
-	b, err := FlashCrowd(opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(a.Runs, b.Runs) {
-		t.Fatal("same seed produced different run accounting across worker counts")
-	}
-	if !reflect.DeepEqual(a.Timeline, b.Timeline) {
-		t.Fatal("same seed produced different timelines across worker counts")
-	}
-	var ra, rb bytes.Buffer
-	if err := a.Write(&ra); err != nil {
-		t.Fatal(err)
-	}
-	if err := b.Write(&rb); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(ra.Bytes(), rb.Bytes()) {
-		t.Fatal("rendered reports differ")
 	}
 }

@@ -11,6 +11,7 @@
 package experiments
 
 import (
+	"flag"
 	"fmt"
 	"io"
 	"runtime"
@@ -71,6 +72,37 @@ func Quick() Options {
 		Perturb:  netsim.DefaultPerturbConfig(),
 		Runs:     3,
 		Seed:     2026,
+	}
+}
+
+// BindFlags registers the options both experiment commands share — -scale,
+// -runs, -seed and -requests — and returns the function that resolves them
+// into Options once the flag set has been parsed.
+func BindFlags(fs *flag.FlagSet) func() (Options, error) {
+	scale := fs.String("scale", "paper", "paper (Table-1 volume, 20 runs) or quick")
+	runs := fs.Int("runs", 0, "override the number of runs")
+	seed := fs.Uint64("seed", 0, "override the experiment seed")
+	requests := fs.Int("requests", 0, "override page requests per site")
+	return func() (Options, error) {
+		var opts Options
+		switch *scale {
+		case "paper":
+			opts = Paper()
+		case "quick":
+			opts = Quick()
+		default:
+			return opts, fmt.Errorf("unknown scale %q", *scale)
+		}
+		if *runs > 0 {
+			opts.Runs = *runs
+		}
+		if *seed != 0 {
+			opts.Seed = *seed
+		}
+		if *requests > 0 {
+			opts.RequestsPerSite = *requests
+		}
+		return opts, nil
 	}
 }
 

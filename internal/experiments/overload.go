@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"sync"
 	"time"
 
 	"repro/internal/admission"
@@ -147,41 +146,27 @@ func DrainWindow() time.Duration {
 // drain window. Both passes consume disjoint Split streams of the run
 // seed, so the whole result — tables and figure — is bit-reproducible.
 func Overload(opts Options) (*OverloadResult, error) {
-	if opts.Runs <= 0 {
-		return nil, fmt.Errorf("experiments: Runs must be positive, got %d", opts.Runs)
-	}
-	runs := make([]OverloadRun, opts.Runs)
-	workers := opts.workers()
-	if workers > opts.Runs {
-		workers = opts.Runs
-	}
-	var wg sync.WaitGroup
-	sem := make(chan struct{}, workers)
-	for r := 0; r < opts.Runs; r++ {
-		wg.Add(1)
-		go func(r int) {
-			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			root := rng.New(opts.Seed)
-			off := simOverload(root, r, false)
-			on := simOverload(root, r, true)
-			runs[r] = OverloadRun{Run: r, Off: off, On: on}
-			opts.progressf("overload run %d: off — post-spike %.0f req/s (recover %dms, amp %.2f); on — post-spike %.0f req/s (recover %dms, amp %.2f, sheds %d, deadline-served %d)",
-				r, off.PostSpikeGoodput, off.RecoverMs, off.Amplification,
-				on.PostSpikeGoodput, on.RecoverMs, on.Amplification, on.Sheds, on.DeadlineServed)
-		}(r)
-	}
-	wg.Wait()
-
-	col := newCollector(len(runs))
-	for r, run := range runs {
-		for s, g := range run.Off.GoodputPerSec {
+	runs := make([]OverloadRun, max(opts.Runs, 0))
+	col := newCollector(opts.Runs)
+	err := forEachRun(&opts, func(env *runEnv) error {
+		r := env.r
+		root := rng.New(opts.Seed)
+		off := simOverload(root, r, false)
+		on := simOverload(root, r, true)
+		runs[r] = OverloadRun{Run: r, Off: off, On: on}
+		for s, g := range off.GoodputPerSec {
 			col.add(r, "Protections off", float64(s), float64(g))
 		}
-		for s, g := range run.On.GoodputPerSec {
+		for s, g := range on.GoodputPerSec {
 			col.add(r, "Protections on", float64(s), float64(g))
 		}
+		opts.progressf("overload run %d: off — post-spike %.0f req/s (recover %dms, amp %.2f); on — post-spike %.0f req/s (recover %dms, amp %.2f, sheds %d, deadline-served %d)",
+			r, off.PostSpikeGoodput, off.RecoverMs, off.Amplification,
+			on.PostSpikeGoodput, on.RecoverMs, on.Amplification, on.Sheds, on.DeadlineServed)
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	fig := col.figure("Overload: goodput through a 10x flash crowd",
 		"seconds", []string{"Protections off", "Protections on"})

@@ -32,26 +32,14 @@ var PeriodGrid = []int{1, 2, 3, 6, 0}
 // churn, as a function of the period.
 func PeriodStudy(opts Options) (*stats.Figure, error) {
 	col := newCollector(opts.Runs)
-	err := forEachRun(&opts, func(r int, env *runEnv) error {
-		budget := func(w *workload.Workload) model.Budgets {
-			b := model.FullBudgets(w).Scale(w, 0.5, 1)
-			for i := range b.SiteCapacity {
-				b.SiteCapacity[i] = model.Infinite()
-			}
-			b.RepoCapacity = model.Infinite()
-			return b
-		}
+	err := forEachRun(&opts, func(env *runEnv) error {
 		plan := func(w *workload.Workload) (*model.Placement, error) {
-			menv, err := model.NewEnv(w, env.est, budget(w))
-			if err != nil {
-				return nil, err
-			}
-			p, _, err := core.Plan(menv, core.Options{Workers: env.planWorkers})
+			_, p, _, err := env.plan(w, storageOnly(w, 0.5), core.Options{})
 			return p, err
 		}
+		// Every epoch draws its own traffic from the run's seed.
 		simulate := func(w *workload.Workload, p *model.Placement, epoch int) (float64, error) {
-			cfg := env.simCfg
-			res, err := httpsim.Run(w, env.est, policies.NewStatic("p", p), cfg,
+			res, err := httpsim.Run(w, env.est, policies.NewStatic("p", p), env.simCfg,
 				rng.New(env.simSeed).Split(uint64(epoch)))
 			if err != nil {
 				return 0, err
@@ -115,8 +103,8 @@ func PeriodStudy(opts Options) (*stats.Figure, error) {
 			if period == 0 {
 				x = float64(PeriodEpochs) // "never" rendered at the far end
 			}
-			col.add(r, "RT vs oracle", x, sumRel/float64(PeriodEpochs))
-			col.add(r, "Churn (GB moved)", x, float64(churn)/float64(units.GB))
+			col.add(env.r, "RT vs oracle", x, sumRel/float64(PeriodEpochs))
+			col.add(env.r, "Churn (GB moved)", x, float64(churn)/float64(units.GB))
 		}
 		return nil
 	})

@@ -2,10 +2,8 @@ package experiments
 
 import (
 	"repro/internal/core"
-	"repro/internal/httpsim"
 	"repro/internal/model"
 	"repro/internal/policies"
-	"repro/internal/rng"
 	"repro/internal/stats"
 	"repro/internal/units"
 	"repro/internal/workload"
@@ -28,40 +26,31 @@ var QueueingGrid = []float64{0.2, 0.4, 0.6, 0.8, 1.0}
 // honest trade-off the EXPERIMENTS.md notes record.)
 func QueueingStudy(opts Options) (*stats.Figure, error) {
 	col := newCollector(opts.Runs)
-	err := forEachRun(&opts, func(r int, env *runEnv) error {
+	err := forEachRun(&opts, func(env *runEnv) error {
 		// The capacity-ignorant plan never changes with the sweep.
-		ignorantEnv, err := model.NewEnv(env.w, env.est, unconstrainedBudgets(env.w))
-		if err != nil {
-			return err
-		}
-		ignorantPlan, _, err := core.Plan(ignorantEnv, core.Options{Workers: env.planWorkers})
+		_, ignorantPlan, _, err := env.plan(env.w, storageOnly(env.w, 1), core.Options{})
 		if err != nil {
 			return err
 		}
 
+		// The placement indexes pages by ID, which the scaled workload copy
+		// shares with the original.
 		overhead := func(w *workload.Workload, p *model.Placement, name string) (float64, error) {
 			cfg := env.simCfg
-			cfg.Queueing = false
-			off, err := simulateQueued(w, env, policies.NewStatic(name, p), cfg)
+			off, err := env.simulate(w, policies.NewStatic(name, p), cfg)
 			if err != nil {
 				return 0, err
 			}
 			cfg.Queueing = true
-			on, err := simulateQueued(w, env, policies.NewStatic(name, p), cfg)
+			on, err := env.simulate(w, policies.NewStatic(name, p), cfg)
 			if err != nil {
 				return 0, err
 			}
-			return (on - off) / env.baseRT * 100, nil
+			return (on - off) / env.baseRT() * 100, nil
 		}
 
 		for _, frac := range QueueingGrid {
-			aware := model.FullBudgets(env.w).Scale(env.w, 1, frac)
-			aware.RepoCapacity = model.Infinite()
-			awareEnv, err := model.NewEnv(env.w, env.est, aware)
-			if err != nil {
-				return err
-			}
-			awarePlan, _, err := core.Plan(awareEnv, core.Options{Workers: env.planWorkers})
+			_, awarePlan, _, err := env.plan(env.w, capacityOnly(env.w, frac), core.Options{})
 			if err != nil {
 				return err
 			}
@@ -78,8 +67,8 @@ func QueueingStudy(opts Options) (*stats.Figure, error) {
 			if err != nil {
 				return err
 			}
-			col.add(r, "Eq.8-aware plan", frac*100, awareOv)
-			col.add(r, "Capacity-ignorant plan", frac*100, ignorantOv)
+			col.add(env.r, "Eq.8-aware plan", frac*100, awareOv)
+			col.add(env.r, "Capacity-ignorant plan", frac*100, ignorantOv)
 		}
 		return nil
 	})
@@ -101,15 +90,4 @@ func scaleSiteCapacities(w *workload.Workload, frac float64) *workload.Workload 
 		out.Sites[i].Capacity = units.ReqPerSec(float64(w.Sites[i].Capacity) * frac)
 	}
 	return &out
-}
-
-// simulateQueued runs a policy on the scaled workload with the run's
-// traffic seed. The placement indexes pages by ID, which the scaled copy
-// shares with the original.
-func simulateQueued(w *workload.Workload, env *runEnv, dec httpsim.Decider, cfg httpsim.Config) (float64, error) {
-	res, err := httpsim.Run(w, env.est, dec, cfg, rng.New(env.simSeed))
-	if err != nil {
-		return 0, err
-	}
-	return res.CompositeMean(), nil
 }

@@ -5,7 +5,6 @@ import (
 	"io"
 
 	"repro/internal/core"
-	"repro/internal/model"
 	"repro/internal/repair"
 	"repro/internal/stats"
 	"repro/internal/units"
@@ -80,15 +79,11 @@ func Recovery(opts Options) (*RecoveryResult, error) {
 		dHealthy, dDegraded, dRepaired    float64
 	}
 	scheds := make([]schedule, opts.Runs)
-	err := forEachRun(&opts, func(r int, env *runEnv) error {
+	err := forEachRun(&opts, func(env *runEnv) error {
+		r := env.r
 		// Plan at half storage, like the degraded study: self-healing is
 		// interesting precisely when replicas are a constrained resource.
-		half := unconstrainedBudgets(env.w).Scale(env.w, 0.5, 1)
-		penv, err := model.NewEnv(env.w, env.est, half)
-		if err != nil {
-			return err
-		}
-		p, _, err := core.Plan(penv, core.Options{Workers: env.planWorkers})
+		penv, p, _, err := env.plan(env.w, storageOnly(env.w, 0.5), core.Options{})
 		if err != nil {
 			return err
 		}
@@ -97,7 +92,7 @@ func Recovery(opts Options) (*RecoveryResult, error) {
 		// leaves unprotected.
 		failed := busiestSite(env.w)
 		down := map[workload.SiteID]bool{failed: true}
-		rp, err := repair.Compute(penv, p, []workload.SiteID{failed}, repair.Options{Workers: env.planWorkers})
+		rp, err := repair.Compute(penv, p, []workload.SiteID{failed}, repair.Options{Workers: opts.planWorkers()})
 		if err != nil {
 			return err
 		}

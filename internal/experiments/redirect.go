@@ -23,7 +23,7 @@ var RedirectGrid = []float64{0, 0.25, 0.5, 1.0, 2.0}
 // (broadband, where per-request latency dominates and the argument bites).
 func RedirectStudy(opts Options) (*stats.Figure, error) {
 	col := newCollector(opts.Runs)
-	if err := redirectPass(opts, col, 1, " (Table-1 rates)"); err != nil {
+	if err := redirectPass(opts, col, " (Table-1 rates)"); err != nil {
 		return nil, err
 	}
 	fast := opts
@@ -31,7 +31,7 @@ func RedirectStudy(opts Options) (*stats.Figure, error) {
 	fast.Net.LocalRateHi *= 100
 	fast.Net.RepoRateLo *= 100
 	fast.Net.RepoRateHi *= 100
-	if err := redirectPass(fast, col, 1, " (100× rates)"); err != nil {
+	if err := redirectPass(fast, col, " (100× rates)"); err != nil {
 		return nil, err
 	}
 	fig := col.figure("Redirection cost: server-side rewriting vs per-GET redirection",
@@ -43,33 +43,32 @@ func RedirectStudy(opts Options) (*stats.Figure, error) {
 }
 
 // redirectPass runs one rate regime of the study.
-func redirectPass(opts Options, col *collector, _ float64, suffix string) error {
-	return forEachRun(&opts, func(r int, env *runEnv) error {
+func redirectPass(opts Options, col *collector, suffix string) error {
+	return forEachRun(&opts, func(env *runEnv) error {
 		// 50 % storage: a warm full-size cache never misses and would never
 		// pay the penalty; at half storage both schemes have a realistic
-		// repository stream. (Scale keeps the already-infinite capacities.)
-		half := unconstrainedBudgets(env.w).Scale(env.w, 0.5, 1)
+		// repository stream.
+		half := storageOnly(env.w, 0.5)
 
 		// The proposed policy at the same storage, no penalty (its
 		// "redirection" is the serving-time URL rewrite): a flat reference.
-		oursRT, _, err := env.simulatePlanned(half)
+		oursRT, _, err := env.simulatePlanned(half, env.simCfg)
 		if err != nil {
 			return err
 		}
 		for _, penalty := range RedirectGrid {
-			lru, err := policies.NewLRU(env.w, half, env.simSeed+uint64(r))
+			lru, err := policies.NewLRU(env.w, half, env.simSeed+uint64(env.r))
 			if err != nil {
 				return err
 			}
-			cfg := env.simCfg
-			cfg.Warmup = true
+			cfg := env.warmCfg
 			cfg.RemoteRedirectPenalty = units.Seconds(penalty)
-			res, err := simulateWithConfig(env, lru, cfg)
+			lruRT, err := env.simulate(env.w, lru, cfg)
 			if err != nil {
 				return err
 			}
-			col.add(r, "LRU+redirect"+suffix, penalty, stats.RelativeIncrease(res, env.baseRT))
-			col.add(r, "Proposed"+suffix, penalty, stats.RelativeIncrease(oursRT, env.baseRT))
+			col.add(env.r, "LRU+redirect"+suffix, penalty, env.rel(lruRT))
+			col.add(env.r, "Proposed"+suffix, penalty, env.rel(oursRT))
 		}
 		return nil
 	})

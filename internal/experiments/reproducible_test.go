@@ -2,96 +2,121 @@ package experiments
 
 import (
 	"bytes"
-	"fmt"
+	"os"
+	"path/filepath"
+	"reflect"
 	"runtime"
+	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/stats"
 )
 
-// TestStudiesBitReproducibleAtAnyWorkerCount backs the README/EXPERIMENTS
-// claim for every study that averages runs through the collector: rendered
-// at Workers 1 and at GOMAXPROCS, twice each, the CSV bytes never change.
-// Runs fold in run order, not in the order the scheduler finished them —
-// with three runs any other order moves the last bits of a mean.
-func TestStudiesBitReproducibleAtAnyWorkerCount(t *testing.T) {
-	csv := func(fig *stats.Figure, err error) ([]byte, error) {
-		if err != nil {
-			return nil, err
+// resultsDir holds the committed paper-scale CSVs, one per study with a
+// figure.
+const resultsDir = "../../results"
+
+// checkCommittedCSV pins results/ to the study table: a study with a figure
+// has results/<name>.csv whose header row — x label and series names — is
+// the one the study emits; a study without a figure has no such file. (The
+// values are paper-scale and pinned by longrun.yml, not here.)
+func checkCommittedCSV(t *testing.T, name string, fig *stats.Figure) {
+	t.Helper()
+	committed, err := os.ReadFile(filepath.Join(resultsDir, name+".csv"))
+	if fig == nil {
+		if err == nil {
+			t.Errorf("results/%s.csv exists but the study has no figure", name)
 		}
-		var buf bytes.Buffer
-		err = fig.WriteCSV(&buf)
-		return buf.Bytes(), err
+		return
 	}
-	figure := func(study func(Options) (*stats.Figure, error)) func(Options) ([]byte, error) {
-		return func(o Options) ([]byte, error) { return csv(study(o)) }
+	if err != nil {
+		t.Errorf("results/ lacks the study's CSV: %v", err)
+		return
 	}
-	studies := []struct {
-		name   string
-		render func(Options) ([]byte, error)
-	}{
-		{"Figure1", figure(Figure1)},
-		{"Figure2", figure(Figure2)},
-		{"Figure3", figure(Figure3)},
-		{"Drift", figure(Drift)},
-		{"DegradedMode", figure(DegradedMode)},
-		{"PeriodStudy", figure(PeriodStudy)},
-		{"QueueingStudy", figure(QueueingStudy)},
-		{"RedirectStudy", figure(RedirectStudy)},
-		{"Sensitivity", figure(Sensitivity)},
-		{"ThresholdStudy", figure(ThresholdStudy)},
-		{"WeightsStudy", figure(WeightsStudy)},
-		{"StorageEquivalence", func(o Options) ([]byte, error) {
-			res, err := StorageEquivalence(o)
-			if err != nil {
-				return nil, err
-			}
-			var buf bytes.Buffer
-			fmt.Fprintf(&buf, "%g,%g,%g\n", res.Fraction, res.LRUFull, res.LocalLevel)
-			for _, frac := range StorageGrid {
-				fmt.Fprintf(&buf, "%g,%g\n", frac, res.ProposedAt[frac])
-			}
-			return buf.Bytes(), nil
-		}},
-		{"Recovery", func(o Options) ([]byte, error) {
-			res, err := Recovery(o)
-			if err != nil {
-				return nil, err
-			}
-			return csv(res.Timeline, nil)
-		}},
-		{"FlashCrowd", func(o Options) ([]byte, error) {
-			res, err := FlashCrowd(o)
-			if err != nil {
-				return nil, err
-			}
-			return csv(res.Timeline, nil)
-		}},
-		{"Overload", func(o Options) ([]byte, error) {
-			res, err := Overload(o)
-			if err != nil {
-				return nil, err
-			}
-			return csv(res.Timeline, nil)
-		}},
+	var emitted bytes.Buffer
+	if err := fig.WriteCSV(&emitted); err != nil {
+		t.Fatal(err)
 	}
-	for _, study := range studies {
-		study := study
-		t.Run(study.name, func(t *testing.T) {
-			var ref []byte
-			for _, workers := range []int{1, runtime.GOMAXPROCS(0)} {
-				for rep := 0; rep < 2; rep++ {
+	header := func(csv []byte) string {
+		line, _, _ := bytes.Cut(csv, []byte("\n"))
+		return string(line)
+	}
+	if got, want := header(committed), header(emitted.Bytes()); got != want {
+		t.Errorf("results/%s.csv header is %q, the study emits %q", name, got, want)
+	}
+}
+
+// TestResultsHoldNoStrayCSV: every CSV under results/ is named after a study
+// in the table (with checkCommittedCSV: exactly one per figure).
+func TestResultsHoldNoStrayCSV(t *testing.T) {
+	files, err := filepath.Glob(filepath.Join(resultsDir, "*.csv"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, f := range files {
+		name := strings.TrimSuffix(filepath.Base(f), ".csv")
+		if !slices.ContainsFunc(Studies, func(s Study) bool { return s.Name == name }) {
+			t.Errorf("%s is not named after any study in the table", f)
+		}
+	}
+}
+
+// TestStudiesBitReproducibleAtAnyWorkerCount backs the README/EXPERIMENTS
+// claim for every entry of the study table: rendered at Workers 1 and at
+// GOMAXPROCS, twice each, neither the result values nor a byte of the
+// summary text and the figure's CSV ever change. Runs fold in run order, not
+// in the order the scheduler finished them — with three runs any other order
+// moves the last bits of a mean.
+func TestStudiesBitReproducibleAtAnyWorkerCount(t *testing.T) {
+	for _, s := range Studies {
+		t.Run(s.Func, func(t *testing.T) {
+			runs, reps := 3, 2
+			if s.Name == "scrub" {
+				// A live cluster, over a second per run and sensitive to a
+				// loaded machine: two runs, one render per worker count,
+				// and nothing else running beside it.
+				runs, reps = 2, 1
+			} else {
+				t.Parallel()
+			}
+			var refSum Summary
+			var refFig *stats.Figure
+			var refText string
+			first := true
+			for _, workers := range []int{1, max(2, runtime.GOMAXPROCS(0))} {
+				for rep := 0; rep < reps; rep++ {
 					o := tiny()
-					o.Runs = 3
+					o.Runs = runs
 					o.Workers = workers
-					got, err := study.render(o)
+					sum, fig, err := s.Run(o)
 					if err != nil {
 						t.Fatal(err)
 					}
-					if ref == nil {
-						ref = got
-					} else if !bytes.Equal(got, ref) {
-						t.Fatalf("Workers=%d render %d differs from the Workers=1 reference:\n%s\nvs\n%s", workers, rep+1, got, ref)
+					if (sum != nil) != (s.Heading != "") {
+						t.Fatalf("heading %q on a study whose summary is %v", s.Heading, sum)
+					}
+					var text bytes.Buffer
+					if sum != nil {
+						if err := sum.Write(&text); err != nil {
+							t.Fatal(err)
+						}
+					}
+					if fig != nil {
+						if err := fig.WriteCSV(&text); err != nil {
+							t.Fatal(err)
+						}
+					}
+					if first {
+						refSum, refFig, refText, first = sum, fig, text.String(), false
+						checkCommittedCSV(t, s.Name, fig)
+						continue
+					}
+					if text.String() != refText {
+						t.Fatalf("Workers=%d render %d differs from the Workers=1 reference:\n%s\nvs\n%s", workers, rep+1, text.String(), refText)
+					}
+					if !reflect.DeepEqual(sum, refSum) || !reflect.DeepEqual(fig, refFig) {
+						t.Fatalf("Workers=%d render %d: same bytes, different result values:\n%+v\nvs\n%+v", workers, rep+1, sum, refSum)
 					}
 				}
 			}

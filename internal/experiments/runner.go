@@ -11,23 +11,32 @@ import (
 	"repro/internal/netsim"
 	"repro/internal/policies"
 	"repro/internal/rng"
+	"repro/internal/stats"
+	"repro/internal/units"
 	"repro/internal/workload"
 )
 
-// runEnv is the fixed context of one experiment run: the generated
-// workload, the drawn estimates, the simulation seed (shared by every
-// policy and sweep point so all of them see identical traffic), and the
-// unconstrained-proposed-policy reference response time the figures divide
-// by.
+// runEnv is the one context every study plans, simulates and folds through:
+// the run's generated workload, the drawn estimates, the simulation seed
+// (shared by every policy and sweep point so all of them see identical
+// traffic), and the unconstrained-proposed-policy reference response time
+// the figures divide by. Run r's runEnv is touched by run r's goroutine
+// only.
 type runEnv struct {
-	w       *workload.Workload
-	est     *netsim.Estimates
-	simCfg  httpsim.Config
-	simSeed uint64
-	baseRT  float64
-	// planWorkers is Options.planWorkers(), threaded into every core.Plan
-	// call the run makes.
-	planWorkers int
+	opts *Options
+	r    int
+	w    *workload.Workload
+	est  *netsim.Estimates
+	// simCfg is the run's simulator configuration; warmCfg is the same with
+	// a warm-up pass first (the ideal-cache start of the dynamic baselines).
+	simCfg, warmCfg httpsim.Config
+	simSeed         uint64
+
+	// base is the reference response time, planned and simulated on first
+	// use (the analytic and live-cluster studies never read it); baseErr is
+	// that computation's failure, which forEachRun reports for the run.
+	base    float64
+	baseErr error
 }
 
 // stream labels for run derivation.
@@ -43,7 +52,6 @@ const (
 
 // newRunEnv builds run r.
 func newRunEnv(opts *Options, r int) (*runEnv, error) {
-	start := time.Now() //repllint:allow determinism — wall-clock progress narration; never feeds results
 	root := rng.New(opts.Seed)
 	wSeed := root.Split(runWorkloadStream, uint64(r)).Seed()
 	w, err := workload.Generate(opts.Workload, wSeed)
@@ -54,38 +62,28 @@ func newRunEnv(opts *Options, r int) (*runEnv, error) {
 	if err != nil {
 		return nil, err
 	}
-	simCfg := httpsim.Config{
-		RequestsPerSite: opts.requests(),
-		Perturb:         opts.Perturb,
-		Workers:         1, // runs parallelize at the outer level
-	}
 	env := &runEnv{
-		w:           w,
-		est:         est,
-		simCfg:      simCfg,
-		simSeed:     root.Split(runTrafficStream, uint64(r)).Seed(),
-		planWorkers: opts.planWorkers(),
+		opts: opts,
+		r:    r,
+		w:    w,
+		est:  est,
+		simCfg: httpsim.Config{
+			RequestsPerSite: opts.requests(),
+			Perturb:         opts.Perturb,
+			Workers:         1, // runs parallelize at the outer level
+		},
+		simSeed: root.Split(runTrafficStream, uint64(r)).Seed(),
 	}
-
-	// Reference: the proposed policy with no constraints (full storage,
-	// unconstrained processing everywhere) — the figures' denominator.
-	base, _, err := env.simulatePlanned(unconstrainedBudgets(w))
-	if err != nil {
-		return nil, err
-	}
-	env.baseRT = base
-	if env.baseRT <= 0 {
-		return nil, fmt.Errorf("experiments: non-positive baseline response time")
-	}
-	opts.progressf("run %d: environment ready — %d pages / %d objects, baseline rt %.4gs (%.2fs)",
-		r, w.NumPages(), w.NumObjects(), env.baseRT, time.Since(start).Seconds()) //repllint:allow determinism — wall-clock progress narration; never feeds results
+	env.warmCfg = env.simCfg
+	env.warmCfg.Warmup = true
 	return env, nil
 }
 
-// unconstrainedBudgets relaxes every constraint: full storage, infinite
-// site and repository capacity.
-func unconstrainedBudgets(w *workload.Workload) model.Budgets {
-	b := model.FullBudgets(w)
+// storageOnly returns w's budgets at frac of every site's MO storage with
+// every processing constraint relaxed: infinite site and repository
+// capacity. storageOnly(w, 1) is the unconstrained reference.
+func storageOnly(w *workload.Workload, frac float64) model.Budgets {
+	b := model.FullBudgets(w).Scale(w, frac, 1)
 	for i := range b.SiteCapacity {
 		b.SiteCapacity[i] = model.Infinite()
 	}
@@ -93,18 +91,35 @@ func unconstrainedBudgets(w *workload.Workload) model.Budgets {
 	return b
 }
 
-// simulate runs one policy over the run's fixed traffic and returns the
-// composite mean response time.
-func (e *runEnv) simulate(dec httpsim.Decider, warmup bool) (float64, error) {
-	cfg := e.simCfg
-	cfg.Warmup = warmup
-	return simulateWithConfig(e, dec, cfg)
+// capacityOnly returns w's budgets at full storage and frac of every site's
+// processing capacity, the repository unconstrained.
+func capacityOnly(w *workload.Workload, frac float64) model.Budgets {
+	b := storageOnly(w, 1)
+	for i := range b.SiteCapacity {
+		b.SiteCapacity[i] = units.ReqPerSec(float64(w.Sites[i].Capacity) * frac)
+	}
+	return b
 }
 
-// simulateWithConfig is simulate with a caller-adjusted configuration
-// (still on the run's fixed traffic seed).
-func simulateWithConfig(e *runEnv, dec httpsim.Decider, cfg httpsim.Config) (float64, error) {
-	res, err := httpsim.Run(e.w, e.est, dec, cfg, rng.New(e.simSeed))
+// plan plans the proposed policy for w (the run's workload or a drifted copy
+// of it) under budgets b, at the intra-plan width the options ask for. tune
+// selects the planner's ablations; its Workers field is overwritten. The
+// model environment comes back with the placement because model.D, RepoLoad
+// and the repair planner evaluate against it.
+func (e *runEnv) plan(w *workload.Workload, b model.Budgets, tune core.Options) (*model.Env, *model.Placement, *core.Result, error) {
+	menv, err := model.NewEnv(w, e.est, b)
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	tune.Workers = e.opts.planWorkers()
+	p, res, err := core.Plan(menv, tune)
+	return menv, p, res, err
+}
+
+// simulate runs one policy over w on the run's fixed traffic seed and
+// returns the composite mean response time.
+func (e *runEnv) simulate(w *workload.Workload, dec httpsim.Decider, cfg httpsim.Config) (float64, error) {
+	res, err := httpsim.Run(w, e.est, dec, cfg, rng.New(e.simSeed))
 	if err != nil {
 		return 0, err
 	}
@@ -114,39 +129,37 @@ func simulateWithConfig(e *runEnv, dec httpsim.Decider, cfg httpsim.Config) (flo
 // simulatePlanned plans the proposed policy under budgets and simulates it,
 // returning the composite mean response time plus the plan's statistics
 // (for progress narration and assertions).
-func (e *runEnv) simulatePlanned(b model.Budgets) (float64, *core.Result, error) {
-	env, err := model.NewEnv(e.w, e.est, b)
+func (e *runEnv) simulatePlanned(b model.Budgets, cfg httpsim.Config) (float64, *core.Result, error) {
+	_, p, pr, err := e.plan(e.w, b, core.Options{})
 	if err != nil {
 		return 0, nil, err
 	}
-	p, pr, err := core.Plan(env, core.Options{Workers: e.planWorkers})
-	if err != nil {
-		return 0, nil, err
-	}
-	rt, err := e.simulate(policies.NewStatic("Proposed", p), false)
-	if err != nil {
-		return 0, nil, err
-	}
-	return rt, pr, nil
+	rt, err := e.simulate(e.w, policies.NewStatic("Proposed", p), cfg)
+	return rt, pr, err
 }
 
-// simulatePlannedWithConfig plans under budgets and simulates with a
-// caller-adjusted configuration.
-func simulatePlannedWithConfig(e *runEnv, b model.Budgets, cfg httpsim.Config) (float64, error) {
-	env, err := model.NewEnv(e.w, e.est, b)
-	if err != nil {
-		return 0, err
+// baseRT is the figures' denominator: the response time of the proposed
+// policy with no constraints (full storage, unconstrained processing
+// everywhere).
+func (e *runEnv) baseRT() float64 {
+	if e.base == 0 && e.baseErr == nil {
+		start := time.Now() //repllint:allow determinism — wall-clock progress narration; never feeds results
+		e.base, _, e.baseErr = e.simulatePlanned(storageOnly(e.w, 1), e.simCfg)
+		if e.baseErr == nil && e.base <= 0 {
+			e.baseErr = fmt.Errorf("experiments: non-positive baseline response time")
+		}
+		e.opts.progressf("run %d: %d pages / %d objects, baseline rt %.4gs (%.2fs)",
+			e.r, e.w.NumPages(), e.w.NumObjects(), e.base, time.Since(start).Seconds()) //repllint:allow determinism — wall-clock progress narration; never feeds results
 	}
-	p, _, err := core.Plan(env, core.Options{Workers: e.planWorkers})
-	if err != nil {
-		return 0, err
-	}
-	return simulateWithConfig(e, policies.NewStatic("Proposed", p), cfg)
+	return e.base
 }
 
-// forEachRun executes fn(r, env) for every run, bounded by opts.Workers.
-// Errors abort with the first failure.
-func forEachRun(opts *Options, fn func(r int, env *runEnv) error) error {
+// rel is rt's increase over the run's reference response time, in percent.
+func (e *runEnv) rel(rt float64) float64 { return stats.RelativeIncrease(rt, e.baseRT()) }
+
+// forEachRun executes fn(env) for every run's environment, bounded by
+// opts.Workers. Errors abort with the first failure in run order.
+func forEachRun(opts *Options, fn func(env *runEnv) error) error {
 	if err := opts.Validate(); err != nil {
 		return err
 	}
@@ -164,11 +177,13 @@ func forEachRun(opts *Options, fn func(r int, env *runEnv) error) error {
 			sem <- struct{}{}
 			defer func() { <-sem }()
 			env, err := newRunEnv(opts, r)
-			if err != nil {
-				errs[r] = err
-				return
+			if err == nil {
+				err = fn(env)
 			}
-			errs[r] = fn(r, env)
+			if err == nil {
+				err = env.baseErr
+			}
+			errs[r] = err
 		}(r)
 	}
 	wg.Wait()
@@ -178,10 +193,4 @@ func forEachRun(opts *Options, fn func(r int, env *runEnv) error) error {
 		}
 	}
 	return nil
-}
-
-// simulateFull runs a policy on the run's traffic and returns the full
-// result (callers needing more than the composite mean).
-func simulateFull(e *runEnv, dec httpsim.Decider) (*httpsim.Result, error) {
-	return httpsim.Run(e.w, e.est, dec, e.simCfg, rng.New(e.simSeed))
 }

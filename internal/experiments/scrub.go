@@ -11,7 +11,6 @@ import (
 	"repro/internal/controller"
 	"repro/internal/core"
 	"repro/internal/faults"
-	"repro/internal/model"
 	"repro/internal/rng"
 	"repro/internal/units"
 	"repro/internal/webserve"
@@ -125,14 +124,10 @@ func scrubConfig() workload.Config {
 func Scrub(opts Options) (*ScrubResult, error) {
 	opts.Workload = scrubConfig()
 	runs := make([]ScrubRun, opts.Runs)
-	err := forEachRun(&opts, func(r int, env *runEnv) error {
+	err := forEachRun(&opts, func(env *runEnv) error {
+		r := env.r
 		root := rng.New(opts.Seed)
-		half := unconstrainedBudgets(env.w).Scale(env.w, 0.5, 1)
-		penv, err := model.NewEnv(env.w, env.est, half)
-		if err != nil {
-			return err
-		}
-		p, _, err := core.Plan(penv, core.Options{Workers: env.planWorkers})
+		penv, p, _, err := env.plan(env.w, storageOnly(env.w, 0.5), core.Options{})
 		if err != nil {
 			return err
 		}
@@ -211,7 +206,7 @@ func Scrub(opts Options) (*ScrubResult, error) {
 		// Phase 2: anti-entropy. Cycle 1 finds and repairs every rotted
 		// replica; cycle 2 proves the store verifies clean.
 		rec := controller.NewReconciler(penv, p, cluster, controller.ReconcilerOptions{
-			Workers: env.planWorkers,
+			Workers: opts.planWorkers(),
 			Metrics: cluster.Metrics,
 		})
 		scrubber := rec.Scrubber(controller.ScrubOptions{})

@@ -21,35 +21,35 @@ var SeverityGrid = []float64{0, 0.5, 1.0, 1.5, 2.0}
 // general slowdown.
 func Sensitivity(opts Options) (*stats.Figure, error) {
 	col := newCollector(opts.Runs)
-	err := forEachRun(&opts, func(r int, env *runEnv) error {
-		half := unconstrainedBudgets(env.w).Scale(env.w, 0.5, 1)
+	err := forEachRun(&opts, func(env *runEnv) error {
+		half := storageOnly(env.w, 0.5)
 		for _, severity := range SeverityGrid {
 			cfg := env.simCfg
 			cfg.Perturb = opts.Perturb.Scale(severity)
 
-			oursRT, err := simulatePlannedWithConfig(env, half, cfg)
+			oursRT, _, err := env.simulatePlanned(half, cfg)
 			if err != nil {
 				return err
 			}
-			col.add(r, "Proposed", severity, 0)
+			col.add(env.r, "Proposed", severity, 0)
 
-			lru, err := policies.NewLRU(env.w, half, env.simSeed+uint64(r))
+			lru, err := policies.NewLRU(env.w, half, env.simSeed+uint64(env.r))
 			if err != nil {
 				return err
 			}
 			lruCfg := cfg
 			lruCfg.Warmup = true
-			lruRT, err := simulateWithConfig(env, lru, lruCfg)
+			lruRT, err := env.simulate(env.w, lru, lruCfg)
 			if err != nil {
 				return err
 			}
-			col.add(r, "LRU", severity, stats.RelativeIncrease(lruRT, oursRT))
+			col.add(env.r, "LRU", severity, stats.RelativeIncrease(lruRT, oursRT))
 
-			localRT, err := simulateWithConfig(env, policies.NewLocal(env.w), cfg)
+			localRT, err := env.simulate(env.w, policies.NewLocal(env.w), cfg)
 			if err != nil {
 				return err
 			}
-			col.add(r, "Local", severity, stats.RelativeIncrease(localRT, oursRT))
+			col.add(env.r, "Local", severity, stats.RelativeIncrease(localRT, oursRT))
 		}
 		return nil
 	})

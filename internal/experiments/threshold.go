@@ -17,9 +17,9 @@ var ThresholdGrid = []int64{1, 2, 5, 10, 25, 50}
 // identical traffic and relative to the unconstrained proposed policy.
 func ThresholdStudy(opts Options) (*stats.Figure, error) {
 	col := newCollector(opts.Runs)
-	err := forEachRun(&opts, func(r int, env *runEnv) error {
-		half := unconstrainedBudgets(env.w).Scale(env.w, 0.5, 1)
-		oursRT, _, err := env.simulatePlanned(half)
+	err := forEachRun(&opts, func(env *runEnv) error {
+		half := storageOnly(env.w, 0.5)
+		oursRT, _, err := env.simulatePlanned(half, env.simCfg)
 		if err != nil {
 			return err
 		}
@@ -31,12 +31,12 @@ func ThresholdStudy(opts Options) (*stats.Figure, error) {
 			// Warm like the LRU baseline: dynamic schemes adapt online, so
 			// measuring from a cold start would conflate ramp-up with
 			// steady state.
-			rt, err := env.simulate(pol, true)
+			rt, err := env.simulate(env.w, pol, env.warmCfg)
 			if err != nil {
 				return err
 			}
-			col.add(r, "Threshold dynamic", float64(thr), stats.RelativeIncrease(rt, env.baseRT))
-			col.add(r, "Proposed (static plan)", float64(thr), stats.RelativeIncrease(oursRT, env.baseRT))
+			col.add(env.r, "Threshold dynamic", float64(thr), env.rel(rt))
+			col.add(env.r, "Proposed (static plan)", float64(thr), env.rel(oursRT))
 		}
 		return nil
 	})

@@ -68,19 +68,15 @@ func CriticalPath(opts Options) (*CriticalPathResult, error) {
 		flagged              []PageDeviation // retained for run 0 only
 	}
 	perRun := make([]runAgg, opts.Runs)
-	err := forEachRun(&opts, func(r int, env *runEnv) error {
-		budgets := unconstrainedBudgets(env.w).Scale(env.w, CriticalPathStorage, 1)
-		penv, err := model.NewEnv(env.w, env.est, budgets)
-		if err != nil {
-			return err
-		}
-		p, _, err := core.Plan(penv, core.Options{Workers: env.planWorkers})
+	err := forEachRun(&opts, func(env *runEnv) error {
+		r := env.r
+		penv, p, _, err := env.plan(env.w, storageOnly(env.w, CriticalPathStorage), core.Options{})
 		if err != nil {
 			return err
 		}
 		cfg := env.simCfg
 		cfg.Trace = trace.NewBuffer(0)
-		if _, err := simulateWithConfig(env, policies.NewStatic("Proposed", p), cfg); err != nil {
+		if _, err := env.simulate(env.w, policies.NewStatic("Proposed", p), cfg); err != nil {
 			return err
 		}
 		a := trace.Analyze(cfg.Trace.Spans())

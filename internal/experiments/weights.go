@@ -2,8 +2,10 @@ package experiments
 
 import (
 	"repro/internal/core"
+	"repro/internal/httpsim"
 	"repro/internal/model"
 	"repro/internal/policies"
+	"repro/internal/rng"
 	"repro/internal/stats"
 )
 
@@ -19,13 +21,9 @@ var WeightGrid = []float64{0, 0.25, 0.5, 1, 2, 4}
 // optional time per view, each relative to the unconstrained reference.
 func WeightsStudy(opts Options) (*stats.Figure, error) {
 	col := newCollector(opts.Runs)
-	err := forEachRun(&opts, func(r int, env *runEnv) error {
+	err := forEachRun(&opts, func(env *runEnv) error {
 		// Reference means from the unconstrained plan.
-		refEnv, err := model.NewEnv(env.w, env.est, unconstrainedBudgets(env.w))
-		if err != nil {
-			return err
-		}
-		refPlan, _, err := core.Plan(refEnv, core.Options{Workers: env.planWorkers})
+		_, refPlan, _, err := env.plan(env.w, storageOnly(env.w, 1), core.Options{})
 		if err != nil {
 			return err
 		}
@@ -35,14 +33,12 @@ func WeightsStudy(opts Options) (*stats.Figure, error) {
 		}
 
 		for _, ratio := range WeightGrid {
-			b := unconstrainedBudgets(env.w).Scale(env.w, 0.3, 1)
-			menv, err := model.NewEnv(env.w, env.est, b)
-			if err != nil {
-				return err
-			}
-			menv.Alpha1 = 2
-			menv.Alpha2 = 2 * ratio
-			p, _, err := core.Plan(menv, core.Options{Workers: env.planWorkers})
+			// The planner takes its weights from the workload's
+			// configuration; pages and objects are shared with the original,
+			// so the placement simulates on the run's own workload.
+			weighted := *env.w
+			weighted.Config.Alpha1, weighted.Config.Alpha2 = 2, 2*ratio
+			_, p, _, err := env.plan(&weighted, storageOnly(env.w, 0.3), core.Options{})
 			if err != nil {
 				return err
 			}
@@ -50,9 +46,9 @@ func WeightsStudy(opts Options) (*stats.Figure, error) {
 			if err != nil {
 				return err
 			}
-			col.add(r, "Page RT", ratio, stats.RelativeIncrease(pageMean, refPage))
+			col.add(env.r, "Page RT", ratio, stats.RelativeIncrease(pageMean, refPage))
 			if refOpt > 0 {
-				col.add(r, "Optional RT", ratio, stats.RelativeIncrease(optMean, refOpt))
+				col.add(env.r, "Optional RT", ratio, stats.RelativeIncrease(optMean, refOpt))
 			}
 		}
 		return nil
@@ -69,7 +65,7 @@ func WeightsStudy(opts Options) (*stats.Figure, error) {
 // pageAndOptMeans simulates a placement on the run's traffic and returns
 // the mean page retrieval time and mean optional seconds per view.
 func pageAndOptMeans(env *runEnv, p *model.Placement) (pageMean, optMean float64, err error) {
-	res, err := simulateFull(env, policies.NewStatic("w", p))
+	res, err := httpsim.Run(env.w, env.est, policies.NewStatic("w", p), env.simCfg, rng.New(env.simSeed))
 	if err != nil {
 		return 0, 0, err
 	}

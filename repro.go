@@ -22,12 +22,12 @@
 //	fmt.Println(sim.CompositeMean())
 //
 // The experiment harness that regenerates every table and figure of the
-// paper's evaluation is exposed through Figure1/Figure2/Figure3/Table1 and
-// StorageEquivalence; see EXPERIMENTS.md for the recorded paper-vs-measured
-// comparison.
+// paper's evaluation, and the extension studies, is exposed as one table,
+// Studies; see EXPERIMENTS.md for the recorded paper-vs-measured comparison.
 package repro
 
 import (
+	"flag"
 	"io"
 
 	"repro/internal/core"
@@ -243,158 +243,25 @@ func PaperExperiment() ExperimentOptions { return experiments.Paper() }
 // QuickExperiment returns a reduced experiment configuration.
 func QuickExperiment() ExperimentOptions { return experiments.Quick() }
 
-// Figure1 regenerates the paper's Figure 1 (response time vs storage).
-func Figure1(opts ExperimentOptions) (*Figure, error) { return experiments.Figure1(opts) }
-
-// Figure2 regenerates Figure 2 (response time vs processing capacity).
-func Figure2(opts ExperimentOptions) (*Figure, error) { return experiments.Figure2(opts) }
-
-// Figure3 regenerates Figure 3 (constrained repository capacities).
-func Figure3(opts ExperimentOptions) (*Figure, error) { return experiments.Figure3(opts) }
-
-// Table1 regenerates the Table-1 workload audit.
-func Table1(opts ExperimentOptions) (*WorkloadSummary, error) { return experiments.Table1(opts) }
-
 // StorageEquivalence measures the §5.2 "same response time with ~65 % of
 // the storage" claim.
 func StorageEquivalence(opts ExperimentOptions) (*EquivalenceResult, error) {
 	return experiments.StorageEquivalence(opts)
 }
 
-// AblationResult compares the algorithm with its design-choice ablations.
-type AblationResult = experiments.AblationResult
+// Study is one entry of the evaluation — a paper artifact or an extension
+// study — with its command-line name, heading and Run function.
+type Study = experiments.Study
 
-// Ablations measures the planner against its ablations (unsorted
-// PARTITION, no re-partitioning) and the naive splits on identical traffic.
-func Ablations(opts ExperimentOptions) (*AblationResult, error) {
-	return experiments.Ablations(opts)
-}
+// Studies is the single table of the paper's experiments (Table 1, Figures
+// 1-3, the §5.2 claim) and the extension studies; replexp, replreport, the
+// reproducibility test and the benchmarks all iterate it.
+var Studies = experiments.Studies
 
-// DriftFigure measures how stale plans age as the hot set rotates — the
-// Section-4.1 motivation for periodic re-execution.
-func DriftFigure(opts ExperimentOptions) (*Figure, error) {
-	return experiments.Drift(opts)
-}
-
-// RedirectStudy quantifies the Section-6 argument: server-side URL
-// rewriting vs per-access redirection latency.
-func RedirectStudy(opts ExperimentOptions) (*Figure, error) {
-	return experiments.RedirectStudy(opts)
-}
-
-// Sensitivity measures how the proposed policy's advantage survives as
-// actual network conditions drift from the planner's estimates (§5.1).
-func Sensitivity(opts ExperimentOptions) (*Figure, error) {
-	return experiments.Sensitivity(opts)
-}
-
-// ThresholdStudy sweeps a threshold-driven dynamic replication baseline
-// against the static plan (the paper's other Section-6 critique).
-func ThresholdStudy(opts ExperimentOptions) (*Figure, error) {
-	return experiments.ThresholdStudy(opts)
-}
-
-// QueueingStudy isolates the queueing overhead an Eq. 8-aware plan avoids
-// versus a capacity-ignorant plan, under the fluid-queue extension.
-func QueueingStudy(opts ExperimentOptions) (*Figure, error) {
-	return experiments.QueueingStudy(opts)
-}
-
-// PeriodStudy quantifies the re-planning period trade-off (responsiveness
-// vs replica churn) under continuously drifting traffic.
-func PeriodStudy(opts ExperimentOptions) (*Figure, error) {
-	return experiments.PeriodStudy(opts)
-}
-
-// WeightsStudy probes the (α1, α2) objective weights' page-vs-optional
-// trade-off under tight storage.
-func WeightsStudy(opts ExperimentOptions) (*Figure, error) {
-	return experiments.WeightsStudy(opts)
-}
-
-// DegradedMode sweeps site availability and compares replication policies
-// against the repository-only floor (the robustness study behind the live
-// cluster's repository fallback).
-func DegradedMode(opts ExperimentOptions) (*Figure, error) {
-	return experiments.DegradedMode(opts)
-}
-
-// Recovery study: the self-healing control plane's scripted-outage
-// timeline (MTTD/MTTR accounting plus the D-over-time trajectory).
-type (
-	// RecoveryResult is the recovery study's output.
-	RecoveryResult = experiments.RecoveryResult
-	// RecoveryRun is one run's scripted-outage accounting.
-	RecoveryRun = experiments.RecoveryRun
-)
-
-// Recovery plays a scripted worst-case site outage through the repair
-// planner and reports detection and repair times plus the objective's
-// trajectory for a self-healing cluster versus a fallback-only client.
-func Recovery(opts ExperimentOptions) (*RecoveryResult, error) {
-	return experiments.Recovery(opts)
-}
-
-// Flash-crowd study: the adaptive planning loop under hot-page rotation
-// (§4.1's "breaking news" drift) — static plan vs detector-gated online
-// re-planning vs a clairvoyant oracle.
-type (
-	// FlashCrowdResult is the flash-crowd study's output.
-	FlashCrowdResult = experiments.FlashCrowdResult
-	// FlashCrowdRun is one run's full episode.
-	FlashCrowdRun = experiments.FlashCrowdRun
-	// FlashCrowdEpoch is one epoch's accounting within a run.
-	FlashCrowdEpoch = experiments.FlashCrowdEpoch
-)
-
-// FlashCrowd plays cumulative hot-page rotation against the streaming
-// estimator and drift detector, re-planning online from estimated traffic
-// and shipping only placement deltas, and reports how closely the online
-// planner tracks the oracle while the static plan degrades.
-func FlashCrowd(opts ExperimentOptions) (*FlashCrowdResult, error) {
-	return experiments.FlashCrowd(opts)
-}
-
-// Scrub study: the end-to-end integrity layer under gray failure — replica
-// rot, a limping site and a control partition against live clusters, with
-// self-verifying payloads, the anti-entropy scrubber and the latency-aware
-// supervisor closing the loop.
-type (
-	// ScrubResult is the integrity soak's output.
-	ScrubResult = experiments.ScrubResult
-	// ScrubRun is one run's chaos-soak accounting.
-	ScrubRun = experiments.ScrubRun
-)
-
-// Scrub runs the integrity chaos soak: seeded replica rot, a permanently
-// limping site and a control-partitioned site against a live cluster,
-// proving zero undetected integrity violations (every corruption caught at
-// fetch time or within one scrub cycle) with detection and repair accounted
-// per run.
-func Scrub(opts ExperimentOptions) (*ScrubResult, error) {
-	return experiments.Scrub(opts)
-}
-
-// Overload study: admission control, retry budgets and deadline
-// propagation against a 10× flash crowd, including the metastable-failure
-// demonstration (protections off: goodput stays collapsed after the spike;
-// on: recovery within one drain window).
-type (
-	// OverloadResult is the overload study's output.
-	OverloadResult = experiments.OverloadResult
-	// OverloadRun is one run: the same arrival ramp, protections off and on.
-	OverloadRun = experiments.OverloadRun
-	// OverloadPass is one pass's accounting.
-	OverloadPass = experiments.OverloadPass
-)
-
-// Overload runs the metastable-failure study: a seeded open-loop arrival
-// ramp against a single server on a virtual clock, once unprotected (the
-// post-spike retry storm keeps effective load above capacity forever) and
-// once under the admission stack (bounded queue, CoDel sojourn shedding,
-// deadline drops, shared retry budget), bit-reproducible per seed.
-func Overload(opts ExperimentOptions) (*OverloadResult, error) {
-	return experiments.Overload(opts)
+// ExperimentFlags registers the -scale, -runs, -seed and -requests flags on
+// fs and returns the function resolving them into options after parsing.
+func ExperimentFlags(fs *flag.FlagSet) func() (ExperimentOptions, error) {
+	return experiments.BindFlags(fs)
 }
 
 // Repair planning: deterministic re-replication plans for a down-set
@@ -524,16 +391,6 @@ func SaveSpans(path string, spans []RequestSpan) error { return trace.SaveJSONL(
 
 // SaveChromeTrace writes spans as Chrome trace-event JSON (Perfetto-loadable).
 func SaveChromeTrace(path string, spans []RequestSpan) error { return trace.SaveChrome(path, spans) }
-
-// CriticalPathResult is the observed-vs-predicted-D study's output.
-type CriticalPathResult = experiments.CriticalPathResult
-
-// CriticalPathStudy simulates the proposed policy with tracing armed and
-// compares every page's observed Eq. 5 critical path against the planner's
-// prediction, flagging the pages the §5.1 deviations hurt most.
-func CriticalPathStudy(opts ExperimentOptions) (*CriticalPathResult, error) {
-	return experiments.CriticalPath(opts)
-}
 
 // LoadPlacement reads a placement for the workload from a JSON file.
 func LoadPlacement(w *Workload, path string) (*Placement, error) {

@@ -72,23 +72,35 @@ func TestFacadeLRUPolicy(t *testing.T) {
 	}
 }
 
+// study returns the table entry with the given command-line name.
+func study(t *testing.T, name string) Study {
+	t.Helper()
+	for _, s := range Studies {
+		if s.Name == name {
+			return s
+		}
+	}
+	t.Fatalf("no study %q in the table", name)
+	return Study{}
+}
+
 func TestFacadeExperiment(t *testing.T) {
 	opts := QuickExperiment()
 	opts.Runs = 1
 	opts.RequestsPerSite = 80
-	fig, err := Figure2(opts)
+	_, fig, err := study(t, "fig2").Run(opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(fig.Series) != 1 || len(fig.Series[0].X) == 0 {
 		t.Error("figure empty")
 	}
-	sum, err := Table1(opts)
+	sum, _, err := study(t, "table1").Run(opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sum.Pages == 0 {
-		t.Error("empty workload summary")
+	if audit, ok := sum.(*WorkloadSummary); !ok || audit.Pages == 0 {
+		t.Errorf("empty workload summary: %#v", sum)
 	}
 }
 
@@ -181,35 +193,16 @@ func TestFacadeExperimentWrappers(t *testing.T) {
 	opts.Runs = 1
 	opts.RequestsPerSite = 50
 
-	if _, err := Figure1(opts); err != nil {
-		t.Errorf("Figure1: %v", err)
-	}
-	if _, err := Figure3(opts); err != nil {
-		t.Errorf("Figure3: %v", err)
+	for _, s := range Studies {
+		sum, fig, err := s.Run(opts)
+		if err != nil {
+			t.Errorf("%s: %v", s.Name, err)
+		} else if sum == nil && fig == nil {
+			t.Errorf("%s: neither a summary nor a figure", s.Name)
+		}
 	}
 	if _, err := StorageEquivalence(opts); err != nil {
 		t.Errorf("StorageEquivalence: %v", err)
-	}
-	if _, err := Ablations(opts); err != nil {
-		t.Errorf("Ablations: %v", err)
-	}
-	if _, err := RedirectStudy(opts); err != nil {
-		t.Errorf("RedirectStudy: %v", err)
-	}
-	if _, err := Sensitivity(opts); err != nil {
-		t.Errorf("Sensitivity: %v", err)
-	}
-	if _, err := ThresholdStudy(opts); err != nil {
-		t.Errorf("ThresholdStudy: %v", err)
-	}
-	if _, err := QueueingStudy(opts); err != nil {
-		t.Errorf("QueueingStudy: %v", err)
-	}
-	if _, err := WeightsStudy(opts); err != nil {
-		t.Errorf("WeightsStudy: %v", err)
-	}
-	if _, err := DriftFigure(opts); err != nil {
-		t.Errorf("DriftFigure: %v", err)
 	}
 	p := PaperExperiment()
 	if p.Runs != 20 || p.Workload.Sites != 10 {

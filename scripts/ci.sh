@@ -39,15 +39,11 @@ stage_lint() {
     go run ./cmd/repllint ./...
 }
 
-# The complete test suite, plus two cold -count=1 pins outside any warm
-# test cache: the metrics endpoint smoke test and the span-forest
-# determinism goldens (same seed ⇒ byte-identical httpsim span export,
-# deterministic trace IDs, stable JSONL and Chrome encodings).
+# The complete test suite. (Nothing is re-run cold here: stage_race runs the
+# whole module -count=1, the metrics endpoint smoke test and the span-forest
+# determinism goldens included.)
 stage_test() {
     go test ./...
-    go test -count=1 -run TestMetricsEndpoint ./internal/webserve/
-    go test -count=1 -run 'TestTraceGolden|TestIDGenDeterministicAndNonZero|TestJSONLRoundTripAndDeterminism|TestChromeExportValidAndDeterministic' \
-        ./internal/httpsim/ ./internal/trace/
 }
 
 # Module-wide race detector, not a hand-picked list, so a new concurrent
