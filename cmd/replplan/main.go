@@ -34,7 +34,7 @@ func run(args []string, stdout io.Writer) error {
 	repo := fs.Float64("repo", 0, "repository capacity as a fraction of the pre-offload load; 0 = unconstrained")
 	workers := fs.Int("workers", 0, "planning worker pool size; 0 = GOMAXPROCS, 1 = sequential (identical plan either way)")
 	verbose := fs.Bool("verbose", false, "print the off-loading protocol messages")
-	trace := fs.Bool("trace", false, "print the per-phase planner span tree (durations, flip/dealloc counters)")
+	trace := fs.Bool("trace", false, "print the per-phase planner span tree (wall and busy time, dealloc/flip/round/message counters)")
 	out := fs.String("o", "", "write the planned placement as JSON to this path (replayable by replsim -p)")
 	explain := fs.Int("explain", -1, "print the decision rationale for this page ID")
 	if err := fs.Parse(args); err != nil {
@@ -88,21 +88,22 @@ func run(args []string, stdout io.Writer) error {
 	if *verbose {
 		log = stdout
 	}
-	var span *repro.Span
+	var spans *repro.SpanBuffer
 	if *trace {
-		span = repro.NewSpan("plan")
+		spans = repro.NewSpanBuffer(0)
 	}
-	placement, result, err := repro.Plan(env, repro.PlanOptions{Workers: *workers, MessageLog: log, Trace: span})
+	root := repro.StartPlanSpan(spans, *seed) // nil, and free, without -trace
+	placement, result, err := repro.Plan(env, repro.PlanOptions{Workers: *workers, MessageLog: log, Trace: root})
+	root.End()
 	if err != nil {
 		return err
 	}
 	if err := result.Write(stdout); err != nil {
 		return err
 	}
-	if span != nil {
-		span.End()
+	if *trace {
 		fmt.Fprintln(stdout)
-		if err := span.Write(stdout); err != nil {
+		if err := repro.WriteSpanTree(stdout, spans.Spans()); err != nil {
 			return err
 		}
 	}

@@ -22,11 +22,12 @@ func TestRunPlanSmall(t *testing.T) {
 
 func TestRunPlanWithOffloadVerbose(t *testing.T) {
 	var sb strings.Builder
-	if err := run([]string{"-scale", "small", "-capacity", "0.6", "-repo", "0.6", "-verbose"}, &sb); err != nil {
+	if err := run([]string{"-scale", "small", "-capacity", "0.6", "-repo", "0.6", "-verbose", "-trace"}, &sb); err != nil {
 		t.Fatal(err)
 	}
 	out := sb.String()
-	for _, want := range []string{"pre-offload repository load", "NewReq", "accepted"} {
+	for _, want := range []string{"pre-offload repository load", "NewReq", "accepted",
+		"\ncore.plan ", "\n  core.partition ", "\n  core.offload ", " busy=", "offload_messages="} {
 		if !strings.Contains(out, want) {
 			t.Errorf("output missing %q", want)
 		}

@@ -98,7 +98,7 @@ func observabilitySection(w io.Writer, tracePath, journalPath string) error {
 		fmt.Fprintf(w, "Control-plane journal `%s`: %d events.\n\n", journalPath, len(events))
 		fmt.Fprintf(w, "| event | count |\n|---|---|\n")
 		for _, tc := range repro.CountJournalEvents(events) {
-			fmt.Fprintf(w, "| %s | %d |\n", tc.Type, tc.Count)
+			fmt.Fprintf(w, "| %s | %d |\n", tc.Name, tc.Count)
 		}
 		fmt.Fprintln(w)
 	}

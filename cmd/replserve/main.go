@@ -188,9 +188,9 @@ func run(args []string, stdout io.Writer) error {
 		fmt.Fprintf(stdout, "journal: flight recorder armed (GET %s/debug/journal)\n", cluster.RepoBase)
 		defer func() {
 			events := journal.Events()
-			fmt.Fprintf(stdout, "journal: %d events recorded\n", len(events))
+			fmt.Fprintf(stdout, "journal: %d events recorded, %d dropped\n", journal.Total(), journal.Dropped())
 			for _, tc := range repro.CountJournalEvents(events) {
-				fmt.Fprintf(stdout, "  %-18s %6d\n", tc.Type, tc.Count)
+				fmt.Fprintf(stdout, "  %-18s %6d\n", tc.Name, tc.Count)
 			}
 			for _, line := range repro.PlanLineage(events) {
 				fmt.Fprintf(stdout, "  plan %s\n", line)

@@ -82,7 +82,7 @@ func TestRunServeTraceJournal(t *testing.T) {
 		"journal: flight recorder armed",
 		"spans written to",
 		"Chrome trace written to",
-		"journal:", "fault.injected",
+		"events recorded, 0 dropped", "fault.injected",
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("output missing %q:\n%s", want, out)

@@ -169,7 +169,7 @@ func run(args []string, stdout io.Writer) error {
 		}
 		fmt.Fprintf(stdout, "\ncontrol-plane journal: %d events\n", len(events))
 		for _, tc := range trace.CountEventTypes(events) {
-			fmt.Fprintf(stdout, "  %-18s %6d\n", tc.Type, tc.Count)
+			fmt.Fprintf(stdout, "  %-18s %6d\n", tc.Name, tc.Count)
 		}
 		if lineage := trace.PlanLineage(events); len(lineage) > 0 {
 			fmt.Fprintln(stdout, "\nplan lineage:")

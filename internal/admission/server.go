@@ -195,13 +195,12 @@ func (s *Server) noteState(ep *Endpoint, now time.Duration) {
 	if !changed {
 		return
 	}
-	event := "admission.recovered"
+	fields := []trace.Attr{trace.A(trace.AttrSite, s.m.Site), trace.I("elapsed_ms", now.Milliseconds())}
 	if dropping {
-		event = "admission.saturated"
+		s.m.Journal.Record("admission.saturated", fields...)
+	} else {
+		s.m.Journal.Record("admission.recovered", fields...)
 	}
-	s.m.Journal.Record(event,
-		trace.A(trace.AttrSite, s.m.Site),
-		trace.I("elapsed_ms", now.Milliseconds()))
 }
 
 // anyDropping reports whether any endpoint's CoDel law is shedding.

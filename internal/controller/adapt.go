@@ -59,12 +59,7 @@ type Adapter struct {
 	opts  AdaptOptions
 	start time.Time
 
-	mu        sync.Mutex
-	checks    int
-	triggers  int
-	replans   int
-	noops     int
-	copyBytes units.ByteSize
+	mu sync.Mutex // serializes CheckNow; Counts waits out a check in progress
 
 	cChecks, cTriggers, cReplans, cNoops, cCopyBytes *telemetry.Counter
 	gDriftL1                                         *telemetry.Gauge
@@ -123,7 +118,6 @@ func (a *Adapter) CheckNow(t float64) (*Cycle, error) {
 	if err != nil {
 		return nil, fmt.Errorf("controller: drift check: %w", err)
 	}
-	a.checks++
 	a.cChecks.Inc()
 	a.gDriftL1.Set(dec.L1)
 	journal.Record("adapt.check",
@@ -134,7 +128,6 @@ func (a *Adapter) CheckNow(t float64) (*Cycle, error) {
 	if !dec.Trigger {
 		return out, nil
 	}
-	a.triggers++
 	a.cTriggers.Inc()
 	a.logf("drift trigger: L1=%.3f topk=%.2f, re-planning", dec.L1, dec.TopKChurn)
 
@@ -164,7 +157,6 @@ func (a *Adapter) CheckNow(t float64) (*Cycle, error) {
 		return nil, fmt.Errorf("controller: plan diff: %w", err)
 	}
 	if !diff.Changed() {
-		a.noops++
 		a.cNoops.Inc()
 		a.det.Rebase(estimate.BaselineVector(w2)) // the re-estimated traffic is the new baseline
 		journal.Record("adapt.noop",
@@ -178,8 +170,6 @@ func (a *Adapter) CheckNow(t float64) (*Cycle, error) {
 	if err := a.rec.SetBase(env2, fresh, trace.I("copy_bytes", int64(delta.CopyBytes))); err != nil {
 		return nil, err
 	}
-	a.replans++
-	a.copyBytes += delta.CopyBytes
 	a.cReplans.Inc()
 	a.cCopyBytes.Add(int64(delta.CopyBytes))
 	a.det.Rebase(estimate.BaselineVector(w2))
@@ -198,14 +188,14 @@ func (a *Adapter) CheckNow(t float64) (*Cycle, error) {
 func (a *Adapter) Counts() (checks, triggers, replans, noops int) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	return a.checks, a.triggers, a.replans, a.noops
+	return int(a.cChecks.Value()), int(a.cTriggers.Value()), int(a.cReplans.Value()), int(a.cNoops.Value())
 }
 
 // CopyBytes returns the total adaptation traffic shipped so far.
 func (a *Adapter) CopyBytes() units.ByteSize {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	return a.copyBytes
+	return units.ByteSize(a.cCopyBytes.Value())
 }
 
 // Current returns the reconciler's base: the environment and placement the

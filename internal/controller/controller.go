@@ -115,14 +115,12 @@ type Supervisor struct {
 	probe *http.Client
 	start time.Time
 
-	mu         sync.Mutex // held across the commit: observers never see a down site without its repair
-	states     []SiteState
-	fails      []int
-	oks        []int
-	ewma       []float64 // smoothed probe RTT per site, seconds; 0 = no sample yet
-	lastRTT    []float64 // last raw probe RTT per site, seconds
-	repairs    int
-	recoveries int
+	mu      sync.Mutex // held across the commit: observers never see a down site without its repair
+	states  []SiteState
+	fails   []int
+	oks     []int
+	ewma    []float64 // smoothed probe RTT per site, seconds; 0 = no sample yet
+	lastRTT []float64 // last raw probe RTT per site, seconds
 
 	cProbes, cProbeFails, cRepairs, cRecoveries, cTransitions *telemetry.Counter
 	cProbesShed                                               *telemetry.Counter
@@ -313,13 +311,11 @@ func (s *Supervisor) submit(now time.Duration) {
 		}
 	}
 	if len(down) == 0 {
-		s.recoveries++
 		s.cRecoveries.Inc()
 		s.rec.opts.Journal.Record("controller.recovered")
 		s.logf("recovered: base placement reinstated")
 		return
 	}
-	s.repairs++
 	s.cRepairs.Inc()
 	d := s.rec.Repair().Delta
 	s.logf("repaired: %d sites down, %d pages re-homed, D %.4f -> %.4f (degraded %.4f)",
@@ -341,7 +337,7 @@ func (s *Supervisor) CurrentPlan() *repair.Plan { return s.rec.Repair() }
 func (s *Supervisor) Counts() (repairs, recoveries int) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.repairs, s.recoveries
+	return int(s.cRepairs.Value()), int(s.cRecoveries.Value())
 }
 
 // Latency returns site i's last raw probe RTT and its EWMA estimate

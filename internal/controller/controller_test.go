@@ -122,7 +122,7 @@ func TestStateMachineTransitions(t *testing.T) {
 	// repair plan, both placement pushes, and the final recovery.
 	counts := make(map[string]int)
 	for _, tc := range trace.CountEventTypes(journal.Events()) {
-		counts[tc.Type] = tc.Count
+		counts[tc.Name] = tc.Count
 	}
 	// up→suspect, suspect→up, up→suspect, suspect→down, down→recovering,
 	// recovering→up (the flap while down never leaves the Down state).

@@ -22,8 +22,9 @@ type ReconcilerOptions struct {
 	// Workers bounds the repair planner's concurrency (0 = GOMAXPROCS);
 	// plans are identical at any width.
 	Workers int
-	// Metrics, when non-nil, receives the controller.*, adapt.* and scrub.*
-	// counters and the controller.sites_down gauge.
+	// Metrics receives the controller.*, adapt.* and scrub.* counters — the
+	// sources' only tallies — and the controller.sites_down gauge. Nil means
+	// a private registry; pass the cluster's to export them at /metrics.
 	Metrics *telemetry.Registry
 	// Log, when non-nil, receives one line per commit, transition and
 	// finding. On a failed commit the journal is additionally dumped to it,
@@ -61,6 +62,9 @@ type Reconciler struct {
 // NewReconciler takes ownership of a running cluster's plan. env and p are
 // the environment and placement the cluster was started with: generation 0.
 func NewReconciler(env *model.Env, p *model.Placement, cluster *webserve.Cluster, opts ReconcilerOptions) *Reconciler {
+	if opts.Metrics == nil {
+		opts.Metrics = telemetry.NewRegistry()
+	}
 	return &Reconciler{cluster: cluster, opts: opts, env: env, base: p, gDown: opts.Metrics.Gauge("controller.sites_down")}
 }
 
@@ -180,8 +184,8 @@ func (r *Reconciler) commit(env *model.Env, base *model.Placement, rp *repair.Pl
 func (r *Reconciler) reject(cause string, err error) error {
 	err = fmt.Errorf("controller: %s commit after gen %d: %w", cause, r.gen, err)
 	if r.opts.Journal != nil && r.opts.Log != nil {
-		fmt.Fprintf(r.opts.Log, "reconciler: %v; journal dump (%d events, %d dropped):\n",
-			err, len(r.opts.Journal.Events()), r.opts.Journal.Dropped())
+		fmt.Fprintf(r.opts.Log, "reconciler: %v; journal dump (%d events recorded, %d dropped):\n",
+			err, r.opts.Journal.Total(), r.opts.Journal.Dropped())
 		_ = r.opts.Journal.WriteText(r.opts.Log)
 	}
 	return err
@@ -191,7 +195,7 @@ func (r *Reconciler) reject(cause string, err error) error {
 // prefixed logging, the last loop error, and the one ticker goroutine.
 type source struct {
 	rec  *Reconciler
-	name string // log prefix and "<name>.error" journal type
+	name string // log prefix and the controller.error event's source
 
 	errMu   sync.Mutex
 	lastErr error
@@ -231,7 +235,7 @@ func (s *source) fail(err error) {
 	s.errMu.Lock()
 	s.lastErr = err
 	s.errMu.Unlock()
-	s.rec.opts.Journal.Record(s.name+".error", trace.A(trace.AttrReason, err.Error()))
+	s.rec.opts.Journal.Record("controller.error", trace.A("source", s.name), trace.A(trace.AttrReason, err.Error()))
 	s.logf("%v", err)
 }
 

@@ -72,12 +72,7 @@ type Scrubber struct {
 	opts ScrubOptions
 	http *http.Client
 
-	mu          sync.Mutex
-	cycles      int
-	objects     int
-	corrupt     int
-	repairs     int
-	repairBytes units.ByteSize
+	mu sync.Mutex // serializes RunCycle; Counts waits out a cycle in progress
 
 	cCycles, cObjects, cClean, cCorrupt *telemetry.Counter
 	cErrors, cRepairs, cRepairBytes     *telemetry.Counter
@@ -142,7 +137,6 @@ func (s *Scrubber) RunCycle() (*ScrubCycle, error) {
 
 	w, p := cluster.CurrentPlan()
 	out := &ScrubCycle{}
-	s.cycles++
 	s.cCycles.Inc()
 	for i := 0; i < w.NumSites(); i++ {
 		site := workload.SiteID(i)
@@ -153,7 +147,6 @@ func (s *Scrubber) RunCycle() (*ScrubCycle, error) {
 		p.StoredSet(site).ForEach(func(ki int) bool {
 			k := workload.ObjectID(ki)
 			out.Checked++
-			s.objects++
 			s.cObjects.Inc()
 			data, err := s.fetch(base, k)
 			if err != nil {
@@ -163,7 +156,6 @@ func (s *Scrubber) RunCycle() (*ScrubCycle, error) {
 			}
 			if verr := webserve.VerifyObjectFrom(w, i, k, data); verr != nil {
 				out.Corrupt = append(out.Corrupt, Finding{Site: site, Object: k, Reason: verr.Error()})
-				s.corrupt++
 				s.cCorrupt.Inc()
 				journal.Record("scrub.corrupt",
 					trace.I(trace.AttrSite, int64(i)),
@@ -213,8 +205,6 @@ func (s *Scrubber) repairFindings(w *workload.Workload, out *ScrubCycle) error {
 	}
 	out.Repaired = true
 	out.RepairBytes = bytes
-	s.repairs++
-	s.repairBytes += bytes
 	s.cRepairs.Inc()
 	s.cRepairBytes.Add(int64(bytes))
 	s.rec.opts.Journal.Record("scrub.repaired",
@@ -228,12 +218,12 @@ func (s *Scrubber) repairFindings(w *workload.Workload, out *ScrubCycle) error {
 func (s *Scrubber) Counts() (cycles, objects, corrupt, repairs int) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.cycles, s.objects, s.corrupt, s.repairs
+	return int(s.cCycles.Value()), int(s.cObjects.Value()), int(s.cCorrupt.Value()), int(s.cRepairs.Value())
 }
 
 // RepairBytes returns the total anti-entropy traffic shipped so far.
 func (s *Scrubber) RepairBytes() units.ByteSize {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.repairBytes
+	return units.ByteSize(s.cRepairBytes.Value())
 }

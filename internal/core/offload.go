@@ -5,7 +5,7 @@ import (
 	"io"
 	"math"
 
-	"repro/internal/telemetry"
+	"repro/internal/trace"
 	"repro/internal/units"
 	"repro/internal/workload"
 )
@@ -43,10 +43,19 @@ func (pl *Planner) Offload(log io.Writer) OffloadStats {
 // accept in place: AcceptWorkload(i) touches only site i's cells (see
 // parallel.go), and the answers are slotted in ascending site order before
 // the coordinator reads them, so the placement, the statistics and the
-// message log are bit-identical at every worker count. Per-worker busy time
-// accumulates on sp.
-func (pl *Planner) OffloadParallel(log io.Writer, workers int, sp *telemetry.Span) OffloadStats {
-	stats := OffloadStats{RepoLoadBefore: pl.RepoLoad()}
+// message log are bit-identical at every worker count. A non-nil parent
+// gains a trace.SpanOffload child carrying the workers' busy time and the
+// round and message counts.
+func (pl *Planner) OffloadParallel(log io.Writer, workers int, parent *trace.Active) (stats OffloadStats) {
+	sp := parent.StartChild(trace.SpanOffload)
+	if sp != nil {
+		defer func() {
+			sp.SetAttr(trace.I(trace.AttrOffloadRounds, int64(stats.Rounds)),
+				trace.I(trace.AttrOffloadMessages, int64(stats.Messages)))
+			sp.End()
+		}()
+	}
+	stats = OffloadStats{RepoLoadBefore: pl.RepoLoad()}
 	capR := float64(pl.env.Budgets.RepoCapacity)
 	logf := func(format string, args ...interface{}) {
 		if log != nil {

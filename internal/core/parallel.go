@@ -25,7 +25,7 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/telemetry"
+	"repro/internal/trace"
 	"repro/internal/units"
 	"repro/internal/workload"
 )
@@ -37,7 +37,7 @@ var clock = time.Now //repllint:allow determinism — span busy-time telemetry; 
 // lap adds the time since from to sp's busy counter and returns the new lap
 // start; a zero from only starts the clock. With tracing off every span is
 // nil and lap returns its argument — no clock reads, no allocations.
-func lap(sp *telemetry.Span, from time.Time) time.Time {
+func lap(sp *trace.Active, from time.Time) time.Time {
 	if sp == nil {
 		return from
 	}
@@ -60,7 +60,7 @@ const fanOutChunk = 64
 // the caller's goroutine in index order; otherwise workers claim chunks of
 // the range from an atomic cursor. fn must confine its writes to cells owned
 // by index i. Each worker adds its busy time to sp once.
-func fanOut(workers, n int, sp *telemetry.Span, fn func(w, i int)) {
+func fanOut(workers, n int, sp *trace.Active, fn func(w, i int)) {
 	workers = min(workers, n)
 	if workers <= 1 {
 		t := lap(sp, time.Time{})
@@ -174,9 +174,12 @@ func (pl *Planner) reducePartitionSite(i workload.SiteID, deltas []partitionDelt
 // PartitionParallel runs PARTITION over every page (and marks all optional
 // links local) using up to workers goroutines, then reduces the site-level
 // accounting deterministically. The planner must be freshly constructed
-// (all-remote). Workers record their busy time on sp. The results are
-// byte-identical for every worker count.
-func (pl *Planner) PartitionParallel(workers int, sp *telemetry.Span) {
+// (all-remote). A non-nil parent gains a trace.SpanPartition child carrying
+// the workers' busy time. The results are byte-identical for every worker
+// count.
+func (pl *Planner) PartitionParallel(workers int, parent *trace.Active) {
+	sp := parent.StartChild(trace.SpanPartition)
+	defer sp.End()
 	w := pl.env.W
 	deltas := make([]partitionDelta, w.NumPages())
 	bufs := make([][]int, max(workers, 1)) // per-worker visit-order buffers

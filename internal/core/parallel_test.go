@@ -12,7 +12,7 @@ import (
 	"repro/internal/model"
 	"repro/internal/netsim"
 	"repro/internal/rng"
-	"repro/internal/telemetry"
+	"repro/internal/trace"
 	"repro/internal/units"
 	"repro/internal/workload"
 )
@@ -267,7 +267,8 @@ func TestFanOutVisitsEachIndexOnce(t *testing.T) {
 
 	for _, n := range []int{0, 1, 63, 64, 65, 1000} {
 		for _, workers := range []int{0, 1, 3, n + 5} {
-			for _, sp := range []*telemetry.Span{nil, telemetry.NewSpan("fan-out")} {
+			buf := trace.NewBuffer(0)
+			for _, sp := range []*trace.Active{nil, trace.NewTracer(buf, 1, trace.KindPlan).StartTrace("fan-out")} {
 				visits := make([]atomic.Int32, n)
 				reads.Store(0)
 				fanOut(workers, n, sp, func(w, i int) {
@@ -288,7 +289,8 @@ func TestFanOutVisitsEachIndexOnce(t *testing.T) {
 				if got := reads.Load(); got != wantReads {
 					t.Errorf("n=%d workers=%d span=%v: %d clock reads, want %d", n, workers, sp != nil, got, wantReads)
 				}
-				if sp != nil && sp.Busy() <= 0 {
+				sp.End()
+				if sp != nil && buf.Spans()[0].Attr(trace.AttrBusyS) == "" {
 					t.Errorf("n=%d workers=%d: no busy time recorded", n, workers)
 				}
 			}

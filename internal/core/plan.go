@@ -6,7 +6,7 @@ import (
 	"runtime"
 
 	"repro/internal/model"
-	"repro/internal/telemetry"
+	"repro/internal/trace"
 	"repro/internal/workload"
 )
 
@@ -31,11 +31,12 @@ type Options struct {
 	// beyond the paper — see Planner.RefineSite): profitable objects that
 	// fit in the space freed by the restoration are stored after all.
 	Refine bool
-	// Trace, when non-nil, receives one child span per planning phase
-	// (PARTITION, storage/processing restoration, off-loading) with
-	// per-phase busy time and the dealloc/flip/message counters. The nil
-	// default keeps the hot path allocation-free.
-	Trace *telemetry.Span
+	// Trace, when non-nil, is the parent under which each planning phase
+	// starts one child span (trace.SpanPartition … trace.SpanOffload) with
+	// its busy time and its dealloc/flip/round/message counters as
+	// attributes; the caller ends it. The nil default costs no clock read
+	// and no allocation.
+	Trace *trace.Active
 }
 
 // SiteStats records what planning did at one site.
@@ -57,9 +58,6 @@ type Result struct {
 	D1, D2   float64
 	Feasible bool
 	Report   *model.Report
-	// Trace is the span passed via Options.Trace (nil when untraced),
-	// populated with the per-phase timings and counters.
-	Trace *telemetry.Span
 }
 
 // Plan runs the full pipeline of Section 4 over the environment: PARTITION
@@ -79,47 +77,19 @@ func Plan(env *model.Env, opts Options) (*model.Placement, *Result, error) {
 		workers = runtime.GOMAXPROCS(0)
 	}
 
-	// One child span per phase; each carries the per-worker busy time and,
-	// below, counters filled from the deterministic per-site stats. With
-	// tracing off every span is nil: zero timing calls, zero allocations.
-	trace := opts.Trace
-
-	spPart := trace.Child("PARTITION")
-	pl.PartitionParallel(workers, spPart)
-	spPart.End()
-	spPart.Count("pages", int64(env.W.NumPages()))
+	pl.PartitionParallel(workers, opts.Trace)
 
 	sites := make([]workload.SiteID, env.W.NumSites())
 	for i := range sites {
 		sites[i] = workload.SiteID(i)
 	}
-	stats := pl.RestoreSites(sites, workers, opts.Refine, trace)
+	stats := pl.RestoreSites(sites, workers, opts.Refine, opts.Trace)
+	off := pl.OffloadParallel(opts.MessageLog, workers, opts.Trace)
 
-	spOff := trace.Child("off-loading")
-	off := pl.OffloadParallel(opts.MessageLog, workers, spOff)
-	spOff.End()
-
-	res := &Result{Sites: stats, Offload: off, D: pl.D(), D1: pl.D1(), D2: pl.D2(), Trace: trace}
+	res := &Result{Sites: stats, Offload: off, D: pl.D(), D1: pl.D1(), D2: pl.D2()}
 	fillSiteStats(pl, res)
 	res.Report = model.Evaluate(env, pl.p)
 	res.Feasible = res.Report.Feasible()
-
-	if trace != nil {
-		var localComp, remoteComp, localOpt int64
-		for _, s := range res.Sites {
-			localComp += int64(s.LocalComp)
-			remoteComp += int64(s.RemoteComp)
-			localOpt += int64(s.LocalOpt)
-		}
-		// Final assignment shape (after restoration and off-loading).
-		trace.Count("local-comp", localComp)
-		trace.Count("remote-comp", remoteComp)
-		trace.Count("local-opt", localOpt)
-		spOff.Count("rounds", int64(off.Rounds))
-		spOff.Count("messages", int64(off.Messages))
-		spOff.Count("new-replicas", int64(off.NewReplicas))
-		spOff.Count("swaps", int64(off.Swaps))
-	}
 	return pl.p, res, nil
 }
 

@@ -4,7 +4,7 @@ import (
 	"math"
 	"time"
 
-	"repro/internal/telemetry"
+	"repro/internal/trace"
 	"repro/internal/workload"
 )
 
@@ -218,16 +218,17 @@ func (pl *Planner) RestoreProcessingSite(i workload.SiteID) (flips int) {
 // sweep. The sites must be distinct; each one's greedy loops are sequential
 // and touch only that site's cells (see parallel.go), so the outcome is the
 // same at every worker count. It returns the per-site dealloc and flip
-// counts in the order of sites. A non-nil trace gains one child span per
-// phase ("storage-restore", "processing-restore", "refine") carrying the
-// phase's busy time summed over sites and its counter; the phases interleave
-// across workers, so each span's wall clock covers the whole call.
-func (pl *Planner) RestoreSites(sites []workload.SiteID, workers int, refine bool, trace *telemetry.Span) []SiteStats {
-	spStore := trace.Child("storage-restore")
-	spProc := trace.Child("processing-restore")
-	var spRefine *telemetry.Span
+// counts in the order of sites. A non-nil parent gains one child span per
+// phase (trace.SpanStorageRestore, SpanProcessingRestore, SpanRefine)
+// carrying the phase's busy time summed over sites and its counter; the
+// phases interleave across workers, so each span's wall clock covers the
+// whole call.
+func (pl *Planner) RestoreSites(sites []workload.SiteID, workers int, refine bool, parent *trace.Active) []SiteStats {
+	spStore := parent.StartChild(trace.SpanStorageRestore)
+	spProc := parent.StartChild(trace.SpanProcessingRestore)
+	var spRefine *trace.Active
 	if refine {
-		spRefine = trace.Child("refine")
+		spRefine = parent.StartChild(trace.SpanRefine)
 	}
 
 	// One fan-out feeds three spans, so the laps are per site and phase
@@ -247,15 +248,17 @@ func (pl *Planner) RestoreSites(sites []workload.SiteID, workers int, refine boo
 		stats[s] = SiteStats{Site: i, Deallocs: d, ProcFlips: f}
 	})
 
+	if parent != nil {
+		var deallocs, flips int64
+		for _, s := range stats {
+			deallocs += int64(s.Deallocs)
+			flips += int64(s.ProcFlips)
+		}
+		spStore.SetAttr(trace.I(trace.AttrDeallocs, deallocs))
+		spProc.SetAttr(trace.I(trace.AttrProcFlips, flips))
+	}
 	spStore.End()
 	spProc.End()
 	spRefine.End()
-	var deallocs, flips int64
-	for _, s := range stats {
-		deallocs += int64(s.Deallocs)
-		flips += int64(s.ProcFlips)
-	}
-	spStore.Count("deallocs", deallocs)
-	spProc.Count("flips", flips)
 	return stats
 }

@@ -4,7 +4,7 @@
 // packages or anything they call, named-constant discipline for rng stream
 // labels, sorted iteration before anything that feeds output, no float
 // equality, telemetry metric-name hygiene, error-handling discipline, span
-// lifecycle balance (every trace/telemetry span creation reaches End or
+// lifecycle balance (every trace span creation reaches End or
 // escapes), context-aware sleeps on handler paths, and no goroutine without
 // an exit.
 //

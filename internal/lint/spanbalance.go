@@ -6,8 +6,8 @@ import (
 )
 
 // SpanBalanceAnalyzer enforces span lifecycle balance: every span-creating
-// call (trace.Tracer StartTrace/StartRemote, Active.StartChild, telemetry
-// NewSpan/Child, and the repro facade's NewSpan) must either reach .End()
+// call (trace.Tracer StartTrace/StartRemote, Active.StartChild, and the
+// repro facade's StartPlanSpan) must either reach .End()
 // inside the enclosing function — directly, deferred, or in a nested
 // closure — or visibly escape it (returned, stored, passed along), in which
 // case the lifetime is the receiver's problem. A span that is assigned and
@@ -17,7 +17,7 @@ import (
 // justification.
 var SpanBalanceAnalyzer = &Analyzer{
 	Name: "span-balance",
-	Doc: "every trace/telemetry span creation must be .End()ed in the same " +
+	Doc: "every trace span creation must be .End()ed in the same " +
 		"function or escape it",
 	Run: runSpanBalance,
 }
@@ -27,9 +27,8 @@ var SpanBalanceAnalyzer = &Analyzer{
 // so receiver variables named anything (including "trace") resolve
 // correctly.
 var spanCreators = map[string]map[string]bool{
-	"trace":     {"StartTrace": true, "StartRemote": true, "StartChild": true},
-	"telemetry": {"NewSpan": true, "Child": true},
-	"repro":     {"NewSpan": true},
+	"trace": {"StartTrace": true, "StartRemote": true, "StartChild": true},
+	"repro": {"StartPlanSpan": true},
 }
 
 func runSpanBalance(p *Pass) {

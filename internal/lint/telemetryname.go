@@ -8,16 +8,19 @@ import (
 	"strconv"
 )
 
-// TelemetryNameAnalyzer enforces metric-name hygiene at registry call
+// TelemetryNameAnalyzer enforces name hygiene at registry and journal call
 // sites. Names must be string literals — a computed name defeats grep,
-// dashboards, and the snapshot goldens — and must match the repo's
-// dotted lower-case convention (e.g. "httpsim.page_rt_seconds"). The one
-// computed shape accepted is a per-site namespace in front of a literal
-// suffix, prefix + "page_requests": the suffix is what a grep looks for.
+// dashboards, and the snapshot goldens, and a journal event type is a
+// retention key (one ring per type), so its vocabulary must be finite — and
+// must match the repo's dotted lower-case convention (e.g.
+// "httpsim.page_rt_seconds"). The one computed shape accepted is a
+// per-site namespace in front of a literal suffix, prefix + "page_requests":
+// the suffix is what a grep looks for.
 var TelemetryNameAnalyzer = &Analyzer{
 	Name: "telemetry-naming",
-	Doc: "telemetry registry metric names must be string literals matching " +
-		"^[a-z]+(\\.[a-z0-9_]+)+$, or <namespace> + \"literal_suffix\"",
+	Doc: "telemetry metric names must be string literals matching " +
+		"^[a-z]+(\\.[a-z0-9_]+)+$, or <namespace> + \"literal_suffix\"; trace " +
+		"journal event types likewise, a single segment allowed",
 	Run: runTelemetryName,
 }
 
@@ -26,12 +29,12 @@ var (
 	metricSuffixRE = regexp.MustCompile(`^[a-z0-9_]+(\.[a-z0-9_]+)*$`)
 )
 
-// registryLookups are the telemetry.Registry methods whose first argument
-// is a metric name.
-var registryLookups = map[string]bool{
-	"Counter":   true,
-	"Gauge":     true,
-	"Histogram": true,
+// nameCallees are the methods, by defining package, whose first argument is
+// a name: the telemetry.Registry lookups and trace.Journal.Record. An event
+// type may be a single segment, so it is held to the suffix form.
+var nameCallees = map[string]map[string]*regexp.Regexp{
+	"telemetry": {"Counter": metricNameRE, "Gauge": metricNameRE, "Histogram": metricNameRE},
+	"trace":     {"Record": metricSuffixRE},
 }
 
 func runTelemetryName(p *Pass) {
@@ -42,24 +45,25 @@ func runTelemetryName(p *Pass) {
 				return true
 			}
 			sel, ok := call.Fun.(*ast.SelectorExpr)
-			if !ok || !registryLookups[sel.Sel.Name] {
+			if !ok {
 				return true
 			}
 			fn, ok := p.Pkg.Info.Uses[sel.Sel].(*types.Func)
-			if !ok || fn.Pkg() == nil || fn.Pkg().Name() != "telemetry" {
+			if !ok || fn.Pkg() == nil {
 				return true
 			}
+			re := nameCallees[fn.Pkg().Name()][sel.Sel.Name]
 			sig, ok := fn.Type().(*types.Signature)
-			if !ok || sig.Recv() == nil {
+			if re == nil || !ok || sig.Recv() == nil {
 				return true
 			}
-			arg, re := call.Args[0], metricNameRE
+			arg := call.Args[0]
 			if sum, ok := arg.(*ast.BinaryExpr); ok && sum.Op == token.ADD {
 				arg, re = sum.Y, metricSuffixRE
 			}
 			lit, ok := arg.(*ast.BasicLit)
 			if !ok {
-				p.Reportf(call.Args[0].Pos(), "metric name passed to %s must be a string literal or end in one, not a computed value", sel.Sel.Name)
+				p.Reportf(call.Args[0].Pos(), "name passed to %s must be a string literal or end in one, not a computed value", sel.Sel.Name)
 				return true
 			}
 			name, err := strconv.Unquote(lit.Value)
@@ -67,7 +71,7 @@ func runTelemetryName(p *Pass) {
 				return true
 			}
 			if !re.MatchString(name) {
-				p.Reportf(arg.Pos(), "metric name %q does not match %s", name, re)
+				p.Reportf(arg.Pos(), "name %q does not match %s", name, re)
 			}
 			return true
 		})

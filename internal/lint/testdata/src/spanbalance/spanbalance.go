@@ -3,10 +3,7 @@
 // directive.
 package spanbalance
 
-import (
-	"telemetry"
-	"trace"
-)
+import "trace"
 
 // balanced spans are quiet: direct End, deferred End, and End inside a
 // nested closure (the closure is its own scope for spans it creates) all
@@ -56,11 +53,11 @@ func leakChild(tr *trace.Tracer) {
 	}()
 }
 
-// telemetrySpans covers the telemetry creator pair; s's only other use is
-// as the Child receiver, which neither ends it nor lets it escape.
-func telemetrySpans() {
-	s := telemetry.NewSpan("plan") // want "never ended"
-	c := s.Child("partition")
+// leakParent leaks the parent: its only other use is as the StartChild
+// receiver, which neither ends it nor lets it escape.
+func leakParent(tr *trace.Tracer) {
+	s := tr.StartTrace("plan") // want "never ended"
+	c := s.StartChild("partition")
 	c.End()
 }
 

@@ -36,15 +36,3 @@ type Histogram struct{ n int64 }
 
 // Observe records v.
 func (h *Histogram) Observe(v float64) { h.n++ }
-
-// Span is a nestable phase timer, mirrored for the span-balance rule.
-type Span struct{}
-
-// NewSpan starts a new root span.
-func NewSpan(name string) *Span { return &Span{} }
-
-// Child starts a nested span.
-func (s *Span) Child(name string) *Span { return &Span{} }
-
-// End closes the span.
-func (s *Span) End() {}

@@ -1,6 +1,7 @@
 // Package trace is a minimal stand-in for repro/internal/trace so the
-// span-balance fixtures type-check. The analyzer keys on the package name
-// ("trace") plus the span-creating method names, all mirrored here.
+// span-balance and telemetry-naming fixtures type-check. The analyzers key
+// on the package name ("trace") plus the span-creating method names and
+// Journal.Record, all mirrored here.
 package trace
 
 // Tracer mints request-scoped spans.
@@ -23,3 +24,9 @@ func (a *Active) SetAttr() {}
 
 // End closes the span and flushes it to the buffer.
 func (a *Active) End() {}
+
+// Journal is the control-plane flight recorder.
+type Journal struct{}
+
+// Record appends one event of the given type.
+func (j *Journal) Record(typ string, fields ...string) {}

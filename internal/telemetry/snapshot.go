@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"sort"
 	"strings"
 )
 
@@ -67,23 +66,13 @@ func (r *Registry) Snapshot() *Snapshot {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	for _, name := range r.counterNames() {
+	for _, name := range sortedNames(r.counters) {
 		s.Counters = append(s.Counters, CounterPoint{Name: name, Value: r.counters[name].Value()})
 	}
-	gnames := make([]string, 0, len(r.gauges))
-	for n := range r.gauges {
-		gnames = append(gnames, n)
-	}
-	sort.Strings(gnames)
-	for _, name := range gnames {
+	for _, name := range sortedNames(r.gauges) {
 		s.Gauges = append(s.Gauges, GaugePoint{Name: name, Value: r.gauges[name].Value()})
 	}
-	hnames := make([]string, 0, len(r.hists))
-	for n := range r.hists {
-		hnames = append(hnames, n)
-	}
-	sort.Strings(hnames)
-	for _, name := range hnames {
+	for _, name := range sortedNames(r.hists) {
 		h := r.hists[name]
 		hp := HistogramPoint{
 			Name:  name,
@@ -109,12 +98,7 @@ func (r *Registry) Snapshot() *Snapshot {
 		}
 		s.Histograms = append(s.Histograms, hp)
 	}
-	inames := make([]string, 0, len(r.infos))
-	for n := range r.infos {
-		inames = append(inames, n)
-	}
-	sort.Strings(inames)
-	for _, name := range inames {
+	for _, name := range sortedNames(r.infos) {
 		s.Infos = append(s.Infos, InfoPoint{Name: name, Value: r.infos[name]})
 	}
 	return s

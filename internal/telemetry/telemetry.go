@@ -1,8 +1,8 @@
 // Package telemetry is the repo's stdlib-only instrumentation substrate:
 // an atomic counter/gauge registry, fixed-bucket latency histograms with
-// percentile extraction (the quantile math lives in internal/stats), a
-// nestable phase timer (Span) for tracing planner stages, and text/JSON
-// snapshot encoders served live by internal/webserve's /metrics endpoint.
+// percentile extraction (the quantile math lives in internal/stats), and
+// text/JSON snapshot encoders served live by internal/webserve's /metrics
+// endpoint. Timed phases are spans and live in internal/trace.
 //
 // Everything is concurrency-safe and nil-tolerant: every method has a nil
 // fast path, so instrumented code paths pay nothing — no allocation, no
@@ -160,10 +160,10 @@ func (r *Registry) Histogram(name string, bounds []float64) *Histogram {
 	return h
 }
 
-// counterNames returns the registered counter names, sorted.
-func (r *Registry) counterNames() []string {
-	names := make([]string, 0, len(r.counters))
-	for n := range r.counters {
+// sortedNames returns an instrument map's names, sorted: snapshot order.
+func sortedNames[V any](m map[string]V) []string {
+	names := make([]string, 0, len(m))
+	for n := range m {
 		names = append(names, n)
 	}
 	sort.Strings(names)

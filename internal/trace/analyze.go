@@ -36,7 +36,7 @@ type TraceSummary struct {
 	Winner string // "local" | "remote"
 }
 
-// NameCount is one span name's tally.
+// NameCount is one span name's or journal event type's tally.
 type NameCount struct {
 	Name  string
 	Count int
@@ -220,9 +220,12 @@ func (a *Analysis) TopSlowest(n int) []TraceSummary {
 
 // NameCounts returns span-name tallies sorted by descending count then
 // name.
-func (a *Analysis) NameCounts() []NameCount {
-	out := make([]NameCount, 0, len(a.names))
-	for name, n := range a.names {
+func (a *Analysis) NameCounts() []NameCount { return tally(a.names) }
+
+// tally flattens a count map, sorted by descending count then name.
+func tally(counts map[string]int) []NameCount {
+	out := make([]NameCount, 0, len(counts))
+	for name, n := range counts {
 		out = append(out, NameCount{Name: name, Count: n})
 	}
 	sort.Slice(out, func(i, j int) bool {

@@ -6,48 +6,64 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"sort"
+	"strconv"
+	"strings"
+	"time"
 )
 
 // WriteJSONL writes spans as compact JSON, one span per line — the repo's
 // canonical on-disk trace form (read back by ReadJSONL and cmd/repltrace).
 // The encoding is byte-deterministic for a given span sequence.
-func WriteJSONL(w io.Writer, spans []Span) error {
+func WriteJSONL(w io.Writer, spans []Span) error { return writeJSONL(w, spans) }
+
+// ReadJSONL reads a JSONL span stream until EOF.
+func ReadJSONL(r io.Reader) ([]Span, error) { return readJSONL[Span](r) }
+
+// writeJSONL is the one line-per-item encoder behind the span and journal
+// files.
+func writeJSONL[T any](w io.Writer, items []T) error {
 	bw := bufio.NewWriter(w)
 	enc := json.NewEncoder(bw)
-	for i := range spans {
-		if err := enc.Encode(&spans[i]); err != nil {
-			return fmt.Errorf("trace: encode span: %w", err)
+	for i := range items {
+		if err := enc.Encode(&items[i]); err != nil {
+			return fmt.Errorf("trace: encode %T: %w", items[i], err)
 		}
 	}
 	return bw.Flush()
 }
 
-// ReadJSONL reads a JSONL span stream until EOF.
-func ReadJSONL(r io.Reader) ([]Span, error) {
+// readJSONL decodes a JSONL stream of T until EOF.
+func readJSONL[T any](r io.Reader) ([]T, error) {
 	dec := json.NewDecoder(r)
-	var out []Span
+	var out []T
 	for {
-		var s Span
-		if err := dec.Decode(&s); err == io.EOF {
+		var v T
+		if err := dec.Decode(&v); err == io.EOF {
 			return out, nil
 		} else if err != nil {
-			return nil, fmt.Errorf("trace: decode span: %w", err)
+			return nil, fmt.Errorf("trace: decode %T: %w", v, err)
 		}
-		out = append(out, s)
+		out = append(out, v)
 	}
 }
 
-// SaveJSONL writes spans to path.
-func SaveJSONL(path string, spans []Span) error {
+// save creates path and runs write over it, closing on every path.
+func save(path string, write func(io.Writer) error) error {
 	f, err := os.Create(path)
 	if err != nil {
 		return fmt.Errorf("trace: %w", err)
 	}
-	if err := WriteJSONL(f, spans); err != nil {
+	if err := write(f); err != nil {
 		_ = f.Close()
 		return err
 	}
 	return f.Close()
+}
+
+// SaveJSONL writes spans to path.
+func SaveJSONL(path string, spans []Span) error {
+	return save(path, func(w io.Writer) error { return WriteJSONL(w, spans) })
 }
 
 // LoadJSONL reads spans from path.
@@ -126,18 +142,62 @@ func WriteChrome(w io.Writer, spans []Span) error {
 
 // SaveChrome writes the Chrome trace-event form to path.
 func SaveChrome(path string, spans []Span) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return fmt.Errorf("trace: %w", err)
+	return save(path, func(w io.Writer) error { return WriteChrome(w, spans) })
+}
+
+// WriteTree renders a span forest as indented text, one line per span —
+// wall duration, busy time where AddBusy recorded any, the other attributes
+// in brackets — with children under their parent in start order:
+//
+//	core.plan                  wall=1.8ms
+//	  core.storage_restore     wall=1.2ms busy=4.3ms  [deallocs=7]
+//
+// A span whose parent is not in spans renders as a root.
+func WriteTree(w io.Writer, spans []Span) error {
+	present := make(map[SpanID]bool, len(spans))
+	for i := range spans {
+		present[spans[i].ID] = true
 	}
-	bw := bufio.NewWriter(f)
-	if err := WriteChrome(bw, spans); err != nil {
-		_ = f.Close()
-		return err
+	kids := make(map[SpanID][]*Span)
+	for i := range spans {
+		s := &spans[i]
+		parent := s.Parent
+		if !present[parent] {
+			parent = 0
+		}
+		kids[parent] = append(kids[parent], s)
 	}
-	if err := bw.Flush(); err != nil {
-		_ = f.Close()
-		return fmt.Errorf("trace: %w", err)
+	var walk func(parent SpanID, depth int) error
+	walk = func(parent SpanID, depth int) error {
+		group := kids[parent]
+		sort.SliceStable(group, func(i, k int) bool { return group[i].Start < group[k].Start })
+		for _, s := range group {
+			line := fmt.Sprintf("%*s%-*s wall=%s", depth*2, "", 26-depth*2, s.Name, seconds(s.Dur))
+			var rest []string
+			for _, a := range s.Attrs {
+				if a.Key == AttrBusyS {
+					busy, _ := strconv.ParseFloat(a.Value, 64) // written by End with FormatFloat
+					line += " busy=" + seconds(busy).String()
+					continue
+				}
+				rest = append(rest, a.Key+"="+a.Value)
+			}
+			if len(rest) > 0 {
+				line += "  [" + strings.Join(rest, " ") + "]"
+			}
+			if _, err := fmt.Fprintln(w, line); err != nil {
+				return err
+			}
+			if err := walk(s.ID, depth+1); err != nil {
+				return err
+			}
+		}
+		return nil
 	}
-	return f.Close()
+	return walk(0, 0)
+}
+
+// seconds converts a span time to a Duration at microsecond precision.
+func seconds(s float64) time.Duration {
+	return time.Duration(s * float64(time.Second)).Round(time.Microsecond)
 }

@@ -1,8 +1,6 @@
 package trace
 
 import (
-	"bufio"
-	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
@@ -23,40 +21,46 @@ type Event struct {
 }
 
 // Field returns the value of the named field ("" when absent).
-func (e *Event) Field(key string) string {
-	for _, f := range e.Fields {
-		if f.Key == key {
-			return f.Value
-		}
-	}
-	return ""
-}
+func (e *Event) Field(key string) string { return lookup(e.Fields, key) }
 
-// Journal is the control plane's flight recorder: a bounded ring buffer of
-// structured events (probe transitions, repair plans, ApplyPlan
-// reconciles, breaker decisions, injected faults). Appends are O(1) and
-// never block the control loop; once the ring is full the oldest events
-// are overwritten — a flight recorder keeps the most recent history. The
-// nil Journal drops everything, so recording sites need no disabled path.
+// Journal is the control plane's flight recorder: structured events (probe
+// transitions, repair plans, plan commits, breaker decisions, injected
+// faults) in one bounded ring per event type. Appends are O(1) and never
+// block the control loop; a full ring overwrites its own oldest event, so a
+// flood of one type (fault.injected under chaos) can evict only that type
+// and the rare ones — the plan lineage — survive it. The type is therefore
+// a retention key and must come from a fixed vocabulary (repllint's
+// telemetry-naming rule holds call sites to literals). The nil Journal
+// drops everything, so recording sites need no disabled path.
 type Journal struct {
-	mu    sync.Mutex
-	epoch time.Time
-	ring  []Event
-	next  uint64 // total events ever appended (== next Seq)
+	mu       sync.Mutex
+	epoch    time.Time
+	capacity int // per type
+	rings    map[string]*typeRing
+	next     uint64 // total events ever recorded (== next Seq)
+	dropped  uint64 // events overwritten
 }
 
-// DefaultJournalCap is the ring size used when NewJournal is given a
-// non-positive capacity: enough for hours of control-plane churn, small
-// enough to dump wholesale into a log on failure.
+// typeRing holds one type's last capacity events; n counts every one the
+// type ever recorded, so n % capacity is the slot the next one overwrites.
+type typeRing struct {
+	events []Event
+	n      int
+}
+
+// DefaultJournalCap is the per-type ring size used when NewJournal is given
+// a non-positive capacity: enough for hours of control-plane churn, small
+// enough — times the dozen-odd event types — to dump wholesale into a log
+// on failure.
 const DefaultJournalCap = 1024
 
-// NewJournal returns a journal holding the last capacity events
-// (DefaultJournalCap when capacity <= 0).
+// NewJournal returns a journal holding the last capacity events of each
+// type (DefaultJournalCap when capacity <= 0).
 func NewJournal(capacity int) *Journal {
 	if capacity <= 0 {
 		capacity = DefaultJournalCap
 	}
-	return &Journal{epoch: time.Now(), ring: make([]Event, 0, capacity)}
+	return &Journal{epoch: time.Now(), capacity: capacity, rings: make(map[string]*typeRing)}
 }
 
 // Record appends one event. No-op on nil.
@@ -74,29 +78,34 @@ func (j *Journal) Record(typ string, fields ...Attr) {
 		Type:   typ,
 		Fields: fields,
 	}
-	if len(j.ring) < cap(j.ring) {
-		j.ring = append(j.ring, ev)
-	} else {
-		j.ring[int(j.next)%cap(j.ring)] = ev
-	}
 	j.next++
+	r := j.rings[typ]
+	if r == nil {
+		r = &typeRing{}
+		j.rings[typ] = r
+	}
+	if len(r.events) < j.capacity {
+		r.events = append(r.events, ev)
+	} else {
+		r.events[r.n%j.capacity] = ev
+		j.dropped++
+	}
+	r.n++
 }
 
-// Events snapshots the retained events, oldest to newest (nil-safe).
+// Events snapshots the retained events of every type, merged by Seq:
+// oldest to newest (nil-safe).
 func (j *Journal) Events() []Event {
 	if j == nil {
 		return nil
 	}
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	if len(j.ring) < cap(j.ring) || j.next == uint64(len(j.ring)) {
-		return append([]Event(nil), j.ring...)
+	out := make([]Event, 0, j.next-j.dropped)
+	for _, r := range j.rings {
+		out = append(out, r.events...)
 	}
-	// Full ring: the oldest entry sits right where the next write lands.
-	out := make([]Event, 0, len(j.ring))
-	head := int(j.next) % cap(j.ring)
-	out = append(out, j.ring[head:]...)
-	out = append(out, j.ring[:head]...)
+	sort.Slice(out, func(i, k int) bool { return out[i].Seq < out[k].Seq })
 	return out
 }
 
@@ -110,30 +119,18 @@ func (j *Journal) Total() uint64 {
 	return j.next
 }
 
-// Dropped returns how many events the ring has overwritten.
+// Dropped returns how many events the rings have overwritten.
 func (j *Journal) Dropped() uint64 {
 	if j == nil {
 		return 0
 	}
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	if j.next <= uint64(cap(j.ring)) {
-		return 0
-	}
-	return j.next - uint64(cap(j.ring))
+	return j.dropped
 }
 
 // WriteJSONL dumps the retained events as JSONL, oldest first.
-func (j *Journal) WriteJSONL(w io.Writer) error {
-	bw := bufio.NewWriter(w)
-	enc := json.NewEncoder(bw)
-	for _, ev := range j.Events() {
-		if err := enc.Encode(&ev); err != nil {
-			return fmt.Errorf("trace: encode journal event: %w", err)
-		}
-	}
-	return bw.Flush()
-}
+func (j *Journal) WriteJSONL(w io.Writer) error { return writeJSONL(w, j.Events()) }
 
 // WriteText dumps the retained events as readable lines:
 //
@@ -152,44 +149,16 @@ func (j *Journal) WriteText(w io.Writer) error {
 }
 
 // ReadEventsJSONL reads a JSONL event stream until EOF.
-func ReadEventsJSONL(r io.Reader) ([]Event, error) {
-	dec := json.NewDecoder(r)
-	var out []Event
-	for {
-		var ev Event
-		if err := dec.Decode(&ev); err == io.EOF {
-			return out, nil
-		} else if err != nil {
-			return nil, fmt.Errorf("trace: decode journal event: %w", err)
-		}
-		out = append(out, ev)
-	}
-}
-
-// TypeCount is one event type's tally, as returned by CountEventTypes.
-type TypeCount struct {
-	Type  string
-	Count int
-}
+func ReadEventsJSONL(r io.Reader) ([]Event, error) { return readJSONL[Event](r) }
 
 // CountEventTypes tallies events by type, sorted by descending count then
 // type name — the journal summary replreport and repltrace print.
-func CountEventTypes(events []Event) []TypeCount {
+func CountEventTypes(events []Event) []NameCount {
 	m := make(map[string]int)
 	for i := range events {
 		m[events[i].Type]++
 	}
-	out := make([]TypeCount, 0, len(m))
-	for t, n := range m {
-		out = append(out, TypeCount{Type: t, Count: n})
-	}
-	sort.Slice(out, func(i, k int) bool {
-		if out[i].Count != out[k].Count {
-			return out[i].Count > out[k].Count
-		}
-		return out[i].Type < out[k].Type
-	})
-	return out
+	return tally(m)
 }
 
 // PlanLineage renders the journal's plan.applied events, oldest first, as

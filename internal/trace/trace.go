@@ -1,11 +1,11 @@
-// Package trace is the repo's request-scoped distributed-tracing layer: a
-// span model shared by the live HTTP system (internal/webserve) and the
-// fluid simulator (internal/httpsim), deterministic trace/span identifiers
-// drawn from dedicated seeded rng streams (the same seed yields the
-// identical span forest), an `X-Repl-Trace` propagation header, Chrome
-// trace-event and JSONL exporters (export.go), a bounded ring-buffer event
-// journal for the control plane (journal.go), and an Eq. 5 critical-path
-// analyzer over recorded span forests (analyze.go).
+// Package trace is the repo's one span model, shared by the live HTTP
+// system (internal/webserve), the fluid simulator (internal/httpsim) and
+// the planner's phases (internal/core): deterministic trace/span
+// identifiers drawn from dedicated seeded rng streams (the same seed yields
+// the identical span forest), an `X-Repl-Trace` propagation header, Chrome
+// trace-event, JSONL and text-tree exporters (export.go), a bounded
+// per-type event journal for the control plane (journal.go), and an Eq. 5
+// critical-path analyzer over recorded span forests (analyze.go).
 //
 // The design follows the repo's telemetry idiom: every entry point is
 // nil-tolerant, so a disabled tracer costs one nil check and zero
@@ -16,6 +16,7 @@ import (
 	"fmt"
 	"strconv"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/rng"
@@ -62,8 +63,11 @@ type Span struct {
 }
 
 // Attr returns the value of the named attribute ("" when absent).
-func (s *Span) Attr(key string) string {
-	for _, a := range s.Attrs {
+func (s *Span) Attr(key string) string { return lookup(s.Attrs, key) }
+
+// lookup is the one attribute search behind Span.Attr and Event.Field.
+func lookup(attrs []Attr, key string) string {
+	for _, a := range attrs {
 		if a.Key == key {
 			return a.Value
 		}
@@ -88,11 +92,24 @@ const (
 	SpanHedge    = "hedge"    // zero-duration marker: a hedge leg launched
 )
 
+// Planner phase span names: BENCHMARK.json's per-layer names minus the
+// "_ms" unit, so the span tree, the bench file and the docs spell each
+// phase one way (core's vocabulary test holds them together).
+const (
+	SpanPlan              = "core.plan" // the caller's root over one core.Plan
+	SpanPartition         = "core.partition"
+	SpanStorageRestore    = "core.storage_restore"    // attr deallocs
+	SpanProcessingRestore = "core.processing_restore" // attr proc_flips
+	SpanRefine            = "core.refine"
+	SpanOffload           = "core.offload" // attrs offload_rounds, offload_messages
+)
+
 // Span kinds.
 const (
 	KindClient = "client"
 	KindServer = "server"
 	KindSim    = "sim"
+	KindPlan   = "plan"
 )
 
 // Common attribute keys.
@@ -108,6 +125,13 @@ const (
 	AttrQueueS   = "queue_s"
 	AttrXferS    = "transfer_s"
 	AttrOvhdS    = "overhead_s"
+	AttrBusyS    = "busy_s" // Active.AddBusy's total, written at End
+
+	// Planner counters, "core." + the key being a BENCHMARK.json name.
+	AttrDeallocs        = "deallocs"
+	AttrProcFlips       = "proc_flips"
+	AttrOffloadRounds   = "offload_rounds"
+	AttrOffloadMessages = "offload_messages"
 )
 
 // Buffer collects completed spans. Append order is the canonical export
@@ -287,6 +311,7 @@ func (t *Tracer) Now() float64 {
 type Active struct {
 	tr    *Tracer
 	start time.Time
+	busy  atomic.Int64 // ns, accumulated by AddBusy
 
 	mu    sync.Mutex
 	span  Span
@@ -324,13 +349,12 @@ func (t *Tracer) StartTrace(name string) *Active {
 // StartRemote starts a span parented under a propagated (trace, span)
 // context — the server half of a client request.
 func (t *Tracer) StartRemote(name string, trace TraceID, parent SpanID) *Active {
-	if t == nil {
-		return nil
-	}
 	return t.start(name, trace, parent)
 }
 
 // StartChild starts a child span under a (nil on a nil receiver).
+//
+//repllint:pure — observability only: the wall-clock read feeds span timing, never model state
 func (a *Active) StartChild(name string) *Active {
 	if a == nil {
 		return nil
@@ -347,6 +371,16 @@ func (a *Active) SetAttr(attrs ...Attr) {
 	defer a.mu.Unlock()
 	if !a.ended {
 		a.span.Attrs = append(a.span.Attrs, attrs...)
+	}
+}
+
+// AddBusy accumulates busy time spent under the span by concurrent workers
+// (the planner's per-site phases overlap, so busy can exceed the wall
+// duration); End writes a non-zero total as the busy_s attribute. No-op on
+// nil.
+func (a *Active) AddBusy(d time.Duration) {
+	if a != nil {
+		a.busy.Add(int64(d))
 	}
 }
 
@@ -381,6 +415,8 @@ func (a *Active) HeaderValue() string {
 
 // End completes the span into the tracer's buffer. Idempotent; no-op on
 // nil.
+//
+//repllint:pure — observability only: the wall-clock read feeds span timing, never model state
 func (a *Active) End() {
 	if a == nil {
 		return
@@ -396,6 +432,9 @@ func (a *Active) endWithDur(dur float64) {
 		return
 	}
 	a.ended = true
+	if b := a.busy.Load(); b != 0 {
+		a.span.Attrs = append(a.span.Attrs, F(AttrBusyS, time.Duration(b).Seconds()))
+	}
 	s := a.span
 	s.Dur = dur
 	a.mu.Unlock()

@@ -3,9 +3,13 @@ package trace
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"net/http/httptest"
+	"strconv"
 	"strings"
+	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/rng"
 )
@@ -77,6 +81,13 @@ func TestNilSafety(t *testing.T) {
 	if c != nil {
 		t.Fatal("nil Active spawned a non-nil child")
 	}
+	if allocs := testing.AllocsPerRun(100, func() {
+		a.StartChild(SpanChain).AddBusy(time.Millisecond)
+		a.AddBusy(time.Millisecond)
+		a.End()
+	}); allocs != 0 {
+		t.Fatalf("nil Active allocates: %v allocs/op", allocs)
+	}
 	if hv := a.HeaderValue(); hv != "" {
 		t.Fatalf("nil Active header = %q, want empty", hv)
 	}
@@ -99,8 +110,21 @@ func TestTracerSpanTreeAndEndIdempotent(t *testing.T) {
 	child := root.StartChild(SpanChain)
 	child.SetAttr(A(AttrChain, "local"))
 	root.Event(SpanRetry, A(AttrReason, "timeout"))
+	// Concurrent workers lap their busy time onto one span (run under -race).
+	var wg sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 250; i++ {
+				child.AddBusy(time.Microsecond)
+			}
+		}()
+	}
+	wg.Wait()
 	child.End()
-	child.End() // idempotent
+	child.End()                         // idempotent
+	child.SetAttr(A("late", "dropped")) // after End: dropped, not a panic
 	root.End()
 
 	spans := buf.Spans()
@@ -126,6 +150,29 @@ func TestTracerSpanTreeAndEndIdempotent(t *testing.T) {
 	}
 	if got, want := root.HeaderValue(), FormatHeader(rootS.Trace, rootS.ID); got != want {
 		t.Fatalf("HeaderValue = %q, want %q", got, want)
+	}
+	if got := chainS.Attr(AttrBusyS); got != "0.001" {
+		t.Fatalf("busy_s = %q, want 0.001 (4 workers x 250 us)", got)
+	}
+	if rootS.Attr(AttrBusyS) != "" || chainS.Attr("late") != "" {
+		t.Fatalf("unexpected attrs: root %+v chain %+v", rootS.Attrs, chainS.Attrs)
+	}
+
+	// The text tree: root first although it ended last, children indented
+	// under it, busy time lifted out of the bracketed attributes.
+	var tree bytes.Buffer
+	if err := WriteTree(&tree, spans); err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.Split(strings.TrimSuffix(tree.String(), "\n"), "\n")
+	if len(lines) != 3 || !strings.HasPrefix(lines[0], SpanPage) || !strings.Contains(lines[0], "[page=3]") {
+		t.Fatalf("tree:\n%s", tree.String())
+	}
+	if !strings.HasPrefix(lines[1], "  "+SpanChain) || !strings.Contains(lines[1], " busy=1ms  [chain=local]") {
+		t.Fatalf("chain line %q", lines[1])
+	}
+	if !strings.HasPrefix(lines[2], "  "+SpanRetry) || !strings.Contains(lines[2], "wall=0s") {
+		t.Fatalf("retry line %q", lines[2])
 	}
 }
 
@@ -205,29 +252,64 @@ func TestChromeExportValidAndDeterministic(t *testing.T) {
 	}
 }
 
-func TestJournalRingWrap(t *testing.T) {
-	j := NewJournal(4)
-	for i := int64(0); i < 10; i++ {
-		j.Record("ev", I("i", i))
+// TestJournalFloodKeepsLineage pins per-type retention: each event type
+// keeps its own last-capacity ring, so a chaos run's flood of fault.injected
+// evicts only fault.injected and every plan.applied commit survives it.
+func TestJournalFloodKeepsLineage(t *testing.T) {
+	const capacity = 4
+	j := NewJournal(capacity)
+	for gen := int64(1); gen <= 5; gen++ { // one more than capacity: the lineage ring wraps too
+		j.Record("plan.applied", I("gen", gen), I("parent", gen-1), A("cause", "repair"))
 	}
-	if j.Total() != 10 {
-		t.Fatalf("Total = %d, want 10", j.Total())
+	for i := int64(0); i < 10*capacity; i++ {
+		j.Record("fault.injected", I("i", i))
 	}
-	if j.Dropped() != 6 {
-		t.Fatalf("Dropped = %d, want 6", j.Dropped())
+	if j.Total() != 45 {
+		t.Fatalf("Total = %d, want 45", j.Total())
+	}
+	if j.Dropped() != 1+36 {
+		t.Fatalf("Dropped = %d, want 37 (1 commit, 36 faults)", j.Dropped())
 	}
 	evs := j.Events()
-	if len(evs) != 4 {
-		t.Fatalf("retained %d, want 4", len(evs))
+	if len(evs) != 2*capacity {
+		t.Fatalf("retained %d, want %d", len(evs), 2*capacity)
 	}
-	for i, ev := range evs {
-		wantSeq := uint64(6 + i)
-		if ev.Seq != wantSeq {
-			t.Fatalf("event %d has seq %d, want %d (oldest-to-newest rotation broken)", i, ev.Seq, wantSeq)
+	for i := 1; i < len(evs); i++ {
+		if evs[i-1].Seq >= evs[i].Seq {
+			t.Fatalf("Events not Seq-ordered at %d: %d then %d", i, evs[i-1].Seq, evs[i].Seq)
 		}
 	}
-	if evs[0].Field("i") != "6" {
-		t.Fatalf("field lost in rotation: %+v", evs[0])
+	// Each ring keeps its newest events, oldest first, fields intact.
+	for i, ev := range evs[capacity:] {
+		if ev.Type != "fault.injected" || ev.Seq != uint64(41+i) || ev.Field("i") != strconv.Itoa(36+i) {
+			t.Fatalf("fault ring slot %d = %+v", i, ev)
+		}
+	}
+	lineage := PlanLineage(evs)
+	if len(lineage) != capacity {
+		t.Fatalf("lineage has %d lines, want %d:\n%s", len(lineage), capacity, strings.Join(lineage, "\n"))
+	}
+	for i, line := range lineage {
+		gen := i + 2
+		if want := fmt.Sprintf("gen %d ← %d: repair ()", gen, gen-1); line != want {
+			t.Fatalf("lineage[%d] = %q, want %q", i, line, want)
+		}
+	}
+
+	// At the default capacity the issue's numbers: 5 commits, then 10 rings'
+	// worth of faults, and all 5 lines are still there.
+	j = NewJournal(0)
+	for gen := int64(1); gen <= 5; gen++ {
+		j.Record("plan.applied", I("gen", gen), I("parent", gen-1), A("cause", "adapt"))
+	}
+	for i := 0; i < 10*DefaultJournalCap; i++ {
+		j.Record("fault.injected")
+	}
+	if got := len(PlanLineage(j.Events())); got != 5 {
+		t.Fatalf("lineage after a fault flood has %d lines, want 5", got)
+	}
+	if j.Dropped() != 9*DefaultJournalCap {
+		t.Fatalf("Dropped = %d, want %d", j.Dropped(), 9*DefaultJournalCap)
 	}
 }
 
@@ -248,7 +330,7 @@ func TestJournalJSONLRoundTripAndCounts(t *testing.T) {
 		t.Fatalf("roundtrip mismatch: %+v", back)
 	}
 	counts := CountEventTypes(back)
-	if len(counts) != 2 || counts[0].Type != "probe.transition" || counts[0].Count != 2 {
+	if len(counts) != 2 || counts[0].Name != "probe.transition" || counts[0].Count != 2 {
 		t.Fatalf("CountEventTypes = %+v", counts)
 	}
 }

@@ -35,7 +35,8 @@ func TestAdaptiveReplanLoop(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	cluster, err := StartCluster(w, stale)
+	tap := &countingTap{counts: accesslog.Counts{}}
+	cluster, err := StartClusterOptions(w, stale, ClusterOptions{AccessTap: tap})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,7 +66,7 @@ func TestAdaptiveReplanLoop(t *testing.T) {
 	}
 
 	// Collect statistics and estimate the new workload.
-	counts := accesslog.Counts(site0.AccessCounts())
+	counts := tap.counts
 	observed, err := accesslog.EstimateWorkload(w, counts)
 	if err != nil {
 		t.Fatal(err)

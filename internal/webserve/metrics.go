@@ -16,9 +16,9 @@ import (
 // ClusterOptions controls the optional observability and chaos wiring of a
 // cluster.
 type ClusterOptions struct {
-	// Metrics registers per-site request/byte/hit-miss counters in a
-	// cluster-wide registry and serves it as a JSON snapshot at /metrics on
-	// every server (the repository and each site).
+	// Metrics serves the cluster-wide registry (Cluster.Metrics: per-site
+	// request/byte/hit-miss counters, which are kept either way) as a JSON
+	// snapshot at /metrics on every server, the repository and each site.
 	Metrics bool
 	// Pprof mounts net/http/pprof under /debug/pprof/ on every server mux.
 	// Requires Metrics-independent opt-in: profiling endpoints expose
@@ -56,8 +56,7 @@ type ClusterOptions struct {
 	Admission *admission.Config
 }
 
-// setTelemetry hooks the repository's counters into the registry. A nil
-// registry leaves the nil no-op counters in place.
+// setTelemetry hooks the repository's counters into the registry.
 func (r *Repository) setTelemetry(reg *telemetry.Registry) {
 	r.cRequests = reg.Counter("repo.mo_requests")
 	r.cPages = reg.Counter("repo.page_requests")
@@ -90,19 +89,19 @@ func (s *LocalServer) setTelemetry(reg *telemetry.Registry) {
 // wrapMux wraps a handler with the optional /metrics, /debug/journal and
 // /debug/pprof/ routes. With none enabled the bare handler is returned — no
 // mux on the serving path.
-func wrapMux(h http.Handler, reg *telemetry.Registry, withPprof bool, journal *trace.Journal) http.Handler {
-	if reg == nil && !withPprof && journal == nil {
+func (c *Cluster) wrapMux(h http.Handler, opts ClusterOptions) http.Handler {
+	if !opts.Metrics && !opts.Pprof && c.Journal == nil {
 		return h
 	}
 	mux := http.NewServeMux()
 	mux.Handle("/", h)
-	if reg != nil {
-		mux.Handle("/metrics", telemetry.Handler(reg))
+	if opts.Metrics {
+		mux.Handle("/metrics", telemetry.Handler(c.Metrics))
 	}
-	if journal != nil {
-		mux.Handle("/debug/journal", trace.JournalHandler(journal))
+	if c.Journal != nil {
+		mux.Handle("/debug/journal", trace.JournalHandler(c.Journal))
 	}
-	if withPprof {
+	if opts.Pprof {
 		mux.HandleFunc("/debug/pprof/", pprof.Index)
 		mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
 		mux.HandleFunc("/debug/pprof/profile", pprof.Profile)

@@ -231,8 +231,8 @@ func TestFullSiteOutageAllPagesComplete(t *testing.T) {
 	if got := cluster.Metrics.Counter("client.degraded_pages").Value(); got != int64(degraded) {
 		t.Errorf("telemetry degraded_pages = %d, want %d", got, degraded)
 	}
-	if cluster.Repo.PageRequests() < int64(degraded) {
-		t.Errorf("repository served %d master-copy pages, want ≥ %d", cluster.Repo.PageRequests(), degraded)
+	if got := cluster.Metrics.Counter("repo.page_requests").Value(); got < int64(degraded) {
+		t.Errorf("repository served %d master-copy pages, want ≥ %d", got, degraded)
 	}
 }
 
@@ -263,8 +263,8 @@ func TestRepositoryMasterCopy(t *testing.T) {
 			t.Fatalf("master-copy reference %q does not point at the repository", url)
 		}
 	}
-	if cluster.Repo.PageRequests() != 1 {
-		t.Errorf("PageRequests = %d, want 1", cluster.Repo.PageRequests())
+	if got := cluster.Metrics.Counter("repo.page_requests").Value(); got != 1 {
+		t.Errorf("repo.page_requests = %d, want 1", got)
 	}
 }
 

@@ -8,7 +8,6 @@ import (
 	"net/http"
 	"strconv"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/accesslog"
@@ -28,14 +27,12 @@ import (
 // ask it for pages; the resilient client does exactly that when a page's
 // hosting site is down, completing the view via Eq. 5's remote chain.
 type Repository struct {
-	w        *workload.Workload
-	requests atomic.Int64
-	pages    atomic.Int64
+	w *workload.Workload
 
 	mu   sync.RWMutex
 	base string // external base URL, set once serving
 
-	// Telemetry counters; nil (no-op) unless the cluster enables metrics.
+	// The only tallies; nil (no-op) on a handler built outside a cluster.
 	cRequests, cPages, cBytes, cMisses, cWriteErrs *telemetry.Counter
 	cAborted                                       *telemetry.Counter
 }
@@ -44,12 +41,6 @@ type Repository struct {
 func NewRepository(w *workload.Workload) *Repository {
 	return &Repository{w: w}
 }
-
-// Requests returns the number of MO requests served.
-func (r *Repository) Requests() int64 { return r.requests.Load() }
-
-// PageRequests returns the number of degraded-mode page requests served.
-func (r *Repository) PageRequests() int64 { return r.pages.Load() }
 
 // SetBase records the repository's external base URL, used when rendering
 // master-copy pages. Must be called before serving.
@@ -69,7 +60,6 @@ func (r *Repository) Base() string {
 // ServeHTTP implements http.Handler.
 func (r *Repository) ServeHTTP(rw http.ResponseWriter, req *http.Request) {
 	if k, ok := htmlrefs.ParseMOPath(req.URL.Path); ok && int(k) < r.w.NumObjects() {
-		r.requests.Add(1)
 		r.cRequests.Inc()
 		r.cBytes.Add(int64(r.w.ObjectSize(k)))
 		rw.Header().Set("Content-Type", "application/octet-stream")
@@ -83,7 +73,6 @@ func (r *Repository) ServeHTTP(rw http.ResponseWriter, req *http.Request) {
 		// The master copy: every reference targets the repository, so a
 		// degraded client completes the whole view against the root.
 		doc := htmlrefs.RenderPage(r.w, j, r.Base())
-		r.pages.Add(1)
 		r.cPages.Inc()
 		r.cBytes.Add(int64(len(doc)))
 		rw.Header().Set("Content-Type", "text/html; charset=utf-8")
@@ -141,8 +130,9 @@ func countWriteErr(req *http.Request, aborted, writeErrs *telemetry.Counter) {
 // /page/<id> — rewriting MO URLs on the fly per its reference database —
 // and its replicated objects at /mo/<id>. Objects it does not store are
 // 404s: the placement is authoritative, exactly as a misrouted client would
-// experience in the paper's system. Page accesses are counted per page to
-// feed frequency estimation (Section 2's "statistics collected").
+// experience in the paper's system. Every served page view is reported to
+// the access tap, which feeds frequency estimation (Section 2's "statistics
+// collected").
 type LocalServer struct {
 	w        *workload.Workload
 	site     workload.SiteID
@@ -153,16 +143,13 @@ type LocalServer struct {
 	placement *model.Placement
 	base      string // this server's external base URL, set once serving
 
-	pageHits  sync.Map // workload.PageID -> *atomic.Int64
-	moHits    atomic.Int64
-	pageCount atomic.Int64
-
-	// Telemetry counters; nil (no-op) unless the cluster enables metrics.
+	// The only tallies; nil (no-op) on a handler built outside a cluster.
 	cPages, cMOs, cBytes, cMisses, cWriteErrs *telemetry.Counter
 	cAborted                                  *telemetry.Counter
 	cBrownoutPages, cBrownoutDropped          *telemetry.Counter
 
-	// Access-log tap; nil unless ClusterOptions.AccessTap was set. tapClock
+	// Access-log tap; nil unless ClusterOptions.AccessTap was set, and set
+	// before serving (ServeHTTP reads the fields lock-free). tapClock
 	// reports cluster uptime in seconds for the tap's timestamps.
 	tap      accesslog.Tap
 	tapClock func() float64
@@ -231,38 +218,6 @@ func (s *LocalServer) Rehome(w2 *workload.Workload, p *model.Placement) error {
 // Site returns the server's site ID.
 func (s *LocalServer) Site() workload.SiteID { return s.site }
 
-// PageRequests returns the total page requests served.
-func (s *LocalServer) PageRequests() int64 { return s.pageCount.Load() }
-
-// MORequests returns the MO requests served locally.
-func (s *LocalServer) MORequests() int64 { return s.moHits.Load() }
-
-// AccessCounts snapshots the per-page access counters.
-func (s *LocalServer) AccessCounts() map[workload.PageID]int64 {
-	out := make(map[workload.PageID]int64)
-	s.pageHits.Range(func(key, value interface{}) bool {
-		out[key.(workload.PageID)] = value.(*atomic.Int64).Load()
-		return true
-	})
-	return out
-}
-
-func (s *LocalServer) countPage(j workload.PageID) {
-	s.pageCount.Add(1)
-	v, _ := s.pageHits.LoadOrStore(j, new(atomic.Int64))
-	v.(*atomic.Int64).Add(1)
-	if s.tap != nil {
-		s.tap.Observe(s.site, j, s.tapClock())
-	}
-}
-
-// setTap arms the access-log tap. Must be called before serving (countPage
-// reads the fields lock-free).
-func (s *LocalServer) setTap(tap accesslog.Tap, clock func() float64) {
-	s.tap = tap
-	s.tapClock = clock
-}
-
 // ServeHTTP implements http.Handler.
 func (s *LocalServer) ServeHTTP(rw http.ResponseWriter, req *http.Request) {
 	if j, ok := htmlrefs.ParsePagePath(req.URL.Path); ok {
@@ -279,8 +234,10 @@ func (s *LocalServer) ServeHTTP(rw http.ResponseWriter, req *http.Request) {
 			http.NotFound(rw, req)
 			return
 		}
-		s.countPage(j)
 		s.cPages.Inc()
+		if s.tap != nil {
+			s.tap.Observe(s.site, j, s.tapClock())
+		}
 		s.cBytes.Add(int64(len(doc)))
 		if tier > 0 {
 			rw.Header().Set(admission.BrownoutHeader, strconv.Itoa(tier))
@@ -311,7 +268,6 @@ func (s *LocalServer) ServeHTTP(rw http.ResponseWriter, req *http.Request) {
 			http.NotFound(rw, req)
 			return
 		}
-		s.moHits.Add(1)
 		s.cMOs.Inc()
 		s.cBytes.Add(int64(s.w.ObjectSize(k)))
 		rw.Header().Set("Content-Type", "application/octet-stream")
@@ -337,8 +293,9 @@ type Cluster struct {
 	Sites     []*LocalServer
 	SiteBases []string
 
-	// Metrics is the cluster-wide registry behind every server's /metrics
-	// endpoint; nil unless ClusterOptions.Metrics was set.
+	// Metrics is the cluster-wide registry every server, admission layer,
+	// fault injector and cluster client counts into. ClusterOptions.Metrics
+	// decides only whether /metrics exports it.
 	Metrics *telemetry.Registry
 
 	// Tracer emits server-side spans into ClusterOptions.Trace; nil unless
@@ -386,14 +343,11 @@ func StartClusterOptions(w *workload.Workload, p *model.Placement, opts ClusterO
 			return nil, err
 		}
 	}
-	c := &Cluster{W: w, start: time.Now(), shutdownTimeout: opts.ShutdownTimeout, curW: w, curP: p}
+	c := &Cluster{W: w, Metrics: telemetry.NewRegistry(), start: time.Now(), shutdownTimeout: opts.ShutdownTimeout, curW: w, curP: p}
 	if c.shutdownTimeout <= 0 {
 		c.shutdownTimeout = 5 * time.Second
 	}
-	if opts.Metrics {
-		c.Metrics = telemetry.NewRegistry()
-		telemetry.RegisterBuildInfo(c.Metrics)
-	}
+	telemetry.RegisterBuildInfo(c.Metrics)
 	c.Tracer = trace.NewTracer(opts.Trace, opts.TraceSeed, trace.KindServer)
 	c.Journal = opts.Journal
 	// The outage-window clock: elapsed time since the cluster (and with it
@@ -420,9 +374,7 @@ func StartClusterOptions(w *workload.Workload, p *model.Placement, opts ClusterO
 			return nil, err
 		}
 		ls.setTelemetry(c.Metrics)
-		if opts.AccessTap != nil {
-			ls.setTap(opts.AccessTap, func() float64 { return time.Since(c.start).Seconds() })
-		}
+		ls.tap, ls.tapClock = opts.AccessTap, func() float64 { return time.Since(c.start).Seconds() }
 		adm := c.newAdmission(opts, uint64(i)+1, strconv.Itoa(i), clock)
 		ls.adm = adm
 		c.SiteAdms = append(c.SiteAdms, adm)
@@ -467,7 +419,7 @@ func (c *Cluster) buildHandler(app http.Handler, opts ClusterOptions, inj *fault
 		h = adm.Middleware(h)
 	}
 	h = traceMiddleware(c.Tracer, siteName, h)
-	return wrapMux(h, c.Metrics, opts.Pprof, c.Journal)
+	return c.wrapMux(h, opts)
 }
 
 // newAdmission builds one server's admission layer, or nil when overload
@@ -750,7 +702,7 @@ func (c *Cluster) PageURL(j workload.PageID) string {
 
 // Client builds a resilient client wired to this cluster: repository
 // fallback enabled, resilience counters registered in the cluster's
-// registry when it has one, and — when tracing is armed — a client tracer
+// registry, and — when tracing is armed — a client tracer
 // sharing the cluster's span buffer, ID stream and epoch, so client and
 // serve spans assemble into one tree.
 func (c *Cluster) Client(opts ClientOptions) *Client {

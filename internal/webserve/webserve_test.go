@@ -7,6 +7,7 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/accesslog"
 	"repro/internal/core"
 	"repro/internal/htmlrefs"
 	"repro/internal/model"
@@ -133,7 +134,7 @@ func TestClusterEndToEnd(t *testing.T) {
 	if checked == 0 {
 		t.Fatal("no pages checked")
 	}
-	if cluster.Repo.Requests() == 0 {
+	if cluster.Metrics.Counter("repo.mo_requests").Value() == 0 {
 		t.Error("repository served nothing — unexpected for a planned split")
 	}
 }
@@ -203,9 +204,22 @@ func TestApplyPlacementLive(t *testing.T) {
 	}
 }
 
+// countingTap is the simplest access tap: raw per-page view counts.
+type countingTap struct {
+	mu     sync.Mutex
+	counts accesslog.Counts
+}
+
+func (c *countingTap) Observe(_ workload.SiteID, page workload.PageID, _ float64) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.counts[page]++
+}
+
 func TestAccessCounters(t *testing.T) {
 	w := tinyWorkload(t)
-	cluster, err := StartCluster(w, model.AllLocal(w))
+	tap := &countingTap{counts: accesslog.Counts{}}
+	cluster, err := StartClusterOptions(w, model.AllLocal(w), ClusterOptions{AccessTap: tap})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -219,15 +233,13 @@ func TestAccessCounters(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	ls := cluster.Sites[0]
-	if got := ls.PageRequests(); got != n {
+	if got := cluster.Metrics.Counter("site.0.page_requests").Value(); got != n {
 		t.Errorf("page requests = %d, want %d", got, n)
 	}
-	counts := ls.AccessCounts()
-	if counts[pid] != n {
-		t.Errorf("page %d count = %d, want %d", pid, counts[pid], n)
+	if tap.counts[pid] != n || tap.counts.Total() != n {
+		t.Errorf("tap saw %d views of page %d among %d, want %d of %d", tap.counts[pid], pid, tap.counts.Total(), n, n)
 	}
-	if ls.MORequests() == 0 {
+	if cluster.Metrics.Counter("site.0.mo_requests").Value() == 0 {
 		t.Error("no local MO requests recorded under all-local")
 	}
 }

@@ -287,10 +287,6 @@ func ComputeRepair(env *Env, p *Placement, down []SiteID, opts RepairOptions) (*
 
 // Telemetry: the instrumentation substrate (internal/telemetry).
 type (
-	// Span is a nestable concurrency-safe phase timer; pass one as
-	// PlanOptions.Trace to trace the planner's phases. The nil Span is a
-	// valid no-op sink.
-	Span = telemetry.Span
 	// MetricsRegistry names and owns counters, gauges and latency
 	// histograms; pass one as SimConfig.Telemetry for per-request
 	// distributions. The nil registry disables instrumentation for free.
@@ -299,9 +295,6 @@ type (
 	// registry (the /metrics JSON payload).
 	MetricsSnapshot = telemetry.Snapshot
 )
-
-// NewSpan starts a new root tracing span.
-func NewSpan(name string) *Span { return telemetry.NewSpan(name) }
 
 // NewMetricsRegistry returns an empty metrics registry.
 func NewMetricsRegistry() *MetricsRegistry { return telemetry.NewRegistry() }
@@ -343,13 +336,19 @@ func LoadTrace(w *Workload, path string) (*Trace, error) {
 	return httpsim.LoadTraceFile(w, path)
 }
 
-// Request tracing (internal/trace): deterministic span forests from the
-// simulator (SimConfig.Trace) and the live cluster, the control-plane event
-// journal, and the Eq. 5 critical-path analyzer behind cmd/repltrace.
+// Tracing (internal/trace): deterministic span forests from the simulator
+// (SimConfig.Trace), the live cluster and the planner (PlanOptions.Trace),
+// the control-plane event journal, and the Eq. 5 critical-path analyzer
+// behind cmd/repltrace.
 type (
-	// RequestSpan is one timed operation in a request's span tree.
-	RequestSpan = trace.Span
-	// SpanBuffer is a bounded concurrency-safe span sink; arm one via
+	// Span is one completed timed operation in a span tree: a request's, a
+	// simulated page view's or a plan's.
+	Span = trace.Span
+	// ActiveSpan is a started, not-yet-ended span; pass one as
+	// PlanOptions.Trace and each planner phase becomes a child of it. The
+	// nil ActiveSpan is a valid no-op.
+	ActiveSpan = trace.Active
+	// SpanBuffer is a concurrency-safe span sink; arm one via
 	// SimConfig.Trace (nil disables tracing for free).
 	SpanBuffer = trace.Buffer
 	// EventJournal is the bounded control-plane flight recorder.
@@ -357,7 +356,7 @@ type (
 	// JournalEvent is one structured flight-recorder entry.
 	JournalEvent = trace.Event
 	// JournalTypeCount is one event type's tally.
-	JournalTypeCount = trace.TypeCount
+	JournalTypeCount = trace.NameCount
 	// TraceAnalysis is the per-page Eq. 5 critical-path breakdown of a
 	// recorded span forest.
 	TraceAnalysis = trace.Analysis
@@ -373,24 +372,34 @@ func CountJournalEvents(events []JournalEvent) []JournalTypeCount {
 func PlanLineage(events []JournalEvent) []string { return trace.PlanLineage(events) }
 
 // NewSpanBuffer returns a span sink holding at most capacity spans
-// (0 = default).
+// (0 = unbounded); once full it counts further spans as dropped.
 func NewSpanBuffer(capacity int) *SpanBuffer { return trace.NewBuffer(capacity) }
 
+// StartPlanSpan starts the root span of a traced plan into buf, its span IDs
+// drawn from seed: pass it as PlanOptions.Trace, End it after Plan returns,
+// and render buf.Spans() with WriteSpanTree.
+func StartPlanSpan(buf *SpanBuffer, seed uint64) *ActiveSpan {
+	return trace.NewTracer(buf, seed, trace.KindPlan).StartTrace(trace.SpanPlan)
+}
+
+// WriteSpanTree renders a span forest as indented text, one line per span.
+func WriteSpanTree(w io.Writer, spans []Span) error { return trace.WriteTree(w, spans) }
+
 // NewEventJournal returns a flight recorder holding the last capacity
-// events (0 = default).
+// events of each type (0 = default).
 func NewEventJournal(capacity int) *EventJournal { return trace.NewJournal(capacity) }
 
 // AnalyzeSpans reduces a span forest to its Eq. 5 critical paths.
-func AnalyzeSpans(spans []RequestSpan) *TraceAnalysis { return trace.Analyze(spans) }
+func AnalyzeSpans(spans []Span) *TraceAnalysis { return trace.Analyze(spans) }
 
 // LoadSpans reads a JSONL span file (from replsim -spans or replserve -trace).
-func LoadSpans(path string) ([]RequestSpan, error) { return trace.LoadJSONL(path) }
+func LoadSpans(path string) ([]Span, error) { return trace.LoadJSONL(path) }
 
 // SaveSpans writes spans as JSONL, the repo's canonical trace form.
-func SaveSpans(path string, spans []RequestSpan) error { return trace.SaveJSONL(path, spans) }
+func SaveSpans(path string, spans []Span) error { return trace.SaveJSONL(path, spans) }
 
 // SaveChromeTrace writes spans as Chrome trace-event JSON (Perfetto-loadable).
-func SaveChromeTrace(path string, spans []RequestSpan) error { return trace.SaveChrome(path, spans) }
+func SaveChromeTrace(path string, spans []Span) error { return trace.SaveChrome(path, spans) }
 
 // LoadPlacement reads a placement for the workload from a JSON file.
 func LoadPlacement(w *Workload, path string) (*Placement, error) {
