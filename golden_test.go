@@ -9,6 +9,9 @@ package repro
 // dependence in any numeric path).
 
 import (
+	"bytes"
+	"crypto/sha256"
+	"fmt"
 	"math"
 	"testing"
 )
@@ -78,5 +81,46 @@ func TestGoldenSimulation(t *testing.T) {
 	const wantMean = 1283.4768792205
 	if !relClose(res.PageRT.Mean(), wantMean) {
 		t.Errorf("simulated mean = %.12g, want %.12g (simulator behavior changed)", res.PageRT.Mean(), wantMean)
+	}
+}
+
+// goldenConstrainedEnv is goldenEnv under the plan-constrained benchmark
+// recipe: 50 % storage, 70 % site capacity, and the repository capped at
+// 90 % of what the uncapped plan sends it — so storage restoration, the
+// refine sweep and the off-loading negotiation all do real work.
+func goldenConstrainedEnv(t *testing.T) *Env {
+	t.Helper()
+	env := goldenEnv(t)
+	env.Budgets = env.Budgets.Scale(env.W, 0.5, 0.7)
+	probe, _, err := Plan(env, PlanOptions{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	env.Budgets.RepoCapacity = ReqPerSec(0.9 * float64(Evaluate(env, probe).RepoLoad))
+	return env
+}
+
+func TestGoldenConstrainedPlan(t *testing.T) {
+	env := goldenConstrainedEnv(t)
+	for _, workers := range []int{1, 4} {
+		p, res, err := Plan(env, PlanOptions{Workers: workers, Refine: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var deallocs, flips int
+		for _, s := range res.Sites {
+			deallocs += s.Deallocs
+			flips += s.ProcFlips
+		}
+		var buf bytes.Buffer
+		if err := p.Encode(&buf); err != nil {
+			t.Fatal(err)
+		}
+		got := fmt.Sprintf("D=%.17g deallocs=%d flips=%d rounds=%d messages=%d sha256=%x",
+			res.D, deallocs, flips, res.Offload.Rounds, res.Offload.Messages, sha256.Sum256(buf.Bytes()))
+		const want = "D=58226.515601366904 deallocs=278 flips=0 rounds=2 messages=16 sha256=f2bc781f2bf6cb13078f6a63efb3d9159b25d7049e4974bb4207a9feaad74e7b"
+		if got != want {
+			t.Errorf("workers=%d: constrained plan changed\n got  %s\n want %s", workers, got, want)
+		}
 	}
 }
