@@ -4,7 +4,8 @@ package repro
 // (BenchmarkStudy) plus kernel and ablation benches. The study benches run
 // the experiment at a reduced-but-faithful scale per iteration so
 // `go test -bench=.` finishes in minutes; the full Table-1 volume is
-// exercised by the *PaperScale benches and by cmd/replexp.
+// exercised by BenchmarkSimulatePaperScale and cmd/replexp; the planner's
+// own benches live in internal/core.
 
 import (
 	"testing"
@@ -72,33 +73,6 @@ func paperScaleEnv(b *testing.B) *Env {
 		b.Fatal(err)
 	}
 	return env
-}
-
-// BenchmarkPlanPaperScale runs the full planning pipeline (PARTITION +
-// restorations) on the Table-1 workload.
-func BenchmarkPlanPaperScale(b *testing.B) {
-	env := paperScaleEnv(b)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, _, err := Plan(env, PlanOptions{}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkPlanConstrained plans under 30 % storage and 50 % capacity —
-// both restoration loops active.
-func BenchmarkPlanConstrained(b *testing.B) {
-	env := paperScaleEnv(b)
-	env.Budgets = env.Budgets.Scale(env.W, 0.3, 0.5)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, _, err := Plan(env, PlanOptions{}); err != nil {
-			b.Fatal(err)
-		}
-	}
 }
 
 // BenchmarkSimulatePaperScale simulates the paper's 10,000 requests per
@@ -202,36 +176,5 @@ func BenchmarkGreedyGap(b *testing.B) {
 	b.ReportMetric(max, "max-gap-%")
 	if mean > 5 {
 		b.Fatalf("mean optimality gap %.2f%% too large", mean)
-	}
-}
-
-// BenchmarkOffloadNegotiation measures the off-loading protocol alone, with
-// the repository capped at 60 % of its pre-offload load.
-func BenchmarkOffloadNegotiation(b *testing.B) {
-	env := paperScaleEnv(b)
-	// Probe for the pre-offload load.
-	probe, _, err := Plan(env, PlanOptions{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	pre := model.RepoLoad(env, probe)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		b.StopTimer()
-		pl := core.NewPlanner(env)
-		pl.PartitionAll()
-		for s := range env.W.Sites {
-			pl.RestoreStorageSite(workload.SiteID(s))
-			pl.RestoreProcessingSite(workload.SiteID(s))
-		}
-		env.Budgets.RepoCapacity = ReqPerSec(float64(pre) * 0.6)
-		b.StartTimer()
-		st := pl.Offload(nil)
-		if !st.Restored {
-			b.Fatal("offload failed")
-		}
-		b.StopTimer()
-		env.Budgets.RepoCapacity = InfiniteCapacity()
-		b.StartTimer()
 	}
 }

@@ -75,51 +75,22 @@ func (pl *Planner) AcceptWorkload(i workload.SiteID, target units.ReqPerSec) Acc
 // one flip, within the hard capacity headroom) or candidates run out.
 // Returns the req/s gained.
 func (pl *Planner) acceptByFlipping(i workload.SiteID, soft, hard float64, res *AcceptResult) float64 {
-	var items []heapItem
-	for _, pid := range pl.env.W.Sites[i].Pages {
-		pg := &pl.env.W.Pages[pid]
-		for idx := range pg.Compulsory {
-			if !pl.p.CompLocal(pid, idx) {
-				key := pl.previewFlipComp(pid, idx, true) / float64(pg.Freq)
-				items = append(items, heapItem{key: key, id: encodeRef(pid, idx, false)})
-			}
-		}
-		for idx, l := range pg.Optional {
-			if !pl.p.OptLocal(pid, idx) {
-				gain := float64(pg.Freq) * l.Prob
-				key := pl.previewFlipOpt(pid, idx, true) / gain
-				items = append(items, heapItem{key: key, id: encodeRef(pid, idx, true)})
-			}
-		}
+	key := func(j workload.PageID, idx int, optional bool) float64 {
+		_, gain := pl.refOf(j, idx, optional)
+		return pl.previewFlip(j, idx, optional, true) / gain
 	}
-	h := newLazyHeap(items)
-
+	h := pl.refHeap(i, false, key)
 	recompute := func(id int64) (float64, bool) {
 		j, idx, optional := decodeRef(id)
-		pg := &pl.env.W.Pages[j]
-		var k workload.ObjectID
-		var gain float64
-		if optional {
-			if pl.p.OptLocal(j, idx) {
-				return 0, false
-			}
-			k = pg.Optional[idx].Object
-			gain = float64(pg.Freq) * pg.Optional[idx].Prob
-		} else {
-			if pl.p.CompLocal(j, idx) {
-				return 0, false
-			}
-			k = pg.Compulsory[idx]
-			gain = float64(pg.Freq)
+		if pl.isLocal(j, idx, optional) {
+			return 0, false
 		}
+		k, _ := pl.refOf(j, idx, optional)
 		// A flip needs the object stored, or storable within free space.
 		if !pl.p.IsStored(i, k) && pl.env.W.ObjectSize(k) > pl.freeSpace(i) {
 			return 0, false
 		}
-		if optional {
-			return pl.previewFlipOpt(j, idx, true) / gain, true
-		}
-		return pl.previewFlipComp(j, idx, true) / gain, true
+		return key(j, idx, optional), true
 	}
 
 	gained := 0.0
@@ -129,16 +100,7 @@ func (pl *Planner) acceptByFlipping(i workload.SiteID, soft, hard float64, res *
 			return gained
 		}
 		j, idx, optional := decodeRef(id)
-		pg := &pl.env.W.Pages[j]
-		var k workload.ObjectID
-		var gain float64
-		if optional {
-			k = pg.Optional[idx].Object
-			gain = float64(pg.Freq) * pg.Optional[idx].Prob
-		} else {
-			k = pg.Compulsory[idx]
-			gain = float64(pg.Freq)
-		}
+		k, gain := pl.refOf(j, idx, optional)
 		if gain > hard-gained+1e-9 {
 			// Taking this pair would violate the site's own capacity; a
 			// later candidate may carry a smaller gain (optional links),
@@ -149,11 +111,7 @@ func (pl *Planner) acceptByFlipping(i workload.SiteID, soft, hard float64, res *
 			pl.p.Store(i, k)
 			res.Stored++
 		}
-		if optional {
-			pl.flipOpt(j, idx, true)
-		} else {
-			pl.flipComp(j, idx, true)
-		}
+		pl.flip(j, idx, optional, true)
 		gained += gain
 	}
 	return gained
@@ -256,12 +214,8 @@ func (pl *Planner) acceptBySwapping(i workload.SiteID, soft, hard float64, res *
 		res.Stored++
 		res.Swapped += len(evict)
 		// Flip every repository reference of the incoming object local.
-		for _, r := range pl.refs[i][in.k] {
-			if r.optional {
-				pl.flipOpt(r.page, r.idx, true)
-			} else {
-				pl.flipComp(r.page, r.idx, true)
-			}
+		for _, r := range pl.refsOf(i, in.k) {
+			pl.flip(r.page, int(r.idx), r.optional, true)
 		}
 		gained += in.rate - lost
 	}

@@ -1,0 +1,39 @@
+package core
+
+import (
+	"testing"
+
+	"repro/internal/model"
+	"repro/internal/units"
+)
+
+// TestPlanAllocs pins the allocations of one constrained plan — the
+// plan-constrained benchmark recipe (50 % storage, 70 % capacity, repository
+// capped at 90 % of the probe plan's load, Refine on) on the small workload,
+// so every phase runs. Measured: 316 allocs/plan (some 200 of them the
+// placement's per-page rows); with the per-site maps, the boxed
+// container/heap items and the per-call slices this replaced it was 5,067.
+// The 20 % slack is for the runtime; a map or an interface{} back in the
+// greedy loops costs thousands.
+func TestPlanAllocs(t *testing.T) {
+	env := genEnv(t, 424242)
+	env.Budgets = env.Budgets.Scale(env.W, 0.5, 0.7)
+	probe, _, err := Plan(env, Options{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	env.Budgets.RepoCapacity = units.ReqPerSec(0.9 * float64(model.RepoLoad(env, probe)))
+	opts := Options{Workers: 1, Refine: true}
+	if _, res, _ := Plan(env, opts); !res.Offload.Ran || res.Sites[0].Deallocs == 0 {
+		t.Fatalf("recipe no longer exercises restoration and off-loading: %+v", res)
+	}
+	allocs := testing.AllocsPerRun(20, func() {
+		if _, _, err := Plan(env, opts); err != nil {
+			t.Fatal(err)
+		}
+	})
+	const measured = 316
+	if allocs > measured*1.2 {
+		t.Errorf("constrained plan: %v allocs/plan, want <= %d + 20%%", allocs, measured)
+	}
+}

@@ -1,7 +1,5 @@
 package core
 
-import "container/heap"
-
 // heapItem is one candidate in a lazy-greedy selection: an opaque id with a
 // possibly-stale key (smaller = apply earlier).
 type heapItem struct {
@@ -15,47 +13,74 @@ type heapItem struct {
 // caller and pushed back with a fresh key when they no longer beat the top.
 // Between two state mutations every key recomputation is deterministic, so
 // each item is refreshed at most once per mutation and the loop terminates.
+//
+// The sift routines are container/heap's Init, Push, Pop, up and down with
+// the interface calls written out, step for step. Restoration keys tie
+// massively (every stored object without a local mark costs 0), the pop
+// order among equal keys is decided by the sift sequence, and that order
+// decides which replica is evicted: any other heap is a different plan.
 type lazyHeap struct {
 	items []heapItem
-}
-
-func (h *lazyHeap) Len() int           { return len(h.items) }
-func (h *lazyHeap) Less(i, j int) bool { return h.items[i].key < h.items[j].key }
-func (h *lazyHeap) Swap(i, j int)      { h.items[i], h.items[j] = h.items[j], h.items[i] }
-func (h *lazyHeap) Push(x interface{}) { h.items = append(h.items, x.(heapItem)) }
-func (h *lazyHeap) Pop() interface{} {
-	old := h.items
-	n := len(old)
-	it := old[n-1]
-	h.items = old[:n-1]
-	return it
 }
 
 // newLazyHeap heapifies the given items in place.
 func newLazyHeap(items []heapItem) *lazyHeap {
 	h := &lazyHeap{items: items}
-	heap.Init(h)
+	n := len(items)
+	for i := n/2 - 1; i >= 0; i-- {
+		h.down(i, n)
+	}
 	return h
 }
 
 // push adds an item.
-func (h *lazyHeap) push(it heapItem) { heap.Push(h, it) }
+func (h *lazyHeap) push(it heapItem) {
+	h.items = append(h.items, it)
+	h.up(len(h.items) - 1)
+}
 
 // pop removes and returns the minimum item; ok is false when empty.
 func (h *lazyHeap) pop() (heapItem, bool) {
-	if h.Len() == 0 {
+	n := len(h.items) - 1
+	if n < 0 {
 		return heapItem{}, false
 	}
-	return heap.Pop(h).(heapItem), true
+	h.items[0], h.items[n] = h.items[n], h.items[0]
+	h.down(0, n)
+	it := h.items[n]
+	h.items = h.items[:n]
+	return it, true
 }
 
-// peekKey returns the minimum key, or +inf semantics via ok=false when
-// empty.
-func (h *lazyHeap) peekKey() (float64, bool) {
-	if h.Len() == 0 {
-		return 0, false
+func (h *lazyHeap) up(j int) {
+	s := h.items
+	for {
+		i := (j - 1) / 2 // parent
+		if i == j || !(s[j].key < s[i].key) {
+			break
+		}
+		s[i], s[j] = s[j], s[i]
+		j = i
 	}
-	return h.items[0].key, true
+}
+
+func (h *lazyHeap) down(i, n int) {
+	s := h.items
+	for {
+		j1 := 2*i + 1
+		if j1 >= n || j1 < 0 { // j1 < 0 after int overflow
+			break
+		}
+		j := j1 // left child
+		if j2 := j1 + 1; j2 < n && s[j2].key < s[j1].key {
+			j = j2 // right child
+		}
+		if !(s[j].key < s[i].key) {
+			break
+		}
+		s[i], s[j] = s[j], s[i]
+		i = j
+	}
 }
 
 // popFresh implements the lazy-greedy pop: it returns the id whose *fresh*
@@ -72,7 +97,7 @@ func (h *lazyHeap) popFresh(recompute func(id int64) (key float64, valid bool)) 
 		if !valid {
 			continue
 		}
-		if top, ok := h.peekKey(); ok && key > top+eps {
+		if len(h.items) > 0 && key > h.items[0].key+eps {
 			// Fresh key no longer beats the rest — refresh and retry.
 			// (Between two mutations recomputation is deterministic, so two
 			// items cannot alternate indefinitely: A re-pushed over B and B

@@ -28,7 +28,7 @@ func OptimalPagePartition(pl *Planner, j workload.PageID) (localMask uint64, bes
 	if len(pg.Compulsory) > 64 {
 		panic("core: OptimalPagePartition supports at most 64 compulsory objects")
 	}
-	est := pl.siteEstimateOf(pg.Site)
+	est := pl.env.SiteEst(j)
 
 	sizes := make([]units.ByteSize, len(pg.Compulsory))
 	var total units.ByteSize

@@ -150,7 +150,7 @@ func (pl *Planner) partitionPageDelta(j workload.PageID, buf []int) (partitionDe
 // result is independent of how the parallel phase scheduled the pages.
 func (pl *Planner) reducePartitionSite(i workload.SiteID, deltas []partitionDelta) {
 	w := pl.env.W
-	marks := pl.localMarks[i]
+	marks := pl.localMarks[pl.slot(i, 0):pl.slot(i+1, 0)]
 	for _, pid := range w.Sites[i].Pages {
 		d := &deltas[pid]
 		pl.d1Site[i] += d.d1

@@ -1,7 +1,8 @@
 package core
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"repro/internal/workload"
 )
@@ -21,7 +22,7 @@ import (
 // no object ends up remote.
 func (pl *Planner) partitionSplit(j workload.PageID, buf []int, assign func(idx int, toLocal bool)) []int {
 	pg := &pl.env.W.Pages[j]
-	est := pl.siteEstimateOf(pg.Site)
+	est := pl.env.SiteEst(j)
 
 	order := buf[:0]
 	if cap(order) < len(pg.Compulsory) {
@@ -31,13 +32,13 @@ func (pl *Planner) partitionSplit(j workload.PageID, buf []int, assign func(idx 
 		order = append(order, idx)
 	}
 	if !pl.UnsortedPartition {
-		sort.Slice(order, func(a, b int) bool {
-			sa := pl.env.W.ObjectSize(pg.Compulsory[order[a]])
-			sb := pl.env.W.ObjectSize(pg.Compulsory[order[b]])
+		slices.SortFunc(order, func(a, b int) int {
+			sa := pl.env.W.ObjectSize(pg.Compulsory[a])
+			sb := pl.env.W.ObjectSize(pg.Compulsory[b])
 			if sa != sb {
-				return sa > sb // decreasing size
+				return cmp.Compare(sb, sa) // decreasing size
 			}
-			return order[a] < order[b] // stable tie-break for determinism
+			return cmp.Compare(a, b) // index tie-break: a strict total order
 		})
 	}
 

@@ -15,7 +15,6 @@ import (
 	"fmt"
 
 	"repro/internal/model"
-	"repro/internal/netsim"
 	"repro/internal/units"
 	"repro/internal/workload"
 )
@@ -24,7 +23,7 @@ import (
 // page's Compulsory (optional == false) or Optional (optional == true) list.
 type objRef struct {
 	page     workload.PageID
-	idx      int
+	idx      int32
 	optional bool
 }
 
@@ -72,11 +71,22 @@ type Planner struct {
 	siteLocalLoad []float64 // Eq. 8 LHS per site
 	siteRepoLoad  []float64 // P(S_i, R) per site
 
-	// refs[i][k] lists every reference of object k by a page of site i;
-	// localMarks[i][k] counts how many of them are currently marked local
+	// The (site, object) index, flat like the optional-link tables: pair
+	// (i, k) is slot i·NumObjects+k. refs[refOff[s]:refOff[s+1]] lists every
+	// reference of the slot's object by a page of its site, in page order
+	// and compulsory before optional within a page — deallocate flips them
+	// in that order, and the order feeds the float accumulators.
+	// localMarks[s] counts how many of them are currently marked local
 	// (zero marks ⇒ the replica is free to deallocate).
-	refs       []map[workload.ObjectID][]objRef
-	localMarks []map[workload.ObjectID]int
+	refOff     []int32
+	refs       []objRef
+	localMarks []int32
+
+	// Per-site scratch of the greedy loops, so the steady state allocates
+	// nothing: the pages deallocate last disturbed, and the candidate
+	// buffer each of the site's heaps is built in (one heap at a time).
+	affected [][]workload.PageID
+	heapBuf  [][]heapItem
 }
 
 // NewPlanner builds a planner with an all-remote placement.
@@ -93,18 +103,32 @@ func NewPlanner(env *model.Env) *Planner {
 		d2Site:        make([]float64, w.NumSites()),
 		siteLocalLoad: make([]float64, w.NumSites()),
 		siteRepoLoad:  make([]float64, w.NumSites()),
-		refs:          make([]map[workload.ObjectID][]objRef, w.NumSites()),
-		localMarks:    make([]map[workload.ObjectID]int, w.NumSites()),
+		localMarks:    make([]int32, w.NumSites()*w.NumObjects()),
+		affected:      make([][]workload.PageID, w.NumSites()),
+		heapBuf:       make([][]heapItem, w.NumSites()),
 	}
-	for i := range pl.refs {
-		pl.refs[i] = make(map[workload.ObjectID][]objRef)
-		pl.localMarks[i] = make(map[workload.ObjectID]int)
-	}
+	// Counting pass, shifted by two: the prefix sum leaves slot s's start in
+	// off[s+1], the fill below advances it to the slot's end — the next
+	// slot's start — and off[s] has then become the offset proper, with no
+	// separate array of fill cursors.
+	off := make([]int32, len(pl.localMarks)+2)
 	links := 0
 	for j := range w.Pages {
+		pg := &w.Pages[j]
 		pl.optOff[j] = links
-		links += len(w.Pages[j].Optional)
+		links += len(pg.Optional)
+		for _, k := range pg.Compulsory {
+			off[pl.slot(pg.Site, k)+2]++
+		}
+		for _, l := range pg.Optional {
+			off[pl.slot(pg.Site, l.Object)+2]++
+		}
 	}
+	for s := 2; s < len(off); s++ {
+		off[s] += off[s-1]
+	}
+	pl.refs = make([]objRef, off[len(off)-1])
+	pl.refOff = off[:len(off)-1]
 	pl.optOff[w.NumPages()] = links
 	pl.optLocalT = make([]units.Seconds, links)
 	pl.optRemoteT = make([]units.Seconds, links)
@@ -122,10 +146,14 @@ func NewPlanner(env *model.Env) *Planner {
 		var rb units.ByteSize
 		for idx, k := range pg.Compulsory {
 			rb += w.ObjectSize(k)
-			pl.refs[pg.Site][k] = append(pl.refs[pg.Site][k], objRef{workload.PageID(j), idx, false})
+			next := &off[pl.slot(pg.Site, k)+1]
+			pl.refs[*next] = objRef{workload.PageID(j), int32(idx), false}
+			*next++
 		}
 		for idx, l := range pg.Optional {
-			pl.refs[pg.Site][l.Object] = append(pl.refs[pg.Site][l.Object], objRef{workload.PageID(j), idx, true})
+			next := &off[pl.slot(pg.Site, l.Object)+1]
+			pl.refs[*next] = objRef{workload.PageID(j), int32(idx), true}
+			*next++
 		}
 		pl.remoteBytes[j] = rb
 		pl.pageT[j] = pl.computePageTime(workload.PageID(j))
@@ -137,6 +165,26 @@ func NewPlanner(env *model.Env) *Planner {
 		pl.siteRepoLoad[pg.Site] += f * pl.pageRepoPerView(workload.PageID(j))
 	}
 	return pl
+}
+
+// slot returns the flat index of the (site, object) pair.
+func (pl *Planner) slot(i workload.SiteID, k workload.ObjectID) int {
+	return int(i)*len(pl.env.W.Objects) + int(k)
+}
+
+// refsOf lists every reference of object k by a page of site i.
+func (pl *Planner) refsOf(i workload.SiteID, k workload.ObjectID) []objRef {
+	s := pl.slot(i, k)
+	return pl.refs[pl.refOff[s]:pl.refOff[s+1]]
+}
+
+// candidates returns site i's empty heap buffer, sized once for the most a
+// heap of the site can hold: one item per reference by its pages.
+func (pl *Planner) candidates(i workload.SiteID) []heapItem {
+	if pl.heapBuf[i] == nil {
+		pl.heapBuf[i] = make([]heapItem, 0, pl.refOff[pl.slot(i+1, 0)]-pl.refOff[pl.slot(i, 0)])
+	}
+	return pl.heapBuf[i][:0]
 }
 
 // Env returns the planning environment.
@@ -272,13 +320,13 @@ func (pl *Planner) flipComp(j workload.PageID, idx int, toLocal bool) {
 		pl.remoteBytes[j] -= size
 		pl.siteLocalLoad[pg.Site] += f
 		pl.siteRepoLoad[pg.Site] -= f
-		pl.localMarks[pg.Site][pg.Compulsory[idx]]++
+		pl.localMarks[pl.slot(pg.Site, pg.Compulsory[idx])]++
 	} else {
 		pl.localBytes[j] -= size
 		pl.remoteBytes[j] += size
 		pl.siteLocalLoad[pg.Site] -= f
 		pl.siteRepoLoad[pg.Site] += f
-		pl.localMarks[pg.Site][pg.Compulsory[idx]]--
+		pl.localMarks[pl.slot(pg.Site, pg.Compulsory[idx])]--
 	}
 	pl.p.SetCompLocal(j, idx, toLocal)
 	newT := pl.computePageTime(j)
@@ -303,12 +351,67 @@ func (pl *Planner) flipOpt(j workload.PageID, idx int, toLocal bool) {
 	if toLocal {
 		pl.siteLocalLoad[pg.Site] += f * l.Prob
 		pl.siteRepoLoad[pg.Site] -= f * l.Prob
-		pl.localMarks[pg.Site][l.Object]++
+		pl.localMarks[pl.slot(pg.Site, l.Object)]++
 	} else {
 		pl.siteLocalLoad[pg.Site] -= f * l.Prob
 		pl.siteRepoLoad[pg.Site] += f * l.Prob
-		pl.localMarks[pg.Site][l.Object]--
+		pl.localMarks[pl.slot(pg.Site, l.Object)]--
 	}
+}
+
+// A reference is a (page, idx, optional) triple: idx indexes the page's
+// Optional list when optional is set, its Compulsory list otherwise. refOf
+// resolves one to its object and to the request rate a flip of it moves
+// between the site and the repository; isLocal, flip and previewFlip
+// dispatch on the kind.
+func (pl *Planner) refOf(j workload.PageID, idx int, optional bool) (workload.ObjectID, float64) {
+	pg := &pl.env.W.Pages[j]
+	if optional {
+		return pg.Optional[idx].Object, float64(pg.Freq) * pg.Optional[idx].Prob
+	}
+	return pg.Compulsory[idx], float64(pg.Freq)
+}
+
+func (pl *Planner) isLocal(j workload.PageID, idx int, optional bool) bool {
+	if optional {
+		return pl.p.OptLocal(j, idx)
+	}
+	return pl.p.CompLocal(j, idx)
+}
+
+func (pl *Planner) flip(j workload.PageID, idx int, optional, toLocal bool) {
+	if optional {
+		pl.flipOpt(j, idx, toLocal)
+	} else {
+		pl.flipComp(j, idx, toLocal)
+	}
+}
+
+func (pl *Planner) previewFlip(j workload.PageID, idx int, optional, toLocal bool) float64 {
+	if optional {
+		return pl.previewFlipOpt(j, idx, toLocal)
+	}
+	return pl.previewFlipComp(j, idx, toLocal)
+}
+
+// refHeap heapifies one candidate per reference by site i's pages that is
+// currently on the given side, keyed by key, in the site's heap buffer.
+func (pl *Planner) refHeap(i workload.SiteID, local bool, key func(j workload.PageID, idx int, optional bool) float64) *lazyHeap {
+	items := pl.candidates(i)
+	for _, pid := range pl.env.W.Sites[i].Pages {
+		pg := &pl.env.W.Pages[pid]
+		for idx := range pg.Compulsory {
+			if pl.p.CompLocal(pid, idx) == local {
+				items = append(items, heapItem{key: key(pid, idx, false), id: encodeRef(pid, idx, false)})
+			}
+		}
+		for idx := range pg.Optional {
+			if pl.p.OptLocal(pid, idx) == local {
+				items = append(items, heapItem{key: key(pid, idx, true), id: encodeRef(pid, idx, true)})
+			}
+		}
+	}
+	return newLazyHeap(items)
 }
 
 // previewFlipComp returns the change in D if page j's idx-th compulsory
@@ -362,9 +465,12 @@ func (pl *Planner) VerifyConsistency() error {
 	if d2 := model.D2(pl.env, pl.p); !approxEqual(d2, pl.D2(), eps) {
 		return fmt.Errorf("core: cached D2 %v != recomputed %v", pl.D2(), d2)
 	}
-	// The mark counters must agree with the placement matrices.
+	// The mark counters must agree with the placement matrices, and the
+	// placement's O(1) Eq. 10 left-hand side with a recount.
+	want := make([]int32, len(pl.env.W.Objects))
 	for i := range pl.env.W.Sites {
-		want := make(map[workload.ObjectID]int)
+		id := workload.SiteID(i)
+		clear(want)
 		for _, pid := range pl.env.W.Sites[i].Pages {
 			pg := &pl.env.W.Pages[pid]
 			for idx, k := range pg.Compulsory {
@@ -378,16 +484,17 @@ func (pl *Planner) VerifyConsistency() error {
 				}
 			}
 		}
-		for k, n := range pl.localMarks[i] {
+		used := pl.env.W.HTMLStorageBytes(id)
+		for k, n := range pl.localMarks[pl.slot(id, 0):pl.slot(id+1, 0)] {
 			if n != want[k] {
 				return fmt.Errorf("core: site %d object %d mark count %d != %d", i, k, n, want[k])
 			}
-			delete(want, k)
-		}
-		for k, n := range want {
-			if n != 0 {
-				return fmt.Errorf("core: site %d object %d has %d marks but no counter", i, k, n)
+			if pl.p.IsStored(id, workload.ObjectID(k)) {
+				used += pl.env.W.ObjectSize(workload.ObjectID(k))
 			}
+		}
+		if got := pl.p.StorageUsed(id); got != used {
+			return fmt.Errorf("core: site %d storage used %d != recounted %d", i, got, used)
 		}
 	}
 	for i := range pl.env.W.Sites {
@@ -427,9 +534,4 @@ func approxEqual(a, b, eps float64) bool {
 		scale = b
 	}
 	return d <= eps*scale
-}
-
-// siteEstimateOf returns the estimate for site i.
-func (pl *Planner) siteEstimateOf(i workload.SiteID) netsim.SiteEstimate {
-	return pl.env.Est.Sites[i]
 }

@@ -171,8 +171,8 @@ func TestFlipCompUpdatesCaches(t *testing.T) {
 	if err := pl.VerifyConsistency(); err != nil {
 		t.Fatal(err)
 	}
-	if pl.localMarks[0][0] != 0 {
-		t.Errorf("mark count = %d after flip round-trip", pl.localMarks[0][0])
+	if pl.localMarks[pl.slot(0, 0)] != 0 {
+		t.Errorf("mark count = %d after flip round-trip", pl.localMarks[pl.slot(0, 0)])
 	}
 }
 

@@ -19,40 +19,13 @@ import (
 func (pl *Planner) RefineSite(i workload.SiteID) (flips int) {
 	capacity := float64(pl.env.Budgets.SiteCapacity[i])
 
-	var items []heapItem
-	for _, pid := range pl.env.W.Sites[i].Pages {
-		pg := &pl.env.W.Pages[pid]
-		for idx := range pg.Compulsory {
-			if !pl.p.CompLocal(pid, idx) {
-				items = append(items, heapItem{key: pl.refineKey(pid, idx, false), id: encodeRef(pid, idx, false)})
-			}
-		}
-		for idx := range pg.Optional {
-			if !pl.p.OptLocal(pid, idx) {
-				items = append(items, heapItem{key: pl.refineKey(pid, idx, true), id: encodeRef(pid, idx, true)})
-			}
-		}
-	}
-	h := newLazyHeap(items)
-
+	h := pl.refHeap(i, false, pl.refineKey)
 	recompute := func(id int64) (float64, bool) {
 		j, idx, optional := decodeRef(id)
-		pg := &pl.env.W.Pages[j]
-		var k workload.ObjectID
-		var gain float64
-		if optional {
-			if pl.p.OptLocal(j, idx) {
-				return 0, false
-			}
-			k = pg.Optional[idx].Object
-			gain = float64(pg.Freq) * pg.Optional[idx].Prob
-		} else {
-			if pl.p.CompLocal(j, idx) {
-				return 0, false
-			}
-			k = pg.Compulsory[idx]
-			gain = float64(pg.Freq)
+		if pl.isLocal(j, idx, optional) {
+			return 0, false
 		}
+		k, gain := pl.refOf(j, idx, optional)
 		if !pl.p.IsStored(i, k) && pl.env.W.ObjectSize(k) > pl.freeSpace(i) {
 			return 0, false
 		}
@@ -72,21 +45,9 @@ func (pl *Planner) RefineSite(i workload.SiteID) (flips int) {
 			return flips
 		}
 		j, idx, optional := decodeRef(id)
-		pg := &pl.env.W.Pages[j]
-		var k workload.ObjectID
-		if optional {
-			k = pg.Optional[idx].Object
-		} else {
-			k = pg.Compulsory[idx]
-		}
-		if !pl.p.IsStored(i, k) {
-			pl.p.Store(i, k)
-		}
-		if optional {
-			pl.flipOpt(j, idx, true)
-		} else {
-			pl.flipComp(j, idx, true)
-		}
+		k, _ := pl.refOf(j, idx, optional)
+		pl.p.Store(i, k) // a no-op when already stored
+		pl.flip(j, idx, optional, true)
 		flips++
 	}
 }
@@ -95,17 +56,9 @@ func (pl *Planner) RefineSite(i workload.SiteID) (flips int) {
 // bytes the flip must occupy (zero for already-stored objects, which makes
 // free improvements sort first).
 func (pl *Planner) refineKey(j workload.PageID, idx int, optional bool) float64 {
-	pg := &pl.env.W.Pages[j]
-	var k workload.ObjectID
-	var preview float64
-	if optional {
-		k = pg.Optional[idx].Object
-		preview = pl.previewFlipOpt(j, idx, true)
-	} else {
-		k = pg.Compulsory[idx]
-		preview = pl.previewFlipComp(j, idx, true)
-	}
-	if pl.p.IsStored(pg.Site, k) {
+	k, _ := pl.refOf(j, idx, optional)
+	preview := pl.previewFlip(j, idx, optional, true)
+	if pl.p.IsStored(pl.env.W.Pages[j].Site, k) {
 		return preview // free: no new bytes
 	}
 	size := float64(pl.env.W.ObjectSize(k))

@@ -30,34 +30,25 @@ func decodeRef(id int64) (workload.PageID, int, bool) {
 // once per page), so the per-reference previews are exactly additive.
 func (pl *Planner) deallocCost(i workload.SiteID, k workload.ObjectID) float64 {
 	cost := 0.0
-	for _, r := range pl.refs[i][k] {
-		if r.optional {
-			if pl.p.OptLocal(r.page, r.idx) {
-				cost += pl.previewFlipOpt(r.page, r.idx, false)
-			}
-		} else if pl.p.CompLocal(r.page, r.idx) {
-			cost += pl.previewFlipComp(r.page, r.idx, false)
-		}
+	for _, r := range pl.refsOf(i, k) {
+		cost += pl.previewFlip(r.page, int(r.idx), r.optional, false) // 0 for a remote one
 	}
 	return cost
 }
 
 // deallocate removes object k from site i's store, flipping every local
-// reference to the repository first. It returns the affected pages.
+// reference to the repository first. It returns the affected pages, in the
+// site's scratch buffer: valid until the site's next deallocation.
 func (pl *Planner) deallocate(i workload.SiteID, k workload.ObjectID) []workload.PageID {
-	var affected []workload.PageID
-	for _, r := range pl.refs[i][k] {
-		if r.optional {
-			if pl.p.OptLocal(r.page, r.idx) {
-				pl.flipOpt(r.page, r.idx, false)
-				affected = append(affected, r.page)
-			}
-		} else if pl.p.CompLocal(r.page, r.idx) {
-			pl.flipComp(r.page, r.idx, false)
+	affected := pl.affected[i][:0]
+	for _, r := range pl.refsOf(i, k) {
+		if pl.isLocal(r.page, int(r.idx), r.optional) {
+			pl.flip(r.page, int(r.idx), r.optional, false)
 			affected = append(affected, r.page)
 		}
 	}
 	pl.p.Unstore(i, k)
+	pl.affected[i] = affected
 	return affected
 }
 
@@ -105,7 +96,7 @@ func (pl *Planner) RestoreStorageSite(i workload.SiteID) (deallocs int) {
 		return 0
 	}
 
-	var items []heapItem
+	items := pl.candidates(i)
 	pl.p.StoredSet(i).ForEach(func(kk int) bool {
 		k := workload.ObjectID(kk)
 		size := float64(pl.env.W.ObjectSize(k))
@@ -152,39 +143,17 @@ func (pl *Planner) RestoreProcessingSite(i workload.SiteID) (flips int) {
 		return 0
 	}
 
-	var items []heapItem
-	for _, pid := range pl.env.W.Sites[i].Pages {
-		pg := &pl.env.W.Pages[pid]
-		for idx := range pg.Compulsory {
-			if pl.p.CompLocal(pid, idx) {
-				key := pl.previewFlipComp(pid, idx, false) / float64(pg.Freq)
-				items = append(items, heapItem{key: key, id: encodeRef(pid, idx, false)})
-			}
-		}
-		for idx, l := range pg.Optional {
-			if pl.p.OptLocal(pid, idx) {
-				freed := float64(pg.Freq) * l.Prob
-				key := pl.previewFlipOpt(pid, idx, false) / freed
-				items = append(items, heapItem{key: key, id: encodeRef(pid, idx, true)})
-			}
-		}
+	key := func(j workload.PageID, idx int, optional bool) float64 {
+		_, freed := pl.refOf(j, idx, optional)
+		return pl.previewFlip(j, idx, optional, false) / freed
 	}
-	h := newLazyHeap(items)
-
+	h := pl.refHeap(i, true, key)
 	recompute := func(id int64) (float64, bool) {
 		j, idx, optional := decodeRef(id)
-		pg := &pl.env.W.Pages[j]
-		if optional {
-			if !pl.p.OptLocal(j, idx) {
-				return 0, false
-			}
-			freed := float64(pg.Freq) * pg.Optional[idx].Prob
-			return pl.previewFlipOpt(j, idx, false) / freed, true
-		}
-		if !pl.p.CompLocal(j, idx) {
+		if !pl.isLocal(j, idx, optional) {
 			return 0, false
 		}
-		return pl.previewFlipComp(j, idx, false) / float64(pg.Freq), true
+		return key(j, idx, optional), true
 	}
 
 	for pl.siteLocalLoad[i] > capacity {
@@ -195,17 +164,10 @@ func (pl *Planner) RestoreProcessingSite(i workload.SiteID) (flips int) {
 			return flips
 		}
 		j, idx, optional := decodeRef(id)
-		pg := &pl.env.W.Pages[j]
-		var k workload.ObjectID
-		if optional {
-			k = pg.Optional[idx].Object
-			pl.flipOpt(j, idx, false)
-		} else {
-			k = pg.Compulsory[idx]
-			pl.flipComp(j, idx, false)
-		}
+		k, _ := pl.refOf(j, idx, optional)
+		pl.flip(j, idx, optional, false)
 		flips++
-		if pl.localMarks[i][k] == 0 {
+		if pl.localMarks[pl.slot(i, k)] == 0 {
 			pl.p.Unstore(i, k)
 		}
 	}

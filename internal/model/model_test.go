@@ -1,9 +1,11 @@
 package model
 
 import (
+	"bytes"
 	"math"
 	"strings"
 	"testing"
+	"testing/quick"
 
 	"repro/internal/netsim"
 	"repro/internal/rng"
@@ -132,6 +134,61 @@ func TestStorageAccounting(t *testing.T) {
 	}
 	if err := p.CheckInvariants(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestStorageUsedMatchesRecount is the property behind the O(1) Eq. 10
+// check: after any run of Store/Unstore, on the placement, on a clone and on
+// an Encode/DecodePlacement round trip of it, StorageUsed equals the pure
+// recount — the site's HTML bytes plus the sizes of what it stores.
+func TestStorageUsedMatchesRecount(t *testing.T) {
+	prop := func(seed uint64) bool {
+		w := workload.MustGenerate(workload.SmallConfig(), seed%64)
+		check := func(name string, p *Placement) bool {
+			for i := range w.Sites {
+				id := workload.SiteID(i)
+				want := w.HTMLStorageBytes(id)
+				p.StoredSet(id).ForEach(func(k int) bool {
+					want += w.ObjectSize(workload.ObjectID(k))
+					return true
+				})
+				if got := p.StorageUsed(id); got != want {
+					t.Logf("seed %d, %s: site %d StorageUsed = %d, recount %d", seed, name, i, got, want)
+					return false
+				}
+			}
+			return true
+		}
+		s := rng.New(seed)
+		churn := func(p *Placement) {
+			for step := 0; step < 300; step++ {
+				i, k := workload.SiteID(s.IntN(w.NumSites())), workload.ObjectID(s.IntN(w.NumObjects()))
+				if s.Bool(0.6) {
+					p.Store(i, k)
+				} else {
+					p.Unstore(i, k)
+				}
+			}
+		}
+		p := NewPlacement(w)
+		churn(p)
+		var buf bytes.Buffer
+		if err := p.Encode(&buf); err != nil {
+			t.Log(err)
+			return false
+		}
+		decoded, err := DecodePlacement(w, &buf)
+		if err != nil {
+			t.Log(err)
+			return false
+		}
+		clone := decoded.Clone()
+		churn(clone) // the clone's stored bytes are its own
+		return check("placement", p) && check("decoded", decoded) && check("clone", clone) &&
+			check("all-local", AllLocal(w))
+	}
+	if err := quick.Check(prop, &quick.Config{MaxCount: 30}); err != nil {
+		t.Error(err)
 	}
 }
 

@@ -31,6 +31,9 @@ type Placement struct {
 
 	stored      []*bitset.Set
 	storedBytes []units.ByteSize // MO bytes only; HTML accounted separately
+	// htmlBytes[i] is workload.HTMLStorageBytes(i), summed once: a constant
+	// of the workload, read-only and shared by every clone.
+	htmlBytes []units.ByteSize
 }
 
 // NewPlacement returns an all-remote placement: X = 0, X' covers nothing,
@@ -42,6 +45,7 @@ func NewPlacement(w *workload.Workload) *Placement {
 		xOpt:        make([][]bool, w.NumPages()),
 		stored:      make([]*bitset.Set, w.NumSites()),
 		storedBytes: make([]units.ByteSize, w.NumSites()),
+		htmlBytes:   make([]units.ByteSize, w.NumSites()),
 	}
 	for j := range p.xComp {
 		p.xComp[j] = make([]bool, len(w.Pages[j].Compulsory))
@@ -49,6 +53,7 @@ func NewPlacement(w *workload.Workload) *Placement {
 	}
 	for i := range p.stored {
 		p.stored[i] = bitset.New(w.NumObjects())
+		p.htmlBytes[i] = w.HTMLStorageBytes(workload.SiteID(i))
 	}
 	return p
 }
@@ -102,7 +107,7 @@ func (p *Placement) StoredMOBytes(i workload.SiteID) units.ByteSize { return p.s
 // StorageUsed returns the Eq. 10 left-hand side for site i: HTML documents
 // plus stored MOs.
 func (p *Placement) StorageUsed(i workload.SiteID) units.ByteSize {
-	return p.w.HTMLStorageBytes(i) + p.storedBytes[i]
+	return p.htmlBytes[i] + p.storedBytes[i]
 }
 
 // Clone returns a deep copy of the placement.
@@ -113,6 +118,7 @@ func (p *Placement) Clone() *Placement {
 		xOpt:        make([][]bool, len(p.xOpt)),
 		stored:      make([]*bitset.Set, len(p.stored)),
 		storedBytes: append([]units.ByteSize(nil), p.storedBytes...),
+		htmlBytes:   p.htmlBytes,
 	}
 	for j := range p.xComp {
 		c.xComp[j] = append([]bool(nil), p.xComp[j]...)
