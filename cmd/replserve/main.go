@@ -42,9 +42,11 @@
 // chains, retries, backoffs and fallbacks, plus the server-side serve spans
 // stitched in via the X-Repl-Trace header — and the forest is written as
 // JSONL for cmd/repltrace (-chrome additionally writes Perfetto-loadable
-// trace-event JSON). With -journal the control plane records its flight
-// recorder (probe transitions, repair plans, placement pushes, injected
-// faults), serves it at /debug/journal, and prints the event tally on exit.
+// trace-event JSON): the first 65,536 spans, with the count of those dropped
+// after them printed beside the file name. With -journal the control plane
+// records its flight recorder (probe transitions, repair plans, placement
+// pushes, injected faults), serves it at /debug/journal, and prints the
+// event tally on exit.
 //
 // Usage:
 //
@@ -132,7 +134,9 @@ func run(args []string, stdout io.Writer) error {
 
 	var spanBuf *repro.SpanBuffer
 	if *tracePath != "" {
-		spanBuf = repro.NewSpanBuffer(0)
+		// The head of the run, bounded as the benchmark bounds it: under
+		// -serve an unbounded buffer grows until the process dies.
+		spanBuf = repro.NewSpanBuffer(1 << 16)
 	}
 	var journal *repro.EventJournal
 	if *journalOn {
@@ -173,8 +177,8 @@ func run(args []string, stdout io.Writer) error {
 				fmt.Fprintf(stdout, "trace: %v\n", err)
 				return
 			}
-			fmt.Fprintf(stdout, "trace: %d spans written to %s (repltrace -i %s -seed %d -storage %.2f)\n",
-				len(spans), *tracePath, *tracePath, *seed, *storage)
+			fmt.Fprintf(stdout, "trace: %d spans written to %s, dropped=%d (repltrace -i %s -seed %d -storage %.2f)\n",
+				len(spans), *tracePath, spanBuf.Dropped(), *tracePath, *seed, *storage)
 			if *chromePath != "" {
 				if err := repro.SaveChromeTrace(*chromePath, spans); err != nil {
 					fmt.Fprintf(stdout, "trace: %v\n", err)

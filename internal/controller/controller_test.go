@@ -18,14 +18,20 @@ import (
 // healEnv builds a 3-site planned deployment small enough to probe fast.
 func healEnv(t *testing.T) (*model.Env, *model.Placement) {
 	t.Helper()
+	return healEnvSized(t, []workload.SizeClass{
+		{Frac: 0.5, Lo: 2 * units.KB, Hi: 8 * units.KB},
+		{Frac: 0.5, Lo: 8 * units.KB, Hi: 32 * units.KB},
+	})
+}
+
+// healEnvSized is healEnv with the given object sizes.
+func healEnvSized(t *testing.T, objects []workload.SizeClass) (*model.Env, *model.Placement) {
+	t.Helper()
 	cfg := workload.SmallConfig()
 	cfg.Sites = 3
 	cfg.PagesPerSiteMin, cfg.PagesPerSiteMax = 4, 6
 	cfg.GlobalObjects, cfg.ObjectsPerSite, cfg.ObjectsPerMax = 90, 30, 45
-	cfg.MOClasses = []workload.SizeClass{
-		{Frac: 0.5, Lo: 2 * units.KB, Hi: 8 * units.KB},
-		{Frac: 0.5, Lo: 8 * units.KB, Hi: 32 * units.KB},
-	}
+	cfg.MOClasses = objects
 	w := workload.MustGenerate(cfg, 66)
 	est, err := netsim.DrawEstimates(netsim.DefaultConfig(), w.NumSites(), rng.New(66))
 	if err != nil {

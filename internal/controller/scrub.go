@@ -1,6 +1,7 @@
 package controller
 
 import (
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -110,18 +111,25 @@ func (s *Scrubber) Start() {
 	})
 }
 
-// fetch retrieves one replica's bytes from site i.
-func (s *Scrubber) fetch(base string, k workload.ObjectID) ([]byte, error) {
+// verify fetches site i's replica of object k from base and checks it as it
+// streams in, never holding it whole. A *webserve.IntegrityError is a
+// finding; any other error is the fetch's.
+func (s *Scrubber) verify(w *workload.Workload, i int, base string, k workload.ObjectID) error {
 	resp, err := s.http.Get(base + htmlrefs.MOPath(k))
 	if err != nil {
-		return nil, err
+		return err
 	}
 	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		_, _ = io.Copy(io.Discard, resp.Body)
-		return nil, fmt.Errorf("scrub: GET %s%s: %s", base, htmlrefs.MOPath(k), resp.Status)
+	if resp.StatusCode == http.StatusOK {
+		err = webserve.VerifyObjectStream(w, i, k, resp.Body)
+	} else {
+		err = fmt.Errorf("scrub: GET %s%s: %s", base, htmlrefs.MOPath(k), resp.Status)
 	}
-	return io.ReadAll(resp.Body)
+	if err != nil {
+		// Drain what was not read, so the connection is reusable.
+		_, _ = io.Copy(io.Discard, resp.Body)
+	}
+	return err
 }
 
 // RunCycle walks the live placement once: every replica the plan claims a
@@ -148,13 +156,9 @@ func (s *Scrubber) RunCycle() (*ScrubCycle, error) {
 			k := workload.ObjectID(ki)
 			out.Checked++
 			s.cObjects.Inc()
-			data, err := s.fetch(base, k)
-			if err != nil {
-				out.Errors++
-				s.cErrors.Inc()
-				return true
-			}
-			if verr := webserve.VerifyObjectFrom(w, i, k, data); verr != nil {
+			err := s.verify(w, i, base, k)
+			var verr *webserve.IntegrityError
+			if errors.As(err, &verr) {
 				out.Corrupt = append(out.Corrupt, Finding{Site: site, Object: k, Reason: verr.Error()})
 				s.cCorrupt.Inc()
 				journal.Record("scrub.corrupt",
@@ -162,6 +166,11 @@ func (s *Scrubber) RunCycle() (*ScrubCycle, error) {
 					trace.I(trace.AttrObject, int64(k)),
 					trace.A(trace.AttrReason, verr.Error()))
 				s.logf("corrupt replica: site %d object %d: %v", i, k, verr)
+				return true
+			}
+			if err != nil {
+				out.Errors++
+				s.cErrors.Inc()
 				return true
 			}
 			out.Clean++
@@ -194,13 +203,8 @@ func (s *Scrubber) repairFindings(w *workload.Workload, out *ScrubCycle) error {
 		cluster.ClearRot(int(f.Site), f.Object)
 	}
 	for _, f := range shipped {
-		data, err := s.fetch(cluster.SiteBases[f.Site], f.Object)
-		if err != nil {
-			return fmt.Errorf("scrub: re-verify fetch site %d object %d: %w", f.Site, f.Object, err)
-		}
-		if verr := webserve.VerifyObjectFrom(w, int(f.Site), f.Object, data); verr != nil {
-			return fmt.Errorf("scrub: replica still corrupt after repair: site %d object %d: %w",
-				f.Site, f.Object, verr)
+		if err := s.verify(w, int(f.Site), cluster.SiteBases[f.Site], f.Object); err != nil {
+			return fmt.Errorf("scrub: re-verify after repair: site %d object %d: %w", f.Site, f.Object, err)
 		}
 	}
 	out.Repaired = true

@@ -1,6 +1,7 @@
 package controller
 
 import (
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -15,9 +16,13 @@ import (
 
 // TestScrubberFindsAndRepairsRot is the anti-entropy unit test: rot three
 // stored replicas, run one cycle (every rotted replica found, repaired
-// delta-only, re-verified), then a second cycle that must come back clean.
+// delta-only, re-verified), then a second cycle that must come back clean
+// — and, replicas being verified as they stream in, must allocate less per
+// replica than one of these (large) objects: reading them whole cost
+// several times their size.
 func TestScrubberFindsAndRepairsRot(t *testing.T) {
-	penv, p := healEnv(t)
+	const smallest = 512 * units.KB
+	penv, p := healEnvSized(t, []workload.SizeClass{{Frac: 1, Lo: smallest, Hi: 640 * units.KB}})
 	stored := p.StoredSet(0).Members()
 	if len(stored) < 3 {
 		t.Fatalf("site 0 stores only %d replicas", len(stored))
@@ -73,12 +78,18 @@ func TestScrubberFindsAndRepairsRot(t *testing.T) {
 		t.Fatalf("%d replicas still rotted after repair", cluster.RotRemaining())
 	}
 
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
 	cyc2, err := s.RunCycle()
+	runtime.ReadMemStats(&after)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(cyc2.Corrupt) != 0 || cyc2.Repaired {
 		t.Fatalf("cycle 2 not clean: %d corrupt, repaired=%v", len(cyc2.Corrupt), cyc2.Repaired)
+	}
+	if perReplica := (after.TotalAlloc - before.TotalAlloc) / uint64(cyc2.Checked); perReplica >= uint64(smallest) {
+		t.Errorf("clean cycle allocated %d bytes per replica, want less than one object (%d)", perReplica, int64(smallest))
 	}
 
 	// Telemetry and journal agree with the cycle accounting.

@@ -11,15 +11,23 @@ import (
 )
 
 // Stream is a deterministic random stream. It wraps math/rand with the
-// distribution helpers the model needs and with cheap hierarchical seeding.
+// distribution helpers the model needs and with cheap hierarchical seeding:
+// math/rand's 607-word table is filled by the first draw, so a stream that
+// is only Split or never drawn from costs its 16 bytes.
 type Stream struct {
 	seed uint64
-	r    *rand.Rand
+	r    *rand.Rand // nil until the first draw
 }
 
 // New returns a stream seeded with seed.
-func New(seed uint64) *Stream {
-	return &Stream{seed: seed, r: rand.New(rand.NewSource(int64(mix(seed))))}
+func New(seed uint64) *Stream { return &Stream{seed: seed} }
+
+// rand returns the generator, seeding it on the first draw.
+func (s *Stream) rand() *rand.Rand {
+	if s.r == nil {
+		s.r = rand.New(rand.NewSource(int64(mix(s.seed))))
+	}
+	return s.r
 }
 
 // Seed returns the seed the stream was created with.
@@ -28,7 +36,9 @@ func (s *Stream) Seed() uint64 { return s.seed }
 // Split derives an independent child stream from this stream's seed and a
 // label. Splitting is a pure function of (seed, labels...): it does not
 // consume state from the parent, so the order in which children are created
-// or used cannot perturb sibling streams.
+// or used cannot perturb sibling streams. It reads only the seed, never the
+// lazily built generator, so goroutines may Split one shared parent
+// concurrently; drawing from one stream is not safe for concurrent use.
 func (s *Stream) Split(labels ...uint64) *Stream {
 	seed := s.seed
 	for _, l := range labels {
@@ -46,12 +56,12 @@ func mix(z uint64) uint64 {
 }
 
 // Float64 returns a uniform value in [0, 1).
-func (s *Stream) Float64() float64 { return s.r.Float64() }
+func (s *Stream) Float64() float64 { return s.rand().Float64() }
 
 // Uint64 returns a uniform 64-bit value. Trace and span identifiers draw
 // from dedicated Split-derived streams through this method, so an ID
 // sequence is a pure function of (seed, stream label).
-func (s *Stream) Uint64() uint64 { return s.r.Uint64() }
+func (s *Stream) Uint64() uint64 { return s.rand().Uint64() }
 
 // Uniform returns a uniform value in [lo, hi). It also accepts lo == hi
 // (returns lo) so degenerate config ranges behave.
@@ -59,11 +69,11 @@ func (s *Stream) Uniform(lo, hi float64) float64 {
 	if hi <= lo {
 		return lo
 	}
-	return lo + (hi-lo)*s.r.Float64()
+	return lo + (hi-lo)*s.rand().Float64()
 }
 
 // IntN returns a uniform int in [0, n). n must be positive.
-func (s *Stream) IntN(n int) int { return s.r.Intn(n) }
+func (s *Stream) IntN(n int) int { return s.rand().Intn(n) }
 
 // IntRange returns a uniform int in [lo, hi] inclusive; lo > hi is treated
 // as the single value lo.
@@ -71,7 +81,7 @@ func (s *Stream) IntRange(lo, hi int) int {
 	if hi <= lo {
 		return lo
 	}
-	return lo + s.r.Intn(hi-lo+1)
+	return lo + s.rand().Intn(hi-lo+1)
 }
 
 // Bool returns true with probability p.
@@ -82,14 +92,14 @@ func (s *Stream) Bool(p float64) bool {
 	if p >= 1 {
 		return true
 	}
-	return s.r.Float64() < p
+	return s.rand().Float64() < p
 }
 
 // Perm returns a random permutation of [0, n).
-func (s *Stream) Perm(n int) []int { return s.r.Perm(n) }
+func (s *Stream) Perm(n int) []int { return s.rand().Perm(n) }
 
 // Shuffle shuffles n elements using the provided swap function.
-func (s *Stream) Shuffle(n int, swap func(i, j int)) { s.r.Shuffle(n, swap) }
+func (s *Stream) Shuffle(n int, swap func(i, j int)) { s.rand().Shuffle(n, swap) }
 
 // SampleWithoutReplacement returns k distinct values from [0, n). If k >= n
 // it returns all of [0, n) in random order. The result order is random.
@@ -108,7 +118,7 @@ func (s *Stream) SampleWithoutReplacement(n, k int) []int {
 		return i
 	}
 	for i := 0; i < k; i++ {
-		j := i + s.r.Intn(n-i)
+		j := i + s.rand().Intn(n-i)
 		out[i] = get(j)
 		overlay[j] = get(i)
 	}

@@ -194,7 +194,7 @@ func TestRetryBudgetBoundsAmplification(t *testing.T) {
 	opts.RetryBudget = admission.NewRetryBudget(0.1, 1) // one token, earns nothing here
 	c := NewClientOptions(tinyWorkload(t), opts)
 
-	if _, _, _, err := c.getRetry(context.Background(), srv.URL+"/doc", nil, nil); err == nil {
+	if _, _, _, _, err := c.getRetry(context.Background(), srv.URL+"/doc", keepDoc, nil); err == nil {
 		t.Fatal("failing server returned no error")
 	}
 	// One initial attempt plus the single budgeted retry; the second retry
@@ -226,7 +226,7 @@ func Test429DoesNotTripBreaker(t *testing.T) {
 	c := NewClientOptions(tinyWorkload(t), opts)
 
 	for i := 0; i < 5; i++ {
-		_, _, _, err := c.getRetry(context.Background(), srv.URL+"/doc", nil, nil)
+		_, _, _, _, err := c.getRetry(context.Background(), srv.URL+"/doc", keepDoc, nil)
 		if err == nil {
 			t.Fatal("429 did not error")
 		}

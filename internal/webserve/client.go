@@ -1,6 +1,7 @@
 package webserve
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -8,6 +9,7 @@ import (
 	"net"
 	"net/http"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"time"
@@ -358,17 +360,31 @@ func NewClientOptions(w *workload.Workload, opts ClientOptions) *Client {
 // Options returns the client's normalized options.
 func (c *Client) Options() ClientOptions { return c.opts }
 
-// get fetches a URL fully, once, stamping the trace-propagation header
-// when the request runs under a span and exporting the context deadline
-// (if any) via X-Repl-Deadline so the server can shed work that cannot
-// finish in time. ctx cancellation (a hedge race already decided, or the
-// page deadline lapsing) aborts the request mid-flight. The response
-// headers are returned alongside the body so callers can observe serving
+// bodySpec says what a request does with a 200 body besides count it:
+// check it as object k's payload while it streams in, and keep the bytes for
+// a caller that returns them. A chain's object fetch keeps nothing, so no
+// object is ever held whole by someone who does not hand it on.
+type bodySpec struct {
+	verify bool
+	k      workload.ObjectID
+	keep   bool
+}
+
+// keepDoc is the bodySpec of an HTML document.
+var keepDoc = bodySpec{keep: true}
+
+// get issues one request and reads a 200's body to its end as spec says,
+// stamping the trace-propagation header when the request runs under a span
+// and exporting the context deadline (if any) via X-Repl-Deadline so the
+// server can shed work that cannot finish in time. ctx cancellation (a hedge
+// race already decided, or the page deadline lapsing) aborts the request
+// mid-flight. It returns the kept bytes (nil unless spec.keep), the body's
+// length, and the response headers so callers can observe serving
 // degradation (brownout tier).
-func (c *Client) get(ctx context.Context, url, traceHdr string) ([]byte, http.Header, error) {
+func (c *Client) get(ctx context.Context, url, traceHdr string, spec bodySpec) ([]byte, int64, http.Header, error) {
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, url, nil)
 	if err != nil {
-		return nil, nil, err
+		return nil, 0, nil, err
 	}
 	if traceHdr != "" {
 		req.Header.Set(trace.Header, traceHdr)
@@ -378,7 +394,7 @@ func (c *Client) get(ctx context.Context, url, traceHdr string) ([]byte, http.He
 	}
 	resp, err := c.http.Do(req)
 	if err != nil {
-		return nil, nil, err
+		return nil, 0, nil, err
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
@@ -386,27 +402,40 @@ func (c *Client) get(ctx context.Context, url, traceHdr string) ([]byte, http.He
 		_, _ = io.Copy(io.Discard, resp.Body)
 		se := &statusError{url: url, code: resp.StatusCode, status: resp.Status}
 		se.retryAfter = parseRetryAfter(resp.Header)
-		return nil, resp.Header, se
+		return nil, 0, resp.Header, se
 	}
-	data, err := io.ReadAll(resp.Body)
-	return data, resp.Header, err
+	var kept bytes.Buffer
+	body := io.Reader(resp.Body)
+	if spec.keep {
+		// One buffer of the declared length (unless it is past any object's,
+		// and so not to be believed); it grows only when none was declared.
+		kept.Grow(int(max(0, min(resp.ContentLength, 8<<20))))
+		body = io.TeeReader(body, &kept)
+	}
+	var n int64
+	if spec.verify {
+		n, err = verifyStream(c.w, anySource, spec.k, body)
+	} else {
+		n, err = io.Copy(io.Discard, body)
+	}
+	if err != nil {
+		// A content mismatch stops reading where it is found: drain the
+		// rest, as above. After a transport error this returns at once.
+		_, _ = io.Copy(io.Discard, resp.Body)
+		return nil, 0, resp.Header, err
+	}
+	return kept.Bytes(), n, resp.Header, nil
 }
 
 // parseRetryAfter extracts the server's retry hint: the millisecond-precise
 // X-Repl-Retry-After-Ms when present, the standard whole-second Retry-After
-// otherwise, zero when the response carries neither.
+// otherwise, zero when the response carries neither (or neither parses).
 func parseRetryAfter(h http.Header) time.Duration {
-	if ms := h.Get(admission.RetryAfterMillisHeader); ms != "" {
-		var v int64
-		if _, err := fmt.Sscanf(ms, "%d", &v); err == nil && v > 0 {
-			return time.Duration(v) * time.Millisecond
-		}
+	if v, err := strconv.ParseInt(h.Get(admission.RetryAfterMillisHeader), 10, 64); err == nil && v > 0 {
+		return time.Duration(v) * time.Millisecond
 	}
-	if s := h.Get("Retry-After"); s != "" {
-		var v int64
-		if _, err := fmt.Sscanf(s, "%d", &v); err == nil && v > 0 {
-			return time.Duration(v) * time.Second
-		}
+	if v, err := strconv.ParseInt(h.Get("Retry-After"), 10, 64); err == nil && v > 0 {
+		return time.Duration(v) * time.Second
 	}
 	return 0
 }
@@ -539,8 +568,8 @@ func (c *Client) backoff(attempt int) time.Duration {
 	return d/2 + time.Duration(c.jitter.Uniform(0, float64(d/2)))
 }
 
-// getRetry fetches a URL with the configured retry schedule; verify, when
-// non-nil, validates the body and its failure counts as a retryable error
+// getRetry fetches a URL with the configured retry schedule; a body that
+// fails spec's verification counts as a retryable error like any other
 // (truncated and corrupted transfers look exactly like that). sp, when
 // non-nil, is the span the request runs under: its context propagates via
 // X-Repl-Trace, and every retry, backoff sleep and breaker decision lands
@@ -560,30 +589,27 @@ func (c *Client) backoff(attempt int) time.Duration {
 //
 // hdr is the last response's headers (nil when the failure never produced
 // a response).
-func (c *Client) getRetry(ctx context.Context, url string, verify func([]byte) error, sp *trace.Active) (data []byte, hdr http.Header, retries int, err error) {
+func (c *Client) getRetry(ctx context.Context, url string, spec bodySpec, sp *trace.Active) (data []byte, n int64, hdr http.Header, retries int, err error) {
 	var br *hostBreaker
 	if c.opts.BreakerThreshold > 0 {
 		br = c.breakerFor(hostOf(url))
 		if !br.allow(time.Now()) {
 			c.cFastFails.Inc()
 			sp.Event(trace.SpanBreaker, trace.A(trace.AttrReason, "open"), trace.A(trace.AttrSite, hostOf(url)))
-			return nil, nil, 0, &breakerOpenError{host: hostOf(url)}
+			return nil, 0, nil, 0, &breakerOpenError{host: hostOf(url)}
 		}
 	}
 	for attempt := 0; ; attempt++ {
-		data, hdr, err = c.get(ctx, url, sp.HeaderValue())
+		data, n, hdr, err = c.get(ctx, url, sp.HeaderValue(), spec)
 		if err != nil && ctx.Err() != nil {
-			return nil, hdr, retries, ctx.Err()
-		}
-		if err == nil && verify != nil {
-			err = verify(data)
+			return nil, 0, hdr, retries, ctx.Err()
 		}
 		if err == nil {
 			if br != nil {
 				br.onSuccess()
 			}
 			c.opts.RetryBudget.Earn()
-			return data, hdr, retries, nil
+			return data, n, hdr, retries, nil
 		}
 		shed := failureReason(err) == reasonShed
 		exhausted := false
@@ -606,7 +632,7 @@ func (c *Client) getRetry(ctx context.Context, url string, verify func([]byte) e
 			} else if br != nil {
 				br.onSuccess()
 			}
-			return nil, hdr, retries, err
+			return nil, 0, hdr, retries, err
 		}
 		retries++
 		reason := failureReason(err)
@@ -626,18 +652,10 @@ func (c *Client) getRetry(ctx context.Context, url string, verify func([]byte) e
 		case <-ctx.Done():
 			t.Stop()
 			bo.End()
-			return nil, hdr, retries, ctx.Err()
+			return nil, 0, hdr, retries, ctx.Err()
 		}
 		bo.End()
 	}
-}
-
-// moVerifier returns the content check for object k (nil unless Verify).
-func (c *Client) moVerifier(k workload.ObjectID) func([]byte) error {
-	if !c.Verify {
-		return nil
-	}
-	return func(data []byte) error { return VerifyObject(c.w, k, data) }
 }
 
 // hedgeDelay returns the jittered hedge trigger delay in [d, 3d/2), drawn
@@ -655,52 +673,54 @@ func (c *Client) hedgeDelay() time.Duration {
 // included. parent, when non-nil, receives an "mo" child span covering the
 // whole fetch including any fallback leg. With HedgeDelay armed the fetch
 // races a late-started repository leg against a slow assigned server
-// instead of waiting for it to fail outright.
-func (c *Client) fetchMO(ctx context.Context, url string, k workload.ObjectID, parent *trace.Active) (data []byte, retries int, fellBack bool, err error) {
+// instead of waiting for it to fail outright. n is the bytes read from
+// whoever served the object; data is nil unless keep.
+func (c *Client) fetchMO(ctx context.Context, url string, k workload.ObjectID, keep bool, parent *trace.Active) (data []byte, n int64, retries int, fellBack bool, err error) {
 	mo := parent.StartChild(trace.SpanMO)
 	mo.SetAttr(trace.I(trace.AttrObject, int64(k)))
-	fb := c.opts.FallbackBase
+	fb, spec := c.opts.FallbackBase, bodySpec{verify: c.Verify, k: k, keep: keep}
 	if c.opts.HedgeDelay > 0 && fb != "" && hostOf(url) != fb {
-		data, retries, fellBack, err = c.fetchMOHedged(ctx, url, k, mo)
+		data, n, retries, fellBack, err = c.fetchMOHedged(ctx, url, spec, mo)
 		if err == nil {
-			mo.SetAttr(trace.I(trace.AttrBytes, int64(len(data))))
+			mo.SetAttr(trace.I(trace.AttrBytes, n))
 		} else {
 			mo.SetAttr(trace.A(trace.AttrReason, failureReason(err)))
 		}
 		mo.End()
-		return data, retries, fellBack, err
+		return data, n, retries, fellBack, err
 	}
-	data, _, retries, err = c.getRetry(ctx, url, c.moVerifier(k), mo)
+	data, n, _, retries, err = c.getRetry(ctx, url, spec, mo)
 	if err == nil {
-		mo.SetAttr(trace.I(trace.AttrBytes, int64(len(data))))
+		mo.SetAttr(trace.I(trace.AttrBytes, n))
 		mo.End()
-		return data, retries, false, nil
+		return data, n, retries, false, nil
 	}
 	if fb == "" || hostOf(url) == fb {
 		mo.SetAttr(trace.A(trace.AttrReason, failureReason(err)))
 		mo.End()
-		return nil, retries, false, err
+		return nil, 0, retries, false, err
 	}
 	reason := failureReason(err)
 	c.countFallback(reason)
 	fbSpan := mo.StartChild(trace.SpanFallback)
 	fbSpan.SetAttr(trace.A(trace.AttrReason, reason))
-	data, _, r2, err2 := c.getRetry(ctx, fb+htmlrefs.MOPath(k), c.moVerifier(k), fbSpan)
+	data, n, _, r2, err2 := c.getRetry(ctx, fb+htmlrefs.MOPath(spec.k), spec, fbSpan)
 	fbSpan.End()
 	retries += r2
 	if err2 != nil {
 		mo.End()
 		// Report the original failure; the fallback error wraps context.
-		return nil, retries, true, fmt.Errorf("%w (repository fallback also failed: %v)", err, err2)
+		return nil, 0, retries, true, fmt.Errorf("%w (repository fallback also failed: %v)", err, err2)
 	}
-	mo.SetAttr(trace.I(trace.AttrBytes, int64(len(data))))
+	mo.SetAttr(trace.I(trace.AttrBytes, n))
 	mo.End()
-	return data, retries, true, nil
+	return data, n, retries, true, nil
 }
 
 // hedgeLeg is one side of a hedged fetch race.
 type hedgeLeg struct {
 	data     []byte
+	n        int64
 	retries  int
 	err      error
 	fallback bool
@@ -712,22 +732,22 @@ type hedgeLeg struct {
 // latency, and a failed one triggers the classic failure fallback
 // immediately. The first success cancels the loser; neither a lost race
 // nor its canceled requests feed the breakers or failure counters.
-func (c *Client) fetchMOHedged(pageCtx context.Context, url string, k workload.ObjectID, mo *trace.Active) (data []byte, retries int, fellBack bool, err error) {
+func (c *Client) fetchMOHedged(pageCtx context.Context, url string, spec bodySpec, mo *trace.Active) (data []byte, n int64, retries int, fellBack bool, err error) {
 	ctx, cancel := context.WithCancel(pageCtx)
 	defer cancel()
 	fb := c.opts.FallbackBase
 	results := make(chan hedgeLeg, 2)
 	go func() {
-		d, _, r, e := c.getRetry(ctx, url, c.moVerifier(k), mo)
-		results <- hedgeLeg{data: d, retries: r, err: e}
+		d, n, _, r, e := c.getRetry(ctx, url, spec, mo)
+		results <- hedgeLeg{data: d, n: n, retries: r, err: e}
 	}()
 	launchFallback := func(reason string) {
 		fbSpan := mo.StartChild(trace.SpanFallback)
 		fbSpan.SetAttr(trace.A(trace.AttrReason, reason))
 		go func() {
-			d, _, r, e := c.getRetry(ctx, fb+htmlrefs.MOPath(k), c.moVerifier(k), fbSpan)
+			d, n, _, r, e := c.getRetry(ctx, fb+htmlrefs.MOPath(spec.k), spec, fbSpan)
 			fbSpan.End()
-			results <- hedgeLeg{data: d, retries: r, err: e, fallback: true}
+			results <- hedgeLeg{data: d, n: n, retries: r, err: e, fallback: true}
 		}()
 	}
 	timer := time.NewTimer(c.hedgeDelay())
@@ -756,7 +776,7 @@ func (c *Client) fetchMOHedged(pageCtx context.Context, url string, k workload.O
 					c.cHedgePrimary.Inc()
 				}
 				cancel()
-				return leg.data, retries, leg.fallback, nil
+				return leg.data, leg.n, retries, leg.fallback, nil
 			}
 			if leg.fallback {
 				fallbackErr = leg.err
@@ -778,7 +798,7 @@ func (c *Client) fetchMOHedged(pageCtx context.Context, url string, k workload.O
 				if primaryErr == nil {
 					primaryErr = fallbackErr
 				}
-				return nil, retries, true, fmt.Errorf("%w (repository fallback also failed: %v)", primaryErr, fallbackErr)
+				return nil, 0, retries, true, fmt.Errorf("%w (repository fallback also failed: %v)", primaryErr, fallbackErr)
 			}
 		}
 	}
@@ -830,7 +850,7 @@ func (c *Client) FetchPageCtx(ctx context.Context, pageURL string, j workload.Pa
 	defer root.End()
 
 	html := root.StartChild(trace.SpanHTML)
-	doc, hdr, retries, err := c.getRetry(ctx, pageURL, nil, html)
+	doc, _, hdr, retries, err := c.getRetry(ctx, pageURL, keepDoc, html)
 	res.Retries += retries
 	if err != nil {
 		fb := c.opts.FallbackBase
@@ -841,7 +861,7 @@ func (c *Client) FetchPageCtx(ctx context.Context, pageURL string, j workload.Pa
 		}
 		fbSpan := html.StartChild(trace.SpanFallback)
 		fbSpan.SetAttr(trace.A(trace.AttrReason, failureReason(err)))
-		doc, hdr, retries, err = c.getRetry(ctx, fb+htmlrefs.PagePath(j), nil, fbSpan)
+		doc, _, hdr, retries, err = c.getRetry(ctx, fb+htmlrefs.PagePath(j), keepDoc, fbSpan)
 		fbSpan.End()
 		res.Retries += retries
 		if err != nil {
@@ -853,8 +873,8 @@ func (c *Client) FetchPageCtx(ctx context.Context, pageURL string, j workload.Pa
 		c.cDegraded.Inc()
 	}
 	if hdr != nil {
-		if tier := hdr.Get(admission.BrownoutHeader); tier != "" {
-			_, _ = fmt.Sscanf(tier, "%d", &res.Brownout)
+		if tier, err := strconv.Atoi(hdr.Get(admission.BrownoutHeader)); err == nil {
+			res.Brownout = tier
 		}
 	}
 	res.HTMLBytes = int64(len(doc))
@@ -904,7 +924,7 @@ func (c *Client) FetchPageCtx(ctx context.Context, pageURL string, j workload.Pa
 			ch.SetAttr(trace.A(trace.AttrChain, chainKind), trace.A(trace.AttrSite, host))
 			defer ch.End()
 			for _, r := range chains[host] {
-				data, retries, fellBack, err := c.fetchMO(ctx, host+htmlrefs.MOPath(r.Object), r.Object, ch)
+				_, n, retries, fellBack, err := c.fetchMO(ctx, host+htmlrefs.MOPath(r.Object), r.Object, false, ch)
 				out.retries += retries
 				if err != nil {
 					out.err = err
@@ -913,10 +933,10 @@ func (c *Client) FetchPageCtx(ctx context.Context, pageURL string, j workload.Pa
 				}
 				if fellBack {
 					out.fbObjects++
-					out.fbBytes += int64(len(data))
+					out.fbBytes += n
 				} else {
 					out.res.Objects++
-					out.res.Bytes += int64(len(data))
+					out.res.Bytes += n
 				}
 			}
 			out.res.Elapsed = time.Since(cs)
@@ -956,7 +976,7 @@ func (c *Client) FetchPageCtx(ctx context.Context, pageURL string, j workload.Pa
 func (c *Client) FetchObject(doc []byte, r htmlrefs.Ref) ([]byte, error) {
 	sp := c.tracer.StartTrace(trace.SpanOpt)
 	sp.SetAttr(trace.I(trace.AttrObject, int64(r.Object)))
-	data, _, _, err := c.fetchMO(context.Background(), string(doc[r.Start:r.End]), r.Object, sp)
+	data, _, _, _, err := c.fetchMO(context.Background(), string(doc[r.Start:r.End]), r.Object, true, sp)
 	sp.End()
 	return data, err
 }
@@ -964,6 +984,6 @@ func (c *Client) FetchObject(doc []byte, r htmlrefs.Ref) ([]byte, error) {
 // GetDoc fetches a URL and returns the raw body — the served HTML as a
 // browser would receive it.
 func (c *Client) GetDoc(url string) ([]byte, error) {
-	data, _, _, err := c.getRetry(context.Background(), url, nil, nil)
+	data, _, _, _, err := c.getRetry(context.Background(), url, keepDoc, nil)
 	return data, err
 }

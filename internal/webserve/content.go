@@ -10,12 +10,14 @@ package webserve
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"hash/crc32"
 	"io"
+	"strconv"
+	"sync"
 
 	"repro/internal/rng"
-	"repro/internal/units"
 	"repro/internal/workload"
 )
 
@@ -59,15 +61,36 @@ type PayloadHeader struct {
 
 // EncodePayloadHeader renders the header as its fixed-width PayloadHeaderLen-byte line.
 func EncodePayloadHeader(h PayloadHeader) []byte {
-	line := fmt.Sprintf("REPL1 obj=%d src=%d seed=%016x len=%d sum=%08x",
-		h.Object, h.Source, h.Seed, h.Length, h.Sum)
-	buf := make([]byte, PayloadHeaderLen)
-	for i := range buf {
-		buf[i] = ' '
+	// Room for the widest line, three 20-character decimals; the frame cuts
+	// what overflows it.
+	b := make([]byte, 0, 128)
+	b = strconv.AppendInt(append(b, "REPL1 obj="...), int64(h.Object), 10)
+	b = strconv.AppendInt(append(b, " src="...), int64(h.Source), 10)
+	b = appendHex(append(b, " seed="...), h.Seed, 16)
+	b = strconv.AppendInt(append(b, " len="...), h.Length, 10)
+	b = appendHex(append(b, " sum="...), uint64(h.Sum), 8)
+	for len(b) < PayloadHeaderLen {
+		b = append(b, ' ')
 	}
-	copy(buf, line)
-	buf[PayloadHeaderLen-1] = '\n'
-	return buf
+	b = b[:PayloadHeaderLen]
+	b[PayloadHeaderLen-1] = '\n'
+	return b
+}
+
+// appendHex appends the low width hex digits of v, zero-padded (%0*x).
+func appendHex(b []byte, v uint64, width int) []byte {
+	for i := width - 1; i >= 0; i-- {
+		b = append(b, "0123456789abcdef"[v>>(4*uint(i))&0xf])
+	}
+	return b
+}
+
+// field returns the token that follows key in line, up to the next space.
+// It is lenient; DecodePayloadHeader's canonical check is what is strict.
+func field(line []byte, key string) []byte {
+	_, rest, _ := bytes.Cut(line, []byte(key))
+	tok, _, _ := bytes.Cut(rest, []byte(" "))
+	return tok
 }
 
 // DecodePayloadHeader parses a payload's leading header line. It never
@@ -81,18 +104,20 @@ func DecodePayloadHeader(data []byte) (PayloadHeader, error) {
 		return h, &IntegrityError{Reason: "payload header not newline-terminated"}
 	}
 	line := bytes.TrimRight(data[:PayloadHeaderLen-1], " ")
-	var obj int
-	n, err := fmt.Sscanf(string(line), "REPL1 obj=%d src=%d seed=%x len=%d sum=%x",
-		&obj, &h.Source, &h.Seed, &h.Length, &h.Sum)
-	if err != nil || n != 5 {
+	obj, err1 := strconv.Atoi(string(field(line, "REPL1 obj=")))
+	src, err2 := strconv.Atoi(string(field(line, " src=")))
+	seed, err3 := strconv.ParseUint(string(field(line, " seed=")), 16, 64)
+	length, err4 := strconv.ParseInt(string(field(line, " len=")), 10, 64)
+	sum, err5 := strconv.ParseUint(string(field(line, " sum=")), 16, 32)
+	if err1 != nil || err2 != nil || err3 != nil || err4 != nil || err5 != nil {
 		return h, &IntegrityError{Reason: fmt.Sprintf("malformed payload header %q", line)}
 	}
-	if obj < 0 || h.Length < PayloadHeaderLen {
-		return h, &IntegrityError{Reason: fmt.Sprintf("payload header out of range (obj=%d len=%d)", obj, h.Length)}
+	if obj < 0 || length < PayloadHeaderLen {
+		return h, &IntegrityError{Reason: fmt.Sprintf("payload header out of range (obj=%d len=%d)", obj, length)}
 	}
 	// The fixed width must round-trip: a header whose re-encoding differs
 	// (sign tricks, leading zeros, trailing garbage) is not canonical.
-	h.Object = workload.ObjectID(obj)
+	h = PayloadHeader{Object: workload.ObjectID(obj), Source: src, Seed: seed, Length: length, Sum: uint32(sum)}
 	if !bytes.Equal(EncodePayloadHeader(h), data[:PayloadHeaderLen]) {
 		return h, &IntegrityError{Object: h.Object, Reason: "non-canonical payload header"}
 	}
@@ -119,35 +144,24 @@ func payloadBlock(seed uint64, k workload.ObjectID, src int) []byte {
 	s := rng.New(seed).Split(payloadContentStream, uint64(k), uint64(src+1))
 	b := make([]byte, contentBlockSize)
 	for i := 0; i < len(b); i += 8 {
-		x := s.Uint64()
-		for j := 0; j < 8; j++ {
-			b[i+j] = byte(x >> (8 * j))
-		}
+		binary.LittleEndian.PutUint64(b[i:], s.Uint64())
 	}
 	return b
 }
 
 // bodyCRC computes the CRC-32 of block repeated out to n bytes.
 func bodyCRC(block []byte, n int64) uint32 {
-	h := crc32.NewIEEE()
-	for n > 0 {
-		chunk := block
-		if int64(len(chunk)) > n {
-			chunk = chunk[:n]
-		}
-		_, _ = h.Write(chunk)
-		n -= int64(len(chunk))
+	var sum uint32
+	for ; n > 0; n -= int64(len(block)) {
+		sum = crc32.Update(sum, crc32.IEEETable, block[:min(int64(len(block)), n)])
 	}
-	return h.Sum32()
+	return sum
 }
 
 // payloadFor assembles object k's header and body block as served by src.
 func payloadFor(w *workload.Workload, src int, k workload.ObjectID) (header, block []byte, bodyLen int64) {
 	total := int64(w.ObjectSize(k))
-	bodyLen = total - PayloadHeaderLen
-	if bodyLen < 0 {
-		bodyLen = 0
-	}
+	bodyLen = max(total-PayloadHeaderLen, 0)
 	block = payloadBlock(w.Seed, k, src)
 	header = EncodePayloadHeader(PayloadHeader{
 		Object: k,
@@ -156,10 +170,7 @@ func payloadFor(w *workload.Workload, src int, k workload.ObjectID) (header, blo
 		Length: total,
 		Sum:    bodyCRC(block, bodyLen),
 	})
-	if total < PayloadHeaderLen {
-		header = header[:total]
-	}
-	return header, block, bodyLen
+	return header[:min(total, PayloadHeaderLen)], block, bodyLen
 }
 
 // ObjectReader streams the self-verifying content of object k as served by
@@ -168,42 +179,38 @@ func payloadFor(w *workload.Workload, src int, k workload.ObjectID) (header, blo
 // The reader is cheap: one block repeated, truncated at the end.
 func ObjectReader(w *workload.Workload, src int, k workload.ObjectID) io.Reader {
 	header, block, bodyLen := payloadFor(w, src, k)
-	return io.MultiReader(bytes.NewReader(header), &blockReader{block: block, remaining: bodyLen})
+	return io.MultiReader(bytes.NewReader(header), io.LimitReader(&blockReader{block: block}, bodyLen))
 }
 
+// blockReader reads its block over and over, without end.
 type blockReader struct {
-	block     []byte
-	remaining int64
-	offset    int
+	block  []byte
+	offset int
 }
 
 func (r *blockReader) Read(p []byte) (int, error) {
-	if r.remaining <= 0 {
-		return 0, io.EOF
-	}
 	n := 0
-	for n < len(p) && r.remaining > 0 {
-		chunk := r.block[r.offset:]
-		want := len(p) - n
-		if want > len(chunk) {
-			want = len(chunk)
-		}
-		if int64(want) > r.remaining {
-			want = int(r.remaining)
-		}
-		copy(p[n:], chunk[:want])
-		n += want
-		r.remaining -= int64(want)
-		r.offset = (r.offset + want) % len(r.block)
+	for n < len(p) {
+		m := copy(p[n:], r.block[r.offset:])
+		n, r.offset = n+m, (r.offset+m)%len(r.block)
 	}
 	return n, nil
 }
+
+// chunkPool lends the chunks object bodies move through, a server writing
+// one out or a verifier reading one in, so no request allocates one.
+var chunkPool = sync.Pool{New: func() any { return new(chunk) }}
+
+type chunk [32 << 10]byte
+
+// anySource makes the verifier accept every valid source.
+const anySource = RepoSource - 1
 
 // VerifyObject checks that data is a genuine copy of object k from *some*
 // valid source: size, header coordinates, checksum and every body byte. All
 // failures are *IntegrityError.
 func VerifyObject(w *workload.Workload, k workload.ObjectID, data []byte) error {
-	_, err := verifyPayload(w, k, data)
+	_, err := verifyStream(w, anySource, k, bytes.NewReader(data))
 	return err
 }
 
@@ -212,53 +219,112 @@ func VerifyObject(w *workload.Workload, k workload.ObjectID, data []byte) error 
 // bytes at site src really are site src's copy — not a proxied or stale
 // payload that merely checksums.
 func VerifyObjectFrom(w *workload.Workload, src int, k workload.ObjectID, data []byte) error {
-	h, err := verifyPayload(w, k, data)
-	if err != nil {
+	_, err := verifyStream(w, src, k, bytes.NewReader(data))
+	return err
+}
+
+// VerifyObjectStream is VerifyObjectFrom for a payload still arriving: r is
+// checked chunk by chunk and never held whole. A failed Read is returned as
+// it is; content failures are *IntegrityError and end the reading early.
+func VerifyObjectStream(w *workload.Workload, src int, k workload.ObjectID, r io.Reader) error {
+	_, err := verifyStream(w, src, k, r)
+	return err
+}
+
+// verifyStream is the one verifier: it reads r to its end through a pooled
+// chunk (a bytes.Reader writes itself out whole instead) and returns the
+// bytes consumed.
+func verifyStream(w *workload.Workload, src int, k workload.ObjectID, r io.Reader) (int64, error) {
+	buf := chunkPool.Get().(*chunk)
+	defer chunkPool.Put(buf)
+	v := payloadVerifier{w: w, src: src, k: k}
+	n, err := io.CopyBuffer(&v, r, buf[:])
+	if err == nil {
+		err = v.finish()
+	}
+	return n, err
+}
+
+// payloadVerifier checks a payload in the order its bytes arrive, however
+// the reads fragment them: the header once its PayloadHeaderLen bytes are
+// in, then every body byte against the block the header's coordinates
+// regenerate, and at the end the length and the header's CRC against the
+// running one. The compare catches flipped bytes and a forged (sum, body)
+// pair alike; the CRC is left to catch a sum that is not its own body's.
+type payloadVerifier struct {
+	w   *workload.Workload
+	src int // the source the payload must declare, or anySource
+	k   workload.ObjectID
+
+	n     int64 // bytes consumed
+	hdr   [PayloadHeaderLen]byte
+	block []byte
+	sum   uint32 // the CRC the header declares
+	crc   uint32 // the CRC of the body so far
+}
+
+// Write checks the next fragment.
+func (v *payloadVerifier) Write(p []byte) (int, error) {
+	fed := len(p)
+	if v.n < PayloadHeaderLen {
+		m := copy(v.hdr[v.n:], p)
+		v.n, p = v.n+int64(m), p[m:]
+		if v.n < PayloadHeaderLen {
+			return fed, nil
+		}
+		if err := v.checkHeader(); err != nil {
+			return 0, err
+		}
+	}
+	v.crc = crc32.Update(v.crc, crc32.IEEETable, p)
+	for len(p) > 0 {
+		want := v.block[(v.n-PayloadHeaderLen)%contentBlockSize:]
+		want = want[:min(len(want), len(p))]
+		if !bytes.Equal(p[:len(want)], want) {
+			i := 0
+			for p[i] == want[i] {
+				i++
+			}
+			return 0, &IntegrityError{Object: v.k, Reason: fmt.Sprintf("body corrupt at byte %d", v.n+int64(i))}
+		}
+		v.n, p = v.n+int64(len(want)), p[len(want):]
+	}
+	return fed, nil
+}
+
+// checkHeader decodes the completed header, checks it is canonical and
+// object k's, and regenerates the body block of the source it names.
+func (v *payloadVerifier) checkHeader() error {
+	w := v.w
+	h, err := DecodePayloadHeader(v.hdr[:])
+	switch {
+	case err != nil:
 		return err
+	case h.Object != v.k:
+		return &IntegrityError{Object: v.k, Reason: fmt.Sprintf("payload claims object %d", h.Object)}
+	case h.Seed != w.Seed:
+		return &IntegrityError{Object: v.k, Reason: fmt.Sprintf("payload seed %x, want %x", h.Seed, w.Seed)}
+	case h.Length != int64(w.ObjectSize(v.k)):
+		return &IntegrityError{Object: v.k, Reason: fmt.Sprintf("payload declares %d bytes, want %d", h.Length, w.ObjectSize(v.k))}
+	case h.Source != RepoSource && (h.Source < 0 || h.Source >= w.NumSites()):
+		return &IntegrityError{Object: v.k, Reason: fmt.Sprintf("payload claims unknown source %d", h.Source)}
+	case v.src != anySource && h.Source != v.src:
+		return &IntegrityError{Object: v.k, Reason: fmt.Sprintf("payload claims source %d, want %d", h.Source, v.src)}
 	}
-	if h.Source != src {
-		return &IntegrityError{Object: k, Reason: fmt.Sprintf("payload claims source %d, want %d", h.Source, src)}
-	}
+	v.sum, v.block = h.Sum, payloadBlock(w.Seed, v.k, h.Source)
 	return nil
 }
 
-// verifyPayload is the shared verification core.
-func verifyPayload(w *workload.Workload, k workload.ObjectID, data []byte) (PayloadHeader, error) {
-	var h PayloadHeader
-	if got, want := units.ByteSize(len(data)), w.ObjectSize(k); got != want {
-		return h, &IntegrityError{Object: k, Reason: fmt.Sprintf("%d bytes, want %d", got, want)}
+// finish is the check at the stream's clean end.
+func (v *payloadVerifier) finish() error {
+	switch want := int64(v.w.ObjectSize(v.k)); {
+	case v.n != want:
+		return &IntegrityError{Object: v.k, Reason: fmt.Sprintf("%d bytes, want %d", v.n, want)}
+	case v.n < PayloadHeaderLen:
+		_, err := DecodePayloadHeader(v.hdr[:v.n])
+		return err
+	case v.crc != v.sum:
+		return &IntegrityError{Object: v.k, Reason: "body checksum mismatch"}
 	}
-	h, err := DecodePayloadHeader(data)
-	if err != nil {
-		return h, err
-	}
-	switch {
-	case h.Object != k:
-		return h, &IntegrityError{Object: k, Reason: fmt.Sprintf("payload claims object %d", h.Object)}
-	case h.Seed != w.Seed:
-		return h, &IntegrityError{Object: k, Reason: fmt.Sprintf("payload seed %x, want %x", h.Seed, w.Seed)}
-	case h.Length != int64(len(data)):
-		return h, &IntegrityError{Object: k, Reason: fmt.Sprintf("payload declares %d bytes, body has %d", h.Length, len(data))}
-	case h.Source != RepoSource && (h.Source < 0 || h.Source >= w.NumSites()):
-		return h, &IntegrityError{Object: k, Reason: fmt.Sprintf("payload claims unknown source %d", h.Source)}
-	}
-	body := data[PayloadHeaderLen:]
-	if bodyCRC(body, int64(len(body))) != h.Sum {
-		return h, &IntegrityError{Object: k, Reason: "body checksum mismatch"}
-	}
-	// The checksum catches bit-flips; the byte compare additionally catches
-	// a forged (sum, body) pair that is not the keystream.
-	block := payloadBlock(w.Seed, k, h.Source)
-	for i := 0; i < len(body); i += len(block) {
-		end := i + len(block)
-		if end > len(body) {
-			end = len(body)
-		}
-		for off := i; off < end; off++ {
-			if body[off] != block[off-i] {
-				return h, &IntegrityError{Object: k, Reason: fmt.Sprintf("body corrupt at byte %d", off+PayloadHeaderLen)}
-			}
-		}
-	}
-	return h, nil
+	return nil
 }

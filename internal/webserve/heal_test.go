@@ -44,7 +44,7 @@ func TestBreakerTripsAndRecovers(t *testing.T) {
 	c := NewClientOptions(tinyWorkload(t), opts)
 
 	for i := 0; i < 2; i++ {
-		if _, _, _, err := c.getRetry(context.Background(), srv.URL+"/doc", nil, nil); err == nil {
+		if _, _, _, _, err := c.getRetry(context.Background(), srv.URL+"/doc", keepDoc, nil); err == nil {
 			t.Fatal("failing server returned no error")
 		}
 	}
@@ -52,7 +52,7 @@ func TestBreakerTripsAndRecovers(t *testing.T) {
 		t.Fatalf("threshold phase made %d calls, want 2", calls.Load())
 	}
 	// Tripped: the next call must fail fast without touching the network.
-	_, _, _, err := c.getRetry(context.Background(), srv.URL+"/doc", nil, nil)
+	_, _, _, _, err := c.getRetry(context.Background(), srv.URL+"/doc", keepDoc, nil)
 	if _, ok := err.(*breakerOpenError); !ok {
 		t.Fatalf("open circuit returned %v, want breakerOpenError", err)
 	}
@@ -67,10 +67,10 @@ func TestBreakerTripsAndRecovers(t *testing.T) {
 	// circuit. Cooldown is jittered in [d, 3d/2); wait past the ceiling.
 	fail.Store(false)
 	time.Sleep(2 * opts.BreakerCooldown)
-	if _, _, _, err := c.getRetry(context.Background(), srv.URL+"/doc", nil, nil); err != nil {
+	if _, _, _, _, err := c.getRetry(context.Background(), srv.URL+"/doc", keepDoc, nil); err != nil {
 		t.Fatalf("half-open probe failed: %v", err)
 	}
-	if _, _, _, err := c.getRetry(context.Background(), srv.URL+"/doc", nil, nil); err != nil {
+	if _, _, _, _, err := c.getRetry(context.Background(), srv.URL+"/doc", keepDoc, nil); err != nil {
 		t.Fatalf("closed circuit rejected a request: %v", err)
 	}
 	if calls.Load() != 4 {
@@ -80,15 +80,15 @@ func TestBreakerTripsAndRecovers(t *testing.T) {
 	// A failed half-open probe re-opens immediately (no threshold count).
 	fail.Store(true)
 	for i := 0; i < 2; i++ {
-		c.getRetry(context.Background(), srv.URL+"/doc", nil, nil)
+		c.getRetry(context.Background(), srv.URL+"/doc", keepDoc, nil)
 	}
 	time.Sleep(2 * opts.BreakerCooldown)
 	before := calls.Load()
-	c.getRetry(context.Background(), srv.URL+"/doc", nil, nil) // probe, fails
+	c.getRetry(context.Background(), srv.URL+"/doc", keepDoc, nil) // probe, fails
 	if calls.Load() != before+1 {
 		t.Fatalf("probe made %d calls, want 1", calls.Load()-before)
 	}
-	if _, _, _, err := c.getRetry(context.Background(), srv.URL+"/doc", nil, nil); err == nil {
+	if _, _, _, _, err := c.getRetry(context.Background(), srv.URL+"/doc", keepDoc, nil); err == nil {
 		t.Fatal("circuit closed after a failed probe")
 	} else if _, ok := err.(*breakerOpenError); !ok {
 		t.Fatalf("failed probe left circuit answering %v, want breakerOpenError", err)
@@ -112,7 +112,7 @@ func TestBreaker404DoesNotTrip(t *testing.T) {
 	opts.BreakerThreshold = 2
 	c := NewClientOptions(tinyWorkload(t), opts)
 	for i := 0; i < 5; i++ {
-		if _, _, _, err := c.getRetry(context.Background(), srv.URL+"/mo/0", nil, nil); err == nil {
+		if _, _, _, _, err := c.getRetry(context.Background(), srv.URL+"/mo/0", keepDoc, nil); err == nil {
 			t.Fatal("404 did not error")
 		}
 	}

@@ -47,7 +47,7 @@ func TestHedgeOvertakesLimpingPrimary(t *testing.T) {
 	c, prim, _, reg := hedgePair(t, primary, fallback, 5*time.Millisecond)
 	defer close(release)
 
-	data, _, fellBack, err := c.fetchMO(context.Background(), prim.URL+"/mo/0", 0, nil)
+	data, _, _, fellBack, err := c.fetchMO(context.Background(), prim.URL+"/mo/0", 0, true, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,7 +78,7 @@ func TestHedgeNotLaunchedForHealthyPrimary(t *testing.T) {
 	})
 	c, prim, _, reg := hedgePair(t, primary, fallback, 250*time.Millisecond)
 
-	data, _, fellBack, err := c.fetchMO(context.Background(), prim.URL+"/mo/0", 0, nil)
+	data, _, _, fellBack, err := c.fetchMO(context.Background(), prim.URL+"/mo/0", 0, true, nil)
 	if err != nil || fellBack || string(data) != "primary" {
 		t.Fatalf("healthy primary lost: err=%v fellBack=%v data=%q", err, fellBack, data)
 	}
@@ -106,7 +106,7 @@ func TestHedgePrimaryWinStillCounts(t *testing.T) {
 	c, prim, _, reg := hedgePair(t, primary, fallback, 2*time.Millisecond)
 	defer close(release)
 
-	data, _, fellBack, err := c.fetchMO(context.Background(), prim.URL+"/mo/0", 0, nil)
+	data, _, _, fellBack, err := c.fetchMO(context.Background(), prim.URL+"/mo/0", 0, true, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,7 +134,7 @@ func TestHedgeFailedPrimaryIsClassicFallback(t *testing.T) {
 	})
 	c, prim, _, reg := hedgePair(t, primary, fallback, time.Minute)
 
-	data, _, fellBack, err := c.fetchMO(context.Background(), prim.URL+"/mo/0", 0, nil)
+	data, _, _, fellBack, err := c.fetchMO(context.Background(), prim.URL+"/mo/0", 0, true, nil)
 	if err != nil || !fellBack || string(data) != "fallback" {
 		t.Fatalf("failure fallback broken: err=%v fellBack=%v data=%q", err, fellBack, data)
 	}
@@ -182,7 +182,7 @@ func TestCorruptBodyIsRetriedThenFallsBack(t *testing.T) {
 	})
 	c.Verify = true
 
-	data, _, fellBack, err := c.fetchMO(context.Background(), primary.URL+"/mo/0", k, nil)
+	data, _, _, fellBack, err := c.fetchMO(context.Background(), primary.URL+"/mo/0", k, true, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

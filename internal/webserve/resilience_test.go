@@ -75,7 +75,7 @@ func TestClientRetriesTransientFailures(t *testing.T) {
 	defer flaky.Close()
 
 	c := NewClientOptions(tinyWorkload(t), quickOpts())
-	data, _, retries, err := c.getRetry(context.Background(), flaky.URL+"/doc", nil, nil)
+	data, _, _, retries, err := c.getRetry(context.Background(), flaky.URL+"/doc", keepDoc, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,7 +96,7 @@ func TestClientDoesNotRetry404(t *testing.T) {
 	defer srv.Close()
 
 	c := NewClientOptions(tinyWorkload(t), quickOpts())
-	if _, _, _, err := c.getRetry(context.Background(), srv.URL+"/mo/0", nil, nil); err == nil {
+	if _, _, _, _, err := c.getRetry(context.Background(), srv.URL+"/mo/0", keepDoc, nil); err == nil {
 		t.Fatal("404 did not error")
 	}
 	if calls.Load() != 1 {
@@ -132,7 +132,7 @@ func TestFetchMOFallsBackToRepository(t *testing.T) {
 	c.Verify = true
 	k := w.Sites[0].Objects[0]
 	// A dead host: connection refused immediately, then repository fallback.
-	data, _, fellBack, err := c.fetchMO(context.Background(), "http://127.0.0.1:1"+htmlrefs.MOPath(k), k, nil)
+	data, _, _, fellBack, err := c.fetchMO(context.Background(), "http://127.0.0.1:1"+htmlrefs.MOPath(k), k, true, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -86,12 +86,13 @@ func (r *Repository) ServeHTTP(rw http.ResponseWriter, req *http.Request) {
 	http.NotFound(rw, req)
 }
 
-// copyCtx streams src to dst in chunks, checking the request context
-// between chunks: a client that disconnected mid-body stops consuming
-// server work instead of having the full object pushed into a dead
-// connection.
+// copyCtx streams src to dst through a pooled chunk, checking the request
+// context between chunks: a client that disconnected mid-body stops
+// consuming server work instead of having the full object pushed into a
+// dead connection.
 func copyCtx(ctx context.Context, dst io.Writer, src io.Reader) (int64, error) {
-	buf := make([]byte, 32*1024)
+	buf := chunkPool.Get().(*chunk)
+	defer chunkPool.Put(buf)
 	var written int64
 	for {
 		select {
@@ -99,7 +100,7 @@ func copyCtx(ctx context.Context, dst io.Writer, src io.Reader) (int64, error) {
 			return written, ctx.Err()
 		default:
 		}
-		n, rerr := src.Read(buf)
+		n, rerr := src.Read(buf[:])
 		if n > 0 {
 			wn, werr := dst.Write(buf[:n])
 			written += int64(wn)

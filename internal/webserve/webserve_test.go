@@ -272,7 +272,7 @@ func TestOptionalFetch(t *testing.T) {
 		t.Fatalf("client saw %d optional refs, want %d", len(res.OptionalRefs), len(w.Pages[pid].Optional))
 	}
 	// Fetch one optional object through the document's own link.
-	doc, _, err := client.get(context.Background(), cluster.PageURL(pid), "")
+	doc, _, _, err := client.get(context.Background(), cluster.PageURL(pid), "", keepDoc)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,7 +1,8 @@
 #!/bin/sh
 # ci.sh — the full verification pipeline, tiered into named stages.
 # Everything here must pass before a change lands: formatting, build + vet +
-# the repllint analyzer suite, the complete test suite, the race detector
+# the repllint analyzer suite, the complete test suite with the payload wire
+# format pinned to its committed corpus and fuzzed, the race detector
 # cold on every package, coverage on the planner core, and a smoke pass that
 # compiles and runs every benchmark once and vets and tests the nested
 # benchmark/ module (measuring is benchmark/run.sh's job, not this script's).
@@ -41,9 +42,16 @@ stage_lint() {
 
 # The complete test suite. (Nothing is re-run cold here: stage_race runs the
 # whole module -count=1, the metrics endpoint smoke test and the span-forest
-# determinism goldens included.)
+# determinism goldens included.) Then the proof that the wire format did not
+# move: regenerating the payload fuzz corpus must reproduce the committed
+# files byte for byte (header codec and keystream both), and the hand-written
+# codec is fuzzed for fifteen seconds against the decoder's contract
+# (longrun.yml gives it ten minutes).
 stage_test() {
     go test ./...
+    go run ./internal/webserve/gencorpus >/dev/null
+    git diff --exit-code internal/webserve/testdata
+    go test -run '^$' -fuzz FuzzPayloadRoundTrip -fuzztime 15s ./internal/webserve/
 }
 
 # Module-wide race detector, not a hand-picked list, so a new concurrent
