@@ -1,20 +1,17 @@
 package repro
 
 // Benchmark harness: one sub-benchmark per entry of the study table
-// (BenchmarkStudy) plus kernel and ablation benches. The study benches run
-// the experiment at a reduced-but-faithful scale per iteration so
-// `go test -bench=.` finishes in minutes; the full Table-1 volume is
-// exercised by BenchmarkSimulatePaperScale and cmd/replexp; the planner's
-// own benches live in internal/core.
+// (BenchmarkStudy) plus the workload-generation and greedy-gap kernels. The
+// study benches run the experiment at a reduced-but-faithful scale per
+// iteration so `go test -bench=.` finishes in minutes; the full Table-1
+// volume is exercised by internal/httpsim's BenchmarkSimulatePaperScale and
+// cmd/replexp; the planner's own benches live in internal/core.
 
 import (
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/experiments"
-	"repro/internal/model"
-	"repro/internal/policies"
-	"repro/internal/workload"
 )
 
 // benchOpts is the per-iteration experiment scale for the figure benches.
@@ -73,92 +70,6 @@ func paperScaleEnv(b *testing.B) *Env {
 		b.Fatal(err)
 	}
 	return env
-}
-
-// BenchmarkSimulatePaperScale simulates the paper's 10,000 requests per
-// site over the Table-1 workload.
-func BenchmarkSimulatePaperScale(b *testing.B) {
-	env := paperScaleEnv(b)
-	p, _, err := Plan(env, PlanOptions{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	cfg := DefaultSimConfig(env.W)
-	pol := NewStaticPolicy("Proposed", p)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		res, err := Simulate(env.W, env.Est, pol, cfg, NewStream(uint64(i)+1))
-		if err != nil {
-			b.Fatal(err)
-		}
-		if res.PageRT.N() == 0 {
-			b.Fatal("empty simulation")
-		}
-	}
-}
-
-// BenchmarkSimulateQueueing measures the fluid-queue extension's overhead.
-func BenchmarkSimulateQueueing(b *testing.B) {
-	env := paperScaleEnv(b)
-	p, _, err := Plan(env, PlanOptions{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	cfg := DefaultSimConfig(env.W)
-	cfg.Queueing = true
-	pol := NewStaticPolicy("Proposed", p)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := Simulate(env.W, env.Est, pol, cfg, NewStream(uint64(i)+1)); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkAblationPartitionSort quantifies PARTITION's decreasing-size
-// visit order: it reports the objective achieved with and without the sort
-// (lower is better) alongside the running time of the sorted variant.
-func BenchmarkAblationPartitionSort(b *testing.B) {
-	env := paperScaleEnv(b)
-	var dSorted, dUnsorted float64
-	for i := 0; i < b.N; i++ {
-		pl := core.NewPlanner(env)
-		pl.PartitionAll()
-		dSorted = pl.D()
-	}
-	plU := core.NewPlanner(env)
-	plU.UnsortedPartition = true
-	for j := range env.W.Pages {
-		plU.PartitionPage(workload.PageID(j))
-	}
-	dUnsorted = plU.D()
-	b.ReportMetric(dSorted, "D-sorted")
-	b.ReportMetric(dUnsorted, "D-unsorted")
-	if dSorted > dUnsorted*1.2 {
-		b.Fatalf("sorted partition much worse than unsorted: %v vs %v", dSorted, dUnsorted)
-	}
-}
-
-// BenchmarkAblationNaiveSplits compares the planner's objective with the
-// naive SizeThreshold and HalfSplit policies under the cost model.
-func BenchmarkAblationNaiveSplits(b *testing.B) {
-	env := paperScaleEnv(b)
-	var dPlan float64
-	for i := 0; i < b.N; i++ {
-		p, _, err := Plan(env, PlanOptions{})
-		if err != nil {
-			b.Fatal(err)
-		}
-		dPlan = model.D(env, p)
-	}
-	dHalf := model.D(env, policies.HalfSplit(env.W).Placement())
-	dThresh := model.D(env, policies.SizeThreshold(env.W, int64(500*KB)).Placement())
-	b.ReportMetric(dPlan, "D-planned")
-	b.ReportMetric(dHalf, "D-halfsplit")
-	b.ReportMetric(dThresh, "D-sizethreshold")
-	if dPlan > dHalf || dPlan > dThresh {
-		b.Fatalf("planner (D=%v) lost to a naive split (half=%v, threshold=%v)", dPlan, dHalf, dThresh)
-	}
 }
 
 // BenchmarkGreedyGap certifies PARTITION against the exact per-page

@@ -48,7 +48,7 @@ func main() {
 	}
 
 	measure := func(name string, p *repro.Placement) float64 {
-		res, err := repro.ReplayTrace(w, trace, repro.NewStaticPolicy(name, p))
+		res, err := repro.ReplayTrace(w, trace, repro.NewStaticPolicy(name, p), cfg)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"reflect"
 	"sync"
 	"time"
 
@@ -17,11 +18,11 @@ import (
 )
 
 // runEnv is the one context every study plans, simulates and folds through:
-// the run's generated workload, the drawn estimates, the simulation seed
-// (shared by every policy and sweep point so all of them see identical
-// traffic), and the unconstrained-proposed-policy reference response time
-// the figures divide by. Run r's runEnv is touched by run r's goroutine
-// only.
+// the run's generated workload, the drawn estimates, the simulation seed and
+// the traffic recorded from it (shared by every policy and sweep point so
+// all of them see identical traffic), and the unconstrained-proposed-policy
+// reference response time the figures divide by. Run r's runEnv is touched
+// by run r's goroutine only.
 type runEnv struct {
 	opts *Options
 	r    int
@@ -31,6 +32,14 @@ type runEnv struct {
 	// a warm-up pass first (the ideal-cache start of the dynamic baselines).
 	simCfg, warmCfg httpsim.Config
 	simSeed         uint64
+
+	// traffic is the most recently recorded trace, trafficW the workload and
+	// trafficCfg the record-time settings (nothing else of the config, so no
+	// study's sinks are kept alive) it was recorded for; replay re-records
+	// when a study moves to another workload, perturbation or request count.
+	traffic    *httpsim.Trace
+	trafficW   *workload.Workload
+	trafficCfg httpsim.Config
 
 	// base is the reference response time, planned and simulated on first
 	// use (the analytic and live-cluster studies never read it); baseErr is
@@ -116,10 +125,27 @@ func (e *runEnv) plan(w *workload.Workload, b model.Budgets, tune core.Options) 
 	return menv, p, res, err
 }
 
-// simulate runs one policy over w on the run's fixed traffic seed and
-// returns the composite mean response time.
+// replay measures one policy over w on the run's fixed traffic seed —
+// httpsim.Run without re-drawing the requests: the traffic is recorded once
+// and replayed for every policy and sweep point that shares its workload and
+// record-time settings (PerturbConfig holds slices, hence DeepEqual).
+func (e *runEnv) replay(w *workload.Workload, dec httpsim.Decider, cfg httpsim.Config) (*httpsim.Result, error) {
+	if e.traffic == nil || e.trafficW != w || e.trafficCfg.RequestsPerSite != cfg.RequestsPerSite ||
+		!reflect.DeepEqual(e.trafficCfg.Perturb, cfg.Perturb) {
+		tr, err := httpsim.Record(w, e.est, cfg, rng.New(e.simSeed))
+		if err != nil {
+			return nil, err
+		}
+		e.traffic, e.trafficW = tr, w
+		e.trafficCfg = httpsim.Config{RequestsPerSite: cfg.RequestsPerSite, Perturb: cfg.Perturb}
+	}
+	return httpsim.Replay(w, e.traffic, dec, cfg)
+}
+
+// simulate replays one policy over w and returns the composite mean
+// response time.
 func (e *runEnv) simulate(w *workload.Workload, dec httpsim.Decider, cfg httpsim.Config) (float64, error) {
-	res, err := httpsim.Run(w, e.est, dec, cfg, rng.New(e.simSeed))
+	res, err := e.replay(w, dec, cfg)
 	if err != nil {
 		return 0, err
 	}

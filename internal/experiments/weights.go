@@ -2,10 +2,8 @@ package experiments
 
 import (
 	"repro/internal/core"
-	"repro/internal/httpsim"
 	"repro/internal/model"
 	"repro/internal/policies"
-	"repro/internal/rng"
 	"repro/internal/stats"
 )
 
@@ -65,7 +63,7 @@ func WeightsStudy(opts Options) (*stats.Figure, error) {
 // pageAndOptMeans simulates a placement on the run's traffic and returns
 // the mean page retrieval time and mean optional seconds per view.
 func pageAndOptMeans(env *runEnv, p *model.Placement) (pageMean, optMean float64, err error) {
-	res, err := httpsim.Run(env.w, env.est, policies.NewStatic("w", p), env.simCfg, rng.New(env.simSeed))
+	res, err := env.replay(env.w, policies.NewStatic("w", p), env.simCfg)
 	if err != nil {
 		return 0, 0, err
 	}

@@ -11,8 +11,8 @@ package httpsim
 
 import (
 	"fmt"
-	"sort"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/accesslog"
 	"repro/internal/netsim"
@@ -26,10 +26,10 @@ import (
 
 // Decider is the policy under simulation: for each page view it says which
 // compulsory objects are served locally, and whether a requested optional
-// link is served locally. Implementations may mutate per-site state (the
-// LRU baseline does); the simulator guarantees calls for distinct sites
-// never run concurrently with each other only if the implementation is
-// site-partitioned — which all policies in internal/policies are.
+// link is served locally. Implementations may keep state (the LRU baseline
+// does): one site's views arrive from one goroutine, in order, but distinct
+// sites may be replayed concurrently (Config.Workers), so the state must be
+// partitioned by site — as every policy in internal/policies is.
 type Decider interface {
 	// Name identifies the policy in reports.
 	Name() string
@@ -186,176 +186,127 @@ func (r *Result) CompositeMean() float64 {
 	return (r.alpha1*r.PageRT.Mean() + r.alpha2*r.OptPerView.Mean()) / den
 }
 
-// pagePicker draws pages of one site proportionally to f(W_j).
-type pagePicker struct {
-	pages []workload.PageID
-	cum   []float64 // cumulative frequency
-}
-
-func newPagePicker(w *workload.Workload, i workload.SiteID) (*pagePicker, error) {
-	pages := w.Sites[i].Pages
-	if len(pages) == 0 {
-		return nil, fmt.Errorf("httpsim: site %d hosts no pages", i)
-	}
-	cum := make([]float64, len(pages))
-	total := 0.0
-	for idx, pid := range pages {
-		total += float64(w.Pages[pid].Freq)
-		cum[idx] = total
-	}
-	if total <= 0 {
-		return nil, fmt.Errorf("httpsim: site %d has zero total frequency", i)
-	}
-	return &pagePicker{pages: pages, cum: cum}, nil
-}
-
-func (pp *pagePicker) draw(s *rng.Stream) workload.PageID {
-	u := s.Float64() * pp.cum[len(pp.cum)-1]
-	idx := sort.SearchFloat64s(pp.cum, u)
-	if idx >= len(pp.pages) {
-		idx = len(pp.pages) - 1
-	}
-	return pp.pages[idx]
-}
-
-// Run simulates the policy over the workload. The stream seeds everything:
-// two runs with equal (workload, estimates, config, stream seed) produce
-// identical request sequences and perturbations regardless of the policy,
-// so policies are compared on exactly the same traffic.
-func Run(w *workload.Workload, est *netsim.Estimates, dec Decider, cfg Config, stream *rng.Stream) (*Result, error) {
+// validate rejects a config Run or Record cannot draw traffic from.
+func (cfg *Config) validate(w *workload.Workload, est *netsim.Estimates) error {
 	if cfg.RequestsPerSite <= 0 {
-		return nil, fmt.Errorf("httpsim: RequestsPerSite must be positive, got %d", cfg.RequestsPerSite)
+		return fmt.Errorf("httpsim: RequestsPerSite must be positive, got %d", cfg.RequestsPerSite)
 	}
 	if err := cfg.Perturb.Validate(); err != nil {
-		return nil, err
-	}
-	if err := cfg.Outage.Validate(); err != nil {
-		return nil, err
+		return err
 	}
 	if len(est.Sites) != w.NumSites() {
-		return nil, fmt.Errorf("httpsim: %d estimates for %d sites", len(est.Sites), w.NumSites())
+		return fmt.Errorf("httpsim: %d estimates for %d sites", len(est.Sites), w.NumSites())
 	}
+	return cfg.Outage.Validate()
+}
 
-	res := &Result{
-		Policy:     dec.Name(),
-		SitePageRT: make([]stats.Accumulator, w.NumSites()),
-		alpha1:     w.Config.Alpha1,
-		alpha2:     w.Config.Alpha2,
+// Run simulates the policy over the workload: Replay(Record(...)), one site
+// at a time, each worker recording into the buffer it replayed its previous
+// site from. The stream seeds everything: two runs with equal (workload,
+// estimates, config, stream seed) produce identical request sequences and
+// perturbations regardless of the policy, so policies are compared on
+// exactly the same traffic.
+func Run(w *workload.Workload, est *netsim.Estimates, dec Decider, cfg Config, stream *rng.Stream) (*Result, error) {
+	if err := cfg.validate(w, est); err != nil {
+		return nil, err
 	}
+	return replaySites(w, dec, cfg, stream.Seed(), func(i workload.SiteID, buf []TraceEvent) ([]TraceEvent, error) {
+		return recordSite(w, est, cfg, stream, i, buf)
+	})
+}
 
+// replaySites replays every site's views through dec and merges the per-site
+// partials in site order, so the result does not depend on Workers.
+// views(i, buf) records or looks up site i's; buf is what it returned to the
+// same worker last time, free to overwrite. The replay-time streams
+// (arrivals, outages, span IDs) are re-derived from seed, the one the views
+// were drawn from.
+func replaySites(w *workload.Workload, dec Decider, cfg Config, seed uint64, views func(workload.SiteID, []TraceEvent) ([]TraceEvent, error)) (*Result, error) {
+	n := w.NumSites()
+	partials := make([]*Result, n)
+	errs := make([]error, n)
 	workers := cfg.Workers
-	if workers <= 0 || workers > w.NumSites() {
-		workers = w.NumSites()
+	if workers <= 0 || workers > n {
+		workers = n
 	}
-
-	type siteOut struct {
-		site    int
-		partial *Result
-		err     error
-	}
-	outs := make([]siteOut, w.NumSites())
-
+	// The caller is one of the workers: Workers 1 starts no goroutine and
+	// walks the sites inline, in order.
 	var wg sync.WaitGroup
-	sem := make(chan struct{}, workers)
-	for i := 0; i < w.NumSites(); i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			partial, err := runSite(w, est, dec, cfg, stream.Split(uint64(i)), workload.SiteID(i))
-			outs[i] = siteOut{site: i, partial: partial, err: err}
-		}(i)
+	var next atomic.Int64
+	walk := func() {
+		defer wg.Done()
+		var evs []TraceEvent
+		for k := next.Add(1) - 1; k < int64(n); k = next.Add(1) - 1 {
+			i := workload.SiteID(k)
+			if evs, errs[i] = views(i, evs); errs[i] != nil {
+				continue
+			}
+			stream := rng.New(seed).Split(uint64(i))
+			if cfg.Warmup { // same views, same sub-streams, metrics discarded
+				replayPass(w, dec, cfg, stream, i, evs, nil)
+			}
+			partials[i] = newResult("", w)
+			replayPass(w, dec, cfg, stream, i, evs, partials[i])
+		}
 	}
+	wg.Add(workers)
+	for k := 1; k < workers; k++ {
+		go walk()
+	}
+	walk()
 	wg.Wait()
 
-	for _, o := range outs {
-		if o.err != nil {
-			return nil, o.err
+	res := newResult(dec.Name(), w)
+	for i, partial := range partials {
+		if errs[i] != nil {
+			return nil, errs[i]
 		}
-		res.PageRT.Merge(&o.partial.PageRT)
-		res.OptPerView.Merge(&o.partial.OptPerView)
-		res.OptRT.Merge(&o.partial.OptRT)
-		res.SitePageRT[o.site] = o.partial.SitePageRT[o.site]
-		res.LocalRequests += o.partial.LocalRequests
-		res.RepoRequests += o.partial.RepoRequests
-		res.DegradedViews += o.partial.DegradedViews
-		cfg.Trace.Add(o.partial.spans...)
-		if cfg.RetainSamples {
-			for _, v := range o.partial.Samples.Values() {
-				res.Samples.Add(v)
-			}
+		res.PageRT.Merge(&partial.PageRT)
+		res.OptPerView.Merge(&partial.OptPerView)
+		res.OptRT.Merge(&partial.OptRT)
+		res.SitePageRT[i] = partial.SitePageRT[i]
+		res.LocalRequests += partial.LocalRequests
+		res.RepoRequests += partial.RepoRequests
+		res.DegradedViews += partial.DegradedViews
+		cfg.Trace.Add(partial.spans...)
+		for _, v := range partial.Samples.Values() {
+			res.Samples.Add(v)
 		}
 	}
 	return res, nil
 }
 
-// runSite simulates one site's request stream.
-func runSite(w *workload.Workload, est *netsim.Estimates, dec Decider, cfg Config, stream *rng.Stream, i workload.SiteID) (*Result, error) {
-	picker, err := newPagePicker(w, i)
-	if err != nil {
-		return nil, err
-	}
-
-	partial := &Result{SitePageRT: make([]stats.Accumulator, w.NumSites()), alpha1: w.Config.Alpha1, alpha2: w.Config.Alpha2}
-
-	if cfg.Warmup {
-		warmCfg := cfg
-		warmCfg.Warmup = false
-		// Identical sequence (same sub-streams), metrics discarded.
-		if err := simulatePass(w, est, dec, warmCfg, stream, i, picker, nil); err != nil {
-			return nil, err
-		}
-	}
-	if err := simulatePass(w, est, dec, cfg, stream, i, picker, partial); err != nil {
-		return nil, err
-	}
-	return partial, nil
-}
-
-// Stream labels for the per-site request simulation. Record (trace.go)
-// derives its page/perturb/opt streams with the same labels so a recorded
-// trace pins exactly the sequences the live simulator would draw. The
-// values are load-bearing: Split folds them into the seed derivation, so
-// renumbering silently changes every golden result.
+// Stream labels under a site's traffic stream. The first three are drawn at
+// record time (recordSite), the rest at replay time (replayPass), each from
+// its own stream, so no replay-time option can shift the recorded
+// sequences. The values are load-bearing: Split folds them into the seed
+// derivation, so renumbering silently changes every golden result.
 const (
 	simPageStream uint64 = iota + 1
 	simPerturbStream
 	simOptStream
 	simArrivalStream
 	simOutageStream
-	// simTraceStream feeds span-ID generation only; Config.Trace therefore
-	// cannot shift the page/perturb/optional/outage sequences.
+	// simTraceStream feeds span-ID generation only.
 	simTraceStream
 )
 
-// simulatePass runs RequestsPerSite page views; when out is nil the pass is
-// a warmup (state advances, nothing recorded).
-func simulatePass(w *workload.Workload, est *netsim.Estimates, dec Decider, cfg Config, stream *rng.Stream, i workload.SiteID, picker *pagePicker, out *Result) error {
-	pageStream := stream.Split(simPageStream)
-	perturbStream := stream.Split(simPerturbStream)
-	optStream := stream.Split(simOptStream)
+// replayPass serves site i's recorded views under the policy — the one place
+// a Decider is consulted. When out is nil the pass is a warmup (state
+// advances, nothing recorded). stream is the site's traffic stream.
+func replayPass(w *workload.Workload, dec Decider, cfg Config, stream *rng.Stream, i workload.SiteID, views []TraceEvent, out *Result) {
 	arrivalStream := stream.Split(simArrivalStream)
-	// Outage draws come from their own stream so enabling degraded mode
-	// cannot shift the page/perturbation/optional sequences.
 	outageStream := stream.Split(simOutageStream)
 
-	perturber, err := netsim.NewPerturber(cfg.Perturb, est.Site(int(i)), perturbStream)
-	if err != nil {
-		return err
-	}
-
-	// Telemetry instruments, fetched once per pass; all nil (no-op, zero
-	// allocation per request) when disabled or during warmup. Sites run
-	// concurrently, so the instruments' atomics are the synchronization.
-	// The span emitter materializes the measured pass as a trace forest;
-	// its ID stream is Split-derived, so arming it never perturbs the
-	// request sequences policies are compared on.
+	// The span emitter materializes the measured pass as a trace forest.
 	var em *spanEmitter
 	if out != nil && cfg.Trace != nil {
 		em = &spanEmitter{ids: trace.NewIDGen(stream.Split(simTraceStream)), site: int(i)}
 	}
 
+	// Telemetry instruments, fetched once per pass; all nil (no-op, zero
+	// allocation per request) when disabled or during warmup. Sites run
+	// concurrently, so the instruments' atomics are the synchronization.
 	var pageHist, optHist *telemetry.Histogram
 	var cLocalReq, cRepoReq, cSplit, cLocalOnly, cRemoteOnly, cDegraded *telemetry.Counter
 	if out != nil {
@@ -376,16 +327,13 @@ func simulatePass(w *workload.Workload, est *netsim.Estimates, dec Decider, cfg 
 	// reading for an "infinite capacity" repository, and documented as part
 	// of the extension.
 	var siteQ, repoQ *fluidQueue
-	var clock float64
-	var interArrival float64
+	var clock, interArrival float64
 	// tclock is the span timeline when queueing is off: views serialize at
 	// their own response times, which keeps Start values deterministic.
 	var tclock float64
 	if cfg.Queueing {
-		siteCap := float64(w.Sites[i].Capacity)
-		repoCap := float64(w.Config.RepoCapacity)
-		siteQ = newFluidQueue(siteCap)
-		repoQ = newFluidQueue(repoCap)
+		siteQ = newFluidQueue(float64(w.Sites[i].Capacity))
+		repoQ = newFluidQueue(float64(w.Config.RepoCapacity))
 		totalRate := 0.0
 		for _, pid := range w.Sites[i].Pages {
 			totalRate += float64(w.Pages[pid].Freq)
@@ -393,17 +341,11 @@ func simulatePass(w *workload.Workload, est *netsim.Estimates, dec Decider, cfg 
 		interArrival = 1 / totalRate
 	}
 
-	for n := 0; n < cfg.RequestsPerSite; n++ {
-		j := picker.draw(pageStream)
+	for n := range views {
+		ev := &views[n]
+		j := ev.Page
 		pg := &w.Pages[j]
 		dec.BeginPage(j)
-
-		// Per-request actual network attributes — always drawn in the same
-		// order so different policies see identical conditions.
-		localRate := perturber.LocalRate()
-		repoRate := perturber.RepoRate()
-		localOvhd := perturber.LocalOvhd()
-		repoOvhd := perturber.RepoOvhd()
 
 		// Degraded mode: with the site down for this view, every transfer —
 		// the HTML included — degenerates to the repository chain.
@@ -436,16 +378,16 @@ func simulatePass(w *workload.Workload, est *netsim.Estimates, dec Decider, cfg 
 		var localT, remoteT units.Seconds
 		var localXfer, remoteXfer, remoteOvhdEff units.Seconds
 		if localReqs > 0 {
-			localXfer = localRate.TransferTime(localBytes)
-			localT = localOvhd + localXfer
+			localXfer = ev.LocalRate.TransferTime(localBytes)
+			localT = ev.LocalOvhd + localXfer
 		}
 		if repoReqs > 0 {
-			remoteXfer = repoRate.TransferTime(remoteBytes)
+			remoteXfer = ev.RepoRate.TransferTime(remoteBytes)
 			penalty := units.Seconds(float64(cfg.RemoteRedirectPenalty) * float64(repoReqs))
 			// Addition order matches the pre-instrumentation expression so
 			// golden simulation results stay bit-identical.
-			remoteT = repoOvhd + remoteXfer + penalty
-			remoteOvhdEff = repoOvhd + penalty
+			remoteT = ev.RepoOvhd + remoteXfer + penalty
+			remoteOvhdEff = ev.RepoOvhd + penalty
 		}
 		if !siteUp {
 			remoteT += cfg.Outage.FailoverDelay
@@ -476,7 +418,7 @@ func simulatePass(w *workload.Workload, est *netsim.Estimates, dec Decider, cfg 
 		var vRoot trace.SpanID
 		if em != nil {
 			vTID, vRoot = em.emitView(j, viewStart, pageRT, siteUp, cfg.Outage.FailoverDelay,
-				&viewTiming{total: localT, transfer: localXfer, queue: localQD, overhead: localOvhd,
+				&viewTiming{total: localT, transfer: localXfer, queue: localQD, overhead: ev.LocalOvhd,
 					bytes: localBytes, requests: localReqs},
 				&viewTiming{total: remoteT, transfer: remoteXfer, queue: remoteQD, overhead: remoteOvhdEff,
 					bytes: remoteBytes, requests: repoReqs})
@@ -496,50 +438,32 @@ func simulatePass(w *workload.Workload, est *netsim.Estimates, dec Decider, cfg 
 			cLocalOnly.Inc()
 		}
 
-		// Optional follow-ups: the user requests optional objects with the
-		// page's interest probability, then picks the configured fraction
-		// of the links, uniformly, each over a fresh connection (Eq. 6).
+		// Optional follow-ups the user requested, each over a fresh
+		// connection (Eq. 6) with its own recorded draws.
 		optTotal := 0.0
-		if len(pg.Optional) > 0 && optStream.Bool(w.Config.OptionalInterestProb) {
-			want := int(float64(len(pg.Optional))*w.Config.OptionalRequestFrac + 0.5)
-			if want < 1 {
-				want = 1
+		for oi, idx := range ev.Optional {
+			size := w.ObjectSize(pg.Optional[idx].Object)
+			chain, q := "remote", repoQ
+			var t units.Seconds
+			if dec.OptLocal(j, idx) && siteUp {
+				chain, q = "local", siteQ
+				t = ev.OptLocalOvhd[oi] + ev.OptLocalRate[oi].TransferTime(size)
+				localReqs++
+			} else {
+				t = ev.OptRepoOvhd[oi] + ev.OptRepoRate[oi].TransferTime(size) + cfg.RemoteRedirectPenalty
+				repoReqs++
 			}
-			for _, idx := range optStream.SampleWithoutReplacement(len(pg.Optional), want) {
-				size := w.ObjectSize(pg.Optional[idx].Object)
-				// Fresh per-download draws for both sides keep the stream
-				// consumption policy-independent.
-				lr, rr := perturber.LocalRate(), perturber.RepoRate()
-				lo, ro := perturber.LocalOvhd(), perturber.RepoOvhd()
-				optLocal := dec.OptLocal(j, idx) && siteUp
-				var t units.Seconds
-				if optLocal {
-					t = lo + lr.TransferTime(size)
-					localReqs++
-				} else {
-					t = ro + rr.TransferTime(size) + cfg.RemoteRedirectPenalty
-					repoReqs++
-				}
-				if cfg.Queueing {
-					if optLocal {
-						t += units.Seconds(siteQ.delay(clock, 1))
-					} else {
-						t += units.Seconds(repoQ.delay(clock, 1))
-					}
-				}
-				if em != nil {
-					chain := "remote"
-					if optLocal {
-						chain = "local"
-					}
-					// Optionals serialize after the page completes.
-					em.emitOpt(vTID, vRoot, pg.Optional[idx].Object, chain, viewStart+pageRT+optTotal, t)
-				}
-				optTotal += float64(t)
-				optHist.Observe(float64(t))
-				if out != nil {
-					out.OptRT.Add(float64(t))
-				}
+			if cfg.Queueing {
+				t += units.Seconds(q.delay(clock, 1))
+			}
+			if em != nil {
+				// Optionals serialize after the page completes.
+				em.emitOpt(vTID, vRoot, pg.Optional[idx].Object, chain, viewStart+pageRT+optTotal, t)
+			}
+			optTotal += float64(t)
+			optHist.Observe(float64(t))
+			if out != nil {
+				out.OptRT.Add(float64(t))
 			}
 		}
 
@@ -563,5 +487,4 @@ func simulatePass(w *workload.Workload, est *netsim.Estimates, dec Decider, cfg 
 	if em != nil {
 		out.spans = em.spans
 	}
-	return nil
 }

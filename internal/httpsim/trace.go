@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"sort"
 
 	"repro/internal/netsim"
 	"repro/internal/rng"
@@ -17,7 +18,9 @@ import (
 // optional links the user requested (indices into the page's Optional
 // list), and the actual per-request network attributes drawn for it. A
 // trace pins *traffic and network conditions*; policies replayed over it
-// decide only the local/remote split.
+// decide only the local/remote split. One view is 160 bytes plus its
+// optional picks: 16 MB per recorded paper-scale run (10 sites × 10,000
+// views), 270 KB at quick scale.
 type TraceEvent struct {
 	Page      workload.PageID `json:"page"`
 	Optional  []int           `json:"optional,omitempty"`
@@ -35,76 +38,134 @@ type TraceEvent struct {
 
 // Trace is a per-site recorded request sequence.
 type Trace struct {
-	NumSites int            `json:"numSites"`
-	NumPages int            `json:"numPages"`
-	Events   [][]TraceEvent `json:"events"` // indexed by site
+	NumSites int `json:"numSites"`
+	NumPages int `json:"numPages"`
+	// Seed is the seed of the stream the trace was recorded from. Replay
+	// re-derives the replay-time streams (queueing arrivals, outage draws,
+	// span IDs) from it, which is what makes Replay(Record(...)) equal Run.
+	Seed   uint64         `json:"seed"`
+	Events [][]TraceEvent `json:"events"` // indexed by site
+
+	// checked is the workload the trace has been validated against: set by
+	// Record and DecodeTrace, or by the first Replay of a hand-built trace.
+	checked *workload.Workload
 }
 
-// Record draws a trace for the workload using the same distributions the
-// live simulator uses: pages by popularity, optional requests by the
-// interest/fraction model, and per-request §5.1 perturbations around the
-// estimates. Replaying any policy over it with Replay yields exactly what
-// Run would have measured for that (workload, estimates, config, seed).
+// Record draws a trace for the workload: pages by popularity, optional
+// requests by the interest/fraction model, and per-request §5.1
+// perturbations around the estimates. Only RequestsPerSite and Perturb are
+// read — they are record-time; every other Config field is replay-time.
+// Replaying any policy over the trace with Replay yields exactly what Run
+// measures for that (workload, estimates, config, seed).
 func Record(w *workload.Workload, est *netsim.Estimates, cfg Config, stream *rng.Stream) (*Trace, error) {
-	if cfg.RequestsPerSite <= 0 {
-		return nil, fmt.Errorf("httpsim: RequestsPerSite must be positive, got %d", cfg.RequestsPerSite)
-	}
-	if err := cfg.Perturb.Validate(); err != nil {
+	if err := cfg.validate(w, est); err != nil {
 		return nil, err
-	}
-	if len(est.Sites) != w.NumSites() {
-		return nil, fmt.Errorf("httpsim: %d estimates for %d sites", len(est.Sites), w.NumSites())
 	}
 	tr := &Trace{
 		NumSites: w.NumSites(),
 		NumPages: w.NumPages(),
+		Seed:     stream.Seed(),
 		Events:   make([][]TraceEvent, w.NumSites()),
+		checked:  w,
 	}
-	for i := 0; i < w.NumSites(); i++ {
-		site := workload.SiteID(i)
-		siteStream := stream.Split(uint64(i))
-		pageStream := siteStream.Split(simPageStream)
-		perturbStream := siteStream.Split(simPerturbStream)
-		optStream := siteStream.Split(simOptStream)
-
-		picker, err := newPagePicker(w, site)
-		if err != nil {
+	for i := range tr.Events {
+		var err error
+		if tr.Events[i], err = recordSite(w, est, cfg, stream, workload.SiteID(i), nil); err != nil {
 			return nil, err
 		}
-		perturber, err := netsim.NewPerturber(cfg.Perturb, est.Site(i), perturbStream)
-		if err != nil {
-			return nil, err
-		}
-
-		events := make([]TraceEvent, 0, cfg.RequestsPerSite)
-		for n := 0; n < cfg.RequestsPerSite; n++ {
-			j := picker.draw(pageStream)
-			pg := &w.Pages[j]
-			ev := TraceEvent{
-				Page:      j,
-				LocalRate: perturber.LocalRate(),
-				RepoRate:  perturber.RepoRate(),
-				LocalOvhd: perturber.LocalOvhd(),
-				RepoOvhd:  perturber.RepoOvhd(),
-			}
-			if len(pg.Optional) > 0 && optStream.Bool(w.Config.OptionalInterestProb) {
-				want := int(float64(len(pg.Optional))*w.Config.OptionalRequestFrac + 0.5)
-				if want < 1 {
-					want = 1
-				}
-				ev.Optional = optStream.SampleWithoutReplacement(len(pg.Optional), want)
-				for range ev.Optional {
-					ev.OptLocalRate = append(ev.OptLocalRate, perturber.LocalRate())
-					ev.OptRepoRate = append(ev.OptRepoRate, perturber.RepoRate())
-					ev.OptLocalOvhd = append(ev.OptLocalOvhd, perturber.LocalOvhd())
-					ev.OptRepoOvhd = append(ev.OptRepoOvhd, perturber.RepoOvhd())
-				}
-			}
-			events = append(events, ev)
-		}
-		tr.Events[i] = events
 	}
 	return tr, nil
+}
+
+// recordSite draws site i's views from the run's traffic stream, into buf
+// when it is large enough — the only place requests and network conditions
+// are drawn. The draw order within each stream is load-bearing: every golden
+// result was measured on it.
+func recordSite(w *workload.Workload, est *netsim.Estimates, cfg Config, stream *rng.Stream, i workload.SiteID, buf []TraceEvent) ([]TraceEvent, error) {
+	stream = stream.Split(uint64(i))
+	pageStream := stream.Split(simPageStream)
+	optStream := stream.Split(simOptStream)
+	picker, err := newPagePicker(w, i)
+	if err != nil {
+		return nil, err
+	}
+	perturber, err := netsim.NewPerturber(cfg.Perturb, est.Site(int(i)), stream.Split(simPerturbStream))
+	if err != nil {
+		return nil, err
+	}
+
+	if cap(buf) < cfg.RequestsPerSite {
+		buf = make([]TraceEvent, cfg.RequestsPerSite)
+	}
+	events := buf[:cfg.RequestsPerSite]
+	for n := range events {
+		ev := &events[n]
+		// Per-request actual network attributes, both sides always drawn (in
+		// field order) so the stream consumption is policy-independent.
+		*ev = TraceEvent{
+			Page:      picker.draw(pageStream),
+			LocalRate: perturber.LocalRate(),
+			RepoRate:  perturber.RepoRate(),
+			LocalOvhd: perturber.LocalOvhd(),
+			RepoOvhd:  perturber.RepoOvhd(),
+		}
+
+		// The user requests optional objects with the page's interest
+		// probability, then picks the configured fraction of the links,
+		// uniformly; each download gets fresh draws.
+		pg := &w.Pages[ev.Page]
+		if len(pg.Optional) == 0 || !optStream.Bool(w.Config.OptionalInterestProb) {
+			continue
+		}
+		want := int(float64(len(pg.Optional))*w.Config.OptionalRequestFrac + 0.5)
+		if want < 1 {
+			want = 1
+		}
+		ev.Optional = optStream.SampleWithoutReplacement(len(pg.Optional), want)
+		ev.OptLocalRate = make([]units.Rate, len(ev.Optional))
+		ev.OptRepoRate = make([]units.Rate, len(ev.Optional))
+		ev.OptLocalOvhd = make([]units.Seconds, len(ev.Optional))
+		ev.OptRepoOvhd = make([]units.Seconds, len(ev.Optional))
+		for oi := range ev.Optional {
+			ev.OptLocalRate[oi] = perturber.LocalRate()
+			ev.OptRepoRate[oi] = perturber.RepoRate()
+			ev.OptLocalOvhd[oi] = perturber.LocalOvhd()
+			ev.OptRepoOvhd[oi] = perturber.RepoOvhd()
+		}
+	}
+	return events, nil
+}
+
+// pagePicker draws pages of one site proportionally to f(W_j).
+type pagePicker struct {
+	pages []workload.PageID
+	cum   []float64 // cumulative frequency
+}
+
+func newPagePicker(w *workload.Workload, i workload.SiteID) (*pagePicker, error) {
+	pages := w.Sites[i].Pages
+	if len(pages) == 0 {
+		return nil, fmt.Errorf("httpsim: site %d hosts no pages", i)
+	}
+	cum := make([]float64, len(pages))
+	total := 0.0
+	for idx, pid := range pages {
+		total += float64(w.Pages[pid].Freq)
+		cum[idx] = total
+	}
+	if total <= 0 {
+		return nil, fmt.Errorf("httpsim: site %d has zero total frequency", i)
+	}
+	return &pagePicker{pages: pages, cum: cum}, nil
+}
+
+func (pp *pagePicker) draw(s *rng.Stream) workload.PageID {
+	u := s.Float64() * pp.cum[len(pp.cum)-1]
+	idx := sort.SearchFloat64s(pp.cum, u)
+	if idx >= len(pp.pages) {
+		idx = len(pp.pages) - 1
+	}
+	return pp.pages[idx]
 }
 
 // Validate checks a trace against a workload.
@@ -142,62 +203,25 @@ func (tr *Trace) Validate(w *workload.Workload) error {
 	return nil
 }
 
-// Replay measures a policy over a recorded trace. Stateful policies see the
-// views in recorded order per site.
-func Replay(w *workload.Workload, tr *Trace, dec Decider) (*Result, error) {
-	if err := tr.Validate(w); err != nil {
+// Replay measures a policy over a recorded trace through the code Run
+// replays its own draws through, so every Config field behaves as under Run
+// except RequestsPerSite and Perturb, which were consumed at record time and
+// are ignored. Stateful policies see the views in recorded order per site.
+// A trace not yet validated against w is validated and marked here, so the
+// first Replay of a hand-built trace must not race with another.
+func Replay(w *workload.Workload, tr *Trace, dec Decider, cfg Config) (*Result, error) {
+	if err := cfg.Outage.Validate(); err != nil {
 		return nil, err
 	}
-	out := newResult(dec.Name(), w)
-	for i, events := range tr.Events {
-		site := workload.SiteID(i)
-		for _, ev := range events {
-			j := ev.Page
-			pg := &w.Pages[j]
-			dec.BeginPage(j)
-
-			localBytes := pg.HTMLSize
-			var remoteBytes units.ByteSize
-			localReqs, repoReqs := int64(1), int64(0)
-			for idx, k := range pg.Compulsory {
-				if dec.CompLocal(j, idx) {
-					localBytes += w.ObjectSize(k)
-					localReqs++
-				} else {
-					remoteBytes += w.ObjectSize(k)
-					repoReqs++
-				}
-			}
-			localT := ev.LocalOvhd + ev.LocalRate.TransferTime(localBytes)
-			var remoteT units.Seconds
-			if repoReqs > 0 {
-				remoteT = ev.RepoOvhd + ev.RepoRate.TransferTime(remoteBytes)
-			}
-			pageRT := float64(units.MaxSeconds(localT, remoteT))
-
-			optTotal := 0.0
-			for oi, idx := range ev.Optional {
-				size := w.ObjectSize(pg.Optional[idx].Object)
-				var t units.Seconds
-				if dec.OptLocal(j, idx) {
-					t = ev.OptLocalOvhd[oi] + ev.OptLocalRate[oi].TransferTime(size)
-					localReqs++
-				} else {
-					t = ev.OptRepoOvhd[oi] + ev.OptRepoRate[oi].TransferTime(size)
-					repoReqs++
-				}
-				optTotal += float64(t)
-				out.OptRT.Add(float64(t))
-			}
-
-			out.PageRT.Add(pageRT)
-			out.SitePageRT[site].Add(pageRT)
-			out.OptPerView.Add(optTotal)
-			out.LocalRequests += localReqs
-			out.RepoRequests += repoReqs
+	if tr.checked != w {
+		if err := tr.Validate(w); err != nil {
+			return nil, err
 		}
+		tr.checked = w
 	}
-	return out, nil
+	return replaySites(w, dec, cfg, tr.Seed, func(i workload.SiteID, _ []TraceEvent) ([]TraceEvent, error) {
+		return tr.Events[i], nil
+	})
 }
 
 // Encode writes the trace as JSON.
@@ -217,6 +241,7 @@ func DecodeTrace(w *workload.Workload, src io.Reader) (*Trace, error) {
 	if err := tr.Validate(w); err != nil {
 		return nil, err
 	}
+	tr.checked = w
 	return &tr, nil
 }
 
@@ -226,13 +251,12 @@ func (tr *Trace) SaveFile(path string) error {
 	if err != nil {
 		return fmt.Errorf("httpsim: %w", err)
 	}
+	defer f.Close() // a no-op after the checked Close below
 	bw := bufio.NewWriter(f)
 	if err := tr.Encode(bw); err != nil {
-		_ = f.Close()
 		return err
 	}
 	if err := bw.Flush(); err != nil {
-		_ = f.Close()
 		return fmt.Errorf("httpsim: %w", err)
 	}
 	return f.Close()

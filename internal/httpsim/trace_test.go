@@ -2,50 +2,162 @@ package httpsim
 
 import (
 	"bytes"
-	"math"
+	"reflect"
+	"slices"
 	"strings"
+	"sync"
 	"testing"
 
+	"repro/internal/model"
 	"repro/internal/policies"
 	"repro/internal/rng"
+	"repro/internal/telemetry"
+	"repro/internal/trace"
+	"repro/internal/workload"
 )
 
-func TestRecordReplayMatchesRun(t *testing.T) {
-	// Replaying a recorded trace must reproduce Run's measurements exactly
-	// (same seeds, no queueing, no warmup).
-	w, est := simEnv(t, 81)
-	cfg := DefaultConfig(w)
-	cfg.RequestsPerSite = 150
-	cfg.Workers = 1
+// tapLog is an AccessTap that keeps every observation, per site in order.
+type tapLog struct {
+	mu   sync.Mutex
+	seen map[workload.SiteID][]tapObs
+}
 
-	tr, err := Record(w, est, cfg, rng.New(5))
-	if err != nil {
-		t.Fatal(err)
+type tapObs struct {
+	page workload.PageID
+	t    float64
+}
+
+func (l *tapLog) Observe(i workload.SiteID, j workload.PageID, t float64) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if l.seen == nil {
+		l.seen = map[workload.SiteID][]tapObs{}
 	}
-	for _, mk := range []func() Decider{
-		func() Decider { return policies.NewLocal(w) },
-		func() Decider { return policies.NewRemote(w) },
-	} {
-		live, err := Run(w, est, mk(), cfg, rng.New(5))
-		if err != nil {
+	l.seen[i] = append(l.seen[i], tapObs{j, t})
+}
+
+// requireSameRun fails unless two simulations agree on every accumulator,
+// counter and sample with ==, and on everything they pushed into their
+// configs' sinks: telemetry snapshot, tap observations, span bytes.
+func requireSameRun(t *testing.T, a, b *Result, ca, cb Config) {
+	t.Helper()
+	if a.Policy != b.Policy {
+		t.Errorf("policy %q vs %q", a.Policy, b.Policy)
+	}
+	if a.PageRT != b.PageRT || a.OptPerView != b.OptPerView || a.OptRT != b.OptRT {
+		t.Errorf("accumulators differ:\n%+v %+v %+v\nvs\n%+v %+v %+v",
+			a.PageRT, a.OptPerView, a.OptRT, b.PageRT, b.OptPerView, b.OptRT)
+	}
+	if !slices.Equal(a.SitePageRT, b.SitePageRT) {
+		t.Error("per-site accumulators differ")
+	}
+	if a.LocalRequests != b.LocalRequests || a.RepoRequests != b.RepoRequests || a.DegradedViews != b.DegradedViews {
+		t.Errorf("counters differ: %d/%d/%d vs %d/%d/%d", a.LocalRequests, a.RepoRequests, a.DegradedViews,
+			b.LocalRequests, b.RepoRequests, b.DegradedViews)
+	}
+	if a.CompositeMean() != b.CompositeMean() {
+		t.Errorf("composite mean %v vs %v", a.CompositeMean(), b.CompositeMean())
+	}
+	if !slices.Equal(a.Samples.Values(), b.Samples.Values()) {
+		t.Error("retained samples differ")
+	}
+	if ca.RetainSamples && a.Samples.N() == 0 {
+		t.Error("RetainSamples kept nothing")
+	}
+	if ca.Telemetry != nil {
+		sa, sb := ca.Telemetry.Snapshot(), cb.Telemetry.Snapshot()
+		if len(sa.Histograms) == 0 || !reflect.DeepEqual(sa, sb) {
+			t.Errorf("telemetry differs:\n%+v\nvs\n%+v", sa, sb)
+		}
+	}
+	if ca.AccessTap != nil {
+		la, lb := ca.AccessTap.(*tapLog), cb.AccessTap.(*tapLog)
+		if len(la.seen) == 0 || !reflect.DeepEqual(la.seen, lb.seen) {
+			t.Error("access-tap observations differ")
+		}
+	}
+	if ca.Trace != nil {
+		var ja, jb bytes.Buffer
+		if err := trace.WriteJSONL(&ja, ca.Trace.Spans()); err != nil {
 			t.Fatal(err)
 		}
-		replayed, err := Replay(w, tr, mk())
-		if err != nil {
+		if err := trace.WriteJSONL(&jb, cb.Trace.Spans()); err != nil {
 			t.Fatal(err)
 		}
-		if live.PageRT.N() != replayed.PageRT.N() {
-			t.Fatalf("%s: view counts %d vs %d", live.Policy, live.PageRT.N(), replayed.PageRT.N())
+		if ja.Len() == 0 || !bytes.Equal(ja.Bytes(), jb.Bytes()) {
+			t.Errorf("span exports differ (%d vs %d bytes)", ja.Len(), jb.Len())
 		}
-		if math.Abs(live.PageRT.Mean()-replayed.PageRT.Mean()) > 1e-9 {
-			t.Errorf("%s: mean page RT live %v vs replay %v", live.Policy, live.PageRT.Mean(), replayed.PageRT.Mean())
-		}
-		if math.Abs(live.OptPerView.Mean()-replayed.OptPerView.Mean()) > 1e-9 {
-			t.Errorf("%s: optional means differ", live.Policy)
-		}
-		if live.LocalRequests != replayed.LocalRequests || live.RepoRequests != replayed.RepoRequests {
-			t.Errorf("%s: request counters differ", live.Policy)
-		}
+	}
+}
+
+// TestRecordReplayMatchesRun: Replay(Record(...)) is Run, to the last bit,
+// under every replay-time option — they are one loop, so an option Run
+// honours a replayed trace honours too. set is called once per simulation
+// so each gets its own sinks.
+func TestRecordReplayMatchesRun(t *testing.T) {
+	w, est := simEnv(t, 81)
+	local := func() Decider { return policies.NewLocal(w) }
+	remote := func() Decider { return policies.NewRemote(w) }
+	outage := OutageConfig{Enabled: true, Availability: 0.7, FailoverDelay: 0.5}
+	cases := []struct {
+		name string
+		dec  func() Decider
+		set  func(cfg *Config)
+		wide bool // replay every site at once against Run's inline walk
+	}{
+		{name: "local", dec: local, set: func(*Config) {}},
+		{name: "remote", dec: remote, set: func(*Config) {}},
+		{name: "redirect penalty", dec: remote, set: func(cfg *Config) { cfg.RemoteRedirectPenalty = 0.2 }},
+		{name: "outage", dec: local, set: func(cfg *Config) { cfg.Outage = outage }},
+		{name: "queueing", dec: remote, set: func(cfg *Config) { cfg.Queueing = true }},
+		{name: "warm LRU", dec: func() Decider {
+			lru, err := policies.NewLRU(w, model.FullBudgets(w).Scale(w, 0.3, 1), 4)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return lru
+		}, set: func(cfg *Config) { cfg.Warmup = true }},
+		{name: "retained samples", dec: local, set: func(cfg *Config) { cfg.RetainSamples = true }},
+		{name: "telemetry", dec: remote, set: func(cfg *Config) { cfg.Telemetry = telemetry.NewRegistry() }},
+		{name: "access tap", dec: local, set: func(cfg *Config) { cfg.AccessTap = &tapLog{}; cfg.Queueing = true }},
+		{name: "spans", dec: remote, set: func(cfg *Config) {
+			cfg.Trace = trace.NewBuffer(0)
+			cfg.Outage = outage
+			cfg.Queueing = true
+		}},
+		{name: "Workers 1 vs 0", dec: remote, wide: true, set: func(cfg *Config) {
+			cfg.Trace = trace.NewBuffer(0)
+			cfg.RetainSamples = true
+		}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			config := func() Config {
+				cfg := DefaultConfig(w)
+				cfg.RequestsPerSite = 150
+				cfg.Workers = 1
+				tc.set(&cfg)
+				return cfg
+			}
+			runCfg, replayCfg := config(), config()
+			if tc.wide {
+				replayCfg.Workers = 0
+			}
+			live, err := Run(w, est, tc.dec(), runCfg, rng.New(5))
+			if err != nil {
+				t.Fatal(err)
+			}
+			// Record reads the record-time fields only and feeds no sink.
+			tr, err := Record(w, est, runCfg, rng.New(5))
+			if err != nil {
+				t.Fatal(err)
+			}
+			replayed, err := Replay(w, tr, tc.dec(), replayCfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			requireSameRun(t, live, replayed, runCfg, replayCfg)
+		})
 	}
 }
 
@@ -65,16 +177,24 @@ func TestTraceJSONRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, err := Replay(w, tr, policies.NewLocal(w))
+	if got.Seed != 6 {
+		t.Errorf("decoded seed %d, recorded from 6", got.Seed)
+	}
+	// The replay-time streams hang off the seed: a decoded trace must queue
+	// and fail over exactly as the recorded one.
+	cfg.Queueing = true
+	cfg.Outage = OutageConfig{Enabled: true, Availability: 0.7, FailoverDelay: 0.5}
+	a, err := Replay(w, tr, policies.NewLocal(w), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Replay(w, got, policies.NewLocal(w))
+	b, err := Replay(w, got, policies.NewLocal(w), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a.PageRT.Mean() != b.PageRT.Mean() {
-		t.Error("decoded trace replays differently")
+	requireSameRun(t, a, b, cfg, cfg)
+	if a.DegradedViews == 0 {
+		t.Error("no view was degraded at availability 0.7")
 	}
 }
 

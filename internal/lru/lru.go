@@ -22,6 +22,8 @@ type Cache struct {
 	items    map[int]*node
 	head     *node // most recently used
 	tail     *node // least recently used
+	free     *node // removed nodes awaiting reuse, linked through next
+	evicted  []int // Put's result buffer
 
 	hits, misses int64
 	evictions    int64
@@ -101,46 +103,53 @@ func (c *Cache) Access(key int) bool {
 
 // Put inserts (or refreshes) key with the given size at the front, evicting
 // least-recently-used items until the cache fits. It returns the evicted
-// keys. An item larger than the whole capacity is not cached (it would
-// evict everything for nothing) and is reported as the single "evicted"
-// key. Sizes must be non-negative.
+// keys in a buffer the cache reuses: the slice is valid until the next Put.
+// An item larger than the whole capacity is not cached (it would evict
+// everything for nothing) and is reported as the single "evicted" key.
+// Sizes must be non-negative. A cache at capacity allocates nothing per
+// Put: an insert reuses a node an eviction freed.
 func (c *Cache) Put(key int, size int64) (evicted []int) {
 	if size < 0 {
 		panic(fmt.Sprintf("lru: negative size %d for key %d", size, key))
 	}
+	c.evicted = c.evicted[:0]
 	if n, ok := c.items[key]; ok {
 		c.used += size - n.size
 		n.size = size
 		c.detach(n)
 		c.pushFront(n)
 	} else if size > c.capacity {
-		return []int{key}
+		c.evicted = append(c.evicted, key)
+		return c.evicted
 	} else {
-		n := &node{key: key, size: size}
+		n := c.free
+		if n == nil {
+			n = &node{}
+		}
+		c.free = n.next
+		*n = node{key: key, size: size}
 		c.items[key] = n
 		c.pushFront(n)
 		c.used += size
 	}
 	for c.used > c.capacity && c.tail != nil {
-		victim := c.tail
-		if victim.key == key {
-			// The refreshed item itself no longer fits; drop it.
-			c.remove(victim)
-			evicted = append(evicted, victim.key)
-			break
+		victim := c.tail.key
+		c.remove(c.tail)
+		c.evicted = append(c.evicted, victim)
+		if victim == key {
+			break // the refreshed item itself no longer fits
 		}
-		c.remove(victim)
-		evicted = append(evicted, victim.key)
 	}
-	c.evictions += int64(len(evicted))
-	return evicted
+	c.evictions += int64(len(c.evicted))
+	return c.evicted
 }
 
-// remove detaches and deletes n.
+// remove detaches and deletes n, and keeps the node for the next insert.
 func (c *Cache) remove(n *node) {
 	c.detach(n)
 	delete(c.items, n.key)
 	c.used -= n.size
+	n.next, c.free = c.free, n
 }
 
 // Remove deletes key if present, reporting whether it was.

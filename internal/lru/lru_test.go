@@ -219,6 +219,28 @@ func TestCacheProperties(t *testing.T) {
 	}
 }
 
+// TestPutEvictingAllocatesNothing: a cache at capacity recycles the evicted
+// node for the insert and returns the evicted key in its own buffer.
+func TestPutEvictingAllocatesNothing(t *testing.T) {
+	c := mustNew(t, 64*128)
+	for i := 0; i < 256; i++ { // fill, and cycle the key range once
+		c.Put(i%256, 128)
+	}
+	i := 0
+	allocs := testing.AllocsPerRun(1000, func() {
+		if ev := c.Put(i%256, 128); len(ev) != 1 {
+			t.Fatalf("Put %d evicted %v, want exactly one key", i, ev)
+		}
+		i++
+	})
+	if allocs != 0 {
+		t.Errorf("steady-state evicting Put allocates %v objects, want 0", allocs)
+	}
+	if err := c.checkInvariants(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func BenchmarkAccessHit(b *testing.B) {
 	c, _ := New(1 << 20)
 	for i := 0; i < 1000; i++ {

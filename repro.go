@@ -326,9 +326,11 @@ func RecordTrace(w *Workload, est *Estimates, cfg SimConfig, s *Stream) (*Trace,
 	return httpsim.Record(w, est, cfg, s)
 }
 
-// ReplayTrace measures a policy over a recorded trace.
-func ReplayTrace(w *Workload, tr *Trace, pol Policy) (*SimResult, error) {
-	return httpsim.Replay(w, tr, pol)
+// ReplayTrace measures a policy over a recorded trace, exactly as Simulate
+// would on the seed it was recorded from; cfg's RequestsPerSite and Perturb
+// were consumed by RecordTrace and are ignored.
+func ReplayTrace(w *Workload, tr *Trace, pol Policy, cfg SimConfig) (*SimResult, error) {
+	return httpsim.Replay(w, tr, pol, cfg)
 }
 
 // LoadTrace reads a trace for the workload from a JSON file.

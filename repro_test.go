@@ -138,7 +138,7 @@ func TestFacadeTraceRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := ReplayTrace(w, tr, NewLocalPolicy(w))
+	res, err := ReplayTrace(w, tr, NewLocalPolicy(w), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,8 +1,9 @@
 #!/bin/sh
 # ci.sh — the full verification pipeline, tiered into named stages.
 # Everything here must pass before a change lands: formatting, build + vet +
-# the repllint analyzer suite, the complete test suite with the payload wire
-# format pinned to its committed corpus and fuzzed, the race detector
+# the repllint analyzer suite, the complete test suite with every example run
+# once and the payload wire format pinned to its committed corpus and fuzzed,
+# the race detector
 # cold on every package, coverage on the planner core, and a smoke pass that
 # compiles and runs every benchmark once and vets and tests the nested
 # benchmark/ module (measuring is benchmark/run.sh's job, not this script's).
@@ -42,13 +43,15 @@ stage_lint() {
 
 # The complete test suite. (Nothing is re-run cold here: stage_race runs the
 # whole module -count=1, the metrics endpoint smoke test and the span-forest
-# determinism goldens included.) Then the proof that the wire format did not
-# move: regenerating the payload fuzz corpus must reproduce the committed
-# files byte for byte (header codec and keystream both), and the hand-written
-# codec is fuzzed for fifteen seconds against the decoder's contract
-# (longrun.yml gives it ten minutes).
+# determinism goldens included.) Then every example program once — go build
+# only compiles them, and they are the facade's callers. Then the proof that
+# the wire format did not move: regenerating the payload fuzz corpus must
+# reproduce the committed files byte for byte (header codec and keystream
+# both), and the hand-written codec is fuzzed for fifteen seconds against the
+# decoder's contract (longrun.yml gives it ten minutes).
 stage_test() {
     go test ./...
+    for d in examples/*/; do go run "./$d" >/dev/null; done
     go run ./internal/webserve/gencorpus >/dev/null
     git diff --exit-code internal/webserve/testdata
     go test -run '^$' -fuzz FuzzPayloadRoundTrip -fuzztime 15s ./internal/webserve/
