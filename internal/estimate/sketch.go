@@ -57,18 +57,10 @@ func NewSketch(width, depth int, halfLifeSeconds float64, seed uint64) (*Sketch,
 	return s, nil
 }
 
-// mix64 is the SplitMix64 finalizer, used as the row hash: bijective
-// avalanche over (rowSeed XOR key), reduced mod width.
-func mix64(z uint64) uint64 {
-	z += 0x9e3779b97f4a7c15
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	return z ^ (z >> 31)
-}
-
-// cell returns the flat index of pid's cell in row r.
+// cell returns the flat index of pid's cell in row r: the row hash is the
+// SplitMix64 finalizer over (rowSeed XOR key), reduced mod width.
 func (s *Sketch) cell(r int, pid workload.PageID) int {
-	return r*s.width + int(mix64(s.seeds[r]^uint64(pid))%uint64(s.width))
+	return r*s.width + int(rng.Mix(s.seeds[r]^uint64(pid))%uint64(s.width))
 }
 
 // decayed returns cell i's weight decayed to s.now.

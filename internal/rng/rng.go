@@ -25,7 +25,7 @@ func New(seed uint64) *Stream { return &Stream{seed: seed} }
 // rand returns the generator, seeding it on the first draw.
 func (s *Stream) rand() *rand.Rand {
 	if s.r == nil {
-		s.r = rand.New(rand.NewSource(int64(mix(s.seed))))
+		s.r = rand.New(rand.NewSource(int64(Mix(s.seed))))
 	}
 	return s.r
 }
@@ -42,14 +42,18 @@ func (s *Stream) Seed() uint64 { return s.seed }
 func (s *Stream) Split(labels ...uint64) *Stream {
 	seed := s.seed
 	for _, l := range labels {
-		seed = mix(seed ^ mix(l+0x9e3779b97f4a7c15))
+		seed = Mix(seed ^ Mix(l+Gamma))
 	}
 	return New(seed)
 }
 
-// mix is the SplitMix64 finalizer: a bijective avalanche over uint64.
-func mix(z uint64) uint64 {
-	z += 0x9e3779b97f4a7c15
+// Gamma is SplitMix64's increment: Mix(s), Mix(s+Gamma), Mix(s+2*Gamma), …
+// is the reference generator's output from state s.
+const Gamma uint64 = 0x9e3779b97f4a7c15
+
+// Mix is SplitMix64's step and finalizer: a bijective avalanche over uint64.
+func Mix(z uint64) uint64 {
+	z += Gamma
 	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
 	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
 	return z ^ (z >> 31)

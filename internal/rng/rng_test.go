@@ -329,7 +329,7 @@ func TestSplitStable(t *testing.T) {
 // eager is the reference the lazy stream must be indistinguishable from: a
 // Stream whose math/rand table is filled at construction.
 func eager(seed uint64) *Stream {
-	return &Stream{seed: seed, r: rand.New(rand.NewSource(int64(mix(seed))))}
+	return &Stream{seed: seed, r: rand.New(rand.NewSource(int64(Mix(seed))))}
 }
 
 // TestLazySeedMatchesEager pins that seeding on first draw changes no drawn

@@ -137,16 +137,15 @@ func (e *IntegrityError) Error() string {
 	return fmt.Sprintf("webserve: object %d integrity: %s", e.Object, e.Reason)
 }
 
-// payloadBlock builds the deterministic body block for (seed, k, src): a
-// SplitMix-derived keystream, so two sources' copies of the same object are
-// distinguishable bytes with identical sizes.
-func payloadBlock(seed uint64, k workload.ObjectID, src int) []byte {
-	s := rng.New(seed).Split(payloadContentStream, uint64(k), uint64(src+1))
-	b := make([]byte, contentBlockSize)
-	for i := 0; i < len(b); i += 8 {
-		binary.LittleEndian.PutUint64(b[i:], s.Uint64())
+// fillBlock writes the body block of (seed, k, src) over b: little-endian
+// word i is rng.Mix(s + i*rng.Gamma), reference SplitMix64 run from the seed
+// s of the block's Split stream, so the generator's state is its seed. Two
+// sources' copies of one object are distinguishable bytes of one size.
+func fillBlock(b []byte, seed uint64, k workload.ObjectID, src int) {
+	s := rng.New(seed).Split(payloadContentStream, uint64(k), uint64(src+1)).Seed()
+	for i := 0; i < len(b); i, s = i+8, s+rng.Gamma {
+		binary.LittleEndian.PutUint64(b[i:], rng.Mix(s))
 	}
-	return b
 }
 
 // bodyCRC computes the CRC-32 of block repeated out to n bytes.
@@ -158,50 +157,63 @@ func bodyCRC(block []byte, n int64) uint32 {
 	return sum
 }
 
-// payloadFor assembles object k's header and body block as served by src.
-func payloadFor(w *workload.Workload, src int, k workload.ObjectID) (header, block []byte, bodyLen int64) {
-	total := int64(w.ObjectSize(k))
-	bodyLen = max(total-PayloadHeaderLen, 0)
-	block = payloadBlock(w.Seed, k, src)
-	header = EncodePayloadHeader(PayloadHeader{
-		Object: k,
-		Source: src,
-		Seed:   w.Seed,
-		Length: total,
-		Sum:    bodyCRC(block, bodyLen),
-	})
-	return header[:min(total, PayloadHeaderLen)], block, bodyLen
+// chunkPool lends the chunks object bodies are generated in and move through,
+// a server writing one out or a verifier reading one in: no request allocates one.
+var chunkPool = sync.Pool{New: func() any { return new(chunk) }}
+
+type chunk [32 << 10]byte
+
+// frameLen is the header and the whole body blocks that fit a chunk.
+const frameLen = PayloadHeaderLen + 7*contentBlockSize
+
+// objectReader is one outgoing payload, read or written straight out of a
+// pooled chunk: its first frameLen bytes, of which the blocks then repeat.
+type objectReader struct {
+	buf        *chunk // back in the pool after the last byte
+	off, total int64
 }
 
-// ObjectReader streams the self-verifying content of object k as served by
-// src (a site index, or RepoSource for the repository) at its workload
-// size: the fixed-width header, then the (seed, object, source)-keyed body.
-// The reader is cheap: one block repeated, truncated at the end.
-func ObjectReader(w *workload.Workload, src int, k workload.ObjectID) io.Reader {
-	header, block, bodyLen := payloadFor(w, src, k)
-	return io.MultiReader(bytes.NewReader(header), io.LimitReader(&blockReader{block: block}, bodyLen))
+// newObjectReader lays out object k as served by src: the body block, its
+// copies out to the frame's or the object's end, the header with their CRC.
+func newObjectReader(w *workload.Workload, src int, k workload.ObjectID) objectReader {
+	r := objectReader{buf: chunkPool.Get().(*chunk), total: int64(w.ObjectSize(k))}
+	const first = PayloadHeaderLen + contentBlockSize
+	fillBlock(r.buf[PayloadHeaderLen:first], w.Seed, k, src)
+	for n, end := int64(first), min(r.total, frameLen); n < end; {
+		n += int64(copy(r.buf[n:end], r.buf[PayloadHeaderLen:n]))
+	}
+	sum := bodyCRC(r.buf[PayloadHeaderLen:frameLen], r.total-PayloadHeaderLen)
+	copy(r.buf[:], EncodePayloadHeader(PayloadHeader{Object: k, Source: src, Seed: w.Seed, Length: r.total, Sum: sum}))
+	return r
 }
 
-// blockReader reads its block over and over, without end.
-type blockReader struct {
-	block  []byte
-	offset int
+// next returns the bytes at r.off that lie in one piece in the chunk.
+func (r *objectReader) next() []byte {
+	at := r.off
+	if at >= PayloadHeaderLen {
+		at = PayloadHeaderLen + (at-PayloadHeaderLen)%contentBlockSize
+	}
+	return r.buf[at:min(frameLen, at+r.total-r.off)]
 }
 
-func (r *blockReader) Read(p []byte) (int, error) {
-	n := 0
-	for n < len(p) {
-		m := copy(p[n:], r.block[r.offset:])
-		n, r.offset = n+m, (r.offset+m)%len(r.block)
+func (r *objectReader) Read(p []byte) (int, error) {
+	if r.off == r.total {
+		return 0, io.EOF
+	}
+	n := copy(p, r.next())
+	if r.off += int64(n); r.off == r.total {
+		chunkPool.Put(r.buf)
 	}
 	return n, nil
 }
 
-// chunkPool lends the chunks object bodies move through, a server writing
-// one out or a verifier reading one in, so no request allocates one.
-var chunkPool = sync.Pool{New: func() any { return new(chunk) }}
-
-type chunk [32 << 10]byte
+// ObjectReader streams the self-verifying content of object k as served by
+// src (a site index, or RepoSource for the repository) at its workload size:
+// the fixed-width header, then the keyed body block repeated and cut to length.
+func ObjectReader(w *workload.Workload, src int, k workload.ObjectID) io.Reader {
+	r := newObjectReader(w, src, k)
+	return &r
+}
 
 // anySource makes the verifier accept every valid source.
 const anySource = RepoSource - 1
@@ -210,8 +222,7 @@ const anySource = RepoSource - 1
 // valid source: size, header coordinates, checksum and every body byte. All
 // failures are *IntegrityError.
 func VerifyObject(w *workload.Workload, k workload.ObjectID, data []byte) error {
-	_, err := verifyStream(w, anySource, k, bytes.NewReader(data))
-	return err
+	return VerifyObjectFrom(w, anySource, k, data)
 }
 
 // VerifyObjectFrom is VerifyObject plus a provenance check: the payload
@@ -219,8 +230,7 @@ func VerifyObject(w *workload.Workload, k workload.ObjectID, data []byte) error 
 // bytes at site src really are site src's copy — not a proxied or stale
 // payload that merely checksums.
 func VerifyObjectFrom(w *workload.Workload, src int, k workload.ObjectID, data []byte) error {
-	_, err := verifyStream(w, src, k, bytes.NewReader(data))
-	return err
+	return VerifyObjectStream(w, src, k, bytes.NewReader(data))
 }
 
 // VerifyObjectStream is VerifyObjectFrom for a payload still arriving: r is
@@ -232,13 +242,13 @@ func VerifyObjectStream(w *workload.Workload, src int, k workload.ObjectID, r io
 }
 
 // verifyStream is the one verifier: it reads r to its end through a pooled
-// chunk (a bytes.Reader writes itself out whole instead) and returns the
-// bytes consumed.
+// chunk (a bytes.Reader writes itself out whole instead), whose first bytes
+// hold the regenerated body block, and returns the bytes consumed.
 func verifyStream(w *workload.Workload, src int, k workload.ObjectID, r io.Reader) (int64, error) {
 	buf := chunkPool.Get().(*chunk)
 	defer chunkPool.Put(buf)
-	v := payloadVerifier{w: w, src: src, k: k}
-	n, err := io.CopyBuffer(&v, r, buf[:])
+	v := payloadVerifier{w: w, src: src, k: k, block: buf[:contentBlockSize]}
+	n, err := io.CopyBuffer(&v, r, buf[contentBlockSize:])
 	if err == nil {
 		err = v.finish()
 	}
@@ -258,7 +268,7 @@ type payloadVerifier struct {
 
 	n     int64 // bytes consumed
 	hdr   [PayloadHeaderLen]byte
-	block []byte
+	block []byte // pooled
 	sum   uint32 // the CRC the header declares
 	crc   uint32 // the CRC of the body so far
 }
@@ -311,7 +321,8 @@ func (v *payloadVerifier) checkHeader() error {
 	case v.src != anySource && h.Source != v.src:
 		return &IntegrityError{Object: v.k, Reason: fmt.Sprintf("payload claims source %d, want %d", h.Source, v.src)}
 	}
-	v.sum, v.block = h.Sum, payloadBlock(w.Seed, v.k, h.Source)
+	v.sum = h.Sum
+	fillBlock(v.block, w.Seed, v.k, h.Source)
 	return nil
 }
 
@@ -321,10 +332,22 @@ func (v *payloadVerifier) finish() error {
 	case v.n != want:
 		return &IntegrityError{Object: v.k, Reason: fmt.Sprintf("%d bytes, want %d", v.n, want)}
 	case v.n < PayloadHeaderLen:
-		_, err := DecodePayloadHeader(v.hdr[:v.n])
-		return err
+		return v.checkShort()
 	case v.crc != v.sum:
 		return &IntegrityError{Object: v.k, Reason: "body checksum mismatch"}
 	}
 	return nil
+}
+
+// checkShort verifies an object smaller than the header, which is all
+// header: the first v.n bytes of the line its coordinates regenerate (no
+// body, so Sum 0) for the pinned source or, under anySource, a valid one.
+func (v *payloadVerifier) checkShort() error {
+	for src := RepoSource; src < v.w.NumSites(); src++ {
+		h := PayloadHeader{Object: v.k, Source: src, Seed: v.w.Seed, Length: v.n}
+		if (v.src == anySource || v.src == src) && bytes.HasPrefix(EncodePayloadHeader(h), v.hdr[:v.n]) {
+			return nil
+		}
+	}
+	return &IntegrityError{Object: v.k, Reason: fmt.Sprintf("%d bytes are not the start of the object's header", v.n)}
 }

@@ -2,9 +2,20 @@ package webserve
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
+	"errors"
+	"fmt"
 	"io"
+	"os"
+	"path/filepath"
+	"strconv"
+	"strings"
 	"testing"
 
+	"repro/internal/rng"
+	"repro/internal/units"
 	"repro/internal/workload"
 )
 
@@ -92,5 +103,141 @@ func TestVerifyRejectsForgedChecksum(t *testing.T) {
 	copy(data, EncodePayloadHeader(h))
 	if err := VerifyObject(w, k, data); err == nil {
 		t.Fatal("forged checksum pair accepted")
+	}
+}
+
+// TestKeystreamKnownAnswer pins every payload byte: rng.Mix is reference
+// SplitMix64 (its published outputs from state 0), a body starts with that
+// generator run from the block's Split seed, and the two payloads gencorpus
+// commits hash to what they hashed to when the keystream was chosen. A
+// change to any of the three moves every object on the wire and needs the
+// corpus regenerated in the same commit.
+func TestKeystreamKnownAnswer(t *testing.T) {
+	for i, want := range []uint64{0xe220a8397b1dcdaf, 0x6e789e6aa1b965f4, 0x06c45d188009454f} {
+		if got := rng.Mix(uint64(i) * rng.Gamma); got != want {
+			t.Errorf("SplitMix64 output %d from state 0: %#016x, want %#016x", i, got, want)
+		}
+	}
+
+	w := fuzzWorkload(t)
+	repo, err := io.ReadAll(ObjectReader(w, RepoSource, 0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := rng.New(w.Seed).Split(payloadContentStream, 0, uint64(RepoSource+1)).Seed()
+	var want [24]byte
+	for i := range 3 {
+		binary.LittleEndian.PutUint64(want[8*i:], rng.Mix(s+uint64(i)*rng.Gamma))
+	}
+	if got := repo[PayloadHeaderLen:][:len(want)]; !bytes.Equal(got, want[:]) {
+		t.Errorf("body starts %x, want SplitMix64 from the block's Split seed: %x", got, want)
+	}
+
+	site, err := io.ReadAll(ObjectReader(w, 1, 3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name    string
+		payload []byte
+		sha     string
+	}{
+		{"genuine-repo", repo, "8122ab372463414e4e83a3566b069063bfb9015b60d839d1c739e95001a39ca9"},
+		{"genuine-site", site, "ea864337789b55cff7e3af5cff116c6cb77d3133dcbb19f507aeb7a1cb071b43"},
+	} {
+		if sum := sha256.Sum256(c.payload); hex.EncodeToString(sum[:]) != c.sha {
+			t.Errorf("%s: payload SHA-256 %x, want %s", c.name, sum, c.sha)
+		}
+	}
+}
+
+// corpusEntry reads one committed seed of FuzzPayloadRoundTrip.
+func corpusEntry(t *testing.T, name string) []byte {
+	t.Helper()
+	file, err := os.ReadFile(filepath.Join("testdata", "fuzz", "FuzzPayloadRoundTrip", name))
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, line, _ := strings.Cut(strings.TrimSpace(string(file)), "\n")
+	quoted, ok := strings.CutPrefix(line, "[]byte(")
+	data, err := strconv.Unquote(strings.TrimSuffix(quoted, ")"))
+	if !ok || err != nil {
+		t.Fatalf("%s: not a []byte(\"…\") corpus file: %v", name, err)
+	}
+	return []byte(data)
+}
+
+// TestCommittedCorpusIsCurrent fails on a corpus left stale by a keystream
+// or codec change: the genuine entries must verify against today's code
+// and the mutated ones must fail the way they were mutated.
+func TestCommittedCorpusIsCurrent(t *testing.T) {
+	w := fuzzWorkload(t)
+	for _, c := range []struct {
+		name   string
+		k      workload.ObjectID
+		reason string // "" for a genuine payload
+	}{
+		{"genuine-repo", 0, ""},
+		{"genuine-site", 3, ""},
+		{"bit-flip", 3, fmt.Sprintf("body corrupt at byte %d", w.ObjectSize(3)/2)},
+		{"truncated", 0, fmt.Sprintf("%d bytes, want %d", w.ObjectSize(0)/2, w.ObjectSize(0))},
+	} {
+		err := VerifyObject(w, c.k, corpusEntry(t, c.name))
+		var ie *IntegrityError
+		switch {
+		case c.reason == "" && err != nil:
+			t.Errorf("%s no longer verifies (regenerate: go run ./internal/webserve/gencorpus): %v", c.name, err)
+		case c.reason != "" && (!errors.As(err, &ie) || ie.Reason != c.reason):
+			t.Errorf("%s: %v, want an IntegrityError saying %q", c.name, err, c.reason)
+		}
+	}
+}
+
+// TestShortObjects pins the rule for objects around the header's length: one
+// shorter than the header is a prefix of the header and verifies as exactly
+// that; at and past PayloadHeaderLen the full check applies.
+func TestShortObjects(t *testing.T) {
+	for _, size := range []int{1, 42, 95, PayloadHeaderLen, PayloadHeaderLen + 1} {
+		cfg := workload.SmallConfig()
+		cfg.Sites = 2
+		cfg.MOClasses = []workload.SizeClass{{Frac: 1, Lo: units.ByteSize(size), Hi: units.ByteSize(size)}}
+		w := workload.MustGenerate(cfg, 66)
+		const k = workload.ObjectID(5)
+		read := func(src int) []byte {
+			data, err := io.ReadAll(ObjectReader(w, src, k))
+			if err != nil || len(data) != size {
+				t.Fatalf("size %d: read %d bytes, err %v", size, len(data), err)
+			}
+			return data
+		}
+		genuine := read(0)
+		flipped := append([]byte(nil), genuine...)
+		flipped[size-1] ^= 0x01
+		for _, c := range []struct {
+			name         string
+			data         []byte
+			asSite0, any bool // what VerifyObjectFrom(site 0) and VerifyObject accept
+		}{
+			{"genuine", genuine, true, true},
+			{"flipped", flipped, false, false},
+			// One byte of header names no source, so every source's is site 0's.
+			{"wrong source", read(1), size == 1, true},
+			{"one byte short", genuine[:size-1], false, false},
+			{"one byte extra", append(append([]byte(nil), genuine...), ' '), false, false},
+		} {
+			for _, v := range []struct {
+				check string
+				err   error
+				ok    bool
+			}{
+				{"VerifyObjectFrom", VerifyObjectFrom(w, 0, k, c.data), c.asSite0},
+				{"VerifyObject", VerifyObject(w, k, c.data), c.any},
+			} {
+				var ie *IntegrityError
+				if v.ok && v.err != nil || !v.ok && !errors.As(v.err, &ie) {
+					t.Errorf("size %d, %s copy, %s: %v, want ok=%v", size, c.name, v.check, v.err, v.ok)
+				}
+			}
+		}
 	}
 }

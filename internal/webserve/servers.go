@@ -64,7 +64,7 @@ func (r *Repository) ServeHTTP(rw http.ResponseWriter, req *http.Request) {
 		r.cBytes.Add(int64(r.w.ObjectSize(k)))
 		rw.Header().Set("Content-Type", "application/octet-stream")
 		rw.Header().Set("Content-Length", strconv.FormatInt(int64(r.w.ObjectSize(k)), 10))
-		if _, err := copyCtx(req.Context(), rw, ObjectReader(r.w, RepoSource, k)); err != nil {
+		if err := writeObject(req.Context(), rw, r.w, RepoSource, k); err != nil {
 			countWriteErr(req, r.cAborted, r.cWriteErrs)
 		}
 		return
@@ -86,35 +86,24 @@ func (r *Repository) ServeHTTP(rw http.ResponseWriter, req *http.Request) {
 	http.NotFound(rw, req)
 }
 
-// copyCtx streams src to dst through a pooled chunk, checking the request
-// context between chunks: a client that disconnected mid-body stops
-// consuming server work instead of having the full object pushed into a
-// dead connection.
-func copyCtx(ctx context.Context, dst io.Writer, src io.Reader) (int64, error) {
-	buf := chunkPool.Get().(*chunk)
-	defer chunkPool.Put(buf)
-	var written int64
-	for {
-		select {
-		case <-ctx.Done():
-			return written, ctx.Err()
-		default:
+// writeObject streams object k as served by src to dst straight out of its
+// pooled chunk, checking the request context between writes: a client that
+// disconnected mid-body stops consuming server work instead of having the
+// full object pushed into a dead connection.
+func writeObject(ctx context.Context, dst io.Writer, w *workload.Workload, src int, k workload.ObjectID) error {
+	r := newObjectReader(w, src, k)
+	defer chunkPool.Put(r.buf)
+	for r.off < r.total {
+		if err := ctx.Err(); err != nil {
+			return err
 		}
-		n, rerr := src.Read(buf[:])
-		if n > 0 {
-			wn, werr := dst.Write(buf[:n])
-			written += int64(wn)
-			if werr != nil {
-				return written, werr
-			}
-		}
-		if rerr == io.EOF {
-			return written, nil
-		}
-		if rerr != nil {
-			return written, rerr
+		n, err := dst.Write(r.next())
+		r.off += int64(n)
+		if err != nil {
+			return err
 		}
 	}
+	return nil
 }
 
 // countWriteErr classifies a failed body write: a done request context is
@@ -273,7 +262,7 @@ func (s *LocalServer) ServeHTTP(rw http.ResponseWriter, req *http.Request) {
 		s.cBytes.Add(int64(s.w.ObjectSize(k)))
 		rw.Header().Set("Content-Type", "application/octet-stream")
 		rw.Header().Set("Content-Length", strconv.FormatInt(int64(s.w.ObjectSize(k)), 10))
-		if _, err := copyCtx(req.Context(), rw, ObjectReader(s.w, int(s.site), k)); err != nil {
+		if err := writeObject(req.Context(), rw, s.w, int(s.site), k); err != nil {
 			countWriteErr(req, s.cAborted, s.cWriteErrs)
 		}
 		return

@@ -10,6 +10,7 @@ import (
 	"net/http/httptest"
 	"runtime"
 	"sort"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"testing/iotest"
@@ -225,4 +226,102 @@ func TestCorruptRetryReusesConnection(t *testing.T) {
 	if got := conns.Load(); got != 1 {
 		t.Errorf("the retry opened a new connection (%d in all): the corrupt body was not drained", got)
 	}
+}
+
+// TestPayloadPathAllocs pins what one object costs in steady state on each
+// side of the wire: the site handler's body path and the stream verifier
+// allocate a few words each (the Split seed's stream, a 96-byte header, the
+// verifier's own state) and nothing the size of a body block, which both
+// keep in their chunkPool chunk. Measured: 2 and 3 allocations; with a
+// math/rand keystream it was a 5.4 KB table and a 4 KB block a side.
+func TestPayloadPathAllocs(t *testing.T) {
+	w := fuzzWorkload(t)
+	const site, k = 1, workload.ObjectID(3)
+	data, err := io.ReadAll(ObjectReader(w, site, k))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rd := bytes.NewReader(data)
+	body := io.Reader(struct{ io.Reader }{rd}) // read through the chunk, as a response body is
+	for _, c := range []struct {
+		name     string
+		run      func() error
+		measured float64
+	}{
+		{"serve", func() error { return writeObject(context.Background(), io.Discard, w, site, k) }, 2},
+		{"verify", func() error { rd.Reset(data); return VerifyObjectStream(w, site, k, body) }, 3},
+	} {
+		run := func() {
+			if err := c.run(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if allocs := testing.AllocsPerRun(100, run); allocs > c.measured+1 {
+			t.Errorf("%s: %v allocs/object, want <= %v + 1", c.name, allocs, c.measured)
+		}
+		// The pool is emptied by a collection (and, under -race, at random),
+		// so a block-sized allocation every time is what the least of a few
+		// runs shows.
+		least := uint64(contentBlockSize)
+		var before, after runtime.MemStats
+		for i := 0; i < 10; i++ {
+			runtime.ReadMemStats(&before)
+			run()
+			runtime.ReadMemStats(&after)
+			least = min(least, after.TotalAlloc-before.TotalAlloc)
+		}
+		if least >= contentBlockSize/8 {
+			t.Errorf("%s: at least %d bytes allocated per object, want well under a block (%d)", c.name, least, contentBlockSize)
+		}
+	}
+}
+
+// TestPooledBlocksConcurrently serves and stream-verifies different
+// (object, source) pairs from 8 goroutines through the shared pool and
+// compares every byte with a copy generated beforehand: a chunk returned
+// to the pool while its payload is still being written or compared would
+// show here as a mismatch, and under -race as a report.
+func TestPooledBlocksConcurrently(t *testing.T) {
+	w := fuzzWorkload(t)
+	const workers, rounds = 8, 300
+	type pair struct {
+		src int
+		k   workload.ObjectID
+	}
+	pairs := make([]pair, 24)
+	want := make([][]byte, len(pairs))
+	for i := range pairs {
+		pairs[i] = pair{src: i%(w.NumSites()+1) - 1, k: workload.ObjectID(i * 5 % w.NumObjects())}
+		data, err := io.ReadAll(ObjectReader(w, pairs[i].src, pairs[i].k))
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[i] = data
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < workers; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			var got bytes.Buffer
+			for i := 0; i < rounds; i++ {
+				n := (g*7 + i) % len(pairs)
+				p := pairs[n]
+				got.Reset()
+				if err := writeObject(context.Background(), &got, w, p.src, p.k); err != nil {
+					t.Errorf("worker %d: serving object %d from %d: %v", g, p.k, p.src, err)
+					return
+				}
+				if !bytes.Equal(got.Bytes(), want[n]) {
+					t.Errorf("worker %d: object %d from %d differs from its fresh copy", g, p.k, p.src)
+					return
+				}
+				if err := VerifyObjectStream(w, p.src, p.k, iotest.HalfReader(&got)); err != nil {
+					t.Errorf("worker %d: verifying object %d from %d: %v", g, p.k, p.src, err)
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
 }

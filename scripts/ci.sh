@@ -44,11 +44,14 @@ stage_lint() {
 # The complete test suite. (Nothing is re-run cold here: stage_race runs the
 # whole module -count=1, the metrics endpoint smoke test and the span-forest
 # determinism goldens included.) Then every example program once — go build
-# only compiles them, and they are the facade's callers. Then the proof that
-# the wire format did not move: regenerating the payload fuzz corpus must
-# reproduce the committed files byte for byte (header codec and keystream
-# both), and the hand-written codec is fuzzed for fifteen seconds against the
-# decoder's contract (longrun.yml gives it ten minutes).
+# only compiles them, and they are the facade's callers. The suite itself
+# pins the payload keystream (TestKeystreamKnownAnswer) and verifies the
+# committed corpus's genuine and mutated entries
+# (TestCommittedCorpusIsCurrent), so a keystream change with a stale corpus
+# fails go test. The regenerate-and-diff after it additionally pins the
+# header codec's files (wide-header, padding-games) byte for byte, and the
+# hand-written codec is fuzzed for fifteen seconds against the decoder's
+# contract (longrun.yml gives it ten minutes).
 stage_test() {
     go test ./...
     for d in examples/*/; do go run "./$d" >/dev/null; done
