@@ -108,7 +108,7 @@ func (pl *Planner) acceptByFlipping(i workload.SiteID, soft, hard float64, res *
 			continue
 		}
 		if !pl.p.IsStored(i, k) {
-			pl.p.Store(i, k)
+			pl.store(i, k)
 			res.Stored++
 		}
 		pl.flip(j, idx, optional, true)
@@ -210,7 +210,7 @@ func (pl *Planner) acceptBySwapping(i workload.SiteID, soft, hard float64, res *
 		for _, e := range evict {
 			pl.deallocate(i, e.k)
 		}
-		pl.p.Store(i, in.k)
+		pl.store(i, in.k)
 		res.Stored++
 		res.Swapped += len(evict)
 		// Flip every repository reference of the incoming object local.

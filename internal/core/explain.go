@@ -56,7 +56,7 @@ func (pl *Planner) AdoptPlacement(p *model.Placement) error {
 	for i := range w.Sites {
 		id := workload.SiteID(i)
 		p.StoredSet(id).ForEach(func(k int) bool {
-			pl.p.Store(id, workload.ObjectID(k))
+			pl.store(id, workload.ObjectID(k))
 			return true
 		})
 	}

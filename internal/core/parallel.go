@@ -108,7 +108,7 @@ type partitionDelta struct {
 // deterministic per-site reduce. The page must still be in its all-remote
 // initial state. buf is the caller's reusable visit-order buffer, returned
 // for the next page.
-func (pl *Planner) partitionPageDelta(j workload.PageID, buf []int) (partitionDelta, []int) {
+func (pl *Planner) partitionPageDelta(j workload.PageID, buf []uint64) (partitionDelta, []uint64) {
 	pg := &pl.env.W.Pages[j]
 	f := float64(pg.Freq)
 	oldT := pl.pageT[j]
@@ -145,9 +145,10 @@ func (pl *Planner) partitionPageDelta(j workload.PageID, buf []int) (partitionDe
 }
 
 // reducePartitionSite folds the partition deltas of site i's pages into the
-// planner's site accumulators, allocates the replicas the decisions require
-// and counts the local marks — always in the site's fixed page order, so the
-// result is independent of how the parallel phase scheduled the pages.
+// planner's site accumulators and counts the local marks — always in the
+// site's fixed page order, so the result is independent of how the parallel
+// phase scheduled the pages — then allocates a replica of every object that
+// got a mark.
 func (pl *Planner) reducePartitionSite(i workload.SiteID, deltas []partitionDelta) {
 	w := pl.env.W
 	marks := pl.localMarks[pl.slot(i, 0):pl.slot(i+1, 0)]
@@ -160,13 +161,16 @@ func (pl *Planner) reducePartitionSite(i workload.SiteID, deltas []partitionDelt
 		pg := &w.Pages[pid]
 		for idx, k := range pg.Compulsory {
 			if pl.p.CompLocal(pid, idx) {
-				pl.p.Store(i, k)
 				marks[k]++
 			}
 		}
 		for _, l := range pg.Optional {
-			pl.p.Store(i, l.Object)
 			marks[l.Object]++
+		}
+	}
+	for k, n := range marks {
+		if n > 0 {
+			pl.store(i, workload.ObjectID(k))
 		}
 	}
 }
@@ -182,7 +186,7 @@ func (pl *Planner) PartitionParallel(workers int, parent *trace.Active) {
 	defer sp.End()
 	w := pl.env.W
 	deltas := make([]partitionDelta, w.NumPages())
-	bufs := make([][]int, max(workers, 1)) // per-worker visit-order buffers
+	bufs := make([][]uint64, max(workers, 1)) // per-worker visit-order buffers
 	fanOut(workers, w.NumPages(), sp, func(wk, j int) {
 		deltas[j], bufs[wk] = pl.partitionPageDelta(workload.PageID(j), bufs[wk])
 	})

@@ -1,9 +1,9 @@
 package core
 
 import (
-	"cmp"
 	"slices"
 
+	"repro/internal/units"
 	"repro/internal/workload"
 )
 
@@ -20,32 +20,26 @@ import (
 //
 // Per the pseudocode the remote running time starts at Ovhd(R, S_i) even if
 // no object ends up remote.
-func (pl *Planner) partitionSplit(j workload.PageID, buf []int, assign func(idx int, toLocal bool)) []int {
+func (pl *Planner) partitionSplit(j workload.PageID, buf []uint64, assign func(idx int, toLocal bool)) []uint64 {
 	pg := &pl.env.W.Pages[j]
 	est := pl.env.SiteEst(j)
 
-	order := buf[:0]
-	if cap(order) < len(pg.Compulsory) {
-		order = make([]int, 0, len(pg.Compulsory))
-	}
-	for idx := range pg.Compulsory {
-		order = append(order, idx)
+	// One ordered word per object: the complement of its size above its
+	// idx, so ascending words are decreasing sizes with ties in idx order —
+	// a strict total order, and workload.Validate guards both widths.
+	order := slices.Grow(buf[:0], len(pg.Compulsory))
+	for idx, k := range pg.Compulsory {
+		order = append(order, uint64(workload.MaxObjectSize-pl.env.W.ObjectSize(k))<<workload.PageRefBits|uint64(idx))
 	}
 	if !pl.UnsortedPartition {
-		slices.SortFunc(order, func(a, b int) int {
-			sa := pl.env.W.ObjectSize(pg.Compulsory[a])
-			sb := pl.env.W.ObjectSize(pg.Compulsory[b])
-			if sa != sb {
-				return cmp.Compare(sb, sa) // decreasing size
-			}
-			return cmp.Compare(a, b) // index tie-break: a strict total order
-		})
+		slices.Sort(order)
 	}
 
 	local := est.LocalOvhd + est.LocalRate.TransferTime(pg.HTMLSize)
 	remote := est.RepoOvhd
-	for _, idx := range order {
-		size := pl.env.W.ObjectSize(pg.Compulsory[idx])
+	for _, word := range order {
+		idx := int(word & (1<<workload.PageRefBits - 1))
+		size := workload.MaxObjectSize - units.ByteSize(word>>workload.PageRefBits)
 		remoteIf := remote + est.RepoRate.TransferTime(size)
 		localIf := local + est.LocalRate.TransferTime(size)
 		if remoteIf < localIf {
@@ -68,7 +62,7 @@ func (pl *Planner) PartitionPage(j workload.PageID) {
 	pg := &pl.env.W.Pages[j]
 	pl.partitionSplit(j, nil, func(idx int, toLocal bool) {
 		if toLocal {
-			pl.p.Store(pg.Site, pg.Compulsory[idx])
+			pl.store(pg.Site, pg.Compulsory[idx])
 		}
 		pl.flipComp(j, idx, toLocal)
 	})
@@ -85,7 +79,7 @@ func (pl *Planner) AdmitPage(j workload.PageID) {
 	pl.PartitionPage(j)
 	pg := &pl.env.W.Pages[j]
 	for idx, l := range pg.Optional {
-		pl.p.Store(pg.Site, l.Object)
+		pl.store(pg.Site, l.Object)
 		pl.flipOpt(j, idx, true)
 	}
 }
@@ -101,7 +95,7 @@ func (pl *Planner) PartitionSite(i workload.SiteID) {
 	for _, pid := range pl.env.W.Sites[i].Pages {
 		pg := &pl.env.W.Pages[pid]
 		for idx, l := range pg.Optional {
-			pl.p.Store(i, l.Object)
+			pl.store(i, l.Object)
 			pl.flipOpt(pid, idx, true)
 		}
 	}

@@ -13,6 +13,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/model"
 	"repro/internal/units"
@@ -82,6 +83,14 @@ type Planner struct {
 	refs       []objRef
 	localMarks []int32
 
+	// The stored-but-remote index, the only references improvePage can
+	// flip: bit b of idle[idleOff[j]:idleOff[j+1]] is set iff page j's b-th
+	// reference — compulsory idx first, optional idx after them — is marked
+	// for the repository while its object is stored at the page's site.
+	// flipComp/flipOpt and store/unstore are its only writers.
+	idleOff []int32
+	idle    []uint64
+
 	// Per-site scratch of the greedy loops, so the steady state allocates
 	// nothing: the pages deallocate last disturbed, and the candidate
 	// buffer each of the site's heaps is built in (one heap at a time).
@@ -99,6 +108,7 @@ func NewPlanner(env *model.Env) *Planner {
 		remoteBytes:   make([]units.ByteSize, w.NumPages()),
 		pageT:         make([]units.Seconds, w.NumPages()),
 		optOff:        make([]int, w.NumPages()+1),
+		idleOff:       make([]int32, w.NumPages()+1),
 		d1Site:        make([]float64, w.NumSites()),
 		d2Site:        make([]float64, w.NumSites()),
 		siteLocalLoad: make([]float64, w.NumSites()),
@@ -117,6 +127,7 @@ func NewPlanner(env *model.Env) *Planner {
 		pg := &w.Pages[j]
 		pl.optOff[j] = links
 		links += len(pg.Optional)
+		pl.idleOff[j+1] = pl.idleOff[j] + int32(len(pg.Compulsory)+len(pg.Optional)+63)>>6
 		for _, k := range pg.Compulsory {
 			off[pl.slot(pg.Site, k)+2]++
 		}
@@ -128,6 +139,7 @@ func NewPlanner(env *model.Env) *Planner {
 		off[s] += off[s-1]
 	}
 	pl.refs = make([]objRef, off[len(off)-1])
+	pl.idle = make([]uint64, pl.idleOff[w.NumPages()])
 	pl.refOff = off[:len(off)-1]
 	pl.optOff[w.NumPages()] = links
 	pl.optLocalT = make([]units.Seconds, links)
@@ -185,6 +197,53 @@ func (pl *Planner) candidates(i workload.SiteID) []heapItem {
 		pl.heapBuf[i] = make([]heapItem, 0, pl.refOff[pl.slot(i+1, 0)]-pl.refOff[pl.slot(i, 0)])
 	}
 	return pl.heapBuf[i][:0]
+}
+
+// refAt resolves bit b of page j's stored-but-remote words to the reference
+// it stands for; setIdle writes the bit of a reference.
+func (pl *Planner) refAt(j workload.PageID, b int) (idx int, optional bool) {
+	if nc := len(pl.env.W.Pages[j].Compulsory); b >= nc {
+		return b - nc, true
+	}
+	return b, false
+}
+
+func (pl *Planner) setIdle(j workload.PageID, idx int, optional, on bool) {
+	if optional {
+		idx += len(pl.env.W.Pages[j].Compulsory)
+	}
+	word, bit := &pl.idle[int(pl.idleOff[j])+idx>>6], uint64(1)<<(idx&63)
+	if on {
+		*word |= bit
+	} else {
+		*word &^= bit
+	}
+}
+
+// store replicates object k at site i (idempotent) and unstore removes the
+// replica; every phase goes through them, so the object's repository-marked
+// references enter and leave the stored-but-remote index with the replica.
+func (pl *Planner) store(i workload.SiteID, k workload.ObjectID) {
+	if pl.p.IsStored(i, k) {
+		return
+	}
+	pl.p.Store(i, k)
+	refs := pl.refsOf(i, k)
+	if int(pl.localMarks[pl.slot(i, k)]) == len(refs) {
+		return // no reference is repository-marked
+	}
+	for _, r := range refs {
+		if !pl.isLocal(r.page, int(r.idx), r.optional) {
+			pl.setIdle(r.page, int(r.idx), r.optional, true)
+		}
+	}
+}
+
+func (pl *Planner) unstore(i workload.SiteID, k workload.ObjectID) {
+	pl.p.Unstore(i, k)
+	for _, r := range pl.refsOf(i, k) {
+		pl.setIdle(r.page, int(r.idx), r.optional, false)
+	}
 }
 
 // Env returns the planning environment.
@@ -329,6 +388,7 @@ func (pl *Planner) flipComp(j workload.PageID, idx int, toLocal bool) {
 		pl.localMarks[pl.slot(pg.Site, pg.Compulsory[idx])]--
 	}
 	pl.p.SetCompLocal(j, idx, toLocal)
+	pl.setIdle(j, idx, false, !toLocal && pl.p.IsStored(pg.Site, pg.Compulsory[idx]))
 	newT := pl.computePageTime(j)
 	pl.pageT[j] = newT
 	pl.d1Site[pg.Site] += f * float64(newT-oldT)
@@ -346,6 +406,7 @@ func (pl *Planner) flipOpt(j workload.PageID, idx int, toLocal bool) {
 
 	oldOne := pl.optOneTime(j, idx)
 	pl.p.SetOptLocal(j, idx, toLocal)
+	pl.setIdle(j, idx, true, !toLocal && pl.p.IsStored(pg.Site, l.Object))
 	newOne := pl.optOneTime(j, idx)
 	pl.d2Site[pg.Site] += f * l.Prob * float64(newOne-oldOne)
 	if toLocal {
@@ -516,6 +577,18 @@ func (pl *Planner) VerifyConsistency() error {
 		}
 		if pt := pl.computePageTime(id); pl.pageT[j] != pt { //repllint:allow float-compare — cache-coherence check demands bit-exact equality
 			return fmt.Errorf("core: page %d cached page time %v != recomputed %v", j, pl.pageT[j], pt)
+		}
+		// The stored-but-remote index must be what a scan of the page finds.
+		pg := &pl.env.W.Pages[j]
+		idle := make([]uint64, pl.idleOff[j+1]-pl.idleOff[j])
+		for b := range len(pg.Compulsory) + len(pg.Optional) {
+			idx, optional := pl.refAt(id, b)
+			if k, _ := pl.refOf(id, idx, optional); !pl.isLocal(id, idx, optional) && pl.p.IsStored(pg.Site, k) {
+				idle[b>>6] |= 1 << (b & 63)
+			}
+		}
+		if got := pl.idle[pl.idleOff[j]:pl.idleOff[j+1]]; !slices.Equal(got, idle) {
+			return fmt.Errorf("core: page %d stored-but-remote index %x != recounted %x", j, got, idle)
 		}
 	}
 	return nil

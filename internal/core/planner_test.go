@@ -1,7 +1,9 @@
 package core
 
 import (
+	"cmp"
 	"math"
+	"slices"
 	"strings"
 	"testing"
 
@@ -243,7 +245,7 @@ func TestEncodeDecodeRef(t *testing.T) {
 		j   workload.PageID
 		idx int
 		opt bool
-	}{{0, 0, false}, {1, 5, true}, {8000, 84, true}, {123456, 2000, false}}
+	}{{0, 0, false}, {1, 5, true}, {8000, 84, true}, {123456, 2000, false}, {1 << 30, 1<<workload.PageRefBits - 1, true}}
 	for _, c := range cases {
 		j, idx, opt := decodeRef(encodeRef(c.j, c.idx, c.opt))
 		if j != c.j || idx != c.idx || opt != c.opt {
@@ -366,6 +368,60 @@ func TestAdoptPlacement(t *testing.T) {
 		id := workload.SiteID(i)
 		if !fresh.Placement().StoredSet(id).Equal(ref.Placement().StoredSet(id)) {
 			t.Fatalf("site %d store differs after adoption", i)
+		}
+	}
+}
+
+// TestPartitionOrderMatchesComparator holds PARTITION's packed-word visit
+// order to the comparator it replaced — decreasing size, then idx — on
+// pages with repeated sizes, on a single-object page, on every page of a
+// generated workload, and to page order under UnsortedPartition.
+func TestPartitionOrderMatchesComparator(t *testing.T) {
+	sizes := []units.ByteSize{50, 50, 100, 20, 50, 100, 1, workload.MaxObjectSize, 100, 20}
+	w := &workload.Workload{
+		Config: workload.Config{Alpha1: 1, Alpha2: 1},
+		Pages: []workload.Page{
+			{ID: 0, Site: 0, HTMLSize: 10, Freq: 1},
+			{ID: 1, Site: 0, HTMLSize: 10, Freq: 1, Compulsory: []workload.ObjectID{3}},
+		},
+		Sites: []workload.Site{{ID: 0, Pages: []workload.PageID{0, 1}}},
+	}
+	for k, size := range sizes {
+		w.Objects = append(w.Objects, workload.Object{ID: workload.ObjectID(k), Size: size})
+		w.Pages[0].Compulsory = append(w.Pages[0].Compulsory, workload.ObjectID(k))
+	}
+	if err := w.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	est := &netsim.Estimates{Sites: []netsim.SiteEstimate{{LocalRate: 10, RepoRate: 5, LocalOvhd: 1, RepoOvhd: 2}}}
+	hand, err := model.NewEnv(w, est, model.FullBudgets(w))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, env := range []*model.Env{hand, genEnv(t, 7)} {
+		for _, unsorted := range []bool{false, true} {
+			pl := NewPlanner(env)
+			pl.UnsortedPartition = unsorted
+			for j := range env.W.Pages {
+				pg := &env.W.Pages[j]
+				var got, want []int
+				pl.partitionSplit(workload.PageID(j), nil, func(idx int, _ bool) { got = append(got, idx) })
+				for idx := range pg.Compulsory {
+					want = append(want, idx)
+				}
+				if !unsorted {
+					slices.SortFunc(want, func(a, b int) int {
+						sa, sb := env.W.ObjectSize(pg.Compulsory[a]), env.W.ObjectSize(pg.Compulsory[b])
+						if sa != sb {
+							return cmp.Compare(sb, sa) // decreasing size
+						}
+						return cmp.Compare(a, b) // index tie-break: a strict total order
+					})
+				}
+				if !slices.Equal(got, want) {
+					t.Fatalf("unsorted=%v page %d: visit order %v, comparator order %v", unsorted, j, got, want)
+				}
+			}
 		}
 	}
 }

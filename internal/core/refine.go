@@ -46,7 +46,7 @@ func (pl *Planner) RefineSite(i workload.SiteID) (flips int) {
 		}
 		j, idx, optional := decodeRef(id)
 		k, _ := pl.refOf(j, idx, optional)
-		pl.p.Store(i, k) // a no-op when already stored
+		pl.store(i, k) // a no-op when already stored
 		pl.flip(j, idx, optional, true)
 		flips++
 	}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"math/bits"
 	"time"
 
 	"repro/internal/trace"
@@ -9,11 +10,10 @@ import (
 )
 
 // ref id encoding for the processing-restoration heap: a (page, idx,
-// optional) triple packed into an int64. Optional indices go up to the
-// workload's optional-per-page maximum; 21 bits of idx is far beyond any
-// realistic page.
+// optional) triple packed into an int64. workload.Validate holds every
+// page's lists to the PageRefBits an idx gets.
 func encodeRef(j workload.PageID, idx int, optional bool) int64 {
-	id := int64(j)<<22 | int64(idx)<<1
+	id := int64(j)<<(workload.PageRefBits+1) | int64(idx)<<1
 	if optional {
 		id |= 1
 	}
@@ -21,7 +21,7 @@ func encodeRef(j workload.PageID, idx int, optional bool) int64 {
 }
 
 func decodeRef(id int64) (workload.PageID, int, bool) {
-	return workload.PageID(id >> 22), int((id >> 1) & ((1 << 21) - 1)), id&1 == 1
+	return workload.PageID(id >> (workload.PageRefBits + 1)), int((id >> 1) & (1<<workload.PageRefBits - 1)), id&1 == 1
 }
 
 // deallocCost returns the increase in D caused by deallocating object k at
@@ -47,7 +47,7 @@ func (pl *Planner) deallocate(i workload.SiteID, k workload.ObjectID) []workload
 			affected = append(affected, r.page)
 		}
 	}
-	pl.p.Unstore(i, k)
+	pl.unstore(i, k)
 	pl.affected[i] = affected
 	return affected
 }
@@ -57,26 +57,22 @@ func (pl *Planner) deallocate(i workload.SiteID, k workload.ObjectID) []workload
 // page's site but marked for repository download may now reduce the
 // retrieval time if flipped local. Flips repeat until none improves D, so
 // the page ends in a local optimum of single flips. Only already-stored
-// objects are considered — this step never allocates storage.
+// objects are considered — this step never allocates storage. It walks the
+// page's stored-but-remote index in the order a scan of the page finds those
+// references (compulsory by idx, then optional by idx; a flip clears only
+// its own bit), so the flips and the float accumulators they feed are the
+// scan's.
 func (pl *Planner) improvePage(j workload.PageID) (flips int) {
-	pg := &pl.env.W.Pages[j]
-	site := pg.Site
 	for {
 		improved := false
-		for idx, k := range pg.Compulsory {
-			if !pl.p.CompLocal(j, idx) && pl.p.IsStored(site, k) &&
-				pl.previewFlipComp(j, idx, true) < -1e-12 {
-				pl.flipComp(j, idx, true)
-				flips++
-				improved = true
-			}
-		}
-		for idx, l := range pg.Optional {
-			if !pl.p.OptLocal(j, idx) && pl.p.IsStored(site, l.Object) &&
-				pl.previewFlipOpt(j, idx, true) < -1e-12 {
-				pl.flipOpt(j, idx, true)
-				flips++
-				improved = true
+		for w, word := range pl.idle[pl.idleOff[j]:pl.idleOff[j+1]] {
+			for ; word != 0; word &= word - 1 {
+				idx, optional := pl.refAt(j, w<<6+bits.TrailingZeros64(word))
+				if pl.previewFlip(j, idx, optional, true) < -1e-12 {
+					pl.flip(j, idx, optional, true)
+					flips++
+					improved = true
+				}
 			}
 		}
 		if !improved {
@@ -168,7 +164,7 @@ func (pl *Planner) RestoreProcessingSite(i workload.SiteID) (flips int) {
 		pl.flip(j, idx, optional, false)
 		flips++
 		if pl.localMarks[pl.slot(i, k)] == 0 {
-			pl.p.Unstore(i, k)
+			pl.unstore(i, k)
 		}
 	}
 	return flips

@@ -1,7 +1,10 @@
 package core
 
 import (
+	"errors"
+	"fmt"
 	"math"
+	"slices"
 	"testing"
 
 	"repro/internal/model"
@@ -336,5 +339,201 @@ func TestPlanWithRefineOption(t *testing.T) {
 	}
 	if !refined.Feasible {
 		t.Error("refined plan infeasible")
+	}
+}
+
+// improvePageScan is improvePage as it was before the stored-but-remote
+// index: a scan of every reference of the page, repeated until no flip
+// improves D. It survives here as the reference the index walk is held to.
+func improvePageScan(pl *Planner, j workload.PageID) (flips int) {
+	pg := &pl.env.W.Pages[j]
+	site := pg.Site
+	for {
+		improved := false
+		for idx, k := range pg.Compulsory {
+			if !pl.p.CompLocal(j, idx) && pl.p.IsStored(site, k) &&
+				pl.previewFlipComp(j, idx, true) < -1e-12 {
+				pl.flipComp(j, idx, true)
+				flips++
+				improved = true
+			}
+		}
+		for idx, l := range pg.Optional {
+			if !pl.p.OptLocal(j, idx) && pl.p.IsStored(site, l.Object) &&
+				pl.previewFlipOpt(j, idx, true) < -1e-12 {
+				pl.flipOpt(j, idx, true)
+				flips++
+				improved = true
+			}
+		}
+		if !improved {
+			return flips
+		}
+	}
+}
+
+// sameState fails unless the two planners hold the same placement and the
+// same bits in every per-site float accumulator.
+func sameState(t *testing.T, a, b *Planner, label string) {
+	t.Helper()
+	if !a.p.Equal(b.p) {
+		t.Fatalf("%s: placements differ", label)
+	}
+	if !slices.Equal(a.d1Site, b.d1Site) || !slices.Equal(a.d2Site, b.d2Site) ||
+		!slices.Equal(a.siteLocalLoad, b.siteLocalLoad) || !slices.Equal(a.siteRepoLoad, b.siteRepoLoad) {
+		t.Fatalf("%s: accumulators differ: D1 %v vs %v, D2 %v vs %v", label, a.D1(), b.D1(), a.D2(), b.D2())
+	}
+}
+
+// improveBoth re-partitions every page — a through the index, b by the
+// scan — and demands the same flips page by page and the same state after.
+func improveBoth(t *testing.T, a, b *Planner, label string) (flips int) {
+	t.Helper()
+	sameState(t, a, b, label+", before improving")
+	for _, p := range []*Planner{a, b} {
+		if err := p.VerifyConsistency(); err != nil {
+			t.Fatalf("%s: %v", label, err)
+		}
+	}
+	for j := range a.env.W.Pages {
+		fa, fb := a.improvePage(workload.PageID(j)), improvePageScan(b, workload.PageID(j))
+		if fa != fb {
+			t.Fatalf("%s: page %d: index walk made %d flips, full scan %d", label, j, fa, fb)
+		}
+		flips += fa
+	}
+	sameState(t, a, b, label)
+	return flips
+}
+
+// restoreStorageBoth is RestoreStorageSite's loop run on two planners in
+// lockstep, a re-partitioning through the index and b by the scan, compared
+// after every deallocation.
+func restoreStorageBoth(t *testing.T, a, b *Planner, i workload.SiteID) (deallocs, flips int) {
+	t.Helper()
+	heapOf := func(pl *Planner) (*lazyHeap, func(int64) (float64, bool)) {
+		cost := func(k workload.ObjectID) float64 {
+			return pl.deallocCost(i, k) / float64(pl.env.W.ObjectSize(k))
+		}
+		items := pl.candidates(i)
+		pl.p.StoredSet(i).ForEach(func(k int) bool {
+			items = append(items, heapItem{key: cost(workload.ObjectID(k)), id: int64(k)})
+			return true
+		})
+		return newLazyHeap(items), func(id int64) (float64, bool) {
+			if !pl.p.IsStored(i, workload.ObjectID(id)) {
+				return 0, false
+			}
+			return cost(workload.ObjectID(id)), true
+		}
+	}
+	ha, freshA := heapOf(a)
+	hb, freshB := heapOf(b)
+	for a.p.StorageUsed(i) > a.env.Budgets.Storage[i] {
+		ka, _, okA := ha.popFresh(freshA)
+		kb, _, okB := hb.popFresh(freshB)
+		if ka != kb || okA != okB {
+			t.Fatalf("site %d deallocation %d: index planner evicts %d (%v), scan planner %d (%v)", i, deallocs, ka, okA, kb, okB)
+		}
+		if !okA {
+			break
+		}
+		pagesA, pagesB := a.deallocate(i, workload.ObjectID(ka)), b.deallocate(i, workload.ObjectID(kb))
+		if !slices.Equal(pagesA, pagesB) {
+			t.Fatalf("site %d deallocation %d: affected pages %v vs %v", i, deallocs, pagesA, pagesB)
+		}
+		for _, j := range pagesA {
+			fa, fb := a.improvePage(j), improvePageScan(b, j)
+			if fa != fb {
+				t.Fatalf("site %d deallocation %d page %d: index walk made %d flips, full scan %d", i, deallocs, j, fa, fb)
+			}
+			flips += fa
+		}
+		deallocs++
+		sameState(t, a, b, fmt.Sprintf("site %d after deallocation %d", i, deallocs))
+	}
+	return deallocs, flips
+}
+
+// TestImprovePageMatchesFullScan drives an index-walking planner and a
+// full-scanning one through every phase that writes the stored-but-remote
+// index — PARTITION, storage restoration, processing restoration,
+// AcceptWorkload through its swap phase, AdmitPage on a used planner,
+// AdoptPlacement — and holds them to the same flips, placement and
+// accumulator bits throughout.
+func TestImprovePageMatchesFullScan(t *testing.T) {
+	var flips, swapped int
+	for _, seed := range []uint64{3, 17, 58, 424242} {
+		env := genEnv(t, seed)
+		env.Budgets = env.Budgets.Scale(env.W, 0.4, 1)
+		a, b, whole := NewPlanner(env), NewPlanner(env), NewPlanner(env)
+		for _, pl := range []*Planner{a, b, whole} {
+			if seed%2 == 0 {
+				pl.PartitionAll()
+			} else {
+				pl.PartitionParallel(2, nil) // Plan's path: the reduce stores
+			}
+		}
+		flips += improveBoth(t, a, b, "after PARTITION")
+
+		for i := range env.W.Sites {
+			d, f := restoreStorageBoth(t, a, b, workload.SiteID(i))
+			if d == 0 {
+				t.Fatalf("seed %d site %d: no deallocation at 40%% storage", seed, i)
+			}
+			flips += f
+			if got := whole.RestoreStorageSite(workload.SiteID(i)); got != d {
+				t.Fatalf("seed %d site %d: RestoreStorageSite made %d deallocations, the lockstep loop %d", seed, i, got, d)
+			}
+		}
+		sameState(t, a, whole, "lockstep loop vs RestoreStorageSite")
+		flips += improveBoth(t, a, b, "after storage restoration")
+
+		// Processing restoration at 60 % of the load each site carries now.
+		for i := range env.W.Sites {
+			env.Budgets.SiteCapacity[i] = 0.6 * a.SiteLoad(workload.SiteID(i))
+			if fa, fb := a.RestoreProcessingSite(workload.SiteID(i)), b.RestoreProcessingSite(workload.SiteID(i)); fa != fb || fa == 0 {
+				t.Fatalf("seed %d site %d: processing flips %d vs %d", seed, i, fa, fb)
+			}
+		}
+		flips += improveBoth(t, a, b, "after processing restoration")
+
+		// Off-load acceptance with the capacity back and no free storage:
+		// flipping runs dry and the swap phase takes over.
+		for i := range env.W.Sites {
+			id := workload.SiteID(i)
+			env.Budgets.SiteCapacity[i] = units.ReqPerSec(env.W.Sites[i].Capacity)
+			env.Budgets.Storage[i] = a.p.StorageUsed(id)
+			ra, rb := a.AcceptWorkload(id, 1e9), b.AcceptWorkload(id, 1e9)
+			if ra != rb {
+				t.Fatalf("seed %d site %d: accept results differ: %+v vs %+v", seed, i, ra, rb)
+			}
+			swapped += ra.Swapped
+		}
+		flips += improveBoth(t, a, b, "after AcceptWorkload")
+
+		// Re-admit every third page on the used planners (repair's move),
+		// then restore the storage the admissions overdrew.
+		for j := 0; j < env.W.NumPages(); j += 3 {
+			a.AdmitPage(workload.PageID(j))
+			b.AdmitPage(workload.PageID(j))
+		}
+		flips += improveBoth(t, a, b, "after AdmitPage")
+		for i := range env.W.Sites {
+			_, f := restoreStorageBoth(t, a, b, workload.SiteID(i))
+			flips += f
+		}
+
+		c, d := NewPlanner(env), NewPlanner(env)
+		if err := errors.Join(c.AdoptPlacement(a.p), d.AdoptPlacement(b.p)); err != nil {
+			t.Fatal(err)
+		}
+		if !c.p.Equal(a.p) {
+			t.Fatal("adopted placement differs from its source")
+		}
+		flips += improveBoth(t, c, d, "after AdoptPlacement")
+	}
+	if flips == 0 || swapped == 0 {
+		t.Errorf("drive made %d re-partitioning flips and %d swaps; it must exercise both", flips, swapped)
 	}
 }

@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"container/heap"
 	"fmt"
 	"io"
 	"math"
@@ -204,26 +203,52 @@ type simEvent struct {
 	req  *simReq
 }
 
-// eventHeap orders events by (time, insertion sequence) — a total,
-// deterministic order.
-type eventHeap []*simEvent
+// eventHeap is a binary min-heap of events by value, ordered by (time,
+// insertion sequence) — a strict total order, so the pop sequence is the
+// same for any correct heap.
+type eventHeap []simEvent
 
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].t != h[j].t {
-		return h[i].t < h[j].t
+func (a simEvent) before(b simEvent) bool {
+	if a.t != b.t {
+		return a.t < b.t
 	}
-	return h[i].seq < h[j].seq
+	return a.seq < b.seq
 }
-func (h eventHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *eventHeap) Push(x interface{}) { *h = append(*h, x.(*simEvent)) }
-func (h *eventHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	ev := old[n-1]
-	old[n-1] = nil
-	*h = old[:n-1]
-	return ev
+
+func (h *eventHeap) push(ev simEvent) {
+	s := append(*h, ev)
+	*h = s
+	for c := len(s) - 1; c > 0; {
+		p := (c - 1) / 2
+		if !s[c].before(s[p]) {
+			break
+		}
+		s[c], s[p] = s[p], s[c]
+		c = p
+	}
+}
+
+// pop removes and returns the earliest event of a non-empty heap.
+func (h *eventHeap) pop() simEvent {
+	s := *h
+	top, n := s[0], len(s)-1
+	s[0], s[n] = s[n], simEvent{} // drop the request pointer for the GC
+	*h = s[:n]
+	for p := 0; ; {
+		c := 2*p + 1
+		if c >= n {
+			break
+		}
+		if c+1 < n && s[c+1].before(s[c]) {
+			c++
+		}
+		if !s[c].before(s[p]) {
+			break
+		}
+		s[p], s[c] = s[c], s[p]
+		p = c
+	}
+	return top
 }
 
 // overloadSim is one pass's world state.
@@ -267,8 +292,8 @@ func simOverload(root *rng.Stream, r int, protected bool) OverloadPass {
 		s.budget = admission.NewRetryBudget(OverloadBudgetRatio, OverloadBudgetCap)
 	}
 	s.schedule(0, evArrivalGen, nil)
-	for s.events.Len() > 0 {
-		ev := heap.Pop(&s.events).(*simEvent)
+	for len(s.events) > 0 {
+		ev := s.events.pop()
 		if ev.t >= OverloadDuration {
 			break
 		}
@@ -290,7 +315,7 @@ func simOverload(root *rng.Stream, r int, protected bool) OverloadPass {
 // schedule pushes an event at t.
 func (s *overloadSim) schedule(t time.Duration, kind int, req *simReq) {
 	s.seq++
-	heap.Push(&s.events, &simEvent{t: t, seq: s.seq, kind: kind, req: req})
+	s.events.push(simEvent{t: t, seq: s.seq, kind: kind, req: req})
 }
 
 // newRequest issues a fresh request at t and draws the next arrival from

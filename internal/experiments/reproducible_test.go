@@ -68,8 +68,10 @@ func TestResultsHoldNoStrayCSV(t *testing.T) {
 // reference render (summary text + figure CSV at tiny(), three runs,
 // Workers 1) as it stood before internal/httpsim's two request loops were
 // merged. Comparing a study with itself would pass a change that moved it
-// the same way at every worker count; this table does not. table1,
-// recovery, scrub and overload never call httpsim and are not listed.
+// the same way at every worker count; this table does not. overload runs
+// its own event loop and was pinned, at the parent commit, when its boxed
+// event queue became a typed heap; table1, recovery and scrub never call a
+// simulator and are not listed.
 var studyRenderSHA = map[string]string{
 	"fig1":        "74e0b072cc59e91b8cbcbc38cef6fc63ee989d67af796adc3ebf3c4c81ef4c3f",
 	"fig2":        "12f671eb4db1aec0478a1e7a2bab57e671071ca597efc99f80042f25450e369a",
@@ -86,6 +88,7 @@ var studyRenderSHA = map[string]string{
 	"degraded":    "21b0d1b81edd711bb34f1bc9c6fdc9c68e03b4d1d1248326f7b9c95f22d56832",
 	"critpath":    "1b266292f396e35089b84ca95c92f4b38d48f9389d2a752f8a373ab8b4c579f5",
 	"flashcrowd":  "f5e8eb0a1d7490451336ce5e3cdfa7463a9e496d2f70432a9cb0964d968ca328",
+	"overload":    "ecbe6ac2713dfa5897639e1fcdf9aab3f8c215580ea9f52f0345f51df06800ea",
 }
 
 // TestStudiesBitReproducibleAtAnyWorkerCount backs the README/EXPERIMENTS

@@ -227,6 +227,29 @@ func TestClone(t *testing.T) {
 	}
 }
 
+// TestPlacementAllocs pins NewPlacement and Clone to a number of
+// allocations that depends on the site count alone: the X and X' slabs, the
+// offset and byte tables, and a bitset (two allocations) per site — never a
+// row per page.
+func TestPlacementAllocs(t *testing.T) {
+	cfg := workload.SmallConfig()
+	small := workload.MustGenerate(cfg, 5)
+	cfg.PagesPerSiteMin, cfg.PagesPerSiteMax = 4*cfg.PagesPerSiteMin, 4*cfg.PagesPerSiteMax
+	large := workload.MustGenerate(cfg, 5)
+	if large.NumPages() < 3*small.NumPages() || large.NumSites() != small.NumSites() {
+		t.Fatalf("workloads have %d and %d pages on %d and %d sites", small.NumPages(), large.NumPages(), small.NumSites(), large.NumSites())
+	}
+	for _, w := range []*workload.Workload{small, large} {
+		p := NewPlacement(w)
+		if got, want := testing.AllocsPerRun(10, func() { p = NewPlacement(w) }), float64(8+2*w.NumSites()); got != want {
+			t.Errorf("%d pages: NewPlacement makes %v allocations, want %v", w.NumPages(), got, want)
+		}
+		if got, want := testing.AllocsPerRun(10, func() { p = p.Clone() }), float64(5+2*w.NumSites()); got != want {
+			t.Errorf("%d pages: Clone makes %v allocations, want %v", w.NumPages(), got, want)
+		}
+	}
+}
+
 func TestBudgetsScale(t *testing.T) {
 	_, w := tinyEnv(t)
 	full := FullBudgets(w)

@@ -9,6 +9,7 @@ package model
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/bitset"
 	"repro/internal/units"
@@ -26,14 +27,15 @@ import (
 type Placement struct {
 	w *workload.Workload
 
-	xComp [][]bool
-	xOpt  [][]bool
+	// X and X' are one slab each; compOff and optOff bound page j's rows.
+	xComp, xOpt []bool
 
 	stored      []*bitset.Set
 	storedBytes []units.ByteSize // MO bytes only; HTML accounted separately
-	// htmlBytes[i] is workload.HTMLStorageBytes(i), summed once: a constant
-	// of the workload, read-only and shared by every clone.
-	htmlBytes []units.ByteSize
+	// Constants of the workload, read-only and shared by every clone: the row
+	// offsets, and htmlBytes[i] = workload.HTMLStorageBytes(i), summed once.
+	compOff, optOff []int32
+	htmlBytes       []units.ByteSize
 }
 
 // NewPlacement returns an all-remote placement: X = 0, X' covers nothing,
@@ -41,16 +43,18 @@ type Placement struct {
 func NewPlacement(w *workload.Workload) *Placement {
 	p := &Placement{
 		w:           w,
-		xComp:       make([][]bool, w.NumPages()),
-		xOpt:        make([][]bool, w.NumPages()),
 		stored:      make([]*bitset.Set, w.NumSites()),
 		storedBytes: make([]units.ByteSize, w.NumSites()),
+		compOff:     make([]int32, w.NumPages()+1),
+		optOff:      make([]int32, w.NumPages()+1),
 		htmlBytes:   make([]units.ByteSize, w.NumSites()),
 	}
-	for j := range p.xComp {
-		p.xComp[j] = make([]bool, len(w.Pages[j].Compulsory))
-		p.xOpt[j] = make([]bool, len(w.Pages[j].Optional))
+	for j := range w.Pages {
+		p.compOff[j+1] = p.compOff[j] + int32(len(w.Pages[j].Compulsory))
+		p.optOff[j+1] = p.optOff[j] + int32(len(w.Pages[j].Optional))
 	}
+	p.xComp = make([]bool, p.compOff[w.NumPages()])
+	p.xOpt = make([]bool, p.optOff[w.NumPages()])
 	for i := range p.stored {
 		p.stored[i] = bitset.New(w.NumObjects())
 		p.htmlBytes[i] = w.HTMLStorageBytes(workload.SiteID(i))
@@ -61,19 +65,27 @@ func NewPlacement(w *workload.Workload) *Placement {
 // Workload returns the workload the placement is over.
 func (p *Placement) Workload() *workload.Workload { return p.w }
 
+// compRow and optRow are page j's rows of X and X'.
+func (p *Placement) compRow(j int) []bool { return p.xComp[p.compOff[j]:p.compOff[j+1]] }
+func (p *Placement) optRow(j int) []bool  { return p.xOpt[p.optOff[j]:p.optOff[j+1]] }
+
 // CompLocal reports X_jk for page j's idx-th compulsory object.
-func (p *Placement) CompLocal(j workload.PageID, idx int) bool { return p.xComp[j][idx] }
+func (p *Placement) CompLocal(j workload.PageID, idx int) bool { return p.xComp[int(p.compOff[j])+idx] }
 
 // OptLocal reports the optional part of X'_jk for page j's idx-th link.
-func (p *Placement) OptLocal(j workload.PageID, idx int) bool { return p.xOpt[j][idx] }
+func (p *Placement) OptLocal(j workload.PageID, idx int) bool { return p.xOpt[int(p.optOff[j])+idx] }
 
 // SetCompLocal sets X_jk. It does not touch the store: callers mark
 // downloads and manage replicas explicitly, then CheckInvariants ties the
 // two together.
-func (p *Placement) SetCompLocal(j workload.PageID, idx int, local bool) { p.xComp[j][idx] = local }
+func (p *Placement) SetCompLocal(j workload.PageID, idx int, local bool) {
+	p.xComp[int(p.compOff[j])+idx] = local
+}
 
 // SetOptLocal sets the optional part of X'_jk.
-func (p *Placement) SetOptLocal(j workload.PageID, idx int, local bool) { p.xOpt[j][idx] = local }
+func (p *Placement) SetOptLocal(j workload.PageID, idx int, local bool) {
+	p.xOpt[int(p.optOff[j])+idx] = local
+}
 
 // IsStored reports whether object k is replicated at site i.
 func (p *Placement) IsStored(i workload.SiteID, k workload.ObjectID) bool {
@@ -112,22 +124,15 @@ func (p *Placement) StorageUsed(i workload.SiteID) units.ByteSize {
 
 // Clone returns a deep copy of the placement.
 func (p *Placement) Clone() *Placement {
-	c := &Placement{
-		w:           p.w,
-		xComp:       make([][]bool, len(p.xComp)),
-		xOpt:        make([][]bool, len(p.xOpt)),
-		stored:      make([]*bitset.Set, len(p.stored)),
-		storedBytes: append([]units.ByteSize(nil), p.storedBytes...),
-		htmlBytes:   p.htmlBytes,
-	}
-	for j := range p.xComp {
-		c.xComp[j] = append([]bool(nil), p.xComp[j]...)
-		c.xOpt[j] = append([]bool(nil), p.xOpt[j]...)
-	}
+	c := *p
+	c.xComp = slices.Clone(p.xComp)
+	c.xOpt = slices.Clone(p.xOpt)
+	c.stored = make([]*bitset.Set, len(p.stored))
+	c.storedBytes = slices.Clone(p.storedBytes)
 	for i := range p.stored {
 		c.stored[i] = p.stored[i].Clone()
 	}
-	return c
+	return &c
 }
 
 // AllLocal returns a placement where every compulsory and optional object is
@@ -137,11 +142,11 @@ func AllLocal(w *workload.Workload) *Placement {
 	for j := range w.Pages {
 		pg := &w.Pages[j]
 		for idx, k := range pg.Compulsory {
-			p.xComp[j][idx] = true
+			p.SetCompLocal(workload.PageID(j), idx, true)
 			p.Store(pg.Site, k)
 		}
 		for idx, l := range pg.Optional {
-			p.xOpt[j][idx] = true
+			p.SetOptLocal(workload.PageID(j), idx, true)
 			p.Store(pg.Site, l.Object)
 		}
 	}
@@ -158,12 +163,12 @@ func (p *Placement) CheckInvariants() error {
 	for j := range p.w.Pages {
 		pg := &p.w.Pages[j]
 		for idx, k := range pg.Compulsory {
-			if p.xComp[j][idx] && !p.IsStored(pg.Site, k) {
+			if p.CompLocal(workload.PageID(j), idx) && !p.IsStored(pg.Site, k) {
 				return fmt.Errorf("model: page %d marks compulsory object %d local but site %d does not store it", j, k, pg.Site)
 			}
 		}
 		for idx, l := range pg.Optional {
-			if p.xOpt[j][idx] && !p.IsStored(pg.Site, l.Object) {
+			if p.OptLocal(workload.PageID(j), idx) && !p.IsStored(pg.Site, l.Object) {
 				return fmt.Errorf("model: page %d marks optional object %d local but site %d does not store it", j, l.Object, pg.Site)
 			}
 		}
@@ -183,19 +188,17 @@ func (p *Placement) CheckInvariants() error {
 
 // LocalCompCount returns how many compulsory objects of page j are local.
 func (p *Placement) LocalCompCount(j workload.PageID) int {
-	n := 0
-	for _, v := range p.xComp[j] {
-		if v {
-			n++
-		}
-	}
-	return n
+	return countTrue(p.compRow(int(j)))
 }
 
 // LocalOptCount returns how many optional links of page j are local.
 func (p *Placement) LocalOptCount(j workload.PageID) int {
+	return countTrue(p.optRow(int(j)))
+}
+
+func countTrue(row []bool) int {
 	n := 0
-	for _, v := range p.xOpt[j] {
+	for _, v := range row {
 		if v {
 			n++
 		}

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
 
 	"repro/internal/workload"
 )
@@ -29,19 +30,17 @@ func (p *Placement) Encode(dst io.Writer) error {
 		NumPages:   p.w.NumPages(),
 		NumObjects: p.w.NumObjects(),
 		NumSites:   p.w.NumSites(),
-		LocalComp:  make([][]int, len(p.xComp)),
-		LocalOpt:   make([][]int, len(p.xOpt)),
+		LocalComp:  make([][]int, p.w.NumPages()),
+		LocalOpt:   make([][]int, p.w.NumPages()),
 		Stored:     make([][]workload.ObjectID, len(p.stored)),
 	}
-	for j, row := range p.xComp {
-		for idx, v := range row {
+	for j := range out.LocalComp {
+		for idx, v := range p.compRow(j) {
 			if v {
 				out.LocalComp[j] = append(out.LocalComp[j], idx)
 			}
 		}
-	}
-	for j, row := range p.xOpt {
-		for idx, v := range row {
+		for idx, v := range p.optRow(j) {
 			if v {
 				out.LocalOpt[j] = append(out.LocalOpt[j], idx)
 			}
@@ -83,7 +82,7 @@ func DecodePlacement(w *workload.Workload, src io.Reader) (*Placement, error) {
 		}
 	}
 	for j, idxs := range in.LocalComp {
-		row := p.xComp[j]
+		row := p.compRow(j)
 		for _, idx := range idxs {
 			if idx < 0 || idx >= len(row) {
 				return nil, fmt.Errorf("model: page %d compulsory index %d out of range", j, idx)
@@ -92,7 +91,7 @@ func DecodePlacement(w *workload.Workload, src io.Reader) (*Placement, error) {
 		}
 	}
 	for j, idxs := range in.LocalOpt {
-		row := p.xOpt[j]
+		row := p.optRow(j)
 		for _, idx := range idxs {
 			if idx < 0 || idx >= len(row) {
 				return nil, fmt.Errorf("model: page %d optional index %d out of range", j, idx)
@@ -142,20 +141,9 @@ func (p *Placement) Equal(o *Placement) bool {
 			return false
 		}
 	}
-	for j := range p.xComp {
-		if len(p.xComp[j]) != len(o.xComp[j]) || len(p.xOpt[j]) != len(o.xOpt[j]) {
-			return false
-		}
-		for idx := range p.xComp[j] {
-			if p.xComp[j][idx] != o.xComp[j][idx] {
-				return false
-			}
-		}
-		for idx := range p.xOpt[j] {
-			if p.xOpt[j][idx] != o.xOpt[j][idx] {
-				return false
-			}
-		}
+	if !slices.Equal(p.compOff, o.compOff) || !slices.Equal(p.optOff, o.optOff) ||
+		!slices.Equal(p.xComp, o.xComp) || !slices.Equal(p.xOpt, o.xOpt) {
+		return false
 	}
 	for i := range p.stored {
 		if !p.stored[i].Equal(o.stored[i]) {

@@ -2,6 +2,7 @@ package model
 
 import (
 	"bytes"
+	"slices"
 	"strings"
 	"testing"
 
@@ -103,6 +104,32 @@ func TestPlacementEqual(t *testing.T) {
 	// compares raw state, which is what we want here.
 	if a.Equal(c) && a.StoredSet(0).Equal(c.StoredSet(0)) {
 		t.Error("different stores reported equal")
+	}
+	// The slabs compare whole: one optional mark anywhere, a row moved from
+	// one page to its neighbour (same slab length, different offsets), and a
+	// workload of another shape are all unequal; a clone is equal.
+	d := a.Clone()
+	if !a.Equal(d) {
+		t.Error("clone not equal to its source")
+	}
+	last := workload.PageID(w.NumPages() - 1)
+	for last > 0 && len(w.Pages[last].Optional) == 0 {
+		last--
+	}
+	d.SetOptLocal(last, len(w.Pages[last].Optional)-1, false)
+	if a.Equal(d) {
+		t.Error("different optional marks reported equal")
+	}
+	moved := *w
+	moved.Pages = slices.Clone(w.Pages)
+	moved.Pages[0].Compulsory, moved.Pages[1].Compulsory = append(slices.Clone(w.Pages[0].Compulsory), w.Pages[1].Compulsory...), nil
+	if a.Equal(AllLocal(&moved)) {
+		t.Error("same slab under different row offsets reported equal")
+	}
+	cfg := workload.SmallConfig()
+	cfg.Sites++
+	if a.Equal(AllLocal(workload.MustGenerate(cfg, 76))) {
+		t.Error("placements over differently shaped workloads reported equal")
 	}
 }
 

@@ -253,6 +253,33 @@ func TestValidateCatchesCorruption(t *testing.T) {
 	}
 }
 
+// TestValidatePlannerWidths pins the two widths the planner packs into
+// single words: the limit passes, one past it is an error naming the page.
+func TestValidatePlannerWidths(t *testing.T) {
+	w := MustGenerate(SmallConfig(), 3)
+	k := w.Pages[5].Compulsory[0]
+	w.Objects[k].Size = MaxObjectSize
+	if err := w.Validate(); err != nil {
+		t.Errorf("object of MaxObjectSize rejected: %v", err)
+	}
+	w.Objects[k].Size++
+	if err := w.Validate(); err == nil || !strings.Contains(err.Error(), "page ") || !strings.Contains(err.Error(), "size") {
+		t.Errorf("oversized compulsory object: got %v, want an error naming the page and the size", err)
+	}
+	w.Objects[k].Size = 1
+
+	keep := w.Pages[5].Optional
+	w.Pages[5].Optional = make([]OptionalLink, 1<<PageRefBits+1)
+	if err := w.Validate(); err == nil || !strings.Contains(err.Error(), "page 5 lists") {
+		t.Errorf("page with 2^%d+1 optional links: got %v, want an error naming page 5", PageRefBits, err)
+	}
+	w.Pages[5].Optional = keep
+	w.Pages[5].Compulsory = make([]ObjectID, 1<<PageRefBits+1)
+	if err := w.Validate(); err == nil || !strings.Contains(err.Error(), "page 5 lists") {
+		t.Errorf("page with 2^%d+1 compulsory objects: got %v, want an error naming page 5", PageRefBits, err)
+	}
+}
+
 func TestJSONRoundTrip(t *testing.T) {
 	w := MustGenerate(SmallConfig(), 5)
 	var buf bytes.Buffer

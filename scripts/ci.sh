@@ -4,7 +4,8 @@
 # the repllint analyzer suite, the complete test suite with every example run
 # once and the payload wire format pinned to its committed corpus and fuzzed,
 # the race detector
-# cold on every package, coverage on the planner core, and a smoke pass that
+# cold on every package, coverage floors on the planner core and the cost
+# model, and a smoke pass that
 # compiles and runs every benchmark once and vets and tests the nested
 # benchmark/ module (measuring is benchmark/run.sh's job, not this script's).
 #
@@ -70,19 +71,25 @@ stage_race() {
     go test -race -count=1 ./...
 }
 
-# Planner-core statement coverage against a floor.
+# Statement coverage against a floor per package: the planner core (90 %,
+# CI_CORE_COVER_FLOOR to override) and the cost model, whose floor is its
+# measured coverage rounded down — so new code in either, the planner's
+# stored-but-remote index and the placement slab's Clone/Equal/JSON paths
+# included, has to be reached by tests to land.
 stage_cover() {
     : "${CI_CORE_COVER_FLOOR:=90}"
-    echo "(internal/core floor ${CI_CORE_COVER_FLOOR}%)"
-    cover_out=$(mktemp)
-    go test -count=1 -coverprofile="$cover_out" ./internal/core/
-    core_cover=$(go tool cover -func="$cover_out" | awk '/^total:/ {sub(/%/, "", $3); print $3}')
-    rm -f "$cover_out"
-    echo "internal/core statement coverage: ${core_cover}%"
-    if awk -v c="$core_cover" -v floor="$CI_CORE_COVER_FLOOR" 'BEGIN { exit !(c < floor) }'; then
-        echo "internal/core coverage ${core_cover}% is below the ${CI_CORE_COVER_FLOOR}% floor" >&2
-        return 1
-    fi
+    for pair in "core:$CI_CORE_COVER_FLOOR" model:91; do
+        pkg="internal/${pair%%:*}" floor="${pair##*:}"
+        cover_out=$(mktemp)
+        go test -count=1 -coverprofile="$cover_out" "./$pkg/"
+        cover=$(go tool cover -func="$cover_out" | awk '/^total:/ {sub(/%/, "", $3); print $3}')
+        rm -f "$cover_out"
+        echo "$pkg statement coverage: ${cover}% (floor ${floor}%)"
+        if awk -v c="$cover" -v floor="$floor" 'BEGIN { exit !(c < floor) }'; then
+            echo "$pkg coverage ${cover}% is below the ${floor}% floor" >&2
+            return 1
+        fi
+    done
 }
 
 # Benchmarks must keep compiling and running: every one once, except
