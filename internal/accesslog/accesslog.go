@@ -28,13 +28,6 @@ type Tap interface {
 // Counts maps pages to observed request counts over some window.
 type Counts map[workload.PageID]int64
 
-// Merge adds other's counts into c.
-func (c Counts) Merge(other Counts) {
-	for k, v := range other {
-		c[k] += v
-	}
-}
-
 // Total returns the sum of all counts.
 func (c Counts) Total() int64 {
 	var t int64
@@ -106,37 +99,11 @@ func markHot(w *workload.Workload, i workload.SiteID) {
 	}
 }
 
-// TopPages returns the n most-requested pages in counts, ties broken by ID.
-func (c Counts) TopPages(n int) []workload.PageID {
-	type kv struct {
-		pid workload.PageID
-		n   int64
-	}
-	all := make([]kv, 0, len(c))
-	for pid, v := range c {
-		all = append(all, kv{pid, v})
-	}
-	sort.Slice(all, func(a, b int) bool {
-		if all[a].n != all[b].n {
-			return all[a].n > all[b].n
-		}
-		return all[a].pid < all[b].pid
-	})
-	if n > len(all) {
-		n = len(all)
-	}
-	out := make([]workload.PageID, n)
-	for i := 0; i < n; i++ {
-		out[i] = all[i].pid
-	}
-	return out
-}
-
 // EWMA is a streaming exponentially-decayed access counter: each page's
 // weight decays with half-life h, so bursts ("breaking news") surface
 // quickly and fade when the story ages. It tracks one site's pages; not
-// safe for concurrent use (one collector per serving goroutine, merged via
-// Snapshot + Counts.Merge-style aggregation).
+// safe for concurrent use (internal/estimate keeps one per site shard,
+// behind the shard's lock).
 type EWMA struct {
 	halfLife float64 // seconds
 	now      float64

@@ -130,22 +130,10 @@ func TestEstimateDoesNotMutateOriginal(t *testing.T) {
 	}
 }
 
-func TestCountsMergeTotalTop(t *testing.T) {
-	a := Counts{1: 5, 2: 3}
-	b := Counts{2: 2, 3: 7}
-	a.Merge(b)
-	if a[2] != 5 || a[3] != 7 {
-		t.Errorf("merge wrong: %v", a)
-	}
+func TestCountsTotal(t *testing.T) {
+	a := Counts{1: 5, 2: 5, 3: 7}
 	if a.Total() != 17 {
 		t.Errorf("total = %d", a.Total())
-	}
-	top := a.TopPages(2)
-	if len(top) != 2 || top[0] != 3 || top[1] != 1 {
-		t.Errorf("top = %v", top)
-	}
-	if got := a.TopPages(10); len(got) != 3 {
-		t.Errorf("overlong top = %v", got)
 	}
 }
 

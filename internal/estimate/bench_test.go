@@ -34,23 +34,6 @@ func BenchmarkEWMAIngest(b *testing.B) {
 	}
 }
 
-// BenchmarkSketchIngest measures one Observe on the count-min path
-// (depth-4 hashing plus per-cell decay).
-func BenchmarkSketchIngest(b *testing.B) {
-	w := workload.MustGenerate(workload.SmallConfig(), 31)
-	e, err := New(w, Config{HalfLife: 60, SketchWidth: 1024, SketchDepth: 4, SketchSeed: 7})
-	if err != nil {
-		b.Fatal(err)
-	}
-	obs := benchObservations(b, w, 1<<14)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		o := obs[i&(1<<14-1)]
-		e.Observe(o.site, o.page, o.t)
-	}
-}
-
 // BenchmarkDriftCheck measures one Detector.Check over a paper-scale
 // frequency vector (L1 sweep plus top-k extraction).
 func BenchmarkDriftCheck(b *testing.B) {

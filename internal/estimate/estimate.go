@@ -10,12 +10,10 @@
 // the loop. This package supplies the missing sensor: per-(site, page)
 // exponentially-decayed counters (EWMA with a configurable half-life, so
 // bursts surface quickly and fade when the story ages) fed by the live
-// servers' access-log tap and by the request simulator, plus an optional
-// count-min sketch backing store for page populations beyond the paper's
-// scale. Snapshots are rendered in sorted page order and are a pure
-// function of the observation stream (and the sketch seed), so equal seeds
-// and equal request streams yield byte-identical snapshots — the property
-// the determinism tests pin and the flash-crowd experiment's
+// servers' access-log tap and by the request simulator. Snapshots are
+// rendered in sorted page order and are a pure function of the observation
+// stream, so equal request streams yield byte-identical snapshots — the
+// property the determinism tests pin and the flash-crowd experiment's
 // reproducibility rests on.
 //
 // Concurrency: the estimator shards state per site, each shard behind its
@@ -26,7 +24,6 @@ package estimate
 
 import (
 	"encoding/json"
-	"fmt"
 	"sync"
 
 	"repro/internal/accesslog"
@@ -38,14 +35,6 @@ type Config struct {
 	// HalfLife is the EWMA decay half-life in seconds (default 60): an
 	// access's weight halves every HalfLife seconds of estimator time.
 	HalfLife float64
-	// SketchWidth and SketchDepth, when both positive, switch the per-site
-	// backing store from an exact per-page map to a count-min sketch of
-	// that shape — bounded memory for cardinalities beyond the paper's
-	// scale, at the cost of (one-sided) overestimation under collisions.
-	SketchWidth, SketchDepth int
-	// SketchSeed seeds the sketch's row hash functions; ignored on the
-	// exact path. Equal seeds give identical sketches.
-	SketchSeed uint64
 }
 
 func (c Config) normalize() Config {
@@ -55,33 +44,12 @@ func (c Config) normalize() Config {
 	return c
 }
 
-func (c Config) sketched() bool { return c.SketchWidth > 0 && c.SketchDepth > 0 }
-
-// Validate rejects unusable configurations.
-func (c Config) Validate() error {
-	if c.SketchWidth < 0 || c.SketchDepth < 0 {
-		return fmt.Errorf("estimate: negative sketch dimensions %dx%d", c.SketchWidth, c.SketchDepth)
-	}
-	if (c.SketchWidth > 0) != (c.SketchDepth > 0) {
-		return fmt.Errorf("estimate: sketch needs both width and depth (got %dx%d)", c.SketchWidth, c.SketchDepth)
-	}
-	return nil
-}
-
-// counter is one site's decayed-count store: the exact EWMA map or the
-// count-min sketch. Implementations are not concurrency-safe; the owning
-// shard's mutex serializes access.
-type counter interface {
-	Observe(pid workload.PageID, t float64)
-	Advance(t float64)
-	Weight(pid workload.PageID) float64
-}
-
-// shard is one site's slice of the estimator.
+// shard is one site's slice of the estimator. The EWMA is not
+// concurrency-safe; mu serializes access to it.
 type shard struct {
 	mu     sync.Mutex
 	pages  []workload.PageID // hosted pages, ascending ID order
-	counts counter
+	counts *accesslog.EWMA
 }
 
 // Estimator is the streaming frequency estimator: one decayed counter set
@@ -92,36 +60,18 @@ type Estimator struct {
 	sites    []*shard
 }
 
-// Stream label for deriving per-site sketch hash seeds from
-// Config.SketchSeed. The value is load-bearing (it folds into every row
-// seed); renumbering changes every sketch estimate.
-const sketchSiteStream uint64 = 1
-
 // New builds an estimator for the workload's site/page universe. The
 // workload fixes only the shape (which pages each site hosts); frequencies
 // are learned entirely from observations.
 func New(w *workload.Workload, cfg Config) (*Estimator, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
 	cfg = cfg.normalize()
 	e := &Estimator{cfg: cfg, numPages: w.NumPages(), sites: make([]*shard, w.NumSites())}
 	for i := range w.Sites {
-		sh := &shard{pages: append([]workload.PageID(nil), w.Sites[i].Pages...)}
-		if cfg.sketched() {
-			sk, err := NewSketch(cfg.SketchWidth, cfg.SketchDepth, cfg.HalfLife, siteSketchSeed(cfg.SketchSeed, i))
-			if err != nil {
-				return nil, err
-			}
-			sh.counts = sk
-		} else {
-			ew, err := accesslog.NewEWMA(cfg.HalfLife)
-			if err != nil {
-				return nil, err
-			}
-			sh.counts = ew
+		ew, err := accesslog.NewEWMA(cfg.HalfLife)
+		if err != nil {
+			return nil, err
 		}
-		e.sites[i] = sh
+		e.sites[i] = &shard{pages: append([]workload.PageID(nil), w.Sites[i].Pages...), counts: ew}
 	}
 	return e, nil
 }

@@ -6,7 +6,6 @@ import (
 	"sync"
 	"testing"
 
-	"repro/internal/accesslog"
 	"repro/internal/rng"
 	"repro/internal/workload"
 )
@@ -62,88 +61,49 @@ func feed(e *Estimator, obs []observation) {
 	}
 }
 
-func TestConfigValidate(t *testing.T) {
-	for _, bad := range []Config{
-		{SketchWidth: -1},
-		{SketchDepth: -1},
-		{SketchWidth: 64}, // depth missing
-		{SketchDepth: 4},  // width missing
-		{SketchWidth: 0, SketchDepth: 3},
-	} {
-		if err := bad.Validate(); err == nil {
-			t.Errorf("Validate(%+v) = nil, want error", bad)
-		}
-	}
-	if err := (Config{SketchWidth: 64, SketchDepth: 4}).Validate(); err != nil {
-		t.Errorf("valid sketch config rejected: %v", err)
-	}
-	if err := (Config{}).Validate(); err != nil {
-		t.Errorf("exact config rejected: %v", err)
-	}
-}
-
 func TestEstimatorTracksObservedShares(t *testing.T) {
 	w := testWorkload(t)
-	for _, cfg := range []Config{
-		{HalfLife: 1e9}, // effectively no decay: weights ≈ raw counts
-		{HalfLife: 1e9, SketchWidth: 4096, SketchDepth: 4, SketchSeed: 7},
-	} {
-		name := "exact"
-		if cfg.sketched() {
-			name = "sketch"
+	t.Run("exact", func(t *testing.T) {
+		e, err := New(w, Config{HalfLife: 1e9}) // effectively no decay: weights ≈ raw counts
+		if err != nil {
+			t.Fatal(err)
 		}
-		t.Run(name, func(t *testing.T) {
-			e, err := New(w, cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			obs := drawObservations(w, 20000, 100, 7)
-			feed(e, obs)
-			got := e.Snapshot(100).FreqVector(w.NumPages())
-			want := BaselineVector(w)
-			l1 := 0.0
-			for i := range got {
-				l1 += math.Abs(got[i] - want[i])
-			}
-			if l1 > 0.25 {
-				t.Errorf("estimated shares diverge from true frequencies: L1 = %.3f", l1)
-			}
-		})
-	}
+		obs := drawObservations(w, 20000, 100, 7)
+		feed(e, obs)
+		got := e.Snapshot(100).FreqVector(w.NumPages())
+		want := BaselineVector(w)
+		l1 := 0.0
+		for i := range got {
+			l1 += math.Abs(got[i] - want[i])
+		}
+		if l1 > 0.25 {
+			t.Errorf("estimated shares diverge from true frequencies: L1 = %.3f", l1)
+		}
+	})
 }
 
 func TestSnapshotDeterminism(t *testing.T) {
-	// Same seed + same request stream ⇒ byte-identical snapshots, on both
-	// the exact and the sketch path.
+	// Same request stream ⇒ byte-identical snapshots.
 	w := testWorkload(t)
-	for _, cfg := range []Config{
-		{HalfLife: 30},
-		{HalfLife: 30, SketchWidth: 512, SketchDepth: 4, SketchSeed: 99},
-	} {
-		name := "exact"
-		if cfg.sketched() {
-			name = "sketch"
+	t.Run("exact", func(t *testing.T) {
+		obs := drawObservations(w, 5000, 200, 11)
+		var encs [][]byte
+		for rep := 0; rep < 2; rep++ {
+			e, err := New(w, Config{HalfLife: 30})
+			if err != nil {
+				t.Fatal(err)
+			}
+			feed(e, obs)
+			enc, err := e.Snapshot(200).Encode()
+			if err != nil {
+				t.Fatal(err)
+			}
+			encs = append(encs, enc)
 		}
-		t.Run(name, func(t *testing.T) {
-			obs := drawObservations(w, 5000, 200, 11)
-			var encs [][]byte
-			for rep := 0; rep < 2; rep++ {
-				e, err := New(w, cfg)
-				if err != nil {
-					t.Fatal(err)
-				}
-				feed(e, obs)
-				enc, err := e.Snapshot(200).Encode()
-				if err != nil {
-					t.Fatal(err)
-				}
-				encs = append(encs, enc)
-			}
-			if !bytes.Equal(encs[0], encs[1]) {
-				t.Fatal("same seed + same request stream produced different snapshot bytes")
-			}
-		})
-	}
+		if !bytes.Equal(encs[0], encs[1]) {
+			t.Fatal("same request stream produced different snapshot bytes")
+		}
+	})
 }
 
 func TestEstimatorConcurrentObserve(t *testing.T) {
@@ -217,38 +177,6 @@ func TestEstimatorIgnoresOutOfRange(t *testing.T) {
 	e.Observe(0, workload.PageID(w.NumPages()), 1)
 	if got := len(e.Snapshot(1).Counts()); got != 0 {
 		t.Fatalf("out-of-range observations leaked into counts: %d entries", got)
-	}
-}
-
-func TestSketchOneSidedAndClose(t *testing.T) {
-	// The sketch may only overestimate (collisions add weight, never
-	// remove it), and with a generous width it should track the exact
-	// EWMA closely.
-	sk, err := NewSketch(8192, 4, 60, 42)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ref, err := accesslog.NewEWMA(60)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := rng.New(5)
-	tnow := 0.0
-	for n := 0; n < 20000; n++ {
-		pid := workload.PageID(s.IntN(500))
-		tnow += 0.01
-		sk.Observe(pid, tnow)
-		ref.Observe(pid, tnow)
-	}
-	for pid := workload.PageID(0); pid < 500; pid++ {
-		want := ref.Weight(pid)
-		got := sk.Weight(pid)
-		if got < want-1e-6 {
-			t.Fatalf("sketch underestimated page %d: got %g want ≥ %g", pid, got, want)
-		}
-		if got > want*1.5+1 {
-			t.Errorf("sketch way over on page %d: got %g want ≈ %g", pid, got, want)
-		}
 	}
 }
 

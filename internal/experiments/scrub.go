@@ -114,8 +114,8 @@ func scrubConfig() workload.Config {
 // Scrub runs the end-to-end integrity chaos soak. Each run: plan at half
 // storage, start a live cluster with rot on the busiest site's replicas, a
 // permanent limp window on the next site and a permanent control partition
-// on the third; sweep every page with a verifying client (breaker and
-// hedging off so degradations are a pure function of the rot set); run two
+// on the third; sweep every page with a verifying client (breaker off so
+// degradations are a pure function of the rot set); run two
 // scrub cycles (find-and-repair, then verify-clean); sweep again post-
 // repair; and finally let the latency-aware supervisor demote both gray
 // sites. The report proves the acceptance bar — zero undetected integrity
@@ -171,7 +171,7 @@ func Scrub(opts Options) (*ScrubResult, error) {
 		}
 		defer cluster.Close()
 
-		// Breaker and hedging off: with rot concentrated on one site a
+		// Breaker off: with rot concentrated on one site a
 		// tripped breaker would make later degradations depend on arrival
 		// order, and the soak's counts must be a pure function of the seed.
 		client := cluster.Client(webserve.ClientOptions{

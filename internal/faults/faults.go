@@ -277,15 +277,6 @@ type PlanConfig struct {
 	OutageMax time.Duration
 	// Horizon is the time span within which outage windows start.
 	Horizon time.Duration
-	// CorruptLevel in [0, 1] scales a drawn per-request wire-corruption
-	// rate (≤4 % at level 1). Zero (the default) draws nothing — and, by
-	// drawing from its own child stream, leaves every pre-existing plan's
-	// bytes untouched.
-	CorruptLevel float64
-	// FaultRepo also draws faults for the repository. Off by default: the
-	// paper's repository is the always-on root, and keeping it clean is
-	// what makes degraded-mode fallback meaningful.
-	FaultRepo bool
 }
 
 // DefaultPlanConfig returns a moderate chaos profile: a few percent of
@@ -309,9 +300,6 @@ func (c *PlanConfig) Validate() error {
 	if c.OutageProb < 0 || c.OutageProb > 1 {
 		return fmt.Errorf("faults: OutageProb %v outside [0, 1]", c.OutageProb)
 	}
-	if c.CorruptLevel < 0 || c.CorruptLevel > 1 {
-		return fmt.Errorf("faults: CorruptLevel %v outside [0, 1]", c.CorruptLevel)
-	}
 	if c.MaxLatency < 0 || c.OutageMax < 0 || c.Horizon < 0 {
 		return fmt.Errorf("faults: negative duration")
 	}
@@ -319,19 +307,17 @@ func (c *PlanConfig) Validate() error {
 }
 
 // Stream labels for plan generation; fixed so plans are stable across
-// refactors that reorder the drawing code.
+// refactors that reorder the drawing code. 301 was the repository's, when
+// Generate could fault it; the blank keeps every later label's value.
 const (
-	planRepoStream uint64 = iota + 301
+	_ uint64 = iota + 301
 	planSiteStream
-	// planCorruptStream feeds the wire-corruption rate draws. A separate
-	// child stream (not extra draws inside drawSpec) so plans generated
-	// before corruption existed keep byte-identical Encode output.
-	planCorruptStream
 )
 
-// Generate draws a fault plan for a cluster of the given size. Generation
-// is a pure function of (cfg, sites, seed): per-server specs come from
-// independent child streams, so adding a site never perturbs the others.
+// Generate draws a fault plan for a cluster of the given size; the
+// repository stays quiet, the paper's always-on root. Generation is a pure
+// function of (cfg, sites, seed): per-site specs come from independent
+// child streams, so adding a site never perturbs the others.
 func Generate(cfg PlanConfig, sites int, seed uint64) (*Plan, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -341,17 +327,8 @@ func Generate(cfg PlanConfig, sites int, seed uint64) (*Plan, error) {
 	}
 	root := rng.New(seed)
 	p := &Plan{Seed: seed, Sites: make([]Spec, sites)}
-	if cfg.FaultRepo {
-		p.Repo = drawSpec(cfg, root.Split(planRepoStream))
-	}
 	for i := 0; i < sites; i++ {
 		p.Sites[i] = drawSpec(cfg, root.Split(planSiteStream, uint64(i)))
-	}
-	if cfg.CorruptLevel > 0 {
-		for i := 0; i < sites; i++ {
-			p.Sites[i].CorruptRate = cfg.CorruptLevel *
-				root.Split(planCorruptStream, uint64(i)).Uniform(0, 0.04)
-		}
 	}
 	if err := p.Validate(); err != nil {
 		return nil, err

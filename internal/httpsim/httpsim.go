@@ -18,7 +18,6 @@ import (
 	"repro/internal/netsim"
 	"repro/internal/rng"
 	"repro/internal/stats"
-	"repro/internal/telemetry"
 	"repro/internal/trace"
 	"repro/internal/units"
 	"repro/internal/workload"
@@ -67,12 +66,6 @@ type Config struct {
 	// its own rewrite amortizes one computation over all of a page's
 	// objects. The paper's scheme and its ideal-LRU baseline use 0.
 	RemoteRedirectPenalty units.Seconds
-	// Telemetry, when non-nil, receives per-request latency histograms
-	// (httpsim.page_rt_seconds, httpsim.opt_rt_seconds) and chain-split /
-	// request counters from the measured pass, so policy comparisons can
-	// report distributions rather than only means. The nil default adds no
-	// work and no allocation to the request loop.
-	Telemetry *telemetry.Registry
 	// Outage models partial site failure (the degraded mode of the live
 	// cluster's repository fallback). The zero value simulates a perfectly
 	// healthy cluster.
@@ -304,23 +297,6 @@ func replayPass(w *workload.Workload, dec Decider, cfg Config, stream *rng.Strea
 		em = &spanEmitter{ids: trace.NewIDGen(stream.Split(simTraceStream)), site: int(i)}
 	}
 
-	// Telemetry instruments, fetched once per pass; all nil (no-op, zero
-	// allocation per request) when disabled or during warmup. Sites run
-	// concurrently, so the instruments' atomics are the synchronization.
-	var pageHist, optHist *telemetry.Histogram
-	var cLocalReq, cRepoReq, cSplit, cLocalOnly, cRemoteOnly, cDegraded *telemetry.Counter
-	if out != nil {
-		reg := cfg.Telemetry
-		pageHist = reg.Histogram("httpsim.page_rt_seconds", telemetry.LatencyBuckets)
-		optHist = reg.Histogram("httpsim.opt_rt_seconds", telemetry.LatencyBuckets)
-		cLocalReq = reg.Counter("httpsim.requests.local")
-		cRepoReq = reg.Counter("httpsim.requests.repo")
-		cSplit = reg.Counter("httpsim.views.split")
-		cLocalOnly = reg.Counter("httpsim.views.local_only")
-		cRemoteOnly = reg.Counter("httpsim.views.remote_only")
-		cDegraded = reg.Counter("httpsim.views.degraded")
-	}
-
 	// Fluid queues for the occupancy extension; the repository queue is
 	// per-site here (each site's runner is independent), which models the
 	// repository as horizontally partitioned per region — the conservative
@@ -423,20 +399,6 @@ func replayPass(w *workload.Workload, dec Decider, cfg Config, stream *rng.Strea
 				&viewTiming{total: remoteT, transfer: remoteXfer, queue: remoteQD, overhead: remoteOvhdEff,
 					bytes: remoteBytes, requests: repoReqs})
 		}
-		pageHist.Observe(pageRT)
-		// Chain-split classification of the compulsory set (the HTML
-		// itself is local when the site is up, so localReqs > 1 means
-		// local objects). Degraded views form their own class.
-		switch {
-		case !siteUp:
-			cDegraded.Inc()
-		case repoReqs > 0 && localReqs > 1:
-			cSplit.Inc()
-		case repoReqs > 0:
-			cRemoteOnly.Inc()
-		default:
-			cLocalOnly.Inc()
-		}
 
 		// Optional follow-ups the user requested, each over a fresh
 		// connection (Eq. 6) with its own recorded draws.
@@ -461,14 +423,11 @@ func replayPass(w *workload.Workload, dec Decider, cfg Config, stream *rng.Strea
 				em.emitOpt(vTID, vRoot, pg.Optional[idx].Object, chain, viewStart+pageRT+optTotal, t)
 			}
 			optTotal += float64(t)
-			optHist.Observe(float64(t))
 			if out != nil {
 				out.OptRT.Add(float64(t))
 			}
 		}
 
-		cLocalReq.Add(localReqs)
-		cRepoReq.Add(repoReqs)
 		tclock += pageRT + optTotal
 		if out != nil {
 			out.PageRT.Add(pageRT)

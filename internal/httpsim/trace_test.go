@@ -11,7 +11,6 @@ import (
 	"repro/internal/model"
 	"repro/internal/policies"
 	"repro/internal/rng"
-	"repro/internal/telemetry"
 	"repro/internal/trace"
 	"repro/internal/workload"
 )
@@ -38,7 +37,7 @@ func (l *tapLog) Observe(i workload.SiteID, j workload.PageID, t float64) {
 
 // requireSameRun fails unless two simulations agree on every accumulator,
 // counter and sample with ==, and on everything they pushed into their
-// configs' sinks: telemetry snapshot, tap observations, span bytes.
+// configs' sinks: tap observations, span bytes.
 func requireSameRun(t *testing.T, a, b *Result, ca, cb Config) {
 	t.Helper()
 	if a.Policy != b.Policy {
@@ -63,12 +62,6 @@ func requireSameRun(t *testing.T, a, b *Result, ca, cb Config) {
 	}
 	if ca.RetainSamples && a.Samples.N() == 0 {
 		t.Error("RetainSamples kept nothing")
-	}
-	if ca.Telemetry != nil {
-		sa, sb := ca.Telemetry.Snapshot(), cb.Telemetry.Snapshot()
-		if len(sa.Histograms) == 0 || !reflect.DeepEqual(sa, sb) {
-			t.Errorf("telemetry differs:\n%+v\nvs\n%+v", sa, sb)
-		}
 	}
 	if ca.AccessTap != nil {
 		la, lb := ca.AccessTap.(*tapLog), cb.AccessTap.(*tapLog)
@@ -118,7 +111,6 @@ func TestRecordReplayMatchesRun(t *testing.T) {
 			return lru
 		}, set: func(cfg *Config) { cfg.Warmup = true }},
 		{name: "retained samples", dec: local, set: func(cfg *Config) { cfg.RetainSamples = true }},
-		{name: "telemetry", dec: remote, set: func(cfg *Config) { cfg.Telemetry = telemetry.NewRegistry() }},
 		{name: "access tap", dec: local, set: func(cfg *Config) { cfg.AccessTap = &tapLog{}; cfg.Queueing = true }},
 		{name: "spans", dec: remote, set: func(cfg *Config) {
 			cfg.Trace = trace.NewBuffer(0)

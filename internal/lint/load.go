@@ -27,9 +27,11 @@ type Package struct {
 
 // Loader resolves and type-checks packages. Module-internal import paths
 // are mapped onto directories under the module root and checked from
-// source; everything else (the standard library) is delegated to the
-// stdlib source importer. No external tooling is involved, so the loader
-// works identically for the real module and for the testdata fixture trees.
+// source; everything else (the standard library) is read from the gc
+// compiler's export data, which the go command keeps in its build cache —
+// far cheaper than re-checking the stdlib from source on every run. No
+// other tooling is involved, so the loader works identically for the real
+// module and for the testdata fixture trees.
 type Loader struct {
 	Fset    *token.FileSet
 	Root    string // absolute module root directory
@@ -53,7 +55,7 @@ func NewLoader(root, modPath string) (*Loader, error) {
 		Fset:    fset,
 		Root:    abs,
 		ModPath: modPath,
-		std:     importer.ForCompiler(fset, "source", nil),
+		std:     importer.ForCompiler(fset, "gc", nil),
 		cache:   make(map[string]*Package),
 		stack:   make(map[string]bool),
 	}, nil

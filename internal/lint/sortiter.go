@@ -228,8 +228,8 @@ func isOutputWrite(pkg *Package, sel *ast.SelectorExpr) bool {
 }
 
 // isTelemetryMutation reports whether a selector call mutates a metric from
-// the telemetry package (Counter.Add/Inc, Gauge.Set/Add, Histogram.Observe,
-// registry lookups are reads and stay legal).
+// the telemetry package (Counter.Add/Inc, Gauge.Set/Add; registry lookups
+// are reads and stay legal).
 func isTelemetryMutation(pkg *Package, sel *ast.SelectorExpr) bool {
 	fn, ok := pkg.Info.Uses[sel.Sel].(*types.Func)
 	if !ok || fn.Pkg() == nil || fn.Pkg().Name() != "telemetry" {
@@ -240,7 +240,7 @@ func isTelemetryMutation(pkg *Package, sel *ast.SelectorExpr) bool {
 		return false
 	}
 	switch fn.Name() {
-	case "Add", "Inc", "Set", "Observe", "AddBusy":
+	case "Add", "Inc", "Set", "AddBusy":
 		return true
 	}
 	return false

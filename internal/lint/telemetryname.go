@@ -13,9 +13,9 @@ import (
 // dashboards, and the snapshot goldens, and a journal event type is a
 // retention key (one ring per type), so its vocabulary must be finite — and
 // must match the repo's dotted lower-case convention (e.g.
-// "httpsim.page_rt_seconds"). The one computed shape accepted is a
-// per-site namespace in front of a literal suffix, prefix + "page_requests":
-// the suffix is what a grep looks for.
+// "client.retries"). The one computed shape accepted is a per-site
+// namespace in front of a literal suffix, prefix + "page_requests": the
+// suffix is what a grep looks for.
 var TelemetryNameAnalyzer = &Analyzer{
 	Name: "telemetry-naming",
 	Doc: "telemetry metric names must be string literals matching " +
@@ -33,7 +33,7 @@ var (
 // a name: the telemetry.Registry lookups and trace.Journal.Record. An event
 // type may be a single segment, so it is held to the suffix form.
 var nameCallees = map[string]map[string]*regexp.Regexp{
-	"telemetry": {"Counter": metricNameRE, "Gauge": metricNameRE, "Histogram": metricNameRE},
+	"telemetry": {"Counter": metricNameRE, "Gauge": metricNameRE},
 	"trace":     {"Record": metricSuffixRE},
 }
 

@@ -13,9 +13,6 @@ func (r *Registry) Counter(name string) *Counter { return &Counter{} }
 // Gauge returns the named gauge.
 func (r *Registry) Gauge(name string) *Gauge { return &Gauge{} }
 
-// Histogram returns the named histogram.
-func (r *Registry) Histogram(name string, bounds []float64) *Histogram { return &Histogram{} }
-
 // Counter is a monotonic metric.
 type Counter struct{ n int64 }
 
@@ -30,9 +27,3 @@ type Gauge struct{ v float64 }
 
 // Set stores v.
 func (g *Gauge) Set(v float64) { g.v = v }
-
-// Histogram is a bucketed metric.
-type Histogram struct{ n int64 }
-
-// Observe records v.
-func (h *Histogram) Observe(v float64) { h.n++ }

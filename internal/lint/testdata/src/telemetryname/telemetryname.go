@@ -12,7 +12,6 @@ import (
 func Register(reg *telemetry.Registry, dynamic string) {
 	_ = reg.Counter("httpsim.requests.local")
 	_ = reg.Gauge("controller.sites.up")
-	_ = reg.Histogram("core.plan_seconds.p99", nil)
 	_ = reg.Counter("BadName")         // want "telemetry-naming: name .BadName. does not match"
 	_ = reg.Counter("trailing.")       // want "telemetry-naming: name .trailing.. does not match"
 	_ = reg.Counter("plain")           // want "telemetry-naming: name .plain. does not match"

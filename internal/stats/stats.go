@@ -201,62 +201,6 @@ func (s *Sample) Percentile(p float64) float64 {
 // Median returns the 50th percentile.
 func (s *Sample) Median() float64 { return s.Percentile(0.5) }
 
-// BucketQuantile returns the p-quantile of a fixed-bucket histogram given
-// the sorted bucket upper bounds and the per-bucket counts (len(bounds)+1,
-// the last being the overflow bucket). Within the bucket holding the target
-// rank the value is linearly interpolated between the bucket's edges — the
-// fixed-bucket analogue of Sample.Percentile's closest-ranks interpolation.
-// The first bucket's lower edge is 0 (the histograms hold non-negative
-// latencies); the overflow bucket cannot be interpolated and clamps to the
-// last bound. Returns 0 when the histogram is empty; p is clamped to [0,1].
-func BucketQuantile(bounds []float64, counts []int64, p float64) float64 {
-	total := int64(0)
-	for _, c := range counts {
-		total += c
-	}
-	if total == 0 {
-		return 0
-	}
-	if p < 0 {
-		p = 0
-	}
-	if p > 1 {
-		p = 1
-	}
-	rank := p * float64(total)
-	cum := 0.0
-	for i, c := range counts {
-		if c == 0 {
-			continue
-		}
-		next := cum + float64(c)
-		if next >= rank || i == len(counts)-1 {
-			if i >= len(bounds) {
-				// Overflow bucket: no finite upper edge to interpolate to.
-				if len(bounds) == 0 {
-					return 0
-				}
-				return bounds[len(bounds)-1]
-			}
-			lo := 0.0
-			if i > 0 {
-				lo = bounds[i-1]
-			}
-			hi := bounds[i]
-			frac := (rank - cum) / float64(c)
-			if frac < 0 {
-				frac = 0
-			}
-			if frac > 1 {
-				frac = 1
-			}
-			return lo + (hi-lo)*frac
-		}
-		cum = next
-	}
-	return bounds[len(bounds)-1]
-}
-
 // RelativeIncrease returns (value/base − 1) expressed in percent — the
 // y-axis of the paper's figures ("% increase in response time" over the
 // unconstrained proposed policy). A non-positive base yields NaN.

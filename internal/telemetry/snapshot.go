@@ -11,10 +11,9 @@ import (
 // Snapshot is a point-in-time copy of a registry's instruments, ordered by
 // name so encodings are deterministic and diffable.
 type Snapshot struct {
-	Counters   []CounterPoint   `json:"counters"`
-	Gauges     []GaugePoint     `json:"gauges,omitempty"`
-	Histograms []HistogramPoint `json:"histograms,omitempty"`
-	Infos      []InfoPoint      `json:"infos,omitempty"`
+	Counters []CounterPoint `json:"counters"`
+	Gauges   []GaugePoint   `json:"gauges,omitempty"`
+	Infos    []InfoPoint    `json:"infos,omitempty"`
 }
 
 // InfoPoint is one string fact (build metadata and the like).
@@ -35,28 +34,6 @@ type GaugePoint struct {
 	Value float64 `json:"value"`
 }
 
-// HistogramPoint is one histogram's snapshot: moments, the standard
-// percentiles, and the populated buckets.
-type HistogramPoint struct {
-	Name    string        `json:"name"`
-	Count   int64         `json:"count"`
-	Sum     float64       `json:"sum"`
-	Mean    float64       `json:"mean"`
-	P50     float64       `json:"p50"`
-	P90     float64       `json:"p90"`
-	P99     float64       `json:"p99"`
-	Buckets []BucketPoint `json:"buckets,omitempty"`
-}
-
-// BucketPoint is one populated histogram bucket: its upper bound (+Inf is
-// encoded as 0 count omission — the overflow bucket appears with Le == 0 and
-// Overflow == true) and count.
-type BucketPoint struct {
-	Le       float64 `json:"le"`
-	Count    int64   `json:"count"`
-	Overflow bool    `json:"overflow,omitempty"`
-}
-
 // Snapshot copies the registry's current state. An empty (never nil)
 // snapshot is returned for a nil registry.
 func (r *Registry) Snapshot() *Snapshot {
@@ -71,32 +48,6 @@ func (r *Registry) Snapshot() *Snapshot {
 	}
 	for _, name := range sortedNames(r.gauges) {
 		s.Gauges = append(s.Gauges, GaugePoint{Name: name, Value: r.gauges[name].Value()})
-	}
-	for _, name := range sortedNames(r.hists) {
-		h := r.hists[name]
-		hp := HistogramPoint{
-			Name:  name,
-			Count: h.Count(),
-			Sum:   h.Sum(),
-			Mean:  h.Mean(),
-			P50:   h.Quantile(0.50),
-			P90:   h.Quantile(0.90),
-			P99:   h.Quantile(0.99),
-		}
-		counts := h.bucketCounts()
-		for i, c := range counts {
-			if c == 0 {
-				continue
-			}
-			bp := BucketPoint{Count: c}
-			if i < len(h.bounds) {
-				bp.Le = h.bounds[i]
-			} else {
-				bp.Overflow = true
-			}
-			hp.Buckets = append(hp.Buckets, bp)
-		}
-		s.Histograms = append(s.Histograms, hp)
 	}
 	for _, name := range sortedNames(r.infos) {
 		s.Infos = append(s.Infos, InfoPoint{Name: name, Value: r.infos[name]})
@@ -120,12 +71,6 @@ func (s *Snapshot) WriteText(w io.Writer) error {
 	}
 	for _, g := range s.Gauges {
 		if _, err := fmt.Fprintf(w, "%-40s %g\n", g.Name, g.Value); err != nil {
-			return err
-		}
-	}
-	for _, h := range s.Histograms {
-		if _, err := fmt.Fprintf(w, "%-40s n=%d mean=%.4g p50=%.4g p90=%.4g p99=%.4g\n",
-			h.Name, h.Count, h.Mean, h.P50, h.P90, h.P99); err != nil {
 			return err
 		}
 	}

@@ -1,14 +1,13 @@
 // Package telemetry is the repo's stdlib-only instrumentation substrate:
-// an atomic counter/gauge registry, fixed-bucket latency histograms with
-// percentile extraction (the quantile math lives in internal/stats), and
-// text/JSON snapshot encoders served live by internal/webserve's /metrics
-// endpoint. Timed phases are spans and live in internal/trace.
+// an atomic counter/gauge registry and text/JSON snapshot encoders served
+// live by internal/webserve's /metrics endpoint. Timed phases are spans and
+// live in internal/trace.
 //
 // Everything is concurrency-safe and nil-tolerant: every method has a nil
 // fast path, so instrumented code paths pay nothing — no allocation, no
 // branch beyond the nil check — when telemetry is disabled. Hot loops hold
-// a *Counter or *Histogram obtained once (possibly nil) and call Add /
-// Observe unconditionally.
+// a *Counter or *Gauge obtained once (possibly nil) and call Add / Inc / Set
+// unconditionally.
 package telemetry
 
 import (
@@ -77,15 +76,14 @@ func (g *Gauge) Value() float64 {
 	return math.Float64frombits(g.bits.Load())
 }
 
-// Registry names and owns a set of counters, gauges and histograms.
-// Registration (Counter/Gauge/Histogram lookups) takes a mutex; the returned
-// instruments are lock-free. The nil Registry hands out nil instruments, so
-// a single nil check at setup disables a whole instrumented layer.
+// Registry names and owns a set of counters and gauges. Registration
+// (Counter/Gauge lookups) takes a mutex; the returned instruments are
+// lock-free. The nil Registry hands out nil instruments, so a single nil
+// check at setup disables a whole instrumented layer.
 type Registry struct {
 	mu       sync.Mutex
 	counters map[string]*Counter
 	gauges   map[string]*Gauge
-	hists    map[string]*Histogram
 	infos    map[string]string
 }
 
@@ -94,7 +92,6 @@ func NewRegistry() *Registry {
 	return &Registry{
 		counters: make(map[string]*Counter),
 		gauges:   make(map[string]*Gauge),
-		hists:    make(map[string]*Histogram),
 		infos:    make(map[string]string),
 	}
 }
@@ -141,23 +138,6 @@ func (r *Registry) Gauge(name string) *Gauge {
 		r.gauges[name] = g
 	}
 	return g
-}
-
-// Histogram returns the named histogram, creating it with the given bucket
-// upper bounds on first use (later calls ignore bounds). Returns nil on a
-// nil registry.
-func (r *Registry) Histogram(name string, bounds []float64) *Histogram {
-	if r == nil {
-		return nil
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	h, ok := r.hists[name]
-	if !ok {
-		h = NewHistogram(bounds)
-		r.hists[name] = h
-	}
-	return h
 }
 
 // sortedNames returns an instrument map's names, sorted: snapshot order.

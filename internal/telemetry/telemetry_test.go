@@ -23,11 +23,9 @@ func TestRegistryConcurrency(t *testing.T) {
 			defer wg.Done()
 			c := reg.Counter("shared")
 			g := reg.Gauge("level")
-			h := reg.Histogram("lat", LatencyBuckets)
 			for i := 0; i < perWorker; i++ {
 				c.Inc()
 				g.Add(1)
-				h.Observe(0.01)
 				// Interleave registration with updates.
 				reg.Counter("shared").Add(0)
 			}
@@ -41,9 +39,6 @@ func TestRegistryConcurrency(t *testing.T) {
 	if got := reg.Gauge("level").Value(); got != workers*perWorker {
 		t.Errorf("gauge lost updates: got %g want %d", got, workers*perWorker)
 	}
-	if got := reg.Histogram("lat", nil).Count(); got != workers*perWorker {
-		t.Errorf("histogram lost updates: got %d want %d", got, workers*perWorker)
-	}
 }
 
 // TestNilRegistryIsNoOp verifies the disabled fast path: a nil registry
@@ -52,8 +47,7 @@ func TestNilRegistryIsNoOp(t *testing.T) {
 	var reg *Registry
 	c := reg.Counter("x")
 	g := reg.Gauge("x")
-	h := reg.Histogram("x", LatencyBuckets)
-	if c != nil || g != nil || h != nil {
+	if c != nil || g != nil {
 		t.Fatal("nil registry handed out non-nil instruments")
 	}
 
@@ -62,12 +56,11 @@ func TestNilRegistryIsNoOp(t *testing.T) {
 		c.Add(3)
 		g.Set(1)
 		g.Add(2)
-		h.Observe(0.5)
 	})
 	if allocs != 0 {
 		t.Errorf("disabled instruments allocate: %v allocs/op", allocs)
 	}
-	if c.Value() != 0 || g.Value() != 0 || h.Count() != 0 || h.Quantile(0.5) != 0 {
+	if c.Value() != 0 || g.Value() != 0 {
 		t.Error("nil instruments returned non-zero values")
 	}
 	snap := reg.Snapshot()
@@ -81,10 +74,6 @@ func TestSnapshotEncodings(t *testing.T) {
 	reg.Counter("b.requests").Add(7)
 	reg.Counter("a.requests").Add(3)
 	reg.Gauge("load").Set(0.5)
-	h := reg.Histogram("rt", []float64{1, 2, 4})
-	for _, v := range []float64{0.5, 1.5, 3, 100} {
-		h.Observe(v)
-	}
 
 	snap := reg.Snapshot()
 	if len(snap.Counters) != 2 || snap.Counters[0].Name != "a.requests" {
@@ -105,26 +94,13 @@ func TestSnapshotEncodings(t *testing.T) {
 	if decoded.CounterValue("a.requests") != 3 {
 		t.Error("JSON round-trip lost counter value")
 	}
-	if len(decoded.Histograms) != 1 || decoded.Histograms[0].Count != 4 {
-		t.Errorf("JSON histogram wrong: %+v", decoded.Histograms)
-	}
-	// The overflow observation must appear as an overflow bucket.
-	hasOverflow := false
-	for _, b := range decoded.Histograms[0].Buckets {
-		if b.Overflow {
-			hasOverflow = true
-		}
-	}
-	if !hasOverflow {
-		t.Error("overflow bucket missing from snapshot")
-	}
 
 	var textBuf bytes.Buffer
 	if err := snap.WriteText(&textBuf); err != nil {
 		t.Fatal(err)
 	}
 	text := textBuf.String()
-	for _, want := range []string{"a.requests", "b.requests", "load", "rt", "p90"} {
+	for _, want := range []string{"a.requests", "b.requests", "load"} {
 		if !strings.Contains(text, want) {
 			t.Errorf("text snapshot missing %q:\n%s", want, text)
 		}

@@ -89,7 +89,6 @@ const (
 	SpanBreaker  = "breaker"  // zero-duration marker: a breaker decision
 	SpanServe    = "serve"    // server-side handling of one request
 	SpanFailover = "failover" // simulated degraded-view failover cost
-	SpanHedge    = "hedge"    // zero-duration marker: a hedge leg launched
 )
 
 // Planner phase span names: BENCHMARK.json's per-layer names minus the

@@ -5,7 +5,6 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
-	"runtime"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -15,7 +14,6 @@ import (
 	"repro/internal/admission"
 	"repro/internal/faults"
 	"repro/internal/model"
-	"repro/internal/telemetry"
 )
 
 // admissionCluster starts the tiny cluster with the admission stack armed
@@ -175,38 +173,6 @@ func TestBrownoutDegradesPages(t *testing.T) {
 	}
 }
 
-// TestRetryBudgetBoundsAmplification pins the client-side half of the
-// overload contract: with the shared token bucket drained, a failing fetch
-// stops retrying immediately instead of amplifying the storm.
-func TestRetryBudgetBoundsAmplification(t *testing.T) {
-	var calls atomic.Int64
-	srv := httptest.NewServer(http.HandlerFunc(func(rw http.ResponseWriter, req *http.Request) {
-		calls.Add(1)
-		http.Error(rw, "boom", http.StatusServiceUnavailable)
-	}))
-	defer srv.Close()
-
-	reg := telemetry.NewRegistry()
-	opts := quickOpts()
-	opts.Retries = 3
-	opts.BreakerThreshold = -1
-	opts.Metrics = reg
-	opts.RetryBudget = admission.NewRetryBudget(0.1, 1) // one token, earns nothing here
-	c := NewClientOptions(tinyWorkload(t), opts)
-
-	if _, _, _, _, err := c.getRetry(context.Background(), srv.URL+"/doc", keepDoc, nil); err == nil {
-		t.Fatal("failing server returned no error")
-	}
-	// One initial attempt plus the single budgeted retry; the second retry
-	// found the bucket empty.
-	if got := calls.Load(); got != 2 {
-		t.Fatalf("server saw %d calls, want 2 (budget must cap retries)", got)
-	}
-	if got := reg.Counter("client.retry_budget_exhausted").Value(); got != 1 {
-		t.Errorf("retry_budget_exhausted = %d, want 1", got)
-	}
-}
-
 // Test429DoesNotTripBreaker pins the classification rule the admission
 // stack depends on: a shed is an authoritative answer from a live server
 // that is policing its queue. Tripping breakers on 429s would turn a
@@ -315,63 +281,4 @@ func TestBreakerHalfOpenProbeOutcomes(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-}
-
-// TestHedgeShutdownLeavesNoGoroutines is the leak fence: hedge races left
-// in flight when the cluster shuts down — losers mid-request, primaries
-// stalled in injected latency — must all unwind. Any stranded leg would
-// hold its page's context subtree and the client's counters forever.
-func TestHedgeShutdownLeavesNoGoroutines(t *testing.T) {
-	before := runtime.NumGoroutine()
-
-	w := tinyWorkload(t)
-	plan := &faults.Plan{Sites: []faults.Spec{
-		{Latency: 400 * time.Millisecond}, // primaries limp: hedges launch
-		{},
-	}}
-	cluster, err := StartClusterOptions(w, model.AllLocal(w), ClusterOptions{Faults: plan})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	opts := quickOpts()
-	opts.FallbackBase = cluster.RepoBase
-	opts.HedgeDelay = 5 * time.Millisecond
-	client := cluster.Client(opts)
-	client.Verify = true
-
-	const fetches = 4
-	var wg sync.WaitGroup
-	for i := 0; i < fetches; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			pid := w.Sites[0].Pages[i%len(w.Sites[0].Pages)]
-			// Errors are fine — the cluster may die under us; the contract
-			// is that every leg unwinds.
-			client.FetchPage(cluster.PageURL(pid), pid)
-		}(i)
-	}
-	time.Sleep(30 * time.Millisecond) // hedges launched, primaries still stalled
-	if err := cluster.Close(); err != nil {
-		t.Logf("close: %v", err)
-	}
-	wg.Wait()
-
-	// Goroutines take a moment to observe closed connections; poll with a
-	// deadline instead of asserting instantly.
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		runtime.GC()
-		now := runtime.NumGoroutine()
-		if now <= before+2 { // keep-alive pollers may linger briefly
-			return
-		}
-		if time.Now().After(deadline) {
-			buf := make([]byte, 1<<20)
-			n := runtime.Stack(buf, true)
-			t.Fatalf("goroutines leaked across shutdown: %d before, %d after\n%s", before, now, buf[:n])
-		}
-		time.Sleep(20 * time.Millisecond)
-	}
 }

@@ -101,29 +101,6 @@ type ClientOptions struct {
 	// on the breaker's own seeded stream so a fleet of clients does not
 	// re-probe in lockstep.
 	BreakerCooldown time.Duration
-	// HedgeDelay, when positive, arms hedged object fetches (the mHTTP
-	// multi-source stance): if an MO's assigned server has not answered
-	// within a seeded per-request jittered delay in [d, 3d/2), a second
-	// request races it against the repository fallback and the first
-	// success wins — a limping server degrades to repository latency
-	// instead of stalling the chain until a hard timeout. Zero (the
-	// default) disables hedging; it needs FallbackBase to act.
-	HedgeDelay time.Duration
-	// Deadline, when positive, bounds each FetchPage end to end: the page
-	// context carries it, every object/hedge/fallback leg inherits it, and
-	// each request exports it via the X-Repl-Deadline header so servers can
-	// shed work that is already doomed instead of serving bytes nobody will
-	// wait for. Zero leaves page downloads unbounded (per-request Timeout
-	// still applies).
-	Deadline time.Duration
-	// RetryBudget, when non-nil, caps retry amplification: every retry
-	// (including fallback re-issues after a failure) must withdraw a token,
-	// and tokens are earned back only by successful requests. Sharing one
-	// budget across a fleet of clients bounds the cluster-wide retry load to
-	// ~(1+ratio)× the offered load during overload, which is what keeps a
-	// post-spike retry storm from sustaining a metastable collapse. Nil
-	// leaves retries unbudgeted (the pre-admission behaviour).
-	RetryBudget *admission.RetryBudget
 	// Metrics, when non-nil, receives the client's resilience counters
 	// (client.retries, client.fallbacks, client.degraded_pages,
 	// client.request_failures) plus the reason-labeled breakdowns
@@ -200,15 +177,13 @@ type Client struct {
 	// failures and are retried.
 	Verify bool
 
-	// jitter drives backoff randomization, breakerJitter the breaker's
-	// cooldown spread, and hedgeJitter the hedge-delay spread; guarded by
-	// jmu because the two chains retry concurrently. All are Split-derived
-	// children of the JitterSeed root (see the stream labels below), never
-	// the root itself.
+	// jitter drives backoff randomization and breakerJitter the breaker's
+	// cooldown spread; guarded by jmu because the two chains retry
+	// concurrently. Both are Split-derived children of the JitterSeed root
+	// (see the stream labels below), never the root itself.
 	jmu           sync.Mutex
 	jitter        *rng.Stream
 	breakerJitter *rng.Stream
-	hedgeJitter   *rng.Stream
 
 	// Per-host circuit breakers, created on first contact.
 	brmu     sync.Mutex
@@ -216,8 +191,6 @@ type Client struct {
 
 	cRetries, cFallbacks, cDegraded, cFailures *telemetry.Counter
 	cTrips, cFastFails                         *telemetry.Counter
-	cHedges, cHedgePrimary, cHedgeFallback     *telemetry.Counter
-	cBudgetExhausted                           *telemetry.Counter
 	// Reason-labeled breakdowns of retries and fallbacks, keyed by the
 	// failureReason vocabulary; a missing key yields a nil (no-op) counter.
 	cRetryBy, cFallbackBy map[string]*telemetry.Counter
@@ -296,7 +269,6 @@ func (c *Client) countFallback(reason string) {
 const (
 	clientBackoffStream uint64 = iota + 401
 	clientBreakerStream
-	clientHedgeStream
 )
 
 // NewClient builds a client for the workload with DefaultClientOptions —
@@ -320,7 +292,6 @@ func NewClientOptions(w *workload.Workload, opts ClientOptions) *Client {
 		},
 		jitter:        rng.New(opts.JitterSeed).Split(clientBackoffStream),
 		breakerJitter: rng.New(opts.JitterSeed).Split(clientBreakerStream),
-		hedgeJitter:   rng.New(opts.JitterSeed).Split(clientHedgeStream),
 		breakers:      make(map[string]*hostBreaker),
 		tracer:        opts.Trace,
 	}
@@ -331,10 +302,6 @@ func NewClientOptions(w *workload.Workload, opts ClientOptions) *Client {
 		c.cFailures = reg.Counter("client.request_failures")
 		c.cTrips = reg.Counter("client.breaker_trips")
 		c.cFastFails = reg.Counter("client.breaker_fastfails")
-		c.cHedges = reg.Counter("client.hedge.launched")
-		c.cHedgePrimary = reg.Counter("client.hedge.wins_by.primary")
-		c.cHedgeFallback = reg.Counter("client.hedge.wins_by.fallback")
-		c.cBudgetExhausted = reg.Counter("client.retry_budget_exhausted")
 		c.cRetryBy = map[string]*telemetry.Counter{
 			reasonTimeout:     reg.Counter("client.retries_by.timeout"),
 			reasonReset:       reg.Counter("client.retries_by.reset"),
@@ -374,13 +341,10 @@ type bodySpec struct {
 var keepDoc = bodySpec{keep: true}
 
 // get issues one request and reads a 200's body to its end as spec says,
-// stamping the trace-propagation header when the request runs under a span
-// and exporting the context deadline (if any) via X-Repl-Deadline so the
-// server can shed work that cannot finish in time. ctx cancellation (a hedge
-// race already decided, or the page deadline lapsing) aborts the request
-// mid-flight. It returns the kept bytes (nil unless spec.keep), the body's
-// length, and the response headers so callers can observe serving
-// degradation (brownout tier).
+// stamping the trace-propagation header when the request runs under a span.
+// ctx cancellation aborts the request mid-flight. It returns the kept bytes
+// (nil unless spec.keep), the body's length, and the response headers so
+// callers can observe serving degradation (brownout tier).
 func (c *Client) get(ctx context.Context, url, traceHdr string, spec bodySpec) ([]byte, int64, http.Header, error) {
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, url, nil)
 	if err != nil {
@@ -388,9 +352,6 @@ func (c *Client) get(ctx context.Context, url, traceHdr string, spec bodySpec) (
 	}
 	if traceHdr != "" {
 		req.Header.Set(trace.Header, traceHdr)
-	}
-	if dl, ok := ctx.Deadline(); ok {
-		req.Header.Set(admission.DeadlineHeader, admission.FormatDeadline(dl))
 	}
 	resp, err := c.http.Do(req)
 	if err != nil {
@@ -573,19 +534,14 @@ func (c *Client) backoff(attempt int) time.Duration {
 // (truncated and corrupted transfers look exactly like that). sp, when
 // non-nil, is the span the request runs under: its context propagates via
 // X-Repl-Trace, and every retry, backoff sleep and breaker decision lands
-// as a child span or event beneath it. A canceled ctx (the other leg of a
-// hedge race won, or the page deadline lapsed) returns immediately without
-// feeding the breaker or the failure counters — a lost race is not
-// evidence against the host.
+// as a child span or event beneath it. A canceled ctx returns immediately
+// without feeding the breaker or the failure counters — a canceled request
+// is not evidence against the host.
 //
-// Two admission-control rules shape the loop. Every retry must withdraw a
-// token from the shared RetryBudget (earned back on success), so a cluster
-// of clients cannot amplify offered load by more than ~(1+ratio)× no
-// matter how hard the servers shed. And a 429 shed is an authoritative
-// answer from a live, overloaded server: it waits at least the server's
-// jittered Retry-After hint before retrying, and it never feeds the
-// circuit breaker — tripping breakers on sheds would convert a transient
-// overload into a self-inflicted outage.
+// A 429 shed is an authoritative answer from a live, overloaded server: it
+// waits at least the server's jittered Retry-After hint before retrying,
+// and it never feeds the circuit breaker — tripping breakers on sheds would
+// convert a transient overload into a self-inflicted outage.
 //
 // hdr is the last response's headers (nil when the failure never produced
 // a response).
@@ -608,17 +564,10 @@ func (c *Client) getRetry(ctx context.Context, url string, spec bodySpec, sp *tr
 			if br != nil {
 				br.onSuccess()
 			}
-			c.opts.RetryBudget.Earn()
 			return data, n, hdr, retries, nil
 		}
 		shed := failureReason(err) == reasonShed
-		exhausted := false
-		if retryable(err) && attempt < c.opts.Retries && !c.opts.RetryBudget.Spend() {
-			exhausted = true
-			c.cBudgetExhausted.Inc()
-			sp.Event(trace.SpanRetry, trace.A(trace.AttrReason, "budget_exhausted"))
-		}
-		if !retryable(err) || attempt >= c.opts.Retries || exhausted {
+		if !retryable(err) || attempt >= c.opts.Retries {
 			c.cFailures.Inc()
 			// A non-retryable error is an authoritative answer from a live
 			// server, not evidence the host is down — only transient
@@ -658,37 +607,15 @@ func (c *Client) getRetry(ctx context.Context, url string, spec bodySpec, sp *tr
 	}
 }
 
-// hedgeDelay returns the jittered hedge trigger delay in [d, 3d/2), drawn
-// from the hedge's dedicated stream.
-func (c *Client) hedgeDelay() time.Duration {
-	d := c.opts.HedgeDelay
-	c.jmu.Lock()
-	defer c.jmu.Unlock()
-	return d + time.Duration(c.hedgeJitter.Uniform(0, float64(d/2)))
-}
-
 // fetchMO downloads one object from url, degrading to the repository when
 // the assigned server keeps failing and a fallback base is configured.
-// ctx is the page context — its deadline bounds every leg here, fallback
-// included. parent, when non-nil, receives an "mo" child span covering the
-// whole fetch including any fallback leg. With HedgeDelay armed the fetch
-// races a late-started repository leg against a slow assigned server
-// instead of waiting for it to fail outright. n is the bytes read from
-// whoever served the object; data is nil unless keep.
+// parent, when non-nil, receives an "mo" child span covering the whole
+// fetch including any fallback leg. n is the bytes read from whoever served
+// the object; data is nil unless keep.
 func (c *Client) fetchMO(ctx context.Context, url string, k workload.ObjectID, keep bool, parent *trace.Active) (data []byte, n int64, retries int, fellBack bool, err error) {
 	mo := parent.StartChild(trace.SpanMO)
 	mo.SetAttr(trace.I(trace.AttrObject, int64(k)))
 	fb, spec := c.opts.FallbackBase, bodySpec{verify: c.Verify, k: k, keep: keep}
-	if c.opts.HedgeDelay > 0 && fb != "" && hostOf(url) != fb {
-		data, n, retries, fellBack, err = c.fetchMOHedged(ctx, url, spec, mo)
-		if err == nil {
-			mo.SetAttr(trace.I(trace.AttrBytes, n))
-		} else {
-			mo.SetAttr(trace.A(trace.AttrReason, failureReason(err)))
-		}
-		mo.End()
-		return data, n, retries, fellBack, err
-	}
 	data, n, _, retries, err = c.getRetry(ctx, url, spec, mo)
 	if err == nil {
 		mo.SetAttr(trace.I(trace.AttrBytes, n))
@@ -717,93 +644,6 @@ func (c *Client) fetchMO(ctx context.Context, url string, k workload.ObjectID, k
 	return data, n, retries, true, nil
 }
 
-// hedgeLeg is one side of a hedged fetch race.
-type hedgeLeg struct {
-	data     []byte
-	n        int64
-	retries  int
-	err      error
-	fallback bool
-}
-
-// fetchMOHedged races the assigned server against a repository leg that
-// launches only after the jittered hedge delay: a healthy primary wins
-// before the hedge ever fires, a limping one is overtaken at repository
-// latency, and a failed one triggers the classic failure fallback
-// immediately. The first success cancels the loser; neither a lost race
-// nor its canceled requests feed the breakers or failure counters.
-func (c *Client) fetchMOHedged(pageCtx context.Context, url string, spec bodySpec, mo *trace.Active) (data []byte, n int64, retries int, fellBack bool, err error) {
-	ctx, cancel := context.WithCancel(pageCtx)
-	defer cancel()
-	fb := c.opts.FallbackBase
-	results := make(chan hedgeLeg, 2)
-	go func() {
-		d, n, _, r, e := c.getRetry(ctx, url, spec, mo)
-		results <- hedgeLeg{data: d, n: n, retries: r, err: e}
-	}()
-	launchFallback := func(reason string) {
-		fbSpan := mo.StartChild(trace.SpanFallback)
-		fbSpan.SetAttr(trace.A(trace.AttrReason, reason))
-		go func() {
-			d, n, _, r, e := c.getRetry(ctx, fb+htmlrefs.MOPath(spec.k), spec, fbSpan)
-			fbSpan.End()
-			results <- hedgeLeg{data: d, n: n, retries: r, err: e, fallback: true}
-		}()
-	}
-	timer := time.NewTimer(c.hedgeDelay())
-	defer timer.Stop()
-	// launched: a fallback leg is running; hedged: it was the timer (not a
-	// primary failure) that launched it, so its outcome is a hedge win/loss.
-	launched, hedged, pending := false, false, 1
-	var primaryErr, fallbackErr error
-	for {
-		select {
-		case <-timer.C:
-			if !launched {
-				launched, hedged = true, true
-				c.cHedges.Inc()
-				mo.Event(trace.SpanHedge, trace.A(trace.AttrSite, hostOf(url)))
-				pending++
-				launchFallback("hedge")
-			}
-		case leg := <-results:
-			pending--
-			retries += leg.retries
-			if leg.err == nil {
-				if hedged && leg.fallback {
-					c.cHedgeFallback.Inc()
-				} else if hedged {
-					c.cHedgePrimary.Inc()
-				}
-				cancel()
-				return leg.data, leg.n, retries, leg.fallback, nil
-			}
-			if leg.fallback {
-				fallbackErr = leg.err
-			} else {
-				primaryErr = leg.err
-				if !launched {
-					// The primary failed outright before the hedge fired:
-					// this is the ordinary failure-triggered fallback, not a
-					// hedge — count it as such.
-					launched = true
-					timer.Stop()
-					reason := failureReason(leg.err)
-					c.countFallback(reason)
-					pending++
-					launchFallback(reason)
-				}
-			}
-			if pending == 0 {
-				if primaryErr == nil {
-					primaryErr = fallbackErr
-				}
-				return nil, 0, retries, true, fmt.Errorf("%w (repository fallback also failed: %v)", primaryErr, fallbackErr)
-			}
-		}
-	}
-}
-
 // hostOf extracts scheme://host of a URL (everything before the path).
 func hostOf(url string) string {
 	idx := strings.Index(url, "://")
@@ -823,25 +663,9 @@ func hostOf(url string) string {
 // a FallbackBase configured the download survives local-server failures:
 // objects re-route to the repository, and if even the HTML is unreachable
 // the repository's master copy of the page (whose references all point at
-// the repository) serves the view fully degraded. With a Deadline
-// configured the whole download runs under it, propagated to every server
-// touched.
+// the repository) serves the view fully degraded.
 func (c *Client) FetchPage(pageURL string, j workload.PageID) (*PageResult, error) {
-	return c.FetchPageCtx(context.Background(), pageURL, j)
-}
-
-// FetchPageCtx is FetchPage under a caller context: its cancellation and
-// deadline bound the entire download — HTML, every object chain, every
-// hedge and fallback leg — and the deadline is exported to every server
-// via X-Repl-Deadline so already-doomed work is shed, not served. When ctx
-// carries no deadline and ClientOptions.Deadline is set, that deadline is
-// applied here.
-func (c *Client) FetchPageCtx(ctx context.Context, pageURL string, j workload.PageID) (*PageResult, error) {
-	if _, ok := ctx.Deadline(); !ok && c.opts.Deadline > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, c.opts.Deadline)
-		defer cancel()
-	}
+	ctx := context.Background()
 	start := time.Now()
 	res := &PageResult{Page: j}
 

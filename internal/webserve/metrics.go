@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/pprof"
-	"time"
 
 	"repro/internal/accesslog"
 	"repro/internal/admission"
@@ -28,8 +27,6 @@ type ClusterOptions struct {
 	// wrapped in the plan's injector middleware (errors, resets, truncated
 	// bodies, latency, outage windows). Nil serves a healthy cluster.
 	Faults *faults.Plan
-	// ShutdownTimeout bounds Close's graceful drain (default 5s).
-	ShutdownTimeout time.Duration
 	// Trace, when non-nil, arms end-to-end request tracing: every server
 	// emits a "serve" span for each request carrying an X-Repl-Trace header,
 	// parented under the client's span, into this buffer. Clients built via

@@ -15,6 +15,7 @@ import (
 	"repro/internal/faults"
 	"repro/internal/htmlrefs"
 	"repro/internal/model"
+	"repro/internal/telemetry"
 	"repro/internal/units"
 	"repro/internal/workload"
 )
@@ -463,4 +464,55 @@ func TestChaosClusterSurvives(t *testing.T) {
 	}
 	snap := cluster.Metrics.Snapshot()
 	_ = snap // counters exist; the headline assertion is zero failed fetches
+}
+
+// TestCorruptBodyIsRetriedThenFallsBack pins the satellite contract: a
+// checksum mismatch is a retryable failure with reason "corrupt" — never a
+// success — and degrades to the repository like any transient fault.
+func TestCorruptBodyIsRetriedThenFallsBack(t *testing.T) {
+	w := tinyWorkload(t)
+	const k = 0
+	good, err := io.ReadAll(ObjectReader(w, RepoSource, k))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var primHits atomic.Int64
+	primary := httptest.NewServer(http.HandlerFunc(func(rw http.ResponseWriter, req *http.Request) {
+		primHits.Add(1)
+		bad := append([]byte(nil), good...)
+		bad[len(bad)-1] ^= 0xFF // persistent corruption: every read is bad
+		rw.Write(bad)
+	}))
+	defer primary.Close()
+	fallback := httptest.NewServer(http.HandlerFunc(func(rw http.ResponseWriter, req *http.Request) {
+		rw.Write(good)
+	}))
+	defer fallback.Close()
+
+	reg := telemetry.NewRegistry()
+	c := NewClientOptions(w, ClientOptions{
+		Retries:          1,
+		BackoffBase:      time.Millisecond,
+		BreakerThreshold: -1,
+		FallbackBase:     fallback.URL,
+		Metrics:          reg,
+	})
+	c.Verify = true
+
+	data, _, _, fellBack, err := c.fetchMO(context.Background(), primary.URL+"/mo/0", k, true, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !fellBack || string(data) != string(good) {
+		t.Fatalf("corrupt fetch did not degrade cleanly: fellBack=%v", fellBack)
+	}
+	if got := primHits.Load(); got != 2 {
+		t.Errorf("primary hit %d times, want 2 (first try + one retry)", got)
+	}
+	if got := reg.Counter("client.retries_by.corrupt").Value(); got != 1 {
+		t.Errorf("retries_by.corrupt = %d, want 1", got)
+	}
+	if got := reg.Counter("client.fallbacks_by.corrupt").Value(); got != 1 {
+		t.Errorf("fallbacks_by.corrupt = %d, want 1", got)
+	}
 }

@@ -301,8 +301,7 @@ type Cluster struct {
 	RepoAdm  *admission.Server
 	SiteAdms []*admission.Server
 
-	start           time.Time
-	shutdownTimeout time.Duration
+	start time.Time
 
 	mu           sync.Mutex
 	repoSrv      *http.Server
@@ -333,10 +332,7 @@ func StartClusterOptions(w *workload.Workload, p *model.Placement, opts ClusterO
 			return nil, err
 		}
 	}
-	c := &Cluster{W: w, Metrics: telemetry.NewRegistry(), start: time.Now(), shutdownTimeout: opts.ShutdownTimeout, curW: w, curP: p}
-	if c.shutdownTimeout <= 0 {
-		c.shutdownTimeout = 5 * time.Second
-	}
+	c := &Cluster{W: w, Metrics: telemetry.NewRegistry(), start: time.Now(), curW: w, curP: p}
 	telemetry.RegisterBuildInfo(c.Metrics)
 	c.Tracer = trace.NewTracer(opts.Trace, opts.TraceSeed, trace.KindServer)
 	c.Journal = opts.Journal
@@ -596,10 +592,12 @@ func (c *Cluster) Shutdown(ctx context.Context) error {
 	return nil
 }
 
-// Close shuts the cluster down gracefully under the configured deadline
-// (ClusterOptions.ShutdownTimeout, default 5s).
+// closeDrain bounds Close's graceful drain.
+const closeDrain = 5 * time.Second
+
+// Close shuts the cluster down gracefully, draining for at most closeDrain.
 func (c *Cluster) Close() error {
-	ctx, cancel := context.WithTimeout(context.Background(), c.shutdownTimeout)
+	ctx, cancel := context.WithTimeout(context.Background(), closeDrain)
 	defer cancel()
 	return c.Shutdown(ctx)
 }

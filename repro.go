@@ -39,7 +39,6 @@ import (
 	"repro/internal/repair"
 	"repro/internal/rng"
 	"repro/internal/stats"
-	"repro/internal/telemetry"
 	"repro/internal/trace"
 	"repro/internal/units"
 	"repro/internal/workload"
@@ -284,20 +283,6 @@ type (
 func ComputeRepair(env *Env, p *Placement, down []SiteID, opts RepairOptions) (*RepairPlan, error) {
 	return repair.Compute(env, p, down, opts)
 }
-
-// Telemetry: the instrumentation substrate (internal/telemetry).
-type (
-	// MetricsRegistry names and owns counters, gauges and latency
-	// histograms; pass one as SimConfig.Telemetry for per-request
-	// distributions. The nil registry disables instrumentation for free.
-	MetricsRegistry = telemetry.Registry
-	// MetricsSnapshot is a point-in-time, deterministic-order copy of a
-	// registry (the /metrics JSON payload).
-	MetricsSnapshot = telemetry.Snapshot
-)
-
-// NewMetricsRegistry returns an empty metrics registry.
-func NewMetricsRegistry() *MetricsRegistry { return telemetry.NewRegistry() }
 
 // ProgressWriter returns an ExperimentOptions.Progress sink writing one
 // line per harness event to w, serialized across concurrent runs.
