@@ -18,8 +18,9 @@
 //
 // Concurrency: the estimator shards state per site, each shard behind its
 // own mutex. Distinct sites never contend, matching both the simulator
-// (one goroutine per site) and the live cluster (one server per site);
-// concurrent requests into the same site serialize on the shard lock.
+// (which replays up to httpsim's Config.Workers sites at once; Workers 1 is
+// sequential) and the live cluster (one server per site); concurrent
+// requests into the same site serialize on the shard lock.
 package estimate
 
 import (

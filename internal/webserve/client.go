@@ -340,6 +340,10 @@ type bodySpec struct {
 // keepDoc is the bodySpec of an HTML document.
 var keepDoc = bodySpec{keep: true}
 
+// discard hides io.Discard's ReaderFrom, whose 8 KB reads io.CopyBuffer would
+// use: an unverified body is read in chunks too, so only verifying differs.
+var discard io.Writer = struct{ io.Writer }{io.Discard}
+
 // get issues one request and reads a 200's body to its end as spec says,
 // stamping the trace-propagation header when the request runs under a span.
 // ctx cancellation aborts the request mid-flight. It returns the kept bytes
@@ -377,7 +381,9 @@ func (c *Client) get(ctx context.Context, url, traceHdr string, spec bodySpec) (
 	if spec.verify {
 		n, err = verifyStream(c.w, anySource, spec.k, body)
 	} else {
-		n, err = io.Copy(io.Discard, body)
+		buf := chunkPool.Get().(*chunk)
+		n, err = io.CopyBuffer(discard, body, buf[:])
+		chunkPool.Put(buf)
 	}
 	if err != nil {
 		// A content mismatch stops reading where it is found: drain the

@@ -48,7 +48,7 @@ func FuzzPayloadRoundTrip(f *testing.F) {
 	flipped := append([]byte(nil), genuine...)
 	flipped[len(flipped)/2] ^= 0x01
 	f.Add(flipped)
-	f.Add([]byte("REPL1 obj=0 src=-1 seed=0000000000000000 len=96 sum=00000000"))
+	f.Add([]byte("REPL1 obj=0 src=-1 seed=0000000000000000 len=96"))
 	f.Add([]byte("not a payload at all"))
 
 	f.Fuzz(func(t *testing.T, data []byte) {

@@ -52,8 +52,8 @@ func main() {
 	write("bit-flip", flipped)
 	write("truncated", repo[:len(repo)/2])
 	hdr := webserve.EncodePayloadHeader(webserve.PayloadHeader{
-		Object: 9999999, Source: 127, Seed: ^uint64(0), Length: 1 << 33, Sum: 1,
+		Object: 9999999, Source: 127, Seed: ^uint64(0), Length: 1 << 33,
 	})
 	write("wide-header", hdr)
-	write("padding-games", []byte("REPL1 obj=00 src=-1 seed=0000000000000000 len=096 sum=00000000\n"))
+	write("padding-games", []byte("REPL1 obj=00 src=-1 seed=0000000000000000 len=096\n"))
 }

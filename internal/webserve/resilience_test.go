@@ -467,8 +467,9 @@ func TestChaosClusterSurvives(t *testing.T) {
 }
 
 // TestCorruptBodyIsRetriedThenFallsBack pins the satellite contract: a
-// checksum mismatch is a retryable failure with reason "corrupt" — never a
-// success — and degrades to the repository like any transient fault.
+// body that is not its regeneration is a retryable failure with reason
+// "corrupt" — never a success — and degrades to the repository like any
+// transient fault.
 func TestCorruptBodyIsRetriedThenFallsBack(t *testing.T) {
 	w := tinyWorkload(t)
 	const k = 0
