@@ -9,8 +9,8 @@
 //
 // The package pattern is accepted for familiarity but the tool always
 // analyzes the whole module containing the working directory: the
-// determinism rules are module-wide invariants, and partial runs would
-// only hide findings.
+// deterministic package set is closed under the module's imports, and
+// partial runs would only hide findings.
 //
 // Flags:
 //
@@ -18,15 +18,12 @@
 //	-list          print the rules and exit
 //
 // Findings print as "file:line: rule: message" with paths relative to the
-// working directory. A finding that crosses functions carries its call
-// chain as indented "    at pkg.Func (file:line)" lines: each names a
-// function and the line in it that makes the next hop, outermost first, and
-// the last line is the root cause. Suppress an individual finding with a
-// trailing "//repllint:allow <rule> — justification" comment (same line or
-// the line above), or a whole file by placing the directive before the
-// package clause. When every rule runs, an allow that suppresses nothing is
-// itself a finding (stale-allow); a -rules run cannot judge that and skips
-// the audit.
+// working directory. Suppress an individual finding with a trailing
+// "//repllint:allow <rule> — justification" comment (same line or the line
+// above), or a whole file by placing the directive before the package
+// clause. When every rule runs, an allow that suppresses nothing is itself
+// a finding (stale-allow); a -rules run cannot judge that and skips the
+// audit.
 package main
 
 import (
@@ -82,9 +79,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 
 	for _, f := range findings {
 		fmt.Fprintf(stdout, "%s:%d: %s: %s\n", relTo(cwd, f.Pos.Filename), f.Pos.Line, f.Rule, f.Msg)
-		for _, hop := range f.Chain {
-			fmt.Fprintf(stdout, "    at %s\n", relTo(cwd, hop))
-		}
 	}
 	if len(findings) > 0 {
 		fmt.Fprintf(stderr, "repllint: %d finding(s)\n", len(findings))
@@ -93,11 +87,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 	return 0
 }
 
-// relTo relativizes absolute paths under cwd anywhere in s — bare paths and
-// paths embedded in chain hops like "pkg.Fn (/abs/file.go:12)".
-func relTo(cwd, s string) string {
-	if rel, err := filepath.Rel(cwd, s); err == nil && !strings.HasPrefix(rel, "..") && filepath.IsAbs(s) {
+// relTo relativizes a path under cwd; paths elsewhere stay as they are.
+func relTo(cwd, path string) string {
+	if rel, err := filepath.Rel(cwd, path); err == nil && !strings.HasPrefix(rel, "..") {
 		return rel
 	}
-	return strings.ReplaceAll(s, cwd+string(filepath.Separator), "")
+	return path
 }

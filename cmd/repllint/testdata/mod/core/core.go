@@ -1,5 +1,6 @@
-// Package core is named like a deterministic package, so its call into
-// stamp is a determinism finding with a two-hop chain.
+// Package core is named like a deterministic package, so its import of
+// stamp, a module package outside the deterministic set, is a determinism
+// finding.
 package core
 
 import "fixturemod/stamp"

@@ -1,5 +1,5 @@
 // Package stamp is outside the deterministic set: reading the clock here
-// is legal, being called from core is not.
+// is legal, being imported by core is not.
 package stamp
 
 import "time"

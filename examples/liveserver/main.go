@@ -59,17 +59,13 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	for _, s := range cluster.Sites {
-		if err := s.ApplyPlacement(placement); err != nil {
-			log.Fatal(err)
-		}
+	if err := cluster.ApplyPlan(w, placement); err != nil {
+		log.Fatal(err)
 	}
 	show("after planning (balanced):")
 
-	for _, s := range cluster.Sites {
-		if err := s.ApplyPlacement(repro.AllLocal(w)); err != nil {
-			log.Fatal(err)
-		}
+	if err := cluster.ApplyPlan(w, repro.AllLocal(w)); err != nil {
+		log.Fatal(err)
 	}
 	show("all-local plan:")
 

@@ -16,9 +16,8 @@ import (
 )
 
 // Tap receives one callback per served page view, the hook the streaming
-// estimator (internal/estimate) plugs into both the live server path
-// (webserve.ClusterOptions.AccessTap, cluster-uptime seconds) and the
-// simulator (httpsim.Config.AccessTap, virtual-clock seconds).
+// estimator (internal/estimate) plugs into the live server path
+// (webserve.ClusterOptions.AccessTap, cluster-uptime seconds).
 // Implementations must be safe for concurrent use: the live path calls
 // Observe from every serving goroutine.
 type Tap interface {
@@ -27,15 +26,6 @@ type Tap interface {
 
 // Counts maps pages to observed request counts over some window.
 type Counts map[workload.PageID]int64
-
-// Total returns the sum of all counts.
-func (c Counts) Total() int64 {
-	var t int64
-	for _, v := range c {
-		t += v
-	}
-	return t
-}
 
 // EstimateWorkload returns a copy of the workload whose page frequencies
 // are re-estimated from observed access counts: within each site, a page's
@@ -154,17 +144,4 @@ func (e *EWMA) Advance(t float64) {
 	if t > e.now {
 		e.now = t
 	}
-}
-
-// Snapshot rounds the decayed weights into Counts usable by
-// EstimateWorkload (scaled by 1000 to keep precision through the integer
-// interface).
-func (e *EWMA) Snapshot() Counts {
-	out := make(Counts, len(e.weights))
-	for pid := range e.weights {
-		if w := e.decayed(pid); w > 1e-9 {
-			out[pid] = int64(w * 1000)
-		}
-	}
-	return out
 }

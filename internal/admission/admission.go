@@ -3,19 +3,13 @@
 // approaches capacity the queueing term diverges and a real cluster does
 // not degrade gracefully — it collapses, and naive client retries then
 // hold it collapsed long after the triggering spike ends (a metastable
-// failure). This package supplies both halves of the defense:
-//
-//   - Server side: a bounded, deadline-aware admission queue per endpoint
-//     class, shedding by CoDel-style sojourn time (latency over a target,
-//     not queue length), per-endpoint concurrency limits with an AIMD
-//     auto-tuner, 429 responses with a seeded-jitter Retry-After hint, and
-//     a brownout controller that degrades page fidelity under sustained
-//     shed pressure before the server refuses outright.
-//
-//   - Client side: a token-bucket retry budget — earn a fraction of a
-//     token per success, spend one per retry — capping cluster-wide retry
-//     amplification near (1 + earn ratio)× offered load no matter how hard
-//     the servers push back.
+// failure). This package supplies the server side of the defense: a
+// bounded, deadline-aware admission queue per endpoint class, shedding by
+// CoDel-style sojourn time (latency over a target, not queue length),
+// per-endpoint concurrency limits with an AIMD auto-tuner, 429 responses
+// with a seeded-jitter Retry-After hint, and a brownout controller that
+// degrades page fidelity under sustained shed pressure before the server
+// refuses outright.
 //
 // Every control law here is clock-agnostic: state machines take explicit
 // `now` values instead of reading the wall clock, so the identical code
@@ -25,7 +19,6 @@ package admission
 
 import (
 	"strconv"
-	"sync"
 	"time"
 )
 
@@ -221,75 +214,4 @@ func sqrtf(x float64) float64 {
 		g = (g + x/g) / 2
 	}
 	return g
-}
-
-// RetryBudget is the client-side token bucket that caps retry
-// amplification: every success earns `ratio` tokens (capped at `max`),
-// every retry spends one. With ratio r, total retries can never exceed
-// r × successes plus the initial fill, so cluster-wide offered load stays
-// within about (1+r)× the original request rate no matter how many
-// requests fail — the property that breaks retry storms. The bucket
-// starts full (a cold client may retry), and a nil *RetryBudget disables
-// budgeting (Spend always allows).
-type RetryBudget struct {
-	mu     sync.Mutex
-	tokens float64
-	ratio  float64
-	max    float64
-}
-
-// NewRetryBudget builds a budget earning `ratio` tokens per success with
-// bucket capacity `max`. Non-positive arguments select the defaults 0.1
-// and 10.
-func NewRetryBudget(ratio, max float64) *RetryBudget {
-	if ratio <= 0 {
-		ratio = 0.1
-	}
-	if max <= 0 {
-		max = 10
-	}
-	return &RetryBudget{tokens: max, ratio: ratio, max: max}
-}
-
-// Earn credits one success.
-func (b *RetryBudget) Earn() {
-	if b == nil {
-		return
-	}
-	b.mu.Lock()
-	b.tokens += b.ratio
-	if b.tokens > b.max {
-		b.tokens = b.max
-	}
-	b.mu.Unlock()
-}
-
-// Spend consumes one retry token, reporting whether the retry may proceed.
-// A nil budget always allows.
-func (b *RetryBudget) Spend() bool {
-	if b == nil {
-		return true
-	}
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	// The epsilon forgives float accumulation: ten 0.1-earns sum to just
-	// under 1.0, and that token was genuinely earned.
-	if b.tokens < 1-1e-9 {
-		return false
-	}
-	b.tokens--
-	if b.tokens < 0 {
-		b.tokens = 0
-	}
-	return true
-}
-
-// Tokens returns the current balance (diagnostics and tests).
-func (b *RetryBudget) Tokens() float64 {
-	if b == nil {
-		return 0
-	}
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.tokens
 }

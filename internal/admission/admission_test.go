@@ -49,42 +49,6 @@ func TestCoDelShedsOnStandingQueue(t *testing.T) {
 	}
 }
 
-// TestRetryBudgetArithmetic pins the token bucket: starts full, spends one
-// per retry, earns ratio per success, caps at max, and a nil budget always
-// allows.
-func TestRetryBudgetArithmetic(t *testing.T) {
-	b := NewRetryBudget(0.1, 2)
-	if got := b.Tokens(); got != 2 {
-		t.Fatalf("fresh budget has %v tokens, want 2 (full)", got)
-	}
-	if !b.Spend() || !b.Spend() {
-		t.Fatal("full budget refused a spend")
-	}
-	if b.Spend() {
-		t.Fatal("empty budget allowed a spend")
-	}
-	for i := 0; i < 10; i++ {
-		b.Earn()
-	}
-	if got := b.Tokens(); got < 0.999 || got > 1.001 {
-		t.Fatalf("10 earns at 0.1 = %v tokens, want 1", got)
-	}
-	if !b.Spend() {
-		t.Fatal("earned token not spendable")
-	}
-	for i := 0; i < 100; i++ {
-		b.Earn()
-	}
-	if got := b.Tokens(); got > 2 {
-		t.Fatalf("budget exceeded its cap: %v > 2", got)
-	}
-	var nb *RetryBudget
-	if !nb.Spend() {
-		t.Fatal("nil budget must always allow")
-	}
-	nb.Earn() // must not panic
-}
-
 // TestEndpointAIMD pins the auto-tuner: sheds halve the limit (at most
 // once per interval, floored at MinLimit), clean intervals add one back
 // (capped at MaxLimit).

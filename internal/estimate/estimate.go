@@ -10,17 +10,17 @@
 // the loop. This package supplies the missing sensor: per-(site, page)
 // exponentially-decayed counters (EWMA with a configurable half-life, so
 // bursts surface quickly and fade when the story ages) fed by the live
-// servers' access-log tap and by the request simulator. Snapshots are
+// servers' access-log tap, or directly through Observe — the flash-crowd
+// study feeds it requests sampled from each epoch's workload. Snapshots are
 // rendered in sorted page order and are a pure function of the observation
 // stream, so equal request streams yield byte-identical snapshots — the
 // property the determinism tests pin and the flash-crowd experiment's
 // reproducibility rests on.
 //
 // Concurrency: the estimator shards state per site, each shard behind its
-// own mutex. Distinct sites never contend, matching both the simulator
-// (which replays up to httpsim's Config.Workers sites at once; Workers 1 is
-// sequential) and the live cluster (one server per site); concurrent
-// requests into the same site serialize on the shard lock.
+// own mutex. Distinct sites never contend, matching the live cluster (one
+// server per site); concurrent requests into the same site serialize on
+// the shard lock.
 package estimate
 
 import (

@@ -259,7 +259,7 @@ type overloadSim struct {
 	queue     []*simReq
 	busy      bool
 	codel     *admission.CoDel
-	budget    *admission.RetryBudget // nil in the off pass (Spend → true)
+	budget    retryBudget // consulted by the protected pass only
 	arrivals  *rng.Stream
 	jitter    *rng.Stream
 	shed      *rng.Stream
@@ -289,7 +289,7 @@ func simOverload(root *rng.Stream, r int, protected bool) OverloadPass {
 	}
 	if protected {
 		s.codel = admission.NewCoDel(OverloadCoDelTarget, OverloadCoDelInterval)
-		s.budget = admission.NewRetryBudget(OverloadBudgetRatio, OverloadBudgetCap)
+		s.budget = newRetryBudget(OverloadBudgetRatio, OverloadBudgetCap)
 	}
 	s.schedule(0, evArrivalGen, nil)
 	for len(s.events) > 0 {
@@ -394,7 +394,9 @@ func (s *overloadSim) complete(t time.Duration, req *simReq) {
 		req.responded = true
 		s.pass.Goodput++
 		s.goodTimes = append(s.goodTimes, t)
-		s.budget.Earn()
+		if s.protected {
+			s.budget.earn()
+		}
 	} else {
 		// The client is long gone: the server burned a service slot on a
 		// response nobody received.
@@ -429,7 +431,7 @@ func (s *overloadSim) retry(t time.Duration, req *simReq, hint time.Duration) {
 		s.pass.Failures++
 		return
 	}
-	if !s.budget.Spend() {
+	if s.protected && !s.budget.spend() {
 		s.pass.Failures++
 		return
 	}
@@ -445,6 +447,43 @@ func (s *overloadSim) retry(t time.Duration, req *simReq, hint time.Duration) {
 	}
 	next := &simReq{id: req.id, attempt: req.attempt + 1, issued: issue, deadline: issue + OverloadDeadline}
 	s.schedule(issue, evAttempt, next)
+}
+
+// retryBudget is the protected clients' shared token bucket that caps
+// retry amplification: every success earns ratio tokens (capped at max),
+// every retry spends one. With ratio r, total retries can never exceed
+// r × successes plus the initial fill, so offered load stays within about
+// (1+r)× the original request rate no matter how many requests fail — the
+// property that breaks retry storms. The bucket starts full (a cold client
+// may retry).
+type retryBudget struct {
+	tokens, ratio, max float64
+}
+
+func newRetryBudget(ratio, max float64) retryBudget {
+	return retryBudget{tokens: max, ratio: ratio, max: max}
+}
+
+// earn credits one success.
+func (b *retryBudget) earn() {
+	b.tokens += b.ratio
+	if b.tokens > b.max {
+		b.tokens = b.max
+	}
+}
+
+// spend consumes one retry token, reporting whether the retry may proceed.
+func (b *retryBudget) spend() bool {
+	// The epsilon forgives float accumulation: ten 0.1-earns sum to just
+	// under 1.0, and that token was genuinely earned.
+	if b.tokens < 1-1e-9 {
+		return false
+	}
+	b.tokens--
+	if b.tokens < 0 {
+		b.tokens = 0
+	}
+	return true
 }
 
 // finish derives the pass's summary statistics from the completion record.

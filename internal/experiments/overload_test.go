@@ -46,6 +46,36 @@ func TestOverloadAcceptance(t *testing.T) {
 	}
 }
 
+// TestRetryBudgetArithmetic pins the token bucket: starts full, spends one
+// per retry, earns ratio per success and caps at max.
+func TestRetryBudgetArithmetic(t *testing.T) {
+	b := newRetryBudget(0.1, 2)
+	if b.tokens != 2 {
+		t.Fatalf("fresh budget has %v tokens, want 2 (full)", b.tokens)
+	}
+	if !b.spend() || !b.spend() {
+		t.Fatal("full budget refused a spend")
+	}
+	if b.spend() {
+		t.Fatal("empty budget allowed a spend")
+	}
+	for i := 0; i < 10; i++ {
+		b.earn()
+	}
+	if b.tokens < 0.999 || b.tokens > 1.001 {
+		t.Fatalf("10 earns at 0.1 = %v tokens, want 1", b.tokens)
+	}
+	if !b.spend() {
+		t.Fatal("earned token not spendable")
+	}
+	for i := 0; i < 100; i++ {
+		b.earn()
+	}
+	if b.tokens > 2 {
+		t.Fatalf("budget exceeded its cap: %v > 2", b.tokens)
+	}
+}
+
 // TestOverloadSeedSensitivity: a different seed draws a different arrival
 // process — the reproducibility above is seed-derivation, not constants.
 func TestOverloadSeedSensitivity(t *testing.T) {

@@ -225,7 +225,7 @@ func TestApplyPlacementUpdatesServing(t *testing.T) {
 	if bytes.Contains(before, []byte(localBase)) {
 		t.Fatal("all-remote serving contains local URLs")
 	}
-	if err := db.ApplyPlacement(w, model.AllLocal(w)); err != nil {
+	if err := db.Rebuild(w, model.AllLocal(w), repoBase); err != nil {
 		t.Fatal(err)
 	}
 	after, _ := db.Serve(pid, localBase)

@@ -31,10 +31,11 @@ type PageEntry struct {
 }
 
 // RefDB is one local server's reference database. It is built by parsing
-// each hosted page once (at "page creation/update" time) and updated when
-// the replication plan changes; lookups at serving time are read-only and
-// safe for concurrent use with updates guarded by an RWMutex (plans change
-// rarely, pages are served constantly).
+// each hosted page (at "page creation/update" time) and rebuilt the same
+// way when the replication plan changes; lookups at serving time are
+// read-only and safe for concurrent use with rebuilds, which swap the
+// entry map under an RWMutex (plans change rarely, pages are served
+// constantly).
 type RefDB struct {
 	mu      sync.RWMutex
 	site    workload.SiteID
@@ -42,21 +43,11 @@ type RefDB struct {
 }
 
 // BuildRefDB parses every page hosted at site i (rendered against
-// repoBase) and applies the placement's decisions.
+// repoBase) and applies the placement's decisions: an empty database for
+// the site, then Rebuild.
 func BuildRefDB(w *workload.Workload, i workload.SiteID, p *model.Placement, repoBase string) (*RefDB, error) {
-	db := &RefDB{site: i, entries: make(map[workload.PageID]*PageEntry, len(w.Sites[i].Pages))}
-	for _, pid := range w.Sites[i].Pages {
-		doc := RenderPage(w, pid, repoBase)
-		refs := ParseRefs(doc)
-		sort.Slice(refs, func(a, b int) bool { return refs[a].Start < refs[b].Start })
-		entry := &PageEntry{Doc: doc, Refs: refs, Local: make([]bool, len(refs))}
-		if err := validateRefs(w, pid, refs); err != nil {
-			return nil, err
-		}
-		setWeights(w, pid, entry)
-		db.entries[pid] = entry
-	}
-	if err := db.ApplyPlacement(w, p); err != nil {
+	db := &RefDB{site: i}
+	if err := db.Rebuild(w, p, repoBase); err != nil {
 		return nil, err
 	}
 	return db, nil
@@ -86,19 +77,6 @@ func validateRefs(w *workload.Workload, pid workload.PageID, refs []Ref) error {
 	for _, l := range pg.Optional {
 		if !opt[l.Object] {
 			return fmt.Errorf("htmlrefs: page %d optional object %d not recovered", pid, l.Object)
-		}
-	}
-	return nil
-}
-
-// ApplyPlacement updates every page's local/remote decisions from a new
-// placement — the step that follows a replication-plan refresh.
-func (db *RefDB) ApplyPlacement(w *workload.Workload, p *model.Placement) error {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	for pid, entry := range db.entries {
-		if err := applyEntry(w, pid, entry, p); err != nil {
-			return err
 		}
 	}
 	return nil

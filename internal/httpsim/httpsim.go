@@ -14,7 +14,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"repro/internal/accesslog"
 	"repro/internal/netsim"
 	"repro/internal/rng"
 	"repro/internal/stats"
@@ -78,14 +77,6 @@ type Config struct {
 	// yield a byte-identical JSONL export (pinned by the trace-golden CI
 	// stage). Warmup passes emit nothing.
 	Trace *trace.Buffer
-	// AccessTap, when non-nil, receives one Observe per measured page view
-	// (site, page, view-start seconds on the virtual clock) — the simulated
-	// counterpart of the live cluster's access-log tap, feeding the adaptive
-	// planner's frequency estimator. Warmup passes are not observed, and the
-	// tap never perturbs any random stream, so arming it cannot shift the
-	// simulated sequences. Must be safe for concurrent use (sites run in
-	// parallel).
-	AccessTap accesslog.Tap
 }
 
 // OutageConfig is the simulator's degraded mode: each page view finds its
@@ -386,9 +377,6 @@ func replayPass(w *workload.Workload, dec Decider, cfg Config, stream *rng.Strea
 		viewStart := tclock
 		if cfg.Queueing {
 			viewStart = clock
-		}
-		if out != nil && cfg.AccessTap != nil {
-			cfg.AccessTap.Observe(i, j, viewStart)
 		}
 		var vTID trace.TraceID
 		var vRoot trace.SpanID

@@ -2,42 +2,19 @@ package httpsim
 
 import (
 	"bytes"
-	"reflect"
 	"slices"
 	"strings"
-	"sync"
 	"testing"
 
 	"repro/internal/model"
 	"repro/internal/policies"
 	"repro/internal/rng"
 	"repro/internal/trace"
-	"repro/internal/workload"
 )
 
-// tapLog is an AccessTap that keeps every observation, per site in order.
-type tapLog struct {
-	mu   sync.Mutex
-	seen map[workload.SiteID][]tapObs
-}
-
-type tapObs struct {
-	page workload.PageID
-	t    float64
-}
-
-func (l *tapLog) Observe(i workload.SiteID, j workload.PageID, t float64) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.seen == nil {
-		l.seen = map[workload.SiteID][]tapObs{}
-	}
-	l.seen[i] = append(l.seen[i], tapObs{j, t})
-}
-
 // requireSameRun fails unless two simulations agree on every accumulator,
-// counter and sample with ==, and on everything they pushed into their
-// configs' sinks: tap observations, span bytes.
+// counter and sample with ==, and on the span bytes they pushed into their
+// configs' trace buffers.
 func requireSameRun(t *testing.T, a, b *Result, ca, cb Config) {
 	t.Helper()
 	if a.Policy != b.Policy {
@@ -62,12 +39,6 @@ func requireSameRun(t *testing.T, a, b *Result, ca, cb Config) {
 	}
 	if ca.RetainSamples && a.Samples.N() == 0 {
 		t.Error("RetainSamples kept nothing")
-	}
-	if ca.AccessTap != nil {
-		la, lb := ca.AccessTap.(*tapLog), cb.AccessTap.(*tapLog)
-		if len(la.seen) == 0 || !reflect.DeepEqual(la.seen, lb.seen) {
-			t.Error("access-tap observations differ")
-		}
 	}
 	if ca.Trace != nil {
 		var ja, jb bytes.Buffer
@@ -111,7 +82,6 @@ func TestRecordReplayMatchesRun(t *testing.T) {
 			return lru
 		}, set: func(cfg *Config) { cfg.Warmup = true }},
 		{name: "retained samples", dec: local, set: func(cfg *Config) { cfg.RetainSamples = true }},
-		{name: "access tap", dec: local, set: func(cfg *Config) { cfg.AccessTap = &tapLog{}; cfg.Queueing = true }},
 		{name: "spans", dec: remote, set: func(cfg *Config) {
 			cfg.Trace = trace.NewBuffer(0)
 			cfg.Outage = outage

@@ -2,42 +2,30 @@ package lint
 
 import (
 	"go/ast"
-	"go/token"
 	"go/types"
-	"strings"
+	"strconv"
 )
 
 // DeterminismAnalyzer keeps ambient state — wall clock, environment, the
-// global math/rand generator, map iteration order — out of the
-// deterministic packages, whether they touch it themselves or reach it
-// through helpers elsewhere in the module. Every reproducibility property
-// test in this repo (byte-identical plans at any worker count,
-// bit-identical experiment output per seed) assumes those packages compute
-// pure functions of their inputs and seeds; one stray time.Now(), even two
-// calls away in internal/stats, silently voids them.
+// global math/rand generator — out of the deterministic packages. Every
+// reproducibility property test in this repo (byte-identical plans at any
+// worker count, bit-identical experiment output per seed) assumes those
+// packages compute pure functions of their inputs and seeds; one stray
+// time.Now() silently voids them.
 //
-// The rule seeds an "impure" fact on every function in the module that
-// calls a forbidden function or has a map-order effect (the
-// sorted-iteration check), propagates it to callers through the call graph,
-// and reports inside the deterministic packages only:
+// The rule reports, inside the deterministic packages only:
 //
-//   - every direct call of a forbidden function;
-//   - every frontier call: a call whose callee is impure and lives outside
-//     the deterministic packages, with the chain down to the root cause.
+//   - every reference to a forbidden function;
+//   - every import of a module package outside the set.
 //
-// One defect is one finding: a call to an impure function in a
-// deterministic package is not reported, because the defect is reported
-// where that callee itself reads ambient state or crosses the frontier.
-//
-// A seed suppressed where it stands (a justified //repllint:allow
-// determinism on the forbidden call, or sorted-iteration on the map range)
-// does not taint its callers, and //repllint:pure cuts propagation at a
-// reviewed boundary — see callgraph.go.
+// The second half is what lets the first stay local: a helper a
+// deterministic package imports is itself deterministic, so it is checked
+// directly, and a clock read cannot hide two calls away in it. Map-order
+// effects are the sorted-iteration rule's, which runs on every package.
 var DeterminismAnalyzer = &Analyzer{
 	Name: "determinism",
-	Doc: "forbid wall-clock, global math/rand, environment and map-order effects in the deterministic " +
-		"packages (core, repair, faults, httpsim, netsim, workload, policies, experiments, estimate, " +
-		"admission), directly or through any call chain leaving them",
+	Doc: "forbid wall-clock, global math/rand and environment reads in the deterministic packages " +
+		"(lint.DeterministicPackages), and their imports of module packages outside that set",
 	Run: runDeterminism,
 }
 
@@ -69,83 +57,39 @@ var globalRandExempt = map[string]bool{
 	"NewZipf":   true,
 }
 
-// ambientUses calls fn, in source order, for every reference under root to
-// a forbidden function, with the "pkgpath.Func (reason)" description.
-func ambientUses(pkg *Package, root ast.Node, fn func(sel *ast.SelectorExpr, what string)) {
-	ast.Inspect(root, func(n ast.Node) bool {
-		sel, ok := n.(*ast.SelectorExpr)
-		if !ok {
-			return true
-		}
-		f, ok := pkg.Info.Uses[sel.Sel].(*types.Func)
-		if !ok || f.Pkg() == nil {
-			return true
-		}
-		path, name := f.Pkg().Path(), f.Name()
-		if reason, bad := forbiddenFuncs[path+"."+name]; bad {
-			fn(sel, path+"."+name+" ("+reason+")")
-		} else if (path == "math/rand" || path == "math/rand/v2") &&
-			f.Type().(*types.Signature).Recv() == nil && !globalRandExempt[name] {
-			fn(sel, path+"."+name+" (global rand)")
-		}
-		return true
-	})
-}
-
 func runDeterminism(p *Pass) {
 	if !DeterministicPackages[p.Pkg.Name] {
 		return
 	}
 	p.eachFile(func(f *ast.File) {
-		ambientUses(p.Pkg, f, func(sel *ast.SelectorExpr, what string) {
+		for _, spec := range f.Imports {
+			path, _ := strconv.Unquote(spec.Path.Value)
+			if dep := p.Pkg.deps[path]; dep != nil && !DeterministicPackages[dep.Name] {
+				p.Reportf(spec.Pos(), "deterministic package %q imports %s, a module package outside the deterministic set whose ambient reads go unchecked — add %q to the set, or annotate with %s determinism",
+					p.Pkg.Name, path, dep.Name, allowPrefix)
+			}
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			sel, ok := n.(*ast.SelectorExpr)
+			if !ok {
+				return true
+			}
+			fn, ok := p.Pkg.Info.Uses[sel.Sel].(*types.Func)
+			if !ok || fn.Pkg() == nil {
+				return true
+			}
+			what := fn.Pkg().Path() + "." + fn.Name()
+			if reason, bad := forbiddenFuncs[what]; bad {
+				what += " (" + reason + ")"
+			} else if (fn.Pkg().Path() == "math/rand" || fn.Pkg().Path() == "math/rand/v2") &&
+				fn.Type().(*types.Signature).Recv() == nil && !globalRandExempt[fn.Name()] {
+				what += " (global rand)"
+			} else {
+				return true
+			}
 			p.Reportf(sel.Pos(), "%s is forbidden in deterministic package %q; thread a seed/clock in, or annotate with %s determinism",
 				what, p.Pkg.Name, allowPrefix)
+			return true
 		})
 	})
-
-	impure := p.facts(func(g *Graph) map[*Node]*Mark {
-		return propagateUp(g, impureSeeds(g), true)
-	})
-	for _, n := range p.Graph().Nodes {
-		if n.Pkg != p.Pkg || n.Pure {
-			continue
-		}
-		for _, e := range n.Calls {
-			if impure[e.Callee] == nil || DeterministicPackages[e.Callee.Pkg.Name] {
-				continue
-			}
-			hops := append([]string{hop(p.Pkg.Fset, n, e.Pos)}, chain(p.Pkg.Fset, impure, e.Callee)...)
-			p.ReportChain(e.Pos, hops,
-				"call to %s leaves deterministic package %q and reaches ambient state (%s) — break the chain, assert //repllint:pure at a reviewed boundary, or annotate with %s determinism",
-				e.Callee.ShortName(), p.Pkg.Name, strings.Join(chainTail(impure, e.Callee), " → "), allowPrefix)
-		}
-	}
-}
-
-// impureSeeds marks every function in the module that touches ambient
-// state itself: the first forbidden call or map-order effect in its body
-// that is not justified where it stands.
-func impureSeeds(g *Graph) map[*Node]*Mark {
-	seeds := make(map[*Node]*Mark)
-	for _, n := range g.Nodes {
-		if n.Pure {
-			continue
-		}
-		var seed *Mark
-		offer := func(rule string, pos token.Pos, reason string) {
-			if !n.Pkg.Directives.Allows(rule, n.Pkg.Fset.Position(pos)) && seed == nil {
-				seed = &Mark{Reason: reason, Pos: pos}
-			}
-		}
-		ambientUses(n.Pkg, n.Decl.Body, func(sel *ast.SelectorExpr, what string) {
-			offer("determinism", sel.Pos(), what)
-		})
-		mapOrderEffects(n.Pkg, n.Decl, func(pos token.Pos, _ string, _ ...any) {
-			offer("sorted-iteration", pos, "map iteration order")
-		})
-		if seed != nil {
-			seeds[n] = seed
-		}
-	}
-	return seeds
 }

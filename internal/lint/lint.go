@@ -1,12 +1,12 @@
 // Package lint is a repo-specific static-analysis suite. It mechanically
 // enforces the conventions every reproducibility claim in this repository
 // rests on: no wall-clock or ambient randomness inside the deterministic
-// packages or anything they call, named-constant discipline for rng stream
-// labels, sorted iteration before anything that feeds output, no float
-// equality, telemetry metric-name hygiene, error-handling discipline, span
-// lifecycle balance (every trace span creation reaches End or
-// escapes), context-aware sleeps on handler paths, and no goroutine without
-// an exit.
+// packages (a set closed under their module imports), named-constant
+// discipline for rng stream labels, sorted iteration before anything that
+// feeds output, no float equality, telemetry metric-name hygiene,
+// error-handling discipline, span lifecycle balance (every trace span
+// creation reaches End or escapes), context-aware sleeps on handler paths,
+// and no goroutine without an exit.
 //
 // The suite is built only on the standard library (go/parser, go/ast,
 // go/types, go/importer) — no golang.org/x/tools — honoring the repo's
@@ -30,6 +30,7 @@ import (
 	"fmt"
 	"go/ast"
 	"go/token"
+	"go/types"
 	"sort"
 )
 
@@ -38,11 +39,6 @@ type Finding struct {
 	Pos  token.Position
 	Rule string
 	Msg  string
-	// Chain is the interprocedural call path behind the finding: each hop
-	// "pkg.Func (file:line)" names a function and the line in it that makes
-	// the next hop, ending at the root cause. Empty for single-function
-	// findings.
-	Chain []string
 }
 
 // String renders the canonical file:line: rule: message form.
@@ -51,8 +47,7 @@ func (f Finding) String() string {
 }
 
 // Analyzer is one named rule. Run inspects a single type-checked package
-// and reports findings through the pass; a rule that needs to see across
-// functions or packages asks the pass for the whole-module call graph.
+// and reports findings through the pass.
 type Analyzer struct {
 	Name string
 	Doc  string
@@ -71,54 +66,29 @@ type Pass struct {
 // run is the state the passes of one suite run share.
 type run struct {
 	pkgs  []*Package
-	graph *Graph
-	// facts holds each analyzer's fact table once computed (see Pass.facts).
-	facts map[*Analyzer]map[*Node]*Mark
-}
-
-// Graph returns the call graph over every package of the run. It is built
-// on the first request and shared by all later passes.
-func (p *Pass) Graph() *Graph {
-	if p.run.graph == nil {
-		p.run.graph = BuildGraph(p.run.pkgs)
-	}
-	return p.run.graph
-}
-
-// facts returns the analyzer's whole-module fact table: computed by the
-// first pass that asks, reused by the analyzer's passes over the remaining
-// packages.
-func (p *Pass) facts(compute func(*Graph) map[*Node]*Mark) map[*Node]*Mark {
-	m, ok := p.run.facts[p.Analyzer]
-	if !ok {
-		m = compute(p.Graph())
-		p.run.facts[p.Analyzer] = m
-	}
-	return m
+	decls map[*types.Func]*funcDecl // see Pass.decl
 }
 
 // Reportf records a finding at pos.
 func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
-	p.ReportChain(pos, nil, format, args...)
-}
-
-// ReportChain records a finding at pos together with the call chain that
-// explains it.
-func (p *Pass) ReportChain(pos token.Pos, chain []string, format string, args ...any) {
 	p.findings = append(p.findings, Finding{
-		Pos:   p.Pkg.Fset.Position(pos),
-		Rule:  p.Analyzer.Name,
-		Msg:   fmt.Sprintf(format, args...),
-		Chain: chain,
+		Pos:  p.Pkg.Fset.Position(pos),
+		Rule: p.Analyzer.Name,
+		Msg:  fmt.Sprintf(format, args...),
 	})
 }
 
 // DeterministicPackages names the packages whose outputs must be a pure
 // function of (inputs, seed), keyed on the package name: every one of these
-// lives at repro/internal/<name>. admission is here because its control
-// laws are clock-agnostic by design (the overload study replays them on a
-// virtual clock); the wall-clock deadline reads of its live HTTP adapter
-// are each justified in place.
+// lives at repro/internal/<name>. The set is closed under module imports —
+// the determinism rule reports any import of a module package outside it —
+// so every line these packages can call is checked directly, and no helper
+// outside the set can hide an ambient read. The first ten compute plans,
+// simulations and studies; the other ten are exactly what those import.
+// admission is here because its control laws are clock-agnostic by design
+// (the overload study replays them on a virtual clock); the wall-clock
+// deadline reads of its live HTTP adapter are each justified in place, as
+// is trace's one clock.
 var DeterministicPackages = map[string]bool{
 	"core":        true,
 	"repair":      true,
@@ -130,6 +100,17 @@ var DeterministicPackages = map[string]bool{
 	"experiments": true,
 	"estimate":    true,
 	"admission":   true,
+
+	"model":     true,
+	"trace":     true,
+	"units":     true,
+	"htmlrefs":  true,
+	"rng":       true,
+	"telemetry": true,
+	"accesslog": true,
+	"stats":     true,
+	"lru":       true,
+	"bitset":    true,
 }
 
 // Analyzers is the full suite in reporting order.
@@ -200,7 +181,7 @@ func selectRules(names []string) ([]*Analyzer, error) {
 // analyze runs the analyzers over already-loaded packages and returns the
 // surviving findings. The packages must all come from one Loader.
 func analyze(pkgs []*Package, analyzers []*Analyzer) []Finding {
-	r := &run{pkgs: pkgs, facts: make(map[*Analyzer]map[*Node]*Mark)}
+	r := &run{pkgs: pkgs}
 	var out []Finding
 	for _, pkg := range pkgs {
 		for _, az := range analyzers {

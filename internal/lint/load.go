@@ -10,6 +10,7 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
+	"strconv"
 	"strings"
 )
 
@@ -23,6 +24,8 @@ type Package struct {
 	Types      *types.Package
 	Info       *types.Info
 	Directives *Directives
+
+	deps map[string]*Package // the module packages it imports, by import path
 }
 
 // Loader resolves and type-checks packages. Module-internal import paths
@@ -159,6 +162,16 @@ func (l *Loader) Load(path string) (*Package, error) {
 		Types:      tpkg,
 		Info:       info,
 		Directives: ParseDirectives(l.Fset, files),
+		deps:       make(map[string]*Package),
+	}
+	// Type-checking loaded every module import into the cache.
+	for _, f := range files {
+		for _, spec := range f.Imports {
+			ip, _ := strconv.Unquote(spec.Path.Value)
+			if dep := l.cache[ip]; dep != nil {
+				pkg.deps[ip] = dep
+			}
+		}
 	}
 	l.cache[path] = pkg
 	return pkg, nil

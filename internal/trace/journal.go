@@ -60,12 +60,10 @@ func NewJournal(capacity int) *Journal {
 	if capacity <= 0 {
 		capacity = DefaultJournalCap
 	}
-	return &Journal{epoch: time.Now(), capacity: capacity, rings: make(map[string]*typeRing)}
+	return &Journal{epoch: clock(), capacity: capacity, rings: make(map[string]*typeRing)}
 }
 
 // Record appends one event. No-op on nil.
-//
-//repllint:pure — observability only: the wall-clock timestamp feeds the flight recorder, never model state
 func (j *Journal) Record(typ string, fields ...Attr) {
 	if j == nil {
 		return
@@ -74,7 +72,7 @@ func (j *Journal) Record(typ string, fields ...Attr) {
 	defer j.mu.Unlock()
 	ev := Event{
 		Seq:    j.next,
-		At:     time.Since(j.epoch).Seconds(),
+		At:     clock().Sub(j.epoch).Seconds(),
 		Type:   typ,
 		Fields: fields,
 	}

@@ -267,6 +267,10 @@ type Tracer struct {
 	kind  string
 }
 
+// clock is the package's one wall-clock read: live span timing and
+// journal timestamps, never model state.
+var clock = time.Now //repllint:allow determinism — observability only: live span timing and journal timestamps; the simulator's spans carry virtual-clock times
+
 // idStream is the dedicated rng stream label for live span IDs, disjoint
 // from every other consumer of the seed (webserve's client uses 401/402).
 const idStream uint64 = 421
@@ -281,7 +285,7 @@ func NewTracer(buf *Buffer, seed uint64, kind string) *Tracer {
 	return &Tracer{
 		buf:   buf,
 		ids:   NewIDGen(rng.New(seed).Split(idStream)),
-		epoch: time.Now(),
+		epoch: clock(),
 		kind:  kind,
 	}
 }
@@ -301,7 +305,7 @@ func (t *Tracer) Now() float64 {
 	if t == nil {
 		return 0
 	}
-	return time.Since(t.epoch).Seconds()
+	return clock().Sub(t.epoch).Seconds()
 }
 
 // Active is a started, not-yet-ended span. End completes it into the
@@ -322,7 +326,7 @@ func (t *Tracer) start(name string, trace TraceID, parent SpanID) *Active {
 	if t == nil {
 		return nil
 	}
-	now := time.Now()
+	now := clock()
 	return &Active{
 		tr:    t,
 		start: now,
@@ -352,8 +356,6 @@ func (t *Tracer) StartRemote(name string, trace TraceID, parent SpanID) *Active 
 }
 
 // StartChild starts a child span under a (nil on a nil receiver).
-//
-//repllint:pure — observability only: the wall-clock read feeds span timing, never model state
 func (a *Active) StartChild(name string) *Active {
 	if a == nil {
 		return nil
@@ -414,13 +416,11 @@ func (a *Active) HeaderValue() string {
 
 // End completes the span into the tracer's buffer. Idempotent; no-op on
 // nil.
-//
-//repllint:pure — observability only: the wall-clock read feeds span timing, never model state
 func (a *Active) End() {
 	if a == nil {
 		return
 	}
-	a.endWithDur(time.Since(a.start).Seconds())
+	a.endWithDur(clock().Sub(a.start).Seconds())
 }
 
 // endWithDur completes with an explicit duration.

@@ -72,8 +72,8 @@ func TestAdaptiveReplanLoop(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !observed.Pages[coldest].Hot {
-		t.Fatalf("page %d drew %d of %d requests yet is not estimated hot",
-			coldest, counts[coldest], counts.Total())
+		t.Fatalf("page %d drew %d requests yet is not estimated hot",
+			coldest, counts[coldest])
 	}
 
 	// Re-plan against the estimated frequencies and apply it live.
@@ -85,7 +85,7 @@ func TestAdaptiveReplanLoop(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := site0.ApplyPlacement(fresh); err != nil {
+	if err := site0.Rehome(w, fresh); err != nil {
 		t.Fatal(err)
 	}
 

@@ -165,7 +165,7 @@ func TestStaleDocumentFallback(t *testing.T) {
 		t.Fatal(err)
 	}
 	// The plan refresh drops every replica from site 0.
-	if err := cluster.Sites[0].ApplyPlacement(model.AllRemote(w)); err != nil {
+	if err := cluster.Sites[0].Rehome(w, model.AllRemote(w)); err != nil {
 		t.Fatal(err)
 	}
 	for _, r := range htmlrefs.ParseRefs(doc) {

@@ -175,26 +175,14 @@ func (s *LocalServer) Base() string {
 	return s.base
 }
 
-// ApplyPlacement swaps in a new placement (a plan refresh): the reference
-// database and the replica set update atomically with respect to readers.
-func (s *LocalServer) ApplyPlacement(p *model.Placement) error {
-	if err := s.db.ApplyPlacement(s.w, p); err != nil {
-		return err
-	}
-	s.mu.Lock()
-	s.placement = p
-	s.mu.Unlock()
-	return nil
-}
-
-// Rehome adopts a repair (or recovery) plan: the reference database is
-// rebuilt against w2's page assignment for this site — gaining or losing
-// pages relative to construction time — and the plan's placement governs
-// the replica set from here on. w2 must index objects and sites identically
-// to the construction workload, which repair.Compute's re-homed clones do;
-// the server's own workload pointer is deliberately NOT swapped (ServeHTTP
-// reads it lock-free, and only its object table — identical across the
-// clones — matters there).
+// Rehome adopts a plan — a refresh, a repair or a recovery: the reference
+// database is rebuilt against w2's page assignment for this site — gaining
+// or losing pages relative to construction time — and the plan's placement
+// governs the replica set from here on. w2 must index objects and sites
+// identically to the construction workload, which repair.Compute's
+// re-homed clones do; the server's own workload pointer is deliberately
+// NOT swapped (ServeHTTP reads it lock-free, and only its object table —
+// identical across the clones — matters there).
 func (s *LocalServer) Rehome(w2 *workload.Workload, p *model.Placement) error {
 	if err := s.db.Rebuild(w2, p, s.repoBase); err != nil {
 		return err
@@ -305,12 +293,11 @@ type Cluster struct {
 
 	mu           sync.Mutex
 	repoSrv      *http.Server
-	siteSrvs     []*http.Server    // nil entries are killed sites
-	siteHandlers []http.Handler    // wrapped handlers, reused on restart
-	siteAddrs    []string          // last bound address per site
-	routes       []workload.SiteID // page -> serving site; nil until ApplyPlan
+	siteSrvs     []*http.Server // nil entries are killed sites
+	siteHandlers []http.Handler // wrapped handlers, reused on restart
+	siteAddrs    []string       // last bound address per site
 	siteInjs     []*faults.Injector
-	curW         *workload.Workload // workload of the last applied plan
+	curW         *workload.Workload // workload of the last applied plan; routes pages
 	curP         *model.Placement   // the live placement
 }
 
@@ -602,13 +589,13 @@ func (c *Cluster) Close() error {
 	return c.Shutdown(ctx)
 }
 
-// ApplyPlan pushes a repaired (or recovered) placement into the running
-// cluster: every live site's server rebuilds its reference database against
-// the plan's workload and adopts the new replica set, and the routing table
-// updates so PageURL sends clients to each page's current host — all
-// without restarting a single server. The cluster's construction workload
-// is untouched; routing state lives entirely in the table, so reapplying
-// the original (env.W, placement) pair is a full recovery.
+// ApplyPlan pushes a plan — a refresh, a repair or a recovery — into the
+// running cluster: every live site's server rebuilds its reference database
+// against the plan's workload and adopts the new replica set, and PageURL
+// sends clients to each page's host under that workload — all without
+// restarting a single server. The cluster's construction workload is
+// untouched; routing follows the applied workload alone, so reapplying the
+// original (env.W, placement) pair is a full recovery.
 func (c *Cluster) ApplyPlan(w2 *workload.Workload, p *model.Placement) error {
 	if w2.NumPages() != c.W.NumPages() || w2.NumSites() != c.W.NumSites() {
 		return fmt.Errorf("webserve: plan shaped for a different workload (%d/%d pages, %d/%d sites)",
@@ -619,12 +606,7 @@ func (c *Cluster) ApplyPlan(w2 *workload.Workload, p *model.Placement) error {
 			return err
 		}
 	}
-	routes := make([]workload.SiteID, w2.NumPages())
-	for j := range w2.Pages {
-		routes[j] = w2.Pages[j].Site
-	}
 	c.mu.Lock()
-	c.routes = routes
 	c.curW = w2
 	c.curP = p
 	c.mu.Unlock()
@@ -664,26 +646,19 @@ func (c *Cluster) RotRemaining() int {
 	return n
 }
 
-// Route returns the site currently serving page j: the routing table's
-// entry after an ApplyPlan, the workload's static assignment before.
+// Route returns the site currently serving page j: its host under the last
+// applied plan's workload, the construction workload's before any.
 func (c *Cluster) Route(j workload.PageID) workload.SiteID {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.routes != nil {
-		return c.routes[j]
-	}
-	return c.W.Pages[j].Site
+	return c.curW.Pages[j].Site
 }
 
-// PageURL returns the URL of page j on its current serving site (routing
-// table aware — after a repair this points at the page's new home).
+// PageURL returns the URL of page j on its current serving site (after a
+// repair this points at the page's new home).
 func (c *Cluster) PageURL(j workload.PageID) string {
 	c.mu.Lock()
-	site := c.W.Pages[j].Site
-	if c.routes != nil {
-		site = c.routes[j]
-	}
-	base := c.SiteBases[site]
+	base := c.SiteBases[c.curW.Pages[j].Site]
 	c.mu.Unlock()
 	return base + htmlrefs.PagePath(j)
 }

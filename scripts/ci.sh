@@ -35,7 +35,8 @@ stage_fmt() {
 # Build, vet, and the custom analyzer suite (internal/lint): nine rules over
 # the whole module, plus the audit that turns any //repllint:allow which
 # suppresses nothing into a finding. Any finding fails the build and prints
-# with its call chain; see DESIGN.md §11 for the rules and the escape hatch.
+# as file:line: rule: message; see DESIGN.md §11 for the rules and the
+# escape hatch.
 stage_lint() {
     go build ./...
     go vet ./...
