@@ -123,9 +123,7 @@ func run(args []string, stdout io.Writer) error {
 
 	var plan *faults.Plan
 	if *chaos > 0 {
-		fcfg := faults.DefaultPlanConfig()
-		fcfg.Level = *chaos
-		plan, err = faults.Generate(fcfg, w.NumSites(), *seed)
+		plan, err = faults.Generate(*chaos, w.NumSites(), *seed)
 		if err != nil {
 			return err
 		}
@@ -144,7 +142,6 @@ func run(args []string, stdout io.Writer) error {
 	}
 	copts := webserve.ClusterOptions{
 		Metrics:   *metrics,
-		Pprof:     *metrics,
 		Faults:    plan,
 		Trace:     spanBuf,
 		TraceSeed: *seed,

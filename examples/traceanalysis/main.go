@@ -1,6 +1,6 @@
 // Trace analysis: regression-testing replication policies offline. A
 // recorded trace pins the traffic *and* the per-request network conditions,
-// so two policy versions can be compared byte-identically — the workflow a
+// so two policy versions can be compared on identical inputs — the workflow a
 // team would use in CI to catch placement regressions before deploying a
 // planner change.
 package main
@@ -19,7 +19,7 @@ func main() {
 		log.Fatal(err)
 	}
 
-	// Record one canonical trace and persist it (CI would keep this file).
+	// Record one trace; every policy below is replayed over it.
 	cfg := repro.DefaultSimConfig(w)
 	cfg.RequestsPerSite = 800
 	trace, err := repro.RecordTrace(w, est, cfg, repro.NewStream(5))

@@ -11,10 +11,12 @@
 // degrades page fidelity under sustained shed pressure before the server
 // refuses outright.
 //
-// Every control law here is clock-agnostic: state machines take explicit
-// `now` values instead of reading the wall clock, so the identical code
-// runs under real time in internal/webserve and under a virtual clock in
-// the bit-reproducible experiments.Overload study.
+// Every control law here takes its clock as a parameter: the state machines
+// take explicit `now` values, and the only wall-clock reads are the live
+// gate's request deadlines and its nil-clock fallback. The live server runs
+// all of it under real time; the bit-reproducible experiments.Overload study
+// runs CoDel alone under a virtual clock, with its own queue bound,
+// deadline drop and retry budget around it.
 package admission
 
 import (
@@ -58,83 +60,42 @@ func ParseDeadline(s string) (time.Time, bool) {
 	return time.Unix(0, ns), true
 }
 
-// Config tunes one server's admission control. The zero value of each
-// field selects the default noted on it.
+// Config configures one server's admission control.
 type Config struct {
-	// Target is the CoDel sojourn target: queueing delay persistently
-	// above it sheds load. Default 5ms — far above a healthy loopback
-	// handler, far below any client deadline worth honoring.
-	Target time.Duration
-	// Interval is the CoDel control interval (how long sojourn must stay
-	// above Target before shedding starts, and the base spacing of
-	// subsequent sheds). Default 100ms.
-	Interval time.Duration
-	// InitialLimit is each endpoint's starting concurrency limit (default
-	// 32); the AIMD tuner moves it within [MinLimit, MaxLimit] (defaults
-	// 4 and 256) — halving on shed pressure, adding one per clean
-	// interval.
-	InitialLimit int
-	MinLimit     int
-	MaxLimit     int
-	// MaxQueue bounds each endpoint's wait queue; arrivals beyond it are
-	// shed instantly (the queue bound is the backstop — CoDel should act
-	// first). Default 128.
-	MaxQueue int
-	// RetryAfter is the nominal retry hint sent with a 429; the actual
-	// value is jittered in [d, 3d/2) on a seeded stream so a fleet of
-	// budgeted clients does not return in lockstep. Default 50ms.
-	RetryAfter time.Duration
 	// Seed seeds the Retry-After jitter stream.
 	Seed uint64
-	// BrownoutUp / BrownoutDown are the shed-rate thresholds (fraction of
-	// decisions in a BrownoutWindow that were sheds) for raising and
-	// lowering the degradation tier. Defaults 0.10 and 0.01.
-	BrownoutUp   float64
-	BrownoutDown float64
-	// BrownoutWindow is the shed-rate observation window (default 500ms).
-	BrownoutWindow time.Duration
 }
 
-// normalize resolves zero fields to the documented defaults.
-func (c Config) normalize() Config {
-	if c.Target <= 0 {
-		c.Target = 5 * time.Millisecond
-	}
-	if c.Interval <= 0 {
-		c.Interval = 100 * time.Millisecond
-	}
-	if c.InitialLimit <= 0 {
-		c.InitialLimit = 32
-	}
-	if c.MinLimit <= 0 {
-		c.MinLimit = 4
-	}
-	if c.MaxLimit <= 0 {
-		c.MaxLimit = 256
-	}
-	if c.InitialLimit < c.MinLimit {
-		c.InitialLimit = c.MinLimit
-	}
-	if c.MaxLimit < c.InitialLimit {
-		c.MaxLimit = c.InitialLimit
-	}
-	if c.MaxQueue <= 0 {
-		c.MaxQueue = 128
-	}
-	if c.RetryAfter <= 0 {
-		c.RetryAfter = 50 * time.Millisecond
-	}
-	if c.BrownoutUp <= 0 {
-		c.BrownoutUp = 0.10
-	}
-	if c.BrownoutDown <= 0 {
-		c.BrownoutDown = 0.01
-	}
-	if c.BrownoutWindow <= 0 {
-		c.BrownoutWindow = 500 * time.Millisecond
-	}
-	return c
-}
+// The admission laws' parameters.
+const (
+	// codelTarget is the CoDel sojourn target: queueing delay persistently
+	// above it sheds load — far above a healthy loopback handler, far below
+	// any client deadline worth honoring.
+	codelTarget = 5 * time.Millisecond
+	// codelInterval is the CoDel control interval (how long sojourn must stay
+	// above codelTarget before shedding starts, and the base spacing of
+	// subsequent sheds); it also spaces AIMD's decreases and increases.
+	codelInterval = 100 * time.Millisecond
+	// initialLimit is each endpoint's starting concurrency limit; the AIMD
+	// tuner moves it within [minLimit, maxLimit] — halving on shed pressure,
+	// adding one per clean interval.
+	initialLimit = 32
+	minLimit     = 4
+	maxLimit     = 256
+	// maxQueue bounds each endpoint's wait queue; arrivals beyond it are shed
+	// instantly (the queue bound is the backstop — CoDel should act first).
+	maxQueue = 128
+	// retryAfter is the nominal retry hint sent with a 429; the actual value
+	// is jittered in [d, 3d/2) on a seeded stream so a fleet of budgeted
+	// clients does not return in lockstep.
+	retryAfter = 50 * time.Millisecond
+	// brownoutUp / brownoutDown are the shed-rate thresholds (fraction of
+	// decisions in a brownoutWindow that were sheds) for raising and lowering
+	// the degradation tier.
+	brownoutUp     = 0.10
+	brownoutDown   = 0.01
+	brownoutWindow = 500 * time.Millisecond
+)
 
 // CoDel is the Controlled-Delay shedding law on queue sojourn times,
 // adapted from Nichols & Jacobson: shedding starts only after sojourn has

@@ -50,11 +50,10 @@ func TestCoDelShedsOnStandingQueue(t *testing.T) {
 }
 
 // TestEndpointAIMD pins the auto-tuner: sheds halve the limit (at most
-// once per interval, floored at MinLimit), clean intervals add one back
-// (capped at MaxLimit).
+// once per interval, floored at minLimit), clean intervals add one back.
 func TestEndpointAIMD(t *testing.T) {
-	cfg := Config{InitialLimit: 16, MinLimit: 4, MaxLimit: 32, Interval: 100 * time.Millisecond}
-	e := NewEndpoint(cfg)
+	e := NewEndpoint(Config{})
+	e.limit = 16
 	ms := func(n int) time.Duration { return time.Duration(n) * time.Millisecond }
 
 	e.mu.Lock()
@@ -81,7 +80,7 @@ func TestEndpointAIMD(t *testing.T) {
 	e.shedLocked(ms(402))
 	e.mu.Unlock()
 	if got := e.Limit(); got != 4 {
-		t.Fatalf("limit fell below MinLimit: %d", got)
+		t.Fatalf("limit fell below minLimit: %d", got)
 	}
 	// Clean intervals grow additively.
 	e.mu.Lock()
@@ -98,21 +97,24 @@ func TestEndpointAIMD(t *testing.T) {
 	}
 }
 
+// frozen is a clock that never advances: sojourns are zero, so CoDel never
+// sheds, and no interval passes, so AIMD never moves the limit.
+func frozen() time.Duration { return 0 }
+
 // TestEndpointQueueBound pins the backstop: with the concurrency limit and
 // the queue both full, further arrivals shed instantly as queue_full.
 func TestEndpointQueueBound(t *testing.T) {
-	cfg := Config{InitialLimit: 1, MinLimit: 1, MaxQueue: 2, Target: time.Hour, Interval: time.Hour}
-	e := NewEndpoint(cfg)
-	start := time.Now()
-	clock := func() time.Duration { return time.Since(start) }
+	e := NewEndpoint(Config{})
+	e.limit = 1
+	clock := frozen
 
 	v, rel := e.Admit(context.Background(), clock, time.Time{})
 	if v != Admitted {
 		t.Fatalf("first request not admitted: %v", v)
 	}
-	// Fill the queue with two waiters.
-	done := make(chan Verdict, 2)
-	for i := 0; i < 2; i++ {
+	// Fill the queue.
+	done := make(chan Verdict, maxQueue)
+	for i := 0; i < maxQueue; i++ {
 		go func() {
 			v, r := e.Admit(context.Background(), clock, time.Time{})
 			if r != nil {
@@ -121,17 +123,16 @@ func TestEndpointQueueBound(t *testing.T) {
 			done <- v
 		}()
 	}
-	waitFor(t, func() bool { return e.QueueLen() == 2 })
+	waitFor(t, func() bool { return e.QueueLen() == maxQueue })
 	v2, _ := e.Admit(context.Background(), clock, time.Time{})
 	if v2 != ShedQueue {
 		t.Fatalf("over-bound arrival verdict = %v, want ShedQueue", v2)
 	}
 	rel()
-	if got := <-done; got != Admitted {
-		t.Fatalf("queued request verdict = %v, want Admitted", got)
-	}
-	if got := <-done; got != Admitted {
-		t.Fatalf("queued request verdict = %v, want Admitted", got)
+	for i := 0; i < maxQueue; i++ {
+		if got := <-done; got != Admitted {
+			t.Fatalf("queued request verdict = %v, want Admitted", got)
+		}
 	}
 }
 
@@ -139,10 +140,9 @@ func TestEndpointQueueBound(t *testing.T) {
 // arrival work sheds without queueing, and a queued request whose deadline
 // lapses is shed instead of served.
 func TestEndpointDeadlineShed(t *testing.T) {
-	cfg := Config{InitialLimit: 1, MinLimit: 1, MaxQueue: 8, Target: time.Hour, Interval: time.Hour}
-	e := NewEndpoint(cfg)
-	start := time.Now()
-	clock := func() time.Duration { return time.Since(start) }
+	e := NewEndpoint(Config{})
+	e.limit = 1
+	clock := frozen
 
 	if v, _ := e.Admit(context.Background(), clock, time.Now().Add(-time.Second)); v != ShedDeadline {
 		t.Fatalf("expired-on-arrival verdict = %v, want ShedDeadline", v)
@@ -174,10 +174,9 @@ func TestEndpointDeadlineShed(t *testing.T) {
 // TestEndpointAbortedClient pins the disconnect path: a canceled context
 // abandons the queued waiter and the slot cascade skips it.
 func TestEndpointAbortedClient(t *testing.T) {
-	cfg := Config{InitialLimit: 1, MinLimit: 1, MaxQueue: 8, Target: time.Hour, Interval: time.Hour}
-	e := NewEndpoint(cfg)
-	start := time.Now()
-	clock := func() time.Duration { return time.Since(start) }
+	e := NewEndpoint(Config{})
+	e.limit = 1
+	clock := frozen
 
 	_, rel := e.Admit(context.Background(), clock, time.Time{})
 	ctx, cancel := context.WithCancel(context.Background())
@@ -202,11 +201,11 @@ func TestEndpointAbortedClient(t *testing.T) {
 
 // TestBrownoutWalksTiersWithHysteresis pins the degradation controller:
 // sustained shed pressure raises the tier one window at a time up to
-// MaxTier; pressure below the down-threshold walks it back.
+// MaxTier; pressure below the down-threshold walks it back. Times are in
+// tenths of a brownout window.
 func TestBrownoutWalksTiersWithHysteresis(t *testing.T) {
-	cfg := Config{BrownoutWindow: 10 * time.Millisecond, BrownoutUp: 0.1, BrownoutDown: 0.01}
-	b := NewBrownout(cfg)
-	ms := func(n int) time.Duration { return time.Duration(n) * time.Millisecond }
+	b := &Brownout{}
+	ms := func(n int) time.Duration { return time.Duration(n) * brownoutWindow / 10 }
 
 	// Window 1: 50% sheds → tier 1.
 	b.Observe(true, ms(1))
@@ -253,9 +252,8 @@ func TestBrownoutWalksTiersWithHysteresis(t *testing.T) {
 // admitted requests reach the handler with the slot released after.
 func TestMiddlewareShedsWith429AndRetryAfter(t *testing.T) {
 	reg := telemetry.NewRegistry()
-	cfg := Config{InitialLimit: 1, MinLimit: 1, MaxQueue: 1, Target: time.Hour, Interval: time.Hour,
-		RetryAfter: 20 * time.Millisecond, Seed: 7}
-	s := NewServer(cfg, nil, MetricsFor(reg, "admission.test."))
+	s := NewServer(Config{Seed: 7}, frozen, MetricsFor(reg, "admission.test."))
+	s.mo.limit = 1
 
 	release := make(chan struct{})
 	started := make(chan struct{}, 8)
@@ -268,10 +266,11 @@ func TestMiddlewareShedsWith429AndRetryAfter(t *testing.T) {
 	defer srv.Close()
 	defer close(release)
 
-	// Occupy the slot and the single queue seat.
+	// Occupy the slot, fill the queue with abandoned waiters but for one
+	// seat, and take that seat.
 	var wg sync.WaitGroup
 	var okCount atomic.Int64
-	for i := 0; i < 2; i++ {
+	get := func() {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -284,7 +283,14 @@ func TestMiddlewareShedsWith429AndRetryAfter(t *testing.T) {
 			}
 		}()
 	}
+	get()
 	<-started // the first is in the handler
+	s.mo.mu.Lock()
+	for i := 0; i < maxQueue-1; i++ {
+		s.mo.queue = append(s.mo.queue, &waiter{gone: true})
+	}
+	s.mo.mu.Unlock()
+	get()
 	waitFor(t, func() bool { return s.Endpoint("mo").QueueLen() == 1 })
 
 	resp, err := http.Get(srv.URL + "/mo/0")
@@ -364,7 +370,7 @@ func TestMiddlewareShedsDoomedDeadline(t *testing.T) {
 // sequence; the hint stays in [d, 3d/2).
 func TestRetryAfterJitterSeeded(t *testing.T) {
 	mk := func(seed uint64) []time.Duration {
-		s := NewServer(Config{RetryAfter: 100 * time.Millisecond, Seed: seed}, nil, Metrics{})
+		s := NewServer(Config{Seed: seed}, nil, Metrics{})
 		out := make([]time.Duration, 8)
 		for i := range out {
 			out[i] = s.retryAfter()
@@ -376,8 +382,8 @@ func TestRetryAfterJitterSeeded(t *testing.T) {
 		if a[i] != b[i] {
 			t.Fatalf("same-seed jitter diverged at %d: %v vs %v", i, a[i], b[i])
 		}
-		if a[i] < 100*time.Millisecond || a[i] >= 150*time.Millisecond {
-			t.Fatalf("jitter %v outside [100ms, 150ms)", a[i])
+		if a[i] < retryAfter || a[i] >= retryAfter*3/2 {
+			t.Fatalf("jitter %v outside [%v, %v)", a[i], retryAfter, retryAfter*3/2)
 		}
 	}
 	c := mk(43)

@@ -61,7 +61,6 @@ type waiter struct {
 // values use.
 type Endpoint struct {
 	mu    sync.Mutex
-	cfg   Config
 	codel *CoDel
 	limit int
 	act   int
@@ -75,13 +74,12 @@ type Endpoint struct {
 	shedEver     bool
 }
 
-// NewEndpoint builds an endpoint queue from a normalized config.
+// NewEndpoint builds an endpoint queue; the queue's laws take no settings
+// from cfg.
 func NewEndpoint(cfg Config) *Endpoint {
-	cfg = cfg.normalize()
 	return &Endpoint{
-		cfg:   cfg,
-		codel: NewCoDel(cfg.Target, cfg.Interval),
-		limit: cfg.InitialLimit,
+		codel: NewCoDel(codelTarget, codelInterval),
+		limit: initialLimit,
 	}
 }
 
@@ -116,8 +114,7 @@ func (e *Endpoint) QueueLen() int {
 // on the endpoint's monotone timeline; deadline (zero = none) is the
 // request's absolute wall-clock deadline; ctx aborts the wait when the
 // client disconnects. On Admitted the caller must call release() exactly
-// once when the request finishes. sawDrop reports a CoDel state
-// transition into shedding (for journal events).
+// once when the request finishes.
 func (e *Endpoint) Admit(ctx context.Context, clock func() time.Duration, deadline time.Time) (v Verdict, release func()) {
 	now := clock()
 	e.mu.Lock()
@@ -136,7 +133,7 @@ func (e *Endpoint) Admit(ctx context.Context, clock func() time.Duration, deadli
 		e.mu.Unlock()
 		return Admitted, e.releaseFunc()
 	}
-	if len(e.queue) >= e.cfg.MaxQueue {
+	if len(e.queue) >= maxQueue {
 		e.shedLocked(now)
 		e.mu.Unlock()
 		return ShedQueue, nil
@@ -147,7 +144,7 @@ func (e *Endpoint) Admit(ctx context.Context, clock func() time.Duration, deadli
 
 	var deadlineC <-chan time.Time
 	if !deadline.IsZero() {
-		//repllint:allow determinism — a queued waiter must wake at its wall-clock deadline; Endpoint is the live HTTP gate, the virtual-clock study drives CoDel and RetryBudget directly
+		//repllint:allow determinism — a queued waiter must wake at its wall-clock deadline; Endpoint is the live HTTP gate, the virtual-clock study drives only CoDel
 		t := time.NewTimer(time.Until(deadline))
 		defer t.Stop()
 		deadlineC = t.C
@@ -237,27 +234,27 @@ func (e *Endpoint) grantLocked() {
 // once per control interval. Caller holds e.mu.
 func (e *Endpoint) shedLocked(now time.Duration) {
 	e.lastShed, e.shedEver = now, true
-	if now-e.lastDecrease < e.cfg.Interval {
+	if now-e.lastDecrease < codelInterval {
 		return
 	}
 	e.lastDecrease = now
 	e.limit /= 2
-	if e.limit < e.cfg.MinLimit {
-		e.limit = e.cfg.MinLimit
+	if e.limit < minLimit {
+		e.limit = minLimit
 	}
 }
 
 // growLocked books the additive increase: +1 after a full interval with no
 // sheds. Caller holds e.mu.
 func (e *Endpoint) growLocked(now time.Duration) {
-	if e.shedEver && now-e.lastShed < e.cfg.Interval {
+	if e.shedEver && now-e.lastShed < codelInterval {
 		return
 	}
-	if now-e.lastIncrease < e.cfg.Interval {
+	if now-e.lastIncrease < codelInterval {
 		return
 	}
 	e.lastIncrease = now
-	if e.limit < e.cfg.MaxLimit {
+	if e.limit < maxLimit {
 		e.limit++
 	}
 }
@@ -269,7 +266,6 @@ func (e *Endpoint) growLocked(now time.Duration) {
 // maximal degradation short of refusing.
 type Brownout struct {
 	mu     sync.Mutex
-	cfg    Config
 	tier   int
 	start  time.Duration // current window's start
 	admits int
@@ -278,11 +274,6 @@ type Brownout struct {
 
 // MaxTier is the deepest brownout tier (drop every optional reference).
 const MaxTier = 2
-
-// NewBrownout builds the controller from a normalized config.
-func NewBrownout(cfg Config) *Brownout {
-	return &Brownout{cfg: cfg.normalize()}
-}
 
 // Tier returns the current degradation tier.
 func (b *Brownout) Tier() int {
@@ -303,7 +294,7 @@ func (b *Brownout) Observe(shed bool, now time.Duration) (tier int, changed bool
 	} else {
 		b.admits++
 	}
-	if now-b.start < b.cfg.BrownoutWindow {
+	if now-b.start < brownoutWindow {
 		return b.tier, false
 	}
 	total := b.sheds + b.admits
@@ -313,9 +304,9 @@ func (b *Brownout) Observe(shed bool, now time.Duration) (tier int, changed bool
 	}
 	prev := b.tier
 	switch {
-	case rate > b.cfg.BrownoutUp && b.tier < MaxTier:
+	case rate > brownoutUp && b.tier < MaxTier:
 		b.tier++
-	case rate < b.cfg.BrownoutDown && b.tier > 0:
+	case rate < brownoutDown && b.tier > 0:
 		b.tier--
 	}
 	b.start = now

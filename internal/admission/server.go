@@ -68,7 +68,6 @@ func (m Metrics) count(v Verdict) {
 // stampede cannot starve object fetches), the brownout controller, and
 // the seeded Retry-After jitter stream.
 type Server struct {
-	cfg   Config
 	clock func() time.Duration
 	page  *Endpoint
 	mo    *Endpoint
@@ -88,7 +87,6 @@ type Server struct {
 // the server's monotone timeline (e.g. since the cluster was armed); nil
 // pins it to a process-start-relative wall clock.
 func NewServer(cfg Config, clock func() time.Duration, m Metrics) *Server {
-	cfg = cfg.normalize()
 	if clock == nil {
 		//repllint:allow determinism — nil-clock fallback for the live server: a process-relative wall timeline; the study injects a virtual clock
 		start := time.Now()
@@ -96,12 +94,11 @@ func NewServer(cfg Config, clock func() time.Duration, m Metrics) *Server {
 		clock = func() time.Duration { return time.Since(start) }
 	}
 	return &Server{
-		cfg:    cfg,
 		clock:  clock,
-		page:   NewEndpoint(cfg),
-		mo:     NewEndpoint(cfg),
-		other:  NewEndpoint(cfg),
-		brown:  NewBrownout(cfg),
+		page:   NewEndpoint(Config{}),
+		mo:     NewEndpoint(Config{}),
+		other:  NewEndpoint(Config{}),
+		brown:  &Brownout{},
 		m:      m,
 		jitter: rng.New(cfg.Seed).Split(retryAfterStream),
 	}
@@ -139,7 +136,7 @@ func (s *Server) endpointFor(path string) *Endpoint {
 
 // retryAfter draws the jittered retry hint in [d, 3d/2).
 func (s *Server) retryAfter() time.Duration {
-	d := s.cfg.RetryAfter
+	const d = retryAfter
 	s.jmu.Lock()
 	defer s.jmu.Unlock()
 	return d + time.Duration(s.jitter.Uniform(0, float64(d/2)))

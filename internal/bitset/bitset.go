@@ -67,13 +67,6 @@ func (s *Set) Count() int {
 	return c
 }
 
-// Reset clears all bits.
-func (s *Set) Reset() {
-	for i := range s.words {
-		s.words[i] = 0
-	}
-}
-
 // Clone returns a deep copy.
 func (s *Set) Clone() *Set {
 	c := &Set{n: s.n, words: make([]uint64, len(s.words))}
@@ -84,22 +77,6 @@ func (s *Set) Clone() *Set {
 func (s *Set) mustMatch(o *Set) {
 	if s.n != o.n {
 		panic(fmt.Sprintf("bitset: capacity mismatch %d vs %d", s.n, o.n))
-	}
-}
-
-// UnionWith sets s = s ∪ o.
-func (s *Set) UnionWith(o *Set) {
-	s.mustMatch(o)
-	for i, w := range o.words {
-		s.words[i] |= w
-	}
-}
-
-// IntersectWith sets s = s ∩ o.
-func (s *Set) IntersectWith(o *Set) {
-	s.mustMatch(o)
-	for i, w := range o.words {
-		s.words[i] &= w
 	}
 }
 
@@ -122,16 +99,6 @@ func (s *Set) Equal(o *Set) bool {
 		}
 	}
 	return true
-}
-
-// Any reports whether at least one bit is set.
-func (s *Set) Any() bool {
-	for _, w := range s.words {
-		if w != 0 {
-			return true
-		}
-	}
-	return false
 }
 
 // ForEach calls fn for every set bit in ascending order; fn returning false

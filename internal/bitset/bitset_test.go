@@ -63,10 +63,10 @@ func TestCapacityMismatchPanics(t *testing.T) {
 	a, b := New(10), New(11)
 	defer func() {
 		if recover() == nil {
-			t.Error("UnionWith with mismatched capacity did not panic")
+			t.Error("DifferenceWith with mismatched capacity did not panic")
 		}
 	}()
-	a.UnionWith(b)
+	a.DifferenceWith(b)
 }
 
 func TestSetOps(t *testing.T) {
@@ -78,21 +78,11 @@ func TestSetOps(t *testing.T) {
 		b.Set(i) // multiples of 3
 	}
 
-	u := a.Clone()
-	u.UnionWith(b)
-	i := a.Clone()
-	i.IntersectWith(b)
 	d := a.Clone()
 	d.DifferenceWith(b)
 
 	for k := 0; k < 100; k++ {
 		even, triple := k%2 == 0, k%3 == 0
-		if u.Test(k) != (even || triple) {
-			t.Errorf("union wrong at %d", k)
-		}
-		if i.Test(k) != (even && triple) {
-			t.Errorf("intersection wrong at %d", k)
-		}
 		if d.Test(k) != (even && !triple) {
 			t.Errorf("difference wrong at %d", k)
 		}
@@ -113,21 +103,6 @@ func TestEqualAndClone(t *testing.T) {
 	}
 	if a.Equal(New(71)) {
 		t.Error("different capacities reported equal")
-	}
-}
-
-func TestResetAndAny(t *testing.T) {
-	s := New(100)
-	if s.Any() {
-		t.Error("empty set Any() = true")
-	}
-	s.Set(99)
-	if !s.Any() {
-		t.Error("Any() = false after Set")
-	}
-	s.Reset()
-	if s.Any() || s.Count() != 0 {
-		t.Error("Reset did not clear")
 	}
 }
 
@@ -194,7 +169,7 @@ func TestString(t *testing.T) {
 
 func TestZeroCapacity(t *testing.T) {
 	s := New(0)
-	if s.Any() || s.Count() != 0 || s.Len() != 0 {
+	if s.Count() != 0 || s.Len() != 0 {
 		t.Error("zero-capacity set misbehaves")
 	}
 	s2 := New(-5)
@@ -234,7 +209,8 @@ func TestRoundTripProperty(t *testing.T) {
 	}
 }
 
-// property: De Morgan-ish identity |A| = |A∩B| + |A\B|.
+// property: De Morgan-ish identity |A| = |A∩B| + |A\B|, with A∩B taken
+// as A \ (A\B).
 func TestPartitionProperty(t *testing.T) {
 	f := func(xs, ys []uint8) bool {
 		a, b := New(256), New(256)
@@ -244,10 +220,10 @@ func TestPartitionProperty(t *testing.T) {
 		for _, y := range ys {
 			b.Set(int(y))
 		}
-		inter := a.Clone()
-		inter.IntersectWith(b)
 		diff := a.Clone()
 		diff.DifferenceWith(b)
+		inter := a.Clone()
+		inter.DifferenceWith(diff)
 		return a.Count() == inter.Count()+diff.Count()
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {

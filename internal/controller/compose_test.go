@@ -71,7 +71,7 @@ func TestComposedChaos(t *testing.T) {
 
 	journal := trace.NewJournal(512)
 	rec := NewReconciler(env, startup, cluster, ReconcilerOptions{Workers: 1, Journal: journal})
-	sup := rec.Supervisor(Options{ProbeInterval: 20 * time.Millisecond, FailThreshold: 3, OKThreshold: 2})
+	sup := rec.Supervisor(Options{ProbeInterval: 20 * time.Millisecond})
 	adapter, err := rec.Adapter(est, AdaptOptions{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
@@ -149,7 +149,7 @@ func TestComposedChaos(t *testing.T) {
 	} else if _, from := rp.Original(); !from.Equal(adapted2) {
 		t.Error("repair was not re-derived from the newly adapted base")
 	}
-	client := cluster.Client(webserve.ClientOptions{Retries: 2, BackoffBase: time.Millisecond})
+	client := cluster.Client(webserve.ClientOptions{Retries: 2})
 	for j := range env.W.Pages {
 		pid := workload.PageID(j)
 		if _, err := client.FetchPage(cluster.PageURL(pid), pid); err != nil {

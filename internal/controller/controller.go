@@ -8,9 +8,9 @@
 //
 // The supervisor's probe loop over every site's /healthz endpoint drives a
 // per-site state machine (up → suspect → down → recovering → up). Detection
-// is K-of-N: a site must fail FailThreshold consecutive probes before it is
+// is K-of-N: a site must fail failThreshold consecutive probes before it is
 // declared down (one lost probe makes it suspect, not dead), and must
-// answer OKThreshold consecutive probes before a recovery is attempted —
+// answer okThreshold consecutive probes before a recovery is attempted —
 // both thresholds damp flapping. Every transition is recorded and counted
 // in telemetry.
 package controller
@@ -35,12 +35,12 @@ type SiteState int
 const (
 	// Up: the site answers probes and serves its (possibly repaired) pages.
 	Up SiteState = iota
-	// Suspect: at least one probe failed, fewer than FailThreshold in a row.
+	// Suspect: at least one probe failed, fewer than failThreshold in a row.
 	Suspect
-	// Down: FailThreshold consecutive probes failed; the site's pages are
+	// Down: failThreshold consecutive probes failed; the site's pages are
 	// re-homed by the active repair plan.
 	Down
-	// Recovering: a down site answered OKThreshold consecutive probes; the
+	// Recovering: a down site answered okThreshold consecutive probes; the
 	// reconciler is committing the plan without it in the down set.
 	Recovering
 )
@@ -66,12 +66,6 @@ type Options struct {
 	ProbeInterval time.Duration
 	// ProbeTimeout bounds one probe request (default ProbeInterval).
 	ProbeTimeout time.Duration
-	// FailThreshold is K: consecutive failed probes before a site is
-	// declared down (default 3).
-	FailThreshold int
-	// OKThreshold is the consecutive successful probes a down site must
-	// answer before recovery (default 2).
-	OKThreshold int
 	// LatencyThreshold, when positive, arms limping-node detection: a probe
 	// that answers 200 but whose EWMA round-trip time exceeds the threshold
 	// counts as a *failed* probe, so a site that is up-but-crawling walks
@@ -79,12 +73,22 @@ type Options struct {
 	// its 200s. Zero (the default) keeps the previous any-200-is-healthy
 	// behaviour.
 	LatencyThreshold time.Duration
-	// LatencyAlpha is the EWMA smoothing factor in (0, 1] for the per-site
-	// probe-latency estimate (default 0.3). Higher values react faster but
-	// flap more on one slow probe; the EWMA exists precisely so a single
-	// GC pause does not condemn a healthy site.
-	LatencyAlpha float64
 }
+
+// The supervisor's state-machine parameters.
+const (
+	// failThreshold is K: consecutive failed probes before a site is
+	// declared down.
+	failThreshold = 3
+	// okThreshold is the consecutive successful probes a down site must
+	// answer before recovery.
+	okThreshold = 2
+	// latencyAlpha is the EWMA smoothing factor for the per-site
+	// probe-latency estimate. Higher values react faster but flap more on
+	// one slow probe; the EWMA exists precisely so a single GC pause does
+	// not condemn a healthy site.
+	latencyAlpha = 0.3
+)
 
 func (o Options) normalize() Options {
 	if o.ProbeInterval <= 0 {
@@ -92,15 +96,6 @@ func (o Options) normalize() Options {
 	}
 	if o.ProbeTimeout <= 0 {
 		o.ProbeTimeout = o.ProbeInterval
-	}
-	if o.FailThreshold <= 0 {
-		o.FailThreshold = 3
-	}
-	if o.OKThreshold <= 0 {
-		o.OKThreshold = 2
-	}
-	if o.LatencyAlpha <= 0 || o.LatencyAlpha > 1 {
-		o.LatencyAlpha = 0.3
 	}
 	return o
 }
@@ -224,8 +219,7 @@ func (s *Supervisor) observe(ok []bool, rtt []time.Duration) {
 			if s.ewma[i] == 0 {
 				s.ewma[i] = r
 			} else {
-				a := s.opts.LatencyAlpha
-				s.ewma[i] = a*r + (1-a)*s.ewma[i]
+				s.ewma[i] = latencyAlpha*r + (1-latencyAlpha)*s.ewma[i]
 			}
 			if s.opts.LatencyThreshold > 0 && s.ewma[i] > s.opts.LatencyThreshold.Seconds() {
 				ok[i] = false // healthy answer, unhealthy latency: limping
@@ -241,7 +235,7 @@ func (s *Supervisor) observe(ok []bool, rtt []time.Duration) {
 				s.setState(i, Up, now)
 			case Down:
 				s.oks[i]++
-				if s.oks[i] >= s.opts.OKThreshold {
+				if s.oks[i] >= okThreshold {
 					s.setState(i, Recovering, now)
 					edge = true
 				}
@@ -254,7 +248,7 @@ func (s *Supervisor) observe(ok []bool, rtt []time.Duration) {
 				s.setState(i, Suspect, now)
 			case Suspect:
 				s.fails[i]++
-				if s.fails[i] >= s.opts.FailThreshold {
+				if s.fails[i] >= failThreshold {
 					s.setState(i, Down, now)
 					edge = true
 				}

@@ -62,7 +62,7 @@ func TestStateMachineTransitions(t *testing.T) {
 
 	journal := trace.NewJournal(128)
 	s := NewReconciler(env, p, cluster, ReconcilerOptions{Workers: 1, Journal: journal}).
-		Supervisor(Options{FailThreshold: 3, OKThreshold: 2})
+		Supervisor(Options{})
 	up, down := []bool{true, true, true}, []bool{false, true, true}
 	noRTT := make([]time.Duration, 3)
 
@@ -79,7 +79,7 @@ func TestStateMachineTransitions(t *testing.T) {
 		t.Fatal("a suspect blip triggered a repair")
 	}
 
-	// FailThreshold consecutive failures declare the site down and repair.
+	// failThreshold consecutive failures declare the site down and repair.
 	for i := 0; i < 3; i++ {
 		s.observe(down, noRTT)
 	}
@@ -103,7 +103,7 @@ func TestStateMachineTransitions(t *testing.T) {
 	if st := s.States()[0]; st != Down {
 		t.Fatalf("after flapping: %v, want down", st)
 	}
-	// OKThreshold consecutive successes recover and reinstate routing.
+	// okThreshold consecutive successes recover and reinstate routing.
 	s.observe(up, noRTT)
 	if st := s.States()[0]; st != Up {
 		t.Fatalf("after %d good probes: %v, want up", 2, st)
@@ -172,8 +172,6 @@ func TestHealEndToEnd(t *testing.T) {
 
 	s := NewReconciler(env, p, cluster, ReconcilerOptions{Workers: 2, Metrics: reg}).Supervisor(Options{
 		ProbeInterval: 20 * time.Millisecond,
-		FailThreshold: 3,
-		OKThreshold:   2,
 	})
 	s.Start()
 	defer func() {
@@ -188,12 +186,7 @@ func TestHealEndToEnd(t *testing.T) {
 
 	fetchAll := func(label string, wantSite0Home bool) {
 		t.Helper()
-		client := cluster.Client(webserve.ClientOptions{
-			Timeout:     2 * time.Second,
-			Retries:     2,
-			BackoffBase: time.Millisecond,
-			BackoffMax:  4 * time.Millisecond,
-		})
+		client := cluster.Client(webserve.ClientOptions{Retries: 2})
 		client.Verify = true
 		for j := range env.W.Pages {
 			pid := workload.PageID(j)

@@ -44,8 +44,9 @@ type ScrubCycle struct {
 	// Errors counts fetch failures (site unreachable mid-scrub, timeouts) —
 	// availability problems for the supervisor, not integrity findings.
 	Errors int
-	// Repaired reports that the corrupt replicas were re-shipped and
-	// re-verified clean this cycle.
+	// Repaired reports that the corrupt replicas were re-shipped and none
+	// failed re-verification this cycle (a re-verify whose fetch failed
+	// counts in Errors instead).
 	Repaired bool
 	// RepairBytes is the anti-entropy traffic: only the corrupt replicas'
 	// bytes, never a full re-copy.
@@ -203,8 +204,16 @@ func (s *Scrubber) repairFindings(w *workload.Workload, out *ScrubCycle) error {
 		cluster.ClearRot(int(f.Site), f.Object)
 	}
 	for _, f := range shipped {
-		if err := s.verify(w, int(f.Site), cluster.SiteBases[f.Site], f.Object); err != nil {
+		err := s.verify(w, int(f.Site), cluster.SiteBases[f.Site], f.Object)
+		var verr *webserve.IntegrityError
+		if errors.As(err, &verr) {
 			return fmt.Errorf("scrub: re-verify after repair: site %d object %d: %w", f.Site, f.Object, err)
+		}
+		if err != nil {
+			// A fetch failure says nothing about the bytes: count it as the
+			// main pass does, and the next cycle re-checks the replica.
+			out.Errors++
+			s.cErrors.Inc()
 		}
 	}
 	out.Repaired = true

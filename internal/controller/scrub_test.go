@@ -113,6 +113,33 @@ func TestScrubberFindsAndRepairsRot(t *testing.T) {
 	}
 }
 
+// TestScrubberReverifyFetchErrorIsNotFatal pins the re-verify contract: a
+// repaired replica whose re-verify fetch fails (an injected 503) is counted
+// as a fetch error and left for the next cycle, not a scrub-loop failure.
+// The fault stream is a pure function of the seed and arrival order, and the
+// cycle fetches one replica at a time, so the split below is fixed.
+func TestScrubberReverifyFetchErrorIsNotFatal(t *testing.T) {
+	penv, p := healEnv(t)
+	plan := &faults.Plan{Seed: 3, Sites: make([]faults.Spec, penv.W.NumSites())}
+	plan.Sites[0].Rot = p.StoredSet(0).Members()
+	plan.Sites[0].ErrorRate = 0.5
+	cluster, err := webserve.StartClusterOptions(penv.W, p, webserve.ClusterOptions{Faults: plan})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cluster.Close()
+
+	cyc, err := NewScrubber(penv, cluster, ScrubOptions{}).RunCycle()
+	if err != nil {
+		t.Fatalf("a transient re-verify failure ended the cycle: %v", err)
+	}
+	mainPassErrors := cyc.Checked - cyc.Clean - len(cyc.Corrupt)
+	if len(cyc.Corrupt) == 0 || !cyc.Repaired || cyc.Errors <= mainPassErrors {
+		t.Fatalf("re-verify fetch error not exercised: %d corrupt, repaired=%v, %d errors (%d in the main pass)",
+			len(cyc.Corrupt), cyc.Repaired, cyc.Errors, mainPassErrors)
+	}
+}
+
 // TestScrubberSkipsDownSites pins availability/integrity separation: a dead
 // site's replicas are the supervisor's problem, not integrity findings.
 func TestScrubberSkipsDownSites(t *testing.T) {
@@ -176,9 +203,8 @@ func TestScrubberRaceWithChaosAndFetches(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			client := cluster.Client(webserve.ClientOptions{
-				Retries:     2,
-				BackoffBase: time.Millisecond,
-				JitterSeed:  uint64(g + 1),
+				Retries:    2,
+				JitterSeed: uint64(g + 1),
 			})
 			site := g % penv.W.NumSites()
 			for i := 0; i < 6; i++ {
@@ -233,8 +259,6 @@ func TestSupervisorDetectsLimpingSite(t *testing.T) {
 		// Far above the limp: every probe answers 200, so only the latency
 		// threshold can demote the site — the gray path under test.
 		ProbeTimeout:     2 * time.Second,
-		FailThreshold:    3,
-		OKThreshold:      2,
 		LatencyThreshold: 5 * time.Millisecond,
 	})
 	s.Start()
@@ -262,7 +286,8 @@ func TestSupervisorDetectsLimpingSite(t *testing.T) {
 }
 
 // TestObserveLatencyDemotion drives the EWMA branch synthetically: probes
-// that succeed over the threshold count as failures; probes under it heal.
+// that succeed over the threshold count as failures; probes under it heal,
+// once the smoothed RTT has decayed below the threshold.
 func TestObserveLatencyDemotion(t *testing.T) {
 	penv, p := healEnv(t)
 	cluster, err := webserve.StartCluster(penv.W, p)
@@ -272,25 +297,34 @@ func TestObserveLatencyDemotion(t *testing.T) {
 	defer cluster.Close()
 
 	s := NewReconciler(penv, p, cluster, ReconcilerOptions{Workers: 1}).Supervisor(Options{
-		FailThreshold:    2,
-		OKThreshold:      1,
 		LatencyThreshold: 10 * time.Millisecond,
-		LatencyAlpha:     1, // no smoothing: each probe's RTT is the EWMA
 	})
 	slow := []time.Duration{50 * time.Millisecond, time.Millisecond, time.Millisecond}
 	fast := []time.Duration{time.Millisecond, time.Millisecond, time.Millisecond}
+	// observe demotes in place, so every round gets fresh answers.
+	ok := func() []bool { return []bool{true, true, true} }
 
-	s.observe([]bool{true, true, true}, slow)
+	s.observe(ok(), slow)
 	if st := s.States()[0]; st != Suspect {
 		t.Fatalf("after one slow probe: %v, want suspect", st)
 	}
-	s.observe([]bool{true, true, true}, slow)
-	if st := s.States()[0]; st != Down {
-		t.Fatalf("after two slow probes: %v, want down", st)
+	for i := 1; i < failThreshold; i++ {
+		s.observe(ok(), slow)
 	}
-	s.observe([]bool{true, true, true}, fast)
+	if st := s.States()[0]; st != Down {
+		t.Fatalf("after %d slow probes: %v, want down", failThreshold, st)
+	}
+	// The EWMA (50 ms) decays by 1-latencyAlpha per fast probe: 35.3, 25.0,
+	// 17.8, 12.8 ms still fail; 9.3 and 6.8 ms are the okThreshold successes.
+	for i := 0; i < 4+okThreshold-1; i++ {
+		s.observe(ok(), fast)
+		if st := s.States()[0]; st != Down {
+			t.Fatalf("fast probe %d, EWMA not yet settled: %v, want down", i+1, st)
+		}
+	}
+	s.observe(ok(), fast)
 	if st := s.States()[0]; st != Up {
-		t.Fatalf("after a fast probe: %v, want up", st)
+		t.Fatalf("after the EWMA settled under the threshold: %v, want up", st)
 	}
 	if states := s.States(); states[1] != Up || states[2] != Up {
 		t.Fatalf("fast sites demoted: %v", states)

@@ -5,21 +5,9 @@ import (
 	"sort"
 )
 
-// DetectorConfig tunes the drift detector. Zero values take the defaults
-// noted on each field.
+// DetectorConfig tunes the drift detector. A zero value takes the default
+// noted on it.
 type DetectorConfig struct {
-	// TriggerL1 is the L1 distance between the estimated and baseline
-	// frequency vectors (both normalized, so the distance lives in [0, 2])
-	// at or above which re-planning triggers. Default 0.35.
-	TriggerL1 float64
-	// ClearL1 is the hysteresis floor: after a trigger the detector stays
-	// quiet until the distance drops below ClearL1 (i.e. the plan has been
-	// rebuilt, or the burst faded on its own) and only then re-arms.
-	// Default TriggerL1 / 2.
-	ClearL1 float64
-	// TopK is how many top pages the churn signal compares. Default 10,
-	// clamped to the vector length.
-	TopK int
 	// TriggerTopK is the fraction of the current top-K absent from the
 	// baseline top-K at or above which re-planning triggers even when the
 	// bulk L1 mass hasn't moved — the "breaking news" signature where a
@@ -27,16 +15,22 @@ type DetectorConfig struct {
 	TriggerTopK float64
 }
 
+// The detector's fixed thresholds.
+const (
+	// triggerL1 is the L1 distance between the estimated and baseline
+	// frequency vectors (both normalized, so the distance lives in [0, 2])
+	// at or above which re-planning triggers.
+	triggerL1 = 0.35
+	// clearL1 is the hysteresis floor: after a trigger the detector stays
+	// quiet until the distance drops below clearL1 (i.e. the plan has been
+	// rebuilt, or the burst faded on its own) and only then re-arms.
+	clearL1 = triggerL1 / 2
+	// topK is how many top pages the churn signal compares, clamped to the
+	// vector length.
+	topK = 10
+)
+
 func (c DetectorConfig) normalize() DetectorConfig {
-	if c.TriggerL1 <= 0 {
-		c.TriggerL1 = 0.35
-	}
-	if c.ClearL1 <= 0 {
-		c.ClearL1 = c.TriggerL1 / 2
-	}
-	if c.TopK <= 0 {
-		c.TopK = 10
-	}
 	if c.TriggerTopK <= 0 {
 		c.TriggerTopK = 0.5
 	}
@@ -54,7 +48,7 @@ type Decision struct {
 	Exceeded bool
 	// Trigger reports whether this check should start a re-plan: Exceeded
 	// while the detector is armed. Hysteresis clears it on the checks that
-	// follow a trigger until the distance falls below ClearL1 or the
+	// follow a trigger until the distance falls below clearL1 or the
 	// caller Rebases onto a new plan.
 	Trigger bool
 }
@@ -86,7 +80,7 @@ func NewDetector(baseline []float64, cfg DetectorConfig) (*Detector, error) {
 // Rebase replaces the baseline (after a re-plan has shipped) and re-arms.
 func (d *Detector) Rebase(baseline []float64) {
 	d.baseline = append([]float64(nil), baseline...)
-	d.baseTop = topSet(baseline, d.cfg.TopK)
+	d.baseTop = topSet(baseline, topK)
 	d.armed = true
 }
 
@@ -104,7 +98,7 @@ func (d *Detector) Check(current []float64) (Decision, error) {
 		}
 		dec.L1 += diff
 	}
-	curTop := topIndices(current, d.cfg.TopK)
+	curTop := topIndices(current, topK)
 	if len(curTop) > 0 {
 		moved := 0
 		for _, idx := range curTop {
@@ -114,11 +108,11 @@ func (d *Detector) Check(current []float64) (Decision, error) {
 		}
 		dec.TopKChurn = float64(moved) / float64(len(curTop))
 	}
-	dec.Exceeded = dec.L1 >= d.cfg.TriggerL1 || dec.TopKChurn >= d.cfg.TriggerTopK
+	dec.Exceeded = dec.L1 >= triggerL1 || dec.TopKChurn >= d.cfg.TriggerTopK
 	dec.Trigger = dec.Exceeded && d.armed
 	if dec.Trigger {
 		d.armed = false
-	} else if !d.armed && dec.L1 < d.cfg.ClearL1 && dec.TopKChurn < d.cfg.TriggerTopK {
+	} else if !d.armed && dec.L1 < clearL1 && dec.TopKChurn < d.cfg.TriggerTopK {
 		d.armed = true
 	}
 	return dec, nil
@@ -149,11 +143,24 @@ func topIndices(v []float64, k int) []int {
 	return idx
 }
 
-// topSet is topIndices as a membership set.
+// topSet is the baseline's top-k as a membership set, widened to every
+// page tied with the k-th: which of a tied group topIndices keeps is an
+// accident of index order, so a noisy estimate's top-k drawn from the group
+// has not churned.
 func topSet(v []float64, k int) map[int]bool {
-	out := make(map[int]bool, k)
-	for _, i := range topIndices(v, k) {
+	top := topIndices(v, k)
+	out := make(map[int]bool, len(top))
+	for _, i := range top {
 		out[i] = true
+	}
+	if len(top) == 0 {
+		return out
+	}
+	kth := v[top[len(top)-1]]
+	for i, x := range v {
+		if x == kth { //repllint:allow float-compare — a tie is exact equality of the baseline's own entries
+			out[i] = true
+		}
 	}
 	return out
 }

@@ -182,7 +182,7 @@ func TestEstimatorIgnoresOutOfRange(t *testing.T) {
 
 func TestDetectorHysteresis(t *testing.T) {
 	base := []float64{0.5, 0.3, 0.2, 0, 0}
-	d, err := NewDetector(base, DetectorConfig{TriggerL1: 0.4, ClearL1: 0.1, TopK: 3})
+	d, err := NewDetector(base, DetectorConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -214,7 +214,7 @@ func TestDetectorHysteresis(t *testing.T) {
 	if !dec.Exceeded {
 		t.Fatalf("sustained drift should still report Exceeded: %+v", dec)
 	}
-	// Signal clears below ClearL1 → re-arms → next burst triggers again.
+	// Signal clears below clearL1 → re-arms → next burst triggers again.
 	if dec, err = d.Check(base); err != nil || dec.Trigger {
 		t.Fatalf("clearing check misbehaved: %+v, %v", dec, err)
 	}
@@ -241,19 +241,19 @@ func TestDetectorHysteresis(t *testing.T) {
 }
 
 func TestDetectorTopKChurn(t *testing.T) {
-	// Mass moves between a few head pages only: L1 stays moderate but the
-	// top-k membership churns, which must trigger on its own.
+	// Mass moves between a few head pages only: L1 stays under its trigger
+	// but the top-k membership churns, which must trigger on its own.
 	base := make([]float64, 100)
 	cur := make([]float64, 100)
 	for i := 0; i < 100; i++ {
 		base[i] = 0.008
 		cur[i] = 0.008
 	}
-	for i := 0; i < 5; i++ {
-		base[i] += 0.04   // head pages 0-4
-		cur[i+50] += 0.04 // head moved to 50-54
+	for i := 0; i < topK; i++ {
+		base[i] += 0.01   // head pages 0-9
+		cur[i+50] += 0.01 // head moved to 50-59
 	}
-	d, err := NewDetector(base, DetectorConfig{TriggerL1: 10 /* unreachable */, TopK: 5, TriggerTopK: 0.6})
+	d, err := NewDetector(base, DetectorConfig{TriggerTopK: 0.6})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -261,11 +261,47 @@ func TestDetectorTopKChurn(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	if dec.L1 >= triggerL1 {
+		t.Fatalf("L1 %.3f reaches its own trigger; the case tests churn alone", dec.L1)
+	}
 	if dec.TopKChurn < 0.99 {
 		t.Fatalf("expected full top-k churn, got %.2f", dec.TopKChurn)
 	}
 	if !dec.Trigger {
 		t.Fatalf("top-k churn should trigger independently of L1: %+v", dec)
+	}
+}
+
+// TestDetectorTiedBaselineIsNotChurn: at Table-1 scale the baseline's top
+// pages share one frequency, so its top-k is an arbitrary pick from a tied
+// group. An estimate that is the baseline plus ±1 % noise reorders that
+// group; it has not drifted and must not trigger.
+func TestDetectorTiedBaselineIsNotChurn(t *testing.T) {
+	const pages, tied = 420, 42
+	base := make([]float64, pages)
+	for i := range base {
+		base[i] = 0.4 / (pages - tied) // the cold tail
+		if i < tied {
+			base[i] = 0.6 / tied // the hot set, all tied
+		}
+	}
+	s := rng.New(5)
+	for check := 0; check < 20; check++ {
+		d, err := NewDetector(base, DetectorConfig{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		cur := make([]float64, pages)
+		for i, b := range base {
+			cur[i] = b * s.Uniform(0.99, 1.01)
+		}
+		dec, err := d.Check(cur)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if dec.Exceeded {
+			t.Fatalf("check %d: noise around a tied baseline exceeded a trigger: %+v", check, dec)
+		}
 	}
 }
 

@@ -27,9 +27,6 @@ const (
 	// ScrubRotCount is the number of stored replicas rotted on the rot site
 	// (capped by how many replicas the plan actually stores there).
 	ScrubRotCount = 6
-	// ScrubFailThreshold / ScrubOKThreshold mirror the controller defaults.
-	ScrubFailThreshold = 3
-	ScrubOKThreshold   = 2
 )
 
 // Gray-failure tuning: the limp must dwarf loopback RTT noise while keeping
@@ -239,8 +236,6 @@ func Scrub(opts Options) (*ScrubResult, error) {
 			// Generous: the limping site must answer 200 (slow), not time
 			// out — only then is its demotion the EWMA signal's doing.
 			ProbeTimeout:     time.Second,
-			FailThreshold:    ScrubFailThreshold,
-			OKThreshold:      ScrubOKThreshold,
 			LatencyThreshold: ScrubLatencyThreshold,
 		})
 		sup.Start()

@@ -6,7 +6,7 @@
 // Spec — error rates, connection resets, truncated bodies, injected latency
 // and timed outage windows — and an Injector turns a Spec into a
 // reproducible per-request decision stream. The same seed always yields the
-// same plan bytes and the same decision sequence, so degraded-mode runs are
+// same plan and the same decision sequence, so degraded-mode runs are
 // exactly repeatable.
 //
 // Two consumers exist: internal/webserve wraps each server's handler in
@@ -16,7 +16,6 @@
 package faults
 
 import (
-	"encoding/json"
 	"fmt"
 	"time"
 
@@ -27,8 +26,8 @@ import (
 // plan was armed, during which the server is fully out: every request fails
 // before the handler runs.
 type Window struct {
-	Start time.Duration `json:"start"`
-	End   time.Duration `json:"end"`
+	Start time.Duration
+	End   time.Duration
 }
 
 // Contains reports whether elapsed falls inside the window.
@@ -42,25 +41,25 @@ func (w Window) Contains(elapsed time.Duration) bool {
 type Spec struct {
 	// ErrorRate is the probability a request is answered 503 instead of
 	// being served.
-	ErrorRate float64 `json:"error_rate,omitempty"`
+	ErrorRate float64
 	// ResetRate is the probability the connection is dropped before any
 	// response byte (the client sees EOF / connection reset).
-	ResetRate float64 `json:"reset_rate,omitempty"`
+	ResetRate float64
 	// TruncateRate is the probability the response body is cut partway
 	// through and the connection dropped (the client sees an unexpected
 	// EOF mid-body).
-	TruncateRate float64 `json:"truncate_rate,omitempty"`
+	TruncateRate float64
 	// CorruptRate is the probability a response body is served with a
 	// deterministic bit-flip — wire corruption the receiver can only catch
 	// end to end (the payloads are self-verifying, so it always can).
-	CorruptRate float64 `json:"corrupt_rate,omitempty"`
+	CorruptRate float64
 	// Latency is added to every request before it is served.
-	Latency time.Duration `json:"latency,omitempty"`
+	Latency time.Duration
 	// LatencyJitter adds a uniform extra delay in [0, LatencyJitter).
-	LatencyJitter time.Duration `json:"latency_jitter,omitempty"`
+	LatencyJitter time.Duration
 	// Outages lists full-failure windows; during one, every request fails
 	// with 503 regardless of the rates above.
-	Outages []Window `json:"outages,omitempty"`
+	Outages []Window
 
 	// Gray failures — the modes /healthz cannot see (or sees wrongly).
 	// All of them are window- or set-driven with zero randomness consumed,
@@ -70,22 +69,22 @@ type Spec struct {
 	// this server: every /mo/<id> response for a rotted object carries a
 	// deterministic seeded bit-flip until the rot is cleared (an
 	// anti-entropy repair re-writing the replica).
-	Rot []int `json:"rot,omitempty"`
+	Rot []int
 	// LimpLatency is the extra fixed delay added to every request during a
 	// Limps window — a limping (slow-node) server, distinct from the
 	// one-shot Latency above: it is persistent, exact, and consumes no
 	// randomness, so a latency-aware health check can prove it detected it.
-	LimpLatency time.Duration `json:"limp_latency,omitempty"`
+	LimpLatency time.Duration
 	// Limps lists the limping windows.
-	Limps []Window `json:"limps,omitempty"`
+	Limps []Window
 	// PartitionControl lists windows during which only the control plane is
 	// cut: /healthz fails while data paths serve normally — the site looks
 	// dead to the supervisor but fine to clients.
-	PartitionControl []Window `json:"partition_control,omitempty"`
+	PartitionControl []Window
 	// PartitionData lists the inverse partial partition: data paths drop
 	// their connections while /healthz keeps answering 200 — the site looks
 	// fine to the supervisor but dead to clients.
-	PartitionData []Window `json:"partition_data,omitempty"`
+	PartitionData []Window
 }
 
 // Validate rejects unusable specs.
@@ -125,33 +124,26 @@ func (s Spec) Quiet() bool {
 		len(s.PartitionControl) == 0 && len(s.PartitionData) == 0
 }
 
-// FullOutage returns a spec that fails every request forever — the
-// "dead site" used by the degraded-mode acceptance tests.
-func FullOutage() Spec {
-	return Spec{Outages: []Window{{Start: 0, End: time.Duration(1<<63 - 1)}}}
-}
-
 // Plan is a cluster-wide fault assignment: one spec for the repository and
 // one per site, plus the seed that derives every injector's decision
-// stream. Plans marshal to canonical JSON, so equal plans have equal bytes.
+// stream.
 type Plan struct {
-	Seed  uint64 `json:"seed"`
-	Repo  Spec   `json:"repo"`
-	Sites []Spec `json:"sites"`
+	Seed  uint64
+	Repo  Spec
+	Sites []Spec
 	// LoadSpikes are demand-side fault windows: while elapsed time is inside
 	// a spike, the offered arrival rate of any load generator consulting
 	// RateAt is multiplied by Factor. A flash crowd is a fault of the
 	// environment, not of a server, so it lives in the plan next to the
-	// supply-side windows — same clock, same JSON round-trip, same
-	// reproducibility.
-	LoadSpikes []LoadSpike `json:"load_spikes,omitempty"`
+	// supply-side windows — same clock, same reproducibility.
+	LoadSpikes []LoadSpike
 }
 
 // LoadSpike is one demand surge: the window it occupies on the plan clock
 // and the multiplicative factor it applies to the base arrival rate.
 type LoadSpike struct {
 	Window
-	Factor float64 `json:"factor"`
+	Factor float64
 }
 
 // Validate rejects unusable plans.
@@ -191,62 +183,6 @@ func (p *Plan) RateAt(base float64, elapsed time.Duration) float64 {
 	return rate
 }
 
-// Encode renders the plan as canonical (indented, key-ordered) JSON. Two
-// plans generated from the same (config, sites, seed) encode to identical
-// bytes — the property the determinism tests pin.
-func (p *Plan) Encode() ([]byte, error) {
-	return json.MarshalIndent(p, "", "  ")
-}
-
-// Decode parses a plan previously produced by Encode. The result is
-// normalized to the canonical in-memory form (empty slices nil, exactly
-// what Encode omits), so decoding is lossless against re-encoding.
-func Decode(data []byte) (*Plan, error) {
-	var p Plan
-	if err := json.Unmarshal(data, &p); err != nil {
-		return nil, fmt.Errorf("faults: decode plan: %w", err)
-	}
-	if err := p.Validate(); err != nil {
-		return nil, err
-	}
-	p.normalize()
-	return &p, nil
-}
-
-// normalize collapses empty slices to nil — the canonical form Encode's
-// omitempty produces — so Decode∘Encode is the identity on decoded plans.
-func (p *Plan) normalize() {
-	if len(p.Sites) == 0 {
-		p.Sites = nil
-	}
-	if len(p.LoadSpikes) == 0 {
-		p.LoadSpikes = nil
-	}
-	p.Repo.normalize()
-	for i := range p.Sites {
-		p.Sites[i].normalize()
-	}
-}
-
-// normalize collapses a spec's empty slices to nil (what omitempty emits).
-func (s *Spec) normalize() {
-	if len(s.Outages) == 0 {
-		s.Outages = nil
-	}
-	if len(s.Rot) == 0 {
-		s.Rot = nil
-	}
-	if len(s.Limps) == 0 {
-		s.Limps = nil
-	}
-	if len(s.PartitionControl) == 0 {
-		s.PartitionControl = nil
-	}
-	if len(s.PartitionData) == 0 {
-		s.PartitionData = nil
-	}
-}
-
 // SiteSpec returns site i's spec (the zero quiet spec when the plan has
 // fewer sites). Nil-tolerant: a nil plan injects nothing anywhere.
 func (p *Plan) SiteSpec(i int) Spec {
@@ -256,55 +192,15 @@ func (p *Plan) SiteSpec(i int) Spec {
 	return p.Sites[i]
 }
 
-// RepoSpec returns the repository's spec (quiet on a nil plan).
-func (p *Plan) RepoSpec() Spec {
-	if p == nil {
-		return Spec{}
-	}
-	return p.Repo
-}
-
-// PlanConfig parameterizes Generate: Level scales every drawn rate, so one
-// knob sweeps a cluster from healthy (0) to badly degraded (1).
-type PlanConfig struct {
-	// Level in [0, 1] scales the drawn per-request fault rates.
-	Level float64
-	// MaxLatency bounds the per-server injected base latency.
-	MaxLatency time.Duration
-	// OutageProb is the probability each site receives one outage window.
-	OutageProb float64
-	// OutageMax bounds an outage window's length.
-	OutageMax time.Duration
-	// Horizon is the time span within which outage windows start.
-	Horizon time.Duration
-}
-
-// DefaultPlanConfig returns a moderate chaos profile: a few percent of
-// requests faulted at Level 1, tens of milliseconds of latency, and
-// occasional sub-second outage windows inside a one-minute horizon.
-func DefaultPlanConfig() PlanConfig {
-	return PlanConfig{
-		Level:      1,
-		MaxLatency: 30 * time.Millisecond,
-		OutageProb: 0.25,
-		OutageMax:  500 * time.Millisecond,
-		Horizon:    time.Minute,
-	}
-}
-
-// Validate rejects unusable configs.
-func (c *PlanConfig) Validate() error {
-	if c.Level < 0 || c.Level > 1 {
-		return fmt.Errorf("faults: Level %v outside [0, 1]", c.Level)
-	}
-	if c.OutageProb < 0 || c.OutageProb > 1 {
-		return fmt.Errorf("faults: OutageProb %v outside [0, 1]", c.OutageProb)
-	}
-	if c.MaxLatency < 0 || c.OutageMax < 0 || c.Horizon < 0 {
-		return fmt.Errorf("faults: negative duration")
-	}
-	return nil
-}
+// Generate's chaos profile at level 1: a few percent of requests faulted,
+// tens of milliseconds of latency, and occasional sub-second outage windows
+// inside a one-minute horizon.
+const (
+	planMaxLatency = 30 * time.Millisecond  // bounds a server's injected base latency
+	planOutageProb = 0.25                   // chance a site receives one outage window
+	planOutageMax  = 500 * time.Millisecond // bounds an outage window's length
+	planHorizon    = time.Minute            // span within which outage windows start
+)
 
 // Stream labels for plan generation; fixed so plans are stable across
 // refactors that reorder the drawing code. 301 was the repository's, when
@@ -315,12 +211,14 @@ const (
 )
 
 // Generate draws a fault plan for a cluster of the given size; the
-// repository stays quiet, the paper's always-on root. Generation is a pure
-// function of (cfg, sites, seed): per-site specs come from independent
-// child streams, so adding a site never perturbs the others.
-func Generate(cfg PlanConfig, sites int, seed uint64) (*Plan, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
+// repository stays quiet, the paper's always-on root. level in [0, 1] scales
+// every drawn rate and latency, so one knob sweeps a cluster from healthy (0)
+// to badly degraded (1). Generation is a pure function of (level, sites,
+// seed): per-site specs come from independent child streams, so adding a
+// site never perturbs the others.
+func Generate(level float64, sites int, seed uint64) (*Plan, error) {
+	if level < 0 || level > 1 {
+		return nil, fmt.Errorf("faults: level %v outside [0, 1]", level)
 	}
 	if sites < 0 {
 		return nil, fmt.Errorf("faults: negative site count %d", sites)
@@ -328,29 +226,24 @@ func Generate(cfg PlanConfig, sites int, seed uint64) (*Plan, error) {
 	root := rng.New(seed)
 	p := &Plan{Seed: seed, Sites: make([]Spec, sites)}
 	for i := 0; i < sites; i++ {
-		p.Sites[i] = drawSpec(cfg, root.Split(planSiteStream, uint64(i)))
-	}
-	if err := p.Validate(); err != nil {
-		return nil, err
+		p.Sites[i] = drawSpec(level, root.Split(planSiteStream, uint64(i)))
 	}
 	return p, nil
 }
 
-// drawSpec draws one server's spec. At Level 1 the expected per-request
+// drawSpec draws one server's spec. At level 1 the expected per-request
 // fault probability is ≈6 % split across the three kinds.
-func drawSpec(cfg PlanConfig, s *rng.Stream) Spec {
+func drawSpec(level float64, s *rng.Stream) Spec {
 	spec := Spec{
-		ErrorRate:    cfg.Level * s.Uniform(0, 0.04),
-		ResetRate:    cfg.Level * s.Uniform(0, 0.02),
-		TruncateRate: cfg.Level * s.Uniform(0, 0.02),
+		ErrorRate:    level * s.Uniform(0, 0.04),
+		ResetRate:    level * s.Uniform(0, 0.02),
+		TruncateRate: level * s.Uniform(0, 0.02),
 	}
-	if cfg.MaxLatency > 0 {
-		spec.Latency = time.Duration(cfg.Level * s.Uniform(0, float64(cfg.MaxLatency)))
-		spec.LatencyJitter = spec.Latency / 2
-	}
-	if s.Bool(cfg.OutageProb) && cfg.OutageMax > 0 {
-		start := time.Duration(s.Uniform(0, float64(cfg.Horizon)))
-		length := time.Duration(s.Uniform(float64(cfg.OutageMax)/4, float64(cfg.OutageMax)))
+	spec.Latency = time.Duration(level * s.Uniform(0, float64(planMaxLatency)))
+	spec.LatencyJitter = spec.Latency / 2
+	if s.Bool(planOutageProb) {
+		start := time.Duration(s.Uniform(0, float64(planHorizon)))
+		length := time.Duration(s.Uniform(float64(planOutageMax)/4, float64(planOutageMax)))
 		spec.Outages = []Window{{Start: start, End: start + length}}
 	}
 	return spec

@@ -1,67 +1,50 @@
 package faults
 
 import (
-	"bytes"
+	"reflect"
 	"testing"
 	"time"
 )
 
 func TestGenerateDeterminism(t *testing.T) {
-	cfg := DefaultPlanConfig()
-	a, err := Generate(cfg, 10, 42)
+	a, err := Generate(1, 10, 42)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Generate(cfg, 10, 42)
+	b, err := Generate(1, 10, 42)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ab, err := a.Encode()
-	if err != nil {
-		t.Fatal(err)
-	}
-	bb, err := b.Encode()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(ab, bb) {
-		t.Fatalf("same seed produced different plan bytes:\n%s\nvs\n%s", ab, bb)
+	if !reflect.DeepEqual(a, b) {
+		t.Fatalf("same seed produced different plans:\n%+v\nvs\n%+v", a, b)
 	}
 
-	c, err := Generate(cfg, 10, 43)
+	c, err := Generate(1, 10, 43)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cb, _ := c.Encode()
-	if bytes.Equal(ab, cb) {
+	if reflect.DeepEqual(a, c) {
 		t.Fatal("different seeds produced identical plans")
 	}
 
-	// Round-trip through Decode preserves the plan.
-	back, err := Decode(ab)
-	if err != nil {
-		t.Fatal(err)
-	}
-	bb2, _ := back.Encode()
-	if !bytes.Equal(ab, bb2) {
-		t.Fatal("Decode/Encode round trip changed the plan")
+	for _, level := range []float64{-0.1, 1.1} {
+		if _, err := Generate(level, 10, 42); err == nil {
+			t.Errorf("level %v accepted", level)
+		}
 	}
 }
 
 func TestGenerateSiteIndependence(t *testing.T) {
-	cfg := DefaultPlanConfig()
-	small, err := Generate(cfg, 3, 7)
+	small, err := Generate(1, 3, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
-	big, err := Generate(cfg, 6, 7)
+	big, err := Generate(1, 6, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 3; i++ {
-		ab, _ := (&Plan{Sites: []Spec{small.Sites[i]}}).Encode()
-		bb, _ := (&Plan{Sites: []Spec{big.Sites[i]}}).Encode()
-		if !bytes.Equal(ab, bb) {
+		if !reflect.DeepEqual(small.Sites[i], big.Sites[i]) {
 			t.Errorf("site %d spec changed when the cluster grew", i)
 		}
 	}
@@ -93,7 +76,7 @@ func TestInjectorDeterminism(t *testing.T) {
 		inj := NewInjector(spec, 99)
 		out := make([]Decision, n)
 		for i := range out {
-			out[i] = inj.Decide(0)
+			out[i] = inj.DecideRequest(0, "")
 		}
 		return out
 	}
@@ -124,29 +107,31 @@ func TestOutageWindowsConsumeNoRandomness(t *testing.T) {
 	// Interleave outage-window decisions; the rate-driven stream must not
 	// shift relative to the plain injector.
 	for i := 0; i < 100; i++ {
-		if d := outaged.Decide(1500 * time.Millisecond); d.Action != Fail {
+		if d := outaged.DecideRequest(1500*time.Millisecond, ""); d.Action != Fail {
 			t.Fatalf("decision inside outage window was %v, want fail", d.Action)
 		}
-		got := outaged.Decide(0)
-		want := plain.Decide(0)
+		got := outaged.DecideRequest(0, "")
+		want := plain.DecideRequest(0, "")
 		if got != want {
 			t.Fatalf("decision %d shifted after outage draws: %+v vs %+v", i, got, want)
 		}
 	}
 }
 
+// TestFullOutage: one window spanning the whole clock fails every request,
+// the "dead site" the degraded-mode tests arm.
 func TestFullOutage(t *testing.T) {
-	inj := NewInjector(FullOutage(), 1)
+	inj := NewInjector(Spec{Outages: []Window{{Start: 0, End: time.Duration(1<<63 - 1)}}}, 1)
 	for _, at := range []time.Duration{0, time.Second, time.Hour, 24 * 365 * time.Hour} {
-		if d := inj.Decide(at); d.Action != Fail {
-			t.Fatalf("FullOutage at %v decided %v, want fail", at, d.Action)
+		if d := inj.DecideRequest(at, "/mo/0"); d.Action != Fail {
+			t.Fatalf("full outage at %v decided %v, want fail", at, d.Action)
 		}
 	}
 }
 
 func TestNilPlanIsQuiet(t *testing.T) {
 	var p *Plan
-	if !p.SiteSpec(0).Quiet() || !p.RepoSpec().Quiet() {
+	if !p.SiteSpec(0).Quiet() {
 		t.Fatal("nil plan is not quiet")
 	}
 	real := &Plan{Sites: []Spec{{ErrorRate: 0.5}}}
@@ -189,7 +174,7 @@ func TestLoadSpikeRateAt(t *testing.T) {
 }
 
 // TestLoadSpikeValidateAndRoundTrip: bad windows and non-positive factors
-// are rejected; a valid spike survives the canonical JSON round trip.
+// are rejected; a valid spike validates and compounds onto the base rate.
 func TestLoadSpikeValidateAndRoundTrip(t *testing.T) {
 	bad := []Plan{
 		{LoadSpikes: []LoadSpike{{Window: Window{Start: 2 * time.Second, End: time.Second}, Factor: 2}}},
@@ -205,22 +190,10 @@ func TestLoadSpikeValidateAndRoundTrip(t *testing.T) {
 	p := &Plan{Seed: 7, Sites: []Spec{{}}, LoadSpikes: []LoadSpike{
 		{Window: Window{Start: 5 * time.Second, End: 7 * time.Second}, Factor: 10},
 	}}
-	enc, err := p.Encode()
-	if err != nil {
+	if err := p.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	q, err := Decode(enc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	enc2, err := q.Encode()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(enc, enc2) {
-		t.Fatalf("spike plan not canonical:\n%s\nvs\n%s", enc, enc2)
-	}
-	if got := q.RateAt(120, 6*time.Second); got != 1200 {
-		t.Errorf("decoded plan RateAt = %v, want 1200", got)
+	if got := p.RateAt(120, 6*time.Second); got != 1200 {
+		t.Errorf("spike plan RateAt = %v, want 1200", got)
 	}
 }

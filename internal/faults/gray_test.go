@@ -37,8 +37,8 @@ func TestGrayWindowsConsumeNoRandomness(t *testing.T) {
 		if d := grayed.DecideRequest(5500*time.Millisecond, "/mo/9"); d.Action != Reset {
 			t.Fatalf("data partition served data path: %v", d.Action)
 		}
-		got := grayed.Decide(0)
-		want := plain.Decide(0)
+		got := grayed.DecideRequest(0, "")
+		want := plain.DecideRequest(0, "")
 		// The limp windows are closed at elapsed 0 and rot never touches
 		// Decide, so the rate stream must stay aligned with the plain one.
 		if got != want {

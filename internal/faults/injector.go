@@ -132,13 +132,6 @@ func (in *Injector) RotFlip(k int) (frac float64, mask byte) {
 	return frac, mask
 }
 
-// Decide returns the fault decision for a request with no path context —
-// equivalent to DecideRequest with an empty path (partition windows and rot
-// never fire).
-func (in *Injector) Decide(elapsed time.Duration) Decision {
-	return in.DecideRequest(elapsed, "")
-}
-
 // DecideRequest returns the fault decision for a request to path arriving
 // at the given elapsed time since the plan was armed. Window-driven modes
 // dominate and consume no randomness — an outage, limp or partition never

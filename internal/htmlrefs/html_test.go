@@ -124,8 +124,8 @@ func TestBuildRefDBAndServe(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if db.Pages() != len(w.Sites[0].Pages) {
-		t.Errorf("db has %d pages", db.Pages())
+	if len(db.entries) != len(w.Sites[0].Pages) {
+		t.Errorf("db has %d pages", len(db.entries))
 	}
 
 	pid := w.Sites[0].Pages[0]
@@ -241,16 +241,16 @@ func TestRefDBDecisions(t *testing.T) {
 		t.Fatal(err)
 	}
 	pid := w.Sites[0].Pages[0]
-	refs, local, ok := db.Decisions(pid)
-	if !ok || len(refs) != len(local) {
+	entry, ok := db.entries[pid]
+	if !ok || len(entry.Refs) != len(entry.Local) {
 		t.Fatal("decisions unavailable")
 	}
-	for _, v := range local {
+	for _, v := range entry.Local {
 		if !v {
 			t.Fatal("all-local decisions should be true")
 		}
 	}
-	if _, _, ok := db.Decisions(workload.PageID(w.NumPages() + 1)); ok {
+	if _, ok := db.entries[workload.PageID(w.NumPages()+1)]; ok {
 		t.Error("decisions for unknown page")
 	}
 }

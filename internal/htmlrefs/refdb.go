@@ -166,13 +166,6 @@ func setWeights(w *workload.Workload, pid workload.PageID, entry *PageEntry) {
 	}
 }
 
-// Pages returns the number of pages in the database.
-func (db *RefDB) Pages() int {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	return len(db.entries)
-}
-
 // Serve produces the document for page pid as sent to a client: stored
 // bytes with every locally-assigned reference rewritten from the repository
 // base URL to localBase — the paper's on-the-fly replacement. ok is false
@@ -219,16 +212,4 @@ func (db *RefDB) ServeTier(pid workload.PageID, localBase string, tier int) (doc
 	}
 	out.Write(entry.Doc[prev:])
 	return out.Bytes(), dropped, true
-}
-
-// Decisions returns a copy of the page's reference decisions (diagnostics
-// and tests).
-func (db *RefDB) Decisions(pid workload.PageID) ([]Ref, []bool, bool) {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	entry, ok := db.entries[pid]
-	if !ok {
-		return nil, nil, false
-	}
-	return append([]Ref(nil), entry.Refs...), append([]bool(nil), entry.Local...), true
 }

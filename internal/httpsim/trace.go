@@ -1,11 +1,7 @@
 package httpsim
 
 import (
-	"bufio"
-	"encoding/json"
 	"fmt"
-	"io"
-	"os"
 	"sort"
 
 	"repro/internal/netsim"
@@ -22,32 +18,32 @@ import (
 // optional picks: 16 MB per recorded paper-scale run (10 sites × 10,000
 // views), 270 KB at quick scale.
 type TraceEvent struct {
-	Page      workload.PageID `json:"page"`
-	Optional  []int           `json:"optional,omitempty"`
-	LocalRate units.Rate      `json:"localRate"`
-	RepoRate  units.Rate      `json:"repoRate"`
-	LocalOvhd units.Seconds   `json:"localOvhd"`
-	RepoOvhd  units.Seconds   `json:"repoOvhd"`
+	Page      workload.PageID
+	Optional  []int
+	LocalRate units.Rate
+	RepoRate  units.Rate
+	LocalOvhd units.Seconds
+	RepoOvhd  units.Seconds
 	// Per-optional-download draws, parallel to Optional (local and repo
 	// variants so the replay is policy-independent).
-	OptLocalRate []units.Rate    `json:"optLocalRate,omitempty"`
-	OptRepoRate  []units.Rate    `json:"optRepoRate,omitempty"`
-	OptLocalOvhd []units.Seconds `json:"optLocalOvhd,omitempty"`
-	OptRepoOvhd  []units.Seconds `json:"optRepoOvhd,omitempty"`
+	OptLocalRate []units.Rate
+	OptRepoRate  []units.Rate
+	OptLocalOvhd []units.Seconds
+	OptRepoOvhd  []units.Seconds
 }
 
 // Trace is a per-site recorded request sequence.
 type Trace struct {
-	NumSites int `json:"numSites"`
-	NumPages int `json:"numPages"`
+	NumSites int
+	NumPages int
 	// Seed is the seed of the stream the trace was recorded from. Replay
 	// re-derives the replay-time streams (queueing arrivals, outage draws,
 	// span IDs) from it, which is what makes Replay(Record(...)) equal Run.
-	Seed   uint64         `json:"seed"`
-	Events [][]TraceEvent `json:"events"` // indexed by site
+	Seed   uint64
+	Events [][]TraceEvent // indexed by site
 
 	// checked is the workload the trace has been validated against: set by
-	// Record and DecodeTrace, or by the first Replay of a hand-built trace.
+	// Record, or by the first Replay of a hand-built trace.
 	checked *workload.Workload
 }
 
@@ -222,52 +218,4 @@ func Replay(w *workload.Workload, tr *Trace, dec Decider, cfg Config) (*Result, 
 	return replaySites(w, dec, cfg, tr.Seed, func(i workload.SiteID, _ []TraceEvent) ([]TraceEvent, error) {
 		return tr.Events[i], nil
 	})
-}
-
-// Encode writes the trace as JSON.
-func (tr *Trace) Encode(dst io.Writer) error {
-	if err := json.NewEncoder(dst).Encode(tr); err != nil {
-		return fmt.Errorf("httpsim: encode trace: %w", err)
-	}
-	return nil
-}
-
-// DecodeTrace reads and validates a trace for the workload.
-func DecodeTrace(w *workload.Workload, src io.Reader) (*Trace, error) {
-	var tr Trace
-	if err := json.NewDecoder(src).Decode(&tr); err != nil {
-		return nil, fmt.Errorf("httpsim: decode trace: %w", err)
-	}
-	if err := tr.Validate(w); err != nil {
-		return nil, err
-	}
-	tr.checked = w
-	return &tr, nil
-}
-
-// SaveFile writes the trace to path.
-func (tr *Trace) SaveFile(path string) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return fmt.Errorf("httpsim: %w", err)
-	}
-	defer f.Close() // a no-op after the checked Close below
-	bw := bufio.NewWriter(f)
-	if err := tr.Encode(bw); err != nil {
-		return err
-	}
-	if err := bw.Flush(); err != nil {
-		return fmt.Errorf("httpsim: %w", err)
-	}
-	return f.Close()
-}
-
-// LoadTraceFile reads a trace for the workload from path.
-func LoadTraceFile(w *workload.Workload, path string) (*Trace, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, fmt.Errorf("httpsim: %w", err)
-	}
-	defer f.Close()
-	return DecodeTrace(w, bufio.NewReader(f))
 }

@@ -30,16 +30,13 @@ type Cache struct {
 }
 
 // New returns a cache holding at most capacity bytes. Capacity zero is
-// legal (every Put evicts immediately and Contains is always false).
+// legal (every Put of a non-empty item evicts it immediately).
 func New(capacity int64) (*Cache, error) {
 	if capacity < 0 {
 		return nil, fmt.Errorf("lru: negative capacity %d", capacity)
 	}
 	return &Cache{capacity: capacity, items: make(map[int]*node)}, nil
 }
-
-// Capacity returns the byte capacity.
-func (c *Cache) Capacity() int64 { return c.capacity }
 
 // Bytes returns the bytes currently held.
 func (c *Cache) Bytes() int64 { return c.used }
@@ -78,12 +75,6 @@ func (c *Cache) pushFront(n *node) {
 	if c.tail == nil {
 		c.tail = n
 	}
-}
-
-// Contains reports whether key is cached without touching recency.
-func (c *Cache) Contains(key int) bool {
-	_, ok := c.items[key]
-	return ok
 }
 
 // Access records a use of key: on a hit the item moves to the front and
@@ -144,31 +135,13 @@ func (c *Cache) Put(key int, size int64) (evicted []int) {
 	return c.evicted
 }
 
-// remove detaches and deletes n, and keeps the node for the next insert.
+// remove detaches and deletes n (an eviction), and keeps the node for the
+// next insert.
 func (c *Cache) remove(n *node) {
 	c.detach(n)
 	delete(c.items, n.key)
 	c.used -= n.size
 	n.next, c.free = c.free, n
-}
-
-// Remove deletes key if present, reporting whether it was.
-func (c *Cache) Remove(key int) bool {
-	n, ok := c.items[key]
-	if !ok {
-		return false
-	}
-	c.remove(n)
-	return true
-}
-
-// Keys returns the cached keys from most to least recently used.
-func (c *Cache) Keys() []int {
-	out := make([]int, 0, len(c.items))
-	for n := c.head; n != nil; n = n.next {
-		out = append(out, n.key)
-	}
-	return out
 }
 
 // checkInvariants verifies list/map/byte consistency (test helper).

@@ -14,6 +14,21 @@ func mustNew(t *testing.T, cap int64) *Cache {
 	return c
 }
 
+// has reports whether key is cached, without touching recency.
+func has(c *Cache, key int) bool {
+	_, ok := c.items[key]
+	return ok
+}
+
+// keys returns the cached keys from most to least recently used.
+func keys(c *Cache) []int {
+	var out []int
+	for n := c.head; n != nil; n = n.next {
+		out = append(out, n.key)
+	}
+	return out
+}
+
 func TestNewRejectsNegative(t *testing.T) {
 	if _, err := New(-1); err == nil {
 		t.Error("negative capacity accepted")
@@ -51,7 +66,7 @@ func TestEvictionOrder(t *testing.T) {
 	if len(ev) != 1 || ev[0] != 2 {
 		t.Errorf("evicted %v, want [2]", ev)
 	}
-	if !c.Contains(1) || !c.Contains(3) || c.Contains(2) {
+	if !has(c, 1) || !has(c, 3) || has(c, 2) {
 		t.Error("wrong survivors")
 	}
 	if c.Evictions() != 1 {
@@ -71,7 +86,7 @@ func TestEvictMultiple(t *testing.T) {
 	if len(ev) != 3 {
 		t.Errorf("evicted %v", ev)
 	}
-	if c.Len() != 1 || !c.Contains(4) {
+	if c.Len() != 1 || !has(c, 4) {
 		t.Error("only key 4 should remain")
 	}
 	if err := c.checkInvariants(); err != nil {
@@ -86,7 +101,7 @@ func TestOversizedItemNotCached(t *testing.T) {
 	if len(ev) != 1 || ev[0] != 2 {
 		t.Errorf("oversized put evicted %v, want itself", ev)
 	}
-	if !c.Contains(1) || c.Contains(2) {
+	if !has(c, 1) || has(c, 2) {
 		t.Error("oversized item displaced the cache")
 	}
 	if err := c.checkInvariants(); err != nil {
@@ -99,7 +114,7 @@ func TestRefreshResize(t *testing.T) {
 	c.Put(1, 40)
 	c.Put(2, 40)
 	c.Put(1, 70) // grow key 1; 40+70 > 100 → evict 2
-	if c.Contains(2) {
+	if has(c, 2) {
 		t.Error("refresh did not evict to fit")
 	}
 	if c.Bytes() != 70 {
@@ -123,25 +138,8 @@ func TestRefreshBeyondCapacityDropsSelf(t *testing.T) {
 	if !found {
 		t.Errorf("refresh-beyond-capacity evicted %v, want to include 1", ev)
 	}
-	if c.Contains(1) || c.Bytes() != 0 {
+	if has(c, 1) || c.Bytes() != 0 {
 		t.Errorf("cache should be empty, bytes=%d", c.Bytes())
-	}
-	if err := c.checkInvariants(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestRemove(t *testing.T) {
-	c := mustNew(t, 100)
-	c.Put(1, 10)
-	if !c.Remove(1) {
-		t.Error("Remove missed present key")
-	}
-	if c.Remove(1) {
-		t.Error("Remove found absent key")
-	}
-	if c.Bytes() != 0 || c.Len() != 0 {
-		t.Error("remove did not release bytes")
 	}
 	if err := c.checkInvariants(); err != nil {
 		t.Fatal(err)
@@ -151,11 +149,11 @@ func TestRemove(t *testing.T) {
 func TestZeroCapacity(t *testing.T) {
 	c := mustNew(t, 0)
 	ev := c.Put(1, 1)
-	if len(ev) != 1 || c.Contains(1) {
+	if len(ev) != 1 || has(c, 1) {
 		t.Error("zero-capacity cache retained an item")
 	}
 	ev = c.Put(2, 0) // zero-size item fits in zero capacity
-	if len(ev) != 0 || !c.Contains(2) {
+	if len(ev) != 0 || !has(c, 2) {
 		t.Error("zero-size item should fit")
 	}
 	if err := c.checkInvariants(); err != nil {
@@ -169,9 +167,9 @@ func TestKeysOrder(t *testing.T) {
 	c.Put(2, 10)
 	c.Put(3, 10)
 	c.Access(1)
-	keys := c.Keys()
-	if len(keys) != 3 || keys[0] != 1 || keys[1] != 3 || keys[2] != 2 {
-		t.Errorf("Keys = %v, want [1 3 2]", keys)
+	got := keys(c)
+	if len(got) != 3 || got[0] != 1 || got[1] != 3 || got[2] != 2 {
+		t.Errorf("recency order = %v, want [1 3 2]", got)
 	}
 }
 
@@ -191,7 +189,7 @@ func TestCacheProperties(t *testing.T) {
 	type op struct {
 		Key  uint8
 		Size uint8
-		Kind uint8 // 0 put, 1 access, 2 remove
+		Kind uint8 // even put, odd access
 	}
 	f := func(capacity uint16, ops []op) bool {
 		c, err := New(int64(capacity))
@@ -199,13 +197,10 @@ func TestCacheProperties(t *testing.T) {
 			return false
 		}
 		for _, o := range ops {
-			switch o.Kind % 3 {
-			case 0:
+			if o.Kind%2 == 0 {
 				c.Put(int(o.Key), int64(o.Size))
-			case 1:
+			} else {
 				c.Access(int(o.Key))
-			case 2:
-				c.Remove(int(o.Key))
 			}
 			if err := c.checkInvariants(); err != nil {
 				t.Logf("invariant violated: %v", err)

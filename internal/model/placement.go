@@ -185,23 +185,3 @@ func (p *Placement) CheckInvariants() error {
 	}
 	return nil
 }
-
-// LocalCompCount returns how many compulsory objects of page j are local.
-func (p *Placement) LocalCompCount(j workload.PageID) int {
-	return countTrue(p.compRow(int(j)))
-}
-
-// LocalOptCount returns how many optional links of page j are local.
-func (p *Placement) LocalOptCount(j workload.PageID) int {
-	return countTrue(p.optRow(int(j)))
-}
-
-func countTrue(row []bool) int {
-	n := 0
-	for _, v := range row {
-		if v {
-			n++
-		}
-	}
-	return n
-}

@@ -162,6 +162,3 @@ func (p *Perturber) LocalOvhd() units.Seconds {
 func (p *Perturber) RepoOvhd() units.Seconds {
 	return units.Seconds(float64(p.est.RepoOvhd) * drawFactor(p.cfg.RepoOvhd, p.s))
 }
-
-// Estimate returns the site estimate the perturber perturbs around.
-func (p *Perturber) Estimate() SiteEstimate { return p.est }

@@ -39,17 +39,6 @@ func NewHotCold(n int, hotFrac, hotShare float64) (*HotCold, error) {
 	return &HotCold{n: n, hotCount: hot, hotShare: hotShare}, nil
 }
 
-// Draw returns a random index in [0, n) following the hot/cold mixture.
-func (h *HotCold) Draw(s *Stream) int {
-	if h.hotCount == h.n {
-		return s.IntN(h.n)
-	}
-	if s.Bool(h.hotShare) {
-		return s.IntN(h.hotCount)
-	}
-	return h.hotCount + s.IntN(h.n-h.hotCount)
-}
-
 // Weight returns the probability mass of index i under the mixture.
 func (h *HotCold) Weight(i int) float64 {
 	if i < 0 || i >= h.n {
@@ -63,9 +52,6 @@ func (h *HotCold) Weight(i int) float64 {
 	}
 	return (1 - h.hotShare) / float64(h.n-h.hotCount)
 }
-
-// N returns the population size.
-func (h *HotCold) N() int { return h.n }
 
 // HotCount returns how many leading indices are hot.
 func (h *HotCold) HotCount() int { return h.hotCount }
@@ -121,13 +107,4 @@ func (c *ClassedSampler) Draw(s *Stream) int64 {
 		return cl.Lo
 	}
 	return cl.Lo + int64(s.Float64()*float64(cl.Hi-cl.Lo+1))
-}
-
-// Mean returns the expected size of a draw in bytes.
-func (c *ClassedSampler) Mean() float64 {
-	m := 0.0
-	for _, cl := range c.classes {
-		m += cl.Frac * float64(cl.Lo+cl.Hi) / 2
-	}
-	return m
 }

@@ -102,9 +102,6 @@ func (s *Stream) Bool(p float64) bool {
 // Perm returns a random permutation of [0, n).
 func (s *Stream) Perm(n int) []int { return s.rand().Perm(n) }
 
-// Shuffle shuffles n elements using the provided swap function.
-func (s *Stream) Shuffle(n int, swap func(i, j int)) { s.rand().Shuffle(n, swap) }
-
 // SampleWithoutReplacement returns k distinct values from [0, n). If k >= n
 // it returns all of [0, n) in random order. The result order is random.
 func (s *Stream) SampleWithoutReplacement(n, k int) []int {

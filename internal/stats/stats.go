@@ -1,5 +1,5 @@
 // Package stats provides the measurement plumbing for the experiment
-// harness: streaming moments (Welford), weighted means, percentiles over
+// harness: streaming moments (Welford), percentiles over
 // retained samples, confidence intervals over experiment runs, and the
 // relative-increase metric the paper's figures plot.
 package stats
@@ -16,19 +16,12 @@ type Accumulator struct {
 	n          int64
 	mean, m2   float64
 	min, max   float64
-	weightSum  float64
-	wmeanNum   float64
 	hasSamples bool
 }
 
-// Add records an unweighted observation.
-func (a *Accumulator) Add(x float64) { a.AddWeighted(x, 1) }
-
-// AddWeighted records an observation with weight w (w must be positive;
-// non-positive weights are ignored). The unweighted moments use the sample
-// once regardless of w; the weighted mean uses w.
-func (a *Accumulator) AddWeighted(x, w float64) {
-	if w <= 0 || math.IsNaN(x) {
+// Add records an observation; NaN is ignored.
+func (a *Accumulator) Add(x float64) {
+	if math.IsNaN(x) {
 		return
 	}
 	a.n++
@@ -42,8 +35,6 @@ func (a *Accumulator) AddWeighted(x, w float64) {
 		a.max = x
 	}
 	a.hasSamples = true
-	a.weightSum += w
-	a.wmeanNum += w * x
 }
 
 // N returns the number of observations.
@@ -51,20 +42,6 @@ func (a *Accumulator) N() int64 { return a.n }
 
 // Mean returns the unweighted sample mean (0 if empty).
 func (a *Accumulator) Mean() float64 { return a.mean }
-
-// WeightedMean returns the weight-averaged mean (0 if empty).
-func (a *Accumulator) WeightedMean() float64 {
-	if a.weightSum == 0 {
-		return 0
-	}
-	return a.wmeanNum / a.weightSum
-}
-
-// Sum returns the weighted sum Σ w·x.
-func (a *Accumulator) Sum() float64 { return a.wmeanNum }
-
-// WeightSum returns Σ w.
-func (a *Accumulator) WeightSum() float64 { return a.weightSum }
 
 // Variance returns the unbiased sample variance (0 for n < 2).
 func (a *Accumulator) Variance() float64 {
@@ -127,8 +104,6 @@ func (a *Accumulator) Merge(b *Accumulator) {
 	if b.max > a.max {
 		a.max = b.max
 	}
-	a.weightSum += b.weightSum
-	a.wmeanNum += b.wmeanNum
 }
 
 // String summarizes the accumulator.
@@ -159,18 +134,6 @@ func (s *Sample) N() int { return len(s.xs) }
 // order if a percentile has been queried). The slice is the internal
 // buffer; callers must not mutate it.
 func (s *Sample) Values() []float64 { return s.xs }
-
-// Mean returns the sample mean (0 if empty).
-func (s *Sample) Mean() float64 {
-	if len(s.xs) == 0 {
-		return 0
-	}
-	sum := 0.0
-	for _, x := range s.xs {
-		sum += x
-	}
-	return sum / float64(len(s.xs))
-}
 
 // Percentile returns the p-quantile (p in [0,1]) using linear interpolation
 // between closest ranks; 0 if empty. p is clamped to [0,1].

@@ -29,25 +29,8 @@ func TestAccumulatorBasics(t *testing.T) {
 	}
 }
 
-func TestAccumulatorWeighted(t *testing.T) {
-	var a Accumulator
-	a.AddWeighted(10, 1)
-	a.AddWeighted(20, 3)
-	if got := a.WeightedMean(); math.Abs(got-17.5) > 1e-12 {
-		t.Errorf("WeightedMean = %v, want 17.5", got)
-	}
-	if got := a.Mean(); math.Abs(got-15) > 1e-12 {
-		t.Errorf("unweighted Mean = %v, want 15", got)
-	}
-	if a.Sum() != 70 || a.WeightSum() != 4 {
-		t.Errorf("Sum/WeightSum = %v/%v", a.Sum(), a.WeightSum())
-	}
-}
-
 func TestAccumulatorIgnoresBadInput(t *testing.T) {
 	var a Accumulator
-	a.AddWeighted(5, 0)
-	a.AddWeighted(5, -1)
 	a.Add(math.NaN())
 	if a.N() != 0 {
 		t.Errorf("bad inputs were recorded: N=%d", a.N())
@@ -136,7 +119,7 @@ func TestStdErrAndCI(t *testing.T) {
 
 func TestSamplePercentiles(t *testing.T) {
 	var s Sample
-	if s.Percentile(0.5) != 0 || s.Mean() != 0 {
+	if s.Percentile(0.5) != 0 {
 		t.Error("empty sample should give zeros")
 	}
 	for i := 1; i <= 100; i++ {
@@ -153,9 +136,6 @@ func TestSamplePercentiles(t *testing.T) {
 	}
 	if got := s.Percentile(0.95); math.Abs(got-95.05) > 1e-9 {
 		t.Errorf("p95 = %v, want 95.05", got)
-	}
-	if got := s.Mean(); math.Abs(got-50.5) > 1e-9 {
-		t.Errorf("mean = %v", got)
 	}
 	// Adding after a percentile query must re-sort.
 	s.Add(0.5)

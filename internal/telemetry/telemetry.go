@@ -41,7 +41,7 @@ func (c *Counter) Value() int64 {
 	return c.v.Load()
 }
 
-// Gauge is an atomically-set float64 (last-write-wins; Add is CAS-based).
+// Gauge is an atomically-set float64 (last-write-wins).
 // The nil Gauge is a valid no-op sink.
 type Gauge struct {
 	bits atomic.Uint64
@@ -51,20 +51,6 @@ type Gauge struct {
 func (g *Gauge) Set(v float64) {
 	if g != nil {
 		g.bits.Store(math.Float64bits(v))
-	}
-}
-
-// Add atomically adds d to the gauge. No-op on nil.
-func (g *Gauge) Add(d float64) {
-	if g == nil {
-		return
-	}
-	for {
-		old := g.bits.Load()
-		next := math.Float64bits(math.Float64frombits(old) + d)
-		if g.bits.CompareAndSwap(old, next) {
-			return
-		}
 	}
 }
 

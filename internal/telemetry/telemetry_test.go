@@ -25,7 +25,7 @@ func TestRegistryConcurrency(t *testing.T) {
 			g := reg.Gauge("level")
 			for i := 0; i < perWorker; i++ {
 				c.Inc()
-				g.Add(1)
+				g.Set(float64(w))
 				// Interleave registration with updates.
 				reg.Counter("shared").Add(0)
 			}
@@ -36,8 +36,8 @@ func TestRegistryConcurrency(t *testing.T) {
 	if got := reg.Counter("shared").Value(); got != workers*perWorker {
 		t.Errorf("counter lost updates: got %d want %d", got, workers*perWorker)
 	}
-	if got := reg.Gauge("level").Value(); got != workers*perWorker {
-		t.Errorf("gauge lost updates: got %g want %d", got, workers*perWorker)
+	if got := reg.Gauge("level").Value(); got < 0 || got >= workers || got != float64(int(got)) {
+		t.Errorf("gauge holds %g, which no worker wrote", got)
 	}
 }
 
@@ -55,7 +55,6 @@ func TestNilRegistryIsNoOp(t *testing.T) {
 		c.Inc()
 		c.Add(3)
 		g.Set(1)
-		g.Add(2)
 	})
 	if allocs != 0 {
 		t.Errorf("disabled instruments allocate: %v allocs/op", allocs)

@@ -236,12 +236,3 @@ func tally(counts map[string]int) []NameCount {
 	})
 	return out
 }
-
-// PageStat returns the stats of one page (nil when the page never appeared).
-func (a *Analysis) PageStat(page int) *PageStats {
-	idx := sort.Search(len(a.Pages), func(i int) bool { return a.Pages[i].Page >= page })
-	if idx < len(a.Pages) && a.Pages[idx].Page == page {
-		return &a.Pages[idx]
-	}
-	return nil
-}

@@ -8,7 +8,6 @@ package units
 import (
 	"fmt"
 	"math"
-	"time"
 )
 
 // ByteSize is a size in bytes. It is an int64 so that exact storage
@@ -72,26 +71,9 @@ func (r Rate) TransferTime(b ByteSize) Seconds {
 // is analytic (fractions of perturbed estimates) rather than tick-based.
 type Seconds float64
 
-// Duration converts to time.Duration, saturating on overflow.
-func (s Seconds) Duration() time.Duration {
-	d := float64(s) * float64(time.Second)
-	if d > math.MaxInt64 {
-		return time.Duration(math.MaxInt64)
-	}
-	if d < math.MinInt64 {
-		return time.Duration(math.MinInt64)
-	}
-	return time.Duration(d)
-}
-
 // String renders the duration with millisecond precision, e.g. "1.275s".
 func (s Seconds) String() string {
 	return fmt.Sprintf("%.3fs", float64(s))
-}
-
-// IsFinite reports whether the value is neither NaN nor ±Inf.
-func (s Seconds) IsFinite() bool {
-	return !math.IsNaN(float64(s)) && !math.IsInf(float64(s), 0)
 }
 
 // ReqPerSec is a request rate in HTTP requests per second — the unit of the

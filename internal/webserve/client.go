@@ -24,12 +24,11 @@ import (
 
 // PageResult reports one client page download.
 type PageResult struct {
-	Page         workload.PageID
-	Elapsed      time.Duration
-	HTMLBytes    int64
-	LocalChain   ChainResult // objects fetched from the local server
-	RemoteChain  ChainResult // objects fetched from the repository
-	OptionalRefs []htmlrefs.Ref
+	Page        workload.PageID
+	Elapsed     time.Duration
+	HTMLBytes   int64
+	LocalChain  ChainResult // objects fetched from the local server
+	RemoteChain ChainResult // objects fetched from the repository
 
 	// Retries counts extra request attempts beyond each first try (HTML and
 	// objects, including attempts on the fallback route).
@@ -62,22 +61,13 @@ type ChainResult struct {
 }
 
 // ClientOptions tunes the client's resilience behaviour. The zero value of
-// each field selects the default noted on it; Timeout and Retries accept -1
-// to mean "disabled" (no request deadline / single attempt).
+// each field selects the default noted on it; Retries and BreakerThreshold
+// accept -1 to mean "disabled" (single attempt / no breaker).
 type ClientOptions struct {
-	// Timeout bounds each HTTP request end to end (connect through body).
-	// Default 15s; -1 disables, restoring the hang-forever behaviour only a
-	// test should want.
-	Timeout time.Duration
 	// Retries is the number of extra attempts after a failed request.
 	// Attempts are spaced by exponential backoff with seeded jitter.
 	// Default 2; -1 disables retries.
 	Retries int
-	// BackoffBase is the first retry's nominal delay (default 25ms); each
-	// further retry doubles it up to BackoffMax (default 1s). The actual
-	// delay is uniformly jittered in [d/2, d).
-	BackoffBase time.Duration
-	BackoffMax  time.Duration
 	// JitterSeed seeds the backoff jitter stream, making retry schedules
 	// reproducible for a fixed request order.
 	JitterSeed uint64
@@ -96,11 +86,6 @@ type ClientOptions struct {
 	// breaker converts retry storms against a dead site into immediate
 	// degraded service. Default 3; -1 disables the breaker.
 	BreakerThreshold int
-	// BreakerCooldown is the nominal open interval before the half-open
-	// probe (default 250ms). The actual interval is jittered in [d, 3d/2)
-	// on the breaker's own seeded stream so a fleet of clients does not
-	// re-probe in lockstep.
-	BreakerCooldown time.Duration
 	// Metrics, when non-nil, receives the client's resilience counters
 	// (client.retries, client.fallbacks, client.degraded_pages,
 	// client.request_failures) plus the reason-labeled breakdowns
@@ -113,44 +98,42 @@ type ClientOptions struct {
 	Trace *trace.Tracer
 }
 
+// The client's fixed timing.
+const (
+	// requestTimeout bounds each HTTP request end to end (connect through
+	// body), so a stalled server cannot hang FetchPage forever.
+	requestTimeout = 15 * time.Second
+	// backoffBase is the first retry's nominal delay; each further retry
+	// doubles it up to backoffMax. The actual delay is uniformly jittered in
+	// [d/2, d).
+	backoffBase = 25 * time.Millisecond
+	backoffMax  = time.Second
+	// breakerCooldown is the nominal open interval before the half-open
+	// probe. The actual interval is jittered in [d, 3d/2) on the breaker's
+	// own seeded stream so a fleet of clients does not re-probe in lockstep.
+	breakerCooldown = 250 * time.Millisecond
+)
+
 // DefaultClientOptions returns the production defaults described above.
 func DefaultClientOptions() ClientOptions {
 	return ClientOptions{
-		Timeout:          15 * time.Second,
 		Retries:          2,
-		BackoffBase:      25 * time.Millisecond,
-		BackoffMax:       time.Second,
 		BreakerThreshold: 3,
-		BreakerCooldown:  250 * time.Millisecond,
 	}
 }
 
 // normalize resolves zero values to defaults and -1 sentinels to off.
 func (o ClientOptions) normalize() ClientOptions {
 	def := DefaultClientOptions()
-	if o.Timeout == 0 {
-		o.Timeout = def.Timeout
-	} else if o.Timeout < 0 {
-		o.Timeout = 0
-	}
 	if o.Retries == 0 {
 		o.Retries = def.Retries
 	} else if o.Retries < 0 {
 		o.Retries = 0
 	}
-	if o.BackoffBase <= 0 {
-		o.BackoffBase = def.BackoffBase
-	}
-	if o.BackoffMax <= 0 {
-		o.BackoffMax = def.BackoffMax
-	}
 	if o.BreakerThreshold == 0 {
 		o.BreakerThreshold = def.BreakerThreshold
 	} else if o.BreakerThreshold < 0 {
 		o.BreakerThreshold = 0
-	}
-	if o.BreakerCooldown <= 0 {
-		o.BreakerCooldown = def.BreakerCooldown
 	}
 	return o
 }
@@ -159,8 +142,7 @@ func (o ClientOptions) normalize() ClientOptions {
 // first, then the embedded (compulsory) objects split by host into two
 // chains fetched concurrently — one persistent connection per host, objects
 // pipelined sequentially on each — with the page time being the max of the
-// chains. Optional links are returned, not fetched (the user may request
-// them separately via FetchObject).
+// chains. Optional links are not fetched.
 //
 // The client is resilient: every request carries a timeout, failures are
 // retried with exponential backoff and seeded jitter, and — when a
@@ -271,9 +253,7 @@ const (
 	clientBreakerStream
 )
 
-// NewClient builds a client for the workload with DefaultClientOptions —
-// in particular a 15s per-request timeout, so a stalled server can no
-// longer hang FetchPage forever.
+// NewClient builds a client for the workload with DefaultClientOptions.
 func NewClient(w *workload.Workload) *Client {
 	return NewClientOptions(w, ClientOptions{})
 }
@@ -285,7 +265,7 @@ func NewClientOptions(w *workload.Workload, opts ClientOptions) *Client {
 		w:    w,
 		opts: opts,
 		http: &http.Client{
-			Timeout: opts.Timeout,
+			Timeout: requestTimeout,
 			Transport: &http.Transport{
 				MaxIdleConnsPerHost: 4,
 			},
@@ -518,7 +498,7 @@ func (c *Client) breakerFor(host string) *hostBreaker {
 // breakerCooldown returns the jittered open interval, drawn from the
 // breaker's dedicated stream.
 func (c *Client) breakerCooldown() time.Duration {
-	d := c.opts.BreakerCooldown
+	const d = breakerCooldown
 	c.jmu.Lock()
 	defer c.jmu.Unlock()
 	return d + time.Duration(c.breakerJitter.Uniform(0, float64(d/2)))
@@ -526,9 +506,9 @@ func (c *Client) breakerCooldown() time.Duration {
 
 // backoff returns the jittered delay before retry attempt (1-based).
 func (c *Client) backoff(attempt int) time.Duration {
-	d := c.opts.BackoffBase << uint(attempt-1)
-	if d > c.opts.BackoffMax || d <= 0 {
-		d = c.opts.BackoffMax
+	d := backoffBase << uint(attempt-1)
+	if d > backoffMax || d <= 0 {
+		d = backoffMax
 	}
 	c.jmu.Lock()
 	defer c.jmu.Unlock()
@@ -617,37 +597,37 @@ func (c *Client) getRetry(ctx context.Context, url string, spec bodySpec, sp *tr
 // the assigned server keeps failing and a fallback base is configured.
 // parent, when non-nil, receives an "mo" child span covering the whole
 // fetch including any fallback leg. n is the bytes read from whoever served
-// the object; data is nil unless keep.
-func (c *Client) fetchMO(ctx context.Context, url string, k workload.ObjectID, keep bool, parent *trace.Active) (data []byte, n int64, retries int, fellBack bool, err error) {
+// the object.
+func (c *Client) fetchMO(ctx context.Context, url string, k workload.ObjectID, parent *trace.Active) (n int64, retries int, fellBack bool, err error) {
 	mo := parent.StartChild(trace.SpanMO)
 	mo.SetAttr(trace.I(trace.AttrObject, int64(k)))
-	fb, spec := c.opts.FallbackBase, bodySpec{verify: c.Verify, k: k, keep: keep}
-	data, n, _, retries, err = c.getRetry(ctx, url, spec, mo)
+	fb, spec := c.opts.FallbackBase, bodySpec{verify: c.Verify, k: k}
+	_, n, _, retries, err = c.getRetry(ctx, url, spec, mo)
 	if err == nil {
 		mo.SetAttr(trace.I(trace.AttrBytes, n))
 		mo.End()
-		return data, n, retries, false, nil
+		return n, retries, false, nil
 	}
 	if fb == "" || hostOf(url) == fb {
 		mo.SetAttr(trace.A(trace.AttrReason, failureReason(err)))
 		mo.End()
-		return nil, 0, retries, false, err
+		return 0, retries, false, err
 	}
 	reason := failureReason(err)
 	c.countFallback(reason)
 	fbSpan := mo.StartChild(trace.SpanFallback)
 	fbSpan.SetAttr(trace.A(trace.AttrReason, reason))
-	data, n, _, r2, err2 := c.getRetry(ctx, fb+htmlrefs.MOPath(spec.k), spec, fbSpan)
+	_, n, _, r2, err2 := c.getRetry(ctx, fb+htmlrefs.MOPath(spec.k), spec, fbSpan)
 	fbSpan.End()
 	retries += r2
 	if err2 != nil {
 		mo.End()
 		// Report the original failure; the fallback error wraps context.
-		return nil, 0, retries, true, fmt.Errorf("%w (repository fallback also failed: %v)", err, err2)
+		return 0, retries, true, fmt.Errorf("%w (repository fallback also failed: %v)", err, err2)
 	}
 	mo.SetAttr(trace.I(trace.AttrBytes, n))
 	mo.End()
-	return data, n, retries, true, nil
+	return n, retries, true, nil
 }
 
 // hostOf extracts scheme://host of a URL (everything before the path).
@@ -715,8 +695,6 @@ func (c *Client) FetchPage(pageURL string, j workload.PageID) (*PageResult, erro
 	chains := map[string][]htmlrefs.Ref{}
 	for _, r := range refs {
 		if r.Optional {
-			// Remember where the link points for FetchObject callers.
-			res.OptionalRefs = append(res.OptionalRefs, r)
 			continue
 		}
 		url := string(doc[r.Start:r.End])
@@ -754,7 +732,7 @@ func (c *Client) FetchPage(pageURL string, j workload.PageID) (*PageResult, erro
 			ch.SetAttr(trace.A(trace.AttrChain, chainKind), trace.A(trace.AttrSite, host))
 			defer ch.End()
 			for _, r := range chains[host] {
-				_, n, retries, fellBack, err := c.fetchMO(ctx, host+htmlrefs.MOPath(r.Object), r.Object, false, ch)
+				n, retries, fellBack, err := c.fetchMO(ctx, host+htmlrefs.MOPath(r.Object), r.Object, ch)
 				out.retries += retries
 				if err != nil {
 					out.err = err
@@ -797,18 +775,6 @@ func (c *Client) FetchPage(pageURL string, j workload.PageID) (*PageResult, erro
 	}
 	res.Elapsed = time.Since(start)
 	return res, nil
-}
-
-// FetchObject downloads one optional object as the document doc links it,
-// with the same retry/fallback protection as compulsory objects. The fetch
-// gets its own root trace — optional objects are user-initiated follow-ups,
-// not part of the page's Eq. 5 critical path.
-func (c *Client) FetchObject(doc []byte, r htmlrefs.Ref) ([]byte, error) {
-	sp := c.tracer.StartTrace(trace.SpanOpt)
-	sp.SetAttr(trace.I(trace.AttrObject, int64(r.Object)))
-	data, _, _, _, err := c.fetchMO(context.Background(), string(doc[r.Start:r.End]), r.Object, true, sp)
-	sp.End()
-	return data, err
 }
 
 // GetDoc fetches a URL and returns the raw body — the served HTML as a

@@ -17,12 +17,9 @@ import (
 type ClusterOptions struct {
 	// Metrics serves the cluster-wide registry (Cluster.Metrics: per-site
 	// request/byte/hit-miss counters, which are kept either way) as a JSON
-	// snapshot at /metrics on every server, the repository and each site.
+	// snapshot at /metrics on every server, the repository and each site,
+	// and mounts net/http/pprof under /debug/pprof/ beside it.
 	Metrics bool
-	// Pprof mounts net/http/pprof under /debug/pprof/ on every server mux.
-	// Requires Metrics-independent opt-in: profiling endpoints expose
-	// internals and cost a mux lookup per request.
-	Pprof bool
 	// Faults arms deterministic fault injection: each server's handler is
 	// wrapped in the plan's injector middleware (errors, resets, truncated
 	// bodies, latency, outage windows). Nil serves a healthy cluster.
@@ -87,18 +84,16 @@ func (s *LocalServer) setTelemetry(reg *telemetry.Registry) {
 // /debug/pprof/ routes. With none enabled the bare handler is returned — no
 // mux on the serving path.
 func (c *Cluster) wrapMux(h http.Handler, opts ClusterOptions) http.Handler {
-	if !opts.Metrics && !opts.Pprof && c.Journal == nil {
+	if !opts.Metrics && c.Journal == nil {
 		return h
 	}
 	mux := http.NewServeMux()
 	mux.Handle("/", h)
-	if opts.Metrics {
-		mux.Handle("/metrics", telemetry.Handler(c.Metrics))
-	}
 	if c.Journal != nil {
 		mux.Handle("/debug/journal", trace.JournalHandler(c.Journal))
 	}
-	if opts.Pprof {
+	if opts.Metrics {
+		mux.Handle("/metrics", telemetry.Handler(c.Metrics))
 		mux.HandleFunc("/debug/pprof/", pprof.Index)
 		mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
 		mux.HandleFunc("/debug/pprof/profile", pprof.Profile)

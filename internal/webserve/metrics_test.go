@@ -37,7 +37,7 @@ func fetchSnapshot(t *testing.T, base string) *telemetry.Snapshot {
 func TestMetricsEndpoint(t *testing.T) {
 	w := tinyWorkload(t)
 	p := plannedPlacement(t, w)
-	cluster, err := StartClusterOptions(w, p, ClusterOptions{Metrics: true, Pprof: true})
+	cluster, err := StartClusterOptions(w, p, ClusterOptions{Metrics: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,10 +144,10 @@ func TestMetricsDisabledByDefault(t *testing.T) {
 	}
 }
 
-// TestPprofEndpoint checks the profiling mux is mounted when asked for.
+// TestPprofEndpoint checks the profiling mux is mounted beside /metrics.
 func TestPprofEndpoint(t *testing.T) {
 	w := tinyWorkload(t)
-	cluster, err := StartClusterOptions(w, plannedPlacement(t, w), ClusterOptions{Metrics: true, Pprof: true})
+	cluster, err := StartClusterOptions(w, plannedPlacement(t, w), ClusterOptions{Metrics: true})
 	if err != nil {
 		t.Fatal(err)
 	}

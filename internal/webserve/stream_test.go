@@ -264,7 +264,7 @@ func TestCorruptRetryReusesConnection(t *testing.T) {
 	opts.Retries, opts.BreakerThreshold = 1, -1
 	c := NewClientOptions(w, opts)
 	c.Verify = true
-	_, n, retries, _, err := c.fetchMO(context.Background(), srv.URL+"/mo/0", k, false, nil)
+	n, retries, _, err := c.fetchMO(context.Background(), srv.URL+"/mo/0", k, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

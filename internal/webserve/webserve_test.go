@@ -264,30 +264,37 @@ func TestOptionalFetch(t *testing.T) {
 	defer cluster.Close()
 
 	client := NewClient(w)
+	client.Verify = true
 	res, err := client.FetchPage(cluster.PageURL(pid), pid)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.OptionalRefs) != len(w.Pages[pid].Optional) {
-		t.Fatalf("client saw %d optional refs, want %d", len(res.OptionalRefs), len(w.Pages[pid].Optional))
+	if got := res.LocalChain.Objects + res.RemoteChain.Objects; got != len(w.Pages[pid].Compulsory) {
+		t.Fatalf("page fetched %d objects, want only its %d compulsory ones", got, len(w.Pages[pid].Compulsory))
 	}
 	// Fetch one optional object through the document's own link.
 	doc, _, _, err := client.get(context.Background(), cluster.PageURL(pid), "", keepDoc)
 	if err != nil {
 		t.Fatal(err)
 	}
-	refs := htmlrefs.ParseRefs(doc)
-	for _, r := range refs {
-		if r.Optional {
-			data, err := client.FetchObject(doc, r)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := VerifyObject(w, r.Object, data); err != nil {
-				t.Fatal(err)
-			}
-			break
+	var optional int
+	for _, r := range htmlrefs.ParseRefs(doc) {
+		if !r.Optional {
+			continue
 		}
+		if optional++; optional > 1 {
+			continue
+		}
+		n, _, _, err := client.fetchMO(context.Background(), string(doc[r.Start:r.End]), r.Object, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n != int64(w.ObjectSize(r.Object)) {
+			t.Fatalf("optional object %d: read %d bytes, want %d", r.Object, n, w.ObjectSize(r.Object))
+		}
+	}
+	if optional != len(w.Pages[pid].Optional) {
+		t.Fatalf("document links %d optional objects, want %d", optional, len(w.Pages[pid].Optional))
 	}
 }
 

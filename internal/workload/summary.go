@@ -3,7 +3,6 @@ package workload
 import (
 	"fmt"
 	"io"
-	"sort"
 
 	"repro/internal/stats"
 	"repro/internal/units"
@@ -95,27 +94,4 @@ func (s *Summary) Write(w io.Writer) error {
 		}
 	}
 	return nil
-}
-
-// TrafficShare returns, for one site, the fraction of its page-request rate
-// carried by its top `frac` most-requested pages — used by tests to confirm
-// the 10 %→60 % skew.
-func TrafficShare(w *Workload, i SiteID, frac float64) float64 {
-	pages := w.Sites[i].Pages
-	freqs := make([]float64, len(pages))
-	total := 0.0
-	for idx, pid := range pages {
-		freqs[idx] = float64(w.Pages[pid].Freq)
-		total += freqs[idx]
-	}
-	if total == 0 {
-		return 0
-	}
-	sort.Sort(sort.Reverse(sort.Float64Slice(freqs)))
-	top := int(float64(len(freqs))*frac + 0.5)
-	sum := 0.0
-	for idx := 0; idx < top && idx < len(freqs); idx++ {
-		sum += freqs[idx]
-	}
-	return sum / total
 }

@@ -47,16 +47,6 @@ type Page struct {
 	Optional   []OptionalLink  `json:"optional,omitempty"`
 }
 
-// OptionalRate returns f(W_j, M): the expected number of optional-object
-// requests per second generated by this page, i.e. f(W_j)·Σ_k U'_jk.
-func (p *Page) OptionalRate() units.ReqPerSec {
-	sum := 0.0
-	for _, l := range p.Optional {
-		sum += l.Prob
-	}
-	return units.ReqPerSec(float64(p.Freq) * sum)
-}
-
 // Site is one local server: the pages it hosts, the subset of the global
 // object population its pages may reference, and its processing capacity
 // C(S_i). Storage budgets are an experiment knob, not a property of the
@@ -91,9 +81,6 @@ func (w *Workload) NumObjects() int { return len(w.Objects) }
 func (w *Workload) ObjectSize(id ObjectID) units.ByteSize {
 	return w.Objects[id].Size
 }
-
-// SitePages returns the pages hosted at site i.
-func (w *Workload) SitePages(i SiteID) []PageID { return w.Sites[i].Pages }
 
 // FullStorageBytes returns the storage a site needs to hold every byte its
 // pages can reference: all HTML documents plus every distinct compulsory and

@@ -3,6 +3,7 @@ package workload
 import (
 	"bytes"
 	"math"
+	"sort"
 	"strings"
 	"testing"
 
@@ -143,10 +144,32 @@ func TestWorkloadMatchesTable1(t *testing.T) {
 	}
 }
 
+// trafficShare returns, for one site, the fraction of its page-request rate
+// carried by its top `frac` most-requested pages.
+func trafficShare(w *Workload, i SiteID, frac float64) float64 {
+	pages := w.Sites[i].Pages
+	freqs := make([]float64, len(pages))
+	total := 0.0
+	for idx, pid := range pages {
+		freqs[idx] = float64(w.Pages[pid].Freq)
+		total += freqs[idx]
+	}
+	if total == 0 {
+		return 0
+	}
+	sort.Sort(sort.Reverse(sort.Float64Slice(freqs)))
+	top := int(float64(len(freqs))*frac + 0.5)
+	sum := 0.0
+	for idx := 0; idx < top && idx < len(freqs); idx++ {
+		sum += freqs[idx]
+	}
+	return sum / total
+}
+
 func TestTrafficShareSkew(t *testing.T) {
 	w := MustGenerate(SmallConfig(), 7)
 	for i := 0; i < w.NumSites(); i++ {
-		share := TrafficShare(w, SiteID(i), 0.10)
+		share := trafficShare(w, SiteID(i), 0.10)
 		if share < 0.5 || share > 0.7 {
 			t.Errorf("site %d: top-10%% pages carry %.2f of traffic, want ~0.60", i, share)
 		}
@@ -163,14 +186,6 @@ func TestPageFrequenciesSumToSiteRate(t *testing.T) {
 		if math.Abs(sum-float64(w.Config.PageRatePerSite)) > 1e-9 {
 			t.Errorf("site %d frequencies sum to %v, want %v", i, sum, w.Config.PageRatePerSite)
 		}
-	}
-}
-
-func TestOptionalRate(t *testing.T) {
-	p := Page{Freq: 2, Optional: []OptionalLink{{Object: 0, Prob: 0.03}, {Object: 1, Prob: 0.03}}}
-	got := float64(p.OptionalRate())
-	if math.Abs(got-0.12) > 1e-12 {
-		t.Errorf("OptionalRate = %v, want 0.12", got)
 	}
 }
 
@@ -378,7 +393,7 @@ func TestZipfPopularity(t *testing.T) {
 	}
 	// Heavy tail: the top 10%% of pages carry well above 10%% of traffic
 	// but a different share than the two-class model's fixed 60%%.
-	share := TrafficShare(w, 0, 0.10)
+	share := trafficShare(w, 0, 0.10)
 	if share < 0.2 || share > 0.95 {
 		t.Errorf("zipf top-10%% share = %v", share)
 	}

@@ -303,7 +303,7 @@ func DriftWorkload(w *Workload, swapFrac float64, seed uint64) (*Workload, error
 
 // Trace record/replay: a trace pins the traffic and the per-request network
 // conditions so different policies (or policy versions) can be measured on
-// byte-identical inputs, including across processes.
+// identical inputs within one process.
 type Trace = httpsim.Trace
 
 // RecordTrace draws a request trace for the workload.
@@ -316,11 +316,6 @@ func RecordTrace(w *Workload, est *Estimates, cfg SimConfig, s *Stream) (*Trace,
 // were consumed by RecordTrace and are ignored.
 func ReplayTrace(w *Workload, tr *Trace, pol Policy, cfg SimConfig) (*SimResult, error) {
 	return httpsim.Replay(w, tr, pol, cfg)
-}
-
-// LoadTrace reads a trace for the workload from a JSON file.
-func LoadTrace(w *Workload, path string) (*Trace, error) {
-	return httpsim.LoadTraceFile(w, path)
 }
 
 // Tracing (internal/trace): deterministic span forests from the simulator

@@ -145,13 +145,6 @@ func TestFacadeTraceRoundTrip(t *testing.T) {
 	if res.PageRT.N() != int64(60*w.NumSites()) {
 		t.Errorf("replayed %d views", res.PageRT.N())
 	}
-	path := t.TempDir() + "/trace.json"
-	if err := tr.SaveFile(path); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := LoadTrace(w, path); err != nil {
-		t.Fatal(err)
-	}
 }
 
 func TestFacadeDriftAndThreshold(t *testing.T) {
