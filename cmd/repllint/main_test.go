@@ -13,8 +13,7 @@ func TestListRules(t *testing.T) {
 	}
 	rules := []string{
 		"determinism", "rng-stream", "sorted-iteration",
-		"float-compare", "telemetry-naming", "error-discipline",
-		"span-balance", "ctx-aware-sleep", "goroutine-leak",
+		"float-compare", "error-discipline",
 	}
 	lines := strings.Split(strings.TrimSpace(out.String()), "\n")
 	if len(lines) != len(rules) {

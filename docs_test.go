@@ -24,6 +24,11 @@ var (
 	fenceRE    = regexp.MustCompile("(?s)```[a-z]*\n(.*?)```")
 	// citedStudyRE matches an -exp argument.
 	citedStudyRE = regexp.MustCompile(`-exp[ =]([a-z][a-z0-9]*)`)
+
+	// reproClaimRE matches a reproducibility claim; testSpanRE a code span
+	// naming a test.
+	reproClaimRE = regexp.MustCompile(`(?i)bit-reproducible|byte-identical|composes\s+with`)
+	testSpanRE   = regexp.MustCompile("`[^`\n]*\\bTest[A-Z0-9_][^`\n]*`")
 )
 
 // docs returns README, DESIGN, EXPERIMENTS and docs/*.md by name.
@@ -79,6 +84,20 @@ func TestDocsCiteLiveTests(t *testing.T) {
 		for _, name := range citedTestRE.FindAllString(src, -1) {
 			if !declared[name] {
 				t.Errorf("%s cites %s, which no _test.go declares", doc, name)
+			}
+		}
+	}
+}
+
+// TestDocsReproClaimsCiteTests fails when a paragraph of the same documents
+// says "bit-reproducible", "byte-identical" or "composes with" without
+// naming, in a code span, the Test… that fails if the claim is false.
+// TestDocsCiteLiveTests then holds the name to a declared test.
+func TestDocsReproClaimsCiteTests(t *testing.T) {
+	for doc, src := range docs(t) {
+		for _, para := range strings.Split(src, "\n\n") {
+			if claim := reproClaimRE.FindString(para); claim != "" && !testSpanRE.MatchString(para) {
+				t.Errorf("%s: a paragraph says %q and cites no `Test…`:\n%s", doc, claim, para)
 			}
 		}
 	}

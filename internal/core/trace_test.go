@@ -26,13 +26,17 @@ func tracedPlan(t *testing.T, seed uint64, opts Options) ([]trace.Span, *Result)
 	}
 	env.Budgets.RepoCapacity = units.ReqPerSec(0.9 * float64(probe.Report.RepoLoad))
 	buf := trace.NewBuffer(0)
-	root := trace.NewTracer(buf, seed, trace.KindPlan).StartTrace(trace.SpanPlan)
+	tr := trace.NewTracer(buf, seed, trace.KindPlan)
+	root := tr.StartTrace(trace.SpanPlan)
 	opts.Trace = root
 	_, res, err := Plan(env, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	root.End()
+	if n := tr.OpenSpans(); n != 0 {
+		t.Fatalf("%d spans still open after the plan and its root ended", n)
+	}
 	return buf.Spans(), res
 }
 

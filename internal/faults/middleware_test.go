@@ -1,6 +1,7 @@
 package faults
 
 import (
+	"context"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -117,6 +118,32 @@ func TestMiddlewareLatency(t *testing.T) {
 	resp.Body.Close()
 	if took := time.Since(start); took < delay {
 		t.Fatalf("request took %v, injected latency is %v", took, delay)
+	}
+}
+
+// TestMiddlewareLatencyEndsOnCancel pins that injected latency is a wait the
+// client can end: a request cancelled mid-delay leaves the handler at once,
+// by http.ErrAbortHandler, instead of holding its goroutine — and any
+// admission slot around it — for the rest of the delay.
+func TestMiddlewareLatencyEndsOnCancel(t *testing.T) {
+	h := Middleware(NewInjector(Spec{Latency: 10 * time.Second}, 7), nil, Metrics{}, okHandler())
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	req := httptest.NewRequest(http.MethodGet, "/", nil).WithContext(ctx)
+	done := make(chan any, 1)
+	go func() {
+		defer func() { done <- recover() }()
+		h.ServeHTTP(httptest.NewRecorder(), req)
+	}()
+	time.Sleep(20 * time.Millisecond)
+	cancel()
+	select {
+	case r := <-done:
+		if r != http.ErrAbortHandler {
+			t.Fatalf("handler ended with %v, want a panic(http.ErrAbortHandler)", r)
+		}
+	case <-time.After(time.Second):
+		t.Fatal("handler still waiting out the injected latency 1 s after its request was cancelled")
 	}
 }
 

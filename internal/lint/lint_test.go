@@ -126,22 +126,17 @@ func TestFixtures(t *testing.T) {
 		{"rngsplit", []string{"rng-stream"}},
 		{"sortiter", []string{"sorted-iteration"}},
 		{"floatcmp", []string{"float-compare"}},
-		{"telemetryname", []string{"telemetry-naming"}},
 		{"errcheck", []string{"error-discipline"}},
-		{"spanbalance", []string{"span-balance"}},
-		{"ctxsleep", []string{"ctx-aware-sleep"}},
 	}
 	for _, c := range cases {
 		t.Run(c.dir, func(t *testing.T) { checkFixture(t, []string{c.dir}, c.rules...) })
 	}
 }
 
-// TestGraphFixtures proves the rules that look past one package or one
-// function both fire on violations and stay quiet on compliant code, per
-// the golden // want comments: a clock read two calls away in a helper
-// package is reported where the deterministic package imports the helper,
-// and a spawned goroutine that never terminates is reported through static
-// calls.
+// TestGraphFixtures proves the rules that look past one package both fire
+// on violations and stay quiet on compliant code, per the golden // want
+// comments: a clock read two calls away in a helper package is reported
+// where the deterministic package imports the helper.
 func TestGraphFixtures(t *testing.T) {
 	cases := []struct {
 		name  string
@@ -149,7 +144,6 @@ func TestGraphFixtures(t *testing.T) {
 		rules []string
 	}{
 		{"taintchain", []string{"taintchain/core", "taintchain/hub", "taintchain/leaf"}, []string{"determinism"}},
-		{"goroleak", []string{"goroleak"}, []string{"goroutine-leak"}},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) { checkFixture(t, c.dirs, c.rules...) })

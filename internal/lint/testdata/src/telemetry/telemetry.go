@@ -1,7 +1,7 @@
 // Package telemetry is a minimal stand-in for repro/internal/telemetry so
-// the lint fixtures type-check. The telemetry-naming and sorted-iteration
-// analyzers key on the package name ("telemetry") plus the registry lookup
-// and mutation method names, all mirrored here.
+// the lint fixtures type-check. The sorted-iteration analyzer keys on the
+// package name ("telemetry") plus the mutation method names, all mirrored
+// here.
 package telemetry
 
 // Registry mirrors the real metric registry lookups.

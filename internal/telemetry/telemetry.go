@@ -11,7 +11,9 @@
 package telemetry
 
 import (
+	"fmt"
 	"math"
+	"regexp"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -94,8 +96,22 @@ func (r *Registry) SetInfo(name, value string) {
 	r.infos[name] = value
 }
 
+// metricName is the shape of every counter and gauge name: a lower-case
+// namespace and at least one more dotted segment, "client.retries" or
+// "admission.0.shed_by.queue".
+var metricName = regexp.MustCompile(`^[a-z]+(\.[a-z0-9_]+)+$`)
+
+// checkName panics on a name outside the metricName shape. Names are
+// literals or a namespace plus a literal suffix, so a bad one is a bug, and
+// checking it at creation fails any test that registers it.
+func checkName(name string) {
+	if !metricName.MatchString(name) {
+		panic(fmt.Sprintf("telemetry: metric name %q does not match %s", name, metricName))
+	}
+}
+
 // Counter returns the named counter, creating it on first use. Returns nil
-// on a nil registry.
+// on a nil registry; panics when a new name does not match metricName.
 func (r *Registry) Counter(name string) *Counter {
 	if r == nil {
 		return nil
@@ -104,6 +120,7 @@ func (r *Registry) Counter(name string) *Counter {
 	defer r.mu.Unlock()
 	c, ok := r.counters[name]
 	if !ok {
+		checkName(name)
 		c = &Counter{}
 		r.counters[name] = c
 	}
@@ -111,7 +128,7 @@ func (r *Registry) Counter(name string) *Counter {
 }
 
 // Gauge returns the named gauge, creating it on first use. Returns nil on a
-// nil registry.
+// nil registry; panics when a new name does not match metricName.
 func (r *Registry) Gauge(name string) *Gauge {
 	if r == nil {
 		return nil
@@ -120,6 +137,7 @@ func (r *Registry) Gauge(name string) *Gauge {
 	defer r.mu.Unlock()
 	g, ok := r.gauges[name]
 	if !ok {
+		checkName(name)
 		g = &Gauge{}
 		r.gauges[name] = g
 	}

@@ -21,22 +21,22 @@ func TestRegistryConcurrency(t *testing.T) {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			c := reg.Counter("shared")
-			g := reg.Gauge("level")
+			c := reg.Counter("test.shared")
+			g := reg.Gauge("test.level")
 			for i := 0; i < perWorker; i++ {
 				c.Inc()
 				g.Set(float64(w))
 				// Interleave registration with updates.
-				reg.Counter("shared").Add(0)
+				reg.Counter("test.shared").Add(0)
 			}
 		}(w)
 	}
 	wg.Wait()
 
-	if got := reg.Counter("shared").Value(); got != workers*perWorker {
+	if got := reg.Counter("test.shared").Value(); got != workers*perWorker {
 		t.Errorf("counter lost updates: got %d want %d", got, workers*perWorker)
 	}
-	if got := reg.Gauge("level").Value(); got < 0 || got >= workers || got != float64(int(got)) {
+	if got := reg.Gauge("test.level").Value(); got < 0 || got >= workers || got != float64(int(got)) {
 		t.Errorf("gauge holds %g, which no worker wrote", got)
 	}
 }
@@ -45,8 +45,8 @@ func TestRegistryConcurrency(t *testing.T) {
 // hands out nil instruments whose methods are alloc-free no-ops.
 func TestNilRegistryIsNoOp(t *testing.T) {
 	var reg *Registry
-	c := reg.Counter("x")
-	g := reg.Gauge("x")
+	c := reg.Counter("test.x")
+	g := reg.Gauge("test.x")
 	if c != nil || g != nil {
 		t.Fatal("nil registry handed out non-nil instruments")
 	}
@@ -72,7 +72,7 @@ func TestSnapshotEncodings(t *testing.T) {
 	reg := NewRegistry()
 	reg.Counter("b.requests").Add(7)
 	reg.Counter("a.requests").Add(3)
-	reg.Gauge("load").Set(0.5)
+	reg.Gauge("test.load").Set(0.5)
 
 	snap := reg.Snapshot()
 	if len(snap.Counters) != 2 || snap.Counters[0].Name != "a.requests" {
@@ -99,9 +99,45 @@ func TestSnapshotEncodings(t *testing.T) {
 		t.Fatal(err)
 	}
 	text := textBuf.String()
-	for _, want := range []string{"a.requests", "b.requests", "load"} {
+	for _, want := range []string{"a.requests", "b.requests", "test.load"} {
 		if !strings.Contains(text, want) {
 			t.Errorf("text snapshot missing %q:\n%s", want, text)
 		}
 	}
+}
+
+// TestMetricNameShape pins the name check at creation: a dotted lower-case
+// name registers as a counter and as a gauge, any other name panics, so a
+// test that reaches a malformed registration fails.
+func TestMetricNameShape(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		ok   bool
+	}{
+		{"client.retries", true},
+		{"admission.site.0.shed_by.queue", true},
+		{"client.retries_by.5xx", true},
+		{"BadName", false},
+		{"plain", false}, // a single segment
+		{"site.", false},
+		{"trailing.", false},
+		{"faults.site.0.Bad", false},
+		{"faults.site.0.injected delays", false},
+	} {
+		for kind, register := range map[string]func(*Registry){
+			"counter": func(r *Registry) { r.Counter(c.name) },
+			"gauge":   func(r *Registry) { r.Gauge(c.name) },
+		} {
+			if got := !panics(func() { register(NewRegistry()) }); got != c.ok {
+				t.Errorf("%s %q: registered = %v, want %v", kind, c.name, got, c.ok)
+			}
+		}
+	}
+}
+
+// panics reports whether f panicked.
+func panics(f func()) (did bool) {
+	defer func() { did = recover() != nil }()
+	f()
+	return false
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"regexp"
 	"sort"
 	"strings"
 	"sync"
@@ -29,9 +30,10 @@ func (e *Event) Field(key string) string { return lookup(e.Fields, key) }
 // block the control loop; a full ring overwrites its own oldest event, so a
 // flood of one type (fault.injected under chaos) can evict only that type
 // and the rare ones — the plan lineage — survive it. The type is therefore
-// a retention key and must come from a fixed vocabulary (repllint's
-// telemetry-naming rule holds call sites to literals). The nil Journal
-// drops everything, so recording sites need no disabled path.
+// a retention key and must come from a fixed vocabulary: call sites pass a
+// literal, by convention, and Record panics on a type outside the eventType
+// shape when its ring is first created. The nil Journal drops everything,
+// so recording sites need no disabled path.
 type Journal struct {
 	mu       sync.Mutex
 	epoch    time.Time
@@ -63,13 +65,27 @@ func NewJournal(capacity int) *Journal {
 	return &Journal{epoch: clock(), capacity: capacity, rings: make(map[string]*typeRing)}
 }
 
-// Record appends one event. No-op on nil.
+// eventType is the shape of a journal event type: dotted lower-case
+// segments, "plan.applied" or a single "bench".
+var eventType = regexp.MustCompile(`^[a-z0-9_]+(\.[a-z0-9_]+)*$`)
+
+// Record appends one event. No-op on nil. A type that does not match
+// eventType is a programming error and panics the first time it is
+// recorded.
 func (j *Journal) Record(typ string, fields ...Attr) {
 	if j == nil {
 		return
 	}
 	j.mu.Lock()
 	defer j.mu.Unlock()
+	r := j.rings[typ]
+	if r == nil {
+		if !eventType.MatchString(typ) {
+			panic(fmt.Sprintf("trace: journal event type %q does not match %s", typ, eventType))
+		}
+		r = &typeRing{}
+		j.rings[typ] = r
+	}
 	ev := Event{
 		Seq:    j.next,
 		At:     clock().Sub(j.epoch).Seconds(),
@@ -77,11 +93,6 @@ func (j *Journal) Record(typ string, fields ...Attr) {
 		Fields: fields,
 	}
 	j.next++
-	r := j.rings[typ]
-	if r == nil {
-		r = &typeRing{}
-		j.rings[typ] = r
-	}
 	if len(r.events) < j.capacity {
 		r.events = append(r.events, ev)
 	} else {

@@ -263,6 +263,7 @@ func ParseHeader(v string) (TraceID, SpanID, bool) {
 type Tracer struct {
 	buf   *Buffer
 	ids   *IDGen
+	open  *atomic.Int64 // spans started and not yet ended, over every view
 	epoch time.Time
 	kind  string
 }
@@ -285,6 +286,7 @@ func NewTracer(buf *Buffer, seed uint64, kind string) *Tracer {
 	return &Tracer{
 		buf:   buf,
 		ids:   NewIDGen(rng.New(seed).Split(idStream)),
+		open:  new(atomic.Int64),
 		epoch: clock(),
 		kind:  kind,
 	}
@@ -297,7 +299,17 @@ func (t *Tracer) WithKind(kind string) *Tracer {
 	if t == nil {
 		return nil
 	}
-	return &Tracer{buf: t.buf, ids: t.ids, epoch: t.epoch, kind: kind}
+	return &Tracer{buf: t.buf, ids: t.ids, open: t.open, epoch: t.epoch, kind: kind}
+}
+
+// OpenSpans returns how many spans this tracer and its WithKind views have
+// started and not yet ended (0 on nil). A traced test that ends with it
+// above zero reached a path that never calls End.
+func (t *Tracer) OpenSpans() int64 {
+	if t == nil {
+		return 0
+	}
+	return t.open.Load()
 }
 
 // Now returns seconds since the tracer's epoch (0 on nil).
@@ -309,8 +321,8 @@ func (t *Tracer) Now() float64 {
 }
 
 // Active is a started, not-yet-ended span. End completes it into the
-// buffer; every started Active must be ended on all paths (the repllint
-// span-balance rule enforces a matching End textually).
+// buffer; every started Active must be ended on all paths (Tracer.OpenSpans
+// counts the ones that were not, and the traced tests end by asserting 0).
 type Active struct {
 	tr    *Tracer
 	start time.Time
@@ -327,6 +339,7 @@ func (t *Tracer) start(name string, trace TraceID, parent SpanID) *Active {
 		return nil
 	}
 	now := clock()
+	t.open.Add(1)
 	return &Active{
 		tr:    t,
 		start: now,
@@ -431,6 +444,7 @@ func (a *Active) endWithDur(dur float64) {
 		return
 	}
 	a.ended = true
+	a.tr.open.Add(-1)
 	if b := a.busy.Load(); b != 0 {
 		a.span.Attrs = append(a.span.Attrs, F(AttrBusyS, time.Duration(b).Seconds()))
 	}

@@ -92,6 +92,9 @@ func TestNilSafety(t *testing.T) {
 		t.Fatalf("nil Active header = %q, want empty", hv)
 	}
 	a.End()
+	if tr.OpenSpans() != 0 {
+		t.Fatal("nil Tracer counts open spans")
+	}
 	if NewTracer(nil, 1, KindClient) != nil {
 		t.Fatal("NewTracer(nil buffer) should return nil")
 	}
@@ -122,10 +125,19 @@ func TestTracerSpanTreeAndEndIdempotent(t *testing.T) {
 		}()
 	}
 	wg.Wait()
+	if got := tr.OpenSpans(); got != 2 {
+		t.Fatalf("OpenSpans = %d before End, want 2 (root and chain; the event ended itself)", got)
+	}
 	child.End()
 	child.End()                         // idempotent
 	child.SetAttr(A("late", "dropped")) // after End: dropped, not a panic
+	if got := tr.OpenSpans(); got != 1 {
+		t.Fatalf("OpenSpans = %d after the chain's two Ends, want 1", got)
+	}
 	root.End()
+	if got := tr.OpenSpans(); got != 0 {
+		t.Fatalf("OpenSpans = %d after every End, want 0", got)
+	}
 
 	spans := buf.Spans()
 	if len(spans) != 3 {
@@ -310,6 +322,36 @@ func TestJournalFloodKeepsLineage(t *testing.T) {
 	}
 	if j.Dropped() != 9*DefaultJournalCap {
 		t.Fatalf("Dropped = %d, want %d", j.Dropped(), 9*DefaultJournalCap)
+	}
+}
+
+// TestJournalEventTypeShape pins the retention-key check: a dotted
+// lower-case type, or a single segment, opens a ring; any other type panics
+// when first recorded.
+func TestJournalEventTypeShape(t *testing.T) {
+	for _, c := range []struct {
+		typ string
+		ok  bool
+	}{
+		{"controller.error", true},
+		{"bench", true},
+		{"Fault.Injected", false},
+		{".error", false},
+		{"fault.", false},
+		{"fault injected", false},
+	} {
+		j := NewJournal(4)
+		recorded := func() (ok bool) {
+			defer func() { ok = recover() == nil }()
+			j.Record(c.typ)
+			return true
+		}()
+		if recorded != c.ok {
+			t.Errorf("Record(%q): recorded = %v, want %v", c.typ, recorded, c.ok)
+		}
+		if !c.ok && j.Total() != 0 {
+			t.Errorf("Record(%q) panicked but counted the event", c.typ)
+		}
 	}
 }
 

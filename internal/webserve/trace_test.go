@@ -128,6 +128,15 @@ func TestEndToEndTracePropagation(t *testing.T) {
 	if len(snap.Infos) == 0 {
 		t.Fatal("build infos missing")
 	}
+
+	// A closed cluster has ended every span it or its client started: the
+	// serve spans end when their handlers return, which Close waits for.
+	if err := cluster.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if n := cluster.Tracer.OpenSpans(); n != 0 {
+		t.Fatalf("%d spans still open after Close", n)
+	}
 }
 
 // TestTraceDeterministicIDs pins that two clusters with the same TraceSeed
@@ -143,6 +152,9 @@ func TestTraceDeterministicIDs(t *testing.T) {
 			_, id := sp.Context()
 			ids = append(ids, id)
 			sp.End()
+		}
+		if n := tr.OpenSpans(); n != 0 {
+			t.Fatalf("%d spans still open", n)
 		}
 		return ids
 	}

@@ -32,8 +32,8 @@ stage_fmt() {
     fi
 }
 
-# Build, vet, and the custom analyzer suite (internal/lint): nine rules over
-# the whole module, plus the audit that turns any //repllint:allow which
+# Build, vet, and the custom analyzer suite (internal/lint): the rules in
+# DESIGN.md §11 over the whole module, plus the audit that turns any //repllint:allow which
 # suppresses nothing into a finding. Any finding fails the build and prints
 # as file:line: rule: message; see DESIGN.md §11 for the rules and the
 # escape hatch.
@@ -70,16 +70,14 @@ stage_test() {
 # payload codec and scrubber, the admission stack) all live in ./... .
 #
 # The same pass writes the coverage profile that statement coverage is held
-# against a floor from, per package: the planner core (90 %,
-# CI_CORE_COVER_FLOOR to override) and the cost model, whose floor is its
-# measured coverage rounded down — so new code in either, the planner's
-# stored-but-remote index and the placement slab's Clone/Equal/JSON paths
-# included, has to be reached by tests to land.
+# against a floor from, per package: the planner core and the cost model,
+# each floor the package's measured coverage rounded down — so new code in
+# either, the planner's stored-but-remote index and the placement slab's
+# Clone/Equal/JSON paths included, has to be reached by tests to land.
 stage_race() {
     cover_out=$(mktemp)
     go test -race -count=1 -coverprofile="$cover_out" ./...
-    : "${CI_CORE_COVER_FLOOR:=90}"
-    for pair in "core:$CI_CORE_COVER_FLOOR" model:91; do
+    for pair in core:95 model:91; do
         pkg="internal/${pair%%:*}" floor="${pair##*:}"
         # A profile line is "file:block statements count"; the package's
         # coverage is the share of its statements in blocks that ran.
