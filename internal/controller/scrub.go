@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"repro/internal/htmlrefs"
+	"repro/internal/model"
 	"repro/internal/telemetry"
 	"repro/internal/trace"
 	"repro/internal/units"
@@ -139,6 +140,12 @@ func (s *Scrubber) verify(w *workload.Workload, i int, base string, k workload.O
 // finding too). Corrupt replicas are handed to the reconciler to re-ship,
 // cleared in the fault injectors, and re-verified. Serialized internally;
 // safe to call concurrently with the loop.
+//
+// The live sites are walked at once, one walker each; a walker fetches its
+// site's replicas one at a time in ascending object order, so every site
+// sees the request sequence of a sequential walk. The walks are merged in
+// site order, so the findings, their journal records and the counter
+// totals are those of the sequential walk too.
 func (s *Scrubber) RunCycle() (*ScrubCycle, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -147,37 +154,35 @@ func (s *Scrubber) RunCycle() (*ScrubCycle, error) {
 	w, p := cluster.CurrentPlan()
 	out := &ScrubCycle{}
 	s.cCycles.Inc()
-	for i := 0; i < w.NumSites(); i++ {
-		site := workload.SiteID(i)
+	walks := make([]ScrubCycle, w.NumSites())
+	var wg sync.WaitGroup
+	for i := range walks {
 		if cluster.SiteDown(i) {
 			continue
 		}
-		base := cluster.SiteBases[i]
-		p.StoredSet(site).ForEach(func(ki int) bool {
-			k := workload.ObjectID(ki)
-			out.Checked++
-			s.cObjects.Inc()
-			err := s.verify(w, i, base, k)
-			var verr *webserve.IntegrityError
-			if errors.As(err, &verr) {
-				out.Corrupt = append(out.Corrupt, Finding{Site: site, Object: k, Reason: verr.Error()})
-				s.cCorrupt.Inc()
-				journal.Record("scrub.corrupt",
-					trace.I(trace.AttrSite, int64(i)),
-					trace.I(trace.AttrObject, int64(k)),
-					trace.A(trace.AttrReason, verr.Error()))
-				s.logf("corrupt replica: site %d object %d: %v", i, k, verr)
-				return true
-			}
-			if err != nil {
-				out.Errors++
-				s.cErrors.Inc()
-				return true
-			}
-			out.Clean++
-			s.cClean.Inc()
-			return true
-		})
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			walks[i] = s.walkSite(w, p, i, cluster.SiteBases[i])
+		}()
+	}
+	wg.Wait()
+	for _, walk := range walks {
+		out.Checked += walk.Checked
+		out.Clean += walk.Clean
+		out.Errors += walk.Errors
+		s.cObjects.Add(int64(walk.Checked))
+		s.cClean.Add(int64(walk.Clean))
+		s.cErrors.Add(int64(walk.Errors))
+		for _, f := range walk.Corrupt {
+			out.Corrupt = append(out.Corrupt, f)
+			s.cCorrupt.Inc()
+			journal.Record("scrub.corrupt",
+				trace.I(trace.AttrSite, int64(f.Site)),
+				trace.I(trace.AttrObject, int64(f.Object)),
+				trace.A(trace.AttrReason, f.Reason))
+			s.logf("corrupt replica: site %d object %d: %s", f.Site, f.Object, f.Reason)
+		}
 	}
 
 	if len(out.Corrupt) > 0 {
@@ -190,6 +195,29 @@ func (s *Scrubber) RunCycle() (*ScrubCycle, error) {
 		trace.I("corrupt", int64(len(out.Corrupt))),
 		trace.I("errors", int64(out.Errors)))
 	return out, nil
+}
+
+// walkSite fetches and verifies every replica p stores at site i, one at a
+// time in ascending object order, and tallies them: Checked, Clean, Errors
+// and the Corrupt findings in object order.
+func (s *Scrubber) walkSite(w *workload.Workload, p *model.Placement, i int, base string) ScrubCycle {
+	var walk ScrubCycle
+	p.StoredSet(workload.SiteID(i)).ForEach(func(ki int) bool {
+		k := workload.ObjectID(ki)
+		walk.Checked++
+		err := s.verify(w, i, base, k)
+		var verr *webserve.IntegrityError
+		switch {
+		case errors.As(err, &verr):
+			walk.Corrupt = append(walk.Corrupt, Finding{Site: workload.SiteID(i), Object: k, Reason: verr.Error()})
+		case err != nil:
+			walk.Errors++
+		default:
+			walk.Clean++
+		}
+		return true
+	})
+	return walk
 }
 
 // repairFindings is the anti-entropy step: the reconciler re-ships the

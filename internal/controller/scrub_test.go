@@ -1,6 +1,8 @@
 package controller
 
 import (
+	"fmt"
+	"reflect"
 	"runtime"
 	"sync"
 	"testing"
@@ -110,6 +112,69 @@ func TestScrubberFindsAndRepairsRot(t *testing.T) {
 	}
 	if findings != len(rot) || repairs != 1 {
 		t.Errorf("journal has %d scrub.corrupt / %d scrub.repaired events, want %d / 1", findings, repairs, len(rot))
+	}
+}
+
+// TestScrubberMergesSitesInOrder pins the per-site walkers to the
+// sequential walk's output: with rot on two sites and the lower one limping
+// (so its walker finishes last), the cycle's findings and the journal's
+// scrub.corrupt records come out in (site, object) order, and the scrub
+// counters add up to the cycle's tallies.
+func TestScrubberMergesSitesInOrder(t *testing.T) {
+	penv, p := healEnv(t)
+	plan := &faults.Plan{Seed: 5, Sites: make([]faults.Spec, penv.W.NumSites())}
+	plan.Sites[0].LimpLatency = 2 * time.Millisecond
+	plan.Sites[0].Limps = []faults.Window{{Start: 0, End: time.Hour}}
+	var want []string
+	for _, i := range []int{0, 2} {
+		stored := p.StoredSet(workload.SiteID(i)).Members()
+		if len(stored) < 5 {
+			t.Fatalf("site %d stores only %d replicas", i, len(stored))
+		}
+		// Listed descending: the order must come from the walk.
+		plan.Sites[i].Rot = []int{stored[4], stored[2], stored[0]}
+		for _, k := range []int{stored[0], stored[2], stored[4]} {
+			want = append(want, fmt.Sprintf("%d/%d", i, k))
+		}
+	}
+	cluster, err := webserve.StartClusterOptions(penv.W, p, webserve.ClusterOptions{Metrics: true, Faults: plan})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cluster.Close()
+	journal := trace.NewJournal(256)
+	s := NewReconciler(penv, p, cluster, ReconcilerOptions{Metrics: cluster.Metrics, Journal: journal}).Scrubber(ScrubOptions{})
+
+	cyc, err := s.RunCycle()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got, journaled []string
+	for _, f := range cyc.Corrupt {
+		got = append(got, fmt.Sprintf("%d/%d", f.Site, f.Object))
+	}
+	for _, ev := range journal.Events() {
+		if ev.Type == "scrub.corrupt" {
+			journaled = append(journaled, ev.Field(trace.AttrSite)+"/"+ev.Field(trace.AttrObject))
+		}
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("findings %v, want %v", got, want)
+	}
+	if !reflect.DeepEqual(journaled, want) {
+		t.Fatalf("journal scrub.corrupt records %v, want %v", journaled, want)
+	}
+	stored := 0
+	for i := 0; i < penv.W.NumSites(); i++ {
+		stored += p.StoredSet(workload.SiteID(i)).Count()
+	}
+	if cyc.Checked != stored || cyc.Clean != stored-len(want) || cyc.Errors != 0 || !cyc.Repaired {
+		t.Fatalf("cycle checked %d of %d replicas: %d clean, %d errors, repaired=%v", cyc.Checked, stored, cyc.Clean, cyc.Errors, cyc.Repaired)
+	}
+	for name, v := range map[string]int{"scrub.objects": cyc.Checked, "scrub.clean": cyc.Clean, "scrub.corrupt": len(want), "scrub.errors": 0} {
+		if got := cluster.Metrics.Counter(name).Value(); got != int64(v) {
+			t.Errorf("%s = %d, want %d", name, got, v)
+		}
 	}
 }
 

@@ -62,3 +62,29 @@ func BenchmarkBuildRefDB(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkRefDBRebuild measures one site's database adopting a new plan
+// for the same pages at the paper's Table-1 scale (per-site page and pool
+// counts pinned at the midpoints of their ranges, as the benchmark's
+// Table-1 workloads are): every iteration flips every reference between
+// all-local and all-remote.
+func BenchmarkRefDBRebuild(b *testing.B) {
+	cfg := workload.DefaultConfig()
+	cfg.PagesPerSiteMin = (cfg.PagesPerSiteMin + cfg.PagesPerSiteMax) / 2
+	cfg.PagesPerSiteMax = cfg.PagesPerSiteMin
+	cfg.ObjectsPerSite = (cfg.ObjectsPerSite + cfg.ObjectsPerMax) / 2
+	cfg.ObjectsPerMax = cfg.ObjectsPerSite
+	w := workload.MustGenerate(cfg, 1)
+	plans := [2]*model.Placement{model.AllLocal(w), model.AllRemote(w)}
+	db, err := BuildRefDB(w, 0, plans[1], "http://repo.example")
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := db.Rebuild(w, plans[i%2], "http://repo.example"); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

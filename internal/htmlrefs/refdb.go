@@ -3,10 +3,12 @@ package htmlrefs
 import (
 	"bytes"
 	"fmt"
+	"math"
 	"sort"
 	"sync"
 
 	"repro/internal/model"
+	"repro/internal/units"
 	"repro/internal/workload"
 )
 
@@ -28,18 +30,26 @@ type PageEntry struct {
 	// optMedian is the median optional-reference weight, the tier-1
 	// brownout threshold (0 when the page has no optional references).
 	optMedian float64
+	// site and htmlSize are the page fields Doc was rendered from besides
+	// its references, which Refs and Weight record: together they tell
+	// Rebuild whether the page has changed since.
+	site     workload.SiteID
+	htmlSize units.ByteSize
 }
 
 // RefDB is one local server's reference database. It is built by parsing
-// each hosted page (at "page creation/update" time) and rebuilt the same
-// way when the replication plan changes; lookups at serving time are
-// read-only and safe for concurrent use with rebuilds, which swap the
-// entry map under an RWMutex (plans change rarely, pages are served
-// constantly).
+// each hosted page (at "page creation/update" time). A new replication
+// plan only flips references between local and remote, so a rebuild
+// re-decides the pages it already holds and renders and parses only the
+// pages that are new to the site or have changed. Lookups at serving time
+// are read-only and safe for concurrent use with rebuilds, which swap the
+// entry map under an RWMutex and never modify a published entry (plans
+// change rarely, pages are served constantly).
 type RefDB struct {
-	mu      sync.RWMutex
-	site    workload.SiteID
-	entries map[workload.PageID]*PageEntry
+	mu       sync.RWMutex
+	site     workload.SiteID
+	repoBase string // the base the entries' documents were rendered against
+	entries  map[workload.PageID]*PageEntry
 }
 
 // BuildRefDB parses every page hosted at site i (rendered against
@@ -112,32 +122,75 @@ func applyEntry(w *workload.Workload, pid workload.PageID, entry *PageEntry, p *
 }
 
 // Rebuild replaces the database wholesale for a (possibly re-homed)
-// workload: the site's page list under w is re-parsed, the placement's
-// decisions applied, and the entry map swapped in atomically with respect
-// to Serve readers. This is how a live server adopts a repair plan that
-// moves pages onto or off it — no restart; a concurrent reader sees either
-// the old database or the new one, never a mix. w must index objects
-// identically to the construction workload (repair's re-homed clones do).
+// workload: every page in the site's page list under w gets a fresh entry
+// carrying the placement's decisions, and the entry map is swapped in
+// atomically with respect to Serve readers. This is how a live server
+// adopts a repair plan that moves pages onto or off it — no restart; a
+// concurrent reader sees either the old database or the new one, never a
+// mix. A page the database already holds, rendered against the same
+// repoBase from the same host, HTML size and references, keeps its
+// document, references and weights; a page that is new or has changed is
+// rendered, parsed and validated. w must index objects identically to the
+// construction workload (repair's re-homed clones do).
 func (db *RefDB) Rebuild(w *workload.Workload, p *model.Placement, repoBase string) error {
+	db.mu.RLock()
+	old := db.entries
+	if db.repoBase != repoBase {
+		old = nil
+	}
+	db.mu.RUnlock()
 	entries := make(map[workload.PageID]*PageEntry, len(w.Sites[db.site].Pages))
 	for _, pid := range w.Sites[db.site].Pages {
-		doc := RenderPage(w, pid, repoBase)
-		refs := ParseRefs(doc)
-		sort.Slice(refs, func(a, b int) bool { return refs[a].Start < refs[b].Start })
-		if err := validateRefs(w, pid, refs); err != nil {
-			return err
+		pg := &w.Pages[pid]
+		var entry *PageEntry
+		if prev, ok := old[pid]; ok && prev.renders(pg) {
+			kept := *prev
+			entry = &kept
+		} else {
+			doc := RenderPage(w, pid, repoBase)
+			refs := ParseRefs(doc)
+			sort.Slice(refs, func(a, b int) bool { return refs[a].Start < refs[b].Start })
+			if err := validateRefs(w, pid, refs); err != nil {
+				return err
+			}
+			entry = &PageEntry{Doc: doc, Refs: refs, site: pg.Site, htmlSize: pg.HTMLSize}
+			setWeights(w, pid, entry)
 		}
-		entry := &PageEntry{Doc: doc, Refs: refs, Local: make([]bool, len(refs))}
+		entry.Local = make([]bool, len(entry.Refs))
 		if err := applyEntry(w, pid, entry, p); err != nil {
 			return err
 		}
-		setWeights(w, pid, entry)
 		entries[pid] = entry
 	}
 	db.mu.Lock()
 	db.entries = entries
+	db.repoBase = repoBase
 	db.mu.Unlock()
 	return nil
+}
+
+// renders reports whether the entry's document is the one RenderPage
+// makes for page pg, given the same page ID and repoBase: same host, same
+// HTML size, and references that list pg's compulsory objects and then
+// its optional links in order (the order RenderPage writes them), each
+// optional one weighted by the link's access probability.
+func (e *PageEntry) renders(pg *workload.Page) bool {
+	nc := len(pg.Compulsory)
+	if e.site != pg.Site || e.htmlSize != pg.HTMLSize || len(e.Refs) != nc+len(pg.Optional) {
+		return false
+	}
+	for idx, k := range pg.Compulsory {
+		if r := e.Refs[idx]; r.Optional || r.Object != k {
+			return false
+		}
+	}
+	for idx, l := range pg.Optional {
+		r := e.Refs[nc+idx]
+		if !r.Optional || r.Object != l.Object || math.Float64bits(e.Weight[nc+idx]) != math.Float64bits(l.Prob) {
+			return false
+		}
+	}
+	return true
 }
 
 // setWeights fills the entry's per-reference access weights from the

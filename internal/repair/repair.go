@@ -26,6 +26,7 @@ import (
 	"runtime"
 	"sort"
 
+	"repro/internal/bitset"
 	"repro/internal/core"
 	"repro/internal/model"
 	"repro/internal/trace"
@@ -207,11 +208,12 @@ func Compute(env *model.Env, p *model.Placement, down []workload.SiteID, opts Op
 		origEnv:   env,
 		origPlan:  p,
 	}
+	dHealthy, dBefore := objectives(env, p, downSet)
 	rp.Delta = Delta{
 		Rehomed:  rehomeList(w, target),
-		DHealthy: model.D(env, p),
-		DBefore:  DegradedD(env, p, downSet),
-		DAfter:   model.D(env2, repaired),
+		DHealthy: dHealthy,
+		DBefore:  dBefore,
+		DAfter:   report.D,
 		Feasible: report.Feasible(),
 	}
 	rp.Delta.Copies, rp.Delta.CopyBytes = copySets(w, p, repaired, surviving)
@@ -259,22 +261,28 @@ func (rp *Plan) Recover() Delta {
 	}
 }
 
-// DegradedD predicts the objective of placement p when the sites in down
-// are unreachable and unrepaired: every view of a down site's pages fetches
-// the HTML and all compulsory objects over the repository chain (Eq. 4 with
-// everything remote — PR 3's degraded client), and every optional request
-// goes remote. Pages on surviving sites are untouched: their server and the
-// repository are both up.
-func DegradedD(env *model.Env, p *model.Placement, down map[workload.SiteID]bool) float64 {
+// objectives returns, in one pass over the pages, placement p's objective
+// with every site up (model.D) and its degraded objective when the sites in
+// down are unreachable and unrepaired: every view of a down site's pages
+// fetches the HTML and all compulsory objects over the repository chain
+// (Eq. 4 with everything remote — the fallback client's degraded mode),
+// and every optional request goes remote. Pages on surviving sites are untouched:
+// their server and the repository are both up. Each sum adds the same terms
+// in the same order as model.D, so the healthy value is bit-identical to it.
+func objectives(env *model.Env, p *model.Placement, down map[workload.SiteID]bool) (healthy, degraded float64) {
 	w := env.W
-	var d1, d2 float64
+	var h1, h2, d1, d2 float64
 	for j := range w.Pages {
 		pid := workload.PageID(j)
 		pg := &w.Pages[j]
 		f := float64(pg.Freq)
+		t1 := float64(model.PageTime(env, p, pid))
+		t2 := float64(model.PageOptionalTime(env, p, pid))
+		h1 += f * t1
+		h2 += f * t2
 		if !down[pg.Site] {
-			d1 += f * float64(model.PageTime(env, p, pid))
-			d2 += f * float64(model.PageOptionalTime(env, p, pid))
+			d1 += f * t1
+			d2 += f * t2
 			continue
 		}
 		est := env.Est.Sites[pg.Site]
@@ -287,7 +295,7 @@ func DegradedD(env *model.Env, p *model.Placement, down map[workload.SiteID]bool
 			d2 += f * l.Prob * float64(est.RepoOvhd+est.RepoRate.TransferTime(w.ObjectSize(l.Object)))
 		}
 	}
-	return env.Alpha1*d1 + env.Alpha2*d2
+	return env.Alpha1*h1 + env.Alpha2*h2, env.Alpha1*d1 + env.Alpha2*d2
 }
 
 // DownFreq returns the total page-request rate the down sites hosted — the
@@ -454,29 +462,31 @@ func rehomeWorkload(w *workload.Workload, target map[workload.PageID]workload.Si
 }
 
 // extendPool unions a site's object pool with the references of its (new)
-// page list, sorted ascending.
+// page list, ascending: every ID is marked in a dense set over the
+// workload's objects, and the marked IDs are read back in order.
 func extendPool(w *workload.Workload, pool []workload.ObjectID, pages []workload.PageID) []workload.ObjectID {
-	seen := make(map[workload.ObjectID]bool, len(pool))
-	out := append([]workload.ObjectID(nil), pool...)
+	mark := bitset.New(w.NumObjects())
 	for _, k := range pool {
-		seen[k] = true
+		mark.Set(int(k))
 	}
 	for _, pid := range pages {
 		pg := &w.Pages[pid]
 		for _, k := range pg.Compulsory {
-			if !seen[k] {
-				seen[k] = true
-				out = append(out, k)
-			}
+			mark.Set(int(k))
 		}
 		for _, l := range pg.Optional {
-			if !seen[l.Object] {
-				seen[l.Object] = true
-				out = append(out, l.Object)
-			}
+			mark.Set(int(l.Object))
 		}
 	}
-	sort.Slice(out, func(a, b int) bool { return out[a] < out[b] })
+	n := mark.Count()
+	if n == 0 {
+		return nil
+	}
+	out := make([]workload.ObjectID, 0, n)
+	mark.ForEach(func(k int) bool {
+		out = append(out, workload.ObjectID(k))
+		return true
+	})
 	return out
 }
 

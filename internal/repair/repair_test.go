@@ -2,6 +2,9 @@ package repair
 
 import (
 	"bytes"
+	"math"
+	"reflect"
+	"sort"
 	"testing"
 
 	"repro/internal/core"
@@ -258,5 +261,98 @@ func TestDownFreq(t *testing.T) {
 	}
 	if got := DownFreq(env.W, down); got != want {
 		t.Fatalf("DownFreq = %v, want %v", got, want)
+	}
+}
+
+// refExtendPool is the map-and-sort pool union Compute's dense mark
+// replaced, kept as the reference the re-homed pools are checked against.
+func refExtendPool(w *workload.Workload, pool []workload.ObjectID, pages []workload.PageID) []workload.ObjectID {
+	seen := make(map[workload.ObjectID]bool, len(pool))
+	out := append([]workload.ObjectID(nil), pool...)
+	for _, k := range pool {
+		seen[k] = true
+	}
+	for _, pid := range pages {
+		pg := &w.Pages[pid]
+		for _, k := range pg.Compulsory {
+			if !seen[k] {
+				seen[k] = true
+				out = append(out, k)
+			}
+		}
+		for _, l := range pg.Optional {
+			if !seen[l.Object] {
+				seen[l.Object] = true
+				out = append(out, l.Object)
+			}
+		}
+	}
+	sort.Slice(out, func(a, b int) bool { return out[a] < out[b] })
+	return out
+}
+
+// refDegradedD is the degraded objective as its own pass over the pages:
+// the reference for Delta.DBefore.
+func refDegradedD(env *model.Env, p *model.Placement, down map[workload.SiteID]bool) float64 {
+	w := env.W
+	var d1, d2 float64
+	for j := range w.Pages {
+		pid := workload.PageID(j)
+		pg := &w.Pages[j]
+		f := float64(pg.Freq)
+		if !down[pg.Site] {
+			d1 += f * float64(model.PageTime(env, p, pid))
+			d2 += f * float64(model.PageOptionalTime(env, p, pid))
+			continue
+		}
+		est := env.Est.Sites[pg.Site]
+		bytes := pg.HTMLSize
+		for _, k := range pg.Compulsory {
+			bytes += w.ObjectSize(k)
+		}
+		d1 += f * float64(est.RepoOvhd+est.RepoRate.TransferTime(bytes))
+		for _, l := range pg.Optional {
+			d2 += f * l.Prob * float64(est.RepoOvhd+est.RepoRate.TransferTime(w.ObjectSize(l.Object)))
+		}
+	}
+	return env.Alpha1*d1 + env.Alpha2*d2
+}
+
+// TestComputeMatchesReferences pins Compute's shortcuts to the formulas
+// they replace: for every single-site outage over several workloads, each
+// re-homed pool is the reference union of the site's pool and its new
+// pages' references, and DHealthy, DBefore and DAfter are bit-identical to
+// model.D and the separate degraded pass.
+func TestComputeMatchesReferences(t *testing.T) {
+	for _, seed := range []uint64{3, 8, 42} {
+		env, p := scaffold(t, seed)
+		w := env.W
+		for i := 0; i < w.NumSites(); i++ {
+			down := workload.SiteID(i)
+			rp, err := Compute(env, p, []workload.SiteID{down}, Options{Workers: 1})
+			if err != nil {
+				t.Fatalf("seed %d down %d: %v", seed, down, err)
+			}
+			for s := range rp.Env.W.Sites {
+				got := rp.Env.W.Sites[s].Objects
+				want := refExtendPool(w, w.Sites[s].Objects, rp.Env.W.Sites[s].Pages)
+				if !reflect.DeepEqual(got, want) {
+					t.Fatalf("seed %d down %d: site %d pool %v, reference %v", seed, down, s, got, want)
+				}
+			}
+			d := rp.Delta
+			for _, c := range []struct {
+				name      string
+				got, want float64
+			}{
+				{"DHealthy", d.DHealthy, model.D(env, p)},
+				{"DBefore", d.DBefore, refDegradedD(env, p, map[workload.SiteID]bool{down: true})},
+				{"DAfter", d.DAfter, model.D(rp.Env, rp.Placement)},
+			} {
+				if math.Float64bits(c.got) != math.Float64bits(c.want) {
+					t.Fatalf("seed %d down %d: %s = %v, reference %v", seed, down, c.name, c.got, c.want)
+				}
+			}
+		}
 	}
 }

@@ -4,8 +4,9 @@
 # the repllint analyzer suite, the complete test suite with every example run
 # once and the payload wire format pinned to its committed corpus and fuzzed,
 # the race detector
-# cold on every package with coverage floors on the planner core and the cost
-# model checked from that one pass, and a smoke pass that
+# cold on every package with coverage floors on the planner core, the cost
+# model, repair planning and the reference database checked from that one
+# pass, and a smoke pass that
 # compiles and runs every benchmark once and vets and tests the nested
 # benchmark/ module (measuring is benchmark/run.sh's job, not this script's).
 #
@@ -70,14 +71,16 @@ stage_test() {
 # payload codec and scrubber, the admission stack) all live in ./... .
 #
 # The same pass writes the coverage profile that statement coverage is held
-# against a floor from, per package: the planner core and the cost model,
-# each floor the package's measured coverage rounded down — so new code in
-# either, the planner's stored-but-remote index and the placement slab's
-# Clone/Equal/JSON paths included, has to be reached by tests to land.
+# against a floor from, per package: the planner core, the cost model,
+# repair planning and the reference database, each floor the package's
+# measured coverage rounded down — so new code in any of them, the planner's
+# stored-but-remote index, the placement slab's Clone/Equal/JSON paths and
+# the reference database's reuse of unchanged pages included, has to be
+# reached by tests to land.
 stage_race() {
     cover_out=$(mktemp)
     go test -race -count=1 -coverprofile="$cover_out" ./...
-    for pair in core:95 model:91; do
+    for pair in core:95 model:91 repair:96 htmlrefs:94; do
         pkg="internal/${pair%%:*}" floor="${pair##*:}"
         # A profile line is "file:block statements count"; the package's
         # coverage is the share of its statements in blocks that ran.
