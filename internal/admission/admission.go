@@ -15,8 +15,9 @@
 // take explicit `now` values, and the only wall-clock reads are the live
 // gate's request deadlines and its nil-clock fallback. The live server runs
 // all of it under real time; the bit-reproducible experiments.Overload study
-// runs CoDel alone under a virtual clock, with its own queue bound,
-// deadline drop and retry budget around it.
+// runs only CoDel and the Retry-After jitter (RetryHint) under a virtual
+// clock, with its own queue bound, deadline drop and retry budget around
+// them.
 package admission
 
 import (
@@ -99,26 +100,21 @@ const (
 
 // CoDel is the Controlled-Delay shedding law on queue sojourn times,
 // adapted from Nichols & Jacobson: shedding starts only after sojourn has
-// stayed above Target for a full Interval (a standing queue, not a burst),
-// and while it persists, sheds are spaced Interval/√count apart — gentle
-// pressure that tightens the longer the overload lasts. All methods take
-// explicit `now` values (any monotone origin); the caller serializes
-// access.
+// stayed above codelTarget for a full codelInterval (a standing queue, not
+// a burst), and while it persists, sheds are spaced codelInterval/√count
+// apart — gentle pressure that tightens the longer the overload lasts. All
+// methods take explicit `now` values (any monotone origin); the caller
+// serializes access.
 type CoDel struct {
-	Target   time.Duration
-	Interval time.Duration
-
-	firstAbove time.Duration // when sojourn first exceeded Target
+	firstAbove time.Duration // when sojourn first exceeded codelTarget
 	haveFirst  bool
 	dropping   bool
 	dropNext   time.Duration
 	count      int
 }
 
-// NewCoDel builds the law with explicit parameters.
-func NewCoDel(target, interval time.Duration) *CoDel {
-	return &CoDel{Target: target, Interval: interval}
-}
+// NewCoDel builds the law at the package's codelTarget and codelInterval.
+func NewCoDel() *CoDel { return &CoDel{} }
 
 // Dropping reports whether the law is currently in its shedding state.
 func (c *CoDel) Dropping() bool { return c.dropping }
@@ -126,7 +122,7 @@ func (c *CoDel) Dropping() bool { return c.dropping }
 // OnDequeue observes one request's queue sojourn at dequeue time and
 // reports whether to shed it.
 func (c *CoDel) OnDequeue(sojourn, now time.Duration) bool {
-	if sojourn < c.Target {
+	if sojourn < codelTarget {
 		// Below target: the standing queue is gone; disarm.
 		c.haveFirst = false
 		c.dropping = false
@@ -135,7 +131,7 @@ func (c *CoDel) OnDequeue(sojourn, now time.Duration) bool {
 	}
 	if !c.haveFirst {
 		c.haveFirst = true
-		c.firstAbove = now + c.Interval
+		c.firstAbove = now + codelInterval
 		return false
 	}
 	if !c.dropping {
@@ -157,11 +153,11 @@ func (c *CoDel) OnDequeue(sojourn, now time.Duration) bool {
 	return true
 }
 
-// nextGap is the Interval/√count control law: the longer the overload
+// nextGap is the codelInterval/√count control law: the longer the overload
 // persists, the closer together the sheds. count is the sheds so far, so
-// the upcoming (count+1-th) shed is Interval/√(count+1) away.
+// the upcoming (count+1-th) shed is codelInterval/√(count+1) away.
 func (c *CoDel) nextGap() time.Duration {
-	return time.Duration(float64(c.Interval) / sqrtf(float64(c.count+1)))
+	return time.Duration(float64(codelInterval) / sqrtf(float64(c.count+1)))
 }
 
 // sqrtf is Newton's method on float64 — enough precision for a shed

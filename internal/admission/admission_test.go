@@ -16,7 +16,7 @@ import (
 // must persist for a full interval before the first shed, and while it
 // does, sheds tighten as interval/√count.
 func TestCoDelShedsOnStandingQueue(t *testing.T) {
-	c := NewCoDel(5*time.Millisecond, 100*time.Millisecond)
+	c := NewCoDel()
 	ms := func(n int) time.Duration { return time.Duration(n) * time.Millisecond }
 
 	// A burst above target inside one interval never sheds.

@@ -17,7 +17,7 @@ const (
 	// ShedSojourn rejects at dequeue: the CoDel law saw a standing queue.
 	ShedSojourn
 	// ShedDeadline rejects doomed work: the request's propagated deadline
-	// already passed (or will pass before it can be served).
+	// had already passed on arrival, at its grant, or while it waited.
 	ShedDeadline
 	// Aborted means the client went away while queued (context canceled);
 	// no response is owed.
@@ -78,7 +78,7 @@ type Endpoint struct {
 // from cfg.
 func NewEndpoint(cfg Config) *Endpoint {
 	return &Endpoint{
-		codel: NewCoDel(codelTarget, codelInterval),
+		codel: NewCoDel(),
 		limit: initialLimit,
 	}
 }

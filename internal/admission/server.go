@@ -134,12 +134,18 @@ func (s *Server) endpointFor(path string) *Endpoint {
 	}
 }
 
-// retryAfter draws the jittered retry hint in [d, 3d/2).
+// RetryHint draws one shed's jittered retry hint from s: the nominal
+// retryAfter plus Uniform(0, retryAfter/2), so a fleet of budgeted clients
+// does not return in lockstep. The caller serializes s.
+func RetryHint(s *rng.Stream) time.Duration {
+	return retryAfter + time.Duration(s.Uniform(0, float64(retryAfter/2)))
+}
+
+// retryAfter draws the server's next retry hint from its jitter stream.
 func (s *Server) retryAfter() time.Duration {
-	const d = retryAfter
 	s.jmu.Lock()
 	defer s.jmu.Unlock()
-	return d + time.Duration(s.jitter.Uniform(0, float64(d/2)))
+	return RetryHint(s.jitter)
 }
 
 // Middleware wraps next with the admission gate: every request passes

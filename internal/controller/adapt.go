@@ -5,7 +5,6 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/estimate"
 	"repro/internal/model"
 	"repro/internal/repair"
@@ -104,8 +103,9 @@ func (a *Adapter) Start() {
 }
 
 // CheckNow runs one synchronous adapt cycle at estimator time t (seconds):
-// snapshot the estimate, check drift, and — when the detector triggers —
-// re-plan against the re-estimated workload and submit it as the new base.
+// snapshot the estimate and run the detector's re-plan step on it
+// (estimate.Detector.Replan), then submit a changed proposal as the new
+// base, rebasing the detector only once the commit succeeds.
 // Serialized internally; safe to call concurrently with the loop.
 func (a *Adapter) CheckNow(t float64) (*Cycle, error) {
 	a.mu.Lock()
@@ -113,11 +113,11 @@ func (a *Adapter) CheckNow(t float64) (*Cycle, error) {
 	journal := a.rec.opts.Journal
 	env, plan := a.rec.Base()
 
-	snap := a.est.Snapshot(t)
-	dec, err := a.det.Check(snap.FreqVector(env.W.NumPages()))
-	if err != nil {
+	prop, err := a.det.Replan(env, plan, a.est.Snapshot(t), a.opts.Workers)
+	if prop == nil {
 		return nil, fmt.Errorf("controller: drift check: %w", err)
 	}
+	dec := prop.Decision
 	a.cChecks.Inc()
 	a.gDriftL1.Set(dec.L1)
 	journal.Record("adapt.check",
@@ -130,35 +130,18 @@ func (a *Adapter) CheckNow(t float64) (*Cycle, error) {
 	}
 	a.cTriggers.Inc()
 	a.logf("drift trigger: L1=%.3f topk=%.2f, re-planning", dec.L1, dec.TopKChurn)
-
-	// Re-estimate the workload from the snapshot and re-plan against it.
-	w2, err := snap.EstimateWorkload(env.W)
 	if err != nil {
-		return nil, fmt.Errorf("controller: re-estimate: %w", err)
+		return nil, fmt.Errorf("controller: %w", err)
 	}
-	env2, err := model.NewEnv(w2, env.Est, env.Budgets)
-	if err != nil {
-		return nil, fmt.Errorf("controller: re-estimated env: %w", err)
-	}
-	env2.Alpha1, env2.Alpha2 = env.Alpha1, env.Alpha2
-	fresh, _, err := core.Plan(env2, core.Options{Workers: a.opts.Workers})
-	if err != nil {
-		return nil, fmt.Errorf("controller: re-plan: %w", err)
-	}
-
-	delta := repair.ChangeDelta(env, env2, plan, fresh)
+	delta := prop.Delta
 	out.Delta = &delta
 
 	// Only submit a change: an unchanged placement (no new replicas, no
 	// flipped local/remote marks) must cost zero bytes and zero churn, so
 	// the reconciler never hears of it.
-	diff, err := model.Diff(plan, fresh)
-	if err != nil {
-		return nil, fmt.Errorf("controller: plan diff: %w", err)
-	}
-	if !diff.Changed() {
+	if !prop.Changed {
 		a.cNoops.Inc()
-		a.det.Rebase(estimate.BaselineVector(w2)) // the re-estimated traffic is the new baseline
+		a.det.Rebase(estimate.BaselineVector(prop.Env.W)) // the re-estimated traffic is the new baseline
 		journal.Record("adapt.noop",
 			trace.F("l1", dec.L1),
 			trace.F("d_stale", delta.DBefore))
@@ -167,12 +150,12 @@ func (a *Adapter) CheckNow(t float64) (*Cycle, error) {
 		return out, nil
 	}
 
-	if err := a.rec.SetBase(env2, fresh, trace.I("copy_bytes", int64(delta.CopyBytes))); err != nil {
+	if err := a.rec.SetBase(prop.Env, prop.Plan, trace.I("copy_bytes", int64(delta.CopyBytes))); err != nil {
 		return nil, err
 	}
 	a.cReplans.Inc()
 	a.cCopyBytes.Add(int64(delta.CopyBytes))
-	a.det.Rebase(estimate.BaselineVector(w2))
+	a.det.Rebase(estimate.BaselineVector(prop.Env.W))
 	journal.Record("adapt.replanned",
 		trace.I("copy_bytes", int64(delta.CopyBytes)),
 		trace.F("d_stale", delta.DBefore),

@@ -3,6 +3,10 @@ package estimate
 import (
 	"fmt"
 	"sort"
+
+	"repro/internal/core"
+	"repro/internal/model"
+	"repro/internal/repair"
 )
 
 // DetectorConfig tunes the drift detector. A zero value takes the default
@@ -120,6 +124,63 @@ func (d *Detector) Check(current []float64) (Decision, error) {
 
 // Armed reports whether the next exceeded check would trigger.
 func (d *Detector) Armed() bool { return d.armed }
+
+// Proposal is one drift-gated re-plan step's outcome. Everything past
+// Decision is set only when the decision triggered.
+type Proposal struct {
+	// Decision is the detector's verdict on the snapshot.
+	Decision Decision
+	// Env is the environment re-estimated from the snapshot, Plan the
+	// planner's placement for it.
+	Env  *model.Env
+	Plan *model.Placement
+	// Delta is what replacing the base placement with Plan ships and what
+	// it buys; Changed reports whether Plan differs from the base at all
+	// (an unchanged placement must ship nothing).
+	Delta   repair.Delta
+	Changed bool
+}
+
+// Replan is §4.1's re-execution step, shared by the live adapter and the
+// flash-crowd study: check the snapshot against the baseline and, on a
+// trigger, re-estimate the workload from it, plan the result under env's
+// estimates, budgets and α weights (workers bounds the planner's width;
+// plans are identical at any width), and measure the change against base,
+// the placement env was serving. Adopting the proposal — and rebasing the
+// detector onto BaselineVector(p.Env.W) — is the caller's decision. When
+// the re-plan fails after a trigger, the proposal still carries the
+// decision alongside the error.
+func (d *Detector) Replan(env *model.Env, base *model.Placement, snap *Snapshot, workers int) (*Proposal, error) {
+	dec, err := d.Check(snap.FreqVector(env.W.NumPages()))
+	if err != nil {
+		return nil, err
+	}
+	p := &Proposal{Decision: dec}
+	if !dec.Trigger {
+		return p, nil
+	}
+	w2, err := snap.EstimateWorkload(env.W)
+	if err != nil {
+		return p, fmt.Errorf("estimate: re-estimate: %w", err)
+	}
+	env2, err := model.NewEnv(w2, env.Est, env.Budgets)
+	if err != nil {
+		return p, fmt.Errorf("estimate: re-estimated env: %w", err)
+	}
+	env2.Alpha1, env2.Alpha2 = env.Alpha1, env.Alpha2
+	fresh, _, err := core.Plan(env2, core.Options{Workers: workers})
+	if err != nil {
+		return p, fmt.Errorf("estimate: re-plan: %w", err)
+	}
+	diff, err := model.Diff(base, fresh)
+	if err != nil {
+		return p, fmt.Errorf("estimate: plan diff: %w", err)
+	}
+	p.Env, p.Plan = env2, fresh
+	p.Delta = repair.ChangeDelta(env, env2, base, fresh)
+	p.Changed = diff.Changed()
+	return p, nil
+}
 
 // topIndices returns the indices of the k largest entries of v (ties by
 // lower index), at most len(v) of them, skipping zero entries.

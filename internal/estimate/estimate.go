@@ -1,8 +1,11 @@
-// Package estimate is the streaming half of the paper's Section 4.1
-// re-planning story: a continuously-updated frequency estimate of what the
-// sites are actually serving, and a drift detector that says when the
-// estimate has diverged far enough from the plan's assumptions to justify
-// re-running the planner.
+// Package estimate is the paper's adaptation pipeline: the statistics
+// collection of Section 2 ("based on statistics collected, such as page
+// access frequency, each local server decides ...") and Section 4.1's
+// periodic re-execution of the planner when those statistics go stale. It
+// keeps a continuously-updated frequency estimate of what the sites are
+// actually serving, turns it into a refreshed workload, and decides — with
+// a drift detector — when the estimate has diverged far enough from the
+// plan's assumptions to justify re-running the planner (Detector.Replan).
 //
 // The paper computes the X/X′ placement once from *estimated* access
 // frequencies and concedes that "breaking news" drift makes the plan go
@@ -25,9 +28,12 @@ package estimate
 
 import (
 	"encoding/json"
+	"fmt"
+	"math"
+	"sort"
 	"sync"
 
-	"repro/internal/accesslog"
+	"repro/internal/units"
 	"repro/internal/workload"
 )
 
@@ -38,57 +44,73 @@ type Config struct {
 	HalfLife float64
 }
 
-func (c Config) normalize() Config {
-	if c.HalfLife <= 0 {
-		c.HalfLife = 60
-	}
-	return c
+// shard is one site's decayed counters, dense over the pages the site
+// hosted when the estimator was built; mu serializes access to them.
+type shard struct {
+	mu      sync.Mutex
+	pages   []workload.PageID // hosted pages, ascending ID order
+	now     float64           // the latest timestamp observed or advanced to
+	weights []float64         // per hosted page: decayed weight as of updated
+	updated []float64         // per hosted page: now at its last observation
 }
 
-// shard is one site's slice of the estimator. The EWMA is not
-// concurrency-safe; mu serializes access to it.
-type shard struct {
-	mu     sync.Mutex
-	pages  []workload.PageID // hosted pages, ascending ID order
-	counts *accesslog.EWMA
+// decayed returns the weight of the k-th hosted page decayed to sh.now.
+func (sh *shard) decayed(k int, halfLife float64) float64 {
+	dt := sh.now - sh.updated[k]
+	if dt <= 0 {
+		return sh.weights[k]
+	}
+	return sh.weights[k] * math.Exp2(-dt/halfLife)
 }
 
 // Estimator is the streaming frequency estimator: one decayed counter set
 // per site, fed by Observe and read by Snapshot. Safe for concurrent use.
 type Estimator struct {
-	cfg      Config
-	numPages int
+	halfLife float64
+	slot     []int // per page: its position in its host site's shard
 	sites    []*shard
 }
 
 // New builds an estimator for the workload's site/page universe. The
 // workload fixes only the shape (which pages each site hosts); frequencies
-// are learned entirely from observations.
+// are learned entirely from observations. A non-positive half-life takes
+// the default, so the error is always nil.
 func New(w *workload.Workload, cfg Config) (*Estimator, error) {
-	cfg = cfg.normalize()
-	e := &Estimator{cfg: cfg, numPages: w.NumPages(), sites: make([]*shard, w.NumSites())}
+	e := &Estimator{halfLife: cfg.HalfLife, slot: make([]int, w.NumPages()), sites: make([]*shard, w.NumSites())}
+	if e.halfLife <= 0 {
+		e.halfLife = 60
+	}
 	for i := range w.Sites {
-		ew, err := accesslog.NewEWMA(cfg.HalfLife)
-		if err != nil {
-			return nil, err
+		pages := append([]workload.PageID(nil), w.Sites[i].Pages...)
+		for k, pid := range pages {
+			e.slot[pid] = k
 		}
-		e.sites[i] = &shard{pages: append([]workload.PageID(nil), w.Sites[i].Pages...), counts: ew}
+		e.sites[i] = &shard{pages: pages, weights: make([]float64, len(pages)), updated: make([]float64, len(pages))}
 	}
 	return e, nil
 }
 
 // Observe records one access to page pid at site i at time t (seconds on
 // the caller's clock: the cluster's uptime on the live path, the virtual
-// clock in the simulator). Timestamps must be non-decreasing per site;
-// out-of-range sites or pages are ignored (a malformed request must not
-// poison the estimate). Safe for concurrent use.
+// clock in the simulator): the page's weight decays to the site's clock
+// and gains one. Timestamps should be non-decreasing per site; an earlier
+// one counts at the site's current time. Out-of-range sites or pages are
+// ignored (a malformed request must not poison the estimate), and a page
+// the site did not host at construction — one a repair re-homed there —
+// only advances the site's clock. Safe for concurrent use.
 func (e *Estimator) Observe(site workload.SiteID, pid workload.PageID, t float64) {
-	if int(site) >= len(e.sites) || site < 0 || pid < 0 || int(pid) >= e.numPages {
+	if int(site) >= len(e.sites) || site < 0 || pid < 0 || int(pid) >= len(e.slot) {
 		return
 	}
-	sh := e.sites[site]
+	sh, k := e.sites[site], e.slot[pid]
 	sh.mu.Lock()
-	sh.counts.Observe(pid, t)
+	if t > sh.now {
+		sh.now = t
+	}
+	if k < len(sh.pages) && sh.pages[k] == pid {
+		sh.weights[k] = sh.decayed(k, e.halfLife) + 1
+		sh.updated[k] = sh.now
+	}
 	sh.mu.Unlock()
 }
 
@@ -120,9 +142,11 @@ func (e *Estimator) Snapshot(t float64) *Snapshot {
 	for i, sh := range e.sites {
 		se := SiteEstimate{Site: workload.SiteID(i), Pages: make([]PageWeight, len(sh.pages))}
 		sh.mu.Lock()
-		sh.counts.Advance(t)
-		for idx, pid := range sh.pages {
-			se.Pages[idx] = PageWeight{Page: pid, Weight: sh.counts.Weight(pid)}
+		if t > sh.now {
+			sh.now = t
+		}
+		for k, pid := range sh.pages {
+			se.Pages[k] = PageWeight{Page: pid, Weight: sh.decayed(k, e.halfLife)}
 		}
 		sh.mu.Unlock()
 		out.Sites[i] = se
@@ -136,29 +160,85 @@ func (s *Snapshot) Encode() ([]byte, error) {
 	return json.MarshalIndent(s, "", "  ")
 }
 
-// Counts rounds the snapshot into accesslog.Counts (weights scaled by 1000
-// to keep precision through the integer interface), the input
-// accesslog.EstimateWorkload consumes. Pages below the retention floor are
-// dropped, exactly like accesslog.EWMA.Snapshot.
-func (s *Snapshot) Counts() accesslog.Counts {
-	out := make(accesslog.Counts)
+// EstimateWorkload re-estimates w's page frequencies from the snapshot:
+// each weight, scaled by 1000 and truncated, is the page's access count
+// for the package-level EstimateWorkload. The returned workload is what
+// the adaptive loop re-plans against.
+func (s *Snapshot) EstimateWorkload(w *workload.Workload) (*workload.Workload, error) {
+	counts := make(Counts)
 	for _, se := range s.Sites {
 		for _, pw := range se.Pages {
 			if pw.Weight > 1e-9 {
-				out[pw.Page] = int64(pw.Weight * 1000)
+				counts[pw.Page] = int64(pw.Weight * 1000)
 			}
 		}
 	}
-	return out
+	return EstimateWorkload(w, counts)
 }
 
-// EstimateWorkload re-estimates w's page frequencies from the snapshot:
-// each page's frequency becomes its Laplace-smoothed share of its site's
-// observed weight, scaled to the site's aggregate rate (via
-// accesslog.EstimateWorkload). The returned workload is what the adaptive
-// loop re-plans against.
-func (s *Snapshot) EstimateWorkload(w *workload.Workload) (*workload.Workload, error) {
-	return accesslog.EstimateWorkload(w, s.Counts())
+// Counts maps pages to observed request counts over some window.
+type Counts map[workload.PageID]int64
+
+// EstimateWorkload returns a copy of the workload whose page frequencies
+// are re-estimated from observed access counts: within each site, a page's
+// frequency is its Laplace-smoothed share of the site's observed requests,
+// scaled to the site's aggregate peak rate. Smoothing (add-one) keeps
+// never-observed pages plannable instead of pinning them to zero — small
+// windows would otherwise starve the cold tail. Hot flags are recomputed
+// as the top HotPageFrac pages per site (diagnostic only; the planner uses
+// frequencies, not flags).
+func EstimateWorkload(w *workload.Workload, counts Counts) (*workload.Workload, error) {
+	for pid := range counts {
+		if pid < 0 || int(pid) >= w.NumPages() {
+			return nil, fmt.Errorf("estimate: count for unknown page %d", pid)
+		}
+		if counts[pid] < 0 {
+			return nil, fmt.Errorf("estimate: negative count for page %d", pid)
+		}
+	}
+	out := &workload.Workload{
+		Config:  w.Config,
+		Seed:    w.Seed,
+		Objects: w.Objects,
+		Pages:   append([]workload.Page(nil), w.Pages...),
+		Sites:   w.Sites,
+	}
+	for i := range w.Sites {
+		pages := w.Sites[i].Pages
+		var total int64
+		for _, pid := range pages {
+			total += counts[pid]
+		}
+		// Laplace smoothing: every page gets +1 pseudo-count.
+		denom := float64(total) + float64(len(pages))
+		rate := float64(w.Config.PageRatePerSite)
+		for _, pid := range pages {
+			share := (float64(counts[pid]) + 1) / denom
+			out.Pages[pid].Freq = units.ReqPerSec(rate * share)
+		}
+		markHot(out, workload.SiteID(i))
+	}
+	return out, nil
+}
+
+// markHot sets the Hot flag on the top HotPageFrac pages of the site by
+// estimated frequency.
+func markHot(w *workload.Workload, i workload.SiteID) {
+	pages := append([]workload.PageID(nil), w.Sites[i].Pages...)
+	sort.Slice(pages, func(a, b int) bool {
+		fa, fb := w.Pages[pages[a]].Freq, w.Pages[pages[b]].Freq
+		if fa != fb { //repllint:allow float-compare — exact-bits tie-break keeps the comparator a strict weak order
+			return fa > fb
+		}
+		return pages[a] < pages[b]
+	})
+	hot := int(float64(len(pages))*w.Config.HotPageFrac + 0.5)
+	if hot < 1 {
+		hot = 1
+	}
+	for rank, pid := range pages {
+		w.Pages[pid].Hot = rank < hot
+	}
 }
 
 // FreqVector renders the snapshot as a global page-share vector: within
@@ -168,23 +248,10 @@ func (s *Snapshot) EstimateWorkload(w *workload.Workload) (*workload.Workload, e
 // workload, making the two directly comparable inputs for the Detector.
 func (s *Snapshot) FreqVector(numPages int) []float64 {
 	out := make([]float64, numPages)
-	if len(s.Sites) == 0 {
-		return out
-	}
-	inv := 1 / float64(len(s.Sites))
 	for _, se := range s.Sites {
-		var total float64
-		for _, pw := range se.Pages {
-			total += pw.Weight
-		}
-		if total <= 0 {
-			continue
-		}
-		for _, pw := range se.Pages {
-			if int(pw.Page) < numPages {
-				out[pw.Page] = pw.Weight / total * inv
-			}
-		}
+		siteShares(out, len(s.Sites), len(se.Pages), func(k int) (workload.PageID, float64) {
+			return se.Pages[k].Page, se.Pages[k].Weight
+		})
 	}
 	return out
 }
@@ -194,21 +261,31 @@ func (s *Snapshot) FreqVector(numPages int) []float64 {
 // built from, and the Detector's reference point.
 func BaselineVector(w *workload.Workload) []float64 {
 	out := make([]float64, w.NumPages())
-	if w.NumSites() == 0 {
-		return out
-	}
-	inv := 1 / float64(w.NumSites())
 	for i := range w.Sites {
-		var total float64
-		for _, pid := range w.Sites[i].Pages {
-			total += float64(w.Pages[pid].Freq)
-		}
-		if total <= 0 {
-			continue
-		}
-		for _, pid := range w.Sites[i].Pages {
-			out[pid] = float64(w.Pages[pid].Freq) / total * inv
-		}
+		pages := w.Sites[i].Pages
+		siteShares(out, w.NumSites(), len(pages), func(k int) (workload.PageID, float64) {
+			return pages[k], float64(w.Pages[pages[k]].Freq)
+		})
 	}
 	return out
+}
+
+// siteShares writes one site's slice of a share vector into out: each of
+// its n pages' weight over the site's total, divided by the site count. A
+// site without weight writes nothing, and pages beyond out are skipped.
+func siteShares(out []float64, sites, n int, page func(k int) (workload.PageID, float64)) {
+	var total float64
+	for k := 0; k < n; k++ {
+		_, x := page(k)
+		total += x
+	}
+	if total <= 0 {
+		return
+	}
+	inv := 1 / float64(sites)
+	for k := 0; k < n; k++ {
+		if pid, x := page(k); int(pid) < len(out) {
+			out[pid] = x / total * inv
+		}
+	}
 }

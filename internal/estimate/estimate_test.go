@@ -3,6 +3,7 @@ package estimate
 import (
 	"bytes"
 	"math"
+	"sort"
 	"sync"
 	"testing"
 
@@ -38,18 +39,9 @@ func drawObservations(w *workload.Workload, perSite int, window float64, seed ui
 		}
 		t := 0.0
 		for n := 0; n < perSite; n++ {
-			u := s.Float64() * total
-			lo, hi := 0, len(cum)-1
-			for lo < hi {
-				mid := (lo + hi) / 2
-				if cum[mid] < u {
-					lo = mid + 1
-				} else {
-					hi = mid
-				}
-			}
+			k := sort.SearchFloat64s(cum, s.Float64()*total)
 			t += window / float64(perSite)
-			obs = append(obs, observation{workload.SiteID(i), pages[lo], t})
+			obs = append(obs, observation{workload.SiteID(i), pages[k], t})
 		}
 	}
 	return obs
@@ -175,8 +167,12 @@ func TestEstimatorIgnoresOutOfRange(t *testing.T) {
 	e.Observe(workload.SiteID(w.NumSites()), 0, 1)
 	e.Observe(0, -1, 1)
 	e.Observe(0, workload.PageID(w.NumPages()), 1)
-	if got := len(e.Snapshot(1).Counts()); got != 0 {
-		t.Fatalf("out-of-range observations leaked into counts: %d entries", got)
+	for _, se := range e.Snapshot(1).Sites {
+		for _, pw := range se.Pages {
+			if pw.Weight != 0 {
+				t.Fatalf("out-of-range observation leaked into site %d page %d: weight %v", se.Site, pw.Page, pw.Weight)
+			}
+		}
 	}
 }
 
@@ -362,6 +358,292 @@ func TestFreqVectorSumsToOne(t *testing.T) {
 		}
 		if math.Abs(sum-1) > 1e-9 {
 			t.Errorf("%s vector sums to %.9f, want 1", name, sum)
+		}
+	}
+}
+
+// drawCounts samples page requests from the workload's true frequencies.
+func drawCounts(w *workload.Workload, perSite int, seed uint64) Counts {
+	counts := make(Counts)
+	for _, o := range drawObservations(w, perSite, 0, seed) {
+		counts[o.page]++
+	}
+	return counts
+}
+
+func TestEstimateWorkloadRecoversFrequencies(t *testing.T) {
+	w := testWorkload(t)
+	counts := drawCounts(w, 20000, 7)
+	est, err := EstimateWorkload(w, counts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := est.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	// Per-site rates are preserved.
+	for i := range est.Sites {
+		sum := 0.0
+		for _, pid := range est.Sites[i].Pages {
+			sum += float64(est.Pages[pid].Freq)
+		}
+		if math.Abs(sum-float64(w.Config.PageRatePerSite)) > 1e-9 {
+			t.Errorf("site %d estimated rate %v", i, sum)
+		}
+	}
+	// With 20k samples/site the estimated hot flags recover the true hot
+	// set almost exactly.
+	agree, total := 0, 0
+	for j := range w.Pages {
+		total++
+		if est.Pages[j].Hot == w.Pages[j].Hot {
+			agree++
+		}
+	}
+	if frac := float64(agree) / float64(total); frac < 0.95 {
+		t.Errorf("hot-set recovery %.2f, want ≥0.95", frac)
+	}
+	// Frequencies correlate: the known-hot pages must be estimated above
+	// the known-cold ones on average.
+	var hotMean, coldMean float64
+	var hotN, coldN int
+	for j := range w.Pages {
+		if w.Pages[j].Hot {
+			hotMean += float64(est.Pages[j].Freq)
+			hotN++
+		} else {
+			coldMean += float64(est.Pages[j].Freq)
+			coldN++
+		}
+	}
+	if hotMean/float64(hotN) <= 2*coldMean/float64(coldN) {
+		t.Error("estimated hot pages not clearly hotter than cold ones")
+	}
+}
+
+func TestEstimateWorkloadSmoothsUnseen(t *testing.T) {
+	w := testWorkload(t)
+	// One single observation: everything else must still get a positive
+	// frequency (Laplace smoothing).
+	counts := Counts{w.Sites[0].Pages[0]: 1}
+	est, err := EstimateWorkload(w, counts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for j := range est.Pages {
+		if est.Pages[j].Freq <= 0 {
+			t.Fatalf("page %d got zero frequency", j)
+		}
+	}
+}
+
+func TestEstimateWorkloadValidation(t *testing.T) {
+	w := testWorkload(t)
+	if _, err := EstimateWorkload(w, Counts{workload.PageID(w.NumPages()): 1}); err == nil {
+		t.Error("unknown page accepted")
+	}
+	if _, err := EstimateWorkload(w, Counts{0: -1}); err == nil {
+		t.Error("negative count accepted")
+	}
+}
+
+func TestEstimateDoesNotMutateOriginal(t *testing.T) {
+	w := testWorkload(t)
+	before := w.Pages[0].Freq
+	counts := drawCounts(w, 100, 9)
+	if _, err := EstimateWorkload(w, counts); err != nil {
+		t.Fatal(err)
+	}
+	if w.Pages[0].Freq != before {
+		t.Error("EstimateWorkload mutated the input")
+	}
+}
+
+// weightOf reads one page's weight out of a snapshot.
+func weightOf(t *testing.T, s *Snapshot, site workload.SiteID, pid workload.PageID) float64 {
+	t.Helper()
+	for _, pw := range s.Sites[site].Pages {
+		if pw.Page == pid {
+			return pw.Weight
+		}
+	}
+	t.Fatalf("page %d not hosted by site %d", pid, site)
+	return 0
+}
+
+func TestEWMADecay(t *testing.T) {
+	w := testWorkload(t)
+	e, err := New(w, Config{HalfLife: 10}) // half-life 10 s
+	if err != nil {
+		t.Fatal(err)
+	}
+	pid := w.Sites[0].Pages[1]
+	e.Observe(0, pid, 0)
+	if got := weightOf(t, e.Snapshot(0), 0, pid); math.Abs(got-1) > 1e-12 {
+		t.Fatalf("fresh weight = %v", got)
+	}
+	if got := weightOf(t, e.Snapshot(10), 0, pid); math.Abs(got-0.5) > 1e-9 {
+		t.Errorf("weight after one half-life = %v, want 0.5", got)
+	}
+	if got := weightOf(t, e.Snapshot(20), 0, pid); math.Abs(got-0.25) > 1e-9 {
+		t.Errorf("weight after two half-lives = %v, want 0.25", got)
+	}
+}
+
+func TestEWMABurstSurfaces(t *testing.T) {
+	w := testWorkload(t)
+	e, err := New(w, Config{HalfLife: 60})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// One page accumulated slowly long ago; another bursts now.
+	stale, burst := w.Sites[0].Pages[1], w.Sites[0].Pages[2]
+	for i := 0; i < 20; i++ {
+		e.Observe(0, stale, float64(i))
+	}
+	for i := 0; i < 10; i++ {
+		e.Observe(0, burst, 600+float64(i))
+	}
+	s := e.Snapshot(609)
+	if b, st := weightOf(t, s, 0, burst), weightOf(t, s, 0, stale); b <= st {
+		t.Errorf("burst (%.2f) did not overtake stale bulk (%.2f)", b, st)
+	}
+}
+
+// refEWMA is the map-based decayed counter the per-site shards replaced,
+// kept as the reference their weights must match bit for bit: one per
+// site, it counts every page it is shown, hosted or not.
+type refEWMA struct {
+	halfLife, now float64
+	weights       map[workload.PageID]float64
+	updated       map[workload.PageID]float64
+}
+
+func newRefEWMA(halfLife float64) *refEWMA {
+	return &refEWMA{halfLife: halfLife, weights: map[workload.PageID]float64{}, updated: map[workload.PageID]float64{}}
+}
+
+func (e *refEWMA) observe(pid workload.PageID, t float64) {
+	e.advance(t)
+	e.weights[pid] = e.weight(pid) + 1
+	e.updated[pid] = e.now
+}
+
+func (e *refEWMA) weight(pid workload.PageID) float64 {
+	w, ok := e.weights[pid]
+	if !ok {
+		return 0
+	}
+	dt := e.now - e.updated[pid]
+	if dt <= 0 {
+		return w
+	}
+	return w * math.Exp2(-dt/e.halfLife)
+}
+
+func (e *refEWMA) advance(t float64) {
+	if t > e.now {
+		e.now = t
+	}
+}
+
+// TestSnapshotMatchesMapReference drives the estimator and the reference
+// with one seeded stream — runs of equal timestamps, timestamps that step
+// backwards, pages the site does not host, and snapshots taken mid-stream
+// (which advance the clocks) — and requires every snapshot weight to equal
+// the reference's under math.Float64bits.
+func TestSnapshotMatchesMapReference(t *testing.T) {
+	w := testWorkload(t)
+	for _, seed := range []uint64{1, 2, 3} {
+		e, err := New(w, Config{HalfLife: 7})
+		if err != nil {
+			t.Fatal(err)
+		}
+		refs := make([]*refEWMA, w.NumSites())
+		for i := range refs {
+			refs[i] = newRefEWMA(7)
+		}
+		s := rng.New(seed)
+		clock := 0.0
+		check := func(at float64) {
+			t.Helper()
+			snap := e.Snapshot(at)
+			for i, se := range snap.Sites {
+				refs[i].advance(at)
+				for _, pw := range se.Pages {
+					if want := refs[i].weight(pw.Page); math.Float64bits(pw.Weight) != math.Float64bits(want) {
+						t.Fatalf("seed %d at %v: site %d page %d weight %v, reference %v", seed, at, i, pw.Page, pw.Weight, want)
+					}
+				}
+			}
+		}
+		for n := 0; n < 20000; n++ {
+			switch u := s.Float64(); {
+			case u < 0.5: // equal timestamps: the clock stands still
+			case u < 0.6:
+				clock -= s.Uniform(0, 5) // out of order
+			default:
+				clock += s.Uniform(0, 3)
+			}
+			site := workload.SiteID(s.IntN(w.NumSites()))
+			pid := workload.PageID(s.IntN(w.NumPages())) // off-host most of the time
+			if s.Float64() < 0.5 {
+				pages := w.Sites[site].Pages
+				pid = pages[s.IntN(len(pages))]
+			}
+			e.Observe(site, pid, clock)
+			refs[site].observe(pid, clock)
+			if n%997 == 0 {
+				check(clock - s.Uniform(-2, 2))
+			}
+		}
+		check(clock + 10)
+	}
+}
+
+// TestShareVectorsMatchReference holds FreqVector and BaselineVector, which
+// now share one normalization, bit-equal to the two loops they replaced.
+// Five sites, so dividing by the site count rounds.
+func TestShareVectorsMatchReference(t *testing.T) {
+	cfg := workload.SmallConfig()
+	cfg.Sites = 5
+	w := workload.MustGenerate(cfg, 31)
+	e, err := New(w, Config{HalfLife: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	feed(e, drawObservations(w, 500, 50, 19))
+	snap := e.Snapshot(50)
+	inv := 1 / float64(w.NumSites())
+
+	want := make([]float64, w.NumPages())
+	for _, se := range snap.Sites {
+		var total float64
+		for _, pw := range se.Pages {
+			total += pw.Weight
+		}
+		for _, pw := range se.Pages {
+			want[pw.Page] = pw.Weight / total * inv
+		}
+	}
+	base := make([]float64, w.NumPages())
+	for i := range w.Sites {
+		var total float64
+		for _, pid := range w.Sites[i].Pages {
+			total += float64(w.Pages[pid].Freq)
+		}
+		for _, pid := range w.Sites[i].Pages {
+			base[pid] = float64(w.Pages[pid].Freq) / total * inv
+		}
+	}
+	for name, pair := range map[string][2][]float64{
+		"snapshot": {snap.FreqVector(w.NumPages()), want},
+		"baseline": {BaselineVector(w), base},
+	} {
+		for j := range pair[1] {
+			if math.Float64bits(pair[0][j]) != math.Float64bits(pair[1][j]) {
+				t.Fatalf("%s share of page %d = %v, reference %v", name, j, pair[0][j], pair[1][j])
+			}
 		}
 	}
 }

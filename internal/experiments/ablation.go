@@ -135,8 +135,8 @@ func (r *AblationResult) Write(w io.Writer) error {
 	return nil
 }
 
-// DriftGrid is the hot-set rotation fractions of the drift experiment.
-var DriftGrid = []float64{0, 0.25, 0.5, 0.75, 1.0}
+// driftGrid is the hot-set rotation fractions of the drift experiment.
+var driftGrid = []float64{0, 0.25, 0.5, 0.75, 1.0}
 
 // DriftResult measures how stale plans age as the access pattern shifts —
 // the Section-4.1 motivation for periodic re-execution ("breaking news").
@@ -154,7 +154,7 @@ func Drift(opts Options) (*stats.Figure, error) {
 			return err
 		}
 
-		for _, frac := range DriftGrid {
+		for _, frac := range driftGrid {
 			drifted, err := workload.Drift(env.w, frac, env.simSeed^uint64(1000+100*frac))
 			if err != nil {
 				return err

@@ -64,7 +64,7 @@ func TestDrift(t *testing.T) {
 		t.Fatal(err)
 	}
 	stale := seriesByName(fig, "Stale plan")
-	if stale == nil || len(stale.X) != len(DriftGrid) {
+	if stale == nil || len(stale.X) != len(driftGrid) {
 		t.Fatal("missing or mis-sized stale series")
 	}
 	byX := map[float64]float64{}
@@ -88,7 +88,7 @@ func TestRedirectStudy(t *testing.T) {
 	}
 	for _, suffix := range []string{" (Table-1 rates)", " (100× rates)"} {
 		lru := seriesByName(fig, "LRU+redirect"+suffix)
-		if lru == nil || len(lru.X) != len(RedirectGrid) {
+		if lru == nil || len(lru.X) != len(redirectGrid) {
 			t.Fatalf("missing LRU series%s", suffix)
 		}
 		// The penalty must worsen the redirect-based scheme.
@@ -120,7 +120,7 @@ func TestSensitivity(t *testing.T) {
 	}
 	for _, name := range []string{"Proposed", "LRU", "Local"} {
 		s := seriesByName(fig, name)
-		if s == nil || len(s.X) != len(SeverityGrid) {
+		if s == nil || len(s.X) != len(severityGrid) {
 			t.Fatalf("missing or mis-sized series %q", name)
 		}
 	}
@@ -141,7 +141,7 @@ func TestThresholdStudy(t *testing.T) {
 	}
 	dyn := seriesByName(fig, "Threshold dynamic")
 	ours := seriesByName(fig, "Proposed (static plan)")
-	if dyn == nil || ours == nil || len(dyn.X) != len(ThresholdGrid) {
+	if dyn == nil || ours == nil || len(dyn.X) != len(thresholdGrid) {
 		t.Fatal("missing series")
 	}
 	// The static plan's level is flat; the dynamic scheme's performance
@@ -196,7 +196,7 @@ func TestQueueingStudy(t *testing.T) {
 	}
 	aware := seriesByName(fig, "Eq.8-aware plan")
 	ignorant := seriesByName(fig, "Capacity-ignorant plan")
-	if aware == nil || ignorant == nil || len(aware.X) != len(QueueingGrid) {
+	if aware == nil || ignorant == nil || len(aware.X) != len(queueingGrid) {
 		t.Fatal("missing series")
 	}
 	// At the tightest capacity the ignorant plan must pay clearly more
@@ -228,7 +228,7 @@ func TestPeriodStudy(t *testing.T) {
 	}
 	rt := seriesByName(fig, "RT vs oracle")
 	churn := seriesByName(fig, "Churn (GB moved)")
-	if rt == nil || churn == nil || len(rt.X) != len(PeriodGrid) {
+	if rt == nil || churn == nil || len(rt.X) != len(periodGrid) {
 		t.Fatal("missing series")
 	}
 	byX := func(s *stats.Series) map[float64]float64 {
@@ -244,7 +244,7 @@ func TestPeriodStudy(t *testing.T) {
 		t.Errorf("period-1 RT penalty %.2f%%, want ≈0", rtBy[1])
 	}
 	// Never re-planning must cost more RT than period 1 and move no bytes.
-	never := float64(PeriodEpochs)
+	never := float64(periodEpochs)
 	if rtBy[never] <= rtBy[1] {
 		t.Errorf("never-replan RT penalty (%.2f%%) not above period-1 (%.2f%%)", rtBy[never], rtBy[1])
 	}
@@ -263,7 +263,7 @@ func TestWeightsStudy(t *testing.T) {
 		t.Fatal(err)
 	}
 	page := seriesByName(fig, "Page RT")
-	if page == nil || len(page.X) != len(WeightGrid) {
+	if page == nil || len(page.X) != len(weightGrid) {
 		t.Fatal("missing page series")
 	}
 	byX := map[float64]float64{}

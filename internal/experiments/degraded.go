@@ -8,15 +8,15 @@ import (
 	"repro/internal/units"
 )
 
-// AvailabilityGrid is the per-view site availability swept by the
+// availabilityGrid is the per-view site availability swept by the
 // degraded-mode study. 1 is a healthy cluster; 0.5 loses every other view's
 // local replica.
-var AvailabilityGrid = []float64{1, 0.99, 0.95, 0.9, 0.75, 0.5}
+var availabilityGrid = []float64{1, 0.99, 0.95, 0.9, 0.75, 0.5}
 
-// DegradedFailoverDelay is the per-degraded-view detection-and-reroute cost
+// degradedFailoverDelay is the per-degraded-view detection-and-reroute cost
 // the study charges, mirroring the live client's timeout + retry + fallback
 // path.
-var DegradedFailoverDelay = units.Seconds(0.25)
+const degradedFailoverDelay = units.Seconds(0.25)
 
 // DegradedMode quantifies the robustness claim behind the repository
 // fallback: because the paper's repository is an always-on root holding every
@@ -42,7 +42,7 @@ func DegradedMode(opts Options) (*stats.Figure, error) {
 			cfg.Outage = httpsim.OutageConfig{
 				Enabled:       true,
 				Availability:  avail,
-				FailoverDelay: DegradedFailoverDelay,
+				FailoverDelay: degradedFailoverDelay,
 			}
 			return cfg
 		}
@@ -53,7 +53,7 @@ func DegradedMode(opts Options) (*stats.Figure, error) {
 		if err != nil {
 			return err
 		}
-		for _, avail := range AvailabilityGrid {
+		for _, avail := range availabilityGrid {
 			cfg := outageCfg(avail)
 			for _, pol := range []struct {
 				name string

@@ -16,8 +16,8 @@ func TestDegradedModeShape(t *testing.T) {
 		if s == nil {
 			t.Fatalf("missing series %q", name)
 		}
-		if len(s.X) != len(AvailabilityGrid) {
-			t.Errorf("%s has %d points, want %d", name, len(s.X), len(AvailabilityGrid))
+		if len(s.X) != len(availabilityGrid) {
+			t.Errorf("%s has %d points, want %d", name, len(s.X), len(availabilityGrid))
 		}
 	}
 	// The repository-only floor is availability-independent: flat.

@@ -51,8 +51,8 @@ func TestFigure1Shape(t *testing.T) {
 		if s == nil {
 			t.Fatalf("missing series %q", name)
 		}
-		if len(s.X) != len(StorageGrid) {
-			t.Errorf("%s has %d points, want %d", name, len(s.X), len(StorageGrid))
+		if len(s.X) != len(storageGrid) {
+			t.Errorf("%s has %d points, want %d", name, len(s.X), len(storageGrid))
 		}
 	}
 	ours := seriesByName(fig, "Proposed")
@@ -90,8 +90,8 @@ func TestFigure2Shape(t *testing.T) {
 	if s == nil {
 		t.Fatal("missing Proposed series")
 	}
-	if len(s.X) != len(CapacityGrid)+1 { // +1 for the 0 % anchor
-		t.Fatalf("%d points, want %d", len(s.X), len(CapacityGrid)+1)
+	if len(s.X) != len(capacityGrid)+1 { // +1 for the 0 % anchor
+		t.Fatalf("%d points, want %d", len(s.X), len(capacityGrid)+1)
 	}
 	byX := map[float64]float64{}
 	for i, x := range s.X {
@@ -120,7 +120,7 @@ func TestFigure3Shape(t *testing.T) {
 		if s == nil {
 			t.Fatalf("missing series %q", name)
 		}
-		if len(s.X) != len(CapacityGrid) {
+		if len(s.X) != len(capacityGrid) {
 			t.Errorf("%s has %d points", name, len(s.X))
 		}
 	}

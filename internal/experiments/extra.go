@@ -59,7 +59,7 @@ func StorageEquivalence(opts Options) (*EquivalenceResult, error) {
 		}
 		col.add(env.r, "Local", 100, env.rel(localRT))
 
-		for _, frac := range StorageGrid {
+		for _, frac := range storageGrid {
 			rt, _, err := env.simulatePlanned(storageOnly(env.w, frac), env.simCfg)
 			if err != nil {
 				return err
@@ -76,10 +76,10 @@ func StorageEquivalence(opts Options) (*EquivalenceResult, error) {
 	res := &EquivalenceResult{Fraction: 1, ProposedAt: make(map[float64]float64)}
 	res.LRUFull = data["LRU@100"][100].Mean()
 	res.LocalLevel = data["Local"][100].Mean()
-	for _, frac := range StorageGrid {
+	for _, frac := range storageGrid {
 		res.ProposedAt[frac] = data["Proposed"][frac*100].Mean()
 	}
-	for _, frac := range StorageGrid {
+	for _, frac := range storageGrid {
 		if res.ProposedAt[frac] <= res.LRUFull {
 			res.Fraction = frac
 			break
@@ -93,9 +93,9 @@ func (r *EquivalenceResult) Write(w io.Writer) error {
 	if _, err := fmt.Fprintf(w, "LRU @ 100%% storage: +%.1f%%  |  Local: +%.1f%%\n", r.LRUFull, r.LocalLevel); err != nil {
 		return err
 	}
-	for _, frac := range StorageGrid {
+	for _, frac := range storageGrid {
 		marker := ""
-		if frac == r.Fraction { //repllint:allow float-compare — StorageGrid values are copied verbatim; exact match intended
+		if frac == r.Fraction { //repllint:allow float-compare — storageGrid values are copied verbatim; exact match intended
 			marker = "  <-- matches LRU@100%"
 		}
 		if _, err := fmt.Fprintf(w, "proposed @ %3.0f%% storage: %+.1f%%%s\n", frac*100, r.ProposedAt[frac], marker); err != nil {

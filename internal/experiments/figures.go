@@ -84,14 +84,14 @@ func (c *collector) figure(title, xlabel string, order []string) *stats.Figure {
 	return f
 }
 
-// StorageGrid is the Figure-1 sweep of local storage fractions.
-var StorageGrid = []float64{0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0}
+// storageGrid is the Figure-1 sweep of local storage fractions.
+var storageGrid = []float64{0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0}
 
-// CapacityGrid is the Figure-2/3 sweep of local processing fractions.
-var CapacityGrid = []float64{0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0}
+// capacityGrid is the Figure-2/3 sweep of local processing fractions.
+var capacityGrid = []float64{0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0}
 
-// CentralGrid is Figure 3's repository capacity fractions.
-var CentralGrid = []float64{0.9, 0.7, 0.5}
+// centralGrid is Figure 3's repository capacity fractions.
+var centralGrid = []float64{0.9, 0.7, 0.5}
 
 // Figure1 reproduces the paper's Figure 1: average response time versus
 // local storage capacity with the processing constraint relaxed, for the
@@ -110,7 +110,7 @@ func Figure1(opts Options) (*stats.Figure, error) {
 			return err
 		}
 
-		for _, frac := range StorageGrid {
+		for _, frac := range storageGrid {
 			pointStart := time.Now() //repllint:allow determinism — wall-clock progress narration; never feeds results
 			b := storageOnly(env.w, frac)
 			oursRT, pr, err := env.simulatePlanned(b, env.simCfg)
@@ -150,7 +150,7 @@ func Figure1(opts Options) (*stats.Figure, error) {
 func Figure2(opts Options) (*stats.Figure, error) {
 	col := newCollector(opts.Runs)
 	err := forEachRun(&opts, func(env *runEnv) error {
-		for _, frac := range CapacityGrid {
+		for _, frac := range capacityGrid {
 			pointStart := time.Now() //repllint:allow determinism — wall-clock progress narration; never feeds results
 			oursRT, pr, err := env.simulatePlanned(capacityOnly(env.w, frac), env.simCfg)
 			if err != nil {
@@ -183,7 +183,7 @@ func Figure2(opts Options) (*stats.Figure, error) {
 func Figure3(opts Options) (*stats.Figure, error) {
 	col := newCollector(opts.Runs)
 	err := forEachRun(&opts, func(env *runEnv) error {
-		for _, localFrac := range CapacityGrid {
+		for _, localFrac := range capacityGrid {
 			// Probe: plan with an unconstrained repository to find the
 			// workload the local plans would impose on it.
 			b := capacityOnly(env.w, localFrac)
@@ -193,7 +193,7 @@ func Figure3(opts Options) (*stats.Figure, error) {
 			}
 			preLoad := model.RepoLoad(probeEnv, probe)
 
-			for _, centralFrac := range CentralGrid {
+			for _, centralFrac := range centralGrid {
 				pointStart := time.Now() //repllint:allow determinism — wall-clock progress narration; never feeds results
 				b.RepoCapacity = units.ReqPerSec(float64(preLoad) * centralFrac)
 				rt, pr, err := env.simulatePlanned(b, env.simCfg)

@@ -3,11 +3,11 @@ package experiments
 import (
 	"fmt"
 	"io"
+	"sort"
 
 	"repro/internal/core"
 	"repro/internal/estimate"
 	"repro/internal/model"
-	"repro/internal/repair"
 	"repro/internal/rng"
 	"repro/internal/stats"
 	"repro/internal/units"
@@ -15,20 +15,19 @@ import (
 )
 
 // Flash-crowd scenario constants: each run builds one static half-storage
-// plan, then plays FlashCrowdEpochs epochs of cumulative hot-set rotation
-// (workload.Drift at FlashCrowdSwapFrac per epoch — §4.1's "breaking news"
-// pattern). Every epoch spans FlashCrowdWindow seconds of sampled request
+// plan, then plays flashCrowdEpochs epochs of cumulative hot-set rotation
+// (workload.Drift at flashCrowdSwapFrac per epoch — §4.1's "breaking news"
+// pattern). Every epoch spans flashCrowdWindow seconds of sampled request
 // traffic feeding a streaming estimator whose half-life is short enough
 // that, by the end of an epoch, the previous epoch's mass has mostly
 // decayed and the snapshot reflects current demand.
 const (
-	FlashCrowdEpochs   = 8
-	FlashCrowdSwapFrac = 0.3
-	FlashCrowdHalfLife = 30.0 // seconds
+	flashCrowdEpochs   = 8
+	flashCrowdSwapFrac = 0.3
+	flashCrowdHalfLife = 30.0 // seconds
+	// flashCrowdWindow is one epoch's traffic window.
+	flashCrowdWindow = units.Seconds(120)
 )
-
-// FlashCrowdWindow is one epoch's traffic window.
-var FlashCrowdWindow = units.Seconds(120)
 
 // stream labels for the flash-crowd study's derivations (disjoint from the
 // runner's 101+ range).
@@ -100,7 +99,7 @@ func FlashCrowd(opts Options) (*FlashCrowdResult, error) {
 		}
 		d0 := model.D(env0, static)
 
-		est, err := estimate.New(env.w, estimate.Config{HalfLife: FlashCrowdHalfLife})
+		est, err := estimate.New(env.w, estimate.Config{HalfLife: flashCrowdHalfLife})
 		if err != nil {
 			return err
 		}
@@ -112,7 +111,7 @@ func FlashCrowd(opts Options) (*FlashCrowdResult, error) {
 		run := FlashCrowdRun{
 			Run:    r,
 			D0:     d0,
-			Epochs: make([]FlashCrowdEpoch, 0, FlashCrowdEpochs+1),
+			Epochs: make([]FlashCrowdEpoch, 0, flashCrowdEpochs+1),
 		}
 		wTrue := env.w    // current true demand (drifts cumulatively)
 		envTrue := env0   // environment of the current true demand
@@ -120,11 +119,11 @@ func FlashCrowd(opts Options) (*FlashCrowdResult, error) {
 		envOnline := env0 // environment the live placement was planned from
 		perSite := env.simCfg.RequestsPerSite
 
-		for e := 0; e <= FlashCrowdEpochs; e++ {
+		for e := 0; e <= flashCrowdEpochs; e++ {
 			// The clairvoyant bound re-plans on the true frequencies.
 			dOracle := d0
 			if e > 0 {
-				wTrue, err = workload.Drift(wTrue, FlashCrowdSwapFrac,
+				wTrue, err = workload.Drift(wTrue, flashCrowdSwapFrac,
 					root.Split(flashDriftStream, uint64(r), uint64(e)).Seed())
 				if err != nil {
 					return err
@@ -139,40 +138,28 @@ func FlashCrowd(opts Options) (*FlashCrowdResult, error) {
 
 			// One epoch of sampled request traffic from the true demand.
 			feedEpoch(wTrue, est, perSite,
-				float64(FlashCrowdWindow)*float64(e), float64(FlashCrowdWindow),
+				float64(flashCrowdWindow)*float64(e), float64(flashCrowdWindow),
 				root.Split(flashTrafficStream, uint64(r), uint64(e)))
 
-			// The online controller's drift check at the epoch boundary.
-			snap := est.Snapshot(float64(FlashCrowdWindow) * float64(e+1))
-			dec, err := det.Check(snap.FreqVector(env.w.NumPages()))
+			// The online controller's drift-gated re-plan at the epoch
+			// boundary, on the estimated workload.
+			prop, err := det.Replan(envOnline, online,
+				est.Snapshot(float64(flashCrowdWindow)*float64(e+1)), opts.planWorkers())
 			if err != nil {
 				return err
 			}
-			ep := FlashCrowdEpoch{Epoch: e, DriftL1: dec.L1, Triggered: dec.Trigger}
-			if dec.Trigger {
-				wEst, err := snap.EstimateWorkload(env.w)
-				if err != nil {
-					return err
-				}
-				envEst, fresh, _, err := env.plan(wEst, half, core.Options{})
-				if err != nil {
-					return err
-				}
-				diff, err := model.Diff(online, fresh)
-				if err != nil {
-					return err
-				}
-				if diff.Changed() {
-					delta := repair.ChangeDelta(envOnline, envEst, online, fresh)
-					online, envOnline = fresh, envEst
+			ep := FlashCrowdEpoch{Epoch: e, DriftL1: prop.Decision.L1, Triggered: prop.Decision.Trigger}
+			if prop.Decision.Trigger {
+				if prop.Changed {
+					online, envOnline = prop.Plan, prop.Env
 					ep.Replanned = true
-					ep.CopyBytes = delta.CopyBytes
+					ep.CopyBytes = prop.Delta.CopyBytes
 					run.Replans++
-					run.CopyBytes += delta.CopyBytes
+					run.CopyBytes += prop.Delta.CopyBytes
 				} else {
 					run.Noops++
 				}
-				det.Rebase(estimate.BaselineVector(wEst))
+				det.Rebase(estimate.BaselineVector(prop.Env.W))
 			}
 
 			ep.DStatic = model.D(envTrue, static)
@@ -218,18 +205,10 @@ func feedEpoch(w *workload.Workload, est *estimate.Estimator, perSite int, t0, w
 			cum[idx] = total
 		}
 		for n := 0; n < perSite; n++ {
-			u := s.Float64() * total
-			lo, hi := 0, len(cum)-1
-			for lo < hi {
-				mid := (lo + hi) / 2
-				if cum[mid] < u {
-					lo = mid + 1
-				} else {
-					hi = mid
-				}
-			}
+			// u < total = cum[len-1], so the search always lands in range.
+			k := sort.SearchFloat64s(cum, s.Float64()*total)
 			t := t0 + window*float64(n)/float64(perSite)
-			est.Observe(workload.SiteID(i), pages[lo], t)
+			est.Observe(workload.SiteID(i), pages[k], t)
 		}
 	}
 }

@@ -18,8 +18,8 @@ func TestFlashCrowdStaticDegradesOnlineTracks(t *testing.T) {
 		t.Fatalf("got %d runs, want 1", len(res.Runs))
 	}
 	run := res.Runs[0]
-	if len(run.Epochs) != FlashCrowdEpochs+1 {
-		t.Fatalf("got %d epochs, want %d", len(run.Epochs), FlashCrowdEpochs+1)
+	if len(run.Epochs) != flashCrowdEpochs+1 {
+		t.Fatalf("got %d epochs, want %d", len(run.Epochs), flashCrowdEpochs+1)
 	}
 
 	// Epoch 0 traffic matches the plan: estimation noise alone must not
@@ -65,8 +65,8 @@ func TestFlashCrowdStaticDegradesOnlineTracks(t *testing.T) {
 		t.Fatalf("timeline has %d series, want 3", got)
 	}
 	for _, s := range res.Timeline.Series {
-		if len(s.X) != FlashCrowdEpochs+1 {
-			t.Errorf("series %q has %d points, want %d", s.Name, len(s.X), FlashCrowdEpochs+1)
+		if len(s.X) != flashCrowdEpochs+1 {
+			t.Errorf("series %q has %d points, want %d", s.Name, len(s.X), flashCrowdEpochs+1)
 		}
 	}
 }

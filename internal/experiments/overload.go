@@ -13,10 +13,10 @@ import (
 )
 
 // Overload scenario constants. The arithmetic is the study: the server's
-// capacity is OverloadCapacity req/s, the base open-loop arrival rate is
+// capacity is overloadCapacity req/s, the base open-loop arrival rate is
 // 0.6× capacity, and a 2-second flash crowd (a faults.LoadSpike) multiplies
 // arrivals by 10×. Without protections every timed-out request respawns as
-// OverloadRetries retries, so the post-spike effective load is
+// overloadRetries retries, so the post-spike effective load is
 // base·(1+R) = 360 req/s > capacity — the system stays collapsed although
 // the offered load (120 req/s) is comfortably below capacity. That is the
 // metastable failure. With admission control, retry budgets and deadline
@@ -24,49 +24,43 @@ import (
 // one drain window) and the budget caps amplification, so recovery is fast
 // and structural.
 const (
-	// OverloadCapacity is the server's service rate in requests/second.
-	OverloadCapacity = 200.0
-	// OverloadBaseRate is the open-loop base arrival rate (0.6× capacity).
-	OverloadBaseRate = 120.0
-	// OverloadSpikeFactor multiplies arrivals during the flash crowd.
-	OverloadSpikeFactor = 10.0
-	// OverloadRetries is the unprotected client's retry count per request.
-	OverloadRetries = 2
-	// OverloadMaxQueue bounds the protected server's admission queue; with
+	// overloadCapacity is the server's service rate in requests/second.
+	overloadCapacity = 200.0
+	// overloadBaseRate is the open-loop base arrival rate (0.6× capacity).
+	overloadBaseRate = 120.0
+	// overloadSpikeFactor multiplies arrivals during the flash crowd.
+	overloadSpikeFactor = 10.0
+	// overloadRetries is the unprotected client's retry count per request.
+	overloadRetries = 2
+	// overloadMaxQueue bounds the protected server's admission queue; with
 	// 5 ms service that is a 250 ms drain window.
-	OverloadMaxQueue = 50
-	// OverloadBudgetRatio / OverloadBudgetCap parameterize the shared retry
+	overloadMaxQueue = 50
+	// overloadBudgetRatio / overloadBudgetCap parameterize the shared retry
 	// budget: 0.1 token earned per success caps steady-state amplification
 	// at ~1.1× offered load.
-	OverloadBudgetRatio = 0.1
-	OverloadBudgetCap   = 10.0
+	overloadBudgetRatio = 0.1
+	overloadBudgetCap   = 10.0
 )
 
 // Overload timing (all on the virtual clock — the sim never reads wall
 // time, which is what makes the study bit-reproducible per seed).
-var (
-	OverloadDuration   = 30 * time.Second
-	OverloadSpikeStart = 5 * time.Second
-	OverloadSpikeEnd   = 7 * time.Second
-	// OverloadService is one request's service time (1/capacity).
-	OverloadService = 5 * time.Millisecond
-	// OverloadDeadline is each attempt's end-to-end client deadline,
+const (
+	overloadDuration   = 30 * time.Second
+	overloadSpikeStart = 5 * time.Second
+	overloadSpikeEnd   = 7 * time.Second
+	// overloadService is one request's service time (1/capacity).
+	overloadService = 5 * time.Millisecond
+	// overloadDeadline is each attempt's end-to-end client deadline,
 	// propagated to the server in the protected pass.
-	OverloadDeadline = 500 * time.Millisecond
-	// OverloadBackoff is the client's base retry backoff (doubled per
+	overloadDeadline = 500 * time.Millisecond
+	// overloadBackoff is the client's base retry backoff (doubled per
 	// attempt, jittered in [d/2, d)).
-	OverloadBackoff = 50 * time.Millisecond
-	// OverloadRetryAfter is the protected server's nominal shed hint,
-	// jittered in [d, 3d/2) exactly like the live admission layer.
-	OverloadRetryAfter = 50 * time.Millisecond
-	// OverloadCoDelTarget / OverloadCoDelInterval drive the sojourn law.
-	OverloadCoDelTarget   = 5 * time.Millisecond
-	OverloadCoDelInterval = 100 * time.Millisecond
-	// OverloadSettle is how long after the spike the off pass is given
+	overloadBackoff = 50 * time.Millisecond
+	// overloadSettle is how long after the spike the off pass is given
 	// before its steady-state goodput is measured — generous, so the
 	// collapse verdict measures the metastable equilibrium, not the tail of
 	// the spike itself.
-	OverloadSettle = 3 * time.Second
+	overloadSettle = 3 * time.Second
 )
 
 // stream labels for the overload study's derivations (disjoint from the
@@ -126,10 +120,10 @@ type OverloadResult struct {
 	Timeline *stats.Figure
 }
 
-// DrainWindow is the protected recovery bound: the time to serve a full
+// drainWindow is the protected recovery bound: the time to serve a full
 // admission queue.
-func DrainWindow() time.Duration {
-	return time.Duration(OverloadMaxQueue) * OverloadService
+func drainWindow() time.Duration {
+	return time.Duration(overloadMaxQueue) * overloadService
 }
 
 // Overload runs the metastable-failure study: an open-loop arrival ramp
@@ -139,10 +133,12 @@ func DrainWindow() time.Duration {
 // after the crowd leaves, timed-out requests keep respawning retries and
 // the effective load stays above capacity — goodput pins near zero for the
 // rest of the run even though offered load is 60% of capacity. The "on"
-// pass runs the same admission laws the live cluster uses (the CoDel
-// sojourn law, the bounded queue, deadline drops at dequeue, the shared
-// retry budget, jittered Retry-After honoring) and recovers within one
-// drain window. Both passes consume disjoint Split streams of the run
+// pass runs the live cluster's CoDel sojourn law and Retry-After jitter
+// (admission.NewCoDel, admission.RetryHint) inside the study's own
+// protections — a bounded queue, a service-time lookahead that drops work
+// its deadline cannot outlast at dequeue, and the shared retry budget,
+// none of which is the live gate's code — and recovers within one drain
+// window. Both passes consume disjoint Split streams of the run
 // seed, so the whole result — tables and figure — is bit-reproducible.
 func Overload(opts Options) (*OverloadResult, error) {
 	runs := make([]OverloadRun, max(opts.Runs, 0))
@@ -283,18 +279,18 @@ func simOverload(root *rng.Stream, r int, protected bool) OverloadPass {
 		jitter:    root.Split(overloadClientStream, uint64(r), mode),
 		shed:      root.Split(overloadShedStream, uint64(r), mode),
 		plan: &faults.Plan{LoadSpikes: []faults.LoadSpike{{
-			Window: faults.Window{Start: OverloadSpikeStart, End: OverloadSpikeEnd},
-			Factor: OverloadSpikeFactor,
+			Window: faults.Window{Start: overloadSpikeStart, End: overloadSpikeEnd},
+			Factor: overloadSpikeFactor,
 		}}},
 	}
 	if protected {
-		s.codel = admission.NewCoDel(OverloadCoDelTarget, OverloadCoDelInterval)
-		s.budget = newRetryBudget(OverloadBudgetRatio, OverloadBudgetCap)
+		s.codel = admission.NewCoDel()
+		s.budget = newRetryBudget(overloadBudgetRatio, overloadBudgetCap)
 	}
 	s.schedule(0, evArrivalGen, nil)
 	for len(s.events) > 0 {
 		ev := s.events.pop()
-		if ev.t >= OverloadDuration {
+		if ev.t >= overloadDuration {
 			break
 		}
 		switch ev.kind {
@@ -323,16 +319,16 @@ func (s *overloadSim) schedule(t time.Duration, kind int, req *simReq) {
 func (s *overloadSim) newRequest(t time.Duration) {
 	s.pass.Requests++
 	s.nextID++
-	req := &simReq{id: s.nextID, issued: t, deadline: t + OverloadDeadline}
+	req := &simReq{id: s.nextID, issued: t, deadline: t + overloadDeadline}
 	s.schedule(t, evAttempt, req)
 
-	rate := s.plan.RateAt(OverloadBaseRate, t)
+	rate := s.plan.RateAt(overloadBaseRate, t)
 	u := s.arrivals.Float64()
 	gap := time.Duration(-math.Log(1-u) / rate * float64(time.Second))
 	if gap <= 0 {
 		gap = time.Nanosecond
 	}
-	if next := t + gap; next < OverloadDuration {
+	if next := t + gap; next < overloadDuration {
 		s.schedule(next, evArrivalGen, nil)
 	}
 }
@@ -340,7 +336,7 @@ func (s *overloadSim) newRequest(t time.Duration) {
 // arrive lands one attempt at the server.
 func (s *overloadSim) arrive(t time.Duration, req *simReq) {
 	s.pass.Attempts++
-	if s.protected && len(s.queue) >= OverloadMaxQueue {
+	if s.protected && len(s.queue) >= overloadMaxQueue {
 		s.pass.Sheds++
 		s.respondShed(t, req)
 		return
@@ -370,7 +366,7 @@ func (s *overloadSim) startNext(t time.Duration) {
 				}
 				continue
 			}
-			if t+OverloadService > req.deadline {
+			if t+overloadService > req.deadline {
 				// Deadline propagation: the header says this work is doomed
 				// — shed it instead of serving bytes nobody will wait for.
 				s.pass.Sheds++
@@ -381,7 +377,7 @@ func (s *overloadSim) startNext(t time.Duration) {
 			}
 		}
 		s.busy = true
-		s.schedule(t+OverloadService, evDone, req)
+		s.schedule(t+overloadService, evDone, req)
 		return
 	}
 	s.busy = false
@@ -415,19 +411,18 @@ func (s *overloadSim) timeout(t time.Duration, req *simReq) {
 	s.retry(t, req, 0)
 }
 
-// respondShed delivers a 429 at t with the jittered Retry-After hint; the
-// client retries no sooner than the hint.
+// respondShed delivers a 429 at t with the live admission layer's
+// jittered Retry-After hint; the client retries no sooner than the hint.
 func (s *overloadSim) respondShed(t time.Duration, req *simReq) {
 	req.responded = true
-	hint := OverloadRetryAfter + time.Duration(s.shed.Uniform(0, float64(OverloadRetryAfter/2)))
-	s.retry(t, req, hint)
+	s.retry(t, req, admission.RetryHint(s.shed))
 }
 
 // retry re-issues a failed request after max(backoff, hint), spending from
 // the shared budget in the protected pass. Exhausted attempts or an empty
 // budget end the request as a failure.
 func (s *overloadSim) retry(t time.Duration, req *simReq, hint time.Duration) {
-	if req.attempt >= OverloadRetries {
+	if req.attempt >= overloadRetries {
 		s.pass.Failures++
 		return
 	}
@@ -435,17 +430,17 @@ func (s *overloadSim) retry(t time.Duration, req *simReq, hint time.Duration) {
 		s.pass.Failures++
 		return
 	}
-	d := OverloadBackoff << uint(req.attempt)
+	d := overloadBackoff << uint(req.attempt)
 	wait := d/2 + time.Duration(s.jitter.Uniform(0, float64(d/2)))
 	if hint > wait {
 		wait = hint
 	}
 	issue := t + wait
-	if issue >= OverloadDuration {
+	if issue >= overloadDuration {
 		s.pass.Failures++
 		return
 	}
-	next := &simReq{id: req.id, attempt: req.attempt + 1, issued: issue, deadline: issue + OverloadDeadline}
+	next := &simReq{id: req.id, attempt: req.attempt + 1, issued: issue, deadline: issue + overloadDeadline}
 	s.schedule(issue, evAttempt, next)
 }
 
@@ -492,7 +487,7 @@ func (s *overloadSim) finish() {
 	if p.Requests > 0 {
 		p.Amplification = float64(p.Attempts) / float64(p.Requests)
 	}
-	secs := int(OverloadDuration / time.Second)
+	secs := int(overloadDuration / time.Second)
 	p.GoodputPerSec = make([]int, secs)
 	for _, ct := range s.goodTimes {
 		if b := int(ct / time.Second); b < secs {
@@ -500,8 +495,8 @@ func (s *overloadSim) finish() {
 		}
 	}
 	// Steady state after the crowd left.
-	from := OverloadSpikeEnd + OverloadSettle
-	span := OverloadDuration - from
+	from := overloadSpikeEnd + overloadSettle
+	span := overloadDuration - from
 	n := 0
 	for _, ct := range s.goodTimes {
 		if ct >= from {
@@ -512,8 +507,8 @@ func (s *overloadSim) finish() {
 	// Recovery: first 100ms-aligned instant after the spike whose trailing
 	// 1s window reaches 95% of the base offered rate.
 	p.RecoverMs = -1
-	want := int(0.95 * OverloadBaseRate)
-	for at := OverloadSpikeEnd; at+time.Second <= OverloadDuration; at += 100 * time.Millisecond {
+	want := int(0.95 * overloadBaseRate)
+	for at := overloadSpikeEnd; at+time.Second <= overloadDuration; at += 100 * time.Millisecond {
 		n := 0
 		for _, ct := range s.goodTimes {
 			if ct >= at && ct < at+time.Second {
@@ -521,7 +516,7 @@ func (s *overloadSim) finish() {
 			}
 		}
 		if n >= want {
-			p.RecoverMs = (at - OverloadSpikeEnd).Milliseconds()
+			p.RecoverMs = (at - overloadSpikeEnd).Milliseconds()
 			break
 		}
 	}
@@ -533,10 +528,10 @@ func (s *overloadSim) finish() {
 // amplification at 1.1×, and never serves a deadline-expired response.
 func (r *OverloadResult) Clean() bool {
 	for _, run := range r.Runs {
-		if run.Off.PostSpikeGoodput >= 0.2*OverloadCapacity {
+		if run.Off.PostSpikeGoodput >= 0.2*overloadCapacity {
 			return false
 		}
-		if run.On.RecoverMs < 0 || run.On.RecoverMs > DrainWindow().Milliseconds() {
+		if run.On.RecoverMs < 0 || run.On.RecoverMs > drainWindow().Milliseconds() {
 			return false
 		}
 		if run.On.Amplification > 1.1 {
@@ -578,6 +573,6 @@ func (r *OverloadResult) Write(w io.Writer) error {
 		verdict = "ok"
 	}
 	_, err := fmt.Fprintf(w, "overload study: %s — unprotected pass metastably collapsed after the spike; protections recovered within %v at ≤1.1x amplification with zero deadline-expired responses\n",
-		verdict, DrainWindow())
+		verdict, drainWindow())
 	return err
 }

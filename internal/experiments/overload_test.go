@@ -16,16 +16,16 @@ func TestOverloadAcceptance(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, run := range res.Runs {
-		if run.Off.PostSpikeGoodput >= 0.2*OverloadCapacity {
+		if run.Off.PostSpikeGoodput >= 0.2*overloadCapacity {
 			t.Errorf("run %d off: post-spike goodput %.0f req/s — expected metastable collapse under 20%% of capacity (%.0f)",
-				run.Run, run.Off.PostSpikeGoodput, 0.2*OverloadCapacity)
+				run.Run, run.Off.PostSpikeGoodput, 0.2*overloadCapacity)
 		}
 		if run.Off.RecoverMs >= 0 {
 			t.Errorf("run %d off: recovered at %dms — an unprotected metastable failure must not recover", run.Run, run.Off.RecoverMs)
 		}
-		if run.On.RecoverMs < 0 || run.On.RecoverMs > DrainWindow().Milliseconds() {
+		if run.On.RecoverMs < 0 || run.On.RecoverMs > drainWindow().Milliseconds() {
 			t.Errorf("run %d on: recover %dms, want within one drain window (%dms)",
-				run.Run, run.On.RecoverMs, DrainWindow().Milliseconds())
+				run.Run, run.On.RecoverMs, drainWindow().Milliseconds())
 		}
 		if run.On.Amplification > 1.1 {
 			t.Errorf("run %d on: retry amplification %.3f exceeds the 1.1x budget bound", run.Run, run.On.Amplification)
@@ -33,8 +33,8 @@ func TestOverloadAcceptance(t *testing.T) {
 		if run.On.DeadlineServed != 0 {
 			t.Errorf("run %d on: %d responses served past their deadline — deadline propagation must make this zero", run.Run, run.On.DeadlineServed)
 		}
-		if run.On.PeakQueue > OverloadMaxQueue {
-			t.Errorf("run %d on: peak queue %d exceeds the admission bound %d", run.Run, run.On.PeakQueue, OverloadMaxQueue)
+		if run.On.PeakQueue > overloadMaxQueue {
+			t.Errorf("run %d on: peak queue %d exceeds the admission bound %d", run.Run, run.On.PeakQueue, overloadMaxQueue)
 		}
 		// Both passes saw the same demand: the spike really was 10x.
 		if run.On.Requests < 5000 || run.Off.Requests < 5000 {

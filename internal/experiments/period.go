@@ -11,16 +11,16 @@ import (
 	"repro/internal/workload"
 )
 
-// PeriodEpochs is how many traffic epochs the period study simulates; each
-// epoch the hot set rotates by PeriodDriftPerEpoch.
+// periodEpochs is how many traffic epochs the period study simulates; each
+// epoch the hot set rotates by periodDriftPerEpoch.
 const (
-	PeriodEpochs        = 12
-	PeriodDriftPerEpoch = 0.15
+	periodEpochs        = 12
+	periodDriftPerEpoch = 0.15
 )
 
-// PeriodGrid is the re-planning periods swept, in epochs (0 = never
+// periodGrid is the re-planning periods swept, in epochs (0 = never
 // re-plan after the initial placement).
-var PeriodGrid = []int{1, 2, 3, 6, 0}
+var periodGrid = []int{1, 2, 3, 6, 0}
 
 // PeriodStudy quantifies the execution-period trade-off the paper's
 // Section 6 raises for adaptive schemes ("a small time period can result in
@@ -48,10 +48,10 @@ func PeriodStudy(opts Options) (*stats.Figure, error) {
 		}
 
 		// The drifting traffic sequence, shared across all periods.
-		epochs := make([]*workload.Workload, PeriodEpochs)
+		epochs := make([]*workload.Workload, periodEpochs)
 		cur := env.w
-		for e := 0; e < PeriodEpochs; e++ {
-			d, err := workload.Drift(cur, PeriodDriftPerEpoch, env.simSeed+uint64(7000+e))
+		for e := 0; e < periodEpochs; e++ {
+			d, err := workload.Drift(cur, periodDriftPerEpoch, env.simSeed+uint64(7000+e))
 			if err != nil {
 				return err
 			}
@@ -60,7 +60,7 @@ func PeriodStudy(opts Options) (*stats.Figure, error) {
 		}
 
 		// Oracle: re-plan every epoch.
-		oracleRT := make([]float64, PeriodEpochs)
+		oracleRT := make([]float64, periodEpochs)
 		for e, w := range epochs {
 			p, err := plan(w)
 			if err != nil {
@@ -73,7 +73,7 @@ func PeriodStudy(opts Options) (*stats.Figure, error) {
 			oracleRT[e] = rt
 		}
 
-		for _, period := range PeriodGrid {
+		for _, period := range periodGrid {
 			var current *model.Placement
 			var prev *model.Placement
 			var sumRel float64
@@ -101,9 +101,9 @@ func PeriodStudy(opts Options) (*stats.Figure, error) {
 			}
 			x := float64(period)
 			if period == 0 {
-				x = float64(PeriodEpochs) // "never" rendered at the far end
+				x = float64(periodEpochs) // "never" rendered at the far end
 			}
-			col.add(env.r, "RT vs oracle", x, sumRel/float64(PeriodEpochs))
+			col.add(env.r, "RT vs oracle", x, sumRel/float64(periodEpochs))
 			col.add(env.r, "Churn (GB moved)", x, float64(churn)/float64(units.GB))
 		}
 		return nil

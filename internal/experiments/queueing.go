@@ -9,8 +9,8 @@ import (
 	"repro/internal/workload"
 )
 
-// QueueingGrid is the capacity sweep of the queueing study.
-var QueueingGrid = []float64{0.2, 0.4, 0.6, 0.8, 1.0}
+// queueingGrid is the capacity sweep of the queueing study.
+var queueingGrid = []float64{0.2, 0.4, 0.6, 0.8, 1.0}
 
 // QueueingStudy isolates what the Eq. 8 processing constraint buys when
 // server occupancy is real: for each capacity level, the Eq. 8-aware plan
@@ -49,7 +49,7 @@ func QueueingStudy(opts Options) (*stats.Figure, error) {
 			return (on - off) / env.baseRT() * 100, nil
 		}
 
-		for _, frac := range QueueingGrid {
+		for _, frac := range queueingGrid {
 			_, awarePlan, _, err := env.plan(env.w, capacityOnly(env.w, frac), core.Options{})
 			if err != nil {
 				return err

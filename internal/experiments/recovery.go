@@ -12,7 +12,7 @@ import (
 )
 
 // Recovery timeline constants: the experiment plays one scripted outage —
-// the busiest site fails at RecoveryFailAt, the repaired plan is live one
+// the busiest site fails at recoveryFailAt, the repaired plan is live one
 // MTTR later, and the site returns after dwelling at the repaired plateau
 // for a second MTTR — against a supervisor with the controller's default
 // K-of-N thresholds scaled to a 1 s probe. The horizon adapts to the
@@ -21,17 +21,17 @@ import (
 // Everything is analytic (model evaluation plus estimated re-replication
 // transfer times), so the result is bit-reproducible per seed at any
 // worker count.
-var (
-	RecoveryFailAt        = units.Seconds(10)
-	RecoveryProbeInterval = units.Seconds(1)
+const (
+	recoveryFailAt        = units.Seconds(10)
+	recoveryProbeInterval = units.Seconds(1)
 )
 
 // Probe thresholds mirrored from the controller defaults, plus the shared
 // timeline grid resolution.
 const (
-	RecoveryFailThreshold = 3
-	RecoveryOKThreshold   = 2
-	RecoveryTimelineSteps = 120
+	recoveryFailThreshold = 3
+	recoveryOKThreshold   = 2
+	recoveryTimelineSteps = 120
 )
 
 // RecoveryRun is one run's scripted-outage accounting.
@@ -50,7 +50,7 @@ type RecoveryRun struct {
 	RecoverTime units.Seconds
 	// DHealthy/DDegraded/DRepaired are the objective in the three plateaus;
 	// DDegraded includes the per-view failover-delay charge the degraded
-	// study uses (DegradedFailoverDelay on every down-site view).
+	// study uses (degradedFailoverDelay on every down-site view).
 	DHealthy  float64
 	DDegraded float64
 	DRepaired float64
@@ -97,13 +97,13 @@ func Recovery(opts Options) (*RecoveryResult, error) {
 			return err
 		}
 
-		failoverCharge := penv.Alpha1 * repair.DownFreq(env.w, down) * float64(DegradedFailoverDelay)
+		failoverCharge := penv.Alpha1 * repair.DownFreq(env.w, down) * float64(degradedFailoverDelay)
 		run := RecoveryRun{
 			Run:        r,
 			FailedSite: failed,
 			Rehomed:    len(rp.Delta.Rehomed),
 			CopyBytes:  rp.Delta.CopyBytes,
-			MTTD:       units.Seconds(RecoveryFailThreshold) * RecoveryProbeInterval,
+			MTTD:       units.Seconds(recoveryFailThreshold) * recoveryProbeInterval,
 			DHealthy:   rp.Delta.DHealthy,
 			DDegraded:  rp.Delta.DBefore + failoverCharge,
 			DRepaired:  rp.Delta.DAfter,
@@ -111,14 +111,14 @@ func Recovery(opts Options) (*RecoveryResult, error) {
 		}
 		run.MTTR = run.MTTD + copyWindow(env, rp.Delta.Copies)
 		rec := rp.Recover()
-		run.RecoverTime = units.Seconds(RecoveryOKThreshold)*RecoveryProbeInterval + copyWindow(env, rec.Copies)
+		run.RecoverTime = units.Seconds(recoveryOKThreshold)*recoveryProbeInterval + copyWindow(env, rec.Copies)
 		runs[r] = run
 
 		// Script this run's episode: repaired one MTTR after the failure,
 		// the site dwells down for a second MTTR (so the repaired plateau
 		// is as long as the repair), then recovery copies replicas back.
-		repairedAt := RecoveryFailAt + run.MTTR
-		returnAt := RecoveryFailAt + 2*run.MTTR
+		repairedAt := recoveryFailAt + run.MTTR
+		returnAt := recoveryFailAt + 2*run.MTTR
 		scheds[r] = schedule{
 			repairedAt:  repairedAt,
 			returnAt:    returnAt,
@@ -145,22 +145,22 @@ func Recovery(opts Options) (*RecoveryResult, error) {
 		}
 	}
 	horizon *= 1.05
-	step := horizon / RecoveryTimelineSteps
+	step := horizon / recoveryTimelineSteps
 	col := newCollector(len(scheds))
 	for r, sc := range scheds {
 		rel := func(d float64) float64 { return 100 * (d - sc.dHealthy) / sc.dHealthy }
-		for i := 0; i <= RecoveryTimelineSteps; i++ {
+		for i := 0; i <= recoveryTimelineSteps; i++ {
 			t := units.Seconds(i) * step
 			heal := sc.dHealthy
 			switch {
-			case t < RecoveryFailAt:
+			case t < recoveryFailAt:
 			case t < sc.repairedAt:
 				heal = sc.dDegraded
 			case t < sc.recoveredAt:
 				heal = sc.dRepaired
 			}
 			fb := sc.dHealthy
-			if t >= RecoveryFailAt && t < sc.returnAt {
+			if t >= recoveryFailAt && t < sc.returnAt {
 				fb = sc.dDegraded
 			}
 			col.add(r, "Self-healing", float64(t), rel(heal))
@@ -229,6 +229,6 @@ func (r *RecoveryResult) Write(w io.Writer) error {
 		}
 	}
 	_, err := fmt.Fprintf(w, "mean MTTR: %.1fs (detection %.0fs probes + re-replication)\n",
-		float64(r.MeanMTTR()), float64(units.Seconds(RecoveryFailThreshold)*RecoveryProbeInterval))
+		float64(r.MeanMTTR()), float64(units.Seconds(recoveryFailThreshold)*recoveryProbeInterval))
 	return err
 }

@@ -10,7 +10,7 @@ func TestRecoveryShape(t *testing.T) {
 	if len(res.Runs) != 2 {
 		t.Fatalf("got %d runs, want 2", len(res.Runs))
 	}
-	wantMTTD := float64(RecoveryFailThreshold) * float64(RecoveryProbeInterval)
+	wantMTTD := float64(recoveryFailThreshold) * float64(recoveryProbeInterval)
 	for _, run := range res.Runs {
 		if run.Rehomed == 0 {
 			t.Errorf("run %d: failing the busiest site re-homed no pages", run.Run)
@@ -42,8 +42,8 @@ func TestRecoveryShape(t *testing.T) {
 		if s == nil {
 			t.Fatalf("missing series %q", name)
 		}
-		if len(s.X) != RecoveryTimelineSteps+1 {
-			t.Errorf("%s has %d points, want %d", name, len(s.X), RecoveryTimelineSteps+1)
+		if len(s.X) != recoveryTimelineSteps+1 {
+			t.Errorf("%s has %d points, want %d", name, len(s.X), recoveryTimelineSteps+1)
 		}
 	}
 	// Both trajectories start healthy and settle back at the baseline: the

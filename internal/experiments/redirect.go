@@ -6,11 +6,11 @@ import (
 	"repro/internal/units"
 )
 
-// RedirectGrid is the per-chain redirection penalties swept by the
+// redirectGrid is the per-chain redirection penalties swept by the
 // redirection study, in seconds. 0 is the paper's ideal assumption; 0.25 s
 // approximates one extra round trip through a redirector; larger values
 // model DNS-based schemes with cold caches.
-var RedirectGrid = []float64{0, 0.25, 0.5, 1.0, 2.0}
+var redirectGrid = []float64{0, 0.25, 0.5, 1.0, 2.0}
 
 // RedirectStudy quantifies the paper's Section-6 argument: the proposed
 // scheme performs its "redirection" inside the local server (rewriting
@@ -56,7 +56,7 @@ func redirectPass(opts Options, col *collector, suffix string) error {
 		if err != nil {
 			return err
 		}
-		for _, penalty := range RedirectGrid {
+		for _, penalty := range redirectGrid {
 			lru, err := policies.NewLRU(env.w, half, env.simSeed+uint64(env.r))
 			if err != nil {
 				return err

@@ -18,24 +18,24 @@ import (
 )
 
 // Scrub scenario constants: each run starts a live cluster under a
-// gray-failure cocktail — ScrubRotCount replica-rot corruptions on the
+// gray-failure cocktail — scrubRotCount replica-rot corruptions on the
 // busiest site, a permanently limping second site, a control-partitioned
 // third — then proves the integrity layer catches every injected corruption
 // (at fetch time or within one scrub cycle) and the latency-aware
 // supervisor flags both gray sites.
 const (
-	// ScrubRotCount is the number of stored replicas rotted on the rot site
+	// scrubRotCount is the number of stored replicas rotted on the rot site
 	// (capped by how many replicas the plan actually stores there).
-	ScrubRotCount = 6
+	scrubRotCount = 6
 )
 
 // Gray-failure tuning: the limp must dwarf loopback RTT noise while keeping
 // the soak fast, and the probe cadence must detect within a short soak.
-var (
-	ScrubLimpLatency      = 15 * time.Millisecond
-	ScrubLatencyThreshold = 3 * time.Millisecond
-	ScrubProbeInterval    = 20 * time.Millisecond
-	ScrubDetectTimeout    = 10 * time.Second
+const (
+	scrubLimpLatency      = 15 * time.Millisecond
+	scrubLatencyThreshold = 3 * time.Millisecond
+	scrubProbeInterval    = 20 * time.Millisecond
+	scrubDetectTimeout    = 10 * time.Second
 )
 
 // stream labels for the scrub study's derivations (disjoint from the
@@ -138,7 +138,7 @@ func Scrub(opts Options) (*ScrubResult, error) {
 		// site: every injected corruption is a stored replica, so the
 		// scrubber's full walk is obligated to find each one.
 		stored := p.StoredSet(rotSite).Members()
-		rotCount := ScrubRotCount
+		rotCount := scrubRotCount
 		if rotCount > len(stored) {
 			rotCount = len(stored)
 		}
@@ -155,7 +155,7 @@ func Scrub(opts Options) (*ScrubResult, error) {
 		}
 		forever := []faults.Window{{Start: 0, End: 24 * time.Hour}}
 		plan.Sites[rotSite].Rot = rot
-		plan.Sites[limpSite].LimpLatency = ScrubLimpLatency
+		plan.Sites[limpSite].LimpLatency = scrubLimpLatency
 		plan.Sites[limpSite].Limps = forever
 		plan.Sites[partSite].PartitionControl = forever
 
@@ -232,19 +232,19 @@ func Scrub(opts Options) (*ScrubResult, error) {
 		// unreachable to the supervisor while still serving clients. Both
 		// must walk to Down.
 		sup := rec.Supervisor(controller.Options{
-			ProbeInterval: ScrubProbeInterval,
+			ProbeInterval: scrubProbeInterval,
 			// Generous: the limping site must answer 200 (slow), not time
 			// out — only then is its demotion the EWMA signal's doing.
 			ProbeTimeout:     time.Second,
-			LatencyThreshold: ScrubLatencyThreshold,
+			LatencyThreshold: scrubLatencyThreshold,
 		})
 		sup.Start()
 		run.LimpDetected = sup.WaitFor(func(states []controller.SiteState) bool {
 			return states[limpSite] == controller.Down
-		}, ScrubDetectTimeout)
+		}, scrubDetectTimeout)
 		run.PartDetected = sup.WaitFor(func(states []controller.SiteState) bool {
 			return states[partSite] == controller.Down
-		}, ScrubDetectTimeout)
+		}, scrubDetectTimeout)
 		sup.Stop()
 
 		runs[r] = run

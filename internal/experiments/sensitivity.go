@@ -5,10 +5,10 @@ import (
 	"repro/internal/stats"
 )
 
-// SeverityGrid sweeps how far actual network conditions drift from the
+// severityGrid sweeps how far actual network conditions drift from the
 // planner's estimates: 0 = none (actual == estimate), 1 = the paper's §5.1
 // model, 2 = twice the deviation.
-var SeverityGrid = []float64{0, 0.5, 1.0, 1.5, 2.0}
+var severityGrid = []float64{0, 0.5, 1.0, 1.5, 2.0}
 
 // Sensitivity measures the paper's robustness claim ("the proposed policy
 // performed well ... even when the network attributes significantly vary
@@ -23,7 +23,7 @@ func Sensitivity(opts Options) (*stats.Figure, error) {
 	col := newCollector(opts.Runs)
 	err := forEachRun(&opts, func(env *runEnv) error {
 		half := storageOnly(env.w, 0.5)
-		for _, severity := range SeverityGrid {
+		for _, severity := range severityGrid {
 			cfg := env.simCfg
 			cfg.Perturb = opts.Perturb.Scale(severity)
 

@@ -5,9 +5,9 @@ import (
 	"repro/internal/stats"
 )
 
-// ThresholdGrid sweeps the replication-creation threshold of the dynamic
+// thresholdGrid sweeps the replication-creation threshold of the dynamic
 // baseline.
-var ThresholdGrid = []int64{1, 2, 5, 10, 25, 50}
+var thresholdGrid = []int64{1, 2, 5, 10, 25, 50}
 
 // ThresholdStudy demonstrates the paper's Section-6 critique of
 // threshold-driven dynamic replication ("the use of threshold values makes
@@ -23,7 +23,7 @@ func ThresholdStudy(opts Options) (*stats.Figure, error) {
 		if err != nil {
 			return err
 		}
-		for _, thr := range ThresholdGrid {
+		for _, thr := range thresholdGrid {
 			pol, err := policies.NewThreshold(env.w, half, thr, 0)
 			if err != nil {
 				return err

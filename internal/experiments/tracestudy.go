@@ -13,14 +13,14 @@ import (
 	"repro/internal/workload"
 )
 
-// CriticalPathTolerance is the relative deviation beyond which a page's
+// criticalPathTolerance is the relative deviation beyond which a page's
 // observed Eq. 5 time is flagged against the planner's prediction.
-var CriticalPathTolerance = 0.25
+const criticalPathTolerance = 0.25
 
-// CriticalPathStorage is the storage fraction the study plans at — tight
+// criticalPathStorage is the storage fraction the study plans at — tight
 // enough that placements mix local and remote chains, so both Eq. 5 sides
 // actually appear as critical paths.
-var CriticalPathStorage = 0.5
+const criticalPathStorage = 0.5
 
 // PageDeviation is one page's observed-vs-predicted comparison.
 type PageDeviation struct {
@@ -53,7 +53,7 @@ type CriticalPathResult struct {
 	Flagged []PageDeviation
 }
 
-// CriticalPath plans the proposed policy at CriticalPathStorage, simulates
+// CriticalPath plans the proposed policy at criticalPathStorage, simulates
 // it with tracing armed, and compares every page's observed critical path —
 // mean traced D and the chain that won the Eq. 5 max — against the planner's
 // prediction from the unperturbed estimates. The gap quantifies what the
@@ -70,7 +70,7 @@ func CriticalPath(opts Options) (*CriticalPathResult, error) {
 	perRun := make([]runAgg, opts.Runs)
 	err := forEachRun(&opts, func(env *runEnv) error {
 		r := env.r
-		penv, p, _, err := env.plan(env.w, storageOnly(env.w, CriticalPathStorage), core.Options{})
+		penv, p, _, err := env.plan(env.w, storageOnly(env.w, criticalPathStorage), core.Options{})
 		if err != nil {
 			return err
 		}
@@ -102,13 +102,13 @@ func CriticalPath(opts Options) (*CriticalPathResult, error) {
 			rel := (ps.MeanD - pred) / pred
 			agg.pages++
 			agg.sumAbsRel += math.Abs(rel)
-			if math.Abs(rel) <= CriticalPathTolerance {
+			if math.Abs(rel) <= criticalPathTolerance {
 				agg.within++
 			}
 			if obsWinner == predWinner {
 				agg.agree++
 			}
-			if r == 0 && math.Abs(rel) > CriticalPathTolerance {
+			if r == 0 && math.Abs(rel) > criticalPathTolerance {
 				agg.flagged = append(agg.flagged, PageDeviation{
 					Page: ps.Page, Views: ps.Views,
 					Observed: ps.MeanD, Predicted: pred, RelErr: rel,
@@ -122,7 +122,7 @@ func CriticalPath(opts Options) (*CriticalPathResult, error) {
 		return nil, err
 	}
 
-	res := &CriticalPathResult{Runs: opts.Runs, Tolerance: CriticalPathTolerance}
+	res := &CriticalPathResult{Runs: opts.Runs, Tolerance: criticalPathTolerance}
 	var sumAbsRel float64
 	var agree int
 	for r := range perRun {
@@ -175,7 +175,7 @@ func (r *CriticalPathResult) Write(w io.Writer) error {
 			"within +/-%.0f%% of predicted D: %.1f%%   mean |obs-pred|/pred: %.1f%%\n"+
 			"Eq. 5 winner agreement (observed chain == predicted max side): %.1f%%\n"+
 			"observed time split: transfer %.1f%%  queue %.1f%%  overhead %.1f%%  retry/failover %.1f%%\n",
-		r.Pages, r.Runs, 100*CriticalPathStorage,
+		r.Pages, r.Runs, 100*criticalPathStorage,
 		100*r.Tolerance, within, 100*r.MeanAbsRelErr,
 		100*r.WinnerAgreement,
 		pct(r.Transfer), pct(r.Queue), pct(r.Overhead), pct(r.RetryBackoff)); err != nil {

@@ -7,9 +7,9 @@ import (
 	"repro/internal/stats"
 )
 
-// WeightGrid sweeps the α2/α1 ratio: 0 ignores optional downloads, the
+// weightGrid sweeps the α2/α1 ratio: 0 ignores optional downloads, the
 // paper uses 0.5 (α1=2, α2=1), large values prioritize optional traffic.
-var WeightGrid = []float64{0, 0.25, 0.5, 1, 2, 4}
+var weightGrid = []float64{0, 0.25, 0.5, 1, 2, 4}
 
 // WeightsStudy probes the objective weights' "well defined natural
 // meaning" (Section 3): under tight storage the planner must trade page
@@ -30,7 +30,7 @@ func WeightsStudy(opts Options) (*stats.Figure, error) {
 			return err
 		}
 
-		for _, ratio := range WeightGrid {
+		for _, ratio := range weightGrid {
 			// The planner takes its weights from the workload's
 			// configuration; pages and objects are shared with the original,
 			// so the placement simulates on the run's own workload.

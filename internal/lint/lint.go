@@ -76,7 +76,7 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 // the determinism rule reports any import of a module package outside it —
 // so every line these packages can call is checked directly, and no helper
 // outside the set can hide an ambient read. The first ten compute plans,
-// simulations and studies; the other ten are exactly what those import.
+// simulations and studies; the other nine are exactly what those import.
 // admission is here because its control laws are clock-agnostic by design
 // (the overload study replays them on a virtual clock); the wall-clock
 // deadline reads of its live HTTP adapter are each justified in place, as
@@ -99,7 +99,6 @@ var DeterministicPackages = map[string]bool{
 	"htmlrefs":  true,
 	"rng":       true,
 	"telemetry": true,
-	"accesslog": true,
 	"stats":     true,
 	"lru":       true,
 	"bitset":    true,

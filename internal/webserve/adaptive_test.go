@@ -3,7 +3,7 @@ package webserve
 import (
 	"testing"
 
-	"repro/internal/accesslog"
+	"repro/internal/estimate"
 	"repro/internal/model"
 	"repro/internal/netsim"
 	"repro/internal/rng"
@@ -35,7 +35,7 @@ func TestAdaptiveReplanLoop(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	tap := &countingTap{counts: accesslog.Counts{}}
+	tap := &countingTap{counts: estimate.Counts{}}
 	cluster, err := StartClusterOptions(w, stale, ClusterOptions{AccessTap: tap})
 	if err != nil {
 		t.Fatal(err)
@@ -67,7 +67,7 @@ func TestAdaptiveReplanLoop(t *testing.T) {
 
 	// Collect statistics and estimate the new workload.
 	counts := tap.counts
-	observed, err := accesslog.EstimateWorkload(w, counts)
+	observed, err := estimate.EstimateWorkload(w, counts)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,12 +5,20 @@ import (
 	"net/http"
 	"net/http/pprof"
 
-	"repro/internal/accesslog"
 	"repro/internal/admission"
 	"repro/internal/faults"
 	"repro/internal/telemetry"
 	"repro/internal/trace"
+	"repro/internal/workload"
 )
+
+// AccessTap receives one callback per served page view (site, page,
+// cluster-uptime seconds); *estimate.Estimator is the one the adaptive
+// planner plugs in. Implementations must be safe for concurrent use: every
+// serving goroutine calls Observe.
+type AccessTap interface {
+	Observe(site workload.SiteID, page workload.PageID, t float64)
+}
 
 // ClusterOptions controls the optional observability and chaos wiring of a
 // cluster.
@@ -36,10 +44,9 @@ type ClusterOptions struct {
 	// lines).
 	Journal *trace.Journal
 	// AccessTap, when non-nil, receives one Observe per served page view
-	// (site, page, cluster-uptime seconds) from every site's serving path —
-	// the feed the adaptive planner's frequency estimator runs on. Must be
-	// safe for concurrent use.
-	AccessTap accesslog.Tap
+	// from every site's serving path — the feed the adaptive planner's
+	// frequency estimator runs on.
+	AccessTap AccessTap
 	// Admission, when non-nil, arms overload protection on every server:
 	// each request passes a bounded deadline-aware admission queue (CoDel
 	// sojourn shedding, AIMD concurrency limits) ahead of the fault layer,

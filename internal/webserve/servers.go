@@ -10,7 +10,6 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/accesslog"
 	"repro/internal/admission"
 	"repro/internal/faults"
 	"repro/internal/htmlrefs"
@@ -141,7 +140,7 @@ type LocalServer struct {
 	// Access-log tap; nil unless ClusterOptions.AccessTap was set, and set
 	// before serving (ServeHTTP reads the fields lock-free). tapClock
 	// reports cluster uptime in seconds for the tap's timestamps.
-	tap      accesslog.Tap
+	tap      AccessTap
 	tapClock func() float64
 
 	// adm is the server's admission layer; nil unless the cluster armed

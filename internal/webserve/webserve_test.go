@@ -7,8 +7,8 @@ import (
 	"sync"
 	"testing"
 
-	"repro/internal/accesslog"
 	"repro/internal/core"
+	"repro/internal/estimate"
 	"repro/internal/htmlrefs"
 	"repro/internal/model"
 	"repro/internal/netsim"
@@ -207,7 +207,7 @@ func TestApplyPlacementLive(t *testing.T) {
 // countingTap is the simplest access tap: raw per-page view counts.
 type countingTap struct {
 	mu     sync.Mutex
-	counts accesslog.Counts
+	counts estimate.Counts
 }
 
 func (c *countingTap) Observe(_ workload.SiteID, page workload.PageID, _ float64) {
@@ -218,7 +218,7 @@ func (c *countingTap) Observe(_ workload.SiteID, page workload.PageID, _ float64
 
 func TestAccessCounters(t *testing.T) {
 	w := tinyWorkload(t)
-	tap := &countingTap{counts: accesslog.Counts{}}
+	tap := &countingTap{counts: estimate.Counts{}}
 	cluster, err := StartClusterOptions(w, model.AllLocal(w), ClusterOptions{AccessTap: tap})
 	if err != nil {
 		t.Fatal(err)

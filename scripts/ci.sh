@@ -5,8 +5,8 @@
 # once and the payload wire format pinned to its committed corpus and fuzzed,
 # the race detector
 # cold on every package with coverage floors on the planner core, the cost
-# model, repair planning and the reference database checked from that one
-# pass, and a smoke pass that
+# model, repair planning, the reference database and the adaptation
+# pipeline checked from that one pass, and a smoke pass that
 # compiles and runs every benchmark once and vets and tests the nested
 # benchmark/ module (measuring is benchmark/run.sh's job, not this script's).
 #
@@ -72,15 +72,16 @@ stage_test() {
 #
 # The same pass writes the coverage profile that statement coverage is held
 # against a floor from, per package: the planner core, the cost model,
-# repair planning and the reference database, each floor the package's
-# measured coverage rounded down — so new code in any of them, the planner's
-# stored-but-remote index, the placement slab's Clone/Equal/JSON paths and
-# the reference database's reuse of unchanged pages included, has to be
+# repair planning, the reference database and the adaptation pipeline
+# (estimate), each floor the package's measured coverage rounded down — so
+# new code in any of them, the planner's stored-but-remote index, the
+# placement slab's Clone/Equal/JSON paths, the reference database's reuse
+# of unchanged pages and the shared re-plan step included, has to be
 # reached by tests to land.
 stage_race() {
     cover_out=$(mktemp)
     go test -race -count=1 -coverprofile="$cover_out" ./...
-    for pair in core:95 model:91 repair:96 htmlrefs:94; do
+    for pair in core:95 model:91 repair:96 htmlrefs:94 estimate:96; do
         pkg="internal/${pair%%:*}" floor="${pair##*:}"
         # A profile line is "file:block statements count"; the package's
         # coverage is the share of its statements in blocks that ran.
