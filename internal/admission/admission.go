@@ -11,16 +11,17 @@
 // degrades page fidelity under sustained shed pressure before the server
 // refuses outright.
 //
-// Every control law here takes its clock as a parameter: the state machines
-// take explicit `now` values, and the only wall-clock reads are the live
-// gate's request deadlines and its nil-clock fallback. The live server runs
-// all of it under real time; the bit-reproducible experiments.Overload study
-// runs only CoDel and the Retry-After jitter (RetryHint) under a virtual
-// clock, with its own queue bound, deadline drop and retry budget around
-// them.
+// Every control law here takes its clock as a parameter: Gate, the
+// admission law, is a step machine on explicit `now` values, and the only
+// wall-clock reads are the live Endpoint's conversion of a request's
+// deadline, its wait timer and the server's nil-clock fallback. The live
+// server runs the laws under real time; the bit-reproducible
+// experiments.Overload study drives the same Gate and Retry-After jitter
+// (RetryHint) on a virtual clock. Brownout is live-only.
 package admission
 
 import (
+	"math"
 	"strconv"
 	"time"
 )
@@ -85,7 +86,9 @@ const (
 	maxLimit     = 256
 	// maxQueue bounds each endpoint's wait queue; arrivals beyond it are shed
 	// instantly (the queue bound is the backstop — CoDel should act first).
-	maxQueue = 128
+	// At the overload study's 5 ms service time it is one 250 ms drain
+	// window.
+	maxQueue = 50
 	// retryAfter is the nominal retry hint sent with a 429; the actual value
 	// is jittered in [d, 3d/2) on a seeded stream so a fleet of budgeted
 	// clients does not return in lockstep.
@@ -98,14 +101,14 @@ const (
 	brownoutWindow = 500 * time.Millisecond
 )
 
-// CoDel is the Controlled-Delay shedding law on queue sojourn times,
+// codel is the Controlled-Delay shedding law on queue sojourn times,
 // adapted from Nichols & Jacobson: shedding starts only after sojourn has
 // stayed above codelTarget for a full codelInterval (a standing queue, not
 // a burst), and while it persists, sheds are spaced codelInterval/√count
-// apart — gentle pressure that tightens the longer the overload lasts. All
-// methods take explicit `now` values (any monotone origin); the caller
-// serializes access.
-type CoDel struct {
+// apart — gentle pressure that tightens the longer the overload lasts. It
+// takes explicit `now` values (any monotone origin); the zero value is
+// ready, and the Gate that holds it serializes access.
+type codel struct {
 	firstAbove time.Duration // when sojourn first exceeded codelTarget
 	haveFirst  bool
 	dropping   bool
@@ -113,15 +116,9 @@ type CoDel struct {
 	count      int
 }
 
-// NewCoDel builds the law at the package's codelTarget and codelInterval.
-func NewCoDel() *CoDel { return &CoDel{} }
-
-// Dropping reports whether the law is currently in its shedding state.
-func (c *CoDel) Dropping() bool { return c.dropping }
-
-// OnDequeue observes one request's queue sojourn at dequeue time and
+// onDequeue observes one request's queue sojourn at dequeue time and
 // reports whether to shed it.
-func (c *CoDel) OnDequeue(sojourn, now time.Duration) bool {
+func (c *codel) onDequeue(sojourn, now time.Duration) bool {
 	if sojourn < codelTarget {
 		// Below target: the standing queue is gone; disarm.
 		c.haveFirst = false
@@ -156,19 +153,6 @@ func (c *CoDel) OnDequeue(sojourn, now time.Duration) bool {
 // nextGap is the codelInterval/√count control law: the longer the overload
 // persists, the closer together the sheds. count is the sheds so far, so
 // the upcoming (count+1-th) shed is codelInterval/√(count+1) away.
-func (c *CoDel) nextGap() time.Duration {
-	return time.Duration(float64(codelInterval) / sqrtf(float64(c.count+1)))
-}
-
-// sqrtf is Newton's method on float64 — enough precision for a shed
-// spacing, and keeps the hot path free of math imports.
-func sqrtf(x float64) float64 {
-	if x <= 0 {
-		return 1
-	}
-	g := x
-	for i := 0; i < 20; i++ {
-		g = (g + x/g) / 2
-	}
-	return g
+func (c *codel) nextGap() time.Duration {
+	return time.Duration(float64(codelInterval) / math.Sqrt(float64(c.count+1)))
 }

@@ -16,35 +16,35 @@ import (
 // must persist for a full interval before the first shed, and while it
 // does, sheds tighten as interval/√count.
 func TestCoDelShedsOnStandingQueue(t *testing.T) {
-	c := NewCoDel()
+	c := &codel{}
 	ms := func(n int) time.Duration { return time.Duration(n) * time.Millisecond }
 
 	// A burst above target inside one interval never sheds.
-	if c.OnDequeue(ms(10), ms(0)) {
+	if c.onDequeue(ms(10), ms(0)) {
 		t.Fatal("first over-target sojourn shed immediately")
 	}
-	if c.OnDequeue(ms(10), ms(50)) {
+	if c.onDequeue(ms(10), ms(50)) {
 		t.Fatal("shed before a full interval above target")
 	}
 	// At one full interval the standing queue is real: shedding starts.
-	if !c.OnDequeue(ms(10), ms(100)) {
+	if !c.onDequeue(ms(10), ms(100)) {
 		t.Fatal("no shed after a full interval above target")
 	}
-	if !c.Dropping() {
+	if !c.dropping {
 		t.Fatal("law not in dropping state after first shed")
 	}
 	// Next shed comes interval/√2 ≈ 70.7ms later, not immediately.
-	if c.OnDequeue(ms(10), ms(120)) {
+	if c.onDequeue(ms(10), ms(120)) {
 		t.Fatal("second shed fired before the √-law gap")
 	}
-	if !c.OnDequeue(ms(10), ms(171)) {
+	if !c.onDequeue(ms(10), ms(171)) {
 		t.Fatal("second shed missing after the √-law gap")
 	}
 	// A below-target sojourn disarms everything.
-	if c.OnDequeue(ms(1), ms(180)) {
+	if c.onDequeue(ms(1), ms(180)) {
 		t.Fatal("below-target sojourn shed")
 	}
-	if c.Dropping() {
+	if c.dropping {
 		t.Fatal("law still dropping after the queue cleared")
 	}
 }
@@ -53,44 +53,44 @@ func TestCoDelShedsOnStandingQueue(t *testing.T) {
 // once per interval, floored at minLimit), clean intervals add one back.
 func TestEndpointAIMD(t *testing.T) {
 	e := NewEndpoint(Config{})
-	e.limit = 16
+	e.gate.limit = 16
 	ms := func(n int) time.Duration { return time.Duration(n) * time.Millisecond }
 
 	e.mu.Lock()
-	e.shedLocked(ms(200))
+	e.gate.shed(ms(200))
 	e.mu.Unlock()
 	if got := e.Limit(); got != 8 {
 		t.Fatalf("limit after one shed = %d, want 8", got)
 	}
 	// A second shed inside the same interval must not halve again.
 	e.mu.Lock()
-	e.shedLocked(ms(250))
+	e.gate.shed(ms(250))
 	e.mu.Unlock()
 	if got := e.Limit(); got != 8 {
 		t.Fatalf("limit after back-to-back sheds = %d, want 8 (one decrease per interval)", got)
 	}
 	e.mu.Lock()
-	e.shedLocked(ms(301))
+	e.gate.shed(ms(301))
 	e.mu.Unlock()
 	if got := e.Limit(); got != 4 {
 		t.Fatalf("limit after next-interval shed = %d, want 4", got)
 	}
 	// Floor.
 	e.mu.Lock()
-	e.shedLocked(ms(402))
+	e.gate.shed(ms(402))
 	e.mu.Unlock()
 	if got := e.Limit(); got != 4 {
 		t.Fatalf("limit fell below minLimit: %d", got)
 	}
 	// Clean intervals grow additively.
 	e.mu.Lock()
-	e.growLocked(ms(503))
+	e.gate.grow(ms(503))
 	e.mu.Unlock()
 	if got := e.Limit(); got != 5 {
 		t.Fatalf("limit after one clean interval = %d, want 5", got)
 	}
 	e.mu.Lock()
-	e.growLocked(ms(520)) // same interval: no growth
+	e.gate.grow(ms(520)) // same interval: no growth
 	e.mu.Unlock()
 	if got := e.Limit(); got != 5 {
 		t.Fatalf("limit grew twice in one interval: %d", got)
@@ -105,7 +105,7 @@ func frozen() time.Duration { return 0 }
 // the queue both full, further arrivals shed instantly as queue_full.
 func TestEndpointQueueBound(t *testing.T) {
 	e := NewEndpoint(Config{})
-	e.limit = 1
+	e.gate.limit = 1
 	clock := frozen
 
 	v, rel := e.Admit(context.Background(), clock, time.Time{})
@@ -141,7 +141,7 @@ func TestEndpointQueueBound(t *testing.T) {
 // lapses is shed instead of served.
 func TestEndpointDeadlineShed(t *testing.T) {
 	e := NewEndpoint(Config{})
-	e.limit = 1
+	e.gate.limit = 1
 	clock := frozen
 
 	if v, _ := e.Admit(context.Background(), clock, time.Now().Add(-time.Second)); v != ShedDeadline {
@@ -175,7 +175,7 @@ func TestEndpointDeadlineShed(t *testing.T) {
 // abandons the queued waiter and the slot cascade skips it.
 func TestEndpointAbortedClient(t *testing.T) {
 	e := NewEndpoint(Config{})
-	e.limit = 1
+	e.gate.limit = 1
 	clock := frozen
 
 	_, rel := e.Admit(context.Background(), clock, time.Time{})
@@ -253,7 +253,7 @@ func TestBrownoutWalksTiersWithHysteresis(t *testing.T) {
 func TestMiddlewareShedsWith429AndRetryAfter(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	s := NewServer(Config{Seed: 7}, frozen, MetricsFor(reg, "admission.test."))
-	s.mo.limit = 1
+	s.mo.gate.limit = 1
 
 	release := make(chan struct{})
 	started := make(chan struct{}, 8)
@@ -266,8 +266,8 @@ func TestMiddlewareShedsWith429AndRetryAfter(t *testing.T) {
 	defer srv.Close()
 	defer close(release)
 
-	// Occupy the slot, fill the queue with abandoned waiters but for one
-	// seat, and take that seat.
+	// Occupy the slot, fill the queue but for one seat with waiters whose
+	// deadline has passed (the next grant sheds them), and take that seat.
 	var wg sync.WaitGroup
 	var okCount atomic.Int64
 	get := func() {
@@ -287,11 +287,11 @@ func TestMiddlewareShedsWith429AndRetryAfter(t *testing.T) {
 	<-started // the first is in the handler
 	s.mo.mu.Lock()
 	for i := 0; i < maxQueue-1; i++ {
-		s.mo.queue = append(s.mo.queue, &waiter{gone: true})
+		s.mo.gate.queue = append(s.mo.gate.queue, entry[*waiter]{id: &waiter{verdict: make(chan Verdict, 1)}, deadline: -1})
 	}
 	s.mo.mu.Unlock()
 	get()
-	waitFor(t, func() bool { return s.Endpoint("mo").QueueLen() == 1 })
+	waitFor(t, func() bool { return s.Endpoint("mo").QueueLen() == maxQueue })
 
 	resp, err := http.Get(srv.URL + "/mo/0")
 	if err != nil {

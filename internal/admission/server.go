@@ -78,9 +78,8 @@ type Server struct {
 	jmu    sync.Mutex
 	jitter *rng.Stream
 
-	smu        sync.Mutex
-	saturated  bool // last journaled CoDel state, per-server
-	journaling bool
+	smu       sync.Mutex
+	saturated bool // last journaled CoDel state, per-server
 }
 
 // NewServer builds a server admission layer. clock reports elapsed time on
@@ -95,9 +94,9 @@ func NewServer(cfg Config, clock func() time.Duration, m Metrics) *Server {
 	}
 	return &Server{
 		clock:  clock,
-		page:   NewEndpoint(Config{}),
-		mo:     NewEndpoint(Config{}),
-		other:  NewEndpoint(Config{}),
+		page:   new(Endpoint),
+		mo:     new(Endpoint),
+		other:  new(Endpoint),
 		brown:  &Brownout{},
 		m:      m,
 		jitter: rng.New(cfg.Seed).Split(retryAfterStream),
@@ -158,7 +157,7 @@ func (s *Server) Middleware(next http.Handler) http.Handler {
 		v, release := ep.Admit(req.Context(), s.clock, deadline)
 		s.m.count(v)
 		now := s.clock()
-		s.noteState(ep, now)
+		s.noteState(now)
 		s.noteBrownout(v.Shed(), now)
 		switch {
 		case v == Admitted:
@@ -184,12 +183,12 @@ func (s *Server) Middleware(next http.Handler) http.Handler {
 // noteState journals CoDel saturation edges: entering the shedding state
 // on any endpoint emits "admission.saturated", leaving it on all of them
 // "admission.recovered".
-func (s *Server) noteState(ep *Endpoint, now time.Duration) {
-	ep.mu.Lock()
-	dropping := ep.codel.Dropping()
-	ep.mu.Unlock()
-	if !dropping {
-		dropping = s.anyDropping()
+func (s *Server) noteState(now time.Duration) {
+	dropping := false
+	for _, ep := range []*Endpoint{s.page, s.mo, s.other} {
+		ep.mu.Lock()
+		dropping = dropping || ep.gate.codel.dropping
+		ep.mu.Unlock()
 	}
 	s.smu.Lock()
 	changed := dropping != s.saturated
@@ -204,19 +203,6 @@ func (s *Server) noteState(ep *Endpoint, now time.Duration) {
 	} else {
 		s.m.Journal.Record("admission.recovered", fields...)
 	}
-}
-
-// anyDropping reports whether any endpoint's CoDel law is shedding.
-func (s *Server) anyDropping() bool {
-	for _, ep := range []*Endpoint{s.page, s.mo, s.other} {
-		ep.mu.Lock()
-		d := ep.codel.Dropping()
-		ep.mu.Unlock()
-		if d {
-			return true
-		}
-	}
-	return false
 }
 
 // noteBrownout feeds one decision into the brownout controller and
