@@ -88,7 +88,7 @@ var studyRenderSHA = map[string]string{
 	"degraded":    "21b0d1b81edd711bb34f1bc9c6fdc9c68e03b4d1d1248326f7b9c95f22d56832",
 	"critpath":    "1b266292f396e35089b84ca95c92f4b38d48f9389d2a752f8a373ab8b4c579f5",
 	"flashcrowd":  "f5e8eb0a1d7490451336ce5e3cdfa7463a9e496d2f70432a9cb0964d968ca328",
-	"overload":    "ecbe6ac2713dfa5897639e1fcdf9aab3f8c215580ea9f52f0345f51df06800ea",
+	"overload":    "94cce73437c28f61673add37a72397b08af928698f723a15f402dbfc0d484c4b",
 }
 
 // TestStudiesBitReproducibleAtAnyWorkerCount backs the README/EXPERIMENTS
