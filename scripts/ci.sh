@@ -3,12 +3,12 @@
 # Everything here must pass before a change lands: formatting, build + vet +
 # the repllint analyzer suite, the complete test suite with every example run
 # once and the payload wire format pinned to its committed corpus and fuzzed,
-# the race detector
-# cold on every package with coverage floors on the planner core, the cost
-# model, repair planning, the reference database and the adaptation
-# pipeline checked from that one pass, and a smoke pass that
-# compiles and runs every benchmark once and vets and tests the nested
-# benchmark/ module (measuring is benchmark/run.sh's job, not this script's).
+# the race detector cold on every package with coverage floors on the
+# planner core, the cost model, repair planning, the reference database,
+# the adaptation pipeline and the admission gate checked from that one
+# pass, and a smoke pass that compiles and runs every benchmark once and
+# vets and tests the nested benchmark/ module (measuring is
+# benchmark/run.sh's job, not this script's).
 #
 # CI_STAGES selects a subset, e.g.:
 #
@@ -72,16 +72,17 @@ stage_test() {
 #
 # The same pass writes the coverage profile that statement coverage is held
 # against a floor from, per package: the planner core, the cost model,
-# repair planning, the reference database and the adaptation pipeline
-# (estimate), each floor the package's measured coverage rounded down — so
-# new code in any of them, the planner's stored-but-remote index, the
-# placement slab's Clone/Equal/JSON paths, the reference database's reuse
-# of unchanged pages and the shared re-plan step included, has to be
-# reached by tests to land.
+# repair planning, the reference database, the adaptation pipeline
+# (estimate) and admission control, each floor the package's measured
+# coverage rounded down — so new code in any of them, the planner's
+# stored-but-remote index, the placement slab's Clone/Equal/JSON paths,
+# the reference database's reuse of unchanged pages, the shared re-plan
+# step and the admission gate's step machine included, has to be reached
+# by tests to land.
 stage_race() {
     cover_out=$(mktemp)
     go test -race -count=1 -coverprofile="$cover_out" ./...
-    for pair in core:95 model:91 repair:96 htmlrefs:94 estimate:96; do
+    for pair in core:95 model:91 repair:96 htmlrefs:94 estimate:96 admission:92; do
         pkg="internal/${pair%%:*}" floor="${pair##*:}"
         # A profile line is "file:block statements count"; the package's
         # coverage is the share of its statements in blocks that ran.
