@@ -13,7 +13,7 @@
 package trace
 
 import (
-	"fmt"
+	"encoding/binary"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -137,11 +137,32 @@ const (
 // order, so deterministic producers (httpsim) must append deterministically;
 // concurrent producers (the live client and servers) get safe appends and
 // accept scheduler-dependent order. A nil Buffer drops everything.
+//
+// Retention is pointer-free, so the garbage collector never scans what a
+// long run keeps: each span is a fixed-size record of numbers, and its
+// name, kind and attributes are length-prefixed strings in one byte arena
+// the record points into by offset. Spans decodes them back, so a kept
+// span reads exactly as it was added, except that an empty Attrs comes
+// back nil. Once a bounded buffer is full it stays full (it never evicts),
+// so Tracer starts every later span as a dropped one that is counted and
+// never built; Len() + Dropped() is every span ended against the buffer.
 type Buffer struct {
-	mu      sync.Mutex
-	spans   []Span
-	max     int
-	dropped int64
+	mu     sync.Mutex
+	recs   []record
+	arena  []byte // per record: name, kind, attr count, then key/value pairs
+	nattrs int    // attributes over all records, so Spans allocates them once
+	max    int
+
+	full    atomic.Bool // len(recs) reached max; never cleared
+	dropped atomic.Int64
+}
+
+// record is one kept span. It must hold no pointers (TestRecordHasNoPointers):
+// its strings live in the arena from off on.
+type record struct {
+	trace, id, parent uint64
+	start, dur        float64
+	off               int
 }
 
 // NewBuffer returns a buffer keeping at most max spans (0 = unbounded).
@@ -159,23 +180,108 @@ func (b *Buffer) Add(spans ...Span) {
 	}
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	for _, s := range spans {
-		if b.max > 0 && len(b.spans) >= b.max {
-			b.dropped++
-			continue
-		}
-		b.spans = append(b.spans, s)
+	for i := range spans {
+		b.put(&spans[i])
 	}
 }
 
-// Spans snapshots the buffered spans in append order (nil-safe).
+// put encodes one span into the arena, or counts it dropped. b.mu held.
+func (b *Buffer) put(s *Span) {
+	if b.full.Load() {
+		b.dropped.Add(1)
+		return
+	}
+	// Both slices double when they grow (the records up to the bound):
+	// append's 1.25x steps for large slices would copy them about five
+	// times over instead of about twice.
+	if len(b.recs) == cap(b.recs) {
+		n := 2*cap(b.recs) + 64
+		if b.max > 0 {
+			n = min(n, b.max)
+		}
+		b.recs = append(make([]record, 0, n), b.recs...)
+	}
+	need := len(s.Name) + len(s.Kind) + (3+2*len(s.Attrs))*binary.MaxVarintLen64
+	for _, a := range s.Attrs {
+		need += len(a.Key) + len(a.Value)
+	}
+	if cap(b.arena)-len(b.arena) < need {
+		b.arena = append(make([]byte, 0, 2*cap(b.arena)+need), b.arena...)
+	}
+	b.recs = append(b.recs, record{
+		trace: uint64(s.Trace), id: uint64(s.ID), parent: uint64(s.Parent),
+		start: s.Start, dur: s.Dur, off: len(b.arena),
+	})
+	b.arena = appendString(b.arena, s.Name)
+	b.arena = appendString(b.arena, s.Kind)
+	b.arena = binary.AppendUvarint(b.arena, uint64(len(s.Attrs)))
+	for _, a := range s.Attrs {
+		b.arena = appendString(b.arena, a.Key)
+		b.arena = appendString(b.arena, a.Value)
+	}
+	b.nattrs += len(s.Attrs)
+	if len(b.recs) == b.max {
+		b.full.Store(true)
+	}
+}
+
+// appendString appends s with its uvarint length prefix.
+func appendString(arena []byte, s string) []byte {
+	return append(binary.AppendUvarint(arena, uint64(len(s))), s...)
+}
+
+// Spans snapshots the buffered spans in append order (nil-safe). Every
+// string of the snapshot is a substring of one copy of the arena, and every
+// Attrs a capacity-limited window of one shared slice, so decoding costs
+// three allocations however many spans there are.
 func (b *Buffer) Spans() []Span {
 	if b == nil {
 		return nil
 	}
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	return append([]Span(nil), b.spans...)
+	if len(b.recs) == 0 {
+		return nil
+	}
+	spans := make([]Span, len(b.recs))
+	attrs := make([]Attr, b.nattrs)
+	d := decoder{b: b.arena, s: string(b.arena)}
+	for i, r := range b.recs {
+		d.off = r.off
+		s := &spans[i]
+		*s = Span{
+			Trace: TraceID(r.trace), ID: SpanID(r.id), Parent: SpanID(r.parent),
+			Name: d.str(), Kind: d.str(), Start: r.start, Dur: r.dur,
+		}
+		if n := d.uvarint(); n > 0 {
+			s.Attrs = attrs[:n:n]
+			for j := range s.Attrs {
+				s.Attrs[j] = Attr{Key: d.str(), Value: d.str()}
+			}
+			attrs = attrs[n:]
+		}
+	}
+	return spans
+}
+
+// decoder walks the arena: lengths from its bytes, strings as substrings
+// of one string copy of them.
+type decoder struct {
+	b   []byte
+	s   string
+	off int
+}
+
+func (d *decoder) uvarint() int {
+	v, n := binary.Uvarint(d.b[d.off:])
+	d.off += n
+	return int(v)
+}
+
+func (d *decoder) str() string {
+	n := d.uvarint()
+	d.off += n
+	return d.s[d.off-n : d.off]
 }
 
 // Len returns the number of buffered spans.
@@ -185,7 +291,7 @@ func (b *Buffer) Len() int {
 	}
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	return len(b.spans)
+	return len(b.recs)
 }
 
 // Dropped returns how many spans were discarded by the bound.
@@ -193,9 +299,7 @@ func (b *Buffer) Dropped() int64 {
 	if b == nil {
 		return 0
 	}
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.dropped
+	return b.dropped.Load()
 }
 
 // IDGen allocates non-zero trace and span IDs from a seeded rng stream:
@@ -236,7 +340,20 @@ const Header = "X-Repl-Trace"
 
 // FormatHeader renders the header value for a (trace, parent span) pair.
 func FormatHeader(t TraceID, s SpanID) string {
-	return fmt.Sprintf("%016x-%016x", uint64(t), uint64(s))
+	var v [33]byte
+	putHex(v[:16], uint64(t))
+	v[16] = '-'
+	putHex(v[17:], uint64(s))
+	return string(v[:])
+}
+
+// putHex writes x as 16 lower-case hex digits, zero-padded.
+func putHex(dst []byte, x uint64) {
+	const digits = "0123456789abcdef"
+	for i := 15; i >= 0; i-- {
+		dst[i] = digits[x&0xf]
+		x >>= 4
+	}
 }
 
 // ParseHeader parses a header value; ok is false for anything malformed.
@@ -323,23 +440,33 @@ func (t *Tracer) Now() float64 {
 // Active is a started, not-yet-ended span. End completes it into the
 // buffer; every started Active must be ended on all paths (Tracer.OpenSpans
 // counts the ones that were not, and the traced tests end by asserting 0).
+//
+// An Active started on a full buffer is dropped: it has no span ID, no
+// times and no attributes, and End only counts it in Buffer.Dropped. It
+// still carries its trace, so its children and the servers it calls are
+// dropped and counted the same way.
 type Active struct {
 	tr    *Tracer
 	start time.Time
 	busy  atomic.Int64 // ns, accumulated by AddBusy
+	drop  bool         // started on a full buffer; fixed at start
 
 	mu    sync.Mutex
 	span  Span
 	ended bool
 }
 
-// start begins a span with the given identity.
+// start begins a span with the given identity, or a dropped one when the
+// buffer is full: no ID draw, no clock read.
 func (t *Tracer) start(name string, trace TraceID, parent SpanID) *Active {
 	if t == nil {
 		return nil
 	}
-	now := clock()
 	t.open.Add(1)
+	if t.buf.full.Load() {
+		return &Active{tr: t, drop: true, span: Span{Trace: trace}}
+	}
+	now := clock()
 	return &Active{
 		tr:    t,
 		start: now,
@@ -359,7 +486,11 @@ func (t *Tracer) StartTrace(name string) *Active {
 	if t == nil {
 		return nil
 	}
-	return t.start(name, t.ids.TraceID(), 0)
+	var id TraceID
+	if !t.buf.full.Load() {
+		id = t.ids.TraceID()
+	}
+	return t.start(name, id, 0)
 }
 
 // StartRemote starts a span parented under a propagated (trace, span)
@@ -376,9 +507,10 @@ func (a *Active) StartChild(name string) *Active {
 	return a.tr.start(name, a.span.Trace, a.span.ID)
 }
 
-// SetAttr attaches an attribute. No-op on nil or after End.
+// SetAttr attaches an attribute. No-op on nil, on a dropped span or
+// after End.
 func (a *Active) SetAttr(attrs ...Attr) {
-	if a == nil {
+	if a == nil || a.drop {
 		return
 	}
 	a.mu.Lock()
@@ -433,6 +565,10 @@ func (a *Active) End() {
 	if a == nil {
 		return
 	}
+	if a.drop {
+		a.endWithDur(0)
+		return
+	}
 	a.endWithDur(clock().Sub(a.start).Seconds())
 }
 
@@ -445,6 +581,11 @@ func (a *Active) endWithDur(dur float64) {
 	}
 	a.ended = true
 	a.tr.open.Add(-1)
+	if a.drop {
+		a.mu.Unlock()
+		a.tr.buf.dropped.Add(1)
+		return
+	}
 	if b := a.busy.Load(); b != 0 {
 		a.span.Attrs = append(a.span.Attrs, F(AttrBusyS, time.Duration(b).Seconds()))
 	}

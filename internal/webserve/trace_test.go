@@ -165,3 +165,42 @@ func TestTraceDeterministicIDs(t *testing.T) {
 		}
 	}
 }
+
+// TestFullBufferCountsEverySpan drives a live tracer's buffer full: the
+// same page sequence, traced into an unbounded and into a 32-span buffer,
+// must start and end the same spans — the bounded one keeps 32 and counts
+// the rest, client and server side alike — and leave none open.
+func TestFullBufferCountsEverySpan(t *testing.T) {
+	w := tinyWorkload(t)
+	p := plannedPlacement(t, w)
+	run := func(max int) (kept int, total int64) {
+		buf := trace.NewBuffer(max)
+		cluster, err := StartClusterOptions(w, p, ClusterOptions{Trace: buf, TraceSeed: 99})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer cluster.Close()
+		client := cluster.Client(ClientOptions{})
+		for j := 0; j < 6; j++ {
+			pid := workload.PageID(j % w.NumPages())
+			if _, err := client.FetchPage(cluster.PageURL(pid), pid); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := cluster.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if n := cluster.Tracer.OpenSpans(); n != 0 {
+			t.Fatalf("buffer bound %d: %d spans still open after Close", max, n)
+		}
+		return buf.Len(), int64(buf.Len()) + buf.Dropped()
+	}
+	_, all := run(0)
+	kept, total := run(32)
+	if kept != 32 {
+		t.Fatalf("bounded buffer kept %d spans, want 32", kept)
+	}
+	if total != all || all <= 32 {
+		t.Fatalf("bounded buffer counted %d spans, unbounded %d: every started span must be counted, and the run must overflow 32", total, all)
+	}
+}

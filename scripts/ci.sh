@@ -5,8 +5,8 @@
 # once and the payload wire format pinned to its committed corpus and fuzzed,
 # the race detector cold on every package with coverage floors on the
 # planner core, the cost model, repair planning, the reference database,
-# the adaptation pipeline and the admission gate checked from that one
-# pass, and a smoke pass that compiles and runs every benchmark once and
+# the adaptation pipeline, the admission gate and the span model checked
+# from that one pass, and a smoke pass that compiles and runs every benchmark once and
 # vets and tests the nested benchmark/ module (measuring is
 # benchmark/run.sh's job, not this script's).
 #
@@ -73,16 +73,17 @@ stage_test() {
 # The same pass writes the coverage profile that statement coverage is held
 # against a floor from, per package: the planner core, the cost model,
 # repair planning, the reference database, the adaptation pipeline
-# (estimate) and admission control, each floor the package's measured
-# coverage rounded down — so new code in any of them, the planner's
-# stored-but-remote index, the placement slab's Clone/Equal/JSON paths,
-# the reference database's reuse of unchanged pages, the shared re-plan
-# step and the admission gate's step machine included, has to be reached
-# by tests to land.
+# (estimate), admission control and the span model (trace), each floor the
+# package's measured coverage rounded down — so new code in any of them,
+# the planner's stored-but-remote index, the placement slab's
+# Clone/Equal/JSON paths, the reference database's reuse of unchanged
+# pages, the shared re-plan step, the admission gate's step machine and
+# the span buffer's arena and full state included, has to be reached by
+# tests to land.
 stage_race() {
     cover_out=$(mktemp)
     go test -race -count=1 -coverprofile="$cover_out" ./...
-    for pair in core:95 model:91 repair:96 htmlrefs:94 estimate:96 admission:92; do
+    for pair in core:95 model:91 repair:96 htmlrefs:94 estimate:96 admission:92 trace:89; do
         pkg="internal/${pair%%:*}" floor="${pair##*:}"
         # A profile line is "file:block statements count"; the package's
         # coverage is the share of its statements in blocks that ran.
