@@ -70,8 +70,10 @@ func TestResultsHoldNoStrayCSV(t *testing.T) {
 // merged. Comparing a study with itself would pass a change that moved it
 // the same way at every worker count; this table does not. overload runs
 // its own event loop and was pinned, at the parent commit, when its boxed
-// event queue became a typed heap; table1, recovery and scrub never call a
-// simulator and are not listed.
+// event queue became a typed heap. recovery calls no simulator but renders
+// the probe law's detection and recovery times, so a change to that law
+// moves its hash; it was pinned before E11 began to drive the law's step
+// machine. table1 and scrub are not listed.
 var studyRenderSHA = map[string]string{
 	"fig1":        "74e0b072cc59e91b8cbcbc38cef6fc63ee989d67af796adc3ebf3c4c81ef4c3f",
 	"fig2":        "12f671eb4db1aec0478a1e7a2bab57e671071ca597efc99f80042f25450e369a",
@@ -89,6 +91,7 @@ var studyRenderSHA = map[string]string{
 	"critpath":    "1b266292f396e35089b84ca95c92f4b38d48f9389d2a752f8a373ab8b4c579f5",
 	"flashcrowd":  "f5e8eb0a1d7490451336ce5e3cdfa7463a9e496d2f70432a9cb0964d968ca328",
 	"overload":    "94cce73437c28f61673add37a72397b08af928698f723a15f402dbfc0d484c4b",
+	"recovery":    "489a180204169613f59ff7b0fb5bcf803e21bd40859449bea542ee12435171fd",
 }
 
 // TestStudiesBitReproducibleAtAnyWorkerCount backs the README/EXPERIMENTS
