@@ -12,6 +12,7 @@ import (
 	"repro/internal/estimate"
 	"repro/internal/faults"
 	"repro/internal/model"
+	"repro/internal/repair"
 	"repro/internal/trace"
 	"repro/internal/webserve"
 	"repro/internal/workload"
@@ -107,7 +108,7 @@ func TestComposedChaos(t *testing.T) {
 		if err := cluster.KillSite(0); err != nil {
 			t.Error(err)
 		}
-		if !sup.WaitFor(func(st []SiteState) bool { return st[0] == Down }, 5*time.Second) {
+		if !sup.WaitFor(func(st []repair.SiteState) bool { return st[0] == repair.Down }, 5*time.Second) {
 			t.Errorf("site 0 never declared down; states=%v", sup.States())
 		}
 	}}
@@ -118,7 +119,7 @@ func TestComposedChaos(t *testing.T) {
 	if len(cyc.Corrupt) == 0 || !cyc.Repaired {
 		t.Fatalf("scrub cycle found %d corrupt replicas (repaired=%v); the straddle needs a repair to ship", len(cyc.Corrupt), cyc.Repaired)
 	}
-	rp := sup.CurrentPlan()
+	rp := rec.Repair()
 	if rp == nil {
 		t.Fatal("down site has no active repair plan")
 	}
@@ -144,7 +145,7 @@ func TestComposedChaos(t *testing.T) {
 	}
 	_, adapted2 := rec.Base()
 	routedOffSite0("adaptation during the outage")
-	if rp := sup.CurrentPlan(); rp == nil {
+	if rp := rec.Repair(); rp == nil {
 		t.Error("adaptation during the outage dropped the repair plan")
 	} else if _, from := rp.Original(); !from.Equal(adapted2) {
 		t.Error("repair was not re-derived from the newly adapted base")
@@ -161,7 +162,7 @@ func TestComposedChaos(t *testing.T) {
 	if err := cluster.RestartSite(0); err != nil {
 		t.Fatal(err)
 	}
-	if !sup.WaitFor(func(st []SiteState) bool { return st[0] == Up }, 5*time.Second) {
+	if !sup.WaitFor(func(st []repair.SiteState) bool { return st[0] == repair.Up }, 5*time.Second) {
 		t.Fatalf("site 0 never recovered; states=%v", sup.States())
 	}
 	if _, live := cluster.CurrentPlan(); !live.Equal(adapted2) {

@@ -7,6 +7,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/model"
 	"repro/internal/netsim"
+	"repro/internal/repair"
 	"repro/internal/rng"
 	"repro/internal/telemetry"
 	"repro/internal/trace"
@@ -68,14 +69,14 @@ func TestStateMachineTransitions(t *testing.T) {
 
 	// One lost probe suspects, the next success clears — no repair.
 	s.observe(down, noRTT)
-	if st := s.States()[0]; st != Suspect {
+	if st := s.States()[0]; st != repair.Suspect {
 		t.Fatalf("after 1 failure: %v, want suspect", st)
 	}
 	s.observe(up, noRTT)
-	if st := s.States()[0]; st != Up {
+	if st := s.States()[0]; st != repair.Up {
 		t.Fatalf("after recovery probe: %v, want up", st)
 	}
-	if s.CurrentPlan() != nil {
+	if s.rec.Repair() != nil {
 		t.Fatal("a suspect blip triggered a repair")
 	}
 
@@ -83,10 +84,10 @@ func TestStateMachineTransitions(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		s.observe(down, noRTT)
 	}
-	if st := s.States()[0]; st != Down {
+	if st := s.States()[0]; st != repair.Down {
 		t.Fatalf("after 3 failures: %v, want down", st)
 	}
-	plan := s.CurrentPlan()
+	plan := s.rec.Repair()
 	if plan == nil {
 		t.Fatal("down transition produced no repair plan")
 	}
@@ -100,15 +101,15 @@ func TestStateMachineTransitions(t *testing.T) {
 	s.observe(up, noRTT)
 	s.observe(down, noRTT)
 	s.observe(up, noRTT)
-	if st := s.States()[0]; st != Down {
+	if st := s.States()[0]; st != repair.Down {
 		t.Fatalf("after flapping: %v, want down", st)
 	}
 	// okThreshold consecutive successes recover and reinstate routing.
 	s.observe(up, noRTT)
-	if st := s.States()[0]; st != Up {
+	if st := s.States()[0]; st != repair.Up {
 		t.Fatalf("after %d good probes: %v, want up", 2, st)
 	}
-	if s.CurrentPlan() != nil {
+	if s.rec.Repair() != nil {
 		t.Fatal("recovery left a repair plan active")
 	}
 	for _, pid := range env.W.Sites[0].Pages {
@@ -212,10 +213,10 @@ func TestHealEndToEnd(t *testing.T) {
 	if err := cluster.KillSite(0); err != nil {
 		t.Fatal(err)
 	}
-	if !s.WaitFor(func(st []SiteState) bool { return st[0] == Down }, 5*time.Second) {
+	if !s.WaitFor(func(st []repair.SiteState) bool { return st[0] == repair.Down }, 5*time.Second) {
 		t.Fatalf("site 0 never declared down; states=%v", s.States())
 	}
-	if s.CurrentPlan() == nil {
+	if s.rec.Repair() == nil {
 		t.Fatal("down site has no active repair plan")
 	}
 	// Steady state under repair: every page — including the dead site's,
@@ -228,9 +229,9 @@ func TestHealEndToEnd(t *testing.T) {
 	if err := cluster.RestartSite(0); err != nil {
 		t.Fatal(err)
 	}
-	if !s.WaitFor(func(st []SiteState) bool {
+	if !s.WaitFor(func(st []repair.SiteState) bool {
 		for _, v := range st {
-			if v != Up {
+			if v != repair.Up {
 				return false
 			}
 		}
@@ -238,7 +239,7 @@ func TestHealEndToEnd(t *testing.T) {
 	}, 5*time.Second) {
 		t.Fatalf("cluster never recovered; states=%v", s.States())
 	}
-	if s.CurrentPlan() != nil {
+	if s.rec.Repair() != nil {
 		t.Fatal("recovered supervisor still holds a repair plan")
 	}
 	fetchAll("recovered", true)

@@ -3,6 +3,8 @@ package experiments
 import (
 	"fmt"
 	"io"
+	"slices"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/repair"
@@ -14,8 +16,8 @@ import (
 // Recovery timeline constants: the experiment plays one scripted outage —
 // the busiest site fails at recoveryFailAt, the repaired plan is live one
 // MTTR later, and the site returns after dwelling at the repaired plateau
-// for a second MTTR — against a supervisor with the controller's default
-// K-of-N thresholds scaled to a 1 s probe. The horizon adapts to the
+// for a second MTTR — against the supervisor's probe law (repair.Health)
+// stepped once per 1 s probe round. The horizon adapts to the
 // slowest run (the paper's repository links are modem-era, so re-homing a
 // site's replicas is transfer-bound and takes hours, not seconds).
 // Everything is analytic (model evaluation plus estimated re-replication
@@ -24,13 +26,6 @@ import (
 const (
 	recoveryFailAt        = units.Seconds(10)
 	recoveryProbeInterval = units.Seconds(1)
-)
-
-// Probe thresholds mirrored from the controller defaults, plus the shared
-// timeline grid resolution.
-const (
-	recoveryFailThreshold = 3
-	recoveryOKThreshold   = 2
 	recoveryTimelineSteps = 120
 )
 
@@ -40,13 +35,13 @@ type RecoveryRun struct {
 	FailedSite workload.SiteID
 	Rehomed    int
 	CopyBytes  units.ByteSize
-	// MTTD is time-to-detection: FailThreshold consecutive probe misses.
+	// MTTD is time-to-detection: probe rounds until the law says down.
 	MTTD units.Seconds
 	// MTTR is time-to-repair: detection plus the re-replication window (the
 	// slowest survivor streaming its copy set from the repository).
 	MTTR units.Seconds
-	// RecoverTime is the symmetric path when the site returns: OKThreshold
-	// probe hits plus copying the dropped replicas back.
+	// RecoverTime is the symmetric path when the site returns: probe rounds
+	// until the law lets it back, plus copying the dropped replicas back.
 	RecoverTime units.Seconds
 	// DHealthy/DDegraded/DRepaired are the objective in the three plateaus;
 	// DDegraded includes the per-view failover-delay charge the degraded
@@ -74,11 +69,6 @@ type RecoveryResult struct {
 // objective for the whole outage.
 func Recovery(opts Options) (*RecoveryResult, error) {
 	runs := make([]RecoveryRun, opts.Runs)
-	type schedule struct {
-		repairedAt, returnAt, recoveredAt units.Seconds
-		dHealthy, dDegraded, dRepaired    float64
-	}
-	scheds := make([]schedule, opts.Runs)
 	err := forEachRun(&opts, func(env *runEnv) error {
 		r := env.r
 		// Plan at half storage, like the degraded study: self-healing is
@@ -97,36 +87,24 @@ func Recovery(opts Options) (*RecoveryResult, error) {
 			return err
 		}
 
+		// The probe law sees the failed site miss every round from
+		// recoveryFailAt on and answer every round after it returns.
+		health := repair.NewHealth(env.w.NumSites(), 0)
 		failoverCharge := penv.Alpha1 * repair.DownFreq(env.w, down) * float64(degradedFailoverDelay)
 		run := RecoveryRun{
 			Run:        r,
 			FailedSite: failed,
 			Rehomed:    len(rp.Delta.Rehomed),
 			CopyBytes:  rp.Delta.CopyBytes,
-			MTTD:       units.Seconds(recoveryFailThreshold) * recoveryProbeInterval,
+			MTTD:       probeTime(health, failed, false),
 			DHealthy:   rp.Delta.DHealthy,
 			DDegraded:  rp.Delta.DBefore + failoverCharge,
 			DRepaired:  rp.Delta.DAfter,
 			Feasible:   rp.Delta.Feasible,
 		}
 		run.MTTR = run.MTTD + copyWindow(env, rp.Delta.Copies)
-		rec := rp.Recover()
-		run.RecoverTime = units.Seconds(recoveryOKThreshold)*recoveryProbeInterval + copyWindow(env, rec.Copies)
+		run.RecoverTime = probeTime(health, failed, true) + copyWindow(env, rp.Recover().Copies)
 		runs[r] = run
-
-		// Script this run's episode: repaired one MTTR after the failure,
-		// the site dwells down for a second MTTR (so the repaired plateau
-		// is as long as the repair), then recovery copies replicas back.
-		repairedAt := recoveryFailAt + run.MTTR
-		returnAt := recoveryFailAt + 2*run.MTTR
-		scheds[r] = schedule{
-			repairedAt:  repairedAt,
-			returnAt:    returnAt,
-			recoveredAt: returnAt + run.RecoverTime,
-			dHealthy:    run.DHealthy,
-			dDegraded:   run.DDegraded,
-			dRepaired:   run.DRepaired,
-		}
 		opts.progressf("recovery run %d: site %d failed — %d pages re-homed, copy %s, MTTD %.1fs, MTTR %.1fs (D %.0f -> %.0f -> %.0f)",
 			r, failed, run.Rehomed, run.CopyBytes, float64(run.MTTD), float64(run.MTTR),
 			run.DHealthy, run.DDegraded, run.DRepaired)
@@ -139,29 +117,30 @@ func Recovery(opts Options) (*RecoveryResult, error) {
 	// Sample every run's step trajectory on a common grid spanning the
 	// slowest episode (plus a settled tail).
 	var horizon units.Seconds
-	for _, sc := range scheds {
-		if sc.recoveredAt > horizon {
-			horizon = sc.recoveredAt
+	for _, run := range runs {
+		if _, _, recoveredAt := run.episode(); recoveredAt > horizon {
+			horizon = recoveredAt
 		}
 	}
 	horizon *= 1.05
 	step := horizon / recoveryTimelineSteps
-	col := newCollector(len(scheds))
-	for r, sc := range scheds {
-		rel := func(d float64) float64 { return 100 * (d - sc.dHealthy) / sc.dHealthy }
+	col := newCollector(len(runs))
+	for r, run := range runs {
+		repairedAt, returnAt, recoveredAt := run.episode()
+		rel := func(d float64) float64 { return 100 * (d - run.DHealthy) / run.DHealthy }
 		for i := 0; i <= recoveryTimelineSteps; i++ {
 			t := units.Seconds(i) * step
-			heal := sc.dHealthy
+			heal := run.DHealthy
 			switch {
 			case t < recoveryFailAt:
-			case t < sc.repairedAt:
-				heal = sc.dDegraded
-			case t < sc.recoveredAt:
-				heal = sc.dRepaired
+			case t < repairedAt:
+				heal = run.DDegraded
+			case t < recoveredAt:
+				heal = run.DRepaired
 			}
-			fb := sc.dHealthy
-			if t >= recoveryFailAt && t < sc.returnAt {
-				fb = sc.dDegraded
+			fb := run.DHealthy
+			if t >= recoveryFailAt && t < returnAt {
+				fb = run.DDegraded
 			}
 			col.add(r, "Self-healing", float64(t), rel(heal))
 			col.add(r, "Fallback only", float64(t), rel(fb))
@@ -171,6 +150,14 @@ func Recovery(opts Options) (*RecoveryResult, error) {
 		"time (s)", []string{"Self-healing", "Fallback only"})
 	fig.YLabel = "% increase in D vs healthy placement"
 	return &RecoveryResult{Runs: runs, Timeline: fig}, nil
+}
+
+// episode scripts run's outage: repaired one MTTR after the failure, the
+// site dwells down for a second MTTR (so the repaired plateau is as long as
+// the repair), then recovery copies replicas back.
+func (run RecoveryRun) episode() (repairedAt, returnAt, recoveredAt units.Seconds) {
+	returnAt = recoveryFailAt + 2*run.MTTR
+	return recoveryFailAt + run.MTTR, returnAt, returnAt + run.RecoverTime
 }
 
 // busiestSite returns the site hosting the highest total page-request rate
@@ -189,6 +176,24 @@ func busiestSite(w *workload.Workload) workload.SiteID {
 	return best
 }
 
+// probeTime steps h a round at a time, every site answering but failed,
+// which answers ok, until a round crosses an edge; it commits the edge as
+// the supervisor does once its plan has landed, and returns the rounds
+// times the interval. Constant answers reach K-of-N's edge in finite time.
+func probeTime(h *repair.Health, failed workload.SiteID, ok bool) units.Seconds {
+	answers := make([]bool, len(h.States()))
+	for i := range answers {
+		answers[i] = i != int(failed) || ok
+	}
+	rtt := make([]time.Duration, len(answers))
+	for k := 1; ; k++ {
+		if moves, _ := h.Step(answers, rtt); slices.ContainsFunc(moves, repair.Transition.Edge) {
+			h.Commit()
+			return units.Seconds(k) * recoveryProbeInterval
+		}
+	}
+}
+
 // copyWindow is the re-replication wall clock: every survivor streams its
 // copy set from the repository concurrently, so the window is the slowest
 // survivor's estimated transfer time.
@@ -200,18 +205,6 @@ func copyWindow(env *runEnv, copies []repair.Copy) units.Seconds {
 		}
 	}
 	return worst
-}
-
-// MeanMTTR averages MTTR over the runs.
-func (r *RecoveryResult) MeanMTTR() units.Seconds {
-	if len(r.Runs) == 0 {
-		return 0
-	}
-	var sum units.Seconds
-	for _, run := range r.Runs {
-		sum += run.MTTR
-	}
-	return sum / units.Seconds(len(r.Runs))
 }
 
 // Write renders the per-run table and the MTTR summary.
@@ -228,7 +221,12 @@ func (r *RecoveryResult) Write(w io.Writer) error {
 			return err
 		}
 	}
+	var mttr, mttd units.Seconds
+	for _, run := range r.Runs {
+		mttr += run.MTTR
+		mttd = max(mttd, run.MTTD) // every run steps the same law: one detection time
+	}
 	_, err := fmt.Fprintf(w, "mean MTTR: %.1fs (detection %.0fs probes + re-replication)\n",
-		float64(r.MeanMTTR()), float64(units.Seconds(recoveryFailThreshold)*recoveryProbeInterval))
+		float64(mttr/units.Seconds(max(1, len(r.Runs)))), float64(mttd))
 	return err
 }

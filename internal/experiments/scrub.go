@@ -11,6 +11,7 @@ import (
 	"repro/internal/controller"
 	"repro/internal/core"
 	"repro/internal/faults"
+	"repro/internal/repair"
 	"repro/internal/rng"
 	"repro/internal/units"
 	"repro/internal/webserve"
@@ -239,11 +240,11 @@ func Scrub(opts Options) (*ScrubResult, error) {
 			LatencyThreshold: scrubLatencyThreshold,
 		})
 		sup.Start()
-		run.LimpDetected = sup.WaitFor(func(states []controller.SiteState) bool {
-			return states[limpSite] == controller.Down
+		run.LimpDetected = sup.WaitFor(func(states []repair.SiteState) bool {
+			return states[limpSite] == repair.Down
 		}, scrubDetectTimeout)
-		run.PartDetected = sup.WaitFor(func(states []controller.SiteState) bool {
-			return states[partSite] == controller.Down
+		run.PartDetected = sup.WaitFor(func(states []repair.SiteState) bool {
+			return states[partSite] == repair.Down
 		}, scrubDetectTimeout)
 		sup.Stop()
 

@@ -20,10 +20,12 @@
 package repair
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"math"
 	"runtime"
+	"slices"
 	"sort"
 
 	"repro/internal/bitset"
@@ -146,8 +148,7 @@ func Compute(env *model.Env, p *model.Placement, down []workload.SiteID, opts Op
 	// survivors — the dead sites' rows and stores zeroed, the re-homed
 	// pages all-remote.
 	seed := model.NewPlacement(w2)
-	for i := 0; i < w.NumSites(); i++ {
-		id := workload.SiteID(i)
+	for id := range workload.SiteID(w.NumSites()) {
 		if downSet[id] {
 			continue
 		}
@@ -201,8 +202,10 @@ func Compute(env *model.Env, p *model.Placement, down []workload.SiteID, opts Op
 	repaired := pl.Placement()
 	report := model.Evaluate(env2, repaired)
 
+	sortedDown := slices.Clone(down)
+	slices.Sort(sortedDown)
 	rp := &Plan{
-		Down:      downKeys(downSet),
+		Down:      slices.Compact(sortedDown),
 		Env:       env2,
 		Placement: repaired,
 		origEnv:   env,
@@ -240,13 +243,9 @@ func (rp *Plan) Recover() Delta {
 		back[i] = Rehome{Page: r.Page, From: r.To, To: r.From}
 	}
 	var survivors []workload.SiteID
-	downSet := make(map[workload.SiteID]bool, len(rp.Down))
-	for _, i := range rp.Down {
-		downSet[i] = true
-	}
-	for i := 0; i < w.NumSites(); i++ {
-		if !downSet[workload.SiteID(i)] {
-			survivors = append(survivors, workload.SiteID(i))
+	for i := range workload.SiteID(w.NumSites()) {
+		if !slices.Contains(rp.Down, i) {
+			survivors = append(survivors, i)
 		}
 	}
 	copies, bytes := copySets(w, rp.Placement, rp.origPlan, survivors)
@@ -315,29 +314,16 @@ func DownFreq(w *workload.Workload, down map[workload.SiteID]bool) float64 {
 // the repaired placement, as one JSON document. Two equal plans encode to
 // identical bytes — the property the determinism tests pin.
 func (rp *Plan) Encode() ([]byte, error) {
-	var placement json.RawMessage
-	var buf placementBuffer
+	var buf bytes.Buffer
 	if err := rp.Placement.Encode(&buf); err != nil {
 		return nil, err
 	}
-	placement = json.RawMessage(buf.data)
+	placement := json.RawMessage(bytes.TrimRight(buf.Bytes(), "\n"))
 	return json.MarshalIndent(struct {
 		Down      []workload.SiteID `json:"down"`
 		Delta     Delta             `json:"delta"`
 		Placement json.RawMessage   `json:"placement"`
 	}{rp.Down, rp.Delta, placement}, "", "  ")
-}
-
-// placementBuffer collects Placement.Encode output (it writes a trailing
-// newline; trim it so the raw message nests cleanly).
-type placementBuffer struct{ data []byte }
-
-func (b *placementBuffer) Write(p []byte) (int, error) {
-	b.data = append(b.data, p...)
-	for len(b.data) > 0 && b.data[len(b.data)-1] == '\n' {
-		b.data = b.data[:len(b.data)-1]
-	}
-	return len(p), nil
 }
 
 // normalizeDown validates and dedups the down set.
@@ -353,16 +339,6 @@ func normalizeDown(w *workload.Workload, down []workload.SiteID) (map[workload.S
 		set[i] = true
 	}
 	return set, nil
-}
-
-// downKeys returns the sorted down set.
-func downKeys(set map[workload.SiteID]bool) []workload.SiteID {
-	out := make([]workload.SiteID, 0, len(set))
-	for i := range set {
-		out = append(out, i)
-	}
-	sort.Slice(out, func(a, b int) bool { return out[a] < out[b] })
-	return out
 }
 
 // assignHomes picks each dead page's new host. Pages are visited in ID
