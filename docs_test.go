@@ -103,6 +103,22 @@ func TestDocsReproClaimsCiteTests(t *testing.T) {
 	}
 }
 
+// docsLineBudget caps each top-level document's length in lines, as wc -l
+// counts them. A change that grows a document past its budget fails here
+// instead of waiting for a re-anchor; a change that shrinks one lowers its
+// budget to the new count.
+var docsLineBudget = map[string]int{"README.md": 511, "DESIGN.md": 1215, "EXPERIMENTS.md": 608}
+
+// TestDocsLineBudget holds README, DESIGN and EXPERIMENTS to docsLineBudget.
+func TestDocsLineBudget(t *testing.T) {
+	src := docs(t)
+	for doc, budget := range docsLineBudget {
+		if n := strings.Count(src[doc], "\n"); n > budget {
+			t.Errorf("%s is %d lines, over its budget of %d: say it in fewer, or once", doc, n, budget)
+		}
+	}
+}
+
 // TestDocsCiteLiveFlagsAndStudies fails when the same documents cite a flag
 // that the named command does not define — in a `replX … -flag` code span
 // or a command line of a fenced block — or an -exp name that is not an
