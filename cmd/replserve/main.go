@@ -74,6 +74,7 @@ import (
 	"repro/internal/controller"
 	"repro/internal/estimate"
 	"repro/internal/faults"
+	"repro/internal/repair"
 	"repro/internal/webserve"
 )
 
@@ -228,7 +229,7 @@ func run(args []string, stdout io.Writer) error {
 				fmt.Fprintf(stdout, "supervisor: last error: %v\n", err)
 			}
 		}()
-		fmt.Fprintln(stdout, "self-healing: supervisor probing every site's /healthz (down after 3 missed probes, repair applied live)")
+		fmt.Fprintf(stdout, "self-healing: supervisor probing every site's /healthz (down after %d missed probes, repair applied live)\n", repair.FailThreshold)
 	}
 
 	var scrubber *controller.Scrubber

@@ -2,10 +2,13 @@ package main
 
 import (
 	"path/filepath"
+	"regexp"
+	"strconv"
 	"strings"
 	"testing"
 
 	"repro"
+	"repro/internal/repair"
 	"repro/internal/trace"
 )
 
@@ -112,6 +115,22 @@ func TestRunServeTraceJournal(t *testing.T) {
 func TestRunServeChromeRequiresTrace(t *testing.T) {
 	if err := run([]string{"-chrome", "x.json"}, &strings.Builder{}); err == nil {
 		t.Error("-chrome without -trace accepted")
+	}
+}
+
+// TestHealBannerCitesProbeLaw: the -heal banner's miss count is the probe
+// law's K, not a copy of it.
+func TestHealBannerCitesProbeLaw(t *testing.T) {
+	var sb strings.Builder
+	if err := run([]string{"-fetch", "0", "-heal"}, &sb); err != nil {
+		t.Fatal(err)
+	}
+	m := regexp.MustCompile(`down after (\d+) missed probes`).FindStringSubmatch(sb.String())
+	if m == nil {
+		t.Fatalf("no heal banner in output:\n%s", sb.String())
+	}
+	if m[1] != strconv.Itoa(repair.FailThreshold) {
+		t.Errorf("banner says down after %s missed probes, the probe law's K is %d", m[1], repair.FailThreshold)
 	}
 }
 

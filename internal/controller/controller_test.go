@@ -80,7 +80,7 @@ func TestStateMachineTransitions(t *testing.T) {
 		t.Fatal("a suspect blip triggered a repair")
 	}
 
-	// failThreshold consecutive failures declare the site down and repair.
+	// FailThreshold consecutive failures declare the site down and repair.
 	for i := 0; i < 3; i++ {
 		s.observe(down, noRTT)
 	}

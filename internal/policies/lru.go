@@ -49,7 +49,7 @@ func NewLRU(w *workload.Workload, budgets model.Budgets, seed uint64) (*LRU, err
 		if moBudget < 0 {
 			moBudget = 0
 		}
-		c, err := lru.New(int64(moBudget))
+		c, err := lru.New(int64(moBudget), w.NumObjects())
 		if err != nil {
 			return nil, err
 		}

@@ -24,8 +24,8 @@ type Threshold struct {
 	replicateAt int64
 	epoch       int64 // accesses between count halvings (decay)
 
-	counts []map[workload.ObjectID]int64
-	since  []int64 // accesses since last decay, per site
+	counts [][]int64 // per site, access count of each object
+	since  []int64   // accesses since last decay, per site
 	caches []*lru.Cache
 }
 
@@ -45,17 +45,17 @@ func NewThreshold(w *workload.Workload, budgets model.Budgets, replicateAt int64
 		w:           w,
 		replicateAt: replicateAt,
 		epoch:       decayEvery,
-		counts:      make([]map[workload.ObjectID]int64, w.NumSites()),
+		counts:      make([][]int64, w.NumSites()),
 		since:       make([]int64, w.NumSites()),
 		caches:      make([]*lru.Cache, w.NumSites()),
 	}
 	for i := range t.counts {
-		t.counts[i] = make(map[workload.ObjectID]int64)
+		t.counts[i] = make([]int64, w.NumObjects())
 		moBudget := budgets.Storage[i] - w.HTMLStorageBytes(workload.SiteID(i))
 		if moBudget < 0 {
 			moBudget = 0
 		}
-		c, err := lru.New(int64(moBudget))
+		c, err := lru.New(int64(moBudget), w.NumObjects())
 		if err != nil {
 			return nil, err
 		}
@@ -97,12 +97,9 @@ func (t *Threshold) decay(i workload.SiteID) {
 		return
 	}
 	t.since[i] = 0
-	for k, v := range t.counts[i] {
-		if v <= 1 {
-			delete(t.counts[i], k)
-		} else {
-			t.counts[i][k] = v / 2
-		}
+	counts := t.counts[i]
+	for k := range counts {
+		counts[k] /= 2
 	}
 }
 

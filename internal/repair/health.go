@@ -13,8 +13,8 @@ type SiteState int
 // The states, in the order a failing and returning site visits them.
 const (
 	Up         SiteState = iota // answers probes; serves its (possibly repaired) pages
-	Suspect                     // missed fewer than failThreshold probes in a row
-	Down                        // missed failThreshold in a row; its pages are re-homed
+	Suspect                     // missed fewer than FailThreshold probes in a row
+	Down                        // missed FailThreshold in a row; its pages are re-homed
 	Recovering                  // down, then answered okThreshold in a row; awaits the commit
 )
 
@@ -29,7 +29,7 @@ func (s SiteState) String() string {
 
 // The probe law's parameters.
 const (
-	failThreshold = 3 // K: consecutive missed probes before a site is down
+	FailThreshold = 3 // K: consecutive missed probes before a site is down
 	okThreshold   = 2 // consecutive answers before a down site recovers
 	// latencyAlpha smooths the per-site probe-RTT EWMA. Higher values react
 	// faster but flap more; the EWMA exists so that one slow probe (a GC
@@ -39,7 +39,7 @@ const (
 
 // Health is the self-healing layer's detection law as a step machine: per
 // site, K-of-N damping on both edges (up → suspect → down after
-// failThreshold misses in a row, down → recovering after okThreshold
+// FailThreshold misses in a row, down → recovering after okThreshold
 // answers in a row) and a probe-RTT EWMA that demotes a slow answer to a
 // miss. It holds no lock, reads no clock and sends no probe: the caller
 // feeds it one round of answers per Step, and K-of-N counts rounds. The
@@ -116,7 +116,7 @@ func (h *Health) Step(ok []bool, rtt []time.Duration) (moves []Transition, demot
 		case !up && from == Up:
 			h.fails[i], to = 1, Suspect
 		case !up && from == Suspect:
-			if h.fails[i]++; h.fails[i] >= failThreshold {
+			if h.fails[i]++; h.fails[i] >= FailThreshold {
 				to = Down
 			}
 		case !up && from == Recovering:

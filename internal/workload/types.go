@@ -87,7 +87,7 @@ func (w *Workload) ObjectSize(id ObjectID) units.ByteSize {
 // optional MO. This is the "100 % storage capacity" point of Figure 1.
 func (w *Workload) FullStorageBytes(i SiteID) units.ByteSize {
 	var total units.ByteSize
-	seen := make(map[ObjectID]bool)
+	seen := make([]bool, len(w.Objects))
 	for _, pid := range w.Sites[i].Pages {
 		p := &w.Pages[pid]
 		total += p.HTMLSize
