@@ -15,7 +15,10 @@ import (
 // page; 5,067 with per-site maps, boxed container/heap items and per-call
 // slices before that). The 20 % slack is for the runtime; a map or an
 // interface{} back in the greedy loops costs thousands, a per-page
-// allocation hundreds.
+// allocation hundreds. The same plan from a Partitioned skips NewPlanner's
+// tables and PARTITION's deltas and copies the page and site cells
+// instead: 85 allocs/plan, again none per page (the small workload has
+// 197 pages).
 func TestPlanAllocs(t *testing.T) {
 	env := genEnv(t, 424242)
 	env.Budgets = env.Budgets.Scale(env.W, 0.5, 0.7)
@@ -36,5 +39,16 @@ func TestPlanAllocs(t *testing.T) {
 	const measured = 100
 	if allocs > measured*1.2 {
 		t.Errorf("constrained plan: %v allocs/plan, want <= %d + 20%%", allocs, measured)
+	}
+
+	pt := Partition(env, opts)
+	allocs = testing.AllocsPerRun(20, func() {
+		if _, _, err := pt.Plan(env, opts); err != nil {
+			t.Fatal(err)
+		}
+	})
+	const partitioned = 85
+	if allocs > partitioned*1.2 {
+		t.Errorf("constrained plan from a Partitioned: %v allocs/plan, want <= %d + 20%%", allocs, partitioned)
 	}
 }

@@ -126,3 +126,49 @@ func BenchmarkOffloadParallel(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkPlanSweep plans Figure 3's grid — ten local capacities, each
+// with the repository capped at 90, 70 and 50 % of its probe plan's load —
+// over one Table-1 workload, once as thirty from-scratch core.Plan calls
+// and once from one Partitioned (its Partition call included), the way a
+// figure run plans. The caps are sized outside the timer.
+func BenchmarkPlanSweep(b *testing.B) {
+	env := benchEnv(b)
+	var grid []*model.Env
+	for c := 1; c <= 10; c++ {
+		probeEnv := *env
+		probeEnv.Budgets = env.Budgets.Scale(env.W, 1, float64(c)/10)
+		probeEnv.Budgets.RepoCapacity = model.Infinite()
+		probe, _, err := Plan(&probeEnv, Options{Workers: 1})
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, frac := range []float64{0.9, 0.7, 0.5} {
+			capped := probeEnv
+			capped.Budgets.RepoCapacity = units.ReqPerSec(float64(model.RepoLoad(&probeEnv, probe)) * frac)
+			grid = append(grid, &capped)
+		}
+	}
+	opts := Options{Workers: 1}
+	b.Run("plan", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			for _, e := range grid {
+				if _, _, err := Plan(e, opts); err != nil {
+					b.Fatal(err)
+				}
+			}
+		}
+	})
+	b.Run("partitioned", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			pt := Partition(env, opts)
+			for _, e := range grid {
+				if _, _, err := pt.Plan(e, opts); err != nil {
+					b.Fatal(err)
+				}
+			}
+		}
+	})
+}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"io"
 	"runtime"
+	"slices"
 
 	"repro/internal/model"
 	"repro/internal/trace"
@@ -68,18 +69,77 @@ type Result struct {
 // byte-identical for every Workers value. It returns the placement and a
 // result report.
 func Plan(env *model.Env, opts Options) (*model.Placement, *Result, error) {
+	return Partition(env, opts).pl.finish(opts)
+}
+
+// Partitioned is a workload's PARTITION outcome, computed once and planned
+// from many times: NewPlanner and PARTITION read only the environment's
+// workload and estimates (TestPartitionIgnoresBudgets), so every budget
+// and α over that workload starts from the same partitioned state. It is
+// never written after Partition returns, so concurrent Plan calls on one
+// Partitioned are safe.
+type Partitioned struct {
+	pl *Planner
+}
+
+// Partition builds a planner for env and runs PARTITION over its pages at
+// opts.Workers, under a trace.SpanPartition child of opts.Trace. Only
+// opts.Workers, opts.UnsortedPartition and opts.Trace are read.
+func Partition(env *model.Env, opts Options) *Partitioned {
 	pl := NewPlanner(env)
 	pl.UnsortedPartition = opts.UnsortedPartition
-	pl.NoRepartition = opts.NoRepartition
+	pl.PartitionParallel(workerCount(opts), opts.Trace)
+	return &Partitioned{pl: pl}
+}
 
-	workers := opts.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
+// Plan finishes a copy of the partitioned planner under env's budgets and
+// weights — restoration, off-loading and evaluation, as core.Plan does —
+// and returns what core.Plan(env, opts) returns, bit for bit. env must
+// share the partition's workload and estimates (the pointers, not equal
+// copies) and opts its UnsortedPartition.
+func (pt *Partitioned) Plan(env *model.Env, opts Options) (*model.Placement, *Result, error) {
+	base := pt.pl
+	switch {
+	case env.W != base.env.W:
+		return nil, nil, fmt.Errorf("core: planning a partition on another workload")
+	case env.Est != base.env.Est:
+		return nil, nil, fmt.Errorf("core: planning a partition under other estimates")
+	case opts.UnsortedPartition != base.UnsortedPartition:
+		return nil, nil, fmt.Errorf("core: planning a partition with UnsortedPartition=%v; it was partitioned with %v",
+			opts.UnsortedPartition, base.UnsortedPartition)
 	}
+	return base.copyFor(env).finish(opts)
+}
 
-	pl.PartitionParallel(workers, opts.Trace)
+// copyFor returns a planner over env in pl's state. It copies the cells a
+// page or a site owns (DESIGN §8), starts the per-site scratch fresh and
+// shares the index and per-link constants, which nothing writes after
+// NewPlanner.
+func (pl *Planner) copyFor(env *model.Env) *Planner {
+	c := *pl
+	c.env = env
+	c.p = pl.p.Clone()
+	c.localBytes = slices.Clone(pl.localBytes)
+	c.remoteBytes = slices.Clone(pl.remoteBytes)
+	c.pageT = slices.Clone(pl.pageT)
+	c.d1Site = slices.Clone(pl.d1Site)
+	c.d2Site = slices.Clone(pl.d2Site)
+	c.siteLocalLoad = slices.Clone(pl.siteLocalLoad)
+	c.siteRepoLoad = slices.Clone(pl.siteRepoLoad)
+	c.localMarks = slices.Clone(pl.localMarks)
+	c.idle = slices.Clone(pl.idle)
+	c.affected = make([][]workload.PageID, len(pl.affected))
+	c.heapBuf = make([][]heapItem, len(pl.heapBuf))
+	return &c
+}
 
-	sites := make([]workload.SiteID, env.W.NumSites())
+// finish runs the budget-dependent phases on a partitioned planner —
+// restoration and the refine sweep per site, then the off-loading
+// negotiation — and evaluates the result.
+func (pl *Planner) finish(opts Options) (*model.Placement, *Result, error) {
+	pl.NoRepartition = opts.NoRepartition
+	workers := workerCount(opts)
+	sites := make([]workload.SiteID, pl.env.W.NumSites())
 	for i := range sites {
 		sites[i] = workload.SiteID(i)
 	}
@@ -88,9 +148,17 @@ func Plan(env *model.Env, opts Options) (*model.Placement, *Result, error) {
 
 	res := &Result{Sites: stats, Offload: off, D: pl.D(), D1: pl.D1(), D2: pl.D2()}
 	fillSiteStats(pl, res)
-	res.Report = model.Evaluate(env, pl.p)
+	res.Report = model.Evaluate(pl.env, pl.p)
 	res.Feasible = res.Report.Feasible()
 	return pl.p, res, nil
+}
+
+// workerCount resolves opts.Workers: 0 means GOMAXPROCS.
+func workerCount(opts Options) int {
+	if opts.Workers <= 0 {
+		return runtime.GOMAXPROCS(0)
+	}
+	return opts.Workers
 }
 
 // fillSiteStats counts the final assignment shape per site.
