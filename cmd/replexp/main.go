@@ -1,25 +1,32 @@
 // Command replexp regenerates the paper's evaluation artifacts — the
 // Table-1 workload audit, Figures 1-3 and the §5.2 storage-equivalence
 // claim — plus the extension studies. Results print as aligned text tables
-// (mean ± 95 % CI over the runs) and can additionally be written as CSV.
+// (mean ± 95 % CI over the runs) and can additionally be written as CSV and
+// as one self-contained Markdown report.
 //
 // Usage:
 //
-//	replexp -exp NAME|all
-//	        [-scale paper|quick] [-runs N] [-seed N] [-requests N] [-csv DIR]
-//	        [-progress=false]
+//	replexp -exp NAME|all [-extensions]
+//	        [-scale paper|quick] [-runs N] [-seed N] [-requests N]
+//	        [-csv DIR] [-report FILE] [-progress=false]
 //
 // NAME is one entry of the study table (repro.Studies, listed by -h).
 //
 // Long sweeps narrate to stderr by default — one line per run setup and per
-// sweep point, with wall-clock and plan statistics; -progress=false silences
-// them.
+// sweep point, with plan statistics, prefixed with the seconds elapsed;
+// -progress=false silences them.
 //
 // "-exp all" covers the paper's own artifacts; the extension studies run
-// only when named explicitly.
+// when named explicitly, or all of them with "-exp all -extensions".
+//
+// Each selected study runs once: its text goes to stdout, its figure to
+// DIR/NAME.csv under -csv, and its section to the -report file, which opens
+// with the configuration and is the automated counterpart of the
+// hand-annotated EXPERIMENTS.md.
 package main
 
 import (
+	"bufio"
 	"flag"
 	"fmt"
 	"io"
@@ -29,6 +36,9 @@ import (
 
 	"repro"
 )
+
+// summary is a study's text result, as repro.Study's Run returns it.
+type summary interface{ Write(io.Writer) error }
 
 func writeCSV(stdout io.Writer, dir, name string, fig *repro.Figure) error {
 	if dir == "" {
@@ -65,13 +75,9 @@ func studyNames(paper bool) string {
 	return strings.Join(names, ", ")
 }
 
-// runStudy computes one study and renders what it returns: the headed text
-// summary, then the figure as a table (and chart, and CSV file).
-func runStudy(s repro.Study, opts repro.ExperimentOptions, stdout io.Writer, csvDir string, plot bool) error {
-	sum, fig, err := s.Run(opts)
-	if err != nil {
-		return err
-	}
+// writeText renders what a study returned: the headed text summary, then
+// the figure as a table (and chart, and CSV file).
+func writeText(stdout io.Writer, s repro.Study, sum summary, fig *repro.Figure, csvDir string, plot bool) error {
 	if sum != nil {
 		fmt.Fprintf(stdout, "== %s ==\n", s.Heading)
 		if err := sum.Write(stdout); err != nil {
@@ -96,12 +102,51 @@ func runStudy(s repro.Study, opts repro.ExperimentOptions, stdout io.Writer, csv
 	return writeCSV(stdout, csvDir, s.Name, fig)
 }
 
+// writeReportHeader opens the Markdown report: title, citation, and the
+// configuration every section ran under. The buffered writer keeps the
+// first write error for Flush to return.
+func writeReportHeader(w *bufio.Writer, opts repro.ExperimentOptions) {
+	fmt.Fprintf(w, "# Reproduction report\n\n")
+	fmt.Fprintf(w, "Loukopoulos & Ahmad, *Replicating the Contents of a WWW Multimedia Repository to Minimize Download Time* (IPPS 2000).\n\n")
+	reqs := opts.Workload.RequestsPerSite
+	if opts.RequestsPerSite > 0 {
+		reqs = opts.RequestsPerSite
+	}
+	fmt.Fprintf(w, "Configuration: %d sites, %d objects, %d runs per point, %d requests per site, seed %d.\n",
+		opts.Workload.Sites, opts.Workload.GlobalObjects, opts.Runs, reqs, opts.Seed)
+	fmt.Fprintf(w, "Response times are reported relative to the proposed policy with no constraints, as in the paper.\n\n")
+}
+
+// writeSection renders what a study returned as a report section: the text
+// summary fenced under its heading, then the figure as a Markdown table.
+func writeSection(w *bufio.Writer, s repro.Study, sum summary, fig *repro.Figure) error {
+	if sum != nil {
+		fmt.Fprintf(w, "### %s\n\n```\n", s.Heading)
+		if err := sum.Write(w); err != nil {
+			return err
+		}
+		fmt.Fprintf(w, "```\n")
+	}
+	if fig != nil {
+		if sum != nil {
+			fmt.Fprintln(w)
+		}
+		if err := fig.WriteMarkdown(w); err != nil {
+			return err
+		}
+	}
+	fmt.Fprintln(w)
+	return nil
+}
+
 func run(args []string, stdout io.Writer) error {
 	fs := flag.NewFlagSet("replexp", flag.ContinueOnError)
 	exp := fs.String("exp", "all", "experiment: "+studyNames(true)+", all, or one of "+studyNames(false))
+	extensions := fs.Bool("extensions", false, "with -exp all, also run every extension study")
 	options := repro.ExperimentFlags(fs)
 	planWorkers := fs.Int("plan-workers", 0, "worker pool size inside each planning call; 0 = 1 (runs already parallelize; plans are identical for any value)")
 	csvDir := fs.String("csv", "", "also write CSV files into this directory")
+	reportPath := fs.String("report", "", "also write the studies that ran as one Markdown report to this file")
 	plot := fs.Bool("plot", false, "also render figures as text charts")
 	progress := fs.Bool("progress", true, "narrate run setup and sweep-point completion to stderr")
 	if err := fs.Parse(args); err != nil {
@@ -118,19 +163,49 @@ func run(args []string, stdout io.Writer) error {
 		opts.Progress = repro.ProgressWriter(os.Stderr)
 	}
 
-	ran := false
+	var studies []repro.Study
 	for _, s := range repro.Studies {
-		if *exp == s.Name || (*exp == "all" && s.Paper) {
-			if err := runStudy(s, opts, stdout, *csvDir, *plot); err != nil {
-				return fmt.Errorf("%s: %w", s.Name, err)
-			}
-			fmt.Fprintln(stdout)
-			ran = true
+		if *exp == s.Name || (*exp == "all" && (s.Paper || *extensions)) {
+			studies = append(studies, s)
 		}
 	}
-	if !ran {
+	if len(studies) == 0 {
 		return fmt.Errorf("unknown experiment %q (want all, %s, or %s)", *exp, studyNames(true), studyNames(false))
 	}
+
+	var reportFile *os.File
+	var report *bufio.Writer
+	if *reportPath != "" {
+		if reportFile, err = os.Create(*reportPath); err != nil {
+			return err
+		}
+		defer reportFile.Close()
+		report = bufio.NewWriter(reportFile)
+		writeReportHeader(report, opts)
+	}
+	for _, s := range studies {
+		sum, fig, err := s.Run(opts)
+		if err == nil {
+			err = writeText(stdout, s, sum, fig, *csvDir, *plot)
+		}
+		if err == nil && report != nil {
+			err = writeSection(report, s, sum, fig)
+		}
+		if err != nil {
+			return fmt.Errorf("%s: %w", s.Name, err)
+		}
+		fmt.Fprintln(stdout)
+	}
+	if report == nil {
+		return nil
+	}
+	if err := report.Flush(); err != nil {
+		return err
+	}
+	if err := reportFile.Close(); err != nil {
+		return err
+	}
+	fmt.Fprintf(stdout, "(report written to %s)\n", *reportPath)
 	return nil
 }
 

@@ -1,10 +1,14 @@
 package main
 
 import (
+	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
+
+	"repro"
 )
 
 // quickArgs keeps the experiment tiny: 1 run, few requests.
@@ -51,13 +55,20 @@ func TestRunEquiv(t *testing.T) {
 }
 
 func TestRunExtensionNotInAll(t *testing.T) {
-	// "-exp all" must not run the extensions (they're opt-in).
+	// "-exp all" must not run the extensions (they're opt-in), neither on
+	// stdout nor in the report.
+	path := filepath.Join(t.TempDir(), "report.md")
 	var sb strings.Builder
-	if err := run(quickArgs("-exp", "all"), &sb); err != nil {
+	if err := run(quickArgs("-exp", "all", "-report", path), &sb); err != nil {
 		t.Fatal(err)
 	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	report := string(data)
 	for _, notWant := range []string{"Ablations", "Drift:", "Redirection cost", "Sensitivity:"} {
-		if strings.Contains(sb.String(), notWant) {
+		if strings.Contains(sb.String(), notWant) || strings.Contains(report, notWant) {
 			t.Errorf("extension %q ran under -exp all", notWant)
 		}
 	}
@@ -66,6 +77,77 @@ func TestRunExtensionNotInAll(t *testing.T) {
 		if !strings.Contains(sb.String(), want) {
 			t.Errorf("paper artifact %q missing under -exp all", want)
 		}
+	}
+	for _, want := range []string{
+		"# Reproduction report",
+		"### Table 1: workload audit",
+		"### Figure 1",
+		"### Figure 2",
+		"### Figure 3",
+		"### Storage equivalence",
+		"| storage % |",
+	} {
+		if !strings.Contains(report, want) {
+			t.Errorf("report missing %q", want)
+		}
+	}
+	if !strings.Contains(sb.String(), "(report written to "+path+")") {
+		t.Error("no confirmation on stdout")
+	}
+}
+
+// headings returns a Markdown report's "#" and "###" heading lines.
+func headings(report string) []string {
+	var out []string
+	for _, line := range strings.Split(report, "\n") {
+		if strings.HasPrefix(line, "# ") || strings.HasPrefix(line, "### ") {
+			out = append(out, line)
+		}
+	}
+	return out
+}
+
+// TestReportMatchesStudyTable: under -exp all -extensions the report has a
+// section per entry of the study table — its heading when it has a text
+// summary, its figure's title when it has a figure — and its heading lines
+// are those of the committed results/report.md, in the same order.
+func TestReportMatchesStudyTable(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "report.md")
+	if err := run(quickArgs("-exp", "all", "-extensions", "-progress=false", "-report", path), io.Discard); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := string(data)
+
+	opts := repro.QuickExperiment()
+	opts.Runs = 1
+	opts.RequestsPerSite = 60
+	for _, s := range repro.Studies {
+		if s.Heading != "" {
+			if !strings.Contains(out, "### "+s.Heading+"\n") {
+				t.Errorf("%s: no %q section", s.Name, s.Heading)
+			}
+			continue
+		}
+		_, fig, err := s.Run(opts)
+		if err != nil {
+			t.Fatalf("%s: %v", s.Name, err)
+		}
+		if !strings.Contains(out, "### "+fig.Title+"\n") {
+			t.Errorf("%s: no %q section", s.Name, fig.Title)
+		}
+	}
+
+	committed, err := os.ReadFile("../../results/report.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := headings(out), headings(string(committed)); !slices.Equal(got, want) {
+		t.Errorf("report headings\n%s\nbut results/report.md has\n%s",
+			strings.Join(got, "\n"), strings.Join(want, "\n"))
 	}
 }
 
@@ -89,6 +171,9 @@ func TestRunRejects(t *testing.T) {
 	}
 	if err := run([]string{"-bogus"}, &sb); err == nil {
 		t.Error("unknown flag accepted")
+	}
+	if err := run(quickArgs("-exp", "table1", "-report", filepath.Join(t.TempDir(), "no", "such", "dir.md")), &sb); err == nil {
+		t.Error("unwritable report accepted")
 	}
 }
 

@@ -26,16 +26,10 @@ func run(args []string, stdout io.Writer) error {
 		return err
 	}
 
-	var cfg repro.WorkloadConfig
-	switch *scale {
-	case "paper":
-		cfg = repro.DefaultWorkloadConfig()
-	case "small":
-		cfg = repro.SmallWorkloadConfig()
-	default:
-		return fmt.Errorf("unknown scale %q (want paper or small)", *scale)
+	cfg, err := repro.WorkloadScale(*scale)
+	if err != nil {
+		return err
 	}
-
 	w, err := repro.GenerateWorkload(cfg, *seed)
 	if err != nil {
 		return err

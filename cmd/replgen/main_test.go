@@ -1,6 +1,7 @@
 package main
 
 import (
+	"io"
 	"strings"
 	"testing"
 
@@ -38,10 +39,13 @@ func TestRunSavesWorkload(t *testing.T) {
 	}
 }
 
+// TestRunRejectsBadScale: a -scale that names no workload is an error,
+// never a quiet fallback to another workload.
 func TestRunRejectsBadScale(t *testing.T) {
-	var sb strings.Builder
-	if err := run([]string{"-scale", "gigantic"}, &sb); err == nil {
-		t.Error("bad scale accepted")
+	for _, scale := range []string{"nonsense", "gigantic", "quick", "Small", ""} {
+		if err := run([]string{"-scale", scale}, io.Discard); err == nil {
+			t.Errorf("-scale %q accepted", scale)
+		}
 	}
 }
 

@@ -46,44 +46,34 @@ func run(args []string, stdout io.Writer) error {
 	if *wpath != "" {
 		w, err = repro.LoadWorkload(*wpath)
 	} else {
-		cfg := repro.DefaultWorkloadConfig()
-		if *scale == "small" {
-			cfg = repro.SmallWorkloadConfig()
+		var cfg repro.WorkloadConfig
+		if cfg, err = repro.WorkloadScale(*scale); err == nil {
+			w, err = repro.GenerateWorkload(cfg, *seed)
 		}
-		w, err = repro.GenerateWorkload(cfg, *seed)
 	}
 	if err != nil {
 		return err
 	}
 
-	est, err := repro.DrawEstimates(repro.DefaultNetConfig(), w.NumSites(), repro.NewStream(*seed))
+	env, err := repro.PlanningEnv(w, *seed, *storage, *capacity)
 	if err != nil {
 		return err
 	}
-
-	budgets := repro.FullBudgets(w).Scale(w, *storage, *capacity)
-	budgets.RepoCapacity = repro.InfiniteCapacity()
+	// C(R) comes from -repo alone, never from a loaded workload's config.
+	env.Budgets.RepoCapacity = repro.InfiniteCapacity()
 
 	if *repo > 0 {
 		// Probe: plan with an unconstrained repository to size C(R).
-		probeEnv, err := repro.NewEnv(w, est, budgets)
+		pp, _, err := repro.Plan(env, repro.PlanOptions{Workers: *workers})
 		if err != nil {
 			return err
 		}
-		pp, _, err := repro.Plan(probeEnv, repro.PlanOptions{Workers: *workers})
-		if err != nil {
-			return err
-		}
-		pre := repro.Evaluate(probeEnv, pp).RepoLoad
-		budgets.RepoCapacity = repro.ReqPerSec(float64(pre) * *repo)
+		pre := repro.Evaluate(env, pp).RepoLoad
+		env.Budgets.RepoCapacity = repro.ReqPerSec(float64(pre) * *repo)
 		fmt.Fprintf(stdout, "pre-offload repository load %.2f req/s; C(R) set to %.2f req/s\n\n",
-			float64(pre), float64(budgets.RepoCapacity))
+			float64(pre), float64(env.Budgets.RepoCapacity))
 	}
 
-	env, err := repro.NewEnv(w, est, budgets)
-	if err != nil {
-		return err
-	}
 	var log io.Writer
 	if *verbose {
 		log = stdout

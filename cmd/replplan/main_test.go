@@ -1,6 +1,7 @@
 package main
 
 import (
+	"io"
 	"strings"
 	"testing"
 
@@ -82,4 +83,14 @@ func saveSmallWorkload(path string) error {
 		return err
 	}
 	return w.SaveFile(path)
+}
+
+// TestRunRejectsUnknownScale: a -scale that names no workload is an error,
+// never a quiet fallback to another workload.
+func TestRunRejectsUnknownScale(t *testing.T) {
+	for _, scale := range []string{"nonsense", "quick", "Small", ""} {
+		if err := run([]string{"-scale", scale}, io.Discard); err == nil {
+			t.Errorf("-scale %q accepted", scale)
+		}
+	}
 }

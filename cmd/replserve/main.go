@@ -102,17 +102,11 @@ func run(args []string, stdout io.Writer) error {
 
 	// A small workload: this command demonstrates the mechanics, not the
 	// Table-1 volumes.
-	cfg := repro.SmallWorkloadConfig()
-	w, err := repro.GenerateWorkload(cfg, *seed)
+	w, err := repro.GenerateWorkload(repro.SmallWorkloadConfig(), *seed)
 	if err != nil {
 		return err
 	}
-	est, err := repro.DrawEstimates(repro.DefaultNetConfig(), w.NumSites(), repro.NewStream(*seed))
-	if err != nil {
-		return err
-	}
-	budgets := repro.FullBudgets(w).Scale(w, *storage, 1)
-	env, err := repro.NewEnv(w, est, budgets)
+	env, err := repro.PlanningEnv(w, *seed, *storage, 1)
 	if err != nil {
 		return err
 	}

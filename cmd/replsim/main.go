@@ -55,23 +55,16 @@ func run(args []string, stdout io.Writer) error {
 	if *wpath != "" {
 		w, err = repro.LoadWorkload(*wpath)
 	} else {
-		cfg := repro.DefaultWorkloadConfig()
-		if *scale == "small" {
-			cfg = repro.SmallWorkloadConfig()
+		var cfg repro.WorkloadConfig
+		if cfg, err = repro.WorkloadScale(*scale); err == nil {
+			w, err = repro.GenerateWorkload(cfg, *seed)
 		}
-		w, err = repro.GenerateWorkload(cfg, *seed)
 	}
 	if err != nil {
 		return err
 	}
 
-	est, err := repro.DrawEstimates(repro.DefaultNetConfig(), w.NumSites(), repro.NewStream(*seed))
-	if err != nil {
-		return err
-	}
-
-	budgets := repro.FullBudgets(w).Scale(w, *storage, *capacity)
-	env, err := repro.NewEnv(w, est, budgets)
+	env, err := repro.PlanningEnv(w, *seed, *storage, *capacity)
 	if err != nil {
 		return err
 	}
@@ -105,7 +98,7 @@ func run(args []string, stdout io.Writer) error {
 		fmt.Fprintf(stdout, "degraded mode: site availability %.2f, failover delay %.2fs\n\n", *outage, *failover)
 	}
 
-	lru, err := repro.NewLRUPolicy(w, budgets, *seed)
+	lru, err := repro.NewLRUPolicy(w, env.Budgets, *seed)
 	if err != nil {
 		return err
 	}
@@ -139,7 +132,7 @@ func run(args []string, stdout io.Writer) error {
 		if i == 0 && *spansPath != "" {
 			simCfg.Trace = repro.NewSpanBuffer(0)
 		}
-		res, err := repro.Simulate(w, est, e.pol, simCfg, repro.NewStream(*seed+1))
+		res, err := repro.Simulate(w, env.Est, e.pol, simCfg, repro.NewStream(*seed+1))
 		if err != nil {
 			return err
 		}

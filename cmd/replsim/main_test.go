@@ -1,6 +1,7 @@
 package main
 
 import (
+	"io"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -125,5 +126,15 @@ func TestRunSimSpans(t *testing.T) {
 	}
 	if a.LocalWins+a.RemoteWins != a.Traces {
 		t.Fatalf("wins %d+%d != traces %d", a.LocalWins, a.RemoteWins, a.Traces)
+	}
+}
+
+// TestRunRejectsUnknownScale: a -scale that names no workload is an error,
+// never a quiet fallback to another workload.
+func TestRunRejectsUnknownScale(t *testing.T) {
+	for _, scale := range []string{"nonsense", "quick", "Small", ""} {
+		if err := run([]string{"-scale", scale, "-requests", "10"}, io.Discard); err == nil {
+			t.Errorf("-scale %q accepted", scale)
+		}
 	}
 }

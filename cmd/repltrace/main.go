@@ -6,11 +6,13 @@
 // mean page time against the planner's predicted D, flagging every page
 // outside tolerance.
 //
-// The predicted side rebuilds exactly what replsim/replserve planned: the
-// same workload scale, seed, and storage fraction yield the same placement,
-// so the comparison needs no side-channel state — just the flags that
-// produced the trace. -predict=false skips it (for traces from foreign
-// environments).
+// The predicted side rebuilds what replsim/replserve planned, through the
+// same facade path (repro.WorkloadScale, repro.PlanningEnv): the same
+// workload scale, seed, and storage fraction yield the same placement, so
+// the comparison needs no side-channel state — just the flags that produced
+// the trace. A traced page outside the regenerated workload is an error,
+// since those flags cannot have produced it. -predict=false skips the side
+// (for traces from foreign environments).
 //
 // With -chrome the span forest is additionally converted to Chrome
 // trace-event JSON, loadable in Perfetto or chrome://tracing; with -journal
@@ -65,6 +67,22 @@ func run(args []string, stdout io.Writer) error {
 		return fmt.Errorf("%s holds no spans", *in)
 	}
 	a := repro.AnalyzeSpans(spans)
+
+	var penv *repro.Env
+	var placement *repro.Placement
+	if *predict {
+		penv, placement, err = rebuildPlan(*scale, *seed, *storage)
+		if err != nil {
+			return fmt.Errorf("rebuild planning environment (-predict=false to skip): %w", err)
+		}
+		for _, ps := range a.Pages {
+			if ps.Page < 0 || ps.Page >= penv.W.NumPages() {
+				return fmt.Errorf("traced page %d lies outside the %d pages regenerated at -scale %s -seed %d -storage %.2f: pass the flags the traced run used, or -predict=false",
+					ps.Page, penv.W.NumPages(), *scale, *seed, *storage)
+			}
+		}
+	}
+
 	fmt.Fprintf(stdout, "trace: %d spans, %d page views, %d pages\n", a.Spans, a.Traces, len(a.Pages))
 	for _, nc := range a.NameCounts() {
 		fmt.Fprintf(stdout, "  %-9s %6d\n", nc.Name, nc.Count)
@@ -87,15 +105,6 @@ func run(args []string, stdout io.Writer) error {
 		fmt.Fprintf(stdout, "\nslowest views:\n")
 		for _, v := range a.TopSlowest(*top) {
 			fmt.Fprintf(stdout, "  trace %016x  page %4d  %10.4fs  (%s chain)\n", uint64(v.Trace), v.Page, v.D, v.Winner)
-		}
-	}
-
-	var penv *repro.Env
-	var placement *repro.Placement
-	if *predict {
-		penv, placement, err = rebuildPlan(*scale, *seed, *storage)
-		if err != nil {
-			return fmt.Errorf("rebuild planning environment (-predict=false to skip): %w", err)
 		}
 	}
 
@@ -188,43 +197,28 @@ func run(args []string, stdout io.Writer) error {
 	return nil
 }
 
-// rebuildPlan regenerates the traced run's planning environment — the same
-// construction replsim and replserve perform for the given flags.
+// rebuildPlan regenerates the traced run's planning environment — the
+// facade path replsim and replserve plan through — and its placement.
 func rebuildPlan(scale string, seed uint64, storage float64) (*repro.Env, *repro.Placement, error) {
-	cfg := repro.SmallWorkloadConfig()
-	switch scale {
-	case "small":
-	case "paper":
-		cfg = repro.DefaultWorkloadConfig()
-	default:
-		return nil, nil, fmt.Errorf("unknown scale %q", scale)
+	cfg, err := repro.WorkloadScale(scale)
+	if err != nil {
+		return nil, nil, err
 	}
 	w, err := repro.GenerateWorkload(cfg, seed)
 	if err != nil {
 		return nil, nil, err
 	}
-	est, err := repro.DrawEstimates(repro.DefaultNetConfig(), w.NumSites(), repro.NewStream(seed))
-	if err != nil {
-		return nil, nil, err
-	}
-	budgets := repro.FullBudgets(w).Scale(w, storage, 1)
-	env, err := repro.NewEnv(w, est, budgets)
+	env, err := repro.PlanningEnv(w, seed, storage, 1)
 	if err != nil {
 		return nil, nil, err
 	}
 	p, _, err := repro.Plan(env, repro.PlanOptions{})
-	if err != nil {
-		return nil, nil, err
-	}
-	return env, p, nil
+	return env, p, err
 }
 
 // predictedD evaluates the planner's Eq. 5 page time and its max side for
-// one page; 0 when the page is outside the regenerated workload.
+// one page of the regenerated workload.
 func predictedD(env *repro.Env, p *repro.Placement, page int) (float64, string) {
-	if page < 0 || page >= len(env.W.Pages) {
-		return 0, ""
-	}
 	j := repro.PageID(page)
 	local := float64(model.PageLocalTime(env, p, j))
 	remote := float64(model.PageRemoteTime(env, p, j))

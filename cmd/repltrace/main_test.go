@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -21,12 +22,7 @@ func writeSeedTrace(t *testing.T, dir string) string {
 	if err != nil {
 		t.Fatal(err)
 	}
-	est, err := repro.DrawEstimates(repro.DefaultNetConfig(), w.NumSites(), repro.NewStream(2026))
-	if err != nil {
-		t.Fatal(err)
-	}
-	budgets := repro.FullBudgets(w).Scale(w, 0.5, 1)
-	env, err := repro.NewEnv(w, est, budgets)
+	env, err := repro.PlanningEnv(w, 2026, 0.5, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -37,7 +33,7 @@ func writeSeedTrace(t *testing.T, dir string) string {
 	cfg := repro.DefaultSimConfig(w)
 	cfg.RequestsPerSite = 40
 	cfg.Trace = repro.NewSpanBuffer(0)
-	if _, err := repro.Simulate(w, est, repro.NewStaticPolicy("Proposed", p), cfg, repro.NewStream(2027)); err != nil {
+	if _, err := repro.Simulate(w, env.Est, repro.NewStaticPolicy("Proposed", p), cfg, repro.NewStream(2027)); err != nil {
 		t.Fatal(err)
 	}
 	path := filepath.Join(dir, "trace.jsonl")
@@ -137,5 +133,39 @@ func TestMissingInput(t *testing.T) {
 	}
 	if err := run([]string{"-i", "/does/not/exist.jsonl"}, &bytes.Buffer{}); err == nil {
 		t.Fatal("nonexistent input accepted")
+	}
+}
+
+// TestRunRejectsUnknownScale: a -scale that names no workload is an error,
+// never a quiet fallback to another workload.
+func TestRunRejectsUnknownScale(t *testing.T) {
+	in := writeSeedTrace(t, t.TempDir())
+	for _, scale := range []string{"nonsense", "quick", "Small", ""} {
+		if err := run([]string{"-i", in, "-scale", scale}, io.Discard); err == nil {
+			t.Errorf("-scale %q accepted", scale)
+		}
+	}
+}
+
+// TestRejectsPageOutsideWorkload: a traced page the regenerated workload
+// does not have means the flags are not the traced run's; predicting
+// anyway would leave the page out of the tally without a word.
+func TestRejectsPageOutsideWorkload(t *testing.T) {
+	in := filepath.Join(t.TempDir(), "foreign.jsonl")
+	span := `{"trace":1,"id":2,"name":"page","kind":"sim","start":0,"dur":1.5,"attrs":[{"k":"page","v":"999999"},{"k":"site","v":"0"}]}` + "\n"
+	if err := os.WriteFile(in, []byte(span), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	err := run([]string{"-i", in}, io.Discard)
+	if err == nil {
+		t.Fatal("page 999999 predicted against a 169-page workload")
+	}
+	for _, flag := range []string{"-scale", "-seed", "-storage", "-predict=false"} {
+		if !strings.Contains(err.Error(), flag) {
+			t.Errorf("error does not name %s: %v", flag, err)
+		}
+	}
+	if err := run([]string{"-i", in, "-predict=false"}, io.Discard); err != nil {
+		t.Errorf("-predict=false: %v", err)
 	}
 }

@@ -107,7 +107,7 @@ func TestDocsReproClaimsCiteTests(t *testing.T) {
 // counts them. A change that grows a document past its budget fails here
 // instead of waiting for a re-anchor; a change that shrinks one lowers its
 // budget to the new count.
-var docsLineBudget = map[string]int{"README.md": 511, "DESIGN.md": 1214, "EXPERIMENTS.md": 608}
+var docsLineBudget = map[string]int{"README.md": 508, "DESIGN.md": 1214, "EXPERIMENTS.md": 604}
 
 // TestDocsLineBudget holds README, DESIGN and EXPERIMENTS to docsLineBudget.
 func TestDocsLineBudget(t *testing.T) {

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -107,6 +108,29 @@ func TestFigure2Shape(t *testing.T) {
 	// The curve must be non-increasing in capacity (within noise).
 	if byX[30] < byX[80]-2 {
 		t.Errorf("more capacity hurt: 30%%→%.1f%%, 80%%→%.1f%%", byX[30], byX[80])
+	}
+}
+
+// TestNarrationIsAFunctionOfTheSeed: the harness reads no wall clock, so at
+// Workers 1 (one run at a time, lines in order) two same-seed Figure 2
+// sweeps narrate byte for byte alike.
+func TestNarrationIsAFunctionOfTheSeed(t *testing.T) {
+	narrate := func() string {
+		var sb strings.Builder
+		o := tiny()
+		o.Workers = 1
+		o.Progress = func(format string, args ...interface{}) { fmt.Fprintf(&sb, format+"\n", args...) }
+		if _, err := Figure2(o); err != nil {
+			t.Fatal(err)
+		}
+		return sb.String()
+	}
+	first, second := narrate(), narrate()
+	if want := tiny().Runs * (1 + len(capacityGrid)); strings.Count(first, "\n") != want {
+		t.Fatalf("%d narration lines, want %d:\n%s", strings.Count(first, "\n"), want, first)
+	}
+	if first != second {
+		t.Errorf("same seed, different narration:\n%s\nvs\n%s", first, second)
 	}
 }
 

@@ -1,8 +1,6 @@
 package experiments
 
 import (
-	"time"
-
 	"repro/internal/core"
 	"repro/internal/model"
 	"repro/internal/policies"
@@ -111,7 +109,6 @@ func Figure1(opts Options) (*stats.Figure, error) {
 		}
 
 		for _, frac := range storageGrid {
-			pointStart := time.Now() //repllint:allow determinism — wall-clock progress narration; never feeds results
 			b := storageOnly(env.w, frac)
 			oursRT, pr, err := env.simulatePlanned(b, env.simCfg)
 			if err != nil {
@@ -131,9 +128,8 @@ func Figure1(opts Options) (*stats.Figure, error) {
 
 			col.add(env.r, "Remote", frac*100, env.rel(remoteRT))
 			col.add(env.r, "Local", frac*100, env.rel(localRT))
-			opts.progressf("fig1 run %d: storage %3.0f%% — plan D=%.1f feasible=%v, proposed %+.1f%%, lru %+.1f%% (%.2fs)",
-				env.r, frac*100, pr.D, pr.Feasible, env.rel(oursRT), env.rel(lruRT),
-				time.Since(pointStart).Seconds()) //repllint:allow determinism — wall-clock progress narration; never feeds results
+			opts.progressf("fig1 run %d: storage %3.0f%% — plan D=%.1f feasible=%v, proposed %+.1f%%, lru %+.1f%%",
+				env.r, frac*100, pr.D, pr.Feasible, env.rel(oursRT), env.rel(lruRT))
 		}
 		return nil
 	})
@@ -151,15 +147,13 @@ func Figure2(opts Options) (*stats.Figure, error) {
 	col := newCollector(opts.Runs)
 	err := forEachRun(&opts, func(env *runEnv) error {
 		for _, frac := range capacityGrid {
-			pointStart := time.Now() //repllint:allow determinism — wall-clock progress narration; never feeds results
 			oursRT, pr, err := env.simulatePlanned(capacityOnly(env.w, frac), env.simCfg)
 			if err != nil {
 				return err
 			}
 			col.add(env.r, "Proposed", frac*100, env.rel(oursRT))
-			opts.progressf("fig2 run %d: capacity %3.0f%% — plan D=%.1f flips=%d, proposed %+.1f%% (%.2fs)",
-				env.r, frac*100, pr.D, totalFlips(pr), env.rel(oursRT),
-				time.Since(pointStart).Seconds()) //repllint:allow determinism — wall-clock progress narration; never feeds results
+			opts.progressf("fig2 run %d: capacity %3.0f%% — plan D=%.1f flips=%d, proposed %+.1f%%",
+				env.r, frac*100, pr.D, totalFlips(pr), env.rel(oursRT))
 		}
 		// The 0 % anchor: everything is forced remote.
 		zeroRT, _, err := env.simulatePlanned(capacityOnly(env.w, 0), env.simCfg)
@@ -194,16 +188,15 @@ func Figure3(opts Options) (*stats.Figure, error) {
 			preLoad := model.RepoLoad(probeEnv, probe)
 
 			for _, centralFrac := range centralGrid {
-				pointStart := time.Now() //repllint:allow determinism — wall-clock progress narration; never feeds results
 				b.RepoCapacity = units.ReqPerSec(float64(preLoad) * centralFrac)
 				rt, pr, err := env.simulatePlanned(b, env.simCfg)
 				if err != nil {
 					return err
 				}
 				col.add(env.r, seriesName(centralFrac), localFrac*100, env.rel(rt))
-				opts.progressf("fig3 run %d: local %3.0f%% central %2.0f%% — offload rounds=%d msgs=%d restored=%v, %+.1f%% (%.2fs)",
+				opts.progressf("fig3 run %d: local %3.0f%% central %2.0f%% — offload rounds=%d msgs=%d restored=%v, %+.1f%%",
 					env.r, localFrac*100, centralFrac*100, pr.Offload.Rounds, pr.Offload.Messages,
-					pr.Offload.Restored, env.rel(rt), time.Since(pointStart).Seconds()) //repllint:allow determinism — wall-clock progress narration; never feeds results
+					pr.Offload.Restored, env.rel(rt))
 			}
 		}
 		return nil

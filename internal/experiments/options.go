@@ -13,9 +13,7 @@ package experiments
 import (
 	"flag"
 	"fmt"
-	"io"
 	"runtime"
-	"sync"
 
 	"repro/internal/netsim"
 	"repro/internal/workload"
@@ -45,9 +43,9 @@ type Options struct {
 	RequestsPerSite int
 	// Progress, when non-nil, receives one formatted line per harness
 	// event — run-environment setup and each sweep point's completion with
-	// its wall-clock and plan statistics — so long sweeps can narrate.
-	// Runs execute concurrently: the sink must serialize its own output
-	// (ProgressWriter does).
+	// its plan statistics — so long sweeps can narrate. Each line is a
+	// pure function of the options; runs execute concurrently, so the sink
+	// must serialize its own output (repro.ProgressWriter does).
 	Progress func(format string, args ...interface{})
 }
 
@@ -75,9 +73,9 @@ func Quick() Options {
 	}
 }
 
-// BindFlags registers the options both experiment commands share — -scale,
-// -runs, -seed and -requests — and returns the function that resolves them
-// into Options once the flag set has been parsed.
+// BindFlags registers replexp's experiment options — -scale, -runs, -seed
+// and -requests — and returns the function that resolves them into Options
+// once the flag set has been parsed.
 func BindFlags(fs *flag.FlagSet) func() (Options, error) {
 	scale := fs.String("scale", "paper", "paper (Table-1 volume, 20 runs) or quick")
 	runs := fs.Int("runs", 0, "override the number of runs")
@@ -155,16 +153,5 @@ func (o *Options) requests() int {
 func (o *Options) progressf(format string, args ...interface{}) {
 	if o.Progress != nil {
 		o.Progress(format, args...)
-	}
-}
-
-// ProgressWriter returns a Progress sink writing one line per event to w,
-// serialized by an internal mutex so concurrent runs interleave cleanly.
-func ProgressWriter(w io.Writer) func(format string, args ...interface{}) {
-	var mu sync.Mutex
-	return func(format string, args ...interface{}) {
-		mu.Lock()
-		defer mu.Unlock()
-		fmt.Fprintf(w, format+"\n", args...)
 	}
 }

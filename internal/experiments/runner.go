@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"reflect"
 	"sync"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/httpsim"
@@ -183,13 +182,12 @@ func (e *runEnv) simulatePlanned(b model.Budgets, cfg httpsim.Config) (float64, 
 // everywhere).
 func (e *runEnv) baseRT() float64 {
 	if e.base == 0 && e.baseErr == nil {
-		start := time.Now() //repllint:allow determinism — wall-clock progress narration; never feeds results
 		e.base, _, e.baseErr = e.simulatePlanned(storageOnly(e.w, 1), e.simCfg)
 		if e.baseErr == nil && e.base <= 0 {
 			e.baseErr = fmt.Errorf("experiments: non-positive baseline response time")
 		}
-		e.opts.progressf("run %d: %d pages / %d objects, baseline rt %.4gs (%.2fs)",
-			e.r, e.w.NumPages(), e.w.NumObjects(), e.base, time.Since(start).Seconds()) //repllint:allow determinism — wall-clock progress narration; never feeds results
+		e.opts.progressf("run %d: %d pages / %d objects, baseline rt %.4gs",
+			e.r, e.w.NumPages(), e.w.NumObjects(), e.base)
 	}
 	return e.base
 }
@@ -198,7 +196,9 @@ func (e *runEnv) baseRT() float64 {
 func (e *runEnv) rel(rt float64) float64 { return stats.RelativeIncrease(rt, e.baseRT()) }
 
 // forEachRun executes fn(env) for every run's environment, bounded by
-// opts.Workers. Errors abort with the first failure in run order.
+// opts.Workers and started in run order (so at Workers 1 the runs execute
+// one after another, in order). Errors abort with the first failure in run
+// order.
 func forEachRun(opts *Options, fn func(env *runEnv) error) error {
 	if err := opts.Validate(); err != nil {
 		return err
@@ -212,9 +212,9 @@ func forEachRun(opts *Options, fn func(env *runEnv) error) error {
 	sem := make(chan struct{}, workers)
 	for r := 0; r < opts.Runs; r++ {
 		wg.Add(1)
+		sem <- struct{}{}
 		go func(r int) {
 			defer wg.Done()
-			sem <- struct{}{}
 			defer func() { <-sem }()
 			env, err := newRunEnv(opts, r)
 			if err == nil {

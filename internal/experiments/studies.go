@@ -22,17 +22,17 @@ type Study struct {
 	// Heading titles the text summary. Studies that are a figure and nothing
 	// else leave it empty: the figure carries its own title.
 	Heading string
-	// Paper marks the paper's own artifacts, the ones "-exp all" and a
-	// report without -extensions cover.
+	// Paper marks the paper's own artifacts, the ones "-exp all" covers
+	// without -extensions.
 	Paper bool
 	// Run computes the study: a text summary, a figure, or both.
 	Run func(Options) (Summary, *stats.Figure, error)
 }
 
 // Studies is the single list of the paper's experiments and the extension
-// studies, in reporting order. replexp's dispatch, replreport's sections,
-// the reproducibility test, the per-study benchmarks and results/ all range
-// over it, so a new study is one new entry here.
+// studies, in reporting order. replexp's dispatch and report sections, the
+// reproducibility test, the per-study benchmarks and results/ all range over
+// it, so a new study is one new entry here.
 var Studies = []Study{
 	{"table1", "Table1", "Table 1: workload audit", true, text(Table1)},
 	{"fig1", "Figure1", "", true, figure(Figure1)},

@@ -161,7 +161,7 @@ func (j *Journal) WriteText(w io.Writer) error {
 func ReadEventsJSONL(r io.Reader) ([]Event, error) { return readJSONL[Event](r) }
 
 // CountEventTypes tallies events by type, sorted by descending count then
-// type name — the journal summary replreport and repltrace print.
+// type name — the journal summary replserve and repltrace print.
 func CountEventTypes(events []Event) []NameCount {
 	m := make(map[string]int)
 	for i := range events {

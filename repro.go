@@ -28,7 +28,10 @@ package repro
 
 import (
 	"flag"
+	"fmt"
 	"io"
+	"sync"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/experiments"
@@ -99,6 +102,18 @@ func MustGenerateWorkload(cfg WorkloadConfig, seed uint64) *Workload {
 // SummarizeWorkload computes the Table-1 audit of a workload.
 func SummarizeWorkload(w *Workload) *WorkloadSummary { return workload.Summarize(w) }
 
+// WorkloadScale maps a command's -scale name to its workload configuration:
+// paper (Table 1) or small.
+func WorkloadScale(name string) (WorkloadConfig, error) {
+	switch name {
+	case "paper":
+		return DefaultWorkloadConfig(), nil
+	case "small":
+		return SmallWorkloadConfig(), nil
+	}
+	return WorkloadConfig{}, fmt.Errorf("unknown scale %q (want paper or small)", name)
+}
+
 // LoadWorkload reads a workload from a JSON file.
 func LoadWorkload(path string) (*Workload, error) { return workload.LoadFile(path) }
 
@@ -146,6 +161,17 @@ type (
 // NewEnv builds a planning environment.
 func NewEnv(w *Workload, est *Estimates, b Budgets) (*Env, error) {
 	return model.NewEnv(w, est, b)
+}
+
+// PlanningEnv builds the environment the commands plan in: the estimates
+// drawn from seed, and the full budgets with the sites' storage (MO part)
+// and processing capacity scaled by the given fractions.
+func PlanningEnv(w *Workload, seed uint64, storage, capacity float64) (*Env, error) {
+	est, err := DrawEstimates(DefaultNetConfig(), w.NumSites(), NewStream(seed))
+	if err != nil {
+		return nil, err
+	}
+	return NewEnv(w, est, FullBudgets(w).Scale(w, storage, capacity))
 }
 
 // FullBudgets returns 100 % storage, configured capacities, unconstrained
@@ -253,7 +279,7 @@ func StorageEquivalence(opts ExperimentOptions) (*EquivalenceResult, error) {
 type Study = experiments.Study
 
 // Studies is the single table of the paper's experiments (Table 1, Figures
-// 1-3, the §5.2 claim) and the extension studies; replexp, replreport, the
+// 1-3, the §5.2 claim) and the extension studies; replexp, the
 // reproducibility test and the benchmarks all iterate it.
 var Studies = experiments.Studies
 
@@ -285,9 +311,17 @@ func ComputeRepair(env *Env, p *Placement, down []SiteID, opts RepairOptions) (*
 }
 
 // ProgressWriter returns an ExperimentOptions.Progress sink writing one
-// line per harness event to w, serialized across concurrent runs.
+// line per harness event to w, serialized across concurrent runs and
+// prefixed with the seconds elapsed since the sink was made.
 func ProgressWriter(w io.Writer) func(format string, args ...interface{}) {
-	return experiments.ProgressWriter(w)
+	var mu sync.Mutex
+	start := time.Now()
+	return func(format string, args ...interface{}) {
+		mu.Lock()
+		defer mu.Unlock()
+		fmt.Fprintf(w, "[%7.2fs] ", time.Since(start).Seconds())
+		fmt.Fprintf(w, format+"\n", args...)
+	}
 }
 
 // NewThresholdPolicy returns the threshold-driven dynamic replication
