@@ -55,20 +55,13 @@ func TestRunEquiv(t *testing.T) {
 }
 
 func TestRunExtensionNotInAll(t *testing.T) {
-	// "-exp all" must not run the extensions (they're opt-in), neither on
-	// stdout nor in the report.
-	path := filepath.Join(t.TempDir(), "report.md")
+	// "-exp all" must not run the extensions (they're opt-in).
 	var sb strings.Builder
-	if err := run(quickArgs("-exp", "all", "-report", path), &sb); err != nil {
+	if err := run(quickArgs("-exp", "all"), &sb); err != nil {
 		t.Fatal(err)
 	}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	report := string(data)
 	for _, notWant := range []string{"Ablations", "Drift:", "Redirection cost", "Sensitivity:"} {
-		if strings.Contains(sb.String(), notWant) || strings.Contains(report, notWant) {
+		if strings.Contains(sb.String(), notWant) {
 			t.Errorf("extension %q ran under -exp all", notWant)
 		}
 	}
@@ -78,6 +71,20 @@ func TestRunExtensionNotInAll(t *testing.T) {
 			t.Errorf("paper artifact %q missing under -exp all", want)
 		}
 	}
+}
+
+// TestRunReportQuick: -report writes the paper's sections, and without
+// -extensions no extension study reaches the report.
+func TestRunReportQuick(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "report.md")
+	if err := run(quickArgs("-exp", "all", "-progress=false", "-report", path), io.Discard); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	report := string(data)
 	for _, want := range []string{
 		"# Reproduction report",
 		"### Table 1: workload audit",
@@ -91,8 +98,44 @@ func TestRunExtensionNotInAll(t *testing.T) {
 			t.Errorf("report missing %q", want)
 		}
 	}
+	for _, notWant := range []string{"Ablations", "Drift:", "Redirection cost", "Sensitivity"} {
+		if strings.Contains(report, notWant) {
+			t.Errorf("extension %q reached the report without -extensions", notWant)
+		}
+	}
+}
+
+// TestRunReportToFile: a single study's report is still a whole document,
+// and stdout says where it went.
+func TestRunReportToFile(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "report.md")
+	var sb strings.Builder
+	if err := run(quickArgs("-exp", "table1", "-report", path), &sb); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(string(data), "# Reproduction report") || !strings.Contains(string(data), "### Table 1: workload audit") {
+		t.Errorf("file report incomplete:\n%s", data)
+	}
 	if !strings.Contains(sb.String(), "(report written to "+path+")") {
 		t.Error("no confirmation on stdout")
+	}
+}
+
+func TestRunReportRejects(t *testing.T) {
+	dir := t.TempDir()
+	var sb strings.Builder
+	if err := run([]string{"-scale", "nope", "-report", filepath.Join(dir, "report.md")}, &sb); err == nil {
+		t.Error("bad scale accepted")
+	}
+	if err := run([]string{"-zzz", "-report", filepath.Join(dir, "report.md")}, &sb); err == nil {
+		t.Error("bad flag accepted")
+	}
+	if err := run(quickArgs("-exp", "table1", "-report", filepath.Join(dir, "no", "such", "dir.md")), &sb); err == nil {
+		t.Error("unwritable report accepted")
 	}
 }
 
@@ -171,9 +214,6 @@ func TestRunRejects(t *testing.T) {
 	}
 	if err := run([]string{"-bogus"}, &sb); err == nil {
 		t.Error("unknown flag accepted")
-	}
-	if err := run(quickArgs("-exp", "table1", "-report", filepath.Join(t.TempDir(), "no", "such", "dir.md")), &sb); err == nil {
-		t.Error("unwritable report accepted")
 	}
 }
 
