@@ -36,8 +36,6 @@
 // 1s 10x flash crowd, 2s base) is driven through the live cluster; the
 // summary shows goodput, 429 sheds and brownout-degraded pages.
 //
-// Usage:
-//
 // With -trace every fetch is traced end to end — the client's page root,
 // chains, retries, backoffs and fallbacks, plus the server-side serve spans
 // stitched in via the X-Repl-Trace header — and the forest is written as
@@ -75,6 +73,7 @@ import (
 	"repro/internal/estimate"
 	"repro/internal/faults"
 	"repro/internal/repair"
+	"repro/internal/units"
 	"repro/internal/webserve"
 )
 
@@ -212,13 +211,16 @@ func run(args []string, stdout io.Writer) error {
 		Journal: journal,
 	})
 
+	// The exit summaries read the sources' tallies where /metrics does.
+	count := func(name string) int64 { return cluster.Metrics.Counter(name).Value() }
+
 	if *heal {
 		sup := rec.Supervisor(controller.Options{})
 		sup.Start()
 		defer func() {
 			sup.Stop()
-			repairs, recoveries := sup.Counts()
-			fmt.Fprintf(stdout, "supervisor: %d repairs, %d recoveries applied\n", repairs, recoveries)
+			fmt.Fprintf(stdout, "supervisor: %d repairs, %d recoveries applied\n",
+				count("controller.repairs"), count("controller.recoveries"))
 			if err := sup.Err(); err != nil {
 				fmt.Fprintf(stdout, "supervisor: last error: %v\n", err)
 			}
@@ -234,7 +236,7 @@ func run(args []string, stdout io.Writer) error {
 
 	var adapter *controller.Adapter
 	if *adapt {
-		adapter, err = rec.Adapter(freqEst, controller.AdaptOptions{Interval: 5 * time.Second})
+		adapter, err = rec.Adapter(freqEst, controller.AdaptOptions{})
 		if err != nil {
 			return err
 		}
@@ -321,9 +323,9 @@ func run(args []string, stdout io.Writer) error {
 			scrubber.Start()
 			defer func() {
 				scrubber.Stop()
-				cycles, objects, corrupt, repairs := scrubber.Counts()
 				fmt.Fprintf(stdout, "scrub: %d cycles, %d replicas checked, %d corrupt, %d repairs, %v re-shipped\n",
-					cycles, objects, corrupt, repairs, scrubber.RepairBytes())
+					count("scrub.cycles"), count("scrub.objects"), count("scrub.corrupt"), count("scrub.repairs"),
+					units.ByteSize(count("scrub.repair_bytes")))
 			}()
 			fmt.Fprintln(stdout, "scrub: continuous integrity cycles every 2s")
 		}
@@ -331,9 +333,9 @@ func run(args []string, stdout io.Writer) error {
 			adapter.Start()
 			defer func() {
 				adapter.Stop()
-				checks, triggers, replans, noops := adapter.Counts()
 				fmt.Fprintf(stdout, "adaptive: %d checks, %d triggers, %d re-plans, %d no-ops, %v shipped\n",
-					checks, triggers, replans, noops, adapter.CopyBytes())
+					count("adapt.checks"), count("adapt.triggers"), count("adapt.replans"), count("adapt.noops"),
+					units.ByteSize(count("adapt.copy_bytes")))
 			}()
 			fmt.Fprintln(stdout, "adaptive: continuous drift checks every 5s")
 		}

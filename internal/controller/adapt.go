@@ -10,14 +10,10 @@ import (
 	"repro/internal/repair"
 	"repro/internal/telemetry"
 	"repro/internal/trace"
-	"repro/internal/units"
 )
 
 // AdaptOptions tunes the adaptive re-planning loop.
 type AdaptOptions struct {
-	// Interval is the drift-check period in continuous mode (default 1s).
-	// One-shot callers use CheckNow and never start the loop.
-	Interval time.Duration
 	// Detector configures the drift thresholds (estimate.DetectorConfig
 	// zero values take that package's defaults).
 	Detector estimate.DetectorConfig
@@ -49,8 +45,8 @@ type Cycle struct {
 // bytes-moved as the cost. Placement targets are CDN-style clusters, so an
 // unchanged placement is explicitly recognized and never submitted.
 //
-// Use CheckNow for a synchronous one-shot cycle (replserve -adapt without
-// -serve), or Start/Stop for the continuous loop.
+// CheckNow is one synchronous cycle (replserve -adapt without -serve);
+// Start runs one every 5 s (adaptPeriod) on the cluster-uptime clock.
 type Adapter struct {
 	source
 	est   *estimate.Estimator
@@ -58,7 +54,7 @@ type Adapter struct {
 	opts  AdaptOptions
 	start time.Time
 
-	mu sync.Mutex // serializes CheckNow; Counts waits out a check in progress
+	mu sync.Mutex // serializes CheckNow
 
 	cChecks, cTriggers, cReplans, cNoops, cCopyBytes *telemetry.Counter
 	gDriftL1                                         *telemetry.Gauge
@@ -73,12 +69,9 @@ func (r *Reconciler) Adapter(est *estimate.Estimator, opts AdaptOptions) (*Adapt
 	if err != nil {
 		return nil, err
 	}
-	if opts.Interval <= 0 {
-		opts.Interval = time.Second
-	}
 	reg := r.opts.Metrics
-	return &Adapter{
-		source: source{rec: r, name: "adapt"},
+	a := &Adapter{
+		source: source{rec: r, name: "adapt", period: adaptPeriod},
 		est:    est,
 		det:    det,
 		opts:   opts,
@@ -90,16 +83,12 @@ func (r *Reconciler) Adapter(est *estimate.Estimator, opts AdaptOptions) (*Adapt
 		cNoops:     reg.Counter("adapt.noops"),
 		cCopyBytes: reg.Counter("adapt.copy_bytes"),
 		gDriftL1:   reg.Gauge("adapt.drift_l1"),
-	}, nil
-}
-
-// Start launches the continuous loop: one CheckNow per Interval on the
-// cluster-uptime clock. Stop ends it.
-func (a *Adapter) Start() {
-	a.run(a.opts.Interval, func() error {
+	}
+	a.step = func() error {
 		_, err := a.CheckNow(time.Since(a.start).Seconds())
 		return err
-	})
+	}
+	return a, nil
 }
 
 // CheckNow runs one synchronous adapt cycle at estimator time t (seconds):
@@ -164,21 +153,6 @@ func (a *Adapter) CheckNow(t float64) (*Cycle, error) {
 		delta.DBefore, delta.DAfter, int64(delta.CopyBytes))
 	out.Replanned = true
 	return out, nil
-}
-
-// Counts returns how many checks, triggers, re-plans and no-ops the
-// adapter has performed.
-func (a *Adapter) Counts() (checks, triggers, replans, noops int) {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return int(a.cChecks.Value()), int(a.cTriggers.Value()), int(a.cReplans.Value()), int(a.cNoops.Value())
-}
-
-// CopyBytes returns the total adaptation traffic shipped so far.
-func (a *Adapter) CopyBytes() units.ByteSize {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return units.ByteSize(a.cCopyBytes.Value())
 }
 
 // Current returns the reconciler's base: the environment and placement the

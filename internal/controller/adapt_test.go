@@ -3,6 +3,7 @@ package controller
 import (
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/estimate"
@@ -151,19 +152,14 @@ func TestAdapterReplansOnDrift(t *testing.T) {
 		t.Fatalf("post-adaptation traffic still triggers: %+v", cyc.Decision)
 	}
 
-	checks, triggers, replans, noops := a.Counts()
-	if checks != 3 || triggers != 1 || replans != 1 || noops != 0 {
-		t.Errorf("counts = (%d checks, %d triggers, %d replans, %d noops), want (3, 1, 1, 0)", checks, triggers, replans, noops)
-	}
-	if a.CopyBytes() != shipped.CopyBytes {
-		t.Errorf("CopyBytes accounting off: adapter %v, delta %v", a.CopyBytes(), shipped.CopyBytes)
-	}
 	snap := reg.Snapshot()
-	if got := counterValue(t, snap, "adapt.replans"); got != 1 {
-		t.Errorf("adapt.replans = %d, want 1", got)
-	}
-	if got := counterValue(t, snap, "adapt.copy_bytes"); got <= 0 {
-		t.Errorf("adapt.copy_bytes = %d, want > 0", got)
+	for name, want := range map[string]int64{
+		"adapt.checks": 3, "adapt.triggers": 1, "adapt.replans": 1, "adapt.noops": 0,
+		"adapt.copy_bytes": int64(shipped.CopyBytes),
+	} {
+		if got := counterValue(t, snap, name); got != want {
+			t.Errorf("%s = %d, want %d", name, got, want)
+		}
 	}
 	assertJournalHas(t, journal, "adapt.check")
 	assertJournalHas(t, journal, "adapt.replanned")
@@ -195,8 +191,8 @@ func TestAdapterNoopShipsNothing(t *testing.T) {
 	if cyc.Delta.CopyBytes != 0 || len(cyc.Delta.Copies) != 0 {
 		t.Fatalf("noop shipped bytes: %+v", cyc.Delta)
 	}
-	if a.CopyBytes() != 0 {
-		t.Fatalf("noop accounted copy bytes: %v", a.CopyBytes())
+	if got := a.cCopyBytes.Value(); got != 0 {
+		t.Fatalf("noop accounted %d copy bytes", got)
 	}
 	assertJournalHas(t, journal, "adapt.noop")
 	// And a second identical burst stays quiet: the baseline was rebased.
@@ -207,6 +203,22 @@ func TestAdapterNoopShipsNothing(t *testing.T) {
 	}
 	if cyc.Decision.Trigger {
 		t.Fatalf("noop did not rebase the baseline: %+v", cyc.Decision)
+	}
+}
+
+// TestAdapterLoopTicks is the drift loop's liveness smoke: it checks, and
+// Stop returns.
+func TestAdapterLoopTicks(t *testing.T) {
+	env, p, cluster, est := adaptEnv(t, 0.3)
+	defer cluster.Close()
+	a, err := NewReconciler(env, p, cluster, ReconcilerOptions{}).Adapter(est, AdaptOptions{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	observeBaseline(env.W, est, 1)
+	runLoop(t, &a.source, time.Millisecond)()
+	if a.cChecks.Value() == 0 {
+		t.Fatal("the drift loop ticked without checking")
 	}
 }
 

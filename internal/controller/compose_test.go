@@ -6,7 +6,6 @@ import (
 	"strconv"
 	"sync"
 	"testing"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/estimate"
@@ -72,14 +71,19 @@ func TestComposedChaos(t *testing.T) {
 
 	journal := trace.NewJournal(512)
 	rec := NewReconciler(env, startup, cluster, ReconcilerOptions{Workers: 1, Journal: journal})
-	sup := rec.Supervisor(Options{ProbeInterval: 20 * time.Millisecond})
+	sup := rec.Supervisor(Options{})
 	adapter, err := rec.Adapter(est, AdaptOptions{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	scrubber := rec.Scrubber(ScrubOptions{})
-	sup.Start()
-	defer sup.Stop()
+	probe := func(rounds int) {
+		for ; rounds > 0; rounds-- {
+			if err := sup.Probe(); err != nil {
+				t.Error(err)
+			}
+		}
+	}
 
 	site0 := env.W.Sites[0].Pages
 	routedOffSite0 := func(label string) {
@@ -108,8 +112,9 @@ func TestComposedChaos(t *testing.T) {
 		if err := cluster.KillSite(0); err != nil {
 			t.Error(err)
 		}
-		if !sup.WaitFor(func(st []repair.SiteState) bool { return st[0] == repair.Down }, 5*time.Second) {
-			t.Errorf("site 0 never declared down; states=%v", sup.States())
+		probe(repair.FailThreshold)
+		if st := sup.States()[0]; st != repair.Down {
+			t.Errorf("site 0 %v after %d missed probes, want down", st, repair.FailThreshold)
 		}
 	}}
 	cyc, err := scrubber.RunCycle()
@@ -162,8 +167,9 @@ func TestComposedChaos(t *testing.T) {
 	if err := cluster.RestartSite(0); err != nil {
 		t.Fatal(err)
 	}
-	if !sup.WaitFor(func(st []repair.SiteState) bool { return st[0] == repair.Up }, 5*time.Second) {
-		t.Fatalf("site 0 never recovered; states=%v", sup.States())
+	probe(2) // okThreshold
+	if st := sup.States()[0]; st != repair.Up {
+		t.Fatalf("site 0 %v after 2 answers, want up", st)
 	}
 	if _, live := cluster.CurrentPlan(); !live.Equal(adapted2) {
 		t.Errorf("recovery did not reinstate the adapted placement (startup placement back: %v)", live.Equal(startup))
@@ -171,11 +177,6 @@ func TestComposedChaos(t *testing.T) {
 	for _, pid := range site0 {
 		if cluster.Route(pid) != 0 {
 			t.Errorf("after recovery: page %d routed to site %d, want home", pid, cluster.Route(pid))
-		}
-	}
-	for name, c := range map[string]interface{ Err() error }{"supervisor": sup, "adapter": adapter, "scrubber": scrubber} {
-		if err := c.Err(); err != nil {
-			t.Errorf("%s: %v", name, err)
 		}
 	}
 

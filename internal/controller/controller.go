@@ -10,6 +10,10 @@
 // repair.Health, the per-site probe law (up → suspect → down → recovering
 // → up, K-of-N damped on both edges, with limping-node demotion). Every
 // transition is recorded and counted in telemetry.
+//
+// Each source has one synchronous step — Supervisor.Probe,
+// Adapter.CheckNow, Scrubber.RunCycle — and Start, which runs that step
+// once per fixed period until Stop.
 package controller
 
 import (
@@ -26,33 +30,18 @@ import (
 
 // Options tunes the supervisor.
 type Options struct {
-	// ProbeInterval is the health-check period (default 250ms).
-	ProbeInterval time.Duration
-	// ProbeTimeout bounds one probe request (default ProbeInterval).
-	ProbeTimeout time.Duration
 	// LatencyThreshold, when positive, arms limping-node detection: a 200
 	// whose EWMA round-trip time exceeds it counts as a failed probe
 	// (repair.NewHealth). Zero, the default, takes any 200 as healthy.
 	LatencyThreshold time.Duration
 }
 
-func (o Options) normalize() Options {
-	if o.ProbeInterval <= 0 {
-		o.ProbeInterval = 250 * time.Millisecond
-	}
-	if o.ProbeTimeout <= 0 {
-		o.ProbeTimeout = o.ProbeInterval
-	}
-	return o
-}
-
 // Supervisor is the availability signal source: it probes every site and
 // tells the reconciler which are down. A site's Down and Recovering → Up
-// transitions become visible (States, WaitFor) only once the reconciler has
-// committed the plan that reflects them, or the commit's error is in Err.
+// transitions become visible in States only once the reconciler has
+// committed the plan that reflects them, or the commit has failed.
 type Supervisor struct {
 	source
-	opts  Options
 	probe *http.Client
 	start time.Time
 
@@ -63,14 +52,14 @@ type Supervisor struct {
 	cProbesShed                                               *telemetry.Counter
 }
 
-// Supervisor builds the probe loop over the reconciler's cluster.
+// Supervisor builds the probe loop over the reconciler's cluster. Probe
+// steps it once; Start runs it every 250 ms (probePeriod).
 func (r *Reconciler) Supervisor(opts Options) *Supervisor {
 	n, reg := len(r.cluster.SiteBases), r.opts.Metrics
-	opts = opts.normalize()
-	return &Supervisor{
-		source: source{rec: r, name: "supervisor"},
-		opts:   opts,
-		probe:  &http.Client{Timeout: opts.ProbeTimeout},
+	s := &Supervisor{
+		source: source{rec: r, name: "supervisor", period: probePeriod},
+		probe:  &http.Client{Timeout: probePeriod},
+		start:  time.Now(),
 		health: repair.NewHealth(n, opts.LatencyThreshold),
 
 		cProbes:      reg.Counter("controller.probes"),
@@ -80,16 +69,14 @@ func (r *Reconciler) Supervisor(opts Options) *Supervisor {
 		cRecoveries:  reg.Counter("controller.recoveries"),
 		cTransitions: reg.Counter("controller.transitions"),
 	}
+	s.step = s.Probe
+	return s
 }
 
-// Start launches the probe loop. Stop ends it.
-func (s *Supervisor) Start() {
-	s.start = time.Now()
-	s.run(s.opts.ProbeInterval, s.tick)
-}
-
-// tick probes every site once and feeds the probe law.
-func (s *Supervisor) tick() error {
+// Probe is one probe round: it probes every site once, steps the probe law
+// on the answers, and commits the new down set if any site crossed the
+// down or recovered edge. The error is that commit's.
+func (s *Supervisor) Probe() error {
 	n := len(s.rec.cluster.SiteBases)
 	ok := make([]bool, n)
 	rtt := make([]time.Duration, n)
@@ -102,8 +89,7 @@ func (s *Supervisor) tick() error {
 		}(i)
 	}
 	wg.Wait()
-	s.observe(ok, rtt)
-	return nil
+	return s.observe(ok, rtt)
 }
 
 // probeSite performs one /healthz check and reports its round-trip time
@@ -136,7 +122,7 @@ func (s *Supervisor) probeSite(i int) (bool, time.Duration) {
 
 // observe steps the probe law on one probe round, then submits the new
 // down set if any site crossed the down or recovered edge.
-func (s *Supervisor) observe(ok []bool, rtt []time.Duration) {
+func (s *Supervisor) observe(ok []bool, rtt []time.Duration) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	now := time.Since(s.start)
@@ -144,8 +130,9 @@ func (s *Supervisor) observe(ok []bool, rtt []time.Duration) {
 	s.cProbeFails.Add(int64(demoted))
 	s.record(moves, now)
 	if slices.ContainsFunc(moves, repair.Transition.Edge) {
-		s.submit(now)
+		return s.submit(now)
 	}
+	return nil
 }
 
 // record journals, logs and counts transitions (mu held). Each event
@@ -171,23 +158,23 @@ func (s *Supervisor) record(moves []repair.Transition, at time.Duration) {
 // Recovering move to Up once the commit lands: with others still down the
 // fresh repair no longer re-homes their pages, with none the base plan is
 // back.
-func (s *Supervisor) submit(now time.Duration) {
+func (s *Supervisor) submit(now time.Duration) error {
 	down := s.health.Down()
 	if err := s.rec.SetDown(down); err != nil {
-		s.fail(err)
-		return
+		return err
 	}
 	s.record(s.health.Commit(), now)
 	if len(down) == 0 {
 		s.cRecoveries.Inc()
 		s.rec.opts.Journal.Record("controller.recovered")
 		s.logf("recovered: base placement reinstated")
-		return
+		return nil
 	}
 	s.cRepairs.Inc()
 	d := s.rec.Repair().Delta
 	s.logf("repaired: %d sites down, %d pages re-homed, D %.4f -> %.4f (degraded %.4f)",
 		len(down), len(d.Rehomed), d.DHealthy, d.DAfter, d.DBefore)
+	return nil
 }
 
 // States snapshots the per-site states.
@@ -195,28 +182,4 @@ func (s *Supervisor) States() []repair.SiteState {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.health.States()
-}
-
-// Counts returns how many repairs and recoveries the supervisor's signals
-// have committed.
-func (s *Supervisor) Counts() (repairs, recoveries int) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return int(s.cRepairs.Value()), int(s.cRecoveries.Value())
-}
-
-// WaitFor polls until pred over the state snapshot holds or the timeout
-// expires; it reports whether the predicate was met. A test/CLI helper —
-// the loop itself never blocks on it.
-func (s *Supervisor) WaitFor(pred func([]repair.SiteState) bool, timeout time.Duration) bool {
-	deadline := time.Now().Add(timeout)
-	for {
-		if pred(s.States()) {
-			return true
-		}
-		if time.Now().After(deadline) {
-			return false
-		}
-		time.Sleep(s.opts.ProbeInterval / 4)
-	}
 }

@@ -1,6 +1,9 @@
 package controller
 
 import (
+	"bytes"
+	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -66,13 +69,19 @@ func TestStateMachineTransitions(t *testing.T) {
 		Supervisor(Options{})
 	up, down := []bool{true, true, true}, []bool{false, true, true}
 	noRTT := make([]time.Duration, 3)
+	observe := func(ok []bool) {
+		t.Helper()
+		if err := s.observe(ok, noRTT); err != nil {
+			t.Fatal(err)
+		}
+	}
 
 	// One lost probe suspects, the next success clears — no repair.
-	s.observe(down, noRTT)
+	observe(down)
 	if st := s.States()[0]; st != repair.Suspect {
 		t.Fatalf("after 1 failure: %v, want suspect", st)
 	}
-	s.observe(up, noRTT)
+	observe(up)
 	if st := s.States()[0]; st != repair.Up {
 		t.Fatalf("after recovery probe: %v, want up", st)
 	}
@@ -82,7 +91,7 @@ func TestStateMachineTransitions(t *testing.T) {
 
 	// FailThreshold consecutive failures declare the site down and repair.
 	for i := 0; i < 3; i++ {
-		s.observe(down, noRTT)
+		observe(down)
 	}
 	if st := s.States()[0]; st != repair.Down {
 		t.Fatalf("after 3 failures: %v, want down", st)
@@ -98,14 +107,14 @@ func TestStateMachineTransitions(t *testing.T) {
 	}
 
 	// One good probe is not recovery; an interleaved failure resets.
-	s.observe(up, noRTT)
-	s.observe(down, noRTT)
-	s.observe(up, noRTT)
+	observe(up)
+	observe(down)
+	observe(up)
 	if st := s.States()[0]; st != repair.Down {
 		t.Fatalf("after flapping: %v, want down", st)
 	}
 	// okThreshold consecutive successes recover and reinstate routing.
-	s.observe(up, noRTT)
+	observe(up)
 	if st := s.States()[0]; st != repair.Up {
 		t.Fatalf("after %d good probes: %v, want up", 2, st)
 	}
@@ -117,12 +126,8 @@ func TestStateMachineTransitions(t *testing.T) {
 			t.Fatalf("page %d routed to %d after recovery, want home site 0", pid, to)
 		}
 	}
-	repairs, recoveries := s.Counts()
-	if repairs != 1 || recoveries != 1 {
+	if repairs, recoveries := s.cRepairs.Value(), s.cRecoveries.Value(); repairs != 1 || recoveries != 1 {
 		t.Fatalf("repairs=%d recoveries=%d, want 1 and 1", repairs, recoveries)
-	}
-	if err := s.Err(); err != nil {
-		t.Fatal(err)
 	}
 
 	// The flight recorder saw the whole episode: every transition, the
@@ -157,11 +162,12 @@ func TestStateMachineTransitions(t *testing.T) {
 	}
 }
 
-// TestHealEndToEnd is the acceptance test: under a killed site the running
-// supervisor detects the failure within the probe window, converges to a
-// repaired placement, and steady-state fetches of every page complete with
-// ZERO repository fallbacks — versus PR 3's permanent degraded mode — then
-// a restart recovers the original placement.
+// TestHealEndToEnd is the acceptance test, decided by probe count: a
+// killed site is suspect for FailThreshold−1 probe rounds and repaired on
+// the FailThreshold-th; under the repair, fetches of every page complete
+// with ZERO repository fallbacks, where the client alone would degrade
+// every view of the dead site's pages; after a restart, exactly okThreshold
+// (2) rounds reinstate the base.
 func TestHealEndToEnd(t *testing.T) {
 	env, p := healEnv(t)
 	reg := telemetry.NewRegistry()
@@ -171,19 +177,15 @@ func TestHealEndToEnd(t *testing.T) {
 	}
 	defer cluster.Close()
 
-	s := NewReconciler(env, p, cluster, ReconcilerOptions{Workers: 2, Metrics: reg}).Supervisor(Options{
-		ProbeInterval: 20 * time.Millisecond,
-	})
-	s.Start()
-	defer func() {
-		if s.stop != nil {
-			select {
-			case <-s.done:
-			default:
-				s.Stop()
+	s := NewReconciler(env, p, cluster, ReconcilerOptions{Workers: 2, Metrics: reg}).Supervisor(Options{})
+	probe := func(rounds int) {
+		t.Helper()
+		for ; rounds > 0; rounds-- {
+			if err := s.Probe(); err != nil {
+				t.Fatal(err)
 			}
 		}
-	}()
+	}
 
 	fetchAll := func(label string, wantSite0Home bool) {
 		t.Helper()
@@ -213,44 +215,139 @@ func TestHealEndToEnd(t *testing.T) {
 	if err := cluster.KillSite(0); err != nil {
 		t.Fatal(err)
 	}
-	if !s.WaitFor(func(st []repair.SiteState) bool { return st[0] == repair.Down }, 5*time.Second) {
-		t.Fatalf("site 0 never declared down; states=%v", s.States())
+	probe(repair.FailThreshold - 1)
+	if st := s.States()[0]; st != repair.Suspect || s.rec.Repair() != nil {
+		t.Fatalf("after %d missed probes: site 0 %v, repair active %v; want suspect and none", repair.FailThreshold-1, st, s.rec.Repair() != nil)
 	}
-	if s.rec.Repair() == nil {
-		t.Fatal("down site has no active repair plan")
+	// The down edge commits while an observer reads: a site is never down
+	// before the plan that repairs it routes its pages elsewhere.
+	site0Page := env.W.Sites[0].Pages[0]
+	committed := make(chan error, 1)
+	go func() { committed <- s.Probe() }()
+	for watching := true; watching; {
+		select {
+		case err := <-committed:
+			if err != nil {
+				t.Fatal(err)
+			}
+			watching = false
+		default:
+		}
+		if s.States()[0] == repair.Down && cluster.Route(site0Page) == 0 {
+			t.Fatal("site 0 observed down before its repair was live")
+		}
+	}
+	if st := s.States()[0]; st != repair.Down || s.rec.Repair() == nil {
+		t.Fatalf("after %d missed probes: site 0 %v, repair active %v; want down and repaired", repair.FailThreshold, st, s.rec.Repair() != nil)
 	}
 	// Steady state under repair: every page — including the dead site's,
 	// now re-homed — served with zero fallbacks.
 	fetchAll("repaired", false)
-	if reg.Counter("controller.repairs").Value() == 0 {
-		t.Fatal("repair not counted in telemetry")
+	if got := reg.Counter("controller.repairs").Value(); got != 1 {
+		t.Fatalf("controller.repairs = %d, want 1", got)
 	}
 
 	if err := cluster.RestartSite(0); err != nil {
 		t.Fatal(err)
 	}
-	if !s.WaitFor(func(st []repair.SiteState) bool {
-		for _, v := range st {
-			if v != repair.Up {
-				return false
-			}
+	probe(1)
+	if st := s.States()[0]; st != repair.Down || s.rec.Repair() == nil {
+		t.Fatalf("one answer after the restart: site 0 %v, repair active %v; want still down and repaired", st, s.rec.Repair() != nil)
+	}
+	probe(1)
+	for i, st := range s.States() {
+		if st != repair.Up {
+			t.Fatalf("two answers after the restart: site %d %v, want up", i, st)
 		}
-		return true
-	}, 5*time.Second) {
-		t.Fatalf("cluster never recovered; states=%v", s.States())
 	}
 	if s.rec.Repair() != nil {
 		t.Fatal("recovered supervisor still holds a repair plan")
 	}
-	fetchAll("recovered", true)
-	if reg.Counter("controller.recoveries").Value() == 0 {
-		t.Fatal("recovery not counted in telemetry")
+	if got := reg.Counter("controller.recoveries").Value(); got != 1 {
+		t.Fatalf("controller.recoveries = %d, want 1", got)
 	}
-	if err := s.Err(); err != nil {
+	fetchAll("recovered", true)
+}
+
+// TestSupervisorReportsFailedCommit reaches the commit's error path by
+// step: with every site dead there is no survivor to repair onto, so the
+// FailThreshold-th probe round's commit fails. The round returns the error,
+// the sites still read down, nothing is applied, and the journal's tail is
+// dumped to the log.
+func TestSupervisorReportsFailedCommit(t *testing.T) {
+	env, p := healEnv(t)
+	cluster, err := webserve.StartCluster(env.W, p)
+	if err != nil {
 		t.Fatal(err)
 	}
-	s.Stop()
-	if v := reg.Counter("controller.probes").Value(); v == 0 {
-		t.Fatal("probe loop never probed")
+	defer cluster.Close()
+	for i := range cluster.SiteBases {
+		if err := cluster.KillSite(i); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var log bytes.Buffer
+	rec := NewReconciler(env, p, cluster, ReconcilerOptions{Workers: 1, Journal: trace.NewJournal(64), Log: &log})
+	s := rec.Supervisor(Options{})
+	for round := 1; round < repair.FailThreshold; round++ {
+		if err := s.Probe(); err != nil {
+			t.Fatalf("round %d: %v", round, err)
+		}
+	}
+	if err := s.Probe(); err == nil || !strings.Contains(err.Error(), "repair commit after gen 0") {
+		t.Fatalf("round %d: err = %v, want the failed repair commit", repair.FailThreshold, err)
+	}
+	for i, st := range s.States() {
+		if st != repair.Down {
+			t.Errorf("site %d %v after the failed commit, want down", i, st)
+		}
+	}
+	if rec.Repair() != nil {
+		t.Error("a failed commit left a repair plan")
+	}
+	if !strings.Contains(log.String(), "journal dump") {
+		t.Errorf("failed commit did not dump the journal; log:\n%s", log.String())
+	}
+}
+
+// runLoop starts src's loop at period and returns a function that waits for
+// the loop's first step to return, then stops the loop: the real-time check
+// that a loop ticks and that Stop returns. Everything else about a source is
+// decided by calling its step.
+func runLoop(t *testing.T, src *source, period time.Duration) (tickThenStop func()) {
+	ticked := make(chan struct{})
+	var once sync.Once
+	step := src.step
+	src.step = func() error {
+		err := step()
+		once.Do(func() { close(ticked) })
+		return err
+	}
+	src.period = period
+	src.Start()
+	return func() {
+		t.Helper()
+		defer src.Stop()
+		select {
+		case <-ticked:
+		case <-time.After(10 * time.Second):
+			t.Errorf("%s loop did not tick in 10s", src.name)
+		}
+	}
+}
+
+// TestSupervisorLoopTicks is the probe loop's liveness smoke: it probes, and
+// Stop returns.
+func TestSupervisorLoopTicks(t *testing.T) {
+	env, p := healEnv(t)
+	cluster, err := webserve.StartCluster(env.W, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cluster.Close()
+	s := NewReconciler(env, p, cluster, ReconcilerOptions{Workers: 1}).Supervisor(Options{})
+	runLoop(t, &s.source, 5*time.Millisecond)()
+	if s.cProbes.Value() == 0 {
+		t.Fatal("the probe loop ticked without probing")
 	}
 }

@@ -191,11 +191,23 @@ func (r *Reconciler) reject(cause string, err error) error {
 	return err
 }
 
+// The loops' periods. Each source steps synchronously through its own
+// public step (Supervisor.Probe, Adapter.CheckNow, Scrubber.RunCycle);
+// Start only calls that step once per period.
+const (
+	probePeriod = 250 * time.Millisecond // also bounds one probe request
+	adaptPeriod = 5 * time.Second
+	scrubPeriod = 2 * time.Second
+)
+
 // source is what every signal source embeds: the reconciler it submits to,
-// prefixed logging, the last loop error, and the one ticker goroutine.
+// prefixed logging, the last loop error, and the one loop, whose period
+// and step the constructor fixes.
 type source struct {
-	rec  *Reconciler
-	name string // log prefix and the controller.error event's source
+	rec    *Reconciler
+	name   string // log prefix and the controller.error event's source
+	period time.Duration
+	step   func() error
 
 	errMu   sync.Mutex
 	lastErr error
@@ -203,21 +215,21 @@ type source struct {
 	done    chan struct{}
 }
 
-// run launches the loop: one tick per interval until Stop; a tick's error is
-// recorded (visible via Err) without ending the loop.
-func (s *source) run(every time.Duration, tick func() error) {
+// Start launches the loop: one step per period until Stop; a step's error
+// is recorded (visible via Err) without ending the loop.
+func (s *source) Start() {
 	s.stop = make(chan struct{})
 	s.done = make(chan struct{})
 	go func() {
 		defer close(s.done)
-		ticker := time.NewTicker(every)
+		ticker := time.NewTicker(s.period)
 		defer ticker.Stop()
 		for {
 			select {
 			case <-s.stop:
 				return
 			case <-ticker.C:
-				if err := tick(); err != nil {
+				if err := s.step(); err != nil {
 					s.fail(err)
 				}
 			}
@@ -239,7 +251,7 @@ func (s *source) fail(err error) {
 	s.logf("%v", err)
 }
 
-// Err returns the last loop or commit error, nil if none.
+// Err returns the last error a step returned inside the loop, nil if none.
 func (s *source) Err() error {
 	s.errMu.Lock()
 	defer s.errMu.Unlock()

@@ -179,30 +179,68 @@ func TestScrubberMergesSitesInOrder(t *testing.T) {
 	}
 }
 
-// TestScrubberReverifyFetchErrorIsNotFatal pins the re-verify contract: a
-// repaired replica whose re-verify fetch fails (an injected 503) is counted
-// as a fetch error and left for the next cycle, not a scrub-loop failure.
-// The fault stream is a pure function of the seed and arrival order, and the
-// cycle fetches one replica at a time, so the split below is fixed.
+// TestScrubberReverifyFetchErrorIsNotFatal pins the re-verify contract:
+// a repaired replica whose re-verify fails is left for the next cycle, not
+// a scrub-loop failure. A failed fetch (an injected 503) is counted as a
+// fetch error and the cycle still reports the repair; a re-read that is
+// corrupt again (every response of the site wire-corrupted) leaves the
+// cycle unrepaired, with no scrub.repaired record. The fault stream is a
+// pure function of the seed and arrival order, and the cycle fetches one
+// replica at a time per site, so the outcome of each row is fixed.
 func TestScrubberReverifyFetchErrorIsNotFatal(t *testing.T) {
-	penv, p := healEnv(t)
-	plan := &faults.Plan{Seed: 3, Sites: make([]faults.Spec, penv.W.NumSites())}
-	plan.Sites[0].Rot = p.StoredSet(0).Members()
-	plan.Sites[0].ErrorRate = 0.5
-	cluster, err := webserve.StartClusterOptions(penv.W, p, webserve.ClusterOptions{Faults: plan})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cluster.Close()
+	for _, tc := range []struct {
+		name  string
+		fault func(*faults.Spec)
+		check func(cyc *ScrubCycle, repairs int64) string
+	}{
+		{"fetch error", func(s *faults.Spec) { s.ErrorRate = 0.5 },
+			func(cyc *ScrubCycle, repairs int64) string {
+				mainPassErrors := cyc.Checked - cyc.Clean - len(cyc.Corrupt)
+				if len(cyc.Corrupt) == 0 || !cyc.Repaired || repairs != 1 || cyc.Errors <= mainPassErrors {
+					return fmt.Sprintf("re-verify fetch error not exercised: %d corrupt, repaired=%v, %d scrub.repaired, %d errors (%d in the main pass)",
+						len(cyc.Corrupt), cyc.Repaired, repairs, cyc.Errors, mainPassErrors)
+				}
+				return ""
+			}},
+		{"corrupt re-read", func(s *faults.Spec) { s.CorruptRate = 1 },
+			func(cyc *ScrubCycle, repairs int64) string {
+				if len(cyc.Corrupt) == 0 || cyc.Repaired || repairs != 0 {
+					return fmt.Sprintf("corrupt re-read counted as a repair: %d corrupt, repaired=%v, %d scrub.repaired",
+						len(cyc.Corrupt), cyc.Repaired, repairs)
+				}
+				return ""
+			}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			penv, p := healEnv(t)
+			plan := &faults.Plan{Seed: 3, Sites: make([]faults.Spec, penv.W.NumSites())}
+			plan.Sites[0].Rot = p.StoredSet(0).Members()
+			tc.fault(&plan.Sites[0])
+			cluster, err := webserve.StartClusterOptions(penv.W, p, webserve.ClusterOptions{Metrics: true, Faults: plan})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer cluster.Close()
+			journal := trace.NewJournal(256)
+			s := NewReconciler(penv, p, cluster, ReconcilerOptions{Metrics: cluster.Metrics, Journal: journal}).Scrubber(ScrubOptions{})
 
-	cyc, err := NewScrubber(penv, cluster, ScrubOptions{}).RunCycle()
-	if err != nil {
-		t.Fatalf("a transient re-verify failure ended the cycle: %v", err)
-	}
-	mainPassErrors := cyc.Checked - cyc.Clean - len(cyc.Corrupt)
-	if len(cyc.Corrupt) == 0 || !cyc.Repaired || cyc.Errors <= mainPassErrors {
-		t.Fatalf("re-verify fetch error not exercised: %d corrupt, repaired=%v, %d errors (%d in the main pass)",
-			len(cyc.Corrupt), cyc.Repaired, cyc.Errors, mainPassErrors)
+			cyc, err := s.RunCycle()
+			if err != nil {
+				t.Fatalf("a transient re-verify failure ended the cycle: %v", err)
+			}
+			var repairs int64
+			for _, ev := range journal.Events() {
+				if ev.Type == "scrub.repaired" {
+					repairs++
+				}
+			}
+			if got := cluster.Metrics.Counter("scrub.repairs").Value(); got != repairs {
+				t.Errorf("scrub.repairs = %d, journal has %d scrub.repaired", got, repairs)
+			}
+			if msg := tc.check(cyc, repairs); msg != "" {
+				t.Fatal(msg)
+			}
+		})
 	}
 }
 
@@ -232,10 +270,11 @@ func TestScrubberSkipsDownSites(t *testing.T) {
 	}
 }
 
-// TestScrubberRaceWithChaosAndFetches is the -race soak: the continuous
-// scrub loop, a chaos fault plan, live verifying clients and rot repair all
-// run concurrently against one cluster. Every fetch must still succeed (the
-// repository fallback absorbs the chaos) and the scrubber must converge on
+// TestScrubberRaceWithChaosAndFetches is the -race soak and the scrub
+// loop's liveness smoke: the continuous scrub loop, a chaos fault plan, live
+// verifying clients and rot repair all run concurrently against one
+// cluster. Every fetch must still succeed (the repository fallback absorbs
+// the chaos), the loop must tick and stop, and one more cycle must leave
 // zero rotted replicas.
 func TestScrubberRaceWithChaosAndFetches(t *testing.T) {
 	penv, p := healEnv(t)
@@ -257,10 +296,8 @@ func TestScrubberRaceWithChaosAndFetches(t *testing.T) {
 	}
 	defer cluster.Close()
 
-	s := NewReconciler(penv, p, cluster, ReconcilerOptions{Metrics: cluster.Metrics}).
-		Scrubber(ScrubOptions{Interval: 20 * time.Millisecond})
-	s.Start()
-	defer s.Stop()
+	s := NewReconciler(penv, p, cluster, ReconcilerOptions{Metrics: cluster.Metrics}).Scrubber(ScrubOptions{})
+	tickThenStop := runLoop(t, &s.source, 20*time.Millisecond)
 
 	var wg sync.WaitGroup
 	errs := make(chan error, 8)
@@ -283,30 +320,34 @@ func TestScrubberRaceWithChaosAndFetches(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
+	tickThenStop()
 	close(errs)
 	for err := range errs {
 		t.Fatal(err)
 	}
+	if err := s.Err(); err != nil {
+		t.Fatalf("scrub loop error: %v", err)
+	}
 
-	deadline := time.Now().Add(5 * time.Second)
-	for cluster.RotRemaining() > 0 && time.Now().Before(deadline) {
-		time.Sleep(10 * time.Millisecond)
+	// Site 1 has rot and no chaos, so one cycle finds whatever rot the loop
+	// left and clears it.
+	if _, err := s.RunCycle(); err != nil {
+		t.Fatal(err)
 	}
 	if got := cluster.RotRemaining(); got != 0 {
 		t.Fatalf("%d replicas still rotted after the soak", got)
 	}
-	if err := s.Err(); err != nil {
-		t.Fatalf("scrub loop error: %v", err)
-	}
-	cycles, _, corrupt, repairs := s.Counts()
-	if cycles == 0 || corrupt < n || repairs == 0 {
-		t.Fatalf("soak accounting off: cycles=%d corrupt=%d repairs=%d (want ≥1/≥%d/≥1)", cycles, corrupt, repairs, n)
+	m := cluster.Metrics
+	cycles, corrupt, repairs := m.Counter("scrub.cycles").Value(), m.Counter("scrub.corrupt").Value(), m.Counter("scrub.repairs").Value()
+	if cycles < 2 || corrupt < int64(n) || repairs == 0 {
+		t.Fatalf("soak accounting off: cycles=%d corrupt=%d repairs=%d (want ≥2/≥%d/≥1)", cycles, corrupt, repairs, n)
 	}
 }
 
 // TestSupervisorDetectsLimpingSite pins the latency-aware health layer end
 // to end: a site that answers every probe 200-but-slow walks to Down via the
-// EWMA threshold, with the probe RTT recorded on the journal transitions.
+// EWMA threshold in FailThreshold probe rounds, with the probe RTT recorded
+// on the journal transitions.
 func TestSupervisorDetectsLimpingSite(t *testing.T) {
 	penv, p := healEnv(t)
 	plan := &faults.Plan{Seed: 3, Sites: make([]faults.Spec, penv.W.NumSites())}
@@ -320,20 +361,24 @@ func TestSupervisorDetectsLimpingSite(t *testing.T) {
 
 	journal := trace.NewJournal(256)
 	rec := NewReconciler(penv, p, cluster, ReconcilerOptions{Workers: 1, Journal: journal, Metrics: telemetry.NewRegistry()})
-	s := rec.Supervisor(Options{
-		ProbeInterval: 20 * time.Millisecond,
-		// Far above the limp: every probe answers 200, so only the latency
-		// threshold can demote the site — the gray path under test.
-		ProbeTimeout:     2 * time.Second,
-		LatencyThreshold: 5 * time.Millisecond,
-	})
-	s.Start()
-	defer s.Stop()
-
-	if !s.WaitFor(func(states []repair.SiteState) bool { return states[1] == repair.Down }, 10*time.Second) {
-		t.Fatalf("limping site never declared down; states=%v", s.States())
+	// The probe timeout is far above the limp: every probe answers 200, so
+	// only the latency threshold can demote the site — the gray path under
+	// test. The first answer seeds the EWMA above the threshold, so every
+	// round is a miss.
+	s := rec.Supervisor(Options{LatencyThreshold: 5 * time.Millisecond})
+	// The first answer seeds the healthy sites' EWMAs too. Collect the
+	// setup's garbage before it: under -race on a loaded box, a collection
+	// running through the first round slows every answer past 5 ms, and the
+	// EWMA stays above the threshold for the next two rounds.
+	runtime.GC()
+	for round := 0; round < repair.FailThreshold; round++ {
+		if err := s.Probe(); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if states := s.States(); states[0] == repair.Down || states[2] == repair.Down {
+	if states := s.States(); states[1] != repair.Down {
+		t.Fatalf("limping site not down after %d probe rounds; states=%v", repair.FailThreshold, states)
+	} else if states[0] == repair.Down || states[2] == repair.Down {
 		t.Fatalf("healthy sites demoted: %v", states)
 	}
 	s.mu.Lock()

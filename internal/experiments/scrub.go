@@ -1,4 +1,4 @@
-//repllint:allow determinism — the scrub soak is the one study that drives a live loopback cluster (real servers, probe loop, client); its report carries only counts that the injected faults fix, never a wall-clock reading
+//repllint:allow determinism — the scrub soak is the one study that drives a live loopback cluster (real servers, probes, client); its report carries only counts that the injected faults fix, never a wall-clock reading
 
 package experiments
 
@@ -31,12 +31,10 @@ const (
 )
 
 // Gray-failure tuning: the limp must dwarf loopback RTT noise while keeping
-// the soak fast, and the probe cadence must detect within a short soak.
+// the soak fast.
 const (
 	scrubLimpLatency      = 15 * time.Millisecond
 	scrubLatencyThreshold = 3 * time.Millisecond
-	scrubProbeInterval    = 20 * time.Millisecond
-	scrubDetectTimeout    = 10 * time.Second
 )
 
 // stream labels for the scrub study's derivations (disjoint from the
@@ -79,7 +77,7 @@ type ScrubRun struct {
 	// violations nothing caught. The acceptance bar is exactly 0.
 	Undetected int
 	// LimpDetected / PartDetected report the supervisor walked the limping
-	// and partitioned sites to Down within the soak's detection window.
+	// and partitioned sites to Down within repair.FailThreshold probe rounds.
 	LimpDetected bool
 	PartDetected bool
 }
@@ -229,24 +227,19 @@ func Scrub(opts Options) (*ScrubResult, error) {
 		run.PostRepairCorrupt = int(corruptFB.Value() - before)
 
 		// Phase 4: gray-failure health. The limping site answers every
-		// probe 200 but over the latency threshold; the partitioned site is
-		// unreachable to the supervisor while still serving clients. Both
-		// must walk to Down.
-		sup := rec.Supervisor(controller.Options{
-			ProbeInterval: scrubProbeInterval,
-			// Generous: the limping site must answer 200 (slow), not time
-			// out — only then is its demotion the EWMA signal's doing.
-			ProbeTimeout:     time.Second,
-			LatencyThreshold: scrubLatencyThreshold,
-		})
-		sup.Start()
-		run.LimpDetected = sup.WaitFor(func(states []repair.SiteState) bool {
-			return states[limpSite] == repair.Down
-		}, scrubDetectTimeout)
-		run.PartDetected = sup.WaitFor(func(states []repair.SiteState) bool {
-			return states[partSite] == repair.Down
-		}, scrubDetectTimeout)
-		sup.Stop()
+		// probe 200 but over the latency threshold (its first answer seeds
+		// the EWMA there); the partitioned site is unreachable to the
+		// supervisor while still serving clients. Each round is a miss for
+		// both, so the probe law takes both to Down in FailThreshold rounds.
+		sup := rec.Supervisor(controller.Options{LatencyThreshold: scrubLatencyThreshold})
+		for round := 0; round < repair.FailThreshold; round++ {
+			if err := sup.Probe(); err != nil {
+				return err
+			}
+		}
+		states := sup.States()
+		run.LimpDetected = states[limpSite] == repair.Down
+		run.PartDetected = states[partSite] == repair.Down
 
 		runs[r] = run
 		opts.progressf("scrub run %d: rot site %d (%d replicas) — fetch-detected %d, scrub-detected %d, repaired %s, residual %d, undetected %d, limp %v, partition %v",

@@ -81,15 +81,16 @@ stage_test() {
 # any of them, the planner's stored-but-remote index, the placement slab's
 # Clone/Equal/JSON paths, the reference database's reuse of unchanged pages,
 # the shared re-plan step, the admission gate's and the probe law's step
-# machines, the span buffer's arena and full state, the supervisor's commit
-# path, the dense LRU ring and the harness's shared-partition plans and
-# their core.Plan bypass included, has to be reached by tests to land.
-# controller's floor sits below its usual reading: its loops' error paths
-# run only when a live probe or scrub fetch fails.
+# machines, the span buffer's arena and full state, the control sources'
+# steps and a failed commit, the dense LRU ring and the harness's
+# shared-partition plans and their core.Plan bypass included, has to be
+# reached by tests to land. The control plane's tests drive each source by
+# its step (Supervisor.Probe, Adapter.CheckNow, Scrubber.RunCycle), so they
+# reach the loops' error paths too, and its floor needs no excuse.
 stage_race() {
     cover_out=$(mktemp)
     go test -race -count=1 -coverprofile="$cover_out" ./...
-    for pair in core:95 model:91 repair:96 htmlrefs:94 estimate:96 admission:92 trace:89 controller:87 lru:100 policies:96 experiments:85; do
+    for pair in core:95 model:91 repair:96 htmlrefs:94 estimate:96 admission:92 trace:89 controller:92 lru:100 policies:96 experiments:85; do
         pkg="internal/${pair%%:*}" floor="${pair##*:}"
         # A profile line is "file:block statements count"; the package's
         # coverage is the share of its statements in blocks that ran.
