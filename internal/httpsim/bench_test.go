@@ -63,6 +63,24 @@ func BenchmarkSimulateQueueing(b *testing.B) {
 // drawing — what a study saves per policy by replaying one recording.
 func BenchmarkReplay(b *testing.B) {
 	w, est, pol := paperScale(b)
+	benchReplay(b, w, est, pol)
+}
+
+// BenchmarkReplayLRU is BenchmarkReplay for the stateful path: the LRU
+// baseline at half the storage, whose Compulsory serves each object through
+// its cache. One instance serves every iteration, so after the first its
+// caches are warm — the state a Warmup pass leaves.
+func BenchmarkReplayLRU(b *testing.B) {
+	w, est, _ := paperScale(b)
+	pol, err := policies.NewLRU(w, model.FullBudgets(w).Scale(w, 0.5, 1), 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	benchReplay(b, w, est, pol)
+}
+
+// benchReplay times Replay of one recording of the paper-scale traffic.
+func benchReplay(b *testing.B, w *workload.Workload, est *netsim.Estimates, pol Decider) {
 	cfg := DefaultConfig(w)
 	tr, err := Record(w, est, cfg, rng.New(1))
 	if err != nil {

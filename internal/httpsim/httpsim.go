@@ -22,24 +22,23 @@ import (
 	"repro/internal/workload"
 )
 
-// Decider is the policy under simulation: for each page view it says which
-// compulsory objects are served locally, and whether a requested optional
-// link is served locally. Implementations may keep state (the LRU baseline
-// does): one site's views arrive from one goroutine, in order, but distinct
-// sites may be replayed concurrently (Config.Workers), so the state must be
+// Decider is the policy under simulation: for each page view it serves the
+// page's compulsory objects and says how their bytes split between the
+// local server and the repository, and whether a requested optional link is
+// served locally. Implementations may keep state (the LRU baseline does):
+// one site's views arrive from one goroutine, in order, but distinct sites
+// may be replayed concurrently (Config.Workers), so the state must be
 // partitioned by site — as every policy in internal/policies is.
 type Decider interface {
 	// Name identifies the policy in reports.
 	Name() string
-	// CompLocal reports, for one view of page j, whether the idx-th
-	// compulsory object is downloaded from the local server.
-	CompLocal(j workload.PageID, idx int) bool
+	// Compulsory serves one view of page j's compulsory objects, in order,
+	// and returns the bytes downloaded from the local server and from the
+	// repository, and how many of the objects were local.
+	Compulsory(j workload.PageID) (local, remote units.ByteSize, localReqs int64)
 	// OptLocal reports whether the idx-th optional link of page j — which
 	// the simulated user decided to request — is downloaded locally.
 	OptLocal(j workload.PageID, idx int) bool
-	// BeginPage is called once per page view before the Comp/Opt queries,
-	// letting stateful policies (LRU) update their structures.
-	BeginPage(j workload.PageID)
 }
 
 // Config controls a simulation run.
@@ -312,34 +311,23 @@ func replayPass(w *workload.Workload, dec Decider, cfg Config, stream *rng.Strea
 		ev := &views[n]
 		j := ev.Page
 		pg := &w.Pages[j]
-		dec.BeginPage(j)
 
 		// Degraded mode: with the site down for this view, every transfer —
-		// the HTML included — degenerates to the repository chain.
+		// the HTML included — degenerates to the repository chain. The
+		// decider is consulted either way, so stateful policies (LRU) evolve
+		// identically whether or not the site is up.
 		siteUp := true
 		if cfg.Outage.Enabled {
 			siteUp = outageStream.Bool(cfg.Outage.Availability)
 		}
-
+		l, r, lr := dec.Compulsory(j)
 		var localBytes, remoteBytes units.ByteSize
 		var localReqs, repoReqs int64
 		if siteUp {
-			localBytes = pg.HTMLSize
-			localReqs = 1
+			localBytes, localReqs = pg.HTMLSize+l, 1+lr
+			remoteBytes, repoReqs = r, int64(len(pg.Compulsory))-lr
 		} else {
-			remoteBytes = pg.HTMLSize
-			repoReqs = 1
-		}
-		for idx, k := range pg.Compulsory {
-			// The decider is always consulted so stateful policies (LRU)
-			// evolve identically whether or not the site is up.
-			if dec.CompLocal(j, idx) && siteUp {
-				localBytes += w.ObjectSize(k)
-				localReqs++
-			} else {
-				remoteBytes += w.ObjectSize(k)
-				repoReqs++
-			}
+			remoteBytes, repoReqs = pg.HTMLSize+l+r, 1+int64(len(pg.Compulsory))
 		}
 
 		var localT, remoteT units.Seconds
@@ -392,15 +380,15 @@ func replayPass(w *workload.Workload, dec Decider, cfg Config, stream *rng.Strea
 		// connection (Eq. 6) with its own recorded draws.
 		optTotal := 0.0
 		for oi, idx := range ev.Optional {
-			size := w.ObjectSize(pg.Optional[idx].Object)
+			size, d := w.ObjectSize(pg.Optional[idx].Object), &ev.OptDraws[oi]
 			chain, q := "remote", repoQ
 			var t units.Seconds
 			if dec.OptLocal(j, idx) && siteUp {
 				chain, q = "local", siteQ
-				t = ev.OptLocalOvhd[oi] + ev.OptLocalRate[oi].TransferTime(size)
+				t = d.LocalOvhd + d.LocalRate.TransferTime(size)
 				localReqs++
 			} else {
-				t = ev.OptRepoOvhd[oi] + ev.OptRepoRate[oi].TransferTime(size) + cfg.RemoteRedirectPenalty
+				t = d.RepoOvhd + d.RepoRate.TransferTime(size) + cfg.RemoteRedirectPenalty
 				repoReqs++
 			}
 			if cfg.Queueing {

@@ -14,9 +14,9 @@ import (
 // optional links the user requested (indices into the page's Optional
 // list), and the actual per-request network attributes drawn for it. A
 // trace pins *traffic and network conditions*; policies replayed over it
-// decide only the local/remote split. One view is 160 bytes plus its
-// optional picks: 16 MB per recorded paper-scale run (10 sites × 10,000
-// views), 270 KB at quick scale.
+// decide only the local/remote split. One view is 88 bytes plus 40 per
+// optional pick: before the picks, 8.8 MB per recorded paper-scale run
+// (10 sites × 10,000 views), 141 KB at quick scale.
 type TraceEvent struct {
 	Page      workload.PageID
 	Optional  []int
@@ -24,12 +24,17 @@ type TraceEvent struct {
 	RepoRate  units.Rate
 	LocalOvhd units.Seconds
 	RepoOvhd  units.Seconds
-	// Per-optional-download draws, parallel to Optional (local and repo
-	// variants so the replay is policy-independent).
-	OptLocalRate []units.Rate
-	OptRepoRate  []units.Rate
-	OptLocalOvhd []units.Seconds
-	OptRepoOvhd  []units.Seconds
+	// OptDraws holds each optional download's draws, parallel to Optional.
+	OptDraws []OptDraw
+}
+
+// OptDraw is one optional download's network draws, local and repository
+// variants both, so the replay is policy-independent.
+type OptDraw struct {
+	LocalRate units.Rate
+	RepoRate  units.Rate
+	LocalOvhd units.Seconds
+	RepoOvhd  units.Seconds
 }
 
 // Trace is a per-site recorded request sequence.
@@ -118,15 +123,14 @@ func recordSite(w *workload.Workload, est *netsim.Estimates, cfg Config, stream 
 			want = 1
 		}
 		ev.Optional = optStream.SampleWithoutReplacement(len(pg.Optional), want)
-		ev.OptLocalRate = make([]units.Rate, len(ev.Optional))
-		ev.OptRepoRate = make([]units.Rate, len(ev.Optional))
-		ev.OptLocalOvhd = make([]units.Seconds, len(ev.Optional))
-		ev.OptRepoOvhd = make([]units.Seconds, len(ev.Optional))
-		for oi := range ev.Optional {
-			ev.OptLocalRate[oi] = perturber.LocalRate()
-			ev.OptRepoRate[oi] = perturber.RepoRate()
-			ev.OptLocalOvhd[oi] = perturber.LocalOvhd()
-			ev.OptRepoOvhd[oi] = perturber.RepoOvhd()
+		ev.OptDraws = make([]OptDraw, len(ev.Optional))
+		for oi := range ev.OptDraws {
+			ev.OptDraws[oi] = OptDraw{ // drawn in field order
+				LocalRate: perturber.LocalRate(),
+				RepoRate:  perturber.RepoRate(),
+				LocalOvhd: perturber.LocalOvhd(),
+				RepoOvhd:  perturber.RepoOvhd(),
+			}
 		}
 	}
 	return events, nil
@@ -182,8 +186,7 @@ func (tr *Trace) Validate(w *workload.Workload) error {
 			if pg.Site != workload.SiteID(i) {
 				return fmt.Errorf("httpsim: site %d event %d requests page %d hosted elsewhere", i, n, ev.Page)
 			}
-			if len(ev.OptLocalRate) != len(ev.Optional) || len(ev.OptRepoRate) != len(ev.Optional) ||
-				len(ev.OptLocalOvhd) != len(ev.Optional) || len(ev.OptRepoOvhd) != len(ev.Optional) {
+			if len(ev.OptDraws) != len(ev.Optional) {
 				return fmt.Errorf("httpsim: site %d event %d has inconsistent optional draws", i, n)
 			}
 			for _, idx := range ev.Optional {

@@ -157,6 +157,17 @@ func TestTraceValidation(t *testing.T) {
 	if err := tr4.Validate(w); err == nil {
 		t.Error("zero rate accepted")
 	}
+
+	tr5, _ := Record(w, est, cfg, rng.New(8))
+	n := slices.IndexFunc(tr5.Events[0], func(ev TraceEvent) bool { return len(ev.Optional) > 0 })
+	if n < 0 {
+		t.Fatal("site 0 recorded no view with optional picks")
+	}
+	ev := &tr5.Events[0][n]
+	ev.OptDraws = ev.OptDraws[:len(ev.OptDraws)-1]
+	if err := tr5.Validate(w); err == nil {
+		t.Error("optional picks without their draws accepted")
+	}
 }
 
 func TestRecordValidation(t *testing.T) {

@@ -1,74 +1,94 @@
 package policies
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/lru"
 	"repro/internal/model"
+	"repro/internal/units"
 	"repro/internal/workload"
 )
 
-// ref is one object reference of a page: compulsory index, or optional link
-// index when opt is set.
-type ref struct {
+// optRef is one optional link of a page.
+type optRef struct {
 	page workload.PageID
 	idx  int
-	opt  bool
-	obj  workload.ObjectID
 }
 
-// cachingDecider is the part of httpsim.Decider the stateful baselines
-// implement with a cache.
-type cachingDecider interface {
-	CompLocal(workload.PageID, int) bool
+// decider is the part of httpsim.Decider that serves objects.
+type decider interface {
+	Compulsory(workload.PageID) (local, remote units.ByteSize, localReqs int64)
 	OptLocal(workload.PageID, int) bool
 }
 
-func serveRef(d cachingDecider, r ref) bool {
-	if r.opt {
-		return d.OptLocal(r.page, r.idx)
-	}
-	return d.CompLocal(r.page, r.idx)
-}
-
-// siteRefs returns site i's compulsory and optional references in page
-// order, each object's first reference only: cycled through a cache smaller
-// than their objects, every one misses.
-func siteRefs(w *workload.Workload, i workload.SiteID) (comp, opt []ref) {
+// siteRefs returns those of site i's pages whose compulsory objects no
+// earlier one references, and the optional links whose objects no earlier
+// page or link references — each object's first reference only: cycled
+// through a cache smaller than their objects, every one misses.
+func siteRefs(w *workload.Workload, i workload.SiteID) (pages []workload.PageID, opt []optRef) {
 	seen := make([]bool, w.NumObjects())
-	add := func(refs []ref, r ref) []ref {
-		if seen[r.obj] {
-			return refs
+	fresh := func(objs []workload.ObjectID) bool {
+		for n, k := range objs {
+			if seen[k] || slices.Contains(objs[:n], k) {
+				return false
+			}
 		}
-		seen[r.obj] = true
-		return append(refs, r)
+		for _, k := range objs {
+			seen[k] = true
+		}
+		return true
 	}
 	for _, pid := range w.Sites[i].Pages {
-		pg := &w.Pages[pid]
-		for idx, k := range pg.Compulsory {
-			comp = add(comp, ref{page: pid, idx: idx, obj: k})
-		}
-		for idx, l := range pg.Optional {
-			opt = add(opt, ref{page: pid, idx: idx, opt: true, obj: l.Object})
+		if fresh(w.Pages[pid].Compulsory) {
+			pages = append(pages, pid)
 		}
 	}
-	return comp, opt
+	for _, pid := range w.Sites[i].Pages {
+		for idx, l := range w.Pages[pid].Optional {
+			if fresh([]workload.ObjectID{l.Object}) {
+				opt = append(opt, optRef{pid, idx})
+			}
+		}
+	}
+	return pages, opt
 }
 
-// TestDecidersAllocateNothing: once warm, LRU and Threshold serve a cache
-// hit and an evicting miss through CompLocal and OptLocal without
-// allocating — their caches and access counts are sized to the workload's
-// objects when they are built.
+// TestDecidersAllocateNothing: Static serves from tables built with it, and
+// once warm, LRU and Threshold serve cache hits and evicting misses through
+// Compulsory and OptLocal — all without allocating: the caches and access
+// counts are sized to the workload's objects when they are built.
 func TestDecidersAllocateNothing(t *testing.T) {
 	w := testWorkload(t)
 	const site = 0
-	comp, opt := siteRefs(w, site)
-	if len(comp) == 0 || len(opt) == 0 {
-		t.Fatalf("site %d has %d compulsory and %d optional references", site, len(comp), len(opt))
+	pages, opt := siteRefs(w, site)
+	if len(pages) == 0 || len(opt) == 0 {
+		t.Fatalf("site %d has %d fresh pages and %d optional references", site, len(pages), len(opt))
+	}
+	passes := []struct {
+		kind  string
+		n     int
+		serve func(decider)
+	}{
+		{"Compulsory", len(pages), func(d decider) {
+			for _, pid := range pages {
+				d.Compulsory(pid)
+			}
+		}},
+		{"OptLocal", len(opt), func(d decider) {
+			for _, r := range opt {
+				d.OptLocal(r.page, r.idx)
+			}
+		}},
+	}
+	// allocs counts every allocation of one pass, not an average that rounds
+	// a few allocating calls down to 0.
+	allocs := func(d decider, serve func(decider)) float64 {
+		return testing.AllocsPerRun(1, func() { serve(d) })
 	}
 	type subject struct {
 		name   string
-		d      cachingDecider
+		d      decider
 		caches []*lru.Cache
 	}
 	build := func(b model.Budgets) []subject {
@@ -82,44 +102,36 @@ func TestDecidersAllocateNothing(t *testing.T) {
 		}
 		return []subject{{"LRU", l, l.caches}, {"Threshold", th, th.caches}}
 	}
-	serveAll := func(d cachingDecider, refs []ref) {
-		for _, r := range refs {
-			serveRef(d, r)
-		}
-	}
-	// allocs counts every allocation of one pass over refs, not an average
-	// that rounds a few allocating calls down to 0.
-	allocs := func(d cachingDecider, refs []ref) float64 {
-		return testing.AllocsPerRun(1, func() { serveAll(d, refs) })
-	}
 	// Hits: every object fits, and LRU's admission gate draws on each hit.
 	hits := build(model.FullBudgets(w).Scale(w, 1, 0.05))
 	// Evicting misses: a cache of 2 % of the site's objects, cycled through.
 	misses := build(model.FullBudgets(w).Scale(w, 0.02, 1))
-	for _, refs := range [][]ref{comp, opt} {
-		kind := map[bool]string{false: "CompLocal", true: "OptLocal"}[refs[0].opt]
+	for _, p := range passes {
+		if n := allocs(NewLocal(w), p.serve); n != 0 {
+			t.Errorf("Static %s: %d calls allocate %v objects, want 0", p.kind, p.n, n)
+		}
 		for _, s := range hits {
 			c := s.caches[site]
-			serveAll(s.d, refs)
+			p.serve(s.d)
 			before := c.Misses()
-			if n := allocs(s.d, refs); n != 0 {
-				t.Errorf("%s %s: %d hits allocate %v objects, want 0", s.name, kind, len(refs), n)
+			if n := allocs(s.d, p.serve); n != 0 {
+				t.Errorf("%s %s: %d calls on hits allocate %v objects, want 0", s.name, p.kind, p.n, n)
 			}
 			if c.Misses() != before {
-				t.Errorf("%s %s: %d misses on a warm cache", s.name, kind, c.Misses()-before)
+				t.Errorf("%s %s: %d misses on a warm cache", s.name, p.kind, c.Misses()-before)
 			}
 		}
 		for _, s := range misses {
 			c := s.caches[site]
-			serveAll(s.d, refs)
-			serveAll(s.d, refs)
+			p.serve(s.d)
+			p.serve(s.d)
 			h0, e0 := c.Hits(), c.Evictions()
-			if n := allocs(s.d, refs); n != 0 {
-				t.Errorf("%s %s: %d evicting misses allocate %v objects, want 0", s.name, kind, len(refs), n)
+			if n := allocs(s.d, p.serve); n != 0 {
+				t.Errorf("%s %s: %d calls on evicting misses allocate %v objects, want 0", s.name, p.kind, p.n, n)
 			}
 			if c.Hits() != h0 || c.Evictions() == e0 {
 				t.Errorf("%s %s: %d hits and %d evictions cycling a tight cache, want 0 and some",
-					s.name, kind, c.Hits()-h0, c.Evictions()-e0)
+					s.name, p.kind, c.Hits()-h0, c.Evictions()-e0)
 			}
 		}
 	}

@@ -74,9 +74,6 @@ func NewLRU(w *workload.Workload, budgets model.Budgets, seed uint64) (*LRU, err
 // Name implements httpsim.Decider.
 func (l *LRU) Name() string { return "LRU" }
 
-// BeginPage implements httpsim.Decider (per-object state only).
-func (l *LRU) BeginPage(workload.PageID) {}
-
 // serve looks object k up in site i's cache: a hit (subject to admission)
 // serves locally and refreshes recency; a miss serves remotely and inserts.
 func (l *LRU) serve(i workload.SiteID, k workload.ObjectID) bool {
@@ -91,10 +88,10 @@ func (l *LRU) serve(i workload.SiteID, k workload.ObjectID) bool {
 	return false
 }
 
-// CompLocal implements httpsim.Decider.
-func (l *LRU) CompLocal(j workload.PageID, idx int) bool {
-	pg := &l.w.Pages[j]
-	return l.serve(pg.Site, pg.Compulsory[idx])
+// Compulsory implements httpsim.Decider.
+func (l *LRU) Compulsory(j workload.PageID) (local, remote units.ByteSize, localReqs int64) {
+	i := l.w.Pages[j].Site
+	return serveCompulsory(l.w, j, func(_ int, k workload.ObjectID) bool { return l.serve(i, k) })
 }
 
 // OptLocal implements httpsim.Decider.

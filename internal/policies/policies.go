@@ -10,48 +10,77 @@ import (
 	"fmt"
 
 	"repro/internal/model"
+	"repro/internal/units"
 	"repro/internal/workload"
 )
 
 // Static serves every request according to a fixed placement — the shape of
-// the proposed policy and of the Remote/Local baselines. It is stateless
-// per request and safe for concurrent use.
+// the proposed policy and of the Remote/Local baselines. Each page's
+// compulsory split is summed from the placement once, at construction, so
+// the placement must be final by then. It is stateless per request and safe
+// for concurrent use.
 type Static struct {
-	name string
-	p    *model.Placement
+	name  string
+	p     *model.Placement
+	pages []split // per page, the compulsory split of every view
 }
 
-// NewStatic wraps a placement as a Decider.
+// split is one view's compulsory bytes by the server they come from.
+type split struct {
+	local, remote units.ByteSize
+	localReqs     int64
+}
+
+// NewStatic wraps a final placement as a Decider.
 func NewStatic(name string, p *model.Placement) *Static {
-	return &Static{name: name, p: p}
+	w := p.Workload()
+	s := &Static{name: name, p: p, pages: make([]split, w.NumPages())}
+	for j := range s.pages {
+		pid := workload.PageID(j)
+		sp := &s.pages[j]
+		sp.local, sp.remote, sp.localReqs = serveCompulsory(w, pid, func(idx int, _ workload.ObjectID) bool {
+			return p.CompLocal(pid, idx)
+		})
+	}
+	return s
 }
 
 // NewRemote returns the paper's "download all from the repository" policy.
 // (HTML always comes from the local server; only MOs are in question.)
-func NewRemote(w *workload.Workload) *Static {
-	return &Static{name: "Remote", p: model.AllRemote(w)}
-}
+func NewRemote(w *workload.Workload) *Static { return NewStatic("Remote", model.AllRemote(w)) }
 
 // NewLocal returns the paper's "download all from the local servers"
 // policy. Neither baseline is subject to the Eq. 8-10 constraints (§5.2).
-func NewLocal(w *workload.Workload) *Static {
-	return &Static{name: "Local", p: model.AllLocal(w)}
-}
+func NewLocal(w *workload.Workload) *Static { return NewStatic("Local", model.AllLocal(w)) }
 
 // Name implements httpsim.Decider.
 func (s *Static) Name() string { return s.name }
 
-// BeginPage implements httpsim.Decider (no per-view state).
-func (s *Static) BeginPage(workload.PageID) {}
-
-// CompLocal implements httpsim.Decider.
-func (s *Static) CompLocal(j workload.PageID, idx int) bool { return s.p.CompLocal(j, idx) }
+// Compulsory implements httpsim.Decider.
+func (s *Static) Compulsory(j workload.PageID) (local, remote units.ByteSize, localReqs int64) {
+	sp := &s.pages[j]
+	return sp.local, sp.remote, sp.localReqs
+}
 
 // OptLocal implements httpsim.Decider.
 func (s *Static) OptLocal(j workload.PageID, idx int) bool { return s.p.OptLocal(j, idx) }
 
 // Placement exposes the wrapped placement (for reporting).
 func (s *Static) Placement() *model.Placement { return s.p }
+
+// serveCompulsory serves page j's compulsory objects in order, each locally
+// when serve(idx, k) says so, and sums their bytes by side.
+func serveCompulsory(w *workload.Workload, j workload.PageID, serve func(idx int, k workload.ObjectID) bool) (local, remote units.ByteSize, localReqs int64) {
+	for idx, k := range w.Pages[j].Compulsory {
+		if serve(idx, k) {
+			local += w.ObjectSize(k)
+			localReqs++
+		} else {
+			remote += w.ObjectSize(k)
+		}
+	}
+	return local, remote, localReqs
+}
 
 // allLocalLoad returns the Eq. 8 load site i would carry if every MO
 // download (compulsory and expected optional) were served locally, plus the
@@ -91,7 +120,7 @@ func SizeThreshold(w *workload.Workload, threshold int64) *Static {
 			}
 		}
 	}
-	return &Static{name: fmt.Sprintf("SizeThreshold(%d)", threshold), p: p}
+	return NewStatic(fmt.Sprintf("SizeThreshold(%d)", threshold), p)
 }
 
 // HalfSplit returns a static ablation policy that serves every page's
@@ -124,5 +153,5 @@ func HalfSplit(w *workload.Workload) *Static {
 			p.SetOptLocal(workload.PageID(j), idx, true)
 		}
 	}
-	return &Static{name: "HalfSplit", p: p}
+	return NewStatic("HalfSplit", p)
 }

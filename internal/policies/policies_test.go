@@ -14,6 +14,13 @@ func testWorkload(t *testing.T) *workload.Workload {
 	return workload.MustGenerate(workload.SmallConfig(), 61)
 }
 
+// compRef names page j's idx-th compulsory object as a cache policy's serve
+// takes it.
+func compRef(w *workload.Workload, j workload.PageID, idx int) (workload.SiteID, workload.ObjectID) {
+	pg := &w.Pages[j]
+	return pg.Site, pg.Compulsory[idx]
+}
+
 func TestStaticDelegatesToPlacement(t *testing.T) {
 	w := testWorkload(t)
 	p := model.AllLocal(w)
@@ -21,13 +28,10 @@ func TestStaticDelegatesToPlacement(t *testing.T) {
 	if s.Name() != "ours" {
 		t.Errorf("name = %q", s.Name())
 	}
-	s.BeginPage(0) // must be a no-op
 	for j := range w.Pages {
 		pid := workload.PageID(j)
-		for idx := range w.Pages[j].Compulsory {
-			if !s.CompLocal(pid, idx) {
-				t.Fatalf("all-local static returned remote for page %d", j)
-			}
+		if _, remote, reqs := s.Compulsory(pid); remote != 0 || reqs != int64(len(w.Pages[j].Compulsory)) {
+			t.Fatalf("all-local static served %v bytes remotely, %d objects locally, for page %d", remote, reqs, j)
 		}
 		for idx := range w.Pages[j].Optional {
 			if !s.OptLocal(pid, idx) {
@@ -45,11 +49,8 @@ func TestRemoteLocalNames(t *testing.T) {
 	if NewRemote(w).Name() != "Remote" || NewLocal(w).Name() != "Local" {
 		t.Error("baseline names wrong")
 	}
-	r := NewRemote(w)
-	for idx := range w.Pages[0].Compulsory {
-		if r.CompLocal(0, idx) {
-			t.Fatal("remote policy served locally")
-		}
+	if local, _, reqs := NewRemote(w).Compulsory(0); local != 0 || reqs != 0 {
+		t.Fatalf("remote policy served %d objects (%v) locally", reqs, local)
 	}
 }
 
@@ -64,7 +65,7 @@ func TestSizeThreshold(t *testing.T) {
 		pid := workload.PageID(j)
 		for idx, k := range w.Pages[j].Compulsory {
 			want := int64(w.ObjectSize(k)) >= thr
-			if s.CompLocal(pid, idx) != want {
+			if s.Placement().CompLocal(pid, idx) != want {
 				t.Fatalf("page %d object %d: threshold decision wrong", j, k)
 			}
 		}
@@ -84,7 +85,7 @@ func TestHalfSplit(t *testing.T) {
 		var minLocal units.ByteSize = 1 << 60
 		var maxRemote units.ByteSize
 		for idx, k := range comp {
-			if s.CompLocal(pid, idx) {
+			if s.Placement().CompLocal(pid, idx) {
 				localCount++
 				if w.ObjectSize(k) < minLocal {
 					minLocal = w.ObjectSize(k)
@@ -116,11 +117,11 @@ func TestLRUServeAndInsert(t *testing.T) {
 	}
 	// First access to any object is a miss (served remotely, inserted).
 	j := workload.PageID(0)
-	if l.CompLocal(j, 0) {
+	if l.serve(compRef(w, j, 0)) {
 		t.Error("cold cache served locally")
 	}
 	// Second access is a hit (full budgets → admission 1).
-	if !l.CompLocal(j, 0) {
+	if !l.serve(compRef(w, j, 0)) {
 		t.Error("warm object served remotely")
 	}
 	hits, misses, _, bytes := l.CacheStats(w.Pages[0].Site)
@@ -167,8 +168,8 @@ func TestLRUAdmissionThrottles(t *testing.T) {
 	if a := lz.Admission(0); a != 0 {
 		t.Errorf("zero-capacity admission = %v", a)
 	}
-	lz.CompLocal(0, 0) // miss, inserts
-	if lz.CompLocal(0, 0) {
+	lz.serve(compRef(w, 0, 0)) // miss, inserts
+	if lz.serve(compRef(w, 0, 0)) {
 		t.Error("zero-capacity site served a hit locally")
 	}
 }
@@ -181,7 +182,7 @@ func TestLRUZeroStorage(t *testing.T) {
 		t.Fatal(err)
 	}
 	for rep := 0; rep < 3; rep++ {
-		if l.CompLocal(0, 0) {
+		if l.serve(compRef(w, 0, 0)) {
 			t.Fatal("zero-storage cache produced a hit")
 		}
 	}
@@ -197,7 +198,7 @@ func TestLRUEvictionUnderPressure(t *testing.T) {
 	// Touch every object of site 0's pages; evictions must occur.
 	for _, pid := range w.Sites[0].Pages {
 		for idx := range w.Pages[pid].Compulsory {
-			l.CompLocal(pid, idx)
+			l.serve(compRef(w, pid, idx))
 		}
 	}
 	_, _, ev, bytes := l.CacheStats(0)

@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/lru"
 	"repro/internal/model"
+	"repro/internal/units"
 	"repro/internal/workload"
 )
 
@@ -69,9 +70,6 @@ func (t *Threshold) Name() string {
 	return fmt.Sprintf("Threshold(%d)", t.replicateAt)
 }
 
-// BeginPage implements httpsim.Decider.
-func (t *Threshold) BeginPage(workload.PageID) {}
-
 // serve counts the access and serves locally iff a replica exists; crossing
 // the threshold creates one (evicting colder replicas by recency).
 func (t *Threshold) serve(i workload.SiteID, k workload.ObjectID) bool {
@@ -103,10 +101,10 @@ func (t *Threshold) decay(i workload.SiteID) {
 	}
 }
 
-// CompLocal implements httpsim.Decider.
-func (t *Threshold) CompLocal(j workload.PageID, idx int) bool {
-	pg := &t.w.Pages[j]
-	return t.serve(pg.Site, pg.Compulsory[idx])
+// Compulsory implements httpsim.Decider.
+func (t *Threshold) Compulsory(j workload.PageID) (local, remote units.ByteSize, localReqs int64) {
+	i := t.w.Pages[j].Site
+	return serveCompulsory(t.w, j, func(_ int, k workload.ObjectID) bool { return t.serve(i, k) })
 }
 
 // OptLocal implements httpsim.Decider.

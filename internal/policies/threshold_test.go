@@ -35,11 +35,11 @@ func TestThresholdReplicatesAfterN(t *testing.T) {
 	// threshold — still served remotely (replication is asynchronous) but
 	// the replica now exists, so access 4 is local.
 	for n := 1; n <= 3; n++ {
-		if pol.CompLocal(j, 0) {
+		if pol.serve(compRef(w, j, 0)) {
 			t.Fatalf("access %d served locally before replication", n)
 		}
 	}
-	if !pol.CompLocal(j, 0) {
+	if !pol.serve(compRef(w, j, 0)) {
 		t.Fatal("access after replication still remote")
 	}
 	if pol.Replicas(w.Pages[0].Site) != 1 {
@@ -54,10 +54,10 @@ func TestThresholdOneIsCacheOnFirstTouch(t *testing.T) {
 		t.Fatal(err)
 	}
 	j := workload.PageID(0)
-	if pol.CompLocal(j, 0) {
+	if pol.serve(compRef(w, j, 0)) {
 		t.Fatal("first touch served locally")
 	}
-	if !pol.CompLocal(j, 0) {
+	if !pol.serve(compRef(w, j, 0)) {
 		t.Fatal("second touch not local with threshold 1")
 	}
 }
@@ -73,7 +73,7 @@ func TestThresholdRespectsStorage(t *testing.T) {
 	for pass := 0; pass < 2; pass++ {
 		for _, pid := range w.Sites[0].Pages {
 			for idx := range w.Pages[pid].Compulsory {
-				pol.CompLocal(pid, idx)
+				pol.serve(compRef(w, pid, idx))
 			}
 		}
 	}
@@ -100,7 +100,7 @@ func TestThresholdDecay(t *testing.T) {
 	// 50 accesses with decay every 10: the counter keeps halving, so the
 	// threshold of 100 is never crossed.
 	for n := 0; n < 50; n++ {
-		if pol.CompLocal(j, 0) {
+		if pol.serve(compRef(w, j, 0)) {
 			t.Fatal("decayed counter crossed a high threshold")
 		}
 	}

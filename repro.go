@@ -212,7 +212,9 @@ type (
 	SimConfig = httpsim.Config
 	// SimResult aggregates simulated response times.
 	SimResult = httpsim.Result
-	// Policy decides, per page view, which objects are served locally.
+	// Policy serves each page view: it splits the page's compulsory bytes
+	// between the local server and the repository in one call, and says
+	// per requested optional link whether it is served locally.
 	Policy = httpsim.Decider
 	// OutageConfig arms the simulator's degraded mode: page views find
 	// their local site down with probability 1-Availability and are served
@@ -236,7 +238,8 @@ type (
 	LRUPolicy = policies.LRU
 )
 
-// NewStaticPolicy wraps a placement as a simulation policy.
+// NewStaticPolicy wraps a placement as a simulation policy. The placement
+// must be final: each page's compulsory split is summed from it here, once.
 func NewStaticPolicy(name string, p *Placement) *StaticPolicy {
 	return policies.NewStatic(name, p)
 }
