@@ -104,24 +104,81 @@ func (s *Stream) Perm(n int) []int { return s.rand().Perm(n) }
 
 // SampleWithoutReplacement returns k distinct values from [0, n). If k >= n
 // it returns all of [0, n) in random order. The result order is random.
+//
+// It is a partial Fisher-Yates: slot i of a virtual identity permutation
+// swaps with a uniform slot j in [i, n), one IntN(n-i) draw per slot, and
+// only the first k slots are materialized. The swapped-in values live in a
+// sparse overlay, a flat open-addressing table of at least 2k entries
+// (linear probing, load at most ½). For k <= 64 the table is a fixed array
+// on the stack, so the call allocates only the result; larger k allocate
+// one table of 2·2^⌈log2 2k⌉ words beside it.
 func (s *Stream) SampleWithoutReplacement(n, k int) []int {
 	if k >= n {
 		return s.Perm(n)
 	}
-	// Partial Fisher-Yates: only the first k slots of the virtual
-	// permutation are materialized, via a sparse overlay map.
-	overlay := make(map[int]int, k)
 	out := make([]int, k)
-	get := func(i int) int {
-		if v, ok := overlay[i]; ok {
-			return v
-		}
-		return i
+	if k == 0 {
+		return out
 	}
+	var buf [2 * overlayStackSlots]int
+	o := newOverlay(k, buf[:])
+	r := s.rand()
 	for i := 0; i < k; i++ {
-		j := i + s.rand().Intn(n-i)
-		out[i] = get(j)
-		overlay[j] = get(i)
+		j := i + r.Intn(n-i)
+		out[i] = o.get(j)
+		o.set(j, o.get(i))
 	}
 	return out
+}
+
+// overlayStackSlots is the largest overlay table that lives in the
+// caller's stack array: 128 slots of (key, value) hold k <= 64 at load ½.
+const overlayStackSlots = 128
+
+// overlay maps a permutation slot to the value swapped into it; a slot
+// missing from the table still holds its own index. Entries are (key+1,
+// value) pairs, so the zero word marks an empty slot.
+type overlay struct {
+	slots []int
+	shift uint // 64 - log2(table size): the hash keeps the product's top bits
+	mask  int
+}
+
+// newOverlay returns an empty table for k keys, carved from buf when it
+// fits there.
+func newOverlay(k int, buf []int) overlay {
+	size, shift := 1, uint(64)
+	for size < 2*k {
+		size <<= 1
+		shift--
+	}
+	if 2*size > len(buf) {
+		buf = make([]int, 2*size)
+	}
+	return overlay{slots: buf[:2*size], shift: shift, mask: size - 1}
+}
+
+// home is key i's first probe: a Fibonacci hash of the index.
+func (o *overlay) home(i int) int {
+	return int(uint64(i) * Gamma >> o.shift)
+}
+
+func (o *overlay) get(i int) int {
+	for h := o.home(i); ; h = (h + 1) & o.mask {
+		switch o.slots[2*h] {
+		case i + 1:
+			return o.slots[2*h+1]
+		case 0:
+			return i
+		}
+	}
+}
+
+func (o *overlay) set(i, v int) {
+	for h := o.home(i); ; h = (h + 1) & o.mask {
+		if key := o.slots[2*h]; key == 0 || key == i+1 {
+			o.slots[2*h], o.slots[2*h+1] = i+1, v
+			return
+		}
+	}
 }

@@ -144,6 +144,74 @@ func TestSampleWithoutReplacement(t *testing.T) {
 	}
 }
 
+// sampleReference is SampleWithoutReplacement as it was written with a Go
+// map for the partial Fisher-Yates overlay: the draw sequence the flat
+// overlay must reproduce exactly.
+func sampleReference(s *Stream, n, k int) []int {
+	if k >= n {
+		return s.Perm(n)
+	}
+	overlay := make(map[int]int, k)
+	out := make([]int, k)
+	get := func(i int) int {
+		if v, ok := overlay[i]; ok {
+			return v
+		}
+		return i
+	}
+	for i := 0; i < k; i++ {
+		j := i + s.rand().Intn(n-i)
+		out[i] = get(j)
+		overlay[j] = get(i)
+	}
+	return out
+}
+
+// TestSampleMatchesReference pins the flat overlay to the map one: for
+// every (n, k) the sample is equal and the stream is left in the same
+// state, so the next draw is equal too. The sizes cover the edges (k = 0,
+// k = n, k > n, n = 1), both sides of the stack table's limit and the
+// paper's largest site pool, 4,500 of 15,000.
+func TestSampleMatchesReference(t *testing.T) {
+	fixed := [][2]int{{0, 0}, {1, 0}, {1, 1}, {1, 3}, {7, 0}, {7, 7}, {7, 12},
+		{100, 64}, {100, 65}, {1000, 32}, {1000, 33}, {15000, 4500}}
+	for seed := uint64(1); seed <= 20; seed++ {
+		sizes := New(seed).Split(99)
+		cases := append([][2]int(nil), fixed...)
+		for c := 0; c < 40; c++ {
+			n := sizes.IntRange(1, 3000)
+			cases = append(cases, [2]int{n, sizes.IntRange(0, n+10)})
+		}
+		for _, c := range cases {
+			n, k := c[0], c[1]
+			got, want := New(seed), New(seed)
+			a, b := got.SampleWithoutReplacement(n, k), sampleReference(want, n, k)
+			if !reflect.DeepEqual(a, b) {
+				t.Fatalf("seed %d n=%d k=%d: sample %v, reference %v", seed, n, k, a, b)
+			}
+			if x, y := got.Uint64(), want.Uint64(); x != y {
+				t.Fatalf("seed %d n=%d k=%d: next draw %d, reference %d", seed, n, k, x, y)
+			}
+		}
+	}
+}
+
+// TestSampleAllocs pins what the overlay costs: up to k = 64 its table
+// sits on the stack and the result is the only allocation; past that the
+// table is one more.
+func TestSampleAllocs(t *testing.T) {
+	s := New(5)
+	for k := 1; k <= 65; k++ {
+		want := 1.0
+		if k > 64 {
+			want = 2
+		}
+		if got := testing.AllocsPerRun(20, func() { s.SampleWithoutReplacement(1000, k) }); got != want {
+			t.Errorf("SampleWithoutReplacement(1000, %d): %v allocs, want %v", k, got, want)
+		}
+	}
+}
+
 func TestSampleWithoutReplacementUniform(t *testing.T) {
 	// Each element of [0,10) should appear in a 3-sample about 30 % of runs.
 	s := New(29)

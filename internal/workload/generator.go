@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 
+	"repro/internal/bitset"
 	"repro/internal/rng"
 	"repro/internal/units"
 )
@@ -72,11 +73,18 @@ func mirrorHotPages(w *Workload, s *rng.Stream) {
 		extra = w.NumSites() - 1
 	}
 
-	poolSets := make([]map[ObjectID]bool, w.NumSites())
-	for i := range poolSets {
-		poolSets[i] = make(map[ObjectID]bool, len(w.Sites[i].Objects))
+	pools := make([]*bitset.Set, w.NumSites())
+	for i := range pools {
+		pools[i] = bitset.New(w.NumObjects())
 		for _, k := range w.Sites[i].Objects {
-			poolSets[i][k] = true
+			pools[i].Set(int(k))
+		}
+	}
+	// extend adds object k to site's pool unless it is already there.
+	extend := func(site SiteID, k ObjectID) {
+		if !pools[site].Test(int(k)) {
+			pools[site].Set(int(k))
+			w.Sites[site].Objects = append(w.Sites[site].Objects, k)
 		}
 	}
 
@@ -114,16 +122,10 @@ func mirrorHotPages(w *Workload, s *rng.Stream) {
 				Optional:   src.Optional,
 			}
 			for _, k := range src.Compulsory {
-				if !poolSets[site][k] {
-					poolSets[site][k] = true
-					w.Sites[site].Objects = append(w.Sites[site].Objects, k)
-				}
+				extend(site, k)
 			}
 			for _, l := range src.Optional {
-				if !poolSets[site][l.Object] {
-					poolSets[site][l.Object] = true
-					w.Sites[site].Objects = append(w.Sites[site].Objects, l.Object)
-				}
+				extend(site, l.Object)
 			}
 			w.Sites[site].Pages = append(w.Sites[site].Pages, copyID)
 			w.Pages = append(w.Pages, cp)
@@ -162,6 +164,14 @@ func generateSite(w *Workload, i SiteID, root *rng.Stream, htmlSizes *rng.Classe
 	// maps to mixture index r, so the hot set is a random subset.
 	perm := freqStream.Perm(nPages)
 
+	// Compulsory lists are carved from per-site slabs of about a quarter of
+	// the site's expected total. Each list is capped at its own length
+	// (slab[a:b:b]), so an append to one page's list copies it rather than
+	// writing into the next page's.
+	slabIDs := nPages * (cfg.CompulsoryMin + cfg.CompulsoryMax) / 8
+	var slab []ObjectID
+
+	site.Pages = make([]PageID, 0, nPages)
 	linkProb := cfg.LinkProb()
 	for r := 0; r < nPages; r++ {
 		pid := PageID(len(w.Pages))
@@ -179,10 +189,14 @@ func generateSite(w *Workload, i SiteID, root *rng.Stream, htmlSizes *rng.Classe
 		// One disjoint sample from the pool, split into compulsory and
 		// optional (an object cannot be both: U'_jk = 0 when U_jk = 1).
 		refs := pageStream.SampleWithoutReplacement(len(site.Objects), nComp+nOpt)
-		p.Compulsory = make([]ObjectID, nComp)
-		for idx := 0; idx < nComp; idx++ {
-			p.Compulsory[idx] = site.Objects[refs[idx]]
+		if cap(slab)-len(slab) < nComp {
+			slab = make([]ObjectID, 0, max(nComp, slabIDs))
 		}
+		a := len(slab)
+		for _, ref := range refs[:nComp] {
+			slab = append(slab, site.Objects[ref])
+		}
+		p.Compulsory = slab[a:len(slab):len(slab)]
 		if nOpt > 0 {
 			p.Optional = make([]OptionalLink, nOpt)
 			for idx := 0; idx < nOpt; idx++ {

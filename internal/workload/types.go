@@ -165,6 +165,11 @@ func (w *Workload) Validate() error {
 			}
 		}
 	}
+	// stamp[k] records object k's last listing: 2j+1 compulsory on page
+	// j, 2j+2 optional on page j. Marks only grow with j, so no page reads
+	// an earlier page's mark as its own and nothing is cleared between
+	// pages. (int32 marks reach 2^30 pages, far past any that fit in memory.)
+	stamp := make([]int32, len(w.Objects))
 	for j := range w.Pages {
 		p := &w.Pages[j]
 		if p.ID != PageID(j) {
@@ -183,7 +188,7 @@ func (w *Workload) Validate() error {
 			return fmt.Errorf("workload: page %d lists %d compulsory and %d optional objects; the planner indexes at most %d of each",
 				j, len(p.Compulsory), len(p.Optional), 1<<PageRefBits)
 		}
-		comp := make(map[ObjectID]bool, len(p.Compulsory))
+		compMark, optMark := int32(2*j+1), int32(2*j+2)
 		for _, k := range p.Compulsory {
 			if k < 0 || int(k) >= len(w.Objects) {
 				return fmt.Errorf("workload: page %d compulsory object %d out of range", j, k)
@@ -191,23 +196,22 @@ func (w *Workload) Validate() error {
 			if w.Objects[k].Size > MaxObjectSize {
 				return fmt.Errorf("workload: page %d compulsory object %d has size %d; the planner sorts sizes up to %d", j, k, w.Objects[k].Size, MaxObjectSize)
 			}
-			if comp[k] {
+			if stamp[k] == compMark {
 				return fmt.Errorf("workload: page %d lists compulsory object %d twice", j, k)
 			}
-			comp[k] = true
+			stamp[k] = compMark
 		}
-		seenOpt := make(map[ObjectID]bool, len(p.Optional))
 		for _, l := range p.Optional {
 			if l.Object < 0 || int(l.Object) >= len(w.Objects) {
 				return fmt.Errorf("workload: page %d optional object %d out of range", j, l.Object)
 			}
-			if comp[l.Object] {
+			if stamp[l.Object] == compMark {
 				return fmt.Errorf("workload: page %d object %d is both compulsory and optional", j, l.Object)
 			}
-			if seenOpt[l.Object] {
+			if stamp[l.Object] == optMark {
 				return fmt.Errorf("workload: page %d lists optional object %d twice", j, l.Object)
 			}
-			seenOpt[l.Object] = true
+			stamp[l.Object] = optMark
 			if l.Prob <= 0 || l.Prob > 1 {
 				return fmt.Errorf("workload: page %d optional object %d has probability %v", j, l.Object, l.Prob)
 			}

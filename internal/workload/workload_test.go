@@ -2,6 +2,7 @@ package workload
 
 import (
 	"bytes"
+	"fmt"
 	"math"
 	"sort"
 	"strings"
@@ -46,6 +47,19 @@ func TestGenerateDeterministic(t *testing.T) {
 	}
 	if bytes.Equal(bufA.Bytes(), bufC.Bytes()) {
 		t.Error("different seeds produced identical workloads")
+	}
+}
+
+// TestGenerateAllocs is a ratchet on the generator's allocations: the
+// per-page path allocates the reference sample and, on the pages that have
+// them, the optional links; compulsory lists come from per-site slabs, and
+// neither the sampler nor Validate allocates per page. A Go map on that
+// path adds at least one allocation per page (174 pages here). The ceiling
+// is the measured count.
+func TestGenerateAllocs(t *testing.T) {
+	const ceiling = 284
+	if got := testing.AllocsPerRun(5, func() { MustGenerate(SmallConfig(), 3) }); got > ceiling {
+		t.Errorf("Generate(SmallConfig(), 3): %v allocs, want <= %d", got, ceiling)
 	}
 }
 
@@ -215,56 +229,110 @@ func TestFullStorageCountsSharedObjectsOnce(t *testing.T) {
 	}
 }
 
+// TestValidateCatchesCorruption breaks one invariant per case and checks
+// that the error names the page (or the object or site) that broke it. The
+// last cases move an object between neighbouring pages' lists, which must
+// stay valid: a page's marks must not be read as the next page's.
 func TestValidateCatchesCorruption(t *testing.T) {
-	fresh := func() *Workload { return MustGenerate(SmallConfig(), 3) }
-
-	w := fresh()
-	w.Pages[0].Site = SiteID(w.NumSites()) // inconsistent with hosting lists
-	if err := w.Validate(); err == nil {
-		t.Error("bad page site not caught")
-	}
-
-	w = fresh()
-	w.Pages[0].Compulsory = append(w.Pages[0].Compulsory, ObjectID(w.NumObjects()))
-	if err := w.Validate(); err == nil {
-		t.Error("out-of-range compulsory object not caught")
-	}
-
-	w = fresh()
-	w.Pages[0].Compulsory = append(w.Pages[0].Compulsory, w.Pages[0].Compulsory[0])
-	if err := w.Validate(); err == nil {
-		t.Error("duplicate compulsory object not caught")
-	}
-
-	w = fresh()
-	w.Objects[0].Size = 0
-	if err := w.Validate(); err == nil {
-		t.Error("zero object size not caught")
-	}
-
-	w = fresh()
-	w.Pages[0].HTMLSize = -1
-	if err := w.Validate(); err == nil {
-		t.Error("negative HTML size not caught")
-	}
-
-	w = fresh()
-	// Page hosted twice.
-	w.Sites[1].Pages = append(w.Sites[1].Pages, w.Sites[0].Pages[0])
-	if err := w.Validate(); err == nil {
-		t.Error("page on two sites not caught")
-	}
-
-	w = fresh()
-	// Make an object both compulsory and optional on a page that has optionals.
-	for j := range w.Pages {
-		if len(w.Pages[j].Optional) > 0 {
-			w.Pages[j].Optional[0].Object = w.Pages[j].Compulsory[0]
-			break
+	// optPage returns the first page j whose next page is on the same site
+	// and where page j+off has optional links.
+	optPage := func(w *Workload, off int) int {
+		for j := 0; j+1 < w.NumPages(); j++ {
+			if w.Pages[j].Site == w.Pages[j+1].Site && len(w.Pages[j+off].Optional) > 0 {
+				return j
+			}
 		}
+		t.Fatal("no page with optional links")
+		return 0
 	}
-	if err := w.Validate(); err == nil {
-		t.Error("compulsory∩optional overlap not caught")
+	lists := func(p *Page, k ObjectID) bool {
+		for _, c := range p.Compulsory {
+			if c == k {
+				return true
+			}
+		}
+		for _, l := range p.Optional {
+			if l.Object == k {
+				return true
+			}
+		}
+		return false
+	}
+	cases := []struct {
+		name    string
+		corrupt func(w *Workload) string // the text the error must hold, or "" if still valid
+	}{
+		{"page on a site it is not listed under", func(w *Workload) string {
+			w.Pages[0].Site = SiteID(w.NumSites())
+			return "page 0 says site"
+		}},
+		{"out-of-range compulsory object", func(w *Workload) string {
+			w.Pages[0].Compulsory = append(w.Pages[0].Compulsory, ObjectID(w.NumObjects()))
+			return fmt.Sprintf("page 0 compulsory object %d out of range", w.NumObjects())
+		}},
+		{"duplicate compulsory object", func(w *Workload) string {
+			k := w.Pages[0].Compulsory[0]
+			w.Pages[0].Compulsory = append(w.Pages[0].Compulsory, k)
+			return fmt.Sprintf("page 0 lists compulsory object %d twice", k)
+		}},
+		{"zero object size", func(w *Workload) string {
+			w.Objects[0].Size = 0
+			return "object 0 has size 0"
+		}},
+		{"negative HTML size", func(w *Workload) string {
+			w.Pages[1].HTMLSize = -1
+			return "page 1 has HTML size -1"
+		}},
+		{"page on two sites", func(w *Workload) string {
+			pid := w.Sites[0].Pages[0]
+			w.Sites[1].Pages = append(w.Sites[1].Pages, pid)
+			return fmt.Sprintf("page %d hosted by sites 0 and 1", pid)
+		}},
+		{"object both compulsory and optional", func(w *Workload) string {
+			j := optPage(w, 0)
+			k := w.Pages[j].Compulsory[0]
+			w.Pages[j].Optional[0].Object = k
+			return fmt.Sprintf("page %d object %d is both compulsory and optional", j, k)
+		}},
+		{"duplicate optional object", func(w *Workload) string {
+			j := optPage(w, 0)
+			l := w.Pages[j].Optional[0]
+			w.Pages[j].Optional = append(w.Pages[j].Optional, l)
+			return fmt.Sprintf("page %d lists optional object %d twice", j, l.Object)
+		}},
+		{"compulsory on page j, optional on page j+1", func(w *Workload) string {
+			j := optPage(w, 1)
+			for _, k := range w.Pages[j].Compulsory {
+				if !lists(&w.Pages[j+1], k) {
+					w.Pages[j+1].Optional[0].Object = k
+					return ""
+				}
+			}
+			t.Fatalf("page %d lists every compulsory object of page %d", j+1, j)
+			return ""
+		}},
+		{"optional on page j, compulsory on page j+1", func(w *Workload) string {
+			j := optPage(w, 0)
+			for _, l := range w.Pages[j].Optional {
+				if !lists(&w.Pages[j+1], l.Object) {
+					w.Pages[j+1].Compulsory[0] = l.Object
+					return ""
+				}
+			}
+			t.Fatalf("page %d lists every optional object of page %d", j+1, j)
+			return ""
+		}},
+	}
+	for _, c := range cases {
+		w := MustGenerate(SmallConfig(), 3)
+		want := c.corrupt(w)
+		err := w.Validate()
+		switch {
+		case want == "" && err != nil:
+			t.Errorf("%s: still valid, got %v", c.name, err)
+		case want != "" && (err == nil || !strings.Contains(err.Error(), want)):
+			t.Errorf("%s: got %v, want an error holding %q", c.name, err, want)
+		}
 	}
 }
 

@@ -7,7 +7,8 @@
 # planner core, the cost model, repair planning and the probe law, the
 # reference database, the adaptation pipeline, the admission gate, the span
 # model, the control plane, the LRU cache, the cache baselines, the
-# request simulator and the experiment harness checked from that one pass, and a smoke pass that compiles and runs every benchmark once and
+# request simulator, the experiment harness, the workload generator and the
+# random streams checked from that one pass, and a smoke pass that compiles and runs every benchmark once and
 # vets and tests the nested benchmark/ module (measuring is
 # benchmark/run.sh's job, not this script's).
 #
@@ -76,23 +77,25 @@ stage_test() {
 # repair planning and the probe law (repair), the reference database, the
 # adaptation pipeline (estimate), admission control, the span model (trace),
 # the control plane (controller), the LRU cache (lru), the baselines that
-# run on it (policies), the request simulator (httpsim) and the experiment
-# harness (experiments), each floor
+# run on it (policies), the request simulator (httpsim), the experiment
+# harness (experiments), the workload generator (workload) and the random
+# streams (rng), each floor
 # the package's measured race-profile coverage rounded down — so new code in
 # any of them, the planner's stored-but-remote index, the placement slab's
 # Clone/Equal/JSON paths, the reference database's reuse of unchanged pages,
 # the shared re-plan step, the admission gate's and the probe law's step
 # machines, the span buffer's arena and full state, the control sources'
 # steps and a failed commit, the dense LRU ring, the simulator's record,
-# replay and trace validation, and the harness's
-# shared-partition plans and their core.Plan bypass included, has to be
+# replay and trace validation, the harness's
+# shared-partition plans and their core.Plan bypass, and the sampler's flat
+# overlay and the validator's stamps included, has to be
 # reached by tests to land. The control plane's tests drive each source by
 # its step (Supervisor.Probe, Adapter.CheckNow, Scrubber.RunCycle), so they
 # reach the loops' error paths too, and its floor needs no excuse.
 stage_race() {
     cover_out=$(mktemp)
     go test -race -count=1 -coverprofile="$cover_out" ./...
-    for pair in core:95 model:91 repair:96 htmlrefs:94 estimate:96 admission:92 trace:89 controller:92 lru:100 policies:96 httpsim:93 experiments:85; do
+    for pair in core:95 model:91 repair:96 htmlrefs:94 estimate:96 admission:92 trace:89 controller:92 lru:100 policies:96 httpsim:93 experiments:85 workload:89 rng:96; do
         pkg="internal/${pair%%:*}" floor="${pair##*:}"
         # A profile line is "file:block statements count"; the package's
         # coverage is the share of its statements in blocks that ran.
