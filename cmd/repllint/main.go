@@ -5,25 +5,20 @@
 //
 // Usage:
 //
-//	repllint [flags] [./...]
+//	repllint [./...]
 //
 // The package pattern is accepted for familiarity but the tool always
-// analyzes the whole module containing the working directory: the
-// deterministic package set is closed under the module's imports, and
-// partial runs would only hide findings.
-//
-// Flags:
-//
-//	-rules a,b,c   run only the named rules (default: all)
-//	-list          print the rules and exit
+// runs every rule over the whole module containing the working directory:
+// the deterministic package set is closed under the module's imports, and
+// partial runs would only hide findings. It defines no flags, so a flag
+// is a usage error (exit 2).
 //
 // Findings print as "file:line: rule: message" with paths relative to the
 // working directory. Suppress an individual finding with a trailing
 // "//repllint:allow <rule> — justification" comment (same line or the line
 // above), or a whole file by placing the directive before the package
-// clause. When every rule runs, an allow that suppresses nothing is itself
-// a finding (stale-allow); a -rules run cannot judge that and skips the
-// audit.
+// clause. An allow that suppresses nothing is itself a finding
+// (stale-allow).
 package main
 
 import (
@@ -44,22 +39,8 @@ func main() {
 func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("repllint", flag.ContinueOnError)
 	fs.SetOutput(stderr)
-	rules := fs.String("rules", "", "comma-separated rule names to run (default: all)")
-	list := fs.Bool("list", false, "list the available rules and exit")
 	if err := fs.Parse(args); err != nil {
 		return 2
-	}
-
-	if *list {
-		for _, a := range lint.Analyzers {
-			fmt.Fprintf(stdout, "%-18s %s\n", a.Name, a.Doc)
-		}
-		return 0
-	}
-
-	var names []string
-	if *rules != "" {
-		names = strings.Split(*rules, ",")
 	}
 	cwd, err := os.Getwd()
 	if err != nil {
@@ -71,7 +52,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stderr, "repllint:", err)
 		return 2
 	}
-	findings, err := lint.Run(root, names)
+	findings, err := lint.Run(root)
 	if err != nil {
 		fmt.Fprintln(stderr, "repllint:", err)
 		return 2

@@ -9,8 +9,8 @@ func Now() int64 {
 	return time.Now().UnixNano()
 }
 
-// Half carries an allow that suppresses nothing: the whole-suite run
-// reports it as stale, a -rules run does not judge it.
+// Half carries an allow that suppresses nothing, so every run reports it
+// as stale.
 func Half(x int) int {
 	return x / 2 //repllint:allow float-compare — fixture: stale on purpose
 }

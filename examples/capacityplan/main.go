@@ -52,13 +52,13 @@ func main() {
 	fmt.Printf("SLA: at most +%.0f%% -> %.1fs\n\n", slaPct, base*(1+slaPct/100))
 
 	fmt.Printf("%-10s %-14s %-12s %s\n", "storage", "response", "vs optimum", "max site bytes")
-	chosen := 1.0
+	chosen, found := 1.0, false
 	for _, frac := range []float64{0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0} {
 		rt, bytes := simulate(frac)
 		rel := (rt/base - 1) * 100
 		marker := ""
-		if rel <= slaPct && chosen == 1.0 && frac < 1.0 { //repllint:allow float-compare — 1.0 is the exact "no fraction chosen yet" sentinel
-			chosen = frac
+		if rel <= slaPct && !found && frac < 1.0 {
+			chosen, found = frac, true
 			marker = "  <- smallest meeting SLA"
 		}
 		fmt.Printf("%8.0f%%  %10.1fs  %+9.1f%%  %v%s\n", frac*100, rt, rel, bytes, marker)

@@ -1,7 +1,10 @@
 package faults
 
 import (
+	"crypto/sha256"
+	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 )
@@ -195,5 +198,42 @@ func TestLoadSpikeValidateAndRoundTrip(t *testing.T) {
 	}
 	if got := p.RateAt(120, 6*time.Second); got != 1200 {
 		t.Errorf("spike plan RateAt = %v, want 1200", got)
+	}
+}
+
+// streamsSHA pins the SHA-256 of every random stream the package derives
+// (a plan's site specs, the repository's and each site's injector
+// decisions, the rot flips), rendered at one seed. A stream label that
+// changes, or that collides with another label, moves it.
+const streamsSHA = "0361ad12b95cf0c767d71152e68bf12ae4f6d49e32aaa9dca4f5b4c6dfd1f764"
+
+// TestStreamsKnownAnswer pins every stream of the package by known answer,
+// so a relabelled or aliased stream fails here rather than shifting the
+// chaos the live cluster sees.
+func TestStreamsKnownAnswer(t *testing.T) {
+	p, err := Generate(1, 4, 2026)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Generate leaves the repository quiet; a noisy spec makes its
+	// injector draw.
+	p.Repo = Spec{ErrorRate: 0.3, Latency: time.Millisecond, LatencyJitter: time.Millisecond}
+	var b strings.Builder
+	injectors := []*Injector{p.RepoInjector()}
+	for i := range p.Sites {
+		fmt.Fprintf(&b, "site %d: %+v\n", i, p.Sites[i])
+		injectors = append(injectors, p.SiteInjector(i))
+	}
+	for n, in := range injectors {
+		for r := 0; r < 64; r++ {
+			fmt.Fprintf(&b, "%d.%d %+v\n", n, r, in.DecideRequest(0, "/mo/1"))
+		}
+		for k := 0; k < 4; k++ {
+			frac, mask := in.RotFlip(k)
+			fmt.Fprintf(&b, "%d rot %d %v %d\n", n, k, frac, mask)
+		}
+	}
+	if got := fmt.Sprintf("%x", sha256.Sum256([]byte(b.String()))); got != streamsSHA {
+		t.Errorf("streams hash to %s, pinned %s:\n%s", got, streamsSHA, b.String())
 	}
 }

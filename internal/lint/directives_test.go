@@ -122,7 +122,7 @@ func f() {
 // Stale returns the rest — with DeclLine pointing at the comment even for
 // file-scope and line-above placement.
 func TestDirectivesStale(t *testing.T) {
-	d, _ := parseDirectiveFixture(t, `//repllint:allow rng-stream — fixture: file scope, never used
+	d, _ := parseDirectiveFixture(t, `//repllint:allow error-discipline — fixture: file scope, never used
 package fix
 
 func f() {
@@ -135,7 +135,7 @@ func f() {
 	if got := len(d.declared); got != 4 {
 		t.Fatalf("declared %d sites, want 4", got)
 	}
-	if d.declared[0] != (AllowSite{File: "fix.go", Line: 0, Rule: "rng-stream", DeclLine: 1}) {
+	if d.declared[0] != (AllowSite{File: "fix.go", Line: 0, Rule: "error-discipline", DeclLine: 1}) {
 		t.Errorf("file-scope site = %+v, want Line 0 / DeclLine 1", d.declared[0])
 	}
 
@@ -144,17 +144,17 @@ func f() {
 	}
 	stale := d.Stale()
 	if len(stale) != 2 {
-		t.Fatalf("Stale() = %+v, want the rng-stream and sorted-iteration sites", stale)
+		t.Fatalf("Stale() = %+v, want the error-discipline and sorted-iteration sites", stale)
 	}
-	if stale[0].Rule != "rng-stream" || stale[1].Rule != "sorted-iteration" {
-		t.Errorf("stale order = %s, %s; want rng-stream then sorted-iteration", stale[0].Rule, stale[1].Rule)
+	if stale[0].Rule != "error-discipline" || stale[1].Rule != "sorted-iteration" {
+		t.Errorf("stale order = %s, %s; want error-discipline then sorted-iteration", stale[0].Rule, stale[1].Rule)
 	}
 	if stale[1].DeclLine != 8 {
 		t.Errorf("trailing stale DeclLine = %d, want 8", stale[1].DeclLine)
 	}
 
 	// Using the remaining entries drains the audit.
-	if !d.Allows("rng-stream", at(3)) || !d.Allows("sorted-iteration", at(8)) {
+	if !d.Allows("error-discipline", at(3)) || !d.Allows("sorted-iteration", at(8)) {
 		t.Fatal("expected suppressions did not match")
 	}
 	if left := d.Stale(); len(left) != 0 {

@@ -1,12 +1,13 @@
 // Package lint is a repo-specific static-analysis suite. It mechanically
 // enforces the conventions every reproducibility claim in this repository
 // rests on: no wall-clock or ambient randomness inside the deterministic
-// packages (a set closed under their module imports), named-constant
-// discipline for rng stream labels, sorted iteration before anything that
-// feeds output, no float equality, and error-handling discipline. These are
-// the bug classes no runtime test fails deterministically; leaked goroutines,
-// unended spans, malformed metric names and handler waits that ignore the
-// client are caught by the tests that reach them instead (DESIGN §11).
+// packages (a set closed under their module imports), sorted iteration
+// before anything that feeds output, no float equality, and error-handling
+// discipline. Each rule stays because a mutation of its bug class passed
+// the test suite silently (DESIGN §11 names one per rule). Aliased rng
+// stream labels, leaked goroutines, unended spans, malformed metric names
+// and handler waits that ignore the client are caught by the tests that
+// reach them instead.
 //
 // The suite is built only on the standard library (go/parser, go/ast,
 // go/types, go/importer) — no golang.org/x/tools — honoring the repo's
@@ -107,33 +108,21 @@ var DeterministicPackages = map[string]bool{
 // Analyzers is the full suite in reporting order.
 var Analyzers = []*Analyzer{
 	DeterminismAnalyzer,
-	RNGStreamAnalyzer,
 	SortedIterAnalyzer,
 	FloatCompareAnalyzer,
 	ErrorDisciplineAnalyzer,
 }
 
 // Run loads every package of the module rooted at dir, type-checks it and
-// runs the named rules, or the whole suite when rules is empty. Unknown
-// names are an error. The surviving (non-suppressed) findings come back
-// sorted by position.
-//
-// A whole-suite run also audits the suppressions: an allow directive that
-// matched no finding is itself a finding. A partial run cannot tell a stale
-// allow from one whose rule did not run, so it skips the audit.
-func Run(dir string, rules []string) ([]Finding, error) {
-	analyzers, err := selectRules(rules)
-	if err != nil {
-		return nil, err
-	}
+// runs every rule in Analyzers, then audits the suppressions: an allow
+// directive that matched no finding is itself a finding. The surviving
+// findings come back sorted by position.
+func Run(dir string) ([]Finding, error) {
 	pkgs, err := LoadModule(dir)
 	if err != nil {
 		return nil, err
 	}
-	out := analyze(pkgs, analyzers)
-	if len(rules) == 0 {
-		out = append(out, staleFindings(pkgs)...)
-	}
+	out := append(analyze(pkgs, Analyzers), staleFindings(pkgs)...)
 	sortFindings(out)
 	return out, nil
 }
@@ -146,23 +135,6 @@ func ruleByName(name string) *Analyzer {
 		}
 	}
 	return nil
-}
-
-// selectRules resolves rule names against the registry; no names selects
-// every rule.
-func selectRules(names []string) ([]*Analyzer, error) {
-	if len(names) == 0 {
-		return Analyzers, nil
-	}
-	out := make([]*Analyzer, 0, len(names))
-	for _, n := range names {
-		a := ruleByName(n)
-		if a == nil {
-			return nil, fmt.Errorf("lint: unknown rule %q", n)
-		}
-		out = append(out, a)
-	}
-	return out, nil
 }
 
 // analyze runs the analyzers over already-loaded packages and returns the
@@ -198,7 +170,7 @@ func sortFindings(out []Finding) {
 }
 
 // staleFindings is the suppression audit: every allow directive that
-// matched no finding while the whole suite ran over pkgs.
+// matched no finding while the suite ran over pkgs.
 func staleFindings(pkgs []*Package) []Finding {
 	var out []Finding
 	for _, pkg := range pkgs {

@@ -60,10 +60,10 @@ func collectWants(t *testing.T, pkg *Package) map[string]map[int][]*regexp.Regex
 	return wants
 }
 
-// checkFixture runs the named rules over one fixture tree — one package,
-// or several that import each other — and verifies the findings against
-// the want comments of every package, both directions.
-func checkFixture(t *testing.T, dirs []string, rules ...string) {
+// checkFixture runs one rule over one fixture tree — one package, or
+// several that import each other — and verifies the findings against the
+// want comments of every package, both directions.
+func checkFixture(t *testing.T, dirs []string, rule *Analyzer) {
 	t.Helper()
 	var pkgs []*Package
 	wants := make(map[string]map[int][]*regexp.Regexp)
@@ -74,11 +74,7 @@ func checkFixture(t *testing.T, dirs []string, rules ...string) {
 			wants[file] = byLine
 		}
 	}
-	azs, err := selectRules(rules)
-	if err != nil {
-		t.Fatal(err)
-	}
-	checkWants(t, analyze(pkgs, azs), wants)
+	checkWants(t, analyze(pkgs, []*Analyzer{rule}), wants)
 }
 
 // checkWants verifies findings against want expectations, both directions.
@@ -116,20 +112,19 @@ func TestFixtures(t *testing.T) {
 	// other fixture tests stay serial, so fixtureLoader has one user at a time.
 	t.Parallel()
 	cases := []struct {
-		dir   string
-		rules []string
+		dir  string
+		rule *Analyzer
 	}{
-		{"det_core", []string{"determinism"}},
-		{"det_allow", []string{"determinism"}},
-		{"det_other", []string{"determinism"}},
-		{"det_import", []string{"determinism"}},
-		{"rngsplit", []string{"rng-stream"}},
-		{"sortiter", []string{"sorted-iteration"}},
-		{"floatcmp", []string{"float-compare"}},
-		{"errcheck", []string{"error-discipline"}},
+		{"det_core", DeterminismAnalyzer},
+		{"det_allow", DeterminismAnalyzer},
+		{"det_other", DeterminismAnalyzer},
+		{"det_import", DeterminismAnalyzer},
+		{"sortiter", SortedIterAnalyzer},
+		{"floatcmp", FloatCompareAnalyzer},
+		{"errcheck", ErrorDisciplineAnalyzer},
 	}
 	for _, c := range cases {
-		t.Run(c.dir, func(t *testing.T) { checkFixture(t, []string{c.dir}, c.rules...) })
+		t.Run(c.dir, func(t *testing.T) { checkFixture(t, []string{c.dir}, c.rule) })
 	}
 }
 
@@ -139,14 +134,14 @@ func TestFixtures(t *testing.T) {
 // where the deterministic package imports the helper.
 func TestGraphFixtures(t *testing.T) {
 	cases := []struct {
-		name  string
-		dirs  []string
-		rules []string
+		name string
+		dirs []string
+		rule *Analyzer
 	}{
-		{"taintchain", []string{"taintchain/core", "taintchain/hub", "taintchain/leaf"}, []string{"determinism"}},
+		{"taintchain", []string{"taintchain/core", "taintchain/hub", "taintchain/leaf"}, DeterminismAnalyzer},
 	}
 	for _, c := range cases {
-		t.Run(c.name, func(t *testing.T) { checkFixture(t, c.dirs, c.rules...) })
+		t.Run(c.name, func(t *testing.T) { checkFixture(t, c.dirs, c.rule) })
 	}
 }
 
@@ -155,7 +150,7 @@ func TestGraphFixtures(t *testing.T) {
 // `repllint ./...`.
 func TestModuleClean(t *testing.T) {
 	t.Parallel()
-	findings, err := Run("../..", nil)
+	findings, err := Run("../..")
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}

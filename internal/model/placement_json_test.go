@@ -2,6 +2,7 @@ package model
 
 import (
 	"bytes"
+	"os"
 	"slices"
 	"strings"
 	"testing"
@@ -85,6 +86,19 @@ func TestPlacementSaveLoadFile(t *testing.T) {
 	}
 	if _, err := LoadPlacementFile(w, t.TempDir()+"/missing.json"); err == nil {
 		t.Error("missing file accepted")
+	}
+}
+
+// TestSaveFileReportsFullDevice saves to a device that accepts the open and
+// fails every write. The placement is small enough to sit in the write
+// buffer until the final flush, so only the flush can report the failure.
+func TestSaveFileReportsFullDevice(t *testing.T) {
+	if _, err := os.Stat("/dev/full"); err != nil {
+		t.Skip("no /dev/full on this system")
+	}
+	_, w := tinyEnv(t)
+	if err := AllLocal(w).SaveFile("/dev/full"); err == nil {
+		t.Fatal("SaveFile to a full device returned nil")
 	}
 }
 

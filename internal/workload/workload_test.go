@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"math"
+	"os"
 	"sort"
 	"strings"
 	"testing"
@@ -411,6 +412,18 @@ func TestSaveLoadFile(t *testing.T) {
 	}
 	if _, err := LoadFile(t.TempDir() + "/missing.json"); err == nil {
 		t.Error("missing file should error")
+	}
+}
+
+// TestSaveFileReportsFullDevice saves to a device that accepts the open and
+// fails every write. The workload is small enough to sit in the write
+// buffer until the final flush, so only the flush can report the failure.
+func TestSaveFileReportsFullDevice(t *testing.T) {
+	if _, err := os.Stat("/dev/full"); err != nil {
+		t.Skip("no /dev/full on this system")
+	}
+	if err := (&Workload{Seed: 1}).SaveFile("/dev/full"); err == nil {
+		t.Fatal("SaveFile to a full device returned nil")
 	}
 }
 

@@ -1,14 +1,15 @@
 #!/bin/sh
 # ci.sh — the full verification pipeline, tiered into named stages.
 # Everything here must pass before a change lands: formatting, build + vet +
-# the repllint analyzer suite, the complete test suite with every example run
+# the repllint analyzer suite (four rules, each kept because a mutation of
+# its bug class passes the tests), the complete test suite with every example run
 # once and the payload wire format pinned to its committed corpus and fuzzed,
 # the race detector cold on every package with coverage floors on the
 # planner core, the cost model, repair planning and the probe law, the
 # reference database, the adaptation pipeline, the admission gate, the span
 # model, the control plane, the LRU cache, the cache baselines, the
-# request simulator, the experiment harness, the workload generator and the
-# random streams checked from that one pass, and a smoke pass that compiles and runs every benchmark once and
+# request simulator, the experiment harness, the workload generator, the
+# random streams and the lint suite checked from that one pass, and a smoke pass that compiles and runs every benchmark once and
 # vets and tests the nested benchmark/ module (measuring is
 # benchmark/run.sh's job, not this script's).
 #
@@ -35,11 +36,13 @@ stage_fmt() {
     fi
 }
 
-# Build, vet, and the custom analyzer suite (internal/lint): the rules in
-# DESIGN.md §11 over the whole module, plus the audit that turns any //repllint:allow which
-# suppresses nothing into a finding. Any finding fails the build and prints
-# as file:line: rule: message; see DESIGN.md §11 for the rules and the
-# escape hatch.
+# Build, vet, and the custom analyzer suite (internal/lint): its four rules
+# (determinism, sorted-iteration, float-compare, error-discipline) over the
+# whole module, plus the audit that turns any //repllint:allow which
+# suppresses nothing into a finding. repllint has no flags: every run is the
+# whole suite. Any finding fails the build and prints as
+# file:line: rule: message; see DESIGN.md §11 for the rules, the mutation
+# that keeps each one, and the escape hatch.
 stage_lint() {
     go build ./...
     go vet ./...
@@ -78,8 +81,8 @@ stage_test() {
 # adaptation pipeline (estimate), admission control, the span model (trace),
 # the control plane (controller), the LRU cache (lru), the baselines that
 # run on it (policies), the request simulator (httpsim), the experiment
-# harness (experiments), the workload generator (workload) and the random
-# streams (rng), each floor
+# harness (experiments), the workload generator (workload), the random
+# streams (rng) and the lint suite (lint), each floor
 # the package's measured race-profile coverage rounded down — so new code in
 # any of them, the planner's stored-but-remote index, the placement slab's
 # Clone/Equal/JSON paths, the reference database's reuse of unchanged pages,
@@ -88,14 +91,15 @@ stage_test() {
 # steps and a failed commit, the dense LRU ring, the simulator's record,
 # replay and trace validation, the harness's
 # shared-partition plans and their core.Plan bypass, and the sampler's flat
-# overlay and the validator's stamps included, has to be
+# overlay and the validator's stamps, and the remaining lint rules' code
+# included, has to be
 # reached by tests to land. The control plane's tests drive each source by
 # its step (Supervisor.Probe, Adapter.CheckNow, Scrubber.RunCycle), so they
 # reach the loops' error paths too, and its floor needs no excuse.
 stage_race() {
     cover_out=$(mktemp)
     go test -race -count=1 -coverprofile="$cover_out" ./...
-    for pair in core:95 model:91 repair:96 htmlrefs:94 estimate:96 admission:92 trace:89 controller:92 lru:100 policies:96 httpsim:93 experiments:85 workload:89 rng:96; do
+    for pair in core:95 model:91 repair:96 htmlrefs:94 estimate:96 admission:92 trace:89 controller:92 lru:100 policies:96 httpsim:93 experiments:85 workload:89 rng:96 lint:87; do
         pkg="internal/${pair%%:*}" floor="${pair##*:}"
         # A profile line is "file:block statements count"; the package's
         # coverage is the share of its statements in blocks that ran.
