@@ -41,7 +41,9 @@
 // stitched in via the X-Repl-Trace header — and the forest is written as
 // JSONL for cmd/repltrace (-chrome additionally writes Perfetto-loadable
 // trace-event JSON): the first 65,536 spans, with the count of those dropped
-// after them printed beside the file name. With -journal the control plane
+// after them printed beside the file name. The file carries no Eq. 5
+// predictions: loopback times are wall-clock, not the model's seconds, so
+// repltrace reports the observed side only. With -journal the control plane
 // records its flight recorder (probe transitions, repair plans, placement
 // pushes, injected faults), serves it at /debug/journal, and prints the
 // event tally on exit.
@@ -168,8 +170,8 @@ func run(args []string, stdout io.Writer) error {
 				fmt.Fprintf(stdout, "trace: %v\n", err)
 				return
 			}
-			fmt.Fprintf(stdout, "trace: %d spans written to %s, dropped=%d (repltrace -i %s -seed %d -storage %.2f)\n",
-				len(spans), *tracePath, spanBuf.Dropped(), *tracePath, *seed, *storage)
+			fmt.Fprintf(stdout, "trace: %d spans written to %s, dropped=%d (repltrace -i %s)\n",
+				len(spans), *tracePath, spanBuf.Dropped(), *tracePath)
 			if *chromePath != "" {
 				if err := repro.SaveChromeTrace(*chromePath, spans); err != nil {
 					fmt.Fprintf(stdout, "trace: %v\n", err)

@@ -98,17 +98,23 @@ func TestRunServeTraceJournal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var pages, serves int
+	// Loopback times are wall-clock, so the file carries no Eq. 5 prediction.
+	var pages, serves, predicts int
 	for i := range spans {
 		switch spans[i].Name {
 		case trace.SpanPage:
 			pages++
 		case trace.SpanServe:
 			serves++
+		case trace.SpanPredict:
+			predicts++
 		}
 	}
-	if pages != 6 || serves == 0 {
-		t.Fatalf("trace file has %d page roots, %d serve spans", pages, serves)
+	if pages != 6 || serves == 0 || predicts != 0 {
+		t.Fatalf("trace file has %d page roots, %d serve spans, %d predict spans", pages, serves, predicts)
+	}
+	if !strings.Contains(out, "(repltrace -i "+tracePath+")") {
+		t.Errorf("exit hint is not a bare repltrace -i:\n%s", out)
 	}
 }
 

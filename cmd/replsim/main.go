@@ -12,7 +12,8 @@
 //	        [-outage AVAIL] [-failover SECS] [-spans FILE]
 //
 // With -spans the Proposed policy's run records its span forest — one trace
-// per page view, chains split by transfer/queue/overhead — and writes it as
+// per page view, chains split by transfer/queue/overhead — followed by the
+// simulated placement's Eq. 5 prediction for every page, and writes it as
 // JSONL for cmd/repltrace; the export is byte-deterministic for a seed.
 //
 // With -outage each page view finds its local site down with probability
@@ -154,7 +155,8 @@ func run(args []string, stdout io.Writer) error {
 		if i == 0 {
 			proposed = res
 			if simCfg.Trace != nil {
-				if err := repro.SaveSpans(*spansPath, simCfg.Trace.Spans()); err != nil {
+				spans := append(simCfg.Trace.Spans(), repro.PredictSpans(env, placement)...)
+				if err := repro.SaveSpans(*spansPath, spans); err != nil {
 					return err
 				}
 			}

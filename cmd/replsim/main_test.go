@@ -1,12 +1,17 @@
 package main
 
 import (
+	"bytes"
 	"io"
+	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 
 	"repro"
+	"repro/internal/model"
+	"repro/internal/trace"
 )
 
 func TestRunSimSmall(t *testing.T) {
@@ -127,6 +132,117 @@ func TestRunSimSpans(t *testing.T) {
 	if a.LocalWins+a.RemoteWins != a.Traces {
 		t.Fatalf("wins %d+%d != traces %d", a.LocalWins, a.RemoteWins, a.Traces)
 	}
+}
+
+// checkPredictions requires the span file to carry one predict span per
+// page of env's workload whose Dur is model.PageTime of p.
+func checkPredictions(t *testing.T, path string, env *repro.Env, p *repro.Placement) {
+	t.Helper()
+	spans, err := repro.LoadSpans(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	seen := 0
+	for _, s := range spans {
+		if s.Name != trace.SpanPredict {
+			continue
+		}
+		seen++
+		page, err := strconv.Atoi(s.Attr(trace.AttrPage))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := float64(model.PageTime(env, p, repro.PageID(page))); s.Dur != want {
+			t.Errorf("page %d: predicted %v, plan's Eq. 5 time %v", page, s.Dur, want)
+		}
+	}
+	if seen != env.W.NumPages() {
+		t.Fatalf("%d predict spans for %d pages", seen, env.W.NumPages())
+	}
+}
+
+// TestSpansCarryTheSimulatedPlan: the predictions are those of the plan the
+// run simulated, capacity included, and the file is byte-identical across
+// two runs at one seed.
+func TestSpansCarryTheSimulatedPlan(t *testing.T) {
+	dir := t.TempDir()
+	var files [2][]byte
+	for i := range files {
+		path := filepath.Join(dir, strconv.Itoa(i)+".jsonl")
+		args := []string{"-scale", "small", "-storage", "0.3", "-capacity", "0.15", "-requests", "40", "-spans", path}
+		if err := run(args, io.Discard); err != nil {
+			t.Fatal(err)
+		}
+		raw, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		files[i] = raw
+	}
+	if !bytes.Equal(files[0], files[1]) {
+		t.Fatal("two -spans runs at one seed wrote different files")
+	}
+
+	w, err := repro.GenerateWorkload(repro.SmallWorkloadConfig(), 2026)
+	if err != nil {
+		t.Fatal(err)
+	}
+	env, err := repro.PlanningEnv(w, 2026, 0.3, 0.15)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, _, err := repro.Plan(env, repro.PlanOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkPredictions(t, filepath.Join(dir, "0.jsonl"), env, p)
+}
+
+// TestSpansCarryTheLoadedPlacement: with -p the predictions are the loaded
+// placement's, not those of the plan replsim would have made.
+func TestSpansCarryTheLoadedPlacement(t *testing.T) {
+	w, err := repro.GenerateWorkload(repro.SmallWorkloadConfig(), 2026)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tight, err := repro.PlanningEnv(w, 2026, 0.3, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	loaded, _, err := repro.Plan(tight, repro.PlanOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	wpath, ppath, spans := dir+"/w.json", dir+"/p.json", dir+"/spans.jsonl"
+	if err := w.SaveFile(wpath); err != nil {
+		t.Fatal(err)
+	}
+	if err := loaded.SaveFile(ppath); err != nil {
+		t.Fatal(err)
+	}
+	if err := run([]string{"-w", wpath, "-p", ppath, "-requests", "40", "-spans", spans}, io.Discard); err != nil {
+		t.Fatal(err)
+	}
+
+	// replsim simulates -p under its own budgets (storage 1 by default).
+	env, err := repro.PlanningEnv(w, 2026, 1, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	replanned, _, err := repro.Plan(env, repro.PlanOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	differs := false
+	for j := range w.NumPages() {
+		id := repro.PageID(j)
+		differs = differs || model.PageTime(env, loaded, id) != model.PageTime(env, replanned, id)
+	}
+	if !differs {
+		t.Fatal("the loaded placement predicts what a re-plan would: the test cannot tell them apart")
+	}
+	checkPredictions(t, spans, env, loaded)
 }
 
 // TestRunRejectsUnknownScale: a -scale that names no workload is an error,

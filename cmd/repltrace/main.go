@@ -1,18 +1,12 @@
 // Command repltrace ingests a recorded span forest (replsim -spans, or
 // replserve -trace) and reports each page's observed Eq. 5 critical path:
 // which chain won the max, where the time went (transfer vs queue vs
-// protocol overhead vs retry/backoff), the slowest traced views, and — when
-// the planning environment is regenerated from the same seed — the observed
-// mean page time against the planner's predicted D, flagging every page
-// outside tolerance.
-//
-// The predicted side rebuilds what replsim/replserve planned, through the
-// same facade path (repro.WorkloadScale, repro.PlanningEnv): the same
-// workload scale, seed, and storage fraction yield the same placement, so
-// the comparison needs no side-channel state — just the flags that produced
-// the trace. A traced page outside the regenerated workload is an error,
-// since those flags cannot have produced it. -predict=false skips the side
-// (for traces from foreign environments).
+// protocol overhead vs retry/backoff) and the slowest traced views. When
+// the forest carries the plan's predictions (replsim -spans writes one
+// "predict" span per page of the placement it simulated), each page's
+// observed mean time is set against its predicted D, and every page
+// outside tolerance is flagged. A live replserve trace carries none — its
+// times are wall-clock — so only the observed side is printed.
 //
 // With -chrome the span forest is additionally converted to Chrome
 // trace-event JSON, loadable in Perfetto or chrome://tracing; with -journal
@@ -21,8 +15,7 @@
 //
 // Usage:
 //
-//	repltrace -i trace.jsonl [-seed N] [-scale small|paper] [-storage F]
-//	          [-tolerance F] [-top N] [-pages N] [-predict=false]
+//	repltrace -i trace.jsonl [-tolerance F] [-top N] [-pages N]
 //	          [-chrome out.json] [-journal journal.jsonl]
 package main
 
@@ -36,20 +29,15 @@ import (
 	"text/tabwriter"
 
 	"repro"
-	"repro/internal/model"
 	"repro/internal/trace"
 )
 
 func run(args []string, stdout io.Writer) error {
 	fs := flag.NewFlagSet("repltrace", flag.ContinueOnError)
 	in := fs.String("i", "", "span forest to analyze (JSONL, required)")
-	seed := fs.Uint64("seed", 2026, "seed the traced run planned with (feeds the predicted side)")
-	scale := fs.String("scale", "small", "workload scale the traced run used: small or paper")
-	storage := fs.Float64("storage", 0.5, "storage budget fraction the traced run planned at")
 	tolerance := fs.Float64("tolerance", 0.25, "relative deviation beyond which a page is flagged")
 	top := fs.Int("top", 5, "slowest traced views to list")
 	pages := fs.Int("pages", 12, "per-page rows to print (0 = all)")
-	predict := fs.Bool("predict", true, "regenerate the planning environment and compare observed vs predicted D")
 	chrome := fs.String("chrome", "", "also write the forest as Chrome trace-event JSON to this file")
 	journal := fs.String("journal", "", "also tally a control-plane journal dump (JSONL)")
 	if err := fs.Parse(args); err != nil {
@@ -68,19 +56,9 @@ func run(args []string, stdout io.Writer) error {
 	}
 	a := repro.AnalyzeSpans(spans)
 
-	var penv *repro.Env
-	var placement *repro.Placement
-	if *predict {
-		penv, placement, err = rebuildPlan(*scale, *seed, *storage)
-		if err != nil {
-			return fmt.Errorf("rebuild planning environment (-predict=false to skip): %w", err)
-		}
-		for _, ps := range a.Pages {
-			if ps.Page < 0 || ps.Page >= penv.W.NumPages() {
-				return fmt.Errorf("traced page %d lies outside the %d pages regenerated at -scale %s -seed %d -storage %.2f: pass the flags the traced run used, or -predict=false",
-					ps.Page, penv.W.NumPages(), *scale, *seed, *storage)
-			}
-		}
+	predicted := false
+	for _, ps := range a.Pages {
+		predicted = predicted || ps.PredictedChain != ""
 	}
 
 	fmt.Fprintf(stdout, "trace: %d spans, %d page views, %d pages\n", a.Spans, a.Traces, len(a.Pages))
@@ -109,13 +87,13 @@ func run(args []string, stdout io.Writer) error {
 	}
 
 	fmt.Fprintf(stdout, "\nper-page critical path")
-	if penv != nil {
-		fmt.Fprintf(stdout, " vs predicted D (scale %s, seed %d, storage %.2f)", *scale, *seed, *storage)
+	if predicted {
+		fmt.Fprintf(stdout, " vs predicted D")
 	}
 	fmt.Fprintln(stdout, ":")
 	tw := tabwriter.NewWriter(stdout, 2, 4, 2, ' ', 0)
 	header := "page\tviews\tobserved D\twinner (l/r)\tretry+backoff"
-	if penv != nil {
+	if predicted {
 		header += "\tpredicted D\tdeviation\tpred winner\tflag"
 	}
 	fmt.Fprintln(tw, header)
@@ -137,9 +115,8 @@ func run(args []string, stdout io.Writer) error {
 		if show {
 			fmt.Fprintf(tw, "%d\t%d\t%.4fs\t%d/%d\t%.3fs", ps.Page, ps.Views, ps.MeanD, ps.LocalWins, ps.RemoteWins, ps.RetryBackoff)
 		}
-		if penv != nil {
-			pred, predWinner := predictedD(penv, placement, ps.Page)
-			if pred > 0 {
+		if predicted {
+			if pred := ps.Predicted; pred > 0 {
 				compared++
 				rel := (ps.MeanD - pred) / pred
 				out := math.Abs(rel) > *tolerance
@@ -151,7 +128,7 @@ func run(args []string, stdout io.Writer) error {
 					if out {
 						mark = "OUT"
 					}
-					fmt.Fprintf(tw, "\t%.4fs\t%+.1f%%\t%s\t%s", pred, 100*rel, predWinner, mark)
+					fmt.Fprintf(tw, "\t%.4fs\t%+.1f%%\t%s\t%s", pred, 100*rel, ps.PredictedChain, mark)
 				}
 			} else if show {
 				fmt.Fprintf(tw, "\t-\t-\t-\t")
@@ -167,7 +144,7 @@ func run(args []string, stdout io.Writer) error {
 	if *pages != 0 && len(ranked) > *pages {
 		fmt.Fprintf(stdout, "  ... %d more pages (-pages 0 for all)\n", len(ranked)-*pages)
 	}
-	if penv != nil {
+	if predicted {
 		fmt.Fprintf(stdout, "\n%d of %d pages outside +/-%.0f%% of predicted D\n", flagged, compared, 100**tolerance)
 	}
 
@@ -195,37 +172,6 @@ func run(args []string, stdout io.Writer) error {
 		fmt.Fprintf(stdout, "\nChrome trace written to %s (load in Perfetto or chrome://tracing)\n", *chrome)
 	}
 	return nil
-}
-
-// rebuildPlan regenerates the traced run's planning environment — the
-// facade path replsim and replserve plan through — and its placement.
-func rebuildPlan(scale string, seed uint64, storage float64) (*repro.Env, *repro.Placement, error) {
-	cfg, err := repro.WorkloadScale(scale)
-	if err != nil {
-		return nil, nil, err
-	}
-	w, err := repro.GenerateWorkload(cfg, seed)
-	if err != nil {
-		return nil, nil, err
-	}
-	env, err := repro.PlanningEnv(w, seed, storage, 1)
-	if err != nil {
-		return nil, nil, err
-	}
-	p, _, err := repro.Plan(env, repro.PlanOptions{})
-	return env, p, err
-}
-
-// predictedD evaluates the planner's Eq. 5 page time and its max side for
-// one page of the regenerated workload.
-func predictedD(env *repro.Env, p *repro.Placement, page int) (float64, string) {
-	j := repro.PageID(page)
-	local := float64(model.PageLocalTime(env, p, j))
-	remote := float64(model.PageRemoteTime(env, p, j))
-	if remote >= local {
-		return remote, "remote"
-	}
-	return local, "local"
 }
 
 // readJournal loads a JSONL journal dump.

@@ -3,7 +3,6 @@ package main
 import (
 	"bytes"
 	"encoding/json"
-	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -13,9 +12,9 @@ import (
 	"repro/internal/trace"
 )
 
-// writeSeedTrace simulates the proposed policy at the repltrace defaults
-// (small scale, seed 2026, storage 0.5) with tracing armed and writes the
-// span forest where a replsim -spans run would.
+// writeSeedTrace simulates the proposed policy (small scale, seed 2026,
+// storage 0.5) with tracing armed and writes the span forest, followed by
+// the plan's predictions, as a replsim -spans run would.
 func writeSeedTrace(t *testing.T, dir string) string {
 	t.Helper()
 	w, err := repro.GenerateWorkload(repro.SmallWorkloadConfig(), 2026)
@@ -37,7 +36,7 @@ func writeSeedTrace(t *testing.T, dir string) string {
 		t.Fatal(err)
 	}
 	path := filepath.Join(dir, "trace.jsonl")
-	if err := repro.SaveSpans(path, cfg.Trace.Spans()); err != nil {
+	if err := repro.SaveSpans(path, append(cfg.Trace.Spans(), repro.PredictSpans(env, p)...)); err != nil {
 		t.Fatal(err)
 	}
 	return path
@@ -73,7 +72,7 @@ func TestObservedVsPredicted(t *testing.T) {
 	got := out.String()
 	for _, want := range []string{
 		"Eq. 5 critical path",
-		"predicted D (scale small, seed 2026, storage 0.50)",
+		"per-page critical path vs predicted D:",
 		"pages outside +/-25% of predicted D",
 		"probe.transition",
 		"repair.planned",
@@ -115,18 +114,6 @@ func TestObservedVsPredicted(t *testing.T) {
 	}
 }
 
-func TestNoPredict(t *testing.T) {
-	dir := t.TempDir()
-	in := writeSeedTrace(t, dir)
-	var out bytes.Buffer
-	if err := run([]string{"-i", in, "-predict=false"}, &out); err != nil {
-		t.Fatal(err)
-	}
-	if strings.Contains(out.String(), "predicted") {
-		t.Fatalf("-predict=false still predicted:\n%s", out.String())
-	}
-}
-
 func TestMissingInput(t *testing.T) {
 	if err := run([]string{}, &bytes.Buffer{}); err == nil {
 		t.Fatal("missing -i accepted")
@@ -136,36 +123,63 @@ func TestMissingInput(t *testing.T) {
 	}
 }
 
-// TestRunRejectsUnknownScale: a -scale that names no workload is an error,
-// never a quiet fallback to another workload.
-func TestRunRejectsUnknownScale(t *testing.T) {
-	in := writeSeedTrace(t, t.TempDir())
-	for _, scale := range []string{"nonsense", "quick", "Small", ""} {
-		if err := run([]string{"-i", in, "-scale", scale}, io.Discard); err == nil {
-			t.Errorf("-scale %q accepted", scale)
+// writeForest writes hand-made JSONL span lines to a file and returns it.
+func writeForest(t *testing.T, lines ...string) string {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "forest.jsonl")
+	if err := os.WriteFile(path, []byte(strings.Join(lines, "\n")+"\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return path
+}
+
+const (
+	pageView    = `{"trace":1,"id":2,"name":"page","kind":"sim","start":0,"dur":1.5,"attrs":[{"k":"page","v":"7"},{"k":"site","v":"0"}]}`
+	pagePredict = `{"trace":0,"id":8,"name":"predict","kind":"plan","start":0,"dur":1.2,"attrs":[{"k":"page","v":"7"},{"k":"chain","v":"remote"}]}`
+)
+
+// TestComparesAgainstCarriedPrediction: a page viewed once for 1.5 s whose
+// carried prediction is 1.2 s deviates by +25.0%, outside a 20% band and
+// inside a 30% one.
+func TestComparesAgainstCarriedPrediction(t *testing.T) {
+	in := writeForest(t, pageView, pagePredict)
+	for _, tc := range []struct {
+		tolerance string
+		row       []string // the page's row, split into fields
+		tally     string
+	}{
+		{"0.2", []string{"7", "1", "1.5000s", "1/0", "0.000s", "1.2000s", "+25.0%", "remote", "OUT"}, "1 of 1 pages outside +/-20% of predicted D"},
+		{"0.3", []string{"7", "1", "1.5000s", "1/0", "0.000s", "1.2000s", "+25.0%", "remote"}, "0 of 1 pages outside +/-30% of predicted D"},
+	} {
+		var out bytes.Buffer
+		if err := run([]string{"-i", in, "-tolerance", tc.tolerance}, &out); err != nil {
+			t.Fatal(err)
+		}
+		got := out.String()
+		if !strings.Contains(got, tc.tally) {
+			t.Errorf("-tolerance %s: output missing %q:\n%s", tc.tolerance, tc.tally, got)
+		}
+		found := false
+		for _, line := range strings.Split(got, "\n") {
+			found = found || strings.Join(strings.Fields(line), " ") == strings.Join(tc.row, " ")
+		}
+		if !found {
+			t.Errorf("-tolerance %s: no row %q:\n%s", tc.tolerance, tc.row, got)
 		}
 	}
 }
 
-// TestRejectsPageOutsideWorkload: a traced page the regenerated workload
-// does not have means the flags are not the traced run's; predicting
-// anyway would leave the page out of the tally without a word.
-func TestRejectsPageOutsideWorkload(t *testing.T) {
-	in := filepath.Join(t.TempDir(), "foreign.jsonl")
-	span := `{"trace":1,"id":2,"name":"page","kind":"sim","start":0,"dur":1.5,"attrs":[{"k":"page","v":"999999"},{"k":"site","v":"0"}]}` + "\n"
-	if err := os.WriteFile(in, []byte(span), 0o644); err != nil {
+// TestObservedOnlyWithoutPredictions: a forest that carries no predict
+// span (a live replserve trace) prints the observed side alone.
+func TestObservedOnlyWithoutPredictions(t *testing.T) {
+	var out bytes.Buffer
+	if err := run([]string{"-i", writeForest(t, pageView)}, &out); err != nil {
 		t.Fatal(err)
 	}
-	err := run([]string{"-i", in}, io.Discard)
-	if err == nil {
-		t.Fatal("page 999999 predicted against a 169-page workload")
+	if !strings.Contains(out.String(), "1.5000s") {
+		t.Fatalf("observed time missing:\n%s", out.String())
 	}
-	for _, flag := range []string{"-scale", "-seed", "-storage", "-predict=false"} {
-		if !strings.Contains(err.Error(), flag) {
-			t.Errorf("error does not name %s: %v", flag, err)
-		}
-	}
-	if err := run([]string{"-i", in, "-predict=false"}, io.Discard); err != nil {
-		t.Errorf("-predict=false: %v", err)
+	if strings.Contains(out.String(), "predicted") {
+		t.Fatalf("prediction-free forest printed a prediction:\n%s", out.String())
 	}
 }

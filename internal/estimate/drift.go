@@ -172,13 +172,9 @@ func (d *Detector) Replan(env *model.Env, base *model.Placement, snap *Snapshot,
 	if err != nil {
 		return p, fmt.Errorf("estimate: re-plan: %w", err)
 	}
-	diff, err := model.Diff(base, fresh)
-	if err != nil {
-		return p, fmt.Errorf("estimate: plan diff: %w", err)
-	}
 	p.Env, p.Plan = env2, fresh
 	p.Delta = repair.ChangeDelta(env, env2, base, fresh)
-	p.Changed = diff.Changed()
+	p.Changed = !base.Equal(fresh)
 	return p, nil
 }
 

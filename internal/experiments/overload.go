@@ -70,6 +70,15 @@ const (
 	overloadShedStream
 )
 
+// overloadStreams derives run r's streams for one pass (mode 0 off, 1 on):
+// arrivals, client jitter and the gate's shed draws
+// (TestStudyStreamsKnownAnswer pins them).
+func overloadStreams(root *rng.Stream, r int, mode uint64) (arrivals, jitter, shed *rng.Stream) {
+	return root.Split(overloadArrivalStream, uint64(r), mode),
+		root.Split(overloadClientStream, uint64(r), mode),
+		root.Split(overloadShedStream, uint64(r), mode)
+}
+
 // OverloadPass is one pass's accounting (protections off or on).
 type OverloadPass struct {
 	// Requests counts new page requests; Attempts includes every retry.
@@ -250,15 +259,13 @@ func simOverload(root *rng.Stream, r int, protected bool) OverloadPass {
 	}
 	s := &overloadSim{
 		protected: protected,
-		arrivals:  root.Split(overloadArrivalStream, uint64(r), mode),
-		jitter:    root.Split(overloadClientStream, uint64(r), mode),
-		shed:      root.Split(overloadShedStream, uint64(r), mode),
 		plan: &faults.Plan{LoadSpikes: []faults.LoadSpike{{
 			Window: faults.Window{Start: overloadSpikeStart, End: overloadSpikeEnd},
 			Factor: overloadSpikeFactor,
 		}}},
 		budget: newRetryBudget(overloadBudgetRatio, overloadBudgetCap),
 	}
+	s.arrivals, s.jitter, s.shed = overloadStreams(root, r, mode)
 	s.schedule(0, evArrivalGen, nil)
 	for len(s.events) > 0 {
 		ev := heap.Pop(&s.events).(simEvent)

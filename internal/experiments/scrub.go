@@ -45,6 +45,14 @@ const (
 	scrubClientStream
 )
 
+// scrubStreams derives run r's streams: the rot sample, the fault plan and
+// the client's jitter (TestStudyStreamsKnownAnswer pins them).
+func scrubStreams(root *rng.Stream, r int) (rot, fault, client *rng.Stream) {
+	return root.Split(scrubRotStream, uint64(r)),
+		root.Split(scrubFaultStream, uint64(r)),
+		root.Split(scrubClientStream, uint64(r))
+}
+
 // ScrubRun is one run's chaos-soak accounting. Every field is a pure
 // function of the seed (counts over seeded sets and plan-derived replica
 // walks), so two same-seed soaks render byte-identical reports.
@@ -122,7 +130,7 @@ func Scrub(opts Options) (*ScrubResult, error) {
 	runs := make([]ScrubRun, opts.Runs)
 	err := forEachRun(&opts, func(env *runEnv) error {
 		r := env.r
-		root := rng.New(opts.Seed)
+		rotStream, faultStream, clientStream := scrubStreams(rng.New(opts.Seed), r)
 		penv, p, _, err := env.plan(env.w, storageOnly(env.w, 0.5), core.Options{})
 		if err != nil {
 			return err
@@ -141,7 +149,6 @@ func Scrub(opts Options) (*ScrubResult, error) {
 		if rotCount > len(stored) {
 			rotCount = len(stored)
 		}
-		rotStream := root.Split(scrubRotStream, uint64(r))
 		rot := make([]int, 0, rotCount)
 		for _, idx := range rotStream.SampleWithoutReplacement(len(stored), rotCount) {
 			rot = append(rot, stored[idx])
@@ -149,7 +156,7 @@ func Scrub(opts Options) (*ScrubResult, error) {
 		sort.Ints(rot)
 
 		plan := &faults.Plan{
-			Seed:  root.Split(scrubFaultStream, uint64(r)).Seed(),
+			Seed:  faultStream.Seed(),
 			Sites: make([]faults.Spec, n),
 		}
 		forever := []faults.Window{{Start: 0, End: 24 * time.Hour}}
@@ -173,7 +180,7 @@ func Scrub(opts Options) (*ScrubResult, error) {
 		client := cluster.Client(webserve.ClientOptions{
 			Retries:          1,
 			BreakerThreshold: -1,
-			JitterSeed:       root.Split(scrubClientStream, uint64(r)).Seed(),
+			JitterSeed:       clientStream.Seed(),
 		})
 		corruptFB := cluster.Metrics.Counter("client.fallbacks_by.corrupt")
 

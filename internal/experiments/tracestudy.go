@@ -10,7 +10,6 @@ import (
 	"repro/internal/model"
 	"repro/internal/policies"
 	"repro/internal/trace"
-	"repro/internal/workload"
 )
 
 // criticalPathTolerance is the relative deviation beyond which a page's
@@ -79,20 +78,13 @@ func CriticalPath(opts Options) (*CriticalPathResult, error) {
 		if _, err := env.simulate(env.w, policies.NewStatic("Proposed", p), cfg); err != nil {
 			return err
 		}
-		a := trace.Analyze(cfg.Trace.Spans())
+		a := trace.Analyze(append(cfg.Trace.Spans(), model.PredictSpans(penv, p)...))
 
 		agg := &perRun[r]
 		agg.xfer, agg.queue, agg.ovhd, agg.retryBackoff = a.Transfer, a.Queue, a.Overhead, a.RetryBackoff
 		for _, ps := range a.Pages {
-			j := workload.PageID(ps.Page)
-			predLocal := float64(model.PageLocalTime(penv, p, j))
-			predRemote := float64(model.PageRemoteTime(penv, p, j))
-			pred, predWinner := predLocal, "local"
-			// Tie to remote, matching the simulator's max rule.
-			if predRemote >= predLocal {
-				pred, predWinner = predRemote, "remote"
-			}
-			if pred <= 0 || ps.Views == 0 {
+			pred, predWinner := ps.Predicted, ps.PredictedChain
+			if pred <= 0 {
 				continue
 			}
 			obsWinner := "local"

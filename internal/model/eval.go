@@ -5,6 +5,7 @@ import (
 	"io"
 	"math"
 
+	"repro/internal/trace"
 	"repro/internal/units"
 	"repro/internal/workload"
 )
@@ -48,6 +49,28 @@ func PageRemoteTime(e *Env, p *Placement, j workload.PageID) units.Seconds {
 // PageTime evaluates Eq. 5: the max of the two parallel chains.
 func PageTime(e *Env, p *Placement, j workload.PageID) units.Seconds {
 	return units.MaxSeconds(PageLocalTime(e, p, j), PageRemoteTime(e, p, j))
+}
+
+// PredictSpans records the placement's Eq. 5 prediction as one
+// trace.SpanPredict span per page: Dur is PageTime, attr chain the side
+// that takes the max (ties go to remote, as in the simulator). The spans
+// sit under trace 0 with ID page+1 and draw no randomness, so appending
+// them to a traced run's forest shifts none of its streams; trace.Analyze
+// reads them back as each page's predicted time.
+func PredictSpans(e *Env, p *Placement) []trace.Span {
+	out := make([]trace.Span, e.W.NumPages())
+	for j := range out {
+		id := workload.PageID(j)
+		d, chain := PageLocalTime(e, p, id), "local"
+		if r := PageRemoteTime(e, p, id); r >= d {
+			d, chain = r, "remote"
+		}
+		out[j] = trace.Span{
+			ID: trace.SpanID(j + 1), Name: trace.SpanPredict, Kind: trace.KindPlan, Dur: float64(d),
+			Attrs: []trace.Attr{trace.I(trace.AttrPage, int64(j)), trace.A(trace.AttrChain, chain)},
+		}
+	}
+	return out
 }
 
 // PageOptionalTime evaluates the Eq. 6 inner sum: the expected optional

@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/netsim"
 	"repro/internal/rng"
+	"repro/internal/trace"
 	"repro/internal/units"
 	"repro/internal/workload"
 )
@@ -88,6 +89,27 @@ func TestPageTimesMixed(t *testing.T) {
 	almost(t, "page", float64(PageTime(env, p, 0)), 52)
 	if err := p.CheckInvariants(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestPredictSpans: one predict span per page carrying PageTime and the
+// side that takes the max, at the deterministic identity the doc gives.
+func TestPredictSpans(t *testing.T) {
+	env, w := tinyEnv(t)
+	for _, tc := range []struct {
+		p     *Placement
+		d     float64
+		chain string
+	}{{AllRemote(w), 152, "remote"}, {AllLocal(w), 17, "local"}} {
+		spans := PredictSpans(env, tc.p)
+		if len(spans) != 1 {
+			t.Fatalf("%d spans for 1 page", len(spans))
+		}
+		s := spans[0]
+		if s.Trace != 0 || s.ID != 1 || s.Name != trace.SpanPredict || s.Attr(trace.AttrPage) != "0" || s.Attr(trace.AttrChain) != tc.chain {
+			t.Errorf("span %+v, want trace 0, ID 1, %s page 0 chain %s", s, trace.SpanPredict, tc.chain)
+		}
+		almost(t, "predicted "+tc.chain, s.Dur, tc.d)
 	}
 }
 

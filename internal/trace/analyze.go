@@ -26,6 +26,11 @@ type PageStats struct {
 	RetryBackoff       float64
 	Retries, Fallbacks int
 	Degraded           int
+	// Predicted is the plan's Eq. 5 time for the page and PredictedChain
+	// the side that takes its max, both read from the page's SpanPredict
+	// span; PredictedChain is "" when the forest carries none.
+	Predicted      float64
+	PredictedChain string
 }
 
 // TraceSummary is one page view, ranked by observed time.
@@ -66,14 +71,21 @@ type Analysis struct {
 // Eq. 5 critical path: which chain won the max, and how the time divides
 // into transfer, queue, protocol overhead and retry/backoff. Spans from
 // the live client and the simulator are handled identically — they share
-// one vocabulary.
+// one vocabulary. A SpanPredict span is no page view: it fills its page's
+// Predicted and PredictedChain, for pages the forest also holds views of.
 func Analyze(spans []Span) *Analysis {
 	a := &Analysis{Spans: len(spans), names: make(map[string]int)}
 	byTrace := make(map[TraceID][]*Span)
 	order := make([]TraceID, 0, 64) // first-seen order keeps output deterministic
+	predicted := make(map[int]*Span)
 	for i := range spans {
 		s := &spans[i]
 		a.names[s.Name]++
+		if s.Name == SpanPredict {
+			page, _ := strconv.Atoi(s.Attr(AttrPage))
+			predicted[page] = s
+			continue
+		}
 		if _, ok := byTrace[s.Trace]; !ok {
 			order = append(order, s.Trace)
 		}
@@ -169,6 +181,9 @@ func Analyze(spans []Span) *Analysis {
 	for _, ps := range pages {
 		if ps.Views > 0 {
 			ps.MeanD = ps.TotalD / float64(ps.Views)
+		}
+		if s := predicted[ps.Page]; s != nil {
+			ps.Predicted, ps.PredictedChain = s.Dur, s.Attr(AttrChain)
 		}
 		a.Pages = append(a.Pages, *ps)
 	}

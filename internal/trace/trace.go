@@ -89,6 +89,7 @@ const (
 	SpanBreaker  = "breaker"  // zero-duration marker: a breaker decision
 	SpanServe    = "serve"    // server-side handling of one request
 	SpanFailover = "failover" // simulated degraded-view failover cost
+	SpanPredict  = "predict"  // the plan's Eq. 5 time for one page; attrs page, chain (not a page view)
 )
 
 // Planner phase span names: BENCHMARK.json's per-layer names minus the

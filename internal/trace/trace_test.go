@@ -499,3 +499,29 @@ func close(a, b float64) bool {
 	d := a - b
 	return d < 1e-9 && d > -1e-9
 }
+
+// TestAnalyzePredictions: predict spans fill their viewed pages' Predicted
+// and PredictedChain, are never page traces, and add no page of their own.
+func TestAnalyzePredictions(t *testing.T) {
+	predict := func(page int, d float64, chain string) Span {
+		return Span{ID: SpanID(page + 1), Name: SpanPredict, Kind: KindPlan, Dur: d,
+			Attrs: []Attr{I(AttrPage, int64(page)), A(AttrChain, chain)}}
+	}
+	spans := synthTrace(100, 1, 2.0, 2.0, 1.0, false)
+	spans = append(spans, synthTrace(101, 2, 3.0, 1.0, 3.0, false)...)
+	spans = append(spans, predict(1, 1.75, "local"), predict(3, 9, "remote"))
+
+	a := Analyze(spans)
+	if a.Traces != 2 || len(a.Pages) != 2 || a.LocalWins+a.RemoteWins != 2 {
+		t.Fatalf("traces=%d pages=%d wins=%d, want 2/2/2", a.Traces, len(a.Pages), a.LocalWins+a.RemoteWins)
+	}
+	if a.Spans != len(spans) {
+		t.Fatalf("Spans = %d, want %d", a.Spans, len(spans))
+	}
+	if p := a.Pages[0]; p.Page != 1 || p.Predicted != 1.75 || p.PredictedChain != "local" {
+		t.Fatalf("page 1 = %+v, want predicted 1.75 local", p)
+	}
+	if p := a.Pages[1]; p.Page != 2 || p.Predicted != 0 || p.PredictedChain != "" {
+		t.Fatalf("page 2 carries no prediction, got %+v", p)
+	}
+}

@@ -408,6 +408,11 @@ func WriteSpanTree(w io.Writer, spans []Span) error { return trace.WriteTree(w, 
 // events of each type (0 = default).
 func NewEventJournal(capacity int) *EventJournal { return trace.NewJournal(capacity) }
 
+// PredictSpans records the placement's Eq. 5 time for every page as one
+// "predict" span; append them to a traced run's forest and AnalyzeSpans
+// sets each page's Predicted beside its observed time.
+func PredictSpans(env *Env, p *Placement) []Span { return model.PredictSpans(env, p) }
+
 // AnalyzeSpans reduces a span forest to its Eq. 5 critical paths.
 func AnalyzeSpans(spans []Span) *TraceAnalysis { return trace.Analyze(spans) }
 

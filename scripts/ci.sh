@@ -3,7 +3,7 @@
 # Everything here must pass before a change lands: formatting, build + vet +
 # the repllint analyzer suite (four rules, each kept because a mutation of
 # its bug class passes the tests), the complete test suite with every example run
-# once and the payload wire format pinned to its committed corpus and fuzzed,
+# once, the replsim -spans | repltrace pipeline run once, and the payload wire format pinned to its committed corpus and fuzzed,
 # the race detector cold on every package with coverage floors on the
 # planner core, the cost model, repair planning and the probe law, the
 # reference database, the adaptation pipeline, the admission gate, the span
@@ -59,10 +59,23 @@ stage_lint() {
 # fails go test. The regenerate-and-diff after it additionally pins the
 # header codec's files (wide-header, padding-games) byte for byte, and the
 # hand-written codec is fuzzed for fifteen seconds against the decoder's
-# contract (longrun.yml gives it ten minutes).
+# contract (longrun.yml gives it ten minutes). Between them the documented
+# tracing pipeline runs once: a capacity-bound replsim -spans file, read by
+# repltrace, must be compared against the plan's predicted D.
 stage_test() {
     go test ./...
     for d in examples/*/; do go run "./$d" >/dev/null; done
+    spans=$(mktemp)
+    go run ./cmd/replsim -scale small -requests 40 -capacity 0.15 -spans "$spans" >/dev/null
+    trace_out=$(go run ./cmd/repltrace -i "$spans")
+    rm -f "$spans"
+    case $trace_out in
+    *"predicted D"*) ;;
+    *)
+        echo "repltrace printed no predicted D for a replsim -spans file" >&2
+        return 1
+        ;;
+    esac
     go run ./internal/webserve/gencorpus >/dev/null
     git diff --exit-code internal/webserve/testdata
     go test -run '^$' -fuzz FuzzPayloadRoundTrip -fuzztime 15s ./internal/webserve/
