@@ -42,36 +42,79 @@ type PageExplanation struct {
 }
 
 // AdoptPlacement rebuilds the planner's incremental state from an existing
-// placement over the same workload (e.g. one loaded from disk), so
-// explanations and further planning phases can run against it. The planner
-// must be freshly constructed (all-remote).
-func (pl *Planner) AdoptPlacement(p *model.Placement) error {
-	w := pl.env.W
-	if p.Workload().NumPages() != w.NumPages() || p.Workload().NumSites() != w.NumSites() {
+// placement (e.g. one loaded from disk), so explanations and further
+// planning phases can run against it. The planner must be freshly
+// constructed (all-remote). The sites in down are left out: their stores,
+// and the marks of the pages p's workload hosts there. p may be over another
+// workload with the same pages and objects in which only those pages sit
+// elsewhere — a repair's pre-failure placement over its re-homed clone — so
+// they arrive all-remote at their new hosts.
+//
+// One pass over the pages copies p's marks in. Each local mark makes the
+// float additions a flipComp or flipOpt to local would make, in page
+// order, compulsory before optional, so every cached sum adds the same
+// terms in the same order as flips from the all-remote state to p would;
+// the site's sums ride in locals across the page.
+func (pl *Planner) AdoptPlacement(p *model.Placement, down ...workload.SiteID) error {
+	w, pw := pl.env.W, p.Workload()
+	if pw.NumPages() != w.NumPages() || pw.NumSites() != w.NumSites() || pw.NumObjects() != w.NumObjects() {
 		return fmt.Errorf("core: placement shaped for a different workload")
 	}
 	if err := p.CheckInvariants(); err != nil {
 		return err
 	}
-	for i := range w.Sites {
-		id := workload.SiteID(i)
-		p.StoredSet(id).ForEach(func(k int) bool {
-			pl.store(id, workload.ObjectID(k))
-			return true
-		})
+	dead := make([]bool, w.NumSites())
+	for _, i := range down {
+		dead[i] = true
+	}
+	for i := range workload.SiteID(w.NumSites()) {
+		if !dead[i] {
+			pl.p.CopyStore(i, p)
+		}
 	}
 	for j := range w.Pages {
-		pid := workload.PageID(j)
-		for idx := range w.Pages[j].Compulsory {
-			if p.CompLocal(pid, idx) {
-				pl.flipComp(pid, idx, true)
-			}
+		pid, pg := workload.PageID(j), &w.Pages[j]
+		keep := !dead[pw.Pages[j].Site]
+		if keep && pw.Pages[j].Site != pg.Site {
+			return fmt.Errorf("core: page %d moved off live site %d", j, pw.Pages[j].Site)
 		}
-		for idx := range w.Pages[j].Optional {
-			if p.OptLocal(pid, idx) {
-				pl.flipOpt(pid, idx, true)
+		s, f := pg.Site, float64(pg.Freq)
+		stored, marks := pl.p.StoredSet(s), pl.localMarks[pl.slot(s, 0):pl.slot(s+1, 0)]
+		load, repo, d1, d2 := pl.siteLocalLoad[s], pl.siteRepoLoad[s], pl.d1Site[s], pl.d2Site[s]
+		for idx, k := range pg.Compulsory {
+			if !keep || !p.CompLocal(pid, idx) {
+				if stored.Test(int(k)) {
+					pl.setIdle(pid, idx, false, true)
+				}
+				continue
 			}
+			size := w.ObjectSize(k)
+			oldT := pl.pageT[j]
+			pl.localBytes[j] += size
+			pl.remoteBytes[j] -= size
+			load += f
+			repo -= f
+			marks[k]++
+			pl.p.SetCompLocal(pid, idx, true)
+			newT := pl.computePageTime(pid)
+			pl.pageT[j] = newT
+			d1 += f * float64(newT-oldT)
 		}
+		for idx, l := range pg.Optional {
+			if !keep || !p.OptLocal(pid, idx) {
+				if stored.Test(int(l.Object)) {
+					pl.setIdle(pid, idx, true, true)
+				}
+				continue
+			}
+			link := pl.optOff[j] + idx
+			d2 += f * l.Prob * float64(pl.optLocalT[link]-pl.optRemoteT[link])
+			load += f * l.Prob
+			repo -= f * l.Prob
+			marks[l.Object]++
+			pl.p.SetOptLocal(pid, idx, true)
+		}
+		pl.siteLocalLoad[s], pl.siteRepoLoad[s], pl.d1Site[s], pl.d2Site[s] = load, repo, d1, d2
 	}
 	return nil
 }

@@ -162,19 +162,26 @@ func NewPlanner(env *model.Env) *Planner {
 			pl.refs[*next] = objRef{workload.PageID(j), int32(idx), false}
 			*next++
 		}
+		// All-remote, a view requests every compulsory object and each
+		// optional link's probability from the repository (Eq. 9), and
+		// every optional download pays the repository side (Eq. 6).
+		repoPerView := float64(len(pg.Compulsory))
+		var optT units.Seconds
 		for idx, l := range pg.Optional {
 			next := &off[pl.slot(pg.Site, l.Object)+1]
 			pl.refs[*next] = objRef{workload.PageID(j), int32(idx), true}
 			*next++
+			repoPerView += l.Prob
+			optT += units.Seconds(l.Prob) * pl.optRemoteT[pl.optOff[j]+idx]
 		}
 		pl.remoteBytes[j] = rb
 		pl.pageT[j] = pl.computePageTime(workload.PageID(j))
 
 		f := float64(pg.Freq)
 		pl.d1Site[pg.Site] += f * float64(pl.pageTime(workload.PageID(j)))
-		pl.d2Site[pg.Site] += f * float64(pl.pageOptTime(workload.PageID(j)))
+		pl.d2Site[pg.Site] += f * float64(optT)
 		pl.siteLocalLoad[pg.Site] += f // the HTML request
-		pl.siteRepoLoad[pg.Site] += f * pl.pageRepoPerView(workload.PageID(j))
+		pl.siteRepoLoad[pg.Site] += f * repoPerView
 	}
 	return pl
 }
@@ -292,34 +299,6 @@ func (pl *Planner) optOneTimeOn(j workload.PageID, idx int, local bool) units.Se
 		return pl.optLocalT[pl.optOff[j]+idx]
 	}
 	return pl.optRemoteT[pl.optOff[j]+idx]
-}
-
-// pageOptTime returns the Eq. 6 per-view expected optional seconds.
-func (pl *Planner) pageOptTime(j workload.PageID) units.Seconds {
-	pg := &pl.env.W.Pages[j]
-	var t units.Seconds
-	for idx, l := range pg.Optional {
-		t += units.Seconds(l.Prob) * pl.optOneTime(j, idx)
-	}
-	return t
-}
-
-// pageRepoPerView returns page j's per-view repository request count
-// (Eq. 9 inner term).
-func (pl *Planner) pageRepoPerView(j workload.PageID) float64 {
-	pg := &pl.env.W.Pages[j]
-	v := 0.0
-	for idx := range pg.Compulsory {
-		if !pl.p.CompLocal(j, idx) {
-			v++
-		}
-	}
-	for idx, l := range pg.Optional {
-		if !pl.p.OptLocal(j, idx) {
-			v += l.Prob
-		}
-	}
-	return v
 }
 
 // D returns the current composite objective α1·D1 + α2·D2.

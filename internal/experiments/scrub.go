@@ -31,10 +31,13 @@ const (
 )
 
 // Gray-failure tuning: the limp must dwarf loopback RTT noise while keeping
-// the soak fast.
+// the soak fast. The threshold sits at half the limp: a healthy site's
+// first probe (a fresh connection, which seeds its RTT EWMA) would have to
+// be as slow as the limp itself to hold the EWMA over it for FailThreshold
+// rounds, while the limp's EWMA stays about twice the threshold.
 const (
 	scrubLimpLatency      = 15 * time.Millisecond
-	scrubLatencyThreshold = 3 * time.Millisecond
+	scrubLatencyThreshold = scrubLimpLatency / 2
 )
 
 // stream labels for the scrub study's derivations (disjoint from the

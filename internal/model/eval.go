@@ -10,45 +10,82 @@ import (
 	"repro/internal/workload"
 )
 
-// PageLocalTime evaluates Eq. 3 under the planner's estimates: the time to
-// fetch page j's HTML plus its locally-assigned compulsory objects over one
-// persistent pipelined connection to the local server.
-func PageLocalTime(e *Env, p *Placement, j workload.PageID) units.Seconds {
+// pageCost is page j's share of the cost model under a placement, as one
+// walk of its X and X' rows computes it.
+type pageCost struct {
+	local, remote units.Seconds // Eq. 3 and Eq. 4 chains
+	optional      units.Seconds // Eq. 6 inner sum
+	// Requests per view: Eq. 8's 1 + Σ X + Σ U'·X' and Eq. 9's
+	// Σ (1−X) + Σ U'·(1−X').
+	localPerView, repoPerView float64
+}
+
+// pageCosts is the one implementation of the per-page arithmetic of
+// Eqs. 3-6 and 8-9. The local chain fetches the HTML and the
+// locally-assigned compulsory objects over one persistent pipelined
+// connection to the local server; the remote chain the rest from the
+// repository, and a page whose every compulsory object is local pays no
+// repository overhead (the browser opens the second connection only when
+// there is something to fetch); each optional request pays a fresh
+// connection overhead on whichever side serves it.
+func pageCosts(e *Env, p *Placement, j int) pageCost {
 	pg := &e.W.Pages[j]
 	est := e.Est.Sites[pg.Site]
-	t := est.LocalOvhd + est.LocalRate.TransferTime(pg.HTMLSize)
-	for idx, k := range pg.Compulsory {
-		if p.CompLocal(j, idx) {
-			t += est.LocalRate.TransferTime(e.W.ObjectSize(k))
+	c := pageCost{local: est.LocalOvhd + est.LocalRate.TransferTime(pg.HTMLSize), localPerView: 1}
+	var remoteBytes units.ByteSize
+	for idx, local := range p.compRow(j) {
+		size := e.W.ObjectSize(pg.Compulsory[idx])
+		if local {
+			c.local += est.LocalRate.TransferTime(size)
+			c.localPerView++
+		} else {
+			remoteBytes += size
+			c.repoPerView++
 		}
 	}
-	return t
+	if c.repoPerView > 0 {
+		c.remote = est.RepoOvhd + est.RepoRate.TransferTime(remoteBytes)
+	}
+	for idx, local := range p.optRow(j) {
+		l := pg.Optional[idx]
+		size := e.W.ObjectSize(l.Object)
+		var one units.Seconds
+		if local {
+			one = est.LocalOvhd + est.LocalRate.TransferTime(size)
+			c.localPerView += l.Prob
+		} else {
+			one = est.RepoOvhd + est.RepoRate.TransferTime(size)
+			c.repoPerView += l.Prob
+		}
+		c.optional += units.Seconds(l.Prob) * one
+	}
+	return c
+}
+
+// pageTime is Eq. 5: the max of the two parallel chains.
+func (c pageCost) pageTime() units.Seconds { return units.MaxSeconds(c.local, c.remote) }
+
+// PageLocalTime evaluates Eq. 3 under the planner's estimates: the time to
+// fetch page j's HTML plus its locally-assigned compulsory objects.
+func PageLocalTime(e *Env, p *Placement, j workload.PageID) units.Seconds {
+	return pageCosts(e, p, int(j)).local
 }
 
 // PageRemoteTime evaluates Eq. 4: the time for the repository to deliver the
-// compulsory objects not assigned locally. A page whose every compulsory
-// object is local still pays no repository overhead: the browser opens the
-// second connection only when there is something to fetch.
+// compulsory objects not assigned locally (0 when there are none).
 func PageRemoteTime(e *Env, p *Placement, j workload.PageID) units.Seconds {
-	pg := &e.W.Pages[j]
-	est := e.Est.Sites[pg.Site]
-	var bytes units.ByteSize
-	any := false
-	for idx, k := range pg.Compulsory {
-		if !p.CompLocal(j, idx) {
-			bytes += e.W.ObjectSize(k)
-			any = true
-		}
-	}
-	if !any {
-		return 0
-	}
-	return est.RepoOvhd + est.RepoRate.TransferTime(bytes)
+	return pageCosts(e, p, int(j)).remote
 }
 
 // PageTime evaluates Eq. 5: the max of the two parallel chains.
 func PageTime(e *Env, p *Placement, j workload.PageID) units.Seconds {
-	return units.MaxSeconds(PageLocalTime(e, p, j), PageRemoteTime(e, p, j))
+	return pageCosts(e, p, int(j)).pageTime()
+}
+
+// PageTimes returns PageTime and PageOptionalTime from one walk of the page.
+func PageTimes(e *Env, p *Placement, j workload.PageID) (page, optional units.Seconds) {
+	c := pageCosts(e, p, int(j))
+	return c.pageTime(), c.optional
 }
 
 // PredictSpans records the placement's Eq. 5 prediction as one
@@ -60,10 +97,10 @@ func PageTime(e *Env, p *Placement, j workload.PageID) units.Seconds {
 func PredictSpans(e *Env, p *Placement) []trace.Span {
 	out := make([]trace.Span, e.W.NumPages())
 	for j := range out {
-		id := workload.PageID(j)
-		d, chain := PageLocalTime(e, p, id), "local"
-		if r := PageRemoteTime(e, p, id); r >= d {
-			d, chain = r, "remote"
+		c := pageCosts(e, p, j)
+		d, chain := c.local, "local"
+		if c.remote >= d {
+			d, chain = c.remote, "remote"
 		}
 		out[j] = trace.Span{
 			ID: trace.SpanID(j + 1), Name: trace.SpanPredict, Kind: trace.KindPlan, Dur: float64(d),
@@ -74,66 +111,47 @@ func PredictSpans(e *Env, p *Placement) []trace.Span {
 }
 
 // PageOptionalTime evaluates the Eq. 6 inner sum: the expected optional
-// download seconds caused by one view of page j. Each optional request pays
-// a fresh connection overhead on whichever side serves it.
+// download seconds caused by one view of page j.
 func PageOptionalTime(e *Env, p *Placement, j workload.PageID) units.Seconds {
-	pg := &e.W.Pages[j]
-	est := e.Est.Sites[pg.Site]
-	var t units.Seconds
-	for idx, l := range pg.Optional {
-		var one units.Seconds
-		if p.OptLocal(j, idx) {
-			one = est.LocalOvhd + est.LocalRate.TransferTime(e.W.ObjectSize(l.Object))
-		} else {
-			one = est.RepoOvhd + est.RepoRate.TransferTime(e.W.ObjectSize(l.Object))
-		}
-		t += units.Seconds(l.Prob) * one
+	return pageCosts(e, p, int(j)).optional
+}
+
+// objective returns D1 and D2 from one pass over the pages.
+func objective(e *Env, p *Placement) (d1, d2 float64) {
+	for j := range e.W.Pages {
+		c := pageCosts(e, p, j)
+		f := float64(e.W.Pages[j].Freq)
+		d1 += f * float64(c.pageTime())
+		d2 += f * float64(c.optional)
 	}
-	return t
+	return d1, d2
 }
 
 // D1 evaluates the first target of Eq. 7: Σ_j f(W_j)·Time(W_j).
 func D1(e *Env, p *Placement) float64 {
-	sum := 0.0
-	for j := range e.W.Pages {
-		sum += float64(e.W.Pages[j].Freq) * float64(PageTime(e, p, workload.PageID(j)))
-	}
-	return sum
+	d1, _ := objective(e, p)
+	return d1
 }
 
 // D2 evaluates the second target: Σ_j f(W_j)·Time(W_j, M), with Eq. 6's
 // per-view expected optional time (DESIGN.md §3.9 notes the dimensional
 // reading of the paper's f(W_j, M) factor).
 func D2(e *Env, p *Placement) float64 {
-	sum := 0.0
-	for j := range e.W.Pages {
-		sum += float64(e.W.Pages[j].Freq) * float64(PageOptionalTime(e, p, workload.PageID(j)))
-	}
-	return sum
+	_, d2 := objective(e, p)
+	return d2
 }
 
 // D evaluates the composite weighted objective α1·D1 + α2·D2.
 func D(e *Env, p *Placement) float64 {
-	return e.Alpha1*D1(e, p) + e.Alpha2*D2(e, p)
+	d1, d2 := objective(e, p)
+	return e.Alpha1*d1 + e.Alpha2*d2
 }
 
 // PageLocalLoad returns page j's contribution to Eq. 8's left-hand side:
 // f(W_j)·(1 + Σ_k X_jk + Σ_k U'_jk·X'_jk) — the HTML request, the local
 // compulsory downloads, and the expected local optional downloads.
 func PageLocalLoad(e *Env, p *Placement, j workload.PageID) units.ReqPerSec {
-	pg := &e.W.Pages[j]
-	perView := 1.0
-	for idx := range pg.Compulsory {
-		if p.CompLocal(j, idx) {
-			perView++
-		}
-	}
-	for idx, l := range pg.Optional {
-		if p.OptLocal(j, idx) {
-			perView += l.Prob
-		}
-	}
-	return units.ReqPerSec(float64(pg.Freq) * perView)
+	return units.ReqPerSec(float64(e.W.Pages[j].Freq) * pageCosts(e, p, int(j)).localPerView)
 }
 
 // SiteLoad returns the Eq. 8 left-hand side for site i.
@@ -148,19 +166,7 @@ func SiteLoad(e *Env, p *Placement, i workload.SiteID) units.ReqPerSec {
 // PageRepoLoad returns page j's contribution to Eq. 9's left-hand side:
 // f(W_j)·(Σ_k U_jk(1−X_jk) + Σ_k U'_jk(1−X'_jk)).
 func PageRepoLoad(e *Env, p *Placement, j workload.PageID) units.ReqPerSec {
-	pg := &e.W.Pages[j]
-	perView := 0.0
-	for idx := range pg.Compulsory {
-		if !p.CompLocal(j, idx) {
-			perView++
-		}
-	}
-	for idx, l := range pg.Optional {
-		if !p.OptLocal(j, idx) {
-			perView += l.Prob
-		}
-	}
-	return units.ReqPerSec(float64(pg.Freq) * perView)
+	return units.ReqPerSec(float64(e.W.Pages[j].Freq) * pageCosts(e, p, int(j)).repoPerView)
 }
 
 // SiteRepoLoad returns P(S_i, R): the repository workload imposed by site
@@ -208,24 +214,35 @@ type Report struct {
 	RepoCap   units.ReqPerSec
 }
 
-// Evaluate produces a full report.
+// Evaluate produces a full report from one pass over the pages. The loads
+// are summed per site in Sites[i].Pages order and the repository's over the
+// sites, as SiteLoad and RepoLoad sum them.
 func Evaluate(e *Env, p *Placement) *Report {
-	r := &Report{
-		D1:       D1(e, p),
-		D2:       D2(e, p),
-		RepoLoad: RepoLoad(e, p),
-		RepoCap:  e.Budgets.RepoCapacity,
+	r := &Report{RepoCap: e.Budgets.RepoCapacity, Sites: make([]SiteReport, len(e.W.Sites))}
+	loads := make([][2]units.ReqPerSec, len(e.W.Pages)) // Eq. 8 and Eq. 9 terms
+	for j := range e.W.Pages {
+		c := pageCosts(e, p, j)
+		f := float64(e.W.Pages[j].Freq)
+		r.D1 += f * float64(c.pageTime())
+		r.D2 += f * float64(c.optional)
+		loads[j] = [2]units.ReqPerSec{units.ReqPerSec(f * c.localPerView), units.ReqPerSec(f * c.repoPerView)}
 	}
 	r.D = e.Alpha1*r.D1 + e.Alpha2*r.D2
 	for i := range e.W.Sites {
 		id := workload.SiteID(i)
-		r.Sites = append(r.Sites, SiteReport{
+		var load, repo units.ReqPerSec
+		for _, pid := range e.W.Sites[i].Pages {
+			load += loads[pid][0]
+			repo += loads[pid][1]
+		}
+		r.RepoLoad += repo
+		r.Sites[i] = SiteReport{
 			Site:         id,
 			StorageUsed:  p.StorageUsed(id),
 			StorageLimit: e.Budgets.Storage[i],
-			Load:         SiteLoad(e, p, id),
+			Load:         load,
 			Capacity:     e.Budgets.SiteCapacity[i],
-		})
+		}
 	}
 	return r
 }

@@ -3,6 +3,7 @@ package model
 import (
 	"bytes"
 	"math"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -246,6 +247,30 @@ func TestClone(t *testing.T) {
 		_ = err
 	} else {
 		t.Errorf("clone invariants: %v", err)
+	}
+}
+
+// TestCopyStore copies one site's store from a placement over another
+// workload with the same objects: the bits and the byte count arrive, the
+// other sites and the marks stay as they were, and the copy is its own.
+func TestCopyStore(t *testing.T) {
+	w := workload.MustGenerate(workload.SmallConfig(), 45)
+	src := randomPlacement(w, rng.New(45), 0.5)
+	dst := NewPlacement(shuffledSites(w, rng.New(46)))
+	dst.CopyStore(1, src)
+	n := dst.StoredSet(1).Count()
+	if n == 0 || !dst.StoredSet(1).Equal(src.StoredSet(1)) || dst.StoredMOBytes(1) != src.StoredMOBytes(1) {
+		t.Fatal("site 1's store did not arrive")
+	}
+	if dst.StoredSet(0).Count() != 0 || dst.StoredMOBytes(0) != 0 || slices.Contains(dst.xComp, true) || slices.Contains(dst.xOpt, true) {
+		t.Fatal("CopyStore touched more than site 1's store")
+	}
+	src.StoredSet(1).ForEach(func(k int) bool {
+		src.Unstore(1, workload.ObjectID(k))
+		return false
+	})
+	if dst.StoredSet(1).Count() != n {
+		t.Fatal("the copy shares its bits with the source")
 	}
 }
 

@@ -109,6 +109,13 @@ func (p *Placement) Unstore(i workload.SiteID, k workload.ObjectID) {
 	}
 }
 
+// CopyStore makes site i's store a copy of src's. src must be a placement
+// over a workload with the same objects, such as a re-homed clone.
+func (p *Placement) CopyStore(i workload.SiteID, src *Placement) {
+	p.stored[i] = src.stored[i].Clone()
+	p.storedBytes[i] = src.storedBytes[i]
+}
+
 // StoredSet returns (a reference to) the store bitset of site i. Callers
 // must treat it as read-only.
 func (p *Placement) StoredSet(i workload.SiteID) *bitset.Set { return p.stored[i] }
@@ -162,14 +169,15 @@ func AllRemote(w *workload.Workload) *Placement { return NewPlacement(w) }
 func (p *Placement) CheckInvariants() error {
 	for j := range p.w.Pages {
 		pg := &p.w.Pages[j]
-		for idx, k := range pg.Compulsory {
-			if p.CompLocal(workload.PageID(j), idx) && !p.IsStored(pg.Site, k) {
+		stored := p.stored[pg.Site]
+		for idx, local := range p.compRow(j) {
+			if k := pg.Compulsory[idx]; local && !stored.Test(int(k)) {
 				return fmt.Errorf("model: page %d marks compulsory object %d local but site %d does not store it", j, k, pg.Site)
 			}
 		}
-		for idx, l := range pg.Optional {
-			if p.OptLocal(workload.PageID(j), idx) && !p.IsStored(pg.Site, l.Object) {
-				return fmt.Errorf("model: page %d marks optional object %d local but site %d does not store it", j, l.Object, pg.Site)
+		for idx, local := range p.optRow(j) {
+			if k := pg.Optional[idx].Object; local && !stored.Test(int(k)) {
+				return fmt.Errorf("model: page %d marks optional object %d local but site %d does not store it", j, k, pg.Site)
 			}
 		}
 	}

@@ -23,12 +23,13 @@ func ChangeDelta(envOld, envNew *model.Env, from, to *model.Placement) Delta {
 		all[i] = workload.SiteID(i)
 	}
 	copies, bytes := copySets(w, from, to, all)
+	after := model.Evaluate(envNew, to)
 	return Delta{
 		Copies:    copies,
 		CopyBytes: bytes,
 		DHealthy:  model.D(envOld, from),
 		DBefore:   model.D(envNew, from),
-		DAfter:    model.D(envNew, to),
-		Feasible:  model.Evaluate(envNew, to).Feasible(),
+		DAfter:    after.D,
+		Feasible:  after.Feasible(),
 	}
 }

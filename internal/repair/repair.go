@@ -122,10 +122,6 @@ func Compute(env *model.Env, p *model.Placement, down []workload.SiteID, opts Op
 	if survivors < 1 {
 		return nil, fmt.Errorf("repair: no surviving site (%d of %d down)", len(downSet), w.NumSites())
 	}
-	if err := p.CheckInvariants(); err != nil {
-		return nil, fmt.Errorf("repair: pre-failure placement: %w", err)
-	}
-
 	workers := opts.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -144,34 +140,11 @@ func Compute(env *model.Env, p *model.Placement, down []workload.SiteID, opts Op
 	}
 	env2.Alpha1, env2.Alpha2 = env.Alpha1, env.Alpha2
 
-	// Seed the planner with the pre-failure placement restricted to the
-	// survivors — the dead sites' rows and stores zeroed, the re-homed
-	// pages all-remote.
-	seed := model.NewPlacement(w2)
-	for id := range workload.SiteID(w.NumSites()) {
-		if downSet[id] {
-			continue
-		}
-		p.StoredSet(id).ForEach(func(k int) bool {
-			seed.Store(id, workload.ObjectID(k))
-			return true
-		})
-	}
-	for j := range w.Pages {
-		pid := workload.PageID(j)
-		if _, moved := target[pid]; moved {
-			continue
-		}
-		for idx := range w.Pages[j].Compulsory {
-			seed.SetCompLocal(pid, idx, p.CompLocal(pid, idx))
-		}
-		for idx := range w.Pages[j].Optional {
-			seed.SetOptLocal(pid, idx, p.OptLocal(pid, idx))
-		}
-	}
+	// Adopt the pre-failure placement on the survivors: the dead sites'
+	// stores dropped, the re-homed pages all-remote at their new hosts.
 	pl := core.NewPlanner(env2)
-	if err := pl.AdoptPlacement(seed); err != nil {
-		return nil, fmt.Errorf("repair: seed placement: %w", err)
+	if err := pl.AdoptPlacement(p, down...); err != nil {
+		return nil, fmt.Errorf("repair: pre-failure placement: %w", err)
 	}
 
 	// Re-run the compulsory/optional split for the dead sites' pages at
@@ -275,8 +248,8 @@ func objectives(env *model.Env, p *model.Placement, down map[workload.SiteID]boo
 		pid := workload.PageID(j)
 		pg := &w.Pages[j]
 		f := float64(pg.Freq)
-		t1 := float64(model.PageTime(env, p, pid))
-		t2 := float64(model.PageOptionalTime(env, p, pid))
+		pt, ot := model.PageTimes(env, p, pid)
+		t1, t2 := float64(pt), float64(ot)
 		h1 += f * t1
 		h2 += f * t2
 		if !down[pg.Site] {

@@ -7,6 +7,7 @@
 package rng
 
 import (
+	"math"
 	"math/rand"
 )
 
@@ -111,7 +112,8 @@ func (s *Stream) Perm(n int) []int { return s.rand().Perm(n) }
 // sparse overlay, a flat open-addressing table of at least 2k entries
 // (linear probing, load at most ½). For k <= 64 the table is a fixed array
 // on the stack, so the call allocates only the result; larger k allocate
-// one table of 2·2^⌈log2 2k⌉ words beside it.
+// one table of 2·2^⌈log2 2k⌉ words beside it, or, when that would be at
+// least n words, a dense array of n int32s instead.
 func (s *Stream) SampleWithoutReplacement(n, k int) []int {
 	if k >= n {
 		return s.Perm(n)
@@ -121,7 +123,7 @@ func (s *Stream) SampleWithoutReplacement(n, k int) []int {
 		return out
 	}
 	var buf [2 * overlayStackSlots]int
-	o := newOverlay(k, buf[:])
+	o := newOverlay(n, k, buf[:])
 	r := s.rand()
 	for i := 0; i < k; i++ {
 		j := i + r.Intn(n-i)
@@ -137,22 +139,29 @@ const overlayStackSlots = 128
 
 // overlay maps a permutation slot to the value swapped into it; a slot
 // missing from the table still holds its own index. Entries are (key+1,
-// value) pairs, so the zero word marks an empty slot.
+// value) pairs, so the zero word marks an empty slot. A dense overlay
+// holds value+1 at every slot instead, 0 again meaning the slot's own
+// index.
 type overlay struct {
 	slots []int
 	shift uint // 64 - log2(table size): the hash keeps the product's top bits
 	mask  int
+	dense []int32
 }
 
-// newOverlay returns an empty table for k keys, carved from buf when it
-// fits there.
-func newOverlay(k int, buf []int) overlay {
+// newOverlay returns an empty overlay for k keys of [0, n): a table carved
+// from buf when it fits there, else a dense array when the table would
+// take at least n words, else a table of its own.
+func newOverlay(n, k int, buf []int) overlay {
 	size, shift := 1, uint(64)
 	for size < 2*k {
 		size <<= 1
 		shift--
 	}
 	if 2*size > len(buf) {
+		if 2*size >= n && n <= math.MaxInt32 {
+			return overlay{dense: make([]int32, n)}
+		}
 		buf = make([]int, 2*size)
 	}
 	return overlay{slots: buf[:2*size], shift: shift, mask: size - 1}
@@ -164,6 +173,12 @@ func (o *overlay) home(i int) int {
 }
 
 func (o *overlay) get(i int) int {
+	if o.dense != nil {
+		if v := o.dense[i]; v != 0 {
+			return int(v) - 1
+		}
+		return i
+	}
 	for h := o.home(i); ; h = (h + 1) & o.mask {
 		switch o.slots[2*h] {
 		case i + 1:
@@ -175,6 +190,10 @@ func (o *overlay) get(i int) int {
 }
 
 func (o *overlay) set(i, v int) {
+	if o.dense != nil {
+		o.dense[i] = int32(v + 1)
+		return
+	}
 	for h := o.home(i); ; h = (h + 1) & o.mask {
 		if key := o.slots[2*h]; key == 0 || key == i+1 {
 			o.slots[2*h], o.slots[2*h+1] = i+1, v

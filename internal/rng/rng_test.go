@@ -170,11 +170,14 @@ func sampleReference(s *Stream, n, k int) []int {
 // TestSampleMatchesReference pins the flat overlay to the map one: for
 // every (n, k) the sample is equal and the stream is left in the same
 // state, so the next draw is equal too. The sizes cover the edges (k = 0,
-// k = n, k > n, n = 1), both sides of the stack table's limit and the
-// paper's largest site pool, 4,500 of 15,000.
+// k = n, k > n, n = 1), both sides of the stack table's limit, both sides
+// of the switch to a dense overlay (a table of 2·256 words for k = 65 is
+// dense at n = 512, not at 513; at n = 15,000 k = 2,049 is the first dense
+// k) and the paper's largest site pool, 4,500 of 15,000.
 func TestSampleMatchesReference(t *testing.T) {
 	fixed := [][2]int{{0, 0}, {1, 0}, {1, 1}, {1, 3}, {7, 0}, {7, 7}, {7, 12},
-		{100, 64}, {100, 65}, {1000, 32}, {1000, 33}, {15000, 4500}}
+		{100, 64}, {100, 65}, {1000, 32}, {1000, 33}, {512, 65}, {513, 65},
+		{15000, 2048}, {15000, 2049}, {15000, 4500}}
 	for seed := uint64(1); seed <= 20; seed++ {
 		sizes := New(seed).Split(99)
 		cases := append([][2]int(nil), fixed...)
@@ -198,7 +201,8 @@ func TestSampleMatchesReference(t *testing.T) {
 
 // TestSampleAllocs pins what the overlay costs: up to k = 64 its table
 // sits on the stack and the result is the only allocation; past that the
-// table is one more.
+// table is one more. Past the switch the dense overlay is that one
+// allocation, of 4n bytes.
 func TestSampleAllocs(t *testing.T) {
 	s := New(5)
 	for k := 1; k <= 65; k++ {
@@ -208,6 +212,12 @@ func TestSampleAllocs(t *testing.T) {
 		}
 		if got := testing.AllocsPerRun(20, func() { s.SampleWithoutReplacement(1000, k) }); got != want {
 			t.Errorf("SampleWithoutReplacement(1000, %d): %v allocs, want %v", k, got, want)
+		}
+	}
+	for _, c := range []struct{ n, k, slots int }{{15000, 2048, 2 * 4096}, {15000, 2049, 15000 / 2}, {15000, 4500, 15000 / 2}} {
+		o := newOverlay(c.n, c.k, nil)
+		if got := len(o.slots) + len(o.dense)/2; got != c.slots {
+			t.Errorf("overlay for %d of %d: %d words, want %d", c.k, c.n, got, c.slots)
 		}
 	}
 }
