@@ -3,8 +3,8 @@
 // page belongs to exactly one site, so the planner's mutable cells split
 // into per-page cells (the page's X/X' row, its byte counts, its cached
 // chain time) and per-site cells (the site's store and stored bytes, its
-// objective and load accumulators, its mark counters), and no cell belongs
-// to two sites.
+// objective and load accumulators, its mark counters, its (object) index),
+// and no cell belongs to two sites.
 //
 //   - PARTITION fans out over pages. A page's split touches only that page's
 //     cells; its contribution to the site cells is recorded as a delta, and a
@@ -145,10 +145,12 @@ func (pl *Planner) partitionPageDelta(j workload.PageID, buf []uint64) (partitio
 }
 
 // reducePartitionSite folds the partition deltas of site i's pages into the
-// planner's site accumulators and counts the local marks — always in the
-// site's fixed page order, so the result is independent of how the parallel
-// phase scheduled the pages — then allocates a replica of every object that
-// got a mark.
+// planner's site accumulators, counts the local marks and stores a replica
+// of every marked object — always in the site's fixed page order, so the
+// result is independent of how the parallel phase scheduled the pages. A
+// second walk sets the stored-but-remote bits: every optional link is local
+// now, so they are the repository-marked compulsory references whose object
+// got a replica.
 func (pl *Planner) reducePartitionSite(i workload.SiteID, deltas []partitionDelta) {
 	w := pl.env.W
 	marks := pl.localMarks[pl.slot(i, 0):pl.slot(i+1, 0)]
@@ -161,16 +163,24 @@ func (pl *Planner) reducePartitionSite(i workload.SiteID, deltas []partitionDelt
 		pg := &w.Pages[pid]
 		for idx, k := range pg.Compulsory {
 			if pl.p.CompLocal(pid, idx) {
+				if marks[k] == 0 {
+					pl.p.Store(i, k)
+				}
 				marks[k]++
 			}
 		}
 		for _, l := range pg.Optional {
+			if marks[l.Object] == 0 {
+				pl.p.Store(i, l.Object)
+			}
 			marks[l.Object]++
 		}
 	}
-	for k, n := range marks {
-		if n > 0 {
-			pl.store(i, workload.ObjectID(k))
+	for _, pid := range w.Sites[i].Pages {
+		for idx, k := range w.Pages[pid].Compulsory {
+			if !pl.p.CompLocal(pid, idx) && pl.p.IsStored(i, k) {
+				pl.setIdle(pid, idx, false, true)
+			}
 		}
 	}
 }

@@ -69,27 +69,39 @@ type Result struct {
 // byte-identical for every Workers value. It returns the placement and a
 // result report.
 func Plan(env *model.Env, opts Options) (*model.Placement, *Result, error) {
-	return Partition(env, opts).pl.finish(opts)
+	return partition(env, opts).finish(opts)
 }
 
 // Partitioned is a workload's PARTITION outcome, computed once and planned
 // from many times: NewPlanner and PARTITION read only the environment's
 // workload and estimates (TestPartitionIgnoresBudgets), so every budget
-// and α over that workload starts from the same partitioned state. It is
-// never written after Partition returns, so concurrent Plan calls on one
-// Partitioned are safe.
+// and α over that workload starts from the same partitioned state. Its
+// planner has every site's (object) index built, so no copy builds one,
+// and it is never written after Partition returns, so concurrent Plan
+// calls on one Partitioned are safe.
 type Partitioned struct {
 	pl *Planner
 }
 
 // Partition builds a planner for env and runs PARTITION over its pages at
-// opts.Workers, under a trace.SpanPartition child of opts.Trace. Only
-// opts.Workers, opts.UnsortedPartition and opts.Trace are read.
+// opts.Workers, under a trace.SpanPartition child of opts.Trace, then builds
+// every site's (object) index. Only opts.Workers, opts.UnsortedPartition and
+// opts.Trace are read.
 func Partition(env *model.Env, opts Options) *Partitioned {
+	pl := partition(env, opts)
+	fanOut(workerCount(opts), env.W.NumSites(), nil, func(_, i int) {
+		pl.siteIndex(workload.SiteID(i))
+	})
+	return &Partitioned{pl: pl}
+}
+
+// partition is Partition without the index build: core.Plan's planner
+// builds a site's index only when a phase of that site first reads it.
+func partition(env *model.Env, opts Options) *Planner {
 	pl := NewPlanner(env)
 	pl.UnsortedPartition = opts.UnsortedPartition
 	pl.PartitionParallel(workerCount(opts), opts.Trace)
-	return &Partitioned{pl: pl}
+	return pl
 }
 
 // Plan finishes a copy of the partitioned planner under env's budgets and
@@ -112,9 +124,10 @@ func (pt *Partitioned) Plan(env *model.Env, opts Options) (*model.Placement, *Re
 }
 
 // copyFor returns a planner over env in pl's state. It copies the cells a
-// page or a site owns (DESIGN §8), starts the per-site scratch fresh and
-// shares the index and per-link constants, which nothing writes after
-// NewPlanner.
+// page or a site owns (DESIGN §8), starts the per-site scratch fresh, and
+// shares the per-link constants and every built site index, which nothing
+// writes after it is built; the per-site index headers are its own, so a
+// copy that builds a site's index never writes a shared cell.
 func (pl *Planner) copyFor(env *model.Env) *Planner {
 	c := *pl
 	c.env = env
@@ -128,6 +141,8 @@ func (pl *Planner) copyFor(env *model.Env) *Planner {
 	c.siteRepoLoad = slices.Clone(pl.siteRepoLoad)
 	c.localMarks = slices.Clone(pl.localMarks)
 	c.idle = slices.Clone(pl.idle)
+	c.refOff = slices.Clone(pl.refOff)
+	c.refs = slices.Clone(pl.refs)
 	c.affected = make([][]workload.PageID, len(pl.affected))
 	c.heapBuf = make([][]heapItem, len(pl.heapBuf))
 	return &c

@@ -72,22 +72,26 @@ type Planner struct {
 	siteLocalLoad []float64 // Eq. 8 LHS per site
 	siteRepoLoad  []float64 // P(S_i, R) per site
 
-	// The (site, object) index, flat like the optional-link tables: pair
-	// (i, k) is slot i·NumObjects+k. refs[refOff[s]:refOff[s+1]] lists every
-	// reference of the slot's object by a page of its site, in page order
-	// and compulsory before optional within a page — deallocate flips them
-	// in that order, and the order feeds the float accumulators.
-	// localMarks[s] counts how many of them are currently marked local
-	// (zero marks ⇒ the replica is free to deallocate).
-	refOff     []int32
-	refs       []objRef
+	// The (site, object) index, one cell per site, built by siteIndex the
+	// first time the site's phases ask (refsOf, candidates): PARTITION and a
+	// plan within its budgets never do. refs[i][refOff[i][k]:refOff[i][k+1]]
+	// lists every reference of object k by a page of site i, in ascending
+	// page ID and compulsory before optional within a page — deallocate
+	// flips them in that order, and the order feeds the float accumulators.
+	// localMarks[s] counts how many of slot s = i·NumObjects+k's references
+	// are currently marked local (zero marks ⇒ the replica is free to
+	// deallocate).
+	refOff     [][]int32
+	refs       [][]objRef
 	localMarks []int32
 
 	// The stored-but-remote index, the only references improvePage can
 	// flip: bit b of idle[idleOff[j]:idleOff[j+1]] is set iff page j's b-th
 	// reference — compulsory idx first, optional idx after them — is marked
 	// for the repository while its object is stored at the page's site.
-	// flipComp/flipOpt and store/unstore are its only writers.
+	// flipComp/flipOpt and store/unstore write it one reference or replica
+	// at a time; PARTITION's reduce and AdoptPlacement set a site's bits in
+	// one walk of its pages.
 	idleOff []int32
 	idle    []uint64
 
@@ -114,33 +118,19 @@ func NewPlanner(env *model.Env) *Planner {
 		siteLocalLoad: make([]float64, w.NumSites()),
 		siteRepoLoad:  make([]float64, w.NumSites()),
 		localMarks:    make([]int32, w.NumSites()*w.NumObjects()),
+		refOff:        make([][]int32, w.NumSites()),
+		refs:          make([][]objRef, w.NumSites()),
 		affected:      make([][]workload.PageID, w.NumSites()),
 		heapBuf:       make([][]heapItem, w.NumSites()),
 	}
-	// Counting pass, shifted by two: the prefix sum leaves slot s's start in
-	// off[s+1], the fill below advances it to the slot's end — the next
-	// slot's start — and off[s] has then become the offset proper, with no
-	// separate array of fill cursors.
-	off := make([]int32, len(pl.localMarks)+2)
 	links := 0
 	for j := range w.Pages {
 		pg := &w.Pages[j]
 		pl.optOff[j] = links
 		links += len(pg.Optional)
 		pl.idleOff[j+1] = pl.idleOff[j] + int32(len(pg.Compulsory)+len(pg.Optional)+63)>>6
-		for _, k := range pg.Compulsory {
-			off[pl.slot(pg.Site, k)+2]++
-		}
-		for _, l := range pg.Optional {
-			off[pl.slot(pg.Site, l.Object)+2]++
-		}
 	}
-	for s := 2; s < len(off); s++ {
-		off[s] += off[s-1]
-	}
-	pl.refs = make([]objRef, off[len(off)-1])
 	pl.idle = make([]uint64, pl.idleOff[w.NumPages()])
-	pl.refOff = off[:len(off)-1]
 	pl.optOff[w.NumPages()] = links
 	pl.optLocalT = make([]units.Seconds, links)
 	pl.optRemoteT = make([]units.Seconds, links)
@@ -156,11 +146,8 @@ func NewPlanner(env *model.Env) *Planner {
 		pg := &w.Pages[j]
 		pl.localBytes[j] = pg.HTMLSize
 		var rb units.ByteSize
-		for idx, k := range pg.Compulsory {
+		for _, k := range pg.Compulsory {
 			rb += w.ObjectSize(k)
-			next := &off[pl.slot(pg.Site, k)+1]
-			pl.refs[*next] = objRef{workload.PageID(j), int32(idx), false}
-			*next++
 		}
 		// All-remote, a view requests every compulsory object and each
 		// optional link's probability from the repository (Eq. 9), and
@@ -168,9 +155,6 @@ func NewPlanner(env *model.Env) *Planner {
 		repoPerView := float64(len(pg.Compulsory))
 		var optT units.Seconds
 		for idx, l := range pg.Optional {
-			next := &off[pl.slot(pg.Site, l.Object)+1]
-			pl.refs[*next] = objRef{workload.PageID(j), int32(idx), true}
-			*next++
 			repoPerView += l.Prob
 			optT += units.Seconds(l.Prob) * pl.optRemoteT[pl.optOff[j]+idx]
 		}
@@ -191,17 +175,70 @@ func (pl *Planner) slot(i workload.SiteID, k workload.ObjectID) int {
 	return int(i)*len(pl.env.W.Objects) + int(k)
 }
 
+// siteIndex returns site i's (object) index, building it on the site's
+// first call from the site's pages in ascending page ID: workload.Validate
+// does not require a site's page list to be sorted, so an unsorted one is
+// walked through a sorted copy. Only site i's phases call it, so concurrent
+// sites build disjoint cells.
+func (pl *Planner) siteIndex(i workload.SiteID) ([]int32, []objRef) {
+	if pl.refOff[i] == nil {
+		pages := pl.env.W.Sites[i].Pages
+		if !slices.IsSorted(pages) {
+			pages = slices.Clone(pages)
+			slices.Sort(pages)
+		}
+		pl.refOff[i], pl.refs[i] = pl.indexPages(pages)
+	}
+	return pl.refOff[i], pl.refs[i]
+}
+
+// indexPages builds the (object) index of the given pages, listed in
+// ascending page ID. The counts are shifted by two: the prefix sum leaves
+// object k's start in off[k+1], the fill advances it to k's end — the next
+// object's start — and off[k] has then become the offset proper, with no
+// separate array of fill cursors.
+func (pl *Planner) indexPages(pages []workload.PageID) ([]int32, []objRef) {
+	w := pl.env.W
+	off := make([]int32, w.NumObjects()+2)
+	for _, pid := range pages {
+		pg := &w.Pages[pid]
+		for _, k := range pg.Compulsory {
+			off[k+2]++
+		}
+		for _, l := range pg.Optional {
+			off[l.Object+2]++
+		}
+	}
+	for k := 2; k < len(off); k++ {
+		off[k] += off[k-1]
+	}
+	refs := make([]objRef, off[len(off)-1])
+	for _, pid := range pages {
+		pg := &w.Pages[pid]
+		for idx, k := range pg.Compulsory {
+			refs[off[k+1]] = objRef{pid, int32(idx), false}
+			off[k+1]++
+		}
+		for idx, l := range pg.Optional {
+			refs[off[l.Object+1]] = objRef{pid, int32(idx), true}
+			off[l.Object+1]++
+		}
+	}
+	return off[:len(off)-1], refs
+}
+
 // refsOf lists every reference of object k by a page of site i.
 func (pl *Planner) refsOf(i workload.SiteID, k workload.ObjectID) []objRef {
-	s := pl.slot(i, k)
-	return pl.refs[pl.refOff[s]:pl.refOff[s+1]]
+	off, refs := pl.siteIndex(i)
+	return refs[off[k]:off[k+1]]
 }
 
 // candidates returns site i's empty heap buffer, sized once for the most a
 // heap of the site can hold: one item per reference by its pages.
 func (pl *Planner) candidates(i workload.SiteID) []heapItem {
 	if pl.heapBuf[i] == nil {
-		pl.heapBuf[i] = make([]heapItem, 0, pl.refOff[pl.slot(i+1, 0)]-pl.refOff[pl.slot(i, 0)])
+		_, refs := pl.siteIndex(i)
+		pl.heapBuf[i] = make([]heapItem, 0, len(refs))
 	}
 	return pl.heapBuf[i][:0]
 }
@@ -228,7 +265,8 @@ func (pl *Planner) setIdle(j workload.PageID, idx int, optional, on bool) {
 }
 
 // store replicates object k at site i (idempotent) and unstore removes the
-// replica; every phase goes through them, so the object's repository-marked
+// replica; the per-reference phases (PartitionPage, restoration, refine,
+// off-loading) go through them, so the object's repository-marked
 // references enter and leave the stored-but-remote index with the replica.
 func (pl *Planner) store(i workload.SiteID, k workload.ObjectID) {
 	if pl.p.IsStored(i, k) {
@@ -535,6 +573,22 @@ func (pl *Planner) VerifyConsistency() error {
 		}
 		if got := pl.p.StorageUsed(id); got != used {
 			return fmt.Errorf("core: site %d storage used %d != recounted %d", i, got, used)
+		}
+	}
+	// Every built site index must be what the site's pages, found by a scan
+	// of the workload in page order, index to.
+	for i, off := range pl.refOff {
+		if off == nil {
+			continue
+		}
+		var pages []workload.PageID
+		for j := range pl.env.W.Pages {
+			if pl.env.W.Pages[j].Site == workload.SiteID(i) {
+				pages = append(pages, workload.PageID(j))
+			}
+		}
+		if wantOff, want := pl.indexPages(pages); !slices.Equal(off, wantOff) || !slices.Equal(pl.refs[i], want) {
+			return fmt.Errorf("core: site %d (object) index differs from a scan of its pages", i)
 		}
 	}
 	for i := range pl.env.W.Sites {
