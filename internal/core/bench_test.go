@@ -41,9 +41,9 @@ func benchWorkerCounts() []int {
 	return counts
 }
 
-// BenchmarkPlan measures the full planning pipeline — PARTITION over pages,
-// per-site restoration, off-loading coordinator — across worker counts on
-// the Table-1 workload.
+// BenchmarkPlan measures the full planning pipeline — per-site PARTITION
+// and restoration, off-loading coordinator — across worker counts on the
+// Table-1 workload.
 func BenchmarkPlan(b *testing.B) {
 	env := benchEnv(b)
 	for _, workers := range benchWorkerCounts() {
@@ -76,8 +76,8 @@ func BenchmarkPlanConstrainedWorkers(b *testing.B) {
 	}
 }
 
-// BenchmarkPartitionParallel isolates the page-pool PARTITION phase plus
-// its deterministic reduce.
+// BenchmarkPartitionParallel isolates the PARTITION phase, fanned out over
+// sites.
 func BenchmarkPartitionParallel(b *testing.B) {
 	env := benchEnv(b)
 	for _, workers := range benchWorkerCounts() {

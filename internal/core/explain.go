@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"io"
-	"sort"
 
 	"repro/internal/model"
 	"repro/internal/units"
@@ -95,6 +94,7 @@ func (pl *Planner) AdoptPlacement(p *model.Placement, down ...workload.SiteID) e
 			load += f
 			repo -= f
 			marks[k]++
+			pl.siteRefs[s].localComp++
 			pl.p.SetCompLocal(pid, idx, true)
 			newT := pl.computePageTime(pid)
 			pl.pageT[j] = newT
@@ -112,6 +112,7 @@ func (pl *Planner) AdoptPlacement(p *model.Placement, down ...workload.SiteID) e
 			load += f * l.Prob
 			repo -= f * l.Prob
 			marks[l.Object]++
+			pl.siteRefs[s].localOpt++
 			pl.p.SetOptLocal(pid, idx, true)
 		}
 		pl.siteLocalLoad[s], pl.siteRepoLoad[s], pl.d1Site[s], pl.d2Site[s] = load, repo, d1, d2
@@ -120,7 +121,8 @@ func (pl *Planner) AdoptPlacement(p *model.Placement, down ...workload.SiteID) e
 }
 
 // Explain produces the explanation for page j in the planner's current
-// state. Objects are listed in decreasing size (PARTITION's visit order).
+// state. Objects are listed in PARTITION's visit order (visitOrder):
+// decreasing size, equal sizes by their position on the page.
 func (pl *Planner) Explain(j workload.PageID) *PageExplanation {
 	pg := &pl.env.W.Pages[j]
 	ex := &PageExplanation{
@@ -137,28 +139,24 @@ func (pl *Planner) Explain(j workload.PageID) *PageExplanation {
 	} else {
 		ex.Bound = "repository"
 	}
-	for idx, k := range pg.Compulsory {
+	for _, word := range pl.visitOrder(j, nil) {
+		idx, size := unpackVisit(word)
+		k := pg.Compulsory[idx]
 		local := pl.p.CompLocal(j, idx)
 		stored := pl.p.IsStored(pg.Site, k)
 		feasible := true
-		if !local && !stored && pl.env.W.ObjectSize(k) > pl.freeSpace(pg.Site) {
+		if !local && !stored && size > pl.freeSpace(pg.Site) {
 			feasible = false
 		}
 		ex.Objects = append(ex.Objects, ObjectExplanation{
 			Object:       k,
-			Size:         pl.env.W.ObjectSize(k),
+			Size:         size,
 			Local:        local,
 			Stored:       stored,
 			FlipDelta:    pl.previewFlipComp(j, idx, !local),
 			FlipFeasible: feasible,
 		})
 	}
-	sort.Slice(ex.Objects, func(a, b int) bool {
-		if ex.Objects[a].Size != ex.Objects[b].Size {
-			return ex.Objects[a].Size > ex.Objects[b].Size
-		}
-		return ex.Objects[a].Object < ex.Objects[b].Object
-	})
 	return ex
 }
 

@@ -46,8 +46,8 @@ func samePlacement(t *testing.T, a, b *model.Placement, label string) {
 	}
 }
 
-// TestPartitionParallelMatchesSequential pins the page-pool PARTITION
-// against the sequential reference: identical placement bits and store
+// TestPartitionParallelMatchesSequential pins the per-site PARTITION
+// fan-out against the flip-based sequential reference: identical placement bits and store
 // sets for any worker count, and site accumulators that agree with the
 // model recomputation.
 func TestPartitionParallelMatchesSequential(t *testing.T) {
@@ -76,7 +76,7 @@ func TestPartitionParallelMatchesSequential(t *testing.T) {
 }
 
 // TestPartitionParallelUnsorted checks the ablation switch threads through
-// the page pool: the unsorted variant must match the sequential unsorted
+// the site fan-out: the unsorted variant must match the sequential unsorted
 // reference, not the sorted one.
 func TestPartitionParallelUnsorted(t *testing.T) {
 	env := genEnv(t, 72)

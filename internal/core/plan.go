@@ -13,9 +13,10 @@ import (
 
 // Options controls plan execution.
 type Options struct {
-	// Workers bounds the planning concurrency of every phase: PARTITION
-	// over pages, restoration and off-loading acceptance over sites.
-	// 0 means GOMAXPROCS, 1 forces sequential execution. Every value
+	// Workers bounds the planning concurrency of every phase: PARTITION,
+	// restoration and off-loading acceptance each fan out over sites, so
+	// no phase runs more workers than there are sites. 0 means
+	// GOMAXPROCS, 1 forces sequential execution. Every value
 	// produces byte-identical placements, message logs and statistics and
 	// an identical D (see parallel.go for why).
 	Workers int
@@ -61,13 +62,12 @@ type Result struct {
 	Report   *model.Report
 }
 
-// Plan runs the full pipeline of Section 4 over the environment: PARTITION
-// fanned out over pages, storage restoration (Eq. 10) and processing
-// restoration (Eq. 8) fanned out over sites, followed by the repository
-// off-loading negotiation (Eq. 9) with each phase's acceptance decisions
-// fanned out over the sites asked. The placement and the objective are
-// byte-identical for every Workers value. It returns the placement and a
-// result report.
+// Plan runs the full pipeline of Section 4 over the environment: PARTITION,
+// storage restoration (Eq. 10) and processing restoration (Eq. 8) fanned
+// out over sites, followed by the repository off-loading negotiation
+// (Eq. 9) with each phase's acceptance decisions fanned out over the sites
+// asked. The placement and the objective are byte-identical for every
+// Workers value. It returns the placement and a result report.
 func Plan(env *model.Env, opts Options) (*model.Placement, *Result, error) {
 	return partition(env, opts).finish(opts)
 }
@@ -140,11 +140,11 @@ func (pl *Planner) copyFor(env *model.Env) *Planner {
 	c.siteLocalLoad = slices.Clone(pl.siteLocalLoad)
 	c.siteRepoLoad = slices.Clone(pl.siteRepoLoad)
 	c.localMarks = slices.Clone(pl.localMarks)
+	c.siteRefs = slices.Clone(pl.siteRefs)
 	c.idle = slices.Clone(pl.idle)
 	c.refOff = slices.Clone(pl.refOff)
 	c.refs = slices.Clone(pl.refs)
-	c.affected = make([][]workload.PageID, len(pl.affected))
-	c.heapBuf = make([][]heapItem, len(pl.heapBuf))
+	c.scratch = make([]siteScratch, len(pl.scratch))
 	return &c
 }
 
@@ -176,27 +176,13 @@ func workerCount(opts Options) int {
 	return opts.Workers
 }
 
-// fillSiteStats counts the final assignment shape per site.
+// fillSiteStats reads the final assignment shape per site off the
+// planner's counters.
 func fillSiteStats(pl *Planner, res *Result) {
-	w := pl.env.W
-	for i := range w.Sites {
+	for i, n := range pl.siteRefs {
 		st := &res.Sites[i]
 		st.StoredObjects = pl.p.StoredSet(workload.SiteID(i)).Count()
-		for _, pid := range w.Sites[i].Pages {
-			pg := &w.Pages[pid]
-			for idx := range pg.Compulsory {
-				if pl.p.CompLocal(pid, idx) {
-					st.LocalComp++
-				} else {
-					st.RemoteComp++
-				}
-			}
-			for idx := range pg.Optional {
-				if pl.p.OptLocal(pid, idx) {
-					st.LocalOpt++
-				}
-			}
-		}
+		st.LocalComp, st.RemoteComp, st.LocalOpt = n.localComp, n.comp-n.localComp, n.localOpt
 	}
 }
 

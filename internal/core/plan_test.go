@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -159,6 +160,99 @@ func TestPlanSiteStatsConsistent(t *testing.T) {
 	if gotComp != totalComp {
 		t.Errorf("compulsory accounting: %d != %d", gotComp, totalComp)
 	}
+}
+
+// recountSiteStats is the site statistics walk Plan once ran after
+// planning, kept as the reference for the counters it reads now: every
+// reference of every page of the site, counted off the placement.
+func recountSiteStats(p *model.Placement) []SiteStats {
+	w := p.Workload()
+	stats := make([]SiteStats, w.NumSites())
+	for i := range w.Sites {
+		st := &stats[i]
+		st.Site = workload.SiteID(i)
+		st.StoredObjects = p.StoredSet(st.Site).Count()
+		for _, pid := range w.Sites[i].Pages {
+			pg := &w.Pages[pid]
+			for idx := range pg.Compulsory {
+				if p.CompLocal(pid, idx) {
+					st.LocalComp++
+				} else {
+					st.RemoteComp++
+				}
+			}
+			for idx := range pg.Optional {
+				if p.OptLocal(pid, idx) {
+					st.LocalOpt++
+				}
+			}
+		}
+	}
+	return stats
+}
+
+// TestSiteStatsMatchRecount holds Result.Sites' counted fields to the
+// recount on a full-budget plan, a constrained plan with Refine and a
+// capped repository, a Partitioned's plans at three budgets, and a
+// repair-style planner adopted with a site down and then finished.
+func TestSiteStatsMatchRecount(t *testing.T) {
+	env := genEnv(t, 47)
+	w := env.W
+	check := func(label string, p *model.Placement, res *Result) {
+		t.Helper()
+		want := recountSiteStats(p)
+		for i, got := range res.Sites {
+			got.Deallocs, got.ProcFlips = 0, 0
+			if got != want[i] {
+				t.Errorf("%s: site %d stats %+v, recount %+v", label, i, got, want[i])
+			}
+		}
+	}
+	p, res, err := Plan(env, Options{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("full budget", p, res)
+
+	tight := *env
+	tight.Budgets = env.Budgets.Scale(w, 0.4, 0.6)
+	tight.Budgets.RepoCapacity = units.ReqPerSec(0.8 * float64(model.RepoLoad(env, p)))
+	p, res, err = Plan(&tight, Options{Workers: 2, Refine: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Sites[0].Deallocs == 0 || !res.Offload.Ran {
+		t.Fatalf("constrained recipe restores or off-loads nothing: %+v", res)
+	}
+	check("constrained", p, res)
+
+	pt := Partition(env, Options{Workers: 1})
+	for _, frac := range []float64{1, 0.5, 0.2} {
+		b := *env
+		b.Budgets = env.Budgets.Scale(w, frac, frac)
+		p, res, err := pt.Plan(&b, Options{Workers: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		check(fmt.Sprintf("partitioned at %v", frac), p, res)
+	}
+
+	env2, err := model.NewEnv(rehomed(w, 1), env.Est, tight.Budgets)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pl := NewPlanner(env2)
+	if err := pl.AdoptPlacement(p, 1); err != nil {
+		t.Fatal(err)
+	}
+	if err := pl.VerifyConsistency(); err != nil {
+		t.Fatal(err)
+	}
+	p, res, err = pl.finish(Options{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("adopted with site 1 down", p, res)
 }
 
 func TestPlanMirroredWorkload(t *testing.T) {

@@ -80,26 +80,34 @@ type Planner struct {
 	// flips them in that order, and the order feeds the float accumulators.
 	// localMarks[s] counts how many of slot s = i·NumObjects+k's references
 	// are currently marked local (zero marks ⇒ the replica is free to
-	// deallocate).
+	// deallocate). siteRefs[i] totals site i's compulsory references and
+	// its local marks, for Result.Sites.
 	refOff     [][]int32
 	refs       [][]objRef
 	localMarks []int32
+	siteRefs   []siteRefCount
 
 	// The stored-but-remote index, the only references improvePage can
 	// flip: bit b of idle[idleOff[j]:idleOff[j+1]] is set iff page j's b-th
 	// reference — compulsory idx first, optional idx after them — is marked
 	// for the repository while its object is stored at the page's site.
 	// flipComp/flipOpt and store/unstore write it one reference or replica
-	// at a time; PARTITION's reduce and AdoptPlacement set a site's bits in
-	// one walk of its pages.
+	// at a time; PARTITION (partitionSite) and AdoptPlacement set a site's
+	// bits in one walk of its pages.
 	idleOff []int32
 	idle    []uint64
 
 	// Per-site scratch of the greedy loops, so the steady state allocates
 	// nothing: the pages deallocate last disturbed, and the candidate
 	// buffer each of the site's heaps is built in (one heap at a time).
-	affected [][]workload.PageID
-	heapBuf  [][]heapItem
+	scratch []siteScratch
+}
+
+type siteRefCount struct{ comp, localComp, localOpt int }
+
+type siteScratch struct {
+	affected []workload.PageID
+	heap     []heapItem
 }
 
 // NewPlanner builds a planner with an all-remote placement.
@@ -118,10 +126,10 @@ func NewPlanner(env *model.Env) *Planner {
 		siteLocalLoad: make([]float64, w.NumSites()),
 		siteRepoLoad:  make([]float64, w.NumSites()),
 		localMarks:    make([]int32, w.NumSites()*w.NumObjects()),
+		siteRefs:      make([]siteRefCount, w.NumSites()),
 		refOff:        make([][]int32, w.NumSites()),
 		refs:          make([][]objRef, w.NumSites()),
-		affected:      make([][]workload.PageID, w.NumSites()),
-		heapBuf:       make([][]heapItem, w.NumSites()),
+		scratch:       make([]siteScratch, w.NumSites()),
 	}
 	links := 0
 	for j := range w.Pages {
@@ -159,6 +167,7 @@ func NewPlanner(env *model.Env) *Planner {
 			optT += units.Seconds(l.Prob) * pl.optRemoteT[pl.optOff[j]+idx]
 		}
 		pl.remoteBytes[j] = rb
+		pl.siteRefs[pg.Site].comp += len(pg.Compulsory)
 		pl.pageT[j] = pl.computePageTime(workload.PageID(j))
 
 		f := float64(pg.Freq)
@@ -236,11 +245,11 @@ func (pl *Planner) refsOf(i workload.SiteID, k workload.ObjectID) []objRef {
 // candidates returns site i's empty heap buffer, sized once for the most a
 // heap of the site can hold: one item per reference by its pages.
 func (pl *Planner) candidates(i workload.SiteID) []heapItem {
-	if pl.heapBuf[i] == nil {
+	if pl.scratch[i].heap == nil {
 		_, refs := pl.siteIndex(i)
-		pl.heapBuf[i] = make([]heapItem, 0, len(refs))
+		pl.scratch[i].heap = make([]heapItem, 0, len(refs))
 	}
-	return pl.heapBuf[i][:0]
+	return pl.scratch[i].heap[:0]
 }
 
 // refAt resolves bit b of page j's stored-but-remote words to the reference
@@ -397,12 +406,14 @@ func (pl *Planner) flipComp(j workload.PageID, idx int, toLocal bool) {
 		pl.siteLocalLoad[pg.Site] += f
 		pl.siteRepoLoad[pg.Site] -= f
 		pl.localMarks[pl.slot(pg.Site, pg.Compulsory[idx])]++
+		pl.siteRefs[pg.Site].localComp++
 	} else {
 		pl.localBytes[j] -= size
 		pl.remoteBytes[j] += size
 		pl.siteLocalLoad[pg.Site] -= f
 		pl.siteRepoLoad[pg.Site] += f
 		pl.localMarks[pl.slot(pg.Site, pg.Compulsory[idx])]--
+		pl.siteRefs[pg.Site].localComp--
 	}
 	pl.p.SetCompLocal(j, idx, toLocal)
 	pl.setIdle(j, idx, false, !toLocal && pl.p.IsStored(pg.Site, pg.Compulsory[idx]))
@@ -430,10 +441,12 @@ func (pl *Planner) flipOpt(j workload.PageID, idx int, toLocal bool) {
 		pl.siteLocalLoad[pg.Site] += f * l.Prob
 		pl.siteRepoLoad[pg.Site] -= f * l.Prob
 		pl.localMarks[pl.slot(pg.Site, l.Object)]++
+		pl.siteRefs[pg.Site].localOpt++
 	} else {
 		pl.siteLocalLoad[pg.Site] -= f * l.Prob
 		pl.siteRepoLoad[pg.Site] += f * l.Prob
 		pl.localMarks[pl.slot(pg.Site, l.Object)]--
+		pl.siteRefs[pg.Site].localOpt--
 	}
 }
 
@@ -549,18 +562,25 @@ func (pl *Planner) VerifyConsistency() error {
 	for i := range pl.env.W.Sites {
 		id := workload.SiteID(i)
 		clear(want)
+		var n siteRefCount
 		for _, pid := range pl.env.W.Sites[i].Pages {
 			pg := &pl.env.W.Pages[pid]
+			n.comp += len(pg.Compulsory)
 			for idx, k := range pg.Compulsory {
 				if pl.p.CompLocal(pid, idx) {
 					want[k]++
+					n.localComp++
 				}
 			}
 			for idx, l := range pg.Optional {
 				if pl.p.OptLocal(pid, idx) {
 					want[l.Object]++
+					n.localOpt++
 				}
 			}
+		}
+		if n != pl.siteRefs[i] {
+			return fmt.Errorf("core: site %d reference counts %+v != recounted %+v", i, pl.siteRefs[i], n)
 		}
 		used := pl.env.W.HTMLStorageBytes(id)
 		for k, n := range pl.localMarks[pl.slot(id, 0):pl.slot(id+1, 0)] {

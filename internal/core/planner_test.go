@@ -346,6 +346,21 @@ func TestExplain(t *testing.T) {
 			t.Errorf("explanation missing %q", want)
 		}
 	}
+
+	// Equal sizes are listed as PARTITION visits them, by position on the
+	// page: objects 1 and 0 are listed in reverse ID order here.
+	hand := handEnv(t)
+	hand.W.Objects[0].Size = hand.W.Objects[1].Size
+	hand.W.Pages[0].Compulsory = []workload.ObjectID{1, 0, 2}
+	pl = NewPlanner(hand)
+	pl.PartitionAll()
+	var got []workload.ObjectID
+	for _, o := range pl.Explain(0).Objects {
+		got = append(got, o.Object)
+	}
+	if want := []workload.ObjectID{1, 0, 2}; !slices.Equal(got, want) {
+		t.Errorf("equal-size objects explained in order %v, PARTITION visits %v", got, want)
+	}
 }
 
 func TestAdoptPlacement(t *testing.T) {
@@ -374,22 +389,39 @@ func TestAdoptPlacement(t *testing.T) {
 
 // TestPartitionOrderMatchesComparator holds PARTITION's packed-word visit
 // order to the comparator it replaced — decreasing size, then idx — on
-// pages with repeated sizes, on a single-object page, on every page of a
-// generated workload, and to page order under UnsortedPartition.
+// pages with repeated sizes, on a single-object page, on a page longer than
+// insertionSortMax (the slices.Sort path), on a page whose sizes are all
+// equal, on every page of a generated workload, and to page order under
+// UnsortedPartition.
 func TestPartitionOrderMatchesComparator(t *testing.T) {
-	sizes := []units.ByteSize{50, 50, 100, 20, 50, 100, 1, workload.MaxObjectSize, 100, 20}
 	w := &workload.Workload{
 		Config: workload.Config{Alpha1: 1, Alpha2: 1},
 		Pages: []workload.Page{
 			{ID: 0, Site: 0, HTMLSize: 10, Freq: 1},
-			{ID: 1, Site: 0, HTMLSize: 10, Freq: 1, Compulsory: []workload.ObjectID{3}},
+			{ID: 1, Site: 0, HTMLSize: 10, Freq: 1},
+			{ID: 2, Site: 0, HTMLSize: 10, Freq: 1},
+			{ID: 3, Site: 0, HTMLSize: 10, Freq: 1},
 		},
-		Sites: []workload.Site{{ID: 0, Pages: []workload.PageID{0, 1}}},
+		Sites: []workload.Site{{ID: 0, Pages: []workload.PageID{0, 1, 2, 3}}},
 	}
-	for k, size := range sizes {
-		w.Objects = append(w.Objects, workload.Object{ID: workload.ObjectID(k), Size: size})
-		w.Pages[0].Compulsory = append(w.Pages[0].Compulsory, workload.ObjectID(k))
+	page := func(j int, sizes ...units.ByteSize) {
+		for _, size := range sizes {
+			k := workload.ObjectID(len(w.Objects))
+			w.Objects = append(w.Objects, workload.Object{ID: k, Size: size})
+			w.Pages[j].Compulsory = append(w.Pages[j].Compulsory, k)
+		}
 	}
+	page(0, 50, 50, 100, 20, 50, 100, 1, workload.MaxObjectSize, 100, 20)
+	page(1, 7)
+	var long, equal []units.ByteSize
+	for k := range 2*insertionSortMax + 3 {
+		long = append(long, units.ByteSize(1+k*37%11))
+	}
+	for range insertionSortMax {
+		equal = append(equal, 64)
+	}
+	page(2, long...)
+	page(3, equal...)
 	if err := w.Validate(); err != nil {
 		t.Fatal(err)
 	}

@@ -40,7 +40,7 @@ func (pl *Planner) deallocCost(i workload.SiteID, k workload.ObjectID) float64 {
 // reference to the repository first. It returns the affected pages, in the
 // site's scratch buffer: valid until the site's next deallocation.
 func (pl *Planner) deallocate(i workload.SiteID, k workload.ObjectID) []workload.PageID {
-	affected := pl.affected[i][:0]
+	affected := pl.scratch[i].affected[:0]
 	for _, r := range pl.refsOf(i, k) {
 		if pl.isLocal(r.page, int(r.idx), r.optional) {
 			pl.flip(r.page, int(r.idx), r.optional, false)
@@ -48,7 +48,7 @@ func (pl *Planner) deallocate(i workload.SiteID, k workload.ObjectID) []workload
 		}
 	}
 	pl.unstore(i, k)
-	pl.affected[i] = affected
+	pl.scratch[i].affected = affected
 	return affected
 }
 
