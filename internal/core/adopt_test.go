@@ -41,9 +41,7 @@ func replayAdopt(pl *Planner, p *model.Placement) {
 // sites, page lists rebuilt in page-ID order — the shape of a repair's
 // re-homed workload.
 func rehomed(w *workload.Workload, dead workload.SiteID) *workload.Workload {
-	c := *w
-	c.Pages = slices.Clone(w.Pages)
-	c.Sites = slices.Clone(w.Sites)
+	c := w.Derive()
 	next := workload.SiteID(0)
 	for j := range c.Pages {
 		if c.Pages[j].Site != dead {
@@ -62,7 +60,7 @@ func rehomed(w *workload.Workload, dead workload.SiteID) *workload.Workload {
 		s := c.Pages[j].Site
 		c.Sites[s].Pages = append(c.Sites[s].Pages, workload.PageID(j))
 	}
-	return &c
+	return c
 }
 
 // survivorSeed is p over w2 less site dead: the survivors' stores, and

@@ -121,7 +121,7 @@ func (pl *Planner) AdoptPlacement(p *model.Placement, down ...workload.SiteID) e
 }
 
 // Explain produces the explanation for page j in the planner's current
-// state. Objects are listed in PARTITION's visit order (visitOrder):
+// state. Objects are listed in the order partitionSplit visits them:
 // decreasing size, equal sizes by their position on the page.
 func (pl *Planner) Explain(j workload.PageID) *PageExplanation {
 	pg := &pl.env.W.Pages[j]
@@ -139,9 +139,9 @@ func (pl *Planner) Explain(j workload.PageID) *PageExplanation {
 	} else {
 		ex.Bound = "repository"
 	}
-	for _, word := range pl.visitOrder(j, nil) {
-		idx, size := unpackVisit(word)
+	pl.partitionSplit(j, pl.partitionOrder(), func(idx int, _ bool) {
 		k := pg.Compulsory[idx]
+		size := pl.env.W.ObjectSize(k)
 		local := pl.p.CompLocal(j, idx)
 		stored := pl.p.IsStored(pg.Site, k)
 		feasible := true
@@ -156,7 +156,7 @@ func (pl *Planner) Explain(j workload.PageID) *PageExplanation {
 			FlipDelta:    pl.previewFlipComp(j, idx, !local),
 			FlipFeasible: feasible,
 		})
-	}
+	})
 	return ex
 }
 

@@ -49,8 +49,7 @@ func flatIndex(w *workload.Workload) (off []int32, refs []objRef) {
 // shuffledSites clones w with every site's page list in a random order,
 // which workload.Validate accepts.
 func shuffledSites(w *workload.Workload, s *rng.Stream) *workload.Workload {
-	c := *w
-	c.Sites = slices.Clone(w.Sites)
+	c := w.Derive()
 	for i := range c.Sites {
 		pages := slices.Clone(c.Sites[i].Pages)
 		for a := len(pages) - 1; a > 0; a-- {
@@ -59,7 +58,7 @@ func shuffledSites(w *workload.Workload, s *rng.Stream) *workload.Workload {
 		}
 		c.Sites[i].Pages = pages
 	}
-	return &c
+	return c
 }
 
 // TestSiteIndexMatchesFlat holds every site's index, built on first use, to

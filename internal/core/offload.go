@@ -154,7 +154,7 @@ func (pl *Planner) OffloadParallel(log io.Writer, workers int, parent *trace.Act
 				answers = append(answers, AcceptResult{Site: workload.SiteID(i), Target: target})
 			}
 		}
-		fanOut(workers, len(answers), sp, func(_, s int) {
+		fanOut(workers, len(answers), sp, func(s int) {
 			answers[s] = pl.AcceptWorkload(answers[s].Site, answers[s].Target)
 		})
 		stats.Messages += 2 * len(reqs) // NewReq out + answer back

@@ -45,18 +45,17 @@ func lap(sp *trace.Active, from time.Time) time.Time {
 	return now
 }
 
-// fanOut calls fn(w, i) exactly once for every i in [0, n), on up to workers
-// goroutines; w identifies the calling worker, 0 <= w < max(workers, 1), for
-// per-worker scratch state. With workers <= 1 (or n <= 1) it runs inline on
-// the caller's goroutine in index order; otherwise workers claim chunks of
-// the range from an atomic cursor. fn must confine its writes to cells owned
-// by index i. Each worker adds its busy time to sp once.
-func fanOut(workers, n int, sp *trace.Active, fn func(w, i int)) {
+// fanOut calls fn(i) exactly once for every i in [0, n), on up to workers
+// goroutines. With workers <= 1 (or n <= 1) it runs inline on the caller's
+// goroutine in index order; otherwise workers claim chunks of the range from
+// an atomic cursor. fn must confine its writes to cells owned by index i.
+// Each worker adds its busy time to sp once.
+func fanOut(workers, n int, sp *trace.Active, fn func(i int)) {
 	workers = min(workers, n)
 	if workers <= 1 {
 		t := lap(sp, time.Time{})
 		for i := 0; i < n; i++ {
-			fn(0, i)
+			fn(i)
 		}
 		lap(sp, t)
 		return
@@ -77,7 +76,7 @@ func fanOut(workers, n int, sp *trace.Active, fn func(w, i int)) {
 					break
 				}
 				for i, hi := lo, min(lo+chunk, n); i < hi; i++ {
-					fn(w, i)
+					fn(i)
 				}
 			}
 			lap(sp, t)
@@ -93,9 +92,8 @@ func fanOut(workers, n int, sp *trace.Active, fn func(w, i int)) {
 // it moved local to the site accumulators, each summed over the page first.
 // A second walk sets the stored-but-remote bits: every optional link is
 // local now, so they are the repository-marked compulsory references whose
-// object got a replica. buf is the caller's visit-order buffer, returned
-// for the next site.
-func (pl *Planner) partitionSite(i workload.SiteID, buf []uint64) []uint64 {
+// object got a replica. order is partitionSplit's visit order.
+func (pl *Planner) partitionSite(i workload.SiteID, order *workload.PartitionOrder) {
 	w := pl.env.W
 	marks := pl.localMarks[pl.slot(i, 0):pl.slot(i+1, 0)]
 	for _, pid := range w.Sites[i].Pages {
@@ -105,7 +103,7 @@ func (pl *Planner) partitionSite(i workload.SiteID, buf []uint64) []uint64 {
 
 		var localB units.ByteSize
 		nLocal := 0
-		buf = pl.partitionSplit(pid, buf, func(idx int, toLocal bool) {
+		pl.partitionSplit(pid, order, func(idx int, toLocal bool) {
 			if !toLocal { // a remote object keeps its initial X bit of 0
 				return
 			}
@@ -151,21 +149,20 @@ func (pl *Planner) partitionSite(i workload.SiteID, buf []uint64) []uint64 {
 			}
 		}
 	}
-	return buf
 }
 
 // PartitionParallel runs PARTITION over every page (and marks all optional
 // links local) using up to workers goroutines, one site at a time per
 // worker, so at most NumSites workers run. The planner must be freshly
-// constructed (all-remote). A non-nil parent gains a trace.SpanPartition
-// child carrying the workers' busy time. The results are byte-identical for
-// every worker count.
+// constructed (all-remote). The visit order is fetched once, before the
+// fan-out; the workload builds it on its first plan. A non-nil parent gains
+// a trace.SpanPartition child carrying the workers' busy time. The results
+// are byte-identical for every worker count.
 func (pl *Planner) PartitionParallel(workers int, parent *trace.Active) {
 	sp := parent.StartChild(trace.SpanPartition)
 	defer sp.End()
-	n := pl.env.W.NumSites()
-	bufs := make([][]uint64, max(min(workers, n), 1)) // per-worker visit-order buffers
-	fanOut(workers, n, sp, func(wk, i int) {
-		bufs[wk] = pl.partitionSite(workload.SiteID(i), bufs[wk])
+	order := pl.partitionOrder()
+	fanOut(workers, pl.env.W.NumSites(), sp, func(i int) {
+		pl.partitionSite(workload.SiteID(i), order)
 	})
 }

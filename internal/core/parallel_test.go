@@ -100,6 +100,51 @@ func TestPartitionParallelUnsorted(t *testing.T) {
 	}
 }
 
+// TestPartitionOrderFirstUse races the first uses of a fresh workload's
+// PARTITION order (run under -race): four goroutines plan it at Workers 2
+// while a fifth derives a copy, which shares or builds the order as the
+// others are building it, and plans that. Every plan must equal a plan of
+// an identical workload made alone, and the copy must end up with its
+// source's order.
+func TestPartitionOrderFirstUse(t *testing.T) {
+	want, _, err := Plan(genEnv(t, 73), Options{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	env := genEnv(t, 73)
+	plans := make([]*model.Placement, 5)
+	var derived *workload.Workload
+	var wg sync.WaitGroup
+	for g := range plans {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			e := env
+			if g == len(plans)-1 {
+				derived = env.W.Derive()
+				copied := *env
+				copied.W = derived
+				e = &copied
+			}
+			p, _, err := Plan(e, Options{Workers: 2})
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			plans[g] = p
+		}()
+	}
+	wg.Wait()
+	for g, p := range plans {
+		if p == nil || !p.Equal(want) {
+			t.Errorf("goroutine %d: plan differs from the plan made alone", g)
+		}
+	}
+	if derived.PartitionOrder() != env.W.PartitionOrder() {
+		t.Error("the Derive copy holds a different PARTITION order from its source")
+	}
+}
+
 // TestOffloadParallelMatchesSequential runs the same constrained
 // negotiation through the sequential coordinator and with the sites
 // accepting concurrently in place, and requires bit-identical stats,
@@ -255,9 +300,8 @@ func TestPlanMessageLogRepeatable(t *testing.T) {
 }
 
 // TestFanOutVisitsEachIndexOnce pins the one fan-out helper: every index in
-// [0, n) reaches fn exactly once with a worker id inside the promised range,
-// a nil span costs no clock read, and a span gets one start/stop pair per
-// worker actually started.
+// [0, n) reaches fn exactly once, a nil span costs no clock read, and a
+// span gets one start/stop pair per worker actually started.
 func TestFanOutVisitsEachIndexOnce(t *testing.T) {
 	var reads atomic.Int64
 	clock = func() time.Time {
@@ -271,12 +315,7 @@ func TestFanOutVisitsEachIndexOnce(t *testing.T) {
 			for _, sp := range []*trace.Active{nil, trace.NewTracer(buf, 1, trace.KindPlan).StartTrace("fan-out")} {
 				visits := make([]atomic.Int32, n)
 				reads.Store(0)
-				fanOut(workers, n, sp, func(w, i int) {
-					if w < 0 || w >= max(workers, 1) {
-						t.Errorf("n=%d workers=%d: worker id %d out of range", n, workers, w)
-					}
-					visits[i].Add(1)
-				})
+				fanOut(workers, n, sp, func(i int) { visits[i].Add(1) })
 				for i := range visits {
 					if v := visits[i].Load(); v != 1 {
 						t.Errorf("n=%d workers=%d: index %d visited %d times", n, workers, i, v)

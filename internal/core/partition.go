@@ -1,34 +1,33 @@
 package core
 
-import (
-	"slices"
-
-	"repro/internal/units"
-	"repro/internal/workload"
-)
+import "repro/internal/workload"
 
 // partitionSplit is the paper's PARTITION(W_j) decision, written once:
-// page j's compulsory objects are visited in decreasing size order (page
-// order under UnsortedPartition), each tentatively added to both chains and
-// assigned to the side that leaves the smaller running time — exactly the
-// pseudocode of Section 4.2 (the object goes to the repository iff
-// RemoteDownload + transfer < LocalDownload + transfer). assign is called
-// once per object, in visit order, with its side; the decision depends on
-// the page and the estimates only, never on the placement, so callers may
-// apply it as they go. buf is a reusable visit-order buffer, returned
-// (possibly regrown) for the next call.
+// page j's compulsory objects are visited in order (the workload's
+// PartitionOrder: decreasing size, equal sizes in page order; a nil order,
+// as under UnsortedPartition, visits page order), each tentatively added to
+// both chains and assigned to the side that leaves the smaller running time
+// — exactly the pseudocode of Section 4.2 (the object goes to the
+// repository iff RemoteDownload + transfer < LocalDownload + transfer).
+// assign is called once per object, in visit order, with its side; the
+// decision depends on the page and the estimates only, never on the
+// placement, so callers may apply it as they go.
 //
 // Per the pseudocode the remote running time starts at Ovhd(R, S_i) even if
 // no object ends up remote.
-func (pl *Planner) partitionSplit(j workload.PageID, buf []uint64, assign func(idx int, toLocal bool)) []uint64 {
+func (pl *Planner) partitionSplit(j workload.PageID, order *workload.PartitionOrder, assign func(idx int, toLocal bool)) {
 	pg := &pl.env.W.Pages[j]
 	est := pl.env.SiteEst(j)
-	order := pl.visitOrder(j, buf)
+	visit := order.Page(j)
 
 	local := est.LocalOvhd + est.LocalRate.TransferTime(pg.HTMLSize)
 	remote := est.RepoOvhd
-	for _, word := range order {
-		idx, size := unpackVisit(word)
+	for v := range pg.Compulsory {
+		idx := v
+		if visit != nil {
+			idx = int(visit[v])
+		}
+		size := pl.env.W.ObjectSize(pg.Compulsory[idx])
 		remoteIf := remote + est.RepoRate.TransferTime(size)
 		localIf := local + est.LocalRate.TransferTime(size)
 		if remoteIf < localIf {
@@ -39,44 +38,15 @@ func (pl *Planner) partitionSplit(j workload.PageID, buf []uint64, assign func(i
 			assign(idx, true)
 		}
 	}
-	return order
 }
 
-// insertionSortMax is the longest page whose visit order is insertion
-// sorted. Table-1 pages hold 5-45 compulsory objects: insertion sort orders
-// all of them in 4.1 ms, slices.Sort in 5.5 ms (go1.24, 2 vCPUs).
-const insertionSortMax = 64
-
-// visitOrder returns page j's compulsory objects in PARTITION's visit order,
-// one ordered word per object: the complement of its size above its idx, so
-// ascending words are decreasing sizes with ties in idx order — a strict
-// total order, and workload.Validate guards both widths. Under
-// UnsortedPartition the words stay in page order. buf is reused.
-func (pl *Planner) visitOrder(j workload.PageID, buf []uint64) []uint64 {
-	pg := &pl.env.W.Pages[j]
-	order := slices.Grow(buf[:0], len(pg.Compulsory))
-	for idx, k := range pg.Compulsory {
-		order = append(order, uint64(workload.MaxObjectSize-pl.env.W.ObjectSize(k))<<workload.PageRefBits|uint64(idx))
+// partitionOrder is the visit order partitionSplit takes: the workload's
+// PartitionOrder, or nil (page order) under UnsortedPartition.
+func (pl *Planner) partitionOrder() *workload.PartitionOrder {
+	if pl.UnsortedPartition {
+		return nil
 	}
-	switch {
-	case pl.UnsortedPartition:
-	case len(order) > insertionSortMax:
-		slices.Sort(order)
-	default:
-		for i := 1; i < len(order); i++ {
-			v, at := order[i], i
-			for ; at > 0 && v < order[at-1]; at-- {
-				order[at] = order[at-1]
-			}
-			order[at] = v
-		}
-	}
-	return order
-}
-
-// unpackVisit returns a visit-order word's object idx and size.
-func unpackVisit(word uint64) (int, units.ByteSize) {
-	return int(word & (1<<workload.PageRefBits - 1)), workload.MaxObjectSize - units.ByteSize(word>>workload.PageRefBits)
+	return pl.env.W.PartitionOrder()
 }
 
 // PartitionPage applies the PARTITION split to one page by flipping, so it
@@ -86,7 +56,7 @@ func unpackVisit(word uint64) (int, units.ByteSize) {
 // re-established by the flips themselves.
 func (pl *Planner) PartitionPage(j workload.PageID) {
 	pg := &pl.env.W.Pages[j]
-	pl.partitionSplit(j, nil, func(idx int, toLocal bool) {
+	pl.partitionSplit(j, pl.partitionOrder(), func(idx int, toLocal bool) {
 		if toLocal {
 			pl.store(pg.Site, pg.Compulsory[idx])
 		}

@@ -89,7 +89,7 @@ type Partitioned struct {
 // opts.Trace are read.
 func Partition(env *model.Env, opts Options) *Partitioned {
 	pl := partition(env, opts)
-	fanOut(workerCount(opts), env.W.NumSites(), nil, func(_, i int) {
+	fanOut(workerCount(opts), env.W.NumSites(), nil, func(i int) {
 		pl.siteIndex(workload.SiteID(i))
 	})
 	return &Partitioned{pl: pl}

@@ -387,12 +387,16 @@ func TestAdoptPlacement(t *testing.T) {
 	}
 }
 
-// TestPartitionOrderMatchesComparator holds PARTITION's packed-word visit
-// order to the comparator it replaced — decreasing size, then idx — on
-// pages with repeated sizes, on a single-object page, on a page longer than
-// insertionSortMax (the slices.Sort path), on a page whose sizes are all
-// equal, on every page of a generated workload, and to page order under
-// UnsortedPartition.
+// TestPartitionOrderMatchesComparator holds the workload's PARTITION order
+// table, and the walk partitionSplit makes over it, to the comparator it
+// replaced — decreasing size, then idx — on pages with repeated sizes, on a
+// single-object page, on a page longer than the builder's insertion-sort
+// cutoff (64: the slices.Sort path), on a page whose sizes are all equal, on
+// a page listing equal sizes in reverse object-ID order (so a tie broken by
+// ID shows), on every page of a generated workload and of a Derive copy of
+// it, which shares the table; and the walk to page order under
+// UnsortedPartition. A Derive copy whose compulsory list was then edited
+// (which Derive forbids) fails VerifyConsistency.
 func TestPartitionOrderMatchesComparator(t *testing.T) {
 	w := &workload.Workload{
 		Config: workload.Config{Alpha1: 1, Alpha2: 1},
@@ -401,8 +405,9 @@ func TestPartitionOrderMatchesComparator(t *testing.T) {
 			{ID: 1, Site: 0, HTMLSize: 10, Freq: 1},
 			{ID: 2, Site: 0, HTMLSize: 10, Freq: 1},
 			{ID: 3, Site: 0, HTMLSize: 10, Freq: 1},
+			{ID: 4, Site: 0, HTMLSize: 10, Freq: 1},
 		},
-		Sites: []workload.Site{{ID: 0, Pages: []workload.PageID{0, 1, 2, 3}}},
+		Sites: []workload.Site{{ID: 0, Pages: []workload.PageID{0, 1, 2, 3, 4}}},
 	}
 	page := func(j int, sizes ...units.ByteSize) {
 		for _, size := range sizes {
@@ -414,14 +419,16 @@ func TestPartitionOrderMatchesComparator(t *testing.T) {
 	page(0, 50, 50, 100, 20, 50, 100, 1, workload.MaxObjectSize, 100, 20)
 	page(1, 7)
 	var long, equal []units.ByteSize
-	for k := range 2*insertionSortMax + 3 {
+	for k := range 2*64 + 3 {
 		long = append(long, units.ByteSize(1+k*37%11))
 	}
-	for range insertionSortMax {
+	for range 64 {
 		equal = append(equal, 64)
 	}
 	page(2, long...)
 	page(3, equal...)
+	page(4, 30, 5, 30, 30)
+	slices.Reverse(w.Pages[4].Compulsory)
 	if err := w.Validate(); err != nil {
 		t.Fatal(err)
 	}
@@ -430,30 +437,67 @@ func TestPartitionOrderMatchesComparator(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, env := range []*model.Env{hand, genEnv(t, 7)} {
+	gen := genEnv(t, 7)
+	derived, err := model.NewEnv(gen.W.Derive(), gen.Est, gen.Budgets)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if derived.W.PartitionOrder() != gen.W.PartitionOrder() {
+		t.Error("a Derive copy does not share its source's PARTITION order")
+	}
+	for _, env := range []*model.Env{hand, gen, derived} {
+		order := env.W.PartitionOrder()
 		for _, unsorted := range []bool{false, true} {
 			pl := NewPlanner(env)
 			pl.UnsortedPartition = unsorted
 			for j := range env.W.Pages {
 				pg := &env.W.Pages[j]
-				var got, want []int
-				pl.partitionSplit(workload.PageID(j), nil, func(idx int, _ bool) { got = append(got, idx) })
+				var walked, want []int
+				pl.partitionSplit(workload.PageID(j), pl.partitionOrder(), func(idx int, _ bool) { walked = append(walked, idx) })
 				for idx := range pg.Compulsory {
 					want = append(want, idx)
 				}
-				if !unsorted {
-					slices.SortFunc(want, func(a, b int) int {
-						sa, sb := env.W.ObjectSize(pg.Compulsory[a]), env.W.ObjectSize(pg.Compulsory[b])
-						if sa != sb {
-							return cmp.Compare(sb, sa) // decreasing size
-						}
-						return cmp.Compare(a, b) // index tie-break: a strict total order
-					})
+				if unsorted {
+					if !slices.Equal(walked, want) {
+						t.Fatalf("unsorted page %d: visit order %v, page order %v", j, walked, want)
+					}
+					continue
 				}
-				if !slices.Equal(got, want) {
-					t.Fatalf("unsorted=%v page %d: visit order %v, comparator order %v", unsorted, j, got, want)
+				slices.SortFunc(want, func(a, b int) int {
+					sa, sb := env.W.ObjectSize(pg.Compulsory[a]), env.W.ObjectSize(pg.Compulsory[b])
+					if sa != sb {
+						return cmp.Compare(sb, sa) // decreasing size
+					}
+					return cmp.Compare(a, b) // index tie-break: a strict total order
+				})
+				var table []int
+				for _, idx := range order.Page(workload.PageID(j)) {
+					table = append(table, int(idx))
+				}
+				if !slices.Equal(table, want) || !slices.Equal(walked, want) {
+					t.Fatalf("page %d: table %v, walked %v, comparator order %v", j, table, walked, want)
 				}
 			}
+			if err := pl.VerifyConsistency(); err != nil {
+				t.Fatalf("unsorted=%v: %v", unsorted, err)
+			}
 		}
+	}
+
+	// Swap two objects of different sizes on one of the derived copy's
+	// pages: the shared table visits the larger first, a sort of the edited
+	// page the other way round.
+	stale := derived.W
+	for j := range stale.Pages {
+		c := stale.Pages[j].Compulsory
+		if v := slices.IndexFunc(c, func(k workload.ObjectID) bool { return stale.ObjectSize(k) != stale.ObjectSize(c[0]) }); v > 0 {
+			c = slices.Clone(c)
+			c[0], c[v] = c[v], c[0]
+			stale.Pages[j].Compulsory = c
+			break
+		}
+	}
+	if err := NewPlanner(derived).VerifyConsistency(); err == nil || !strings.Contains(err.Error(), "PARTITION order") {
+		t.Errorf("a stale PARTITION order passed VerifyConsistency (err %v)", err)
 	}
 }

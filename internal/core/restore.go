@@ -192,7 +192,7 @@ func (pl *Planner) RestoreSites(sites []workload.SiteID, workers int, refine boo
 	// One fan-out feeds three spans, so the laps are per site and phase
 	// here, not per worker in fanOut.
 	stats := make([]SiteStats, len(sites))
-	fanOut(workers, len(sites), nil, func(_, s int) {
+	fanOut(workers, len(sites), nil, func(s int) {
 		i := sites[s]
 		t := lap(spStore, time.Time{})
 		d := pl.RestoreStorageSite(i)

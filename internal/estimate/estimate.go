@@ -179,8 +179,9 @@ func (s *Snapshot) EstimateWorkload(w *workload.Workload) (*workload.Workload, e
 // Counts maps pages to observed request counts over some window.
 type Counts map[workload.PageID]int64
 
-// EstimateWorkload returns a copy of the workload whose page frequencies
-// are re-estimated from observed access counts: within each site, a page's
+// EstimateWorkload returns a derived copy of the workload (Workload.Derive,
+// so a re-plan shares its PARTITION order) whose page frequencies are
+// re-estimated from observed access counts: within each site, a page's
 // frequency is its Laplace-smoothed share of the site's observed requests,
 // scaled to the site's aggregate peak rate. Smoothing (add-one) keeps
 // never-observed pages plannable instead of pinning them to zero — small
@@ -196,13 +197,7 @@ func EstimateWorkload(w *workload.Workload, counts Counts) (*workload.Workload, 
 			return nil, fmt.Errorf("estimate: negative count for page %d", pid)
 		}
 	}
-	out := &workload.Workload{
-		Config:  w.Config,
-		Seed:    w.Seed,
-		Objects: w.Objects,
-		Pages:   append([]workload.Page(nil), w.Pages...),
-		Sites:   w.Sites,
-	}
+	out := w.Derive()
 	for i := range w.Sites {
 		pages := w.Sites[i].Pages
 		var total int64

@@ -81,13 +81,12 @@ func QueueingStudy(opts Options) (*stats.Figure, error) {
 	return fig, nil
 }
 
-// scaleSiteCapacities returns a shallow workload copy whose site capacities
-// are scaled by frac. Pages and objects are shared (read-only).
+// scaleSiteCapacities returns a derived workload whose site capacities are
+// scaled by frac.
 func scaleSiteCapacities(w *workload.Workload, frac float64) *workload.Workload {
-	out := *w
-	out.Sites = append([]workload.Site(nil), w.Sites...)
+	out := w.Derive()
 	for i := range out.Sites {
 		out.Sites[i].Capacity = units.ReqPerSec(float64(w.Sites[i].Capacity) * frac)
 	}
-	return &out
+	return out
 }

@@ -34,9 +34,9 @@ func WeightsStudy(opts Options) (*stats.Figure, error) {
 			// The planner takes its weights from the workload's
 			// configuration; pages and objects are shared with the original,
 			// so the placement simulates on the run's own workload.
-			weighted := *env.w
+			weighted := env.w.Derive()
 			weighted.Config.Alpha1, weighted.Config.Alpha2 = 2, 2*ratio
-			_, p, _, err := env.plan(&weighted, storageOnly(env.w, 0.3), core.Options{})
+			_, p, _, err := env.plan(weighted, storageOnly(env.w, 0.3), core.Options{})
 			if err != nil {
 				return err
 			}

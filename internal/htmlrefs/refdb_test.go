@@ -56,8 +56,7 @@ func TestRebuildMatchesFreshBuild(t *testing.T) {
 
 	// The update grows one page's HTML and spreads out another's equal
 	// optional link probabilities, which gives tier-1 brownout links to drop.
-	updated := *w
-	updated.Pages = append([]workload.Page(nil), w.Pages...)
+	updated := w.Derive()
 	updated.Pages[w.Sites[1].Pages[0]].HTMLSize += 4 * units.KB
 	spread := false
 	for _, pid := range w.Sites[1].Pages[1:] {
@@ -85,8 +84,8 @@ func TestRebuildMatchesFreshBuild(t *testing.T) {
 		{"plan flip", w, p, repoBase},
 		{"repair", rp.Env.W, rp.Placement, repoBase},
 		{"recovery", w, p, repoBase},
-		{"page update", &updated, p, repoBase},
-		{"new repository base", &updated, p, "http://mirror.example"},
+		{"page update", updated, p, repoBase},
+		{"new repository base", updated, p, "http://mirror.example"},
 	}
 	for i := 0; i < w.NumSites(); i++ {
 		site := workload.SiteID(i)

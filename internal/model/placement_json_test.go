@@ -134,10 +134,11 @@ func TestPlacementEqual(t *testing.T) {
 	if a.Equal(d) {
 		t.Error("different optional marks reported equal")
 	}
-	moved := *w
-	moved.Pages = slices.Clone(w.Pages)
+	// A fresh literal, not w.Derive(): it edits compulsory lists, which a
+	// derived copy must not.
+	moved := &workload.Workload{Config: w.Config, Seed: w.Seed, Objects: w.Objects, Pages: slices.Clone(w.Pages), Sites: w.Sites}
 	moved.Pages[0].Compulsory, moved.Pages[1].Compulsory = append(slices.Clone(w.Pages[0].Compulsory), w.Pages[1].Compulsory...), nil
-	if a.Equal(AllLocal(&moved)) {
+	if a.Equal(AllLocal(moved)) {
 		t.Error("same slab under different row offsets reported equal")
 	}
 	cfg := workload.SmallConfig()

@@ -169,8 +169,7 @@ func randomPlacement(w *workload.Workload, s *rng.Stream, frac float64) *Placeme
 
 // shuffledSites clones w with every site's page list in a random order.
 func shuffledSites(w *workload.Workload, s *rng.Stream) *workload.Workload {
-	c := *w
-	c.Sites = slices.Clone(w.Sites)
+	c := w.Derive()
 	for i := range c.Sites {
 		pages := slices.Clone(c.Sites[i].Pages)
 		for a := len(pages) - 1; a > 0; a-- {
@@ -179,7 +178,7 @@ func shuffledSites(w *workload.Workload, s *rng.Stream) *workload.Workload {
 		}
 		c.Sites[i].Pages = pages
 	}
-	return &c
+	return c
 }
 
 // sameBits fails the test unless got and want have one bit pattern; what

@@ -383,19 +383,14 @@ func assignHomes(env *model.Env, down map[workload.SiteID]bool) map[workload.Pag
 	return target
 }
 
-// rehomeWorkload clones w with each page in target moved to its new host:
-// Pages[j].Site updated, per-site page lists rebuilt in page-ID order, and
-// each gaining site's object pool extended with the references it inherits.
-// Object and page identities are untouched, so placements over the clone
-// index identically to placements over w.
+// rehomeWorkload derives a copy of w (Workload.Derive) with each page in
+// target moved to its new host: Pages[j].Site updated, per-site page lists
+// rebuilt in page-ID order, and each gaining site's object pool extended
+// with the references it inherits. Object and page identities are
+// untouched, so placements over the copy index identically to placements
+// over w, and the copy shares w's PARTITION order.
 func rehomeWorkload(w *workload.Workload, target map[workload.PageID]workload.SiteID) *workload.Workload {
-	w2 := &workload.Workload{
-		Config:  w.Config,
-		Seed:    w.Seed,
-		Objects: w.Objects,
-		Pages:   append([]workload.Page(nil), w.Pages...),
-		Sites:   append([]workload.Site(nil), w.Sites...),
-	}
+	w2 := w.Derive()
 	for pid, to := range target {
 		w2.Pages[pid].Site = to
 	}

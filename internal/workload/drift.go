@@ -7,25 +7,19 @@ import (
 	"repro/internal/units"
 )
 
-// Drift returns a copy of the workload whose access pattern has shifted:
-// at every site, swapFrac of the hot pages turn cold and an equal number of
-// previously cold pages turn hot (the "breaking news" effect Section 4.1
-// gives as the reason planned allocations go stale). Frequencies are
-// re-dealt within the hot/cold mixture; the content — pages, objects,
-// references, sizes — is untouched, so placements planned against the
-// original workload remain structurally valid and can be simulated against
-// the drifted one.
+// Drift returns a Derive copy of the workload whose access pattern has
+// shifted: at every site, swapFrac of the hot pages turn cold and an equal
+// number of previously cold pages turn hot (the "breaking news" effect
+// Section 4.1 gives as the reason planned allocations go stale).
+// Frequencies are re-dealt within the hot/cold mixture; the content —
+// pages, objects, references, sizes — is untouched, so placements planned
+// against the original workload remain structurally valid and can be
+// simulated against the drifted one.
 func Drift(w *Workload, swapFrac float64, seed uint64) (*Workload, error) {
 	if swapFrac < 0 || swapFrac > 1 {
 		return nil, fmt.Errorf("workload: swapFrac %v outside [0,1]", swapFrac)
 	}
-	out := &Workload{
-		Config:  w.Config,
-		Seed:    w.Seed,
-		Objects: w.Objects, // shared: immutable content
-		Pages:   append([]Page(nil), w.Pages...),
-		Sites:   w.Sites, // shared: hosting and pools don't move
-	}
+	out := w.Derive()
 	root := rng.New(seed)
 	for i := range w.Sites {
 		if err := driftSite(out, SiteID(i), swapFrac, root.Split(uint64(i))); err != nil {
