@@ -364,6 +364,37 @@ func TestValidatePlannerWidths(t *testing.T) {
 	}
 }
 
+// TestPartitionOrderWidestPage builds the PARTITION order of a page at
+// Validate's limit, 1<<PageRefBits compulsory objects: every index, the
+// largest included, must survive PartitionOrder's 16-bit entries, in
+// decreasing size with equal sizes in page order.
+func TestPartitionOrderWidestPage(t *testing.T) {
+	w := &Workload{
+		Pages: []Page{{HTMLSize: 1, Freq: 1}},
+		Sites: []Site{{Pages: []PageID{0}}},
+	}
+	for k := range 1 << PageRefBits {
+		w.Objects = append(w.Objects, Object{ID: ObjectID(k), Size: units.ByteSize(1 + k%7)})
+		w.Pages[0].Compulsory = append(w.Pages[0].Compulsory, ObjectID(k))
+	}
+	if err := w.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	visit := w.PartitionOrder().Page(0)
+	if len(visit) != 1<<PageRefBits {
+		t.Fatalf("%d entries, want %d", len(visit), 1<<PageRefBits)
+	}
+	for v := 1; v < len(visit); v++ {
+		a, b := int(visit[v-1]), int(visit[v])
+		if sa, sb := w.ObjectSize(ObjectID(a)), w.ObjectSize(ObjectID(b)); sa < sb || sa == sb && a >= b {
+			t.Fatalf("entry %d: idx %d (size %d) before idx %d (size %d)", v, a, sa, b, sb)
+		}
+	}
+	if last := int(visit[len(visit)-1]); last != 1<<PageRefBits-1-(1<<PageRefBits-1)%7 {
+		t.Errorf("last entry idx %d, want the last object of size 1", last)
+	}
+}
+
 func TestJSONRoundTrip(t *testing.T) {
 	w := MustGenerate(SmallConfig(), 5)
 	var buf bytes.Buffer
