@@ -1,8 +1,9 @@
 package core
 
 import (
+	"cmp"
 	"math"
-	"sort"
+	"slices"
 
 	"repro/internal/units"
 	"repro/internal/workload"
@@ -131,24 +132,28 @@ func (pl *Planner) acceptBySwapping(i workload.SiteID, soft, hard float64, res *
 		size units.ByteSize
 	}
 
-	// Local request rate currently carried by each stored object / gainable
-	// by each absent object.
-	carried := make(map[workload.ObjectID]float64)
-	potential := make(map[workload.ObjectID]float64)
+	// The local request rate each stored object carries and the rate each
+	// absent object could carry (all of an absent object's references are
+	// repository-marked), summed in page order in the site's rate buffer at
+	// the object's first position in the site's (object) index.
+	off, refs := pl.siteIndex(i)
+	rate := pl.scratch[i].rate
+	if rate == nil {
+		rate = make([]float64, len(refs))
+		pl.scratch[i].rate = rate
+	} else {
+		clear(rate)
+	}
 	for _, pid := range pl.env.W.Sites[i].Pages {
 		pg := &pl.env.W.Pages[pid]
 		for idx, k := range pg.Compulsory {
-			if pl.p.CompLocal(pid, idx) {
-				carried[k] += float64(pg.Freq)
-			} else if !pl.p.IsStored(i, k) {
-				potential[k] += float64(pg.Freq)
+			if pl.p.CompLocal(pid, idx) || !pl.p.IsStored(i, k) {
+				rate[off[k]] += float64(pg.Freq)
 			}
 		}
 		for idx, l := range pg.Optional {
-			if pl.p.OptLocal(pid, idx) {
-				carried[l.Object] += float64(pg.Freq) * l.Prob
-			} else if !pl.p.IsStored(i, l.Object) {
-				potential[l.Object] += float64(pg.Freq) * l.Prob
+			if pl.p.OptLocal(pid, idx) || !pl.p.IsStored(i, l.Object) {
+				rate[off[l.Object]] += float64(pg.Freq) * l.Prob
 			}
 		}
 	}
@@ -156,23 +161,26 @@ func (pl *Planner) acceptBySwapping(i workload.SiteID, soft, hard float64, res *
 	var outs, ins []entry
 	pl.p.StoredSet(i).ForEach(func(kk int) bool {
 		k := workload.ObjectID(kk)
-		outs = append(outs, entry{k, carried[k], pl.env.W.ObjectSize(k)})
+		carried := 0.0
+		if off[k] < off[k+1] {
+			carried = rate[off[k]]
+		}
+		outs = append(outs, entry{k, carried, pl.env.W.ObjectSize(k)})
 		return true
 	})
-	for k, rate := range potential {
-		ins = append(ins, entry{k, rate, pl.env.W.ObjectSize(k)})
+	for at := 0; at < len(refs); {
+		r := refs[at]
+		k, _ := pl.refOf(r.page, int(r.idx), r.optional)
+		if !pl.p.IsStored(i, k) {
+			ins = append(ins, entry{k, rate[at], pl.env.W.ObjectSize(k)})
+		}
+		at = int(off[k+1])
 	}
-	sort.Slice(outs, func(a, b int) bool {
-		if outs[a].rate != outs[b].rate { //repllint:allow float-compare — exact-bits tie-break keeps the comparator a strict weak order
-			return outs[a].rate < outs[b].rate
-		}
-		return outs[a].k < outs[b].k
+	slices.SortFunc(outs, func(a, b entry) int {
+		return cmp.Or(cmp.Compare(a.rate, b.rate), cmp.Compare(a.k, b.k))
 	})
-	sort.Slice(ins, func(a, b int) bool {
-		if ins[a].rate != ins[b].rate { //repllint:allow float-compare — exact-bits tie-break keeps the comparator a strict weak order
-			return ins[a].rate > ins[b].rate
-		}
-		return ins[a].k < ins[b].k
+	slices.SortFunc(ins, func(a, b entry) int {
+		return cmp.Or(cmp.Compare(b.rate, a.rate), cmp.Compare(a.k, b.k))
 	})
 
 	gained := 0.0

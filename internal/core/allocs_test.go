@@ -11,20 +11,25 @@ import (
 // TestPlanAllocs pins the allocations of one constrained plan — the
 // plan-constrained benchmark recipe (50 % storage, 70 % capacity, repository
 // capped at 90 % of the probe plan's load, Refine on) on the small workload,
-// so every phase runs. Measured: 102 allocs/plan, none of them per page
+// so every phase runs. Measured: 91 allocs/plan, none of them per page
 // since the placement holds X and X' in one slab each (316 with a row per
 // page; 5,067 with per-site maps, boxed container/heap items and per-call
-// slices before that). Eight of them are the (site, object) index: a site's
-// first index use allocates its offsets and its refs (and a sorted copy of
-// an unsorted page list), and restoration asks at all four sites. The 20 % slack
-// is for the runtime; a map or an interface{} back in the greedy loops
-// costs thousands, a per-page allocation hundreds. The same plan from a
+// slices before that; 102 while the swap phase summed its rates in maps).
+// Eight of them are the (site, object) index: a site's first index use
+// allocates its offsets and its refs (and a sorted copy of an unsorted page
+// list), and restoration asks at all four sites. The 20 % slack is for the
+// runtime; a map or an interface{} back in the greedy loops costs
+// thousands, a per-page allocation hundreds. The same plan from a
 // Partitioned skips NewPlanner's tables, builds no index (Partition built
-// every site's) and copies the page and site cells instead: 86 allocs/plan,
-// again none per page (the small workload has 197 pages). A full-budget
-// plan restores nothing and builds no index: 44. Only a workload's first
-// plan builds its PARTITION order (its table, offsets and permutation, and
-// the sort's buffer); a warm workload's plans read it and allocate fewer.
+// every site's) and copies the page and site cells instead: 75 allocs/plan,
+// again none per page (the small workload has 197 pages). The same point
+// continued by a Sweep restores nothing more and refines and off-loads on a
+// copy of the carried planner: 60; with the repository unconstrained and no
+// refine it finishes in place and clones only the placement: 21. A
+// full-budget plan restores nothing and builds no index: 44. Only a
+// workload's first plan builds its PARTITION order (its table, offsets and
+// permutation, and the sort's buffer); a warm workload's plans read it and
+// allocate fewer.
 func TestPlanAllocs(t *testing.T) {
 	env := genEnv(t, 424242)
 	full := *env
@@ -63,7 +68,7 @@ func TestPlanAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	const measured = 102
+	const measured = 91
 	if allocs > measured*1.2 {
 		t.Errorf("constrained plan: %v allocs/plan, want <= %d + 20%%", allocs, measured)
 	}
@@ -74,8 +79,32 @@ func TestPlanAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	const partitioned = 86
+	const partitioned = 75
 	if allocs > partitioned*1.2 {
 		t.Errorf("constrained plan from a Partitioned: %v allocs/plan, want <= %d + 20%%", allocs, partitioned)
+	}
+
+	sw := pt.Sweep()
+	if _, _, err := sw.Plan(env, opts); err != nil {
+		t.Fatal(err)
+	}
+	allocs = testing.AllocsPerRun(20, func() {
+		if _, _, err := sw.Plan(env, opts); err != nil {
+			t.Fatal(err)
+		}
+	})
+	const continued = 60
+	if allocs > continued*1.2 {
+		t.Errorf("constrained point continued by a Sweep: %v allocs/plan, want <= %d + 20%%", allocs, continued)
+	}
+	env.Budgets.RepoCapacity = model.Infinite()
+	allocs = testing.AllocsPerRun(20, func() {
+		if _, _, err := sw.Plan(env, Options{Workers: 1}); err != nil {
+			t.Fatal(err)
+		}
+	})
+	const inPlace = 21
+	if allocs > inPlace*1.2 {
+		t.Errorf("point finished in place by a Sweep: %v allocs/plan, want <= %d + 20%%", allocs, inPlace)
 	}
 }

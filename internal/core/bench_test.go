@@ -129,9 +129,10 @@ func BenchmarkOffloadParallel(b *testing.B) {
 
 // BenchmarkPlanSweep plans Figure 3's grid — ten local capacities, each
 // with the repository capped at 90, 70 and 50 % of its probe plan's load —
-// over one Table-1 workload, once as thirty from-scratch core.Plan calls
-// and once from one Partitioned (its Partition call included), the way a
-// figure run plans. The caps are sized outside the timer.
+// over one Table-1 workload: as thirty from-scratch core.Plan calls, from
+// one Partitioned (its Partition call included), and through one Sweep of
+// a Partitioned walked from the loosest capacity down, the way a figure run
+// plans. The caps are sized outside the timer.
 func BenchmarkPlanSweep(b *testing.B) {
 	env := benchEnv(b)
 	var grid []*model.Env
@@ -166,6 +167,17 @@ func BenchmarkPlanSweep(b *testing.B) {
 			pt := Partition(env, opts)
 			for _, e := range grid {
 				if _, _, err := pt.Plan(e, opts); err != nil {
+					b.Fatal(err)
+				}
+			}
+		}
+	})
+	b.Run("sweep", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			sw := Partition(env, opts).Sweep()
+			for n := len(grid) - 1; n >= 0; n-- {
+				if _, _, err := sw.Plan(grid[n], opts); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -23,15 +23,17 @@ type lazyHeap struct {
 	items []heapItem
 }
 
-// newLazyHeap heapifies the given items in place.
-func newLazyHeap(items []heapItem) *lazyHeap {
-	h := &lazyHeap{items: items}
-	n := len(items)
+// heapify establishes the heap order over h.items in place.
+func (h *lazyHeap) heapify() {
+	n := len(h.items)
 	for i := n/2 - 1; i >= 0; i-- {
 		h.down(i, n)
 	}
-	return h
 }
+
+// built reports whether the heap holds a candidate buffer: a heap is built
+// in a non-nil buffer, however many of its items have been popped since.
+func (h *lazyHeap) built() bool { return h.items != nil }
 
 // push adds an item.
 func (h *lazyHeap) push(it heapItem) {

@@ -7,6 +7,13 @@ import (
 	"repro/internal/rng"
 )
 
+// newLazyHeap heapifies the given items in place.
+func newLazyHeap(items []heapItem) *lazyHeap {
+	h := &lazyHeap{items: items}
+	h.heapify()
+	return h
+}
+
 // stdHeap is the container/heap-backed lazy heap that lazyHeap was ported
 // from, kept as the reference for the pop order among equal keys.
 type stdHeap []heapItem

@@ -23,6 +23,13 @@ type OffloadStats struct {
 	Swaps          int
 }
 
+// repoOverloaded reports whether the repository's load exceeds its capacity
+// (Eq. 9), the condition on which the off-loading negotiation runs.
+func (pl *Planner) repoOverloaded() bool {
+	capR := float64(pl.env.Budgets.RepoCapacity)
+	return !math.IsInf(capR, 1) && float64(pl.RepoLoad()) > capR
+}
+
 // maxOffloadRounds bounds the negotiation: each round either restores the
 // constraint or moves at least one site to L3, so sites+2 rounds suffice;
 // the bound is a backstop against pathological float behavior.
@@ -67,7 +74,7 @@ func (pl *Planner) OffloadParallel(log io.Writer, workers int, parent *trace.Act
 	stats.Messages += pl.env.W.NumSites() // the initial status messages
 	logf("repository: collected %d status messages, P(R)=%.2f req/s, C(R)=%.2f req/s\n",
 		pl.env.W.NumSites(), pR, capR)
-	if math.IsInf(capR, 1) || pR <= capR {
+	if !pl.repoOverloaded() {
 		stats.Restored = true
 		stats.RepoLoadAfter = units.ReqPerSec(pR)
 		return stats

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"reflect"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -205,6 +206,103 @@ func TestPartitionedPlanConcurrent(t *testing.T) {
 		}
 		if !got[n].Equal(want) || !reflect.DeepEqual(gotRes[n], wantRes) {
 			t.Errorf("storage %.0f%%: the concurrent plan differs from core.Plan's", fracs[n]*100)
+		}
+	}
+}
+
+// sweepWalk orders sweepGrid's points from the loosest budget down — storage
+// 100 → 10 %, capacity 100 → 50 %, the repository caps at 50 %, capacity
+// 40 → 0 % — and adds a point that cuts storage to 50 % at capacity 20 %,
+// where processing restoration has flipped, so the walk both continues and
+// restarts. The refine and re-partitioning points close it.
+func sweepWalk(t *testing.T, env *model.Env) []sweepCase {
+	t.Helper()
+	grid := sweepGrid(t, env)
+	storage, capacity, repo, rest := grid[:10], grid[10:21], grid[21:24], grid[24:]
+	var walk []sweepCase
+	for n := len(storage) - 1; n >= 0; n-- {
+		walk = append(walk, storage[n])
+	}
+	for n := len(capacity) - 1; n >= 0; n-- {
+		walk = append(walk, capacity[n])
+		switch n {
+		case 5:
+			walk = append(walk, repo...)
+		case 2:
+			cut := capacity[n].b.Scale(env.W, 0.5, 1)
+			cut.SiteCapacity = capacity[n].b.SiteCapacity
+			walk = append(walk, sweepCase{"storage 50% at capacity 20%", cut, Options{}})
+		}
+	}
+	return append(walk, rest...)
+}
+
+// TestSweepMatchesPlan holds the carried restoration to core.Plan: one Sweep
+// walks the grid from the loosest budget down, and another walks it back
+// up (every looser point restarts), at Workers 1 and 4. Every point must
+// equal core.Plan bit for bit — placement, Result and message log — and
+// leave a carried planner whose caches agree with the model. The walk down
+// must continue the carried planner at most points and restart it where a
+// budget loosens or a flipped site loses storage.
+func TestSweepMatchesPlan(t *testing.T) {
+	base := genEnv(t, 424242)
+	down := sweepWalk(t, base)
+	up := slices.Clone(down)
+	slices.Reverse(up)
+	for _, workers := range []int{1, 4} {
+		pt := Partition(base, Options{Workers: workers})
+		for _, dir := range []struct {
+			name string
+			walk []sweepCase
+		}{{"down", down}, {"up", up}} {
+			sw := pt.Sweep()
+			continued := 0
+			for _, c := range dir.walk {
+				env := *base
+				env.Budgets = c.b
+				opts := c.opts
+				opts.Workers = workers
+				var wantLog, gotLog strings.Builder
+				opts.MessageLog = &wantLog
+				wantP, want, err := Plan(&env, opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				carried := sw.pl
+				opts.MessageLog = &gotLog
+				gotP, got, err := sw.Plan(&env, opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if sw.pl == carried {
+					continued++
+				}
+				label := fmt.Sprintf("workers=%d %s %s", workers, dir.name, c.label)
+				if !gotP.Equal(wantP) {
+					t.Errorf("%s: placement differs from core.Plan's", label)
+				}
+				if !reflect.DeepEqual(got, want) {
+					t.Errorf("%s: result %+v, core.Plan gave %+v", label, got, want)
+				}
+				if gotLog.String() != wantLog.String() {
+					t.Errorf("%s: message log differs:\n%s--- core.Plan\n%s", label, gotLog.String(), wantLog.String())
+				}
+				if err := sw.pl.VerifyConsistency(); err != nil {
+					t.Errorf("%s: carried planner: %v", label, err)
+				}
+			}
+			// Down, only the first point, capacity 100 % and 10 % (storage
+			// loosens), the storage cut, the refine point (capacity loosens)
+			// and the re-partitioning switch restart. Up, only the points
+			// sharing the repository points' site budgets continue: two caps
+			// and capacity 50 %.
+			want := 3
+			if dir.name == "down" {
+				want = len(dir.walk) - 6
+			}
+			if continued != want {
+				t.Errorf("workers=%d %s: %d points continued the carried planner, want %d", workers, dir.name, continued, want)
+			}
 		}
 	}
 }

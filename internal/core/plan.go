@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/model"
 	"repro/internal/trace"
+	"repro/internal/units"
 	"repro/internal/workload"
 )
 
@@ -110,17 +111,97 @@ func partition(env *model.Env, opts Options) *Planner {
 // share the partition's workload and estimates (the pointers, not equal
 // copies) and opts its UnsortedPartition.
 func (pt *Partitioned) Plan(env *model.Env, opts Options) (*model.Placement, *Result, error) {
+	if err := pt.check(env, opts); err != nil {
+		return nil, nil, err
+	}
+	return pt.pl.copyFor(env).finish(opts)
+}
+
+// check refuses an environment or options the partition was not made for.
+func (pt *Partitioned) check(env *model.Env, opts Options) error {
 	base := pt.pl
 	switch {
 	case env.W != base.env.W:
-		return nil, nil, fmt.Errorf("core: planning a partition on another workload")
+		return fmt.Errorf("core: planning a partition on another workload")
 	case env.Est != base.env.Est:
-		return nil, nil, fmt.Errorf("core: planning a partition under other estimates")
+		return fmt.Errorf("core: planning a partition under other estimates")
 	case opts.UnsortedPartition != base.UnsortedPartition:
-		return nil, nil, fmt.Errorf("core: planning a partition with UnsortedPartition=%v; it was partitioned with %v",
+		return fmt.Errorf("core: planning a partition with UnsortedPartition=%v; it was partitioned with %v",
 			opts.UnsortedPartition, base.UnsortedPartition)
 	}
-	return base.copyFor(env).finish(opts)
+	return nil
+}
+
+// Sweep plans a sequence of budgets over one Partitioned by carrying one
+// copy of the partition through them. Restoration (§4.2) is a greedy loop
+// whose sequence of choices does not depend on the budget — only the point
+// where it stops does — so a point no looser than the last one is the last
+// one's restoration run further. A Sweep is not safe for concurrent use;
+// its Partitioned still is.
+type Sweep struct {
+	pt *Partitioned
+	// pl is the carried planner, restored to the last point's budgets (nil
+	// before the first point), and carry each site's restoration in progress.
+	pl    *Planner
+	carry []siteRestore
+	sites []workload.SiteID
+	// The last point's per-site budgets and weights, copied: a caller may
+	// reuse its budget slices.
+	storage        []units.ByteSize
+	capacity       []units.ReqPerSec
+	alpha1, alpha2 float64
+}
+
+// Sweep returns a planner that carries one copy of the partition through a
+// sequence of budgets; walk a grid from the loosest budget down.
+func (pt *Partitioned) Sweep() *Sweep { return &Sweep{pt: pt} }
+
+// Plan returns what pt.Plan(env, opts) returns, bit for bit. It runs the
+// carried restoration further, down to env's budgets, when every site's
+// storage budget and capacity are no larger than at the last call and no
+// site whose processing restoration has started loses storage (storage
+// restoration must not pop after processing restoration has changed the
+// site); otherwise it restarts from a fresh copy of the partition. So
+// correctness never depends on the order of calls, only speed does. The
+// refine sweep and an off-loading negotiation that will run work on a copy
+// of the carried planner; otherwise the point finishes in place and only
+// the returned placement is cloned.
+func (sw *Sweep) Plan(env *model.Env, opts Options) (*model.Placement, *Result, error) {
+	if err := sw.pt.check(env, opts); err != nil {
+		return nil, nil, err
+	}
+	if !sw.continues(env, opts) {
+		sw.pl = sw.pt.pl.copyFor(env)
+		sw.pl.NoRepartition = opts.NoRepartition
+		sw.carry = make([]siteRestore, env.W.NumSites())
+		sw.sites = siteIDs(env.W.NumSites())
+		sw.alpha1, sw.alpha2 = env.Alpha1, env.Alpha2
+	}
+	sw.pl.env = env
+	sw.storage = append(sw.storage[:0], env.Budgets.Storage...)
+	sw.capacity = append(sw.capacity[:0], env.Budgets.SiteCapacity...)
+	stats := sw.pl.restoreSites(sw.sites, sw.carry, workerCount(opts), opts.Trace)
+	if opts.Refine || sw.pl.repoOverloaded() {
+		return sw.pl.copyFor(env).complete(stats, opts)
+	}
+	p, res, err := sw.pl.complete(stats, opts)
+	return p.Clone(), res, err
+}
+
+// continues reports whether the carried restoration can run on to env's
+// budgets under opts.
+func (sw *Sweep) continues(env *model.Env, opts Options) bool {
+	if sw.pl == nil || opts.NoRepartition != sw.pl.NoRepartition ||
+		env.Alpha1 != sw.alpha1 || env.Alpha2 != sw.alpha2 { //repllint:allow float-compare — any change of α re-keys every heap
+		return false
+	}
+	for i := range sw.carry {
+		s, c := env.Budgets.Storage[i], env.Budgets.SiteCapacity[i]
+		if s > sw.storage[i] || c > sw.capacity[i] || s < sw.storage[i] && sw.carry[i].proc.built() {
+			return false
+		}
+	}
+	return true
 }
 
 // copyFor returns a planner over env in pl's state. It copies the cells a
@@ -148,17 +229,26 @@ func (pl *Planner) copyFor(env *model.Env) *Planner {
 	return &c
 }
 
-// finish runs the budget-dependent phases on a partitioned planner —
-// restoration and the refine sweep per site, then the off-loading
-// negotiation — and evaluates the result.
+// finish restores every site of a partitioned planner afresh and completes
+// the plan.
 func (pl *Planner) finish(opts Options) (*model.Placement, *Result, error) {
 	pl.NoRepartition = opts.NoRepartition
+	stats := pl.restoreSites(siteIDs(pl.env.W.NumSites()), nil, workerCount(opts), opts.Trace)
+	return pl.complete(stats, opts)
+}
+
+// complete runs the phases after restoration on pl — the refine sweep per
+// site when opts.Refine is set, then the off-loading negotiation — and
+// evaluates the result; stats are the sites' restoration counts.
+func (pl *Planner) complete(stats []SiteStats, opts Options) (*model.Placement, *Result, error) {
 	workers := workerCount(opts)
-	sites := make([]workload.SiteID, pl.env.W.NumSites())
-	for i := range sites {
-		sites[i] = workload.SiteID(i)
+	if opts.Refine {
+		sp := opts.Trace.StartChild(trace.SpanRefine)
+		fanOut(workers, pl.env.W.NumSites(), sp, func(i int) {
+			pl.RefineSite(workload.SiteID(i))
+		})
+		sp.End()
 	}
-	stats := pl.RestoreSites(sites, workers, opts.Refine, opts.Trace)
 	off := pl.OffloadParallel(opts.MessageLog, workers, opts.Trace)
 
 	res := &Result{Sites: stats, Offload: off, D: pl.D(), D1: pl.D1(), D2: pl.D2()}
@@ -166,6 +256,15 @@ func (pl *Planner) finish(opts Options) (*model.Placement, *Result, error) {
 	res.Report = model.Evaluate(pl.env, pl.p)
 	res.Feasible = res.Report.Feasible()
 	return pl.p, res, nil
+}
+
+// siteIDs lists the site IDs 0..n-1.
+func siteIDs(n int) []workload.SiteID {
+	sites := make([]workload.SiteID, n)
+	for i := range sites {
+		sites[i] = workload.SiteID(i)
+	}
+	return sites
 }
 
 // workerCount resolves opts.Workers: 0 means GOMAXPROCS.

@@ -99,8 +99,9 @@ type Planner struct {
 	idle    []uint64
 
 	// Per-site scratch of the greedy loops, so the steady state allocates
-	// nothing: the pages deallocate last disturbed, and the candidate
-	// buffer each of the site's heaps is built in (one heap at a time).
+	// nothing: the pages deallocate last disturbed, the candidate buffer
+	// each of the site's heaps is built in (one heap at a time), and the
+	// swap phase's per-object rates (one slot per reference).
 	scratch []siteScratch
 }
 
@@ -109,6 +110,7 @@ type siteRefCount struct{ comp, localComp, localOpt int }
 type siteScratch struct {
 	affected []workload.PageID
 	heap     []heapItem
+	rate     []float64
 }
 
 // NewPlanner builds a planner with an all-remote placement.
@@ -488,7 +490,7 @@ func (pl *Planner) previewFlip(j workload.PageID, idx int, optional, toLocal boo
 
 // refHeap heapifies one candidate per reference by site i's pages that is
 // currently on the given side, keyed by key, in the site's heap buffer.
-func (pl *Planner) refHeap(i workload.SiteID, local bool, key func(j workload.PageID, idx int, optional bool) float64) *lazyHeap {
+func (pl *Planner) refHeap(i workload.SiteID, local bool, key func(j workload.PageID, idx int, optional bool) float64) lazyHeap {
 	items := pl.candidates(i)
 	for _, pid := range pl.env.W.Sites[i].Pages {
 		pg := &pl.env.W.Pages[pid]
@@ -503,7 +505,9 @@ func (pl *Planner) refHeap(i workload.SiteID, local bool, key func(j workload.Pa
 			}
 		}
 	}
-	return newLazyHeap(items)
+	h := lazyHeap{items: items}
+	h.heapify()
+	return h
 }
 
 // previewFlipComp returns the change in D if page j's idx-th compulsory

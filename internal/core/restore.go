@@ -81,25 +81,50 @@ func (pl *Planner) improvePage(j workload.PageID) (flips int) {
 	}
 }
 
+// siteRestore is one site's restoration in progress: each phase's lazy heap
+// and what the phases did so far. Plan restores a site from a zero
+// siteRestore and drops it; a Sweep keeps one per site between its points,
+// so a tighter budget runs the same greedy loops further from where the
+// looser one stopped. Both heaps are built in the site's scratch buffer, so
+// building the processing heap drops the storage heap: once processing
+// restoration has started, storage restoration must not pop again (Sweep
+// restarts when such a site's storage budget falls).
+type siteRestore struct {
+	store, proc     lazyHeap
+	deallocs, flips int
+}
+
 // RestoreStorageSite enforces Eq. 10 at site i by greedy deallocation: while
 // the store exceeds the budget, it removes the stored object with the least
 // ΔD per byte freed (the amortization the paper prescribes for judicious
 // treatment of large objects), then re-partitions the pages that lost a
 // local download. Returns the number of deallocations.
 func (pl *Planner) RestoreStorageSite(i workload.SiteID) (deallocs int) {
+	var r siteRestore
+	pl.restoreStorage(i, &r)
+	return r.deallocs
+}
+
+// restoreStorage runs RestoreStorageSite's loop on r, building its heap on
+// the first pop.
+func (pl *Planner) restoreStorage(i workload.SiteID, r *siteRestore) {
 	budget := pl.env.Budgets.Storage[i]
 	if pl.p.StorageUsed(i) <= budget {
-		return 0
+		return
 	}
 
-	items := pl.candidates(i)
-	pl.p.StoredSet(i).ForEach(func(kk int) bool {
-		k := workload.ObjectID(kk)
-		size := float64(pl.env.W.ObjectSize(k))
-		items = append(items, heapItem{key: pl.deallocCost(i, k) / size, id: int64(k)})
-		return true
-	})
-	h := newLazyHeap(items)
+	h := &r.store
+	if !h.built() {
+		items := pl.candidates(i)
+		pl.p.StoredSet(i).ForEach(func(kk int) bool {
+			k := workload.ObjectID(kk)
+			size := float64(pl.env.W.ObjectSize(k))
+			items = append(items, heapItem{key: pl.deallocCost(i, k) / size, id: int64(k)})
+			return true
+		})
+		*h = lazyHeap{items: items}
+		h.heapify()
+	}
 
 	recompute := func(id int64) (float64, bool) {
 		k := workload.ObjectID(id)
@@ -115,17 +140,16 @@ func (pl *Planner) RestoreStorageSite(i workload.SiteID) (deallocs int) {
 			// Nothing left to deallocate; only HTML remains. The budget is
 			// below the HTML floor — report infeasibility via the caller's
 			// constraint check.
-			return deallocs
+			return
 		}
 		affected := pl.deallocate(i, workload.ObjectID(id))
-		deallocs++
+		r.deallocs++
 		if !pl.NoRepartition {
 			for _, j := range affected {
 				pl.improvePage(j)
 			}
 		}
 	}
-	return deallocs
 }
 
 // RestoreProcessingSite enforces Eq. 8 at site i: while the site's request
@@ -134,16 +158,28 @@ func (pl *Planner) RestoreStorageSite(i workload.SiteID) (deallocs int) {
 // object left with no local marks is deallocated, further freeing storage
 // (Section 4.2). Returns the number of flips.
 func (pl *Planner) RestoreProcessingSite(i workload.SiteID) (flips int) {
+	var r siteRestore
+	pl.restoreProcessing(i, &r)
+	return r.flips
+}
+
+// restoreProcessing runs RestoreProcessingSite's loop on r, building its
+// heap on the first pop.
+func (pl *Planner) restoreProcessing(i workload.SiteID, r *siteRestore) {
 	capacity := float64(pl.env.Budgets.SiteCapacity[i])
 	if math.IsInf(capacity, 1) || pl.siteLocalLoad[i] <= capacity {
-		return 0
+		return
 	}
 
 	key := func(j workload.PageID, idx int, optional bool) float64 {
 		_, freed := pl.refOf(j, idx, optional)
 		return pl.previewFlip(j, idx, optional, false) / freed
 	}
-	h := pl.refHeap(i, true, key)
+	h := &r.proc
+	if !h.built() {
+		r.store = lazyHeap{} // its buffer is about to hold this heap
+		*h = pl.refHeap(i, true, key)
+	}
 	recompute := func(id int64) (float64, bool) {
 		j, idx, optional := decodeRef(id)
 		if !pl.isLocal(j, idx, optional) {
@@ -157,53 +193,55 @@ func (pl *Planner) RestoreProcessingSite(i workload.SiteID) (flips int) {
 		if !ok {
 			// Every MO download already goes to the repository; the residual
 			// load is the HTML requests themselves, which cannot move.
-			return flips
+			return
 		}
 		j, idx, optional := decodeRef(id)
 		k, _ := pl.refOf(j, idx, optional)
 		pl.flip(j, idx, optional, false)
-		flips++
+		r.flips++
 		if pl.localMarks[pl.slot(i, k)] == 0 {
 			pl.unstore(i, k)
 		}
 	}
-	return flips
 }
 
 // RestoreSites runs constraint restoration on each of the given sites, up
 // to workers at a time: RestoreStorageSite (Eq. 10), then
-// RestoreProcessingSite (Eq. 8), then — when refine is set — the RefineSite
-// sweep. The sites must be distinct; each one's greedy loops are sequential
-// and touch only that site's cells (see parallel.go), so the outcome is the
-// same at every worker count. It returns the per-site dealloc and flip
-// counts in the order of sites. A non-nil parent gains one child span per
-// phase (trace.SpanStorageRestore, SpanProcessingRestore, SpanRefine)
-// carrying the phase's busy time summed over sites and its counter; the
-// phases interleave across workers, so each span's wall clock covers the
-// whole call.
-func (pl *Planner) RestoreSites(sites []workload.SiteID, workers int, refine bool, parent *trace.Active) []SiteStats {
+// RestoreProcessingSite (Eq. 8). The sites must be distinct; each one's
+// greedy loops are sequential and touch only that site's cells (see
+// parallel.go), so the outcome is the same at every worker count. It
+// returns the per-site dealloc and flip counts in the order of sites. A
+// non-nil parent gains one child span per phase (trace.SpanStorageRestore,
+// SpanProcessingRestore) carrying the phase's busy time summed over sites
+// and its counter; the phases interleave across workers, so each span's
+// wall clock covers the whole call.
+func (pl *Planner) RestoreSites(sites []workload.SiteID, workers int, parent *trace.Active) []SiteStats {
+	return pl.restoreSites(sites, nil, workers, parent)
+}
+
+// restoreSites is RestoreSites continuing the restorations in carry, which
+// is indexed by site ID; a nil carry starts every site afresh. The counts
+// it returns are carry's totals.
+func (pl *Planner) restoreSites(sites []workload.SiteID, carry []siteRestore, workers int, parent *trace.Active) []SiteStats {
 	spStore := parent.StartChild(trace.SpanStorageRestore)
 	spProc := parent.StartChild(trace.SpanProcessingRestore)
-	var spRefine *trace.Active
-	if refine {
-		spRefine = parent.StartChild(trace.SpanRefine)
-	}
 
-	// One fan-out feeds three spans, so the laps are per site and phase
+	// One fan-out feeds two spans, so the laps are per site and phase
 	// here, not per worker in fanOut.
 	stats := make([]SiteStats, len(sites))
 	fanOut(workers, len(sites), nil, func(s int) {
 		i := sites[s]
-		t := lap(spStore, time.Time{})
-		d := pl.RestoreStorageSite(i)
-		t = lap(spStore, t)
-		f := pl.RestoreProcessingSite(i)
-		t = lap(spProc, t)
-		if refine {
-			pl.RefineSite(i)
-			lap(spRefine, t)
+		var fresh siteRestore
+		r := &fresh
+		if carry != nil {
+			r = &carry[i]
 		}
-		stats[s] = SiteStats{Site: i, Deallocs: d, ProcFlips: f}
+		t := lap(spStore, time.Time{})
+		pl.restoreStorage(i, r)
+		t = lap(spStore, t)
+		pl.restoreProcessing(i, r)
+		lap(spProc, t)
+		stats[s] = SiteStats{Site: i, Deallocs: r.deallocs, ProcFlips: r.flips}
 	})
 
 	if parent != nil {
@@ -217,6 +255,5 @@ func (pl *Planner) RestoreSites(sites []workload.SiteID, workers int, refine boo
 	}
 	spStore.End()
 	spProc.End()
-	spRefine.End()
 	return stats
 }

@@ -59,12 +59,16 @@ func StorageEquivalence(opts Options) (*EquivalenceResult, error) {
 		}
 		col.add(env.r, "Local", 100, env.rel(localRT))
 
-		for _, frac := range storageGrid {
-			rt, _, err := env.simulatePlanned(storageOnly(env.w, frac), env.simCfg)
-			if err != nil {
+		// From the loosest storage down, folded in grid order.
+		rts := make([]float64, len(storageGrid))
+		for n := len(storageGrid) - 1; n >= 0; n-- {
+			var err error
+			if rts[n], _, err = env.simulatePlanned(storageOnly(env.w, storageGrid[n]), env.simCfg); err != nil {
 				return err
 			}
-			col.add(env.r, "Proposed", frac*100, env.rel(rt))
+		}
+		for n, frac := range storageGrid {
+			col.add(env.r, "Proposed", frac*100, env.rel(rts[n]))
 		}
 		return nil
 	})

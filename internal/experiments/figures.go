@@ -108,14 +108,19 @@ func Figure1(opts Options) (*stats.Figure, error) {
 			return err
 		}
 
-		for _, frac := range storageGrid {
-			b := storageOnly(env.w, frac)
+		// The grid is planned from the loosest storage down, so each point
+		// runs the last one's restoration further, and folded in its order.
+		type fig1Point struct {
+			ours, lru float64
+			pr        *core.Result
+		}
+		pts := make([]fig1Point, len(storageGrid))
+		for n := len(storageGrid) - 1; n >= 0; n-- {
+			b := storageOnly(env.w, storageGrid[n])
 			oursRT, pr, err := env.simulatePlanned(b, env.simCfg)
 			if err != nil {
 				return err
 			}
-			col.add(env.r, "Proposed", frac*100, env.rel(oursRT))
-
 			lruPol, err := policies.NewLRU(env.w, b, env.simSeed+uint64(env.r))
 			if err != nil {
 				return err
@@ -124,12 +129,16 @@ func Figure1(opts Options) (*stats.Figure, error) {
 			if err != nil {
 				return err
 			}
-			col.add(env.r, "LRU", frac*100, env.rel(lruRT))
-
+			pts[n] = fig1Point{oursRT, lruRT, pr}
+		}
+		for n, frac := range storageGrid {
+			pt := pts[n]
+			col.add(env.r, "Proposed", frac*100, env.rel(pt.ours))
+			col.add(env.r, "LRU", frac*100, env.rel(pt.lru))
 			col.add(env.r, "Remote", frac*100, env.rel(remoteRT))
 			col.add(env.r, "Local", frac*100, env.rel(localRT))
 			opts.progressf("fig1 run %d: storage %3.0f%% — plan D=%.1f feasible=%v, proposed %+.1f%%, lru %+.1f%%",
-				env.r, frac*100, pr.D, pr.Feasible, env.rel(oursRT), env.rel(lruRT))
+				env.r, frac*100, pt.pr.D, pt.pr.Feasible, env.rel(pt.ours), env.rel(pt.lru))
 		}
 		return nil
 	})
@@ -146,19 +155,24 @@ func Figure1(opts Options) (*stats.Figure, error) {
 func Figure2(opts Options) (*stats.Figure, error) {
 	col := newCollector(opts.Runs)
 	err := forEachRun(&opts, func(env *runEnv) error {
-		for _, frac := range capacityGrid {
-			oursRT, pr, err := env.simulatePlanned(capacityOnly(env.w, frac), env.simCfg)
-			if err != nil {
+		// From the loosest capacity down to the 0 % anchor, where everything
+		// is forced remote; folded in grid order, the anchor last.
+		rts := make([]float64, len(capacityGrid))
+		prs := make([]*core.Result, len(capacityGrid))
+		for n := len(capacityGrid) - 1; n >= 0; n-- {
+			var err error
+			if rts[n], prs[n], err = env.simulatePlanned(capacityOnly(env.w, capacityGrid[n]), env.simCfg); err != nil {
 				return err
 			}
-			col.add(env.r, "Proposed", frac*100, env.rel(oursRT))
-			opts.progressf("fig2 run %d: capacity %3.0f%% — plan D=%.1f flips=%d, proposed %+.1f%%",
-				env.r, frac*100, pr.D, totalFlips(pr), env.rel(oursRT))
 		}
-		// The 0 % anchor: everything is forced remote.
 		zeroRT, _, err := env.simulatePlanned(capacityOnly(env.w, 0), env.simCfg)
 		if err != nil {
 			return err
+		}
+		for n, frac := range capacityGrid {
+			col.add(env.r, "Proposed", frac*100, env.rel(rts[n]))
+			opts.progressf("fig2 run %d: capacity %3.0f%% — plan D=%.1f flips=%d, proposed %+.1f%%",
+				env.r, frac*100, prs[n].D, totalFlips(prs[n]), env.rel(rts[n]))
 		}
 		col.add(env.r, "Proposed", 0, env.rel(zeroRT))
 		return nil
@@ -177,10 +191,15 @@ func Figure2(opts Options) (*stats.Figure, error) {
 func Figure3(opts Options) (*stats.Figure, error) {
 	col := newCollector(opts.Runs)
 	err := forEachRun(&opts, func(env *runEnv) error {
-		for _, localFrac := range capacityGrid {
+		// From the loosest local capacity down: each probe runs the last
+		// one's restoration further, and the three capped points off-load
+		// from copies of it. Folded in grid order.
+		rts := make([][]float64, len(capacityGrid))
+		prs := make([][]*core.Result, len(capacityGrid))
+		for n := len(capacityGrid) - 1; n >= 0; n-- {
 			// Probe: plan with an unconstrained repository to find the
 			// workload the local plans would impose on it.
-			b := capacityOnly(env.w, localFrac)
+			b := capacityOnly(env.w, capacityGrid[n])
 			probeEnv, probe, _, err := env.plan(env.w, b, core.Options{})
 			if err != nil {
 				return err
@@ -193,10 +212,17 @@ func Figure3(opts Options) (*stats.Figure, error) {
 				if err != nil {
 					return err
 				}
-				col.add(env.r, seriesName(centralFrac), localFrac*100, env.rel(rt))
+				rts[n] = append(rts[n], rt)
+				prs[n] = append(prs[n], pr)
+			}
+		}
+		for n, localFrac := range capacityGrid {
+			for c, centralFrac := range centralGrid {
+				pr := prs[n][c]
+				col.add(env.r, seriesName(centralFrac), localFrac*100, env.rel(rts[n][c]))
 				opts.progressf("fig3 run %d: local %3.0f%% central %2.0f%% — offload rounds=%d msgs=%d restored=%v, %+.1f%%",
 					env.r, localFrac*100, centralFrac*100, pr.Offload.Rounds, pr.Offload.Messages,
-					pr.Offload.Restored, env.rel(rt))
+					pr.Offload.Restored, env.rel(rts[n][c]))
 			}
 		}
 		return nil

@@ -49,11 +49,15 @@ func QueueingStudy(opts Options) (*stats.Figure, error) {
 			return (on - off) / env.baseRT() * 100, nil
 		}
 
-		for _, frac := range queueingGrid {
-			_, awarePlan, _, err := env.plan(env.w, capacityOnly(env.w, frac), core.Options{})
-			if err != nil {
+		// Plan from the loosest capacity down; simulate in grid order.
+		awarePlans := make([]*model.Placement, len(queueingGrid))
+		for n := len(queueingGrid) - 1; n >= 0; n-- {
+			if _, awarePlans[n], _, err = env.plan(env.w, capacityOnly(env.w, queueingGrid[n]), core.Options{}); err != nil {
 				return err
 			}
+		}
+		for n, frac := range queueingGrid {
+			awarePlan := awarePlans[n]
 
 			// The simulator's queues drain at the workload's site
 			// capacities; hand it a copy scaled to this sweep point.

@@ -40,10 +40,12 @@ type runEnv struct {
 	trafficW   *workload.Workload
 	trafficCfg httpsim.Config
 
-	// part is w's PARTITION outcome, computed on the first plan of w and
-	// shared by every later one: every budget sweep point of the run
-	// re-plans only the budget-dependent phases from a copy of it.
-	part *core.Partitioned
+	// sweep carries w's PARTITION outcome, computed on the first plan of w,
+	// through every later plan of w: a point no looser than the last one
+	// runs the last one's restoration further, any other restarts from a
+	// copy of the partition. The figures walk their grids from the loosest
+	// budget down.
+	sweep *core.Sweep
 
 	// base is the reference response time, planned and simulated on first
 	// use (the analytic and live-cluster studies never read it); baseErr is
@@ -117,10 +119,10 @@ func capacityOnly(w *workload.Workload, frac float64) model.Budgets {
 // plan plans the proposed policy for w (the run's workload or a drifted copy
 // of it) under budgets b, at the intra-plan width the options ask for. tune
 // selects the planner's ablations; its Workers field is overwritten. Plans
-// of the run's own workload in sorted order start from the run's shared
-// partition; any other workload and the unsorted ablation plan from
-// scratch. The model environment comes back with the placement because
-// model.D, RepoLoad and the repair planner evaluate against it.
+// of the run's own workload in sorted order go through the run's sweep; any
+// other workload and the unsorted ablation plan from scratch. The model
+// environment comes back with the placement because model.D, RepoLoad and
+// the repair planner evaluate against it.
 func (e *runEnv) plan(w *workload.Workload, b model.Budgets, tune core.Options) (*model.Env, *model.Placement, *core.Result, error) {
 	menv, err := model.NewEnv(w, e.est, b)
 	if err != nil {
@@ -131,10 +133,10 @@ func (e *runEnv) plan(w *workload.Workload, b model.Budgets, tune core.Options) 
 		p, res, err := core.Plan(menv, tune)
 		return menv, p, res, err
 	}
-	if e.part == nil {
-		e.part = core.Partition(menv, tune)
+	if e.sweep == nil {
+		e.sweep = core.Partition(menv, tune).Sweep()
 	}
-	p, res, err := e.part.Plan(menv, tune)
+	p, res, err := e.sweep.Plan(menv, tune)
 	return menv, p, res, err
 }
 

@@ -228,7 +228,7 @@ func replaySites(w *workload.Workload, dec Decider, cfg Config, seed uint64, vie
 			if cfg.Warmup { // same views, same sub-streams, metrics discarded
 				replayPass(w, dec, cfg, stream, i, evs, nil)
 			}
-			partials[i] = newResult("", w)
+			partials[i] = &Result{}
 			replayPass(w, dec, cfg, stream, i, evs, partials[i])
 		}
 	}
@@ -247,7 +247,7 @@ func replaySites(w *workload.Workload, dec Decider, cfg Config, seed uint64, vie
 		res.PageRT.Merge(&partial.PageRT)
 		res.OptPerView.Merge(&partial.OptPerView)
 		res.OptRT.Merge(&partial.OptRT)
-		res.SitePageRT[i] = partial.SitePageRT[i]
+		res.SitePageRT[i] = partial.PageRT // the partial's views are all site i's
 		res.LocalRequests += partial.LocalRequests
 		res.RepoRequests += partial.RepoRequests
 		res.DegradedViews += partial.DegradedViews
@@ -276,7 +276,9 @@ const (
 
 // replayPass serves site i's recorded views under the policy — the one place
 // a Decider is consulted. When out is nil the pass is a warmup (state
-// advances, nothing recorded). stream is the site's traffic stream.
+// advances, nothing recorded); otherwise out records site i's views alone,
+// so its PageRT is the site's entry of SitePageRT. stream is the site's
+// traffic stream.
 func replayPass(w *workload.Workload, dec Decider, cfg Config, stream *rng.Stream, i workload.SiteID, views []TraceEvent, out *Result) {
 	arrivalStream := stream.Split(simArrivalStream)
 	outageStream := stream.Split(simOutageStream)
@@ -407,7 +409,6 @@ func replayPass(w *workload.Workload, dec Decider, cfg Config, stream *rng.Strea
 		tclock += pageRT + optTotal
 		if out != nil {
 			out.PageRT.Add(pageRT)
-			out.SitePageRT[i].Add(pageRT)
 			out.OptPerView.Add(optTotal)
 			out.LocalRequests += localReqs
 			out.RepoRequests += repoReqs

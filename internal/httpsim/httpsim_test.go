@@ -8,6 +8,7 @@ import (
 	"repro/internal/netsim"
 	"repro/internal/policies"
 	"repro/internal/rng"
+	"repro/internal/stats"
 	"repro/internal/workload"
 )
 
@@ -324,5 +325,45 @@ func TestLRUParallelSites(t *testing.T) {
 	// Warm full-budget LRU serves everything locally after warmup.
 	if res.RepoRequests != 0 {
 		t.Errorf("warm full-size LRU sent %d repo requests", res.RepoRequests)
+	}
+}
+
+// TestSitePageRTIsEachSitesViews holds the per-site breakdown to its
+// definition: SitePageRT[i] is an accumulator fed site i's page times
+// alone, in view order — the retained samples, which run site by site —
+// with and without the warm-up pass and the outage mode.
+func TestSitePageRTIsEachSitesViews(t *testing.T) {
+	w, est := simEnv(t, 53)
+	for _, c := range []struct {
+		name           string
+		warmup, outage bool
+	}{{"plain", false, false}, {"warmup", true, false}, {"outage", false, true}, {"warmup+outage", true, true}} {
+		cfg := DefaultConfig(w)
+		cfg.RequestsPerSite = 120
+		cfg.RetainSamples = true
+		cfg.Warmup = c.warmup
+		if c.outage {
+			cfg.Outage = OutageConfig{Enabled: true, Availability: 0.6, FailoverDelay: 0.05}
+		}
+		res, err := Run(w, est, policies.NewLocal(w), cfg, rng.New(23))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if c.outage && res.DegradedViews == 0 {
+			t.Fatalf("%s: no degraded views", c.name)
+		}
+		xs := res.Samples.Values()
+		if len(xs) != cfg.RequestsPerSite*w.NumSites() {
+			t.Fatalf("%s: %d samples for %d sites of %d views", c.name, len(xs), w.NumSites(), cfg.RequestsPerSite)
+		}
+		for i := range w.Sites {
+			var want stats.Accumulator
+			for _, x := range xs[i*cfg.RequestsPerSite : (i+1)*cfg.RequestsPerSite] {
+				want.Add(x)
+			}
+			if res.SitePageRT[i] != want {
+				t.Errorf("%s: site %d page times %+v, its views give %+v", c.name, i, res.SitePageRT[i], want)
+			}
+		}
 	}
 }

@@ -165,7 +165,7 @@ func Compute(env *model.Env, p *model.Placement, down []workload.SiteID, opts Op
 			surviving = append(surviving, workload.SiteID(i))
 		}
 	}
-	pl.RestoreSites(surviving, workers, false, nil)
+	pl.RestoreSites(surviving, workers, nil)
 
 	// Eq. 9: the repository absorbed the dead site's whole local service, so
 	// re-negotiate off-loading with the survivors (dead sites have zero
