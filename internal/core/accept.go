@@ -136,7 +136,7 @@ func (pl *Planner) acceptBySwapping(i workload.SiteID, soft, hard float64, res *
 	// absent object could carry (all of an absent object's references are
 	// repository-marked), summed in page order in the site's rate buffer at
 	// the object's first position in the site's (object) index.
-	off, refs := pl.siteIndex(i)
+	off, refs := pl.env.W.SiteIndex(i)
 	rate := pl.scratch[i].rate
 	if rate == nil {
 		rate = make([]float64, len(refs))
@@ -170,7 +170,7 @@ func (pl *Planner) acceptBySwapping(i workload.SiteID, soft, hard float64, res *
 	})
 	for at := 0; at < len(refs); {
 		r := refs[at]
-		k, _ := pl.refOf(r.page, int(r.idx), r.optional)
+		k, _ := pl.refOf(r.Page, int(r.Idx), r.Optional)
 		if !pl.p.IsStored(i, k) {
 			ins = append(ins, entry{k, rate[at], pl.env.W.ObjectSize(k)})
 		}
@@ -223,7 +223,7 @@ func (pl *Planner) acceptBySwapping(i workload.SiteID, soft, hard float64, res *
 		res.Swapped += len(evict)
 		// Flip every repository reference of the incoming object local.
 		for _, r := range pl.refsOf(i, in.k) {
-			pl.flip(r.page, int(r.idx), r.optional, true)
+			pl.flip(r.Page, int(r.Idx), r.Optional, true)
 		}
 		gained += in.rate - lost
 	}

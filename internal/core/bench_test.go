@@ -76,6 +76,30 @@ func BenchmarkPlanConstrainedWorkers(b *testing.B) {
 	}
 }
 
+// BenchmarkPlanConstrained is the plan-constrained recipe of the benchmark
+// harness on benchEnv's workload: 50 % storage, 70 % site capacity, the
+// repository capped at 90 % of what the uncapped plan sends it, Refine on,
+// Workers 1, so every phase of the paper's constrained path does real work.
+// The probe plan that sizes the cap also builds the workload's site
+// indexes, as the harness's set-up does, so the timed plans are warm.
+func BenchmarkPlanConstrained(b *testing.B) {
+	env := benchEnv(b)
+	env.Budgets = env.Budgets.Scale(env.W, 0.5, 0.7)
+	probe, _, err := Plan(env, Options{Workers: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	env.Budgets.RepoCapacity = units.ReqPerSec(0.9 * float64(model.RepoLoad(env, probe)))
+	opts := Options{Workers: 1, Refine: true}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, _, err := Plan(env, opts); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkPartitionParallel isolates the PARTITION phase, fanned out over
 // sites.
 func BenchmarkPartitionParallel(b *testing.B) {

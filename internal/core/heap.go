@@ -1,5 +1,7 @@
 package core
 
+import "math"
+
 // heapItem is one candidate in a lazy-greedy selection: an opaque id with a
 // possibly-stale key (smaller = apply earlier).
 type heapItem struct {
@@ -14,18 +16,27 @@ type heapItem struct {
 // Between two state mutations every key recomputation is deterministic, so
 // each item is refreshed at most once per mutation and the loop terminates.
 //
-// The sift routines are container/heap's Init, Push, Pop, up and down with
-// the interface calls written out, step for step. Restoration keys tie
-// massively (every stored object without a local mark costs 0), the pop
-// order among equal keys is decided by the sift sequence, and that order
-// decides which replica is evicted: any other heap is a different plan.
+// Restoration keys tie massively (every stored object without a local mark
+// costs 0), the pop order among equal keys is decided by the array the
+// sifts leave, and that order decides which replica is evicted. So every
+// operation must leave exactly the array container/heap's Init, Push and
+// Pop leave: any sift that does is the same plan, and any that does not is
+// a different plan (TestLazyHeapArraysMatchContainerHeap compares the
+// arrays). heapify and push are container/heap's sifts written out; pop is
+// computed differently (see pop).
 type lazyHeap struct {
 	items []heapItem
+	// nan is set once the heap has held a NaN key, which makes pop take
+	// container/heap's own descent.
+	nan bool
 }
 
 // heapify establishes the heap order over h.items in place.
 func (h *lazyHeap) heapify() {
 	n := len(h.items)
+	for _, it := range h.items {
+		h.nan = h.nan || math.IsNaN(it.key)
+	}
 	for i := n/2 - 1; i >= 0; i-- {
 		h.down(i, n)
 	}
@@ -37,21 +48,64 @@ func (h *lazyHeap) built() bool { return h.items != nil }
 
 // push adds an item.
 func (h *lazyHeap) push(it heapItem) {
+	h.nan = h.nan || math.IsNaN(it.key)
 	h.items = append(h.items, it)
 	h.up(len(h.items) - 1)
 }
 
 // pop removes and returns the minimum item; ok is false when empty.
+//
+// container/heap moves the last item x to the root and sifts it down,
+// stopping at the first node whose smaller child is not below x. pop
+// instead moves the hole at the root down the smaller-child path to a leaf,
+// then climbs back up while the parent's key is not below x's, and puts x
+// there. Keys never decrease along that path, so the climb stops exactly
+// where the descent would have, ties included, and the array is the same;
+// the descent no longer branches on x, and the child choice compiles to a
+// flag set, not a jump. A NaN key breaks the ordering the argument needs,
+// so a heap that has held one sifts as container/heap does.
 func (h *lazyHeap) pop() (heapItem, bool) {
-	n := len(h.items) - 1
+	s := h.items
+	n := len(s) - 1
 	if n < 0 {
 		return heapItem{}, false
 	}
-	h.items[0], h.items[n] = h.items[n], h.items[0]
-	h.down(0, n)
-	it := h.items[n]
-	h.items = h.items[:n]
-	return it, true
+	top, x := s[0], s[n]
+	h.items = s[:n]
+	if h.nan {
+		s[0] = x
+		h.down(0, n)
+		return top, true
+	}
+	i := 0
+	for {
+		j := 2*i + 1
+		if j+1 >= n {
+			if j < n { // a lone left child
+				s[i] = s[j]
+				i = j
+			}
+			break
+		}
+		c := s[j : j+2 : j+2]
+		r := 0
+		if c[1].key < c[0].key {
+			r = 1
+		}
+		j += r
+		s[i] = s[j]
+		i = j
+	}
+	for i > 0 {
+		p := (i - 1) / 2
+		if s[p].key < x.key {
+			break
+		}
+		s[i] = s[p]
+		i = p
+	}
+	s[i] = x
+	return top, true
 }
 
 func (h *lazyHeap) up(j int) {
@@ -66,16 +120,23 @@ func (h *lazyHeap) up(j int) {
 	}
 }
 
+// down is container/heap's sift-down over s[:n], with the smaller child
+// chosen as pop chooses it: the right one only when its key is below the
+// left one's.
 func (h *lazyHeap) down(i, n int) {
 	s := h.items
 	for {
-		j1 := 2*i + 1
-		if j1 >= n || j1 < 0 { // j1 < 0 after int overflow
+		j := 2*i + 1
+		if j >= n || j < 0 { // j < 0 after int overflow
 			break
 		}
-		j := j1 // left child
-		if j2 := j1 + 1; j2 < n && s[j2].key < s[j1].key {
-			j = j2 // right child
+		if j+1 < n {
+			c := s[j : j+2 : j+2]
+			r := 0
+			if c[1].key < c[0].key {
+				r = 1
+			}
+			j += r
 		}
 		if !(s[j].key < s[i].key) {
 			break

@@ -34,12 +34,12 @@ func flatIndex(w *workload.Workload) (off []int32, refs []objRef) {
 		pg := &w.Pages[j]
 		for idx, k := range pg.Compulsory {
 			next := &off[slot(pg.Site, k)+1]
-			refs[*next] = objRef{workload.PageID(j), int32(idx), false}
+			refs[*next] = objRef{Page: workload.PageID(j), Idx: int32(idx)}
 			*next++
 		}
 		for idx, l := range pg.Optional {
 			next := &off[slot(pg.Site, l.Object)+1]
-			refs[*next] = objRef{workload.PageID(j), int32(idx), true}
+			refs[*next] = objRef{Page: workload.PageID(j), Idx: int32(idx), Optional: true}
 			*next++
 		}
 	}
@@ -104,21 +104,23 @@ func TestSiteIndexMatchesFlat(t *testing.T) {
 }
 
 // TestFullBudgetPlanBuildsNoIndex pins the laziness: a plan within every
-// budget restores nothing, so core.Plan's planner builds no site's index,
-// while a Partitioned, shared read-only by its copies, has built them all.
+// budget restores nothing, so core.Plan builds no site's index on the
+// workload, while Partition, whose copies share the workload's indexes,
+// builds them all.
 func TestFullBudgetPlanBuildsNoIndex(t *testing.T) {
 	env := genEnv(t, 424242)
 	pl := partition(env, Options{Workers: 1})
 	if _, _, err := pl.finish(Options{Workers: 1}); err != nil {
 		t.Fatal(err)
 	}
-	for i, off := range pl.refOff {
-		if off != nil {
+	for i := range workload.SiteID(env.W.NumSites()) {
+		if env.W.SiteIndexBuilt(i) {
 			t.Errorf("a full-budget plan built site %d's index", i)
 		}
 	}
-	for i, off := range Partition(env, Options{Workers: 1}).pl.refOff {
-		if off == nil {
+	Partition(env, Options{Workers: 1})
+	for i := range workload.SiteID(env.W.NumSites()) {
+		if !env.W.SiteIndexBuilt(i) {
 			t.Errorf("Partition left site %d's index unbuilt", i)
 		}
 	}

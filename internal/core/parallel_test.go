@@ -145,6 +145,81 @@ func TestPartitionOrderFirstUse(t *testing.T) {
 	}
 }
 
+// TestSiteIndexFirstUse races the first uses of a fresh workload's site
+// indexes (run under -race): four goroutines plan it under budgets that
+// restore every site, at Workers 2, while a fifth derives a copy, re-homes
+// site 1's pages onto the others and plans that. Every plan must equal a
+// plan of an identical workload made alone, the copy must have built its
+// own indexes (a re-homed site lists other pages), and each planner must
+// pass VerifyConsistency's rescan of the indexes it read.
+func TestSiteIndexFirstUse(t *testing.T) {
+	constrained := func(w *workload.Workload) *model.Env {
+		env := genEnv(t, 73)
+		env.W = w
+		env.Budgets = model.FullBudgets(w).Scale(w, 0.4, 0.7)
+		return env
+	}
+	opts := Options{Workers: 2}
+	want, _, err := Plan(constrained(genEnv(t, 73).W), Options{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantRehomed, _, err := Plan(constrained(rehomed(genEnv(t, 73).W, 1)), Options{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := genEnv(t, 73).W
+	planners := make([]*Planner, 5)
+	var wg sync.WaitGroup
+	for g := range planners {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			env := constrained(w)
+			if g == len(planners)-1 {
+				env = constrained(rehomed(w, 1))
+			}
+			pl := partition(env, opts)
+			if _, _, err := pl.finish(opts); err != nil {
+				t.Error(err)
+				return
+			}
+			planners[g] = pl
+		}()
+	}
+	wg.Wait()
+	for g, pl := range planners {
+		if pl == nil {
+			t.Fatalf("goroutine %d did not plan", g)
+		}
+		ref := want
+		if g == len(planners)-1 {
+			ref = wantRehomed
+		}
+		if !pl.Placement().Equal(ref) {
+			t.Errorf("goroutine %d: plan differs from the plan made alone", g)
+		}
+		if err := pl.VerifyConsistency(); err != nil {
+			t.Errorf("goroutine %d: %v", g, err)
+		}
+	}
+	derived := planners[len(planners)-1].env.W
+	for i := range workload.SiteID(w.NumSites()) {
+		if i == 1 { // the copy's site 1 hosts nothing
+			continue
+		}
+		if !w.SiteIndexBuilt(i) || !derived.SiteIndexBuilt(i) {
+			t.Fatalf("site %d's index is unbuilt on the workload (%v) or its copy (%v): the budgets restore nothing there",
+				i, w.SiteIndexBuilt(i), derived.SiteIndexBuilt(i))
+		}
+		if _, refs := w.SiteIndex(i); len(refs) > 0 {
+			if _, copied := derived.SiteIndex(i); len(copied) > 0 && &copied[0] == &refs[0] {
+				t.Errorf("site %d: the Derive copy reads its source's index", i)
+			}
+		}
+	}
+}
+
 // TestOffloadParallelMatchesSequential runs the same constrained
 // negotiation through the sequential coordinator and with the sites
 // accepting concurrently in place, and requires bit-identical stats,

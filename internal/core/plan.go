@@ -77,27 +77,27 @@ func Plan(env *model.Env, opts Options) (*model.Placement, *Result, error) {
 // from many times: NewPlanner and PARTITION read only the environment's
 // workload and estimates (TestPartitionIgnoresBudgets), so every budget
 // and α over that workload starts from the same partitioned state. Its
-// planner has every site's (object) index built, so no copy builds one,
-// and it is never written after Partition returns, so concurrent Plan
-// calls on one Partitioned are safe.
+// workload has every site's (object) index built, so no copy builds one,
+// and its planner is never written after Partition returns, so concurrent
+// Plan calls on one Partitioned are safe.
 type Partitioned struct {
 	pl *Planner
 }
 
 // Partition builds a planner for env and runs PARTITION over its pages at
 // opts.Workers, under a trace.SpanPartition child of opts.Trace, then builds
-// every site's (object) index. Only opts.Workers, opts.UnsortedPartition and
-// opts.Trace are read.
+// every site's (object) index on env's workload. Only opts.Workers,
+// opts.UnsortedPartition and opts.Trace are read.
 func Partition(env *model.Env, opts Options) *Partitioned {
 	pl := partition(env, opts)
 	fanOut(workerCount(opts), env.W.NumSites(), nil, func(i int) {
-		pl.siteIndex(workload.SiteID(i))
+		env.W.SiteIndex(workload.SiteID(i))
 	})
 	return &Partitioned{pl: pl}
 }
 
-// partition is Partition without the index build: core.Plan's planner
-// builds a site's index only when a phase of that site first reads it.
+// partition is Partition without the index build: under core.Plan a
+// site's index is built only when a phase of that site first reads it.
 func partition(env *model.Env, opts Options) *Planner {
 	pl := NewPlanner(env)
 	pl.UnsortedPartition = opts.UnsortedPartition
@@ -206,9 +206,7 @@ func (sw *Sweep) continues(env *model.Env, opts Options) bool {
 
 // copyFor returns a planner over env in pl's state. It copies the cells a
 // page or a site owns (DESIGN §8), starts the per-site scratch fresh, and
-// shares the per-link constants and every built site index, which nothing
-// writes after it is built; the per-site index headers are its own, so a
-// copy that builds a site's index never writes a shared cell.
+// shares the per-link constants, which nothing writes after NewPlanner.
 func (pl *Planner) copyFor(env *model.Env) *Planner {
 	c := *pl
 	c.env = env
@@ -223,8 +221,6 @@ func (pl *Planner) copyFor(env *model.Env) *Planner {
 	c.localMarks = slices.Clone(pl.localMarks)
 	c.siteRefs = slices.Clone(pl.siteRefs)
 	c.idle = slices.Clone(pl.idle)
-	c.refOff = slices.Clone(pl.refOff)
-	c.refs = slices.Clone(pl.refs)
 	c.scratch = make([]siteScratch, len(pl.scratch))
 	return &c
 }

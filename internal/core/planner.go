@@ -21,13 +21,8 @@ import (
 	"repro/internal/workload"
 )
 
-// objRef locates one reference of an object on a page: idx indexes the
-// page's Compulsory (optional == false) or Optional (optional == true) list.
-type objRef struct {
-	page     workload.PageID
-	idx      int32
-	optional bool
-}
+// objRef locates one reference of an object on a page (workload.SiteIndex).
+type objRef = workload.ObjectRef
 
 // Planner carries the incremental planning state for one environment. It is
 // created by NewPlanner, driven by Plan (or the individual phases), and is
@@ -73,18 +68,16 @@ type Planner struct {
 	siteLocalLoad []float64 // Eq. 8 LHS per site
 	siteRepoLoad  []float64 // P(S_i, R) per site
 
-	// The (site, object) index, one cell per site, built by siteIndex the
-	// first time the site's phases ask (refsOf, candidates): PARTITION and a
-	// plan within its budgets never do. refs[i][refOff[i][k]:refOff[i][k+1]]
-	// lists every reference of object k by a page of site i, in ascending
-	// page ID and compulsory before optional within a page — deallocate
-	// flips them in that order, and the order feeds the float accumulators.
-	// localMarks[s] counts how many of slot s = i·NumObjects+k's references
-	// are currently marked local (zero marks ⇒ the replica is free to
-	// deallocate). siteRefs[i] totals site i's compulsory references and
-	// its local marks, for Result.Sites.
-	refOff     [][]int32
-	refs       [][]objRef
+	// The (site, object) index is the workload's (workload.SiteIndex),
+	// built the first time a site's phases ask (refsOf, candidates):
+	// PARTITION and a plan within its budgets never do. It lists object k's
+	// references by site i's pages in ascending page ID and compulsory
+	// before optional within a page — deallocate flips them in that order,
+	// and the order feeds the float accumulators. localMarks[s] counts how
+	// many of slot s = i·NumObjects+k's references are currently marked
+	// local (zero marks ⇒ the replica is free to deallocate). siteRefs[i]
+	// totals site i's compulsory references and its local marks, for
+	// Result.Sites and for sizing the site's heaps.
 	localMarks []int32
 	siteRefs   []siteRefCount
 
@@ -100,8 +93,9 @@ type Planner struct {
 
 	// Per-site scratch of the greedy loops, so the steady state allocates
 	// nothing: the pages deallocate last disturbed, the candidate buffer
-	// each of the site's heaps is built in (one heap at a time), and the
-	// swap phase's per-object rates (one slot per reference).
+	// each of the site's heaps is built in (one heap at a time, grown to the
+	// largest of them), and the swap phase's per-object rates (one slot per
+	// reference).
 	scratch []siteScratch
 }
 
@@ -130,8 +124,6 @@ func NewPlanner(env *model.Env) *Planner {
 		siteRepoLoad:  make([]float64, w.NumSites()),
 		localMarks:    make([]int32, w.NumSites()*w.NumObjects()),
 		siteRefs:      make([]siteRefCount, w.NumSites()),
-		refOff:        make([][]int32, w.NumSites()),
-		refs:          make([][]objRef, w.NumSites()),
 		scratch:       make([]siteScratch, w.NumSites()),
 	}
 	links := 0
@@ -187,70 +179,18 @@ func (pl *Planner) slot(i workload.SiteID, k workload.ObjectID) int {
 	return int(i)*len(pl.env.W.Objects) + int(k)
 }
 
-// siteIndex returns site i's (object) index, building it on the site's
-// first call from the site's pages in ascending page ID: workload.Validate
-// does not require a site's page list to be sorted, so an unsorted one is
-// walked through a sorted copy. Only site i's phases call it, so concurrent
-// sites build disjoint cells.
-func (pl *Planner) siteIndex(i workload.SiteID) ([]int32, []objRef) {
-	if pl.refOff[i] == nil {
-		pages := pl.env.W.Sites[i].Pages
-		if !slices.IsSorted(pages) {
-			pages = slices.Clone(pages)
-			slices.Sort(pages)
-		}
-		pl.refOff[i], pl.refs[i] = pl.indexPages(pages)
-	}
-	return pl.refOff[i], pl.refs[i]
-}
-
-// indexPages builds the (object) index of the given pages, listed in
-// ascending page ID. The counts are shifted by two: the prefix sum leaves
-// object k's start in off[k+1], the fill advances it to k's end — the next
-// object's start — and off[k] has then become the offset proper, with no
-// separate array of fill cursors.
-func (pl *Planner) indexPages(pages []workload.PageID) ([]int32, []objRef) {
-	w := pl.env.W
-	off := make([]int32, w.NumObjects()+2)
-	for _, pid := range pages {
-		pg := &w.Pages[pid]
-		for _, k := range pg.Compulsory {
-			off[k+2]++
-		}
-		for _, l := range pg.Optional {
-			off[l.Object+2]++
-		}
-	}
-	for k := 2; k < len(off); k++ {
-		off[k] += off[k-1]
-	}
-	refs := make([]objRef, off[len(off)-1])
-	for _, pid := range pages {
-		pg := &w.Pages[pid]
-		for idx, k := range pg.Compulsory {
-			refs[off[k+1]] = objRef{pid, int32(idx), false}
-			off[k+1]++
-		}
-		for idx, l := range pg.Optional {
-			refs[off[l.Object+1]] = objRef{pid, int32(idx), true}
-			off[l.Object+1]++
-		}
-	}
-	return off[:len(off)-1], refs
-}
-
 // refsOf lists every reference of object k by a page of site i.
 func (pl *Planner) refsOf(i workload.SiteID, k workload.ObjectID) []objRef {
-	off, refs := pl.siteIndex(i)
+	off, refs := pl.env.W.SiteIndex(i)
 	return refs[off[k]:off[k+1]]
 }
 
-// candidates returns site i's empty heap buffer, sized once for the most a
-// heap of the site can hold: one item per reference by its pages.
-func (pl *Planner) candidates(i workload.SiteID) []heapItem {
-	if pl.scratch[i].heap == nil {
-		_, refs := pl.siteIndex(i)
-		pl.scratch[i].heap = make([]heapItem, 0, len(refs))
+// candidates returns site i's empty heap buffer, with room for n items: a
+// lazy heap never holds more than it was built with, since popFresh pushes
+// an item back only after popping one.
+func (pl *Planner) candidates(i workload.SiteID, n int) []heapItem {
+	if cap(pl.scratch[i].heap) < n {
+		pl.scratch[i].heap = make([]heapItem, 0, n)
 	}
 	return pl.scratch[i].heap[:0]
 }
@@ -290,8 +230,8 @@ func (pl *Planner) store(i workload.SiteID, k workload.ObjectID) {
 		return // no reference is repository-marked
 	}
 	for _, r := range refs {
-		if !pl.isLocal(r.page, int(r.idx), r.optional) {
-			pl.setIdle(r.page, int(r.idx), r.optional, true)
+		if !pl.isLocal(r.Page, int(r.Idx), r.Optional) {
+			pl.setIdle(r.Page, int(r.Idx), r.Optional, true)
 		}
 	}
 }
@@ -299,7 +239,7 @@ func (pl *Planner) store(i workload.SiteID, k workload.ObjectID) {
 func (pl *Planner) unstore(i workload.SiteID, k workload.ObjectID) {
 	pl.p.Unstore(i, k)
 	for _, r := range pl.refsOf(i, k) {
-		pl.setIdle(r.page, int(r.idx), r.optional, false)
+		pl.setIdle(r.Page, int(r.Idx), r.Optional, false)
 	}
 }
 
@@ -491,7 +431,12 @@ func (pl *Planner) previewFlip(j workload.PageID, idx int, optional, toLocal boo
 // refHeap heapifies one candidate per reference by site i's pages that is
 // currently on the given side, keyed by key, in the site's heap buffer.
 func (pl *Planner) refHeap(i workload.SiteID, local bool, key func(j workload.PageID, idx int, optional bool) float64) lazyHeap {
-	items := pl.candidates(i)
+	n := pl.siteRefs[i].localComp + pl.siteRefs[i].localOpt
+	if !local {
+		_, refs := pl.env.W.SiteIndex(i)
+		n = len(refs) - n
+	}
+	items := pl.candidates(i, n)
 	for _, pid := range pl.env.W.Sites[i].Pages {
 		pg := &pl.env.W.Pages[pid]
 		for idx := range pg.Compulsory {
@@ -601,19 +546,33 @@ func (pl *Planner) VerifyConsistency() error {
 			return fmt.Errorf("core: site %d storage used %d != recounted %d", i, got, used)
 		}
 	}
-	// Every built site index must be what the site's pages, found by a scan
-	// of the workload in page order, index to.
-	for i, off := range pl.refOff {
-		if off == nil {
+	// Every built site index must list what a scan of the workload in page
+	// order finds: each object's references by the site's pages, compulsory
+	// before optional within a page.
+	for i := range pl.env.W.Sites {
+		id := workload.SiteID(i)
+		if !pl.env.W.SiteIndexBuilt(id) {
 			continue
 		}
-		var pages []workload.PageID
+		byObject := make([][]objRef, len(pl.env.W.Objects))
 		for j := range pl.env.W.Pages {
-			if pl.env.W.Pages[j].Site == workload.SiteID(i) {
-				pages = append(pages, workload.PageID(j))
+			pg := &pl.env.W.Pages[j]
+			if pg.Site != id {
+				continue
+			}
+			for idx, k := range pg.Compulsory {
+				byObject[k] = append(byObject[k], objRef{Page: workload.PageID(j), Idx: int32(idx)})
+			}
+			for idx, l := range pg.Optional {
+				byObject[l.Object] = append(byObject[l.Object], objRef{Page: workload.PageID(j), Idx: int32(idx), Optional: true})
 			}
 		}
-		if wantOff, want := pl.indexPages(pages); !slices.Equal(off, wantOff) || !slices.Equal(pl.refs[i], want) {
+		wantOff, want := []int32{0}, []objRef(nil)
+		for _, r := range byObject {
+			want = append(want, r...)
+			wantOff = append(wantOff, int32(len(want)))
+		}
+		if off, refs := pl.env.W.SiteIndex(id); !slices.Equal(off, wantOff) || !slices.Equal(refs, want) {
 			return fmt.Errorf("core: site %d (object) index differs from a scan of its pages", i)
 		}
 	}

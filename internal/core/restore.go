@@ -31,7 +31,7 @@ func decodeRef(id int64) (workload.PageID, int, bool) {
 func (pl *Planner) deallocCost(i workload.SiteID, k workload.ObjectID) float64 {
 	cost := 0.0
 	for _, r := range pl.refsOf(i, k) {
-		cost += pl.previewFlip(r.page, int(r.idx), r.optional, false) // 0 for a remote one
+		cost += pl.previewFlip(r.Page, int(r.Idx), r.Optional, false) // 0 for a remote one
 	}
 	return cost
 }
@@ -42,9 +42,9 @@ func (pl *Planner) deallocCost(i workload.SiteID, k workload.ObjectID) float64 {
 func (pl *Planner) deallocate(i workload.SiteID, k workload.ObjectID) []workload.PageID {
 	affected := pl.scratch[i].affected[:0]
 	for _, r := range pl.refsOf(i, k) {
-		if pl.isLocal(r.page, int(r.idx), r.optional) {
-			pl.flip(r.page, int(r.idx), r.optional, false)
-			affected = append(affected, r.page)
+		if pl.isLocal(r.Page, int(r.Idx), r.Optional) {
+			pl.flip(r.Page, int(r.Idx), r.Optional, false)
+			affected = append(affected, r.Page)
 		}
 	}
 	pl.unstore(i, k)
@@ -115,7 +115,7 @@ func (pl *Planner) restoreStorage(i workload.SiteID, r *siteRestore) {
 
 	h := &r.store
 	if !h.built() {
-		items := pl.candidates(i)
+		items := pl.candidates(i, pl.p.StoredSet(i).Count())
 		pl.p.StoredSet(i).ForEach(func(kk int) bool {
 			k := workload.ObjectID(kk)
 			size := float64(pl.env.W.ObjectSize(k))

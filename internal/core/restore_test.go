@@ -415,7 +415,7 @@ func restoreStorageBoth(t *testing.T, a, b *Planner, i workload.SiteID) (dealloc
 		cost := func(k workload.ObjectID) float64 {
 			return pl.deallocCost(i, k) / float64(pl.env.W.ObjectSize(k))
 		}
-		items := pl.candidates(i)
+		items := pl.candidates(i, pl.p.StoredSet(i).Count())
 		pl.p.StoredSet(i).ForEach(func(k int) bool {
 			items = append(items, heapItem{key: cost(workload.ObjectID(k)), id: int64(k)})
 			return true

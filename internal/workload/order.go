@@ -39,10 +39,12 @@ func (w *Workload) PartitionOrder() *PartitionOrder {
 // Derive returns a shallow copy of w for re-estimates, re-homing and budget
 // sweeps: its own Pages and Sites slices, sharing Objects, every page's
 // Compulsory and Optional lists, every site's page and object lists, and
-// the PARTITION order (built here if w has none yet). The caller may set a
-// copy's page Site, Freq, Hot and HTMLSize, replace a site's Pages, Objects
-// or Capacity, and replace a page's Optional list — never change an object
-// size or a compulsory list, which the shared order was sorted by.
+// the PARTITION order (built here if w has none yet), but not the site
+// indexes (SiteIndex), which the copy builds from its own lists. The caller
+// may set a copy's page Site, Freq, Hot and HTMLSize, replace a site's
+// Pages, Objects or Capacity, and replace a page's Optional list — before
+// the copy is planned, and never change an object size or a compulsory
+// list, which the shared order was sorted by.
 func (w *Workload) Derive() *Workload {
 	out := &Workload{
 		Config:  w.Config,

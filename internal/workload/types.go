@@ -60,12 +60,14 @@ type Site struct {
 	Capacity units.ReqPerSec `json:"capacity"`
 }
 
-// Workload is the complete generated environment. Object sizes and
-// compulsory lists are fixed once the workload is planned: the PARTITION
-// visit order (PartitionOrder) is sorted by them on first use and kept.
-// A copy that re-estimates, re-homes or re-budgets the workload comes from
-// Derive, the only way to share that order; a Workload is never copied by
-// value (go vet flags such a copy).
+// Workload is the complete generated environment. Object sizes, site page
+// lists and every page's compulsory and optional lists are fixed once the
+// workload is planned: the PARTITION visit order (PartitionOrder) is sorted
+// by sizes and compulsory lists, and each site's (object) index
+// (SiteIndex) is built from its pages' lists, on first use, and both are
+// kept. A copy that re-estimates, re-homes or re-budgets the workload comes
+// from Derive, the only way to share that order; a Workload is never copied
+// by value (go vet flags such a copy).
 type Workload struct {
 	Config  Config   `json:"config"`
 	Seed    uint64   `json:"seed"`
@@ -74,6 +76,8 @@ type Workload struct {
 	Sites   []Site   `json:"sites"`
 
 	order atomic.Pointer[PartitionOrder]
+	// index holds one cell per site, each nil until SiteIndex builds it.
+	index atomic.Pointer[[]atomic.Pointer[siteIndex]]
 }
 
 // NumSites returns s.
