@@ -28,6 +28,22 @@ func BenchmarkParseRefs(b *testing.B) {
 	}
 }
 
+// BenchmarkRenderPage measures rendering one page's stored document, which
+// happens once per page creation/update, and per request for the
+// repository's master copy.
+func BenchmarkRenderPage(b *testing.B) {
+	w := benchWorkload(b)
+	doc := RenderPage(w, 0, "http://repo.example")
+	b.SetBytes(int64(len(doc)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if doc = RenderPage(w, 0, "http://repo.example"); len(doc) == 0 {
+			b.Fatal("empty document")
+		}
+	}
+}
+
 // BenchmarkServeRewrite measures the on-the-fly URL rewrite — the per-page
 // serving cost the paper argues is "minimal compared to the network
 // latency".
@@ -69,12 +85,7 @@ func BenchmarkBuildRefDB(b *testing.B) {
 // Table-1 workloads are): every iteration flips every reference between
 // all-local and all-remote.
 func BenchmarkRefDBRebuild(b *testing.B) {
-	cfg := workload.DefaultConfig()
-	cfg.PagesPerSiteMin = (cfg.PagesPerSiteMin + cfg.PagesPerSiteMax) / 2
-	cfg.PagesPerSiteMax = cfg.PagesPerSiteMin
-	cfg.ObjectsPerSite = (cfg.ObjectsPerSite + cfg.ObjectsPerMax) / 2
-	cfg.ObjectsPerMax = cfg.ObjectsPerSite
-	w := workload.MustGenerate(cfg, 1)
+	w := table1Workload(b)
 	plans := [2]*model.Placement{model.AllLocal(w), model.AllRemote(w)}
 	db, err := BuildRefDB(w, 0, plans[1], "http://repo.example")
 	if err != nil {

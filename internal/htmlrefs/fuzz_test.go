@@ -1,12 +1,17 @@
 package htmlrefs
 
 import (
+	"reflect"
 	"testing"
+	"unicode/utf8"
 )
 
 // FuzzParseRefs hardens the hand-rolled HTML scanner: for arbitrary input
 // it must not panic, and every reference it reports must carry a valid
-// in-bounds byte range whose content round-trips to the same object ID.
+// in-bounds byte range whose content round-trips to the same object ID,
+// sits between double quotes, and follows its tag's src= or href= (under
+// ASCII case folding). On pure-ASCII input it must also report exactly
+// what refParseRefs, the lower-casing scanner it replaced, reports.
 // (`go test -fuzz=FuzzParseRefs ./internal/htmlrefs` explores further; the
 // seed corpus runs on every `go test`.)
 func FuzzParseRefs(f *testing.F) {
@@ -21,14 +26,17 @@ func FuzzParseRefs(f *testing.F) {
 	f.Add([]byte(`<a href="/mo/18446744073709551616">`)) // overflows int
 	f.Add([]byte(`plain text /mo/5`))
 	f.Add([]byte(`<embed src="/mo/1"><source src="/mo/2">`))
+	for _, c := range nonASCIIAttrCases {
+		f.Add([]byte(c.doc))
+	}
 
 	f.Fuzz(func(t *testing.T, doc []byte) {
 		refs := ParseRefs(doc)
 		for _, r := range refs {
-			if r.Start < 0 || r.End > len(doc) || r.Start >= r.End {
-				t.Fatalf("ref range [%d,%d) out of bounds for %d-byte doc", r.Start, r.End, len(doc))
+			if r.Start < 1 || r.End >= len(doc) || r.Start >= r.End {
+				t.Fatalf("ref range [%d,%d) cannot sit between quotes in a %d-byte doc", r.Start, r.End, len(doc))
 			}
-			url := string(doc[r.Start:r.End])
+			url := doc[r.Start:r.End]
 			k, ok := parseMOURL(url)
 			if !ok {
 				t.Fatalf("reported ref %q does not parse back", url)
@@ -36,8 +44,34 @@ func FuzzParseRefs(f *testing.F) {
 			if k != r.Object {
 				t.Fatalf("ref object %d but range holds %d", r.Object, k)
 			}
+			if doc[r.Start-1] != '"' || doc[r.End] != '"' {
+				t.Fatalf("ref [%d,%d) is not quoted: %q", r.Start, r.End, doc)
+			}
+			attr := "src="
+			if r.Optional {
+				attr = "href="
+			}
+			at := r.Start - 1 - len(attr)
+			if at < 0 || !foldEqual(doc[at:r.Start-1], attr) {
+				t.Fatalf("ref [%d,%d) does not follow %s: %q", r.Start, r.End, attr, doc)
+			}
+		}
+		if isASCII(doc) {
+			if want := refParseRefs(doc); !reflect.DeepEqual(refs, want) {
+				t.Fatalf("ParseRefs(%q) = %+v, the lower-casing scanner gives %+v", doc, refs, want)
+			}
 		}
 	})
+}
+
+// isASCII reports whether every byte of b is ASCII.
+func isASCII(b []byte) bool {
+	for _, c := range b {
+		if c >= utf8.RuneSelf {
+			return false
+		}
+	}
+	return true
 }
 
 // FuzzParseMOPath hardens the URL path parser.

@@ -2,6 +2,7 @@ package htmlrefs
 
 import (
 	"bytes"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -13,6 +14,19 @@ import (
 func testWorkload(t *testing.T) *workload.Workload {
 	t.Helper()
 	return workload.MustGenerate(workload.SmallConfig(), 55)
+}
+
+// table1Workload is the paper's Table-1 workload with per-site page and
+// pool counts pinned at the midpoints of their ranges, as the benchmark's
+// Table-1 workloads are.
+func table1Workload(tb testing.TB) *workload.Workload {
+	tb.Helper()
+	cfg := workload.DefaultConfig()
+	cfg.PagesPerSiteMin = (cfg.PagesPerSiteMin + cfg.PagesPerSiteMax) / 2
+	cfg.PagesPerSiteMax = cfg.PagesPerSiteMin
+	cfg.ObjectsPerSite = (cfg.ObjectsPerSite + cfg.ObjectsPerMax) / 2
+	cfg.ObjectsPerMax = cfg.ObjectsPerSite
+	return workload.MustGenerate(cfg, 1)
 }
 
 func TestPaths(t *testing.T) {
@@ -62,7 +76,7 @@ func TestParseRefsRecoversAll(t *testing.T) {
 				comp++
 			}
 			// The byte range must hold the URL it claims.
-			url := string(doc[r.Start:r.End])
+			url := doc[r.Start:r.End]
 			if k, ok := parseMOURL(url); !ok || k != r.Object {
 				t.Fatalf("page %d: range [%d,%d) holds %q, not object %d", j, r.Start, r.End, url, r.Object)
 			}
@@ -72,6 +86,28 @@ func TestParseRefsRecoversAll(t *testing.T) {
 		}
 		if opt != len(w.Pages[j].Optional) {
 			t.Fatalf("page %d: parsed %d optional refs, want %d", j, opt, len(w.Pages[j].Optional))
+		}
+	}
+}
+
+// nonASCIIAttrCases put a character before the wanted attribute whose
+// lower case has a different UTF-8 length (İ, the Kelvin sign) or that is
+// not UTF-8 at all; a scanner that lower-cases the attributes and slices
+// the original bytes shifts these references or loses them.
+var nonASCIIAttrCases = []struct {
+	doc  string
+	want Ref
+}{
+	{"<img \u0130 src=\"/mo/12\">", Ref{Object: 12, Start: 13, End: 19}},
+	{"<a \u0130\u0130 href=\"/mo/345\">", Ref{Object: 345, Optional: true, Start: 14, End: 21}},
+	{"<img \u212a src=\"/mo/12\">", Ref{Object: 12, Start: 14, End: 20}},
+	{"<img \xff src=\"/mo/12\">", Ref{Object: 12, Start: 12, End: 18}},
+}
+
+func TestParseRefsNonASCIIOffsets(t *testing.T) {
+	for _, c := range nonASCIIAttrCases {
+		if got := ParseRefs([]byte(c.doc)); !reflect.DeepEqual(got, []Ref{c.want}) {
+			t.Errorf("ParseRefs(%q) = %+v, want [%+v]", c.doc, got, c.want)
 		}
 	}
 }
@@ -255,6 +291,53 @@ func TestRefDBDecisions(t *testing.T) {
 	}
 }
 
+// TestRenderPageMatchesReference holds RenderPage to refRenderPage, the
+// fmt-driven renderer it replaced, byte for byte on every page of a
+// SmallConfig workload and of a pinned Table-1 workload under two
+// repository bases, and checks that each document fills the buffer it was
+// sized for exactly.
+func TestRenderPageMatchesReference(t *testing.T) {
+	for _, w := range []*workload.Workload{testWorkload(t), table1Workload(t)} {
+		for _, base := range []string{"http://repo.example", "http://10.0.0.7:38021/mirror"} {
+			for j := range w.Pages {
+				got, want := RenderPage(w, workload.PageID(j), base), refRenderPage(w, workload.PageID(j), base)
+				if !bytes.Equal(got, want) {
+					t.Fatalf("page %d at %s: RenderPage differs from the reference renderer", j, base)
+				}
+				if cap(got) != len(got) {
+					t.Fatalf("page %d at %s: %d-byte document in a %d-byte buffer", j, base, len(got), cap(got))
+				}
+			}
+		}
+	}
+}
+
+// TestKernelAllocs pins the kernels' allocations on a Table-1 page: one
+// buffer per RenderPage, and nothing in ParseRefs but the growth of the
+// slice it returns.
+func TestKernelAllocs(t *testing.T) {
+	w := table1Workload(t)
+	pid := w.Sites[0].Pages[0]
+	if n := testing.AllocsPerRun(20, func() { RenderPage(w, pid, "http://repo.example") }); n != 1 {
+		t.Errorf("RenderPage: %v allocations, want 1", n)
+	}
+	doc := RenderPage(w, pid, "http://repo.example")
+	nrefs := len(ParseRefs(doc))
+	if nrefs == 0 {
+		t.Fatal("page has no references")
+	}
+	result := testing.AllocsPerRun(20, func() {
+		var refs []Ref
+		for range nrefs {
+			refs = append(refs, Ref{})
+		}
+		_ = refs
+	})
+	if n := testing.AllocsPerRun(20, func() { ParseRefs(doc) }); n != result {
+		t.Errorf("ParseRefs: %v allocations, want %v (growing its %d-reference result)", n, result, nrefs)
+	}
+}
+
 func TestRenderDeterministic(t *testing.T) {
 	w := testWorkload(t)
 	a := RenderPage(w, 3, "http://repo")
@@ -265,10 +348,9 @@ func TestRenderDeterministic(t *testing.T) {
 }
 
 func TestPadRespectsTarget(t *testing.T) {
-	var b strings.Builder
-	pad(&b, 5*units.KB)
-	if b.Len() < 4*1024 || b.Len() > 6*1024 {
-		t.Errorf("pad produced %d bytes for 5KB target", b.Len())
+	b := pad(nil, 5*units.KB)
+	if len(b) < 4*1024 || len(b) > 6*1024 {
+		t.Errorf("pad produced %d bytes for 5KB target", len(b))
 	}
 }
 

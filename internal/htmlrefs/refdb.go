@@ -4,7 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 	"sync"
 
 	"repro/internal/model"
@@ -63,58 +63,94 @@ func BuildRefDB(w *workload.Workload, i workload.SiteID, p *model.Placement, rep
 	return db, nil
 }
 
-// validateRefs checks that parsing recovered exactly the page's references.
+// validateRefs checks that parsing recovered exactly the page's
+// references: the distinct objects of its compulsory references are the
+// page's compulsory list, and those of its optional references its
+// optional list.
 func validateRefs(w *workload.Workload, pid workload.PageID, refs []Ref) error {
 	pg := &w.Pages[pid]
-	comp := map[workload.ObjectID]bool{}
-	opt := map[workload.ObjectID]bool{}
+	var buf [64]workload.ObjectID
+	objs := buf[:0]
 	for _, r := range refs {
-		if r.Optional {
-			opt[r.Object] = true
-		} else {
-			comp[r.Object] = true
+		if !r.Optional {
+			objs = append(objs, r.Object)
 		}
 	}
+	nc := len(objs)
+	for _, r := range refs {
+		if r.Optional {
+			objs = append(objs, r.Object)
+		}
+	}
+	comp, opt := distinct(objs[:nc]), distinct(objs[nc:])
 	if len(comp) != len(pg.Compulsory) || len(opt) != len(pg.Optional) {
 		return fmt.Errorf("htmlrefs: page %d parsed %d/%d refs, workload has %d/%d",
 			pid, len(comp), len(opt), len(pg.Compulsory), len(pg.Optional))
 	}
 	for _, k := range pg.Compulsory {
-		if !comp[k] {
+		if _, ok := slices.BinarySearch(comp, k); !ok {
 			return fmt.Errorf("htmlrefs: page %d compulsory object %d not recovered", pid, k)
 		}
 	}
 	for _, l := range pg.Optional {
-		if !opt[l.Object] {
+		if _, ok := slices.BinarySearch(opt, l.Object); !ok {
 			return fmt.Errorf("htmlrefs: page %d optional object %d not recovered", pid, l.Object)
 		}
 	}
 	return nil
 }
 
+// distinct sorts objs in place and returns its distinct objects.
+func distinct(objs []workload.ObjectID) []workload.ObjectID {
+	slices.Sort(objs)
+	return slices.Compact(objs)
+}
+
+// newEntry parses doc, page pid's document as RenderPage writes it, into
+// an entry carrying its references and weights, after validateRefs has
+// checked them.
+func newEntry(w *workload.Workload, pid workload.PageID, doc []byte) (*PageEntry, error) {
+	pg := &w.Pages[pid]
+	refs := ParseRefs(doc)
+	if err := validateRefs(w, pid, refs); err != nil {
+		return nil, err
+	}
+	entry := &PageEntry{Doc: doc, Refs: refs, site: pg.Site, htmlSize: pg.HTMLSize}
+	setWeights(pg, entry)
+	return entry, nil
+}
+
+// refIndex is the index of ref ri's object in page pg's compulsory or
+// optional list, or -1 when the list lacks it. An entry's references
+// normally follow the lists, so the index at ri's position is tried
+// before the list is searched.
+func refIndex(pg *workload.Page, ri int, r Ref) int {
+	nc := len(pg.Compulsory)
+	if !r.Optional {
+		if ri < nc && pg.Compulsory[ri] == r.Object {
+			return ri
+		}
+		return slices.Index(pg.Compulsory, r.Object)
+	}
+	if idx := ri - nc; idx >= 0 && idx < len(pg.Optional) && pg.Optional[idx].Object == r.Object {
+		return idx
+	}
+	return slices.IndexFunc(pg.Optional, func(l workload.OptionalLink) bool { return l.Object == r.Object })
+}
+
 // applyEntry sets one entry's local/remote decisions from the placement.
 func applyEntry(w *workload.Workload, pid workload.PageID, entry *PageEntry, p *model.Placement) error {
 	pg := &w.Pages[pid]
-	compIdx := make(map[workload.ObjectID]int, len(pg.Compulsory))
-	for idx, k := range pg.Compulsory {
-		compIdx[k] = idx
-	}
-	optIdx := make(map[workload.ObjectID]int, len(pg.Optional))
-	for idx, l := range pg.Optional {
-		optIdx[l.Object] = idx
-	}
 	for ri, r := range entry.Refs {
-		if r.Optional {
-			idx, ok := optIdx[r.Object]
-			if !ok {
-				return fmt.Errorf("htmlrefs: page %d references unknown optional object %d", pid, r.Object)
-			}
+		idx := refIndex(pg, ri, r)
+		switch {
+		case idx < 0 && r.Optional:
+			return fmt.Errorf("htmlrefs: page %d references unknown optional object %d", pid, r.Object)
+		case idx < 0:
+			return fmt.Errorf("htmlrefs: page %d references unknown compulsory object %d", pid, r.Object)
+		case r.Optional:
 			entry.Local[ri] = p.OptLocal(pid, idx)
-		} else {
-			idx, ok := compIdx[r.Object]
-			if !ok {
-				return fmt.Errorf("htmlrefs: page %d references unknown compulsory object %d", pid, r.Object)
-			}
+		default:
 			entry.Local[ri] = p.CompLocal(pid, idx)
 		}
 	}
@@ -147,14 +183,10 @@ func (db *RefDB) Rebuild(w *workload.Workload, p *model.Placement, repoBase stri
 			kept := *prev
 			entry = &kept
 		} else {
-			doc := RenderPage(w, pid, repoBase)
-			refs := ParseRefs(doc)
-			sort.Slice(refs, func(a, b int) bool { return refs[a].Start < refs[b].Start })
-			if err := validateRefs(w, pid, refs); err != nil {
+			var err error
+			if entry, err = newEntry(w, pid, RenderPage(w, pid, repoBase)); err != nil {
 				return err
 			}
-			entry = &PageEntry{Doc: doc, Refs: refs, site: pg.Site, htmlSize: pg.HTMLSize}
-			setWeights(w, pid, entry)
 		}
 		entry.Local = make([]bool, len(entry.Refs))
 		if err := applyEntry(w, pid, entry, p); err != nil {
@@ -195,26 +227,24 @@ func (e *PageEntry) renders(pg *workload.Page) bool {
 
 // setWeights fills the entry's per-reference access weights from the
 // workload: 1 for compulsory references, the link's access probability for
-// optional ones, and the optional median that thresholds tier-1 brownout.
-func setWeights(w *workload.Workload, pid workload.PageID, entry *PageEntry) {
-	pg := &w.Pages[pid]
-	prob := make(map[workload.ObjectID]float64, len(pg.Optional))
-	for _, l := range pg.Optional {
-		prob[l.Object] = l.Prob
-	}
+// optional ones (0 for an object the page does not list, which applyEntry
+// then rejects), and the optional median that thresholds tier-1 brownout.
+func setWeights(pg *workload.Page, entry *PageEntry) {
 	entry.Weight = make([]float64, len(entry.Refs))
 	var opt []float64
 	for ri, r := range entry.Refs {
-		if r.Optional {
-			entry.Weight[ri] = prob[r.Object]
-			opt = append(opt, prob[r.Object])
-		} else {
+		if !r.Optional {
 			entry.Weight[ri] = 1
+			continue
 		}
+		if idx := refIndex(pg, ri, r); idx >= 0 {
+			entry.Weight[ri] = pg.Optional[idx].Prob
+		}
+		opt = append(opt, entry.Weight[ri])
 	}
 	entry.optMedian = 0
 	if len(opt) > 0 {
-		sort.Float64s(opt)
+		slices.Sort(opt)
 		entry.optMedian = opt[len(opt)/2]
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
@@ -125,5 +126,86 @@ func TestRebuildMatchesFreshBuild(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestRebuildChecksParsedRefs feeds the reference database documents that
+// differ from what RenderPage writes for a page — a reference missing, one
+// added, one duplicated, one replaced by another object — and a page that
+// lists an object twice. A duplicated reference is accepted, both copies
+// taking the listed object's decision and weight; every other change is
+// rejected, naming what parsing failed to match.
+func TestRebuildChecksParsedRefs(t *testing.T) {
+	w := testWorkload(t)
+	var pid workload.PageID = -1
+	for _, j := range w.Sites[0].Pages {
+		if pg := &w.Pages[j]; len(pg.Compulsory) >= 2 && len(pg.Optional) >= 1 {
+			pid = j
+			break
+		}
+	}
+	if pid < 0 {
+		t.Fatal("site 0 has no page with two compulsory objects and an optional one")
+	}
+	pg := &w.Pages[pid]
+	nc, no := len(pg.Compulsory), len(pg.Optional)
+	const base = "http://repo.example"
+	doc := string(RenderPage(w, pid, base))
+	c0, o0 := pg.Compulsory[0], pg.Optional[0].Object
+	imgLine := fmt.Sprintf("<img src=\"%s/mo/%d\" alt=\"M%d\">\n", base, c0, c0)
+	linkLine := fmt.Sprintf("<li><a href=\"%s/mo/%d\">", base, o0)
+	if !strings.Contains(doc, imgLine) || !strings.Contains(doc, linkLine) {
+		t.Fatalf("page %d's document lacks %q or %q", pid, imgLine, linkLine)
+	}
+	absent := workload.ObjectID(w.NumObjects()) // listed by no page
+	extra := fmt.Sprintf("<img src=\"%s/mo/%d\">\n", base, absent)
+	counts := func(gotC, gotO int) string {
+		return fmt.Sprintf("htmlrefs: page %d parsed %d/%d refs, workload has %d/%d", pid, gotC, gotO, nc, no)
+	}
+	cases := []struct {
+		name, doc, err string
+	}{
+		{"as rendered", doc, ""},
+		{"reference missing", strings.Replace(doc, imgLine, "", 1), counts(nc-1, no)},
+		{"reference added", strings.Replace(doc, imgLine, imgLine+extra, 1), counts(nc+1, no)},
+		{"reference duplicated", strings.Replace(doc, imgLine, imgLine+imgLine, 1), ""},
+		{"compulsory replaced", strings.Replace(doc, imgLine, extra, 1),
+			fmt.Sprintf("htmlrefs: page %d compulsory object %d not recovered", pid, c0)},
+		{"optional replaced", strings.Replace(doc, linkLine, fmt.Sprintf("<li><a href=\"%s/mo/%d\">", base, absent), 1),
+			fmt.Sprintf("htmlrefs: page %d optional object %d not recovered", pid, o0)},
+	}
+	p := model.NewPlacement(w)
+	p.Store(pg.Site, c0)
+	p.SetCompLocal(pid, 0, true)
+	for _, c := range cases {
+		entry, err := newEntry(w, pid, []byte(c.doc))
+		if err == nil {
+			entry.Local = make([]bool, len(entry.Refs))
+			err = applyEntry(w, pid, entry, p)
+		}
+		if got := fmt.Sprint(err); c.err != "" && got != c.err || c.err == "" && err != nil {
+			t.Errorf("%s: error %q, want %q", c.name, got, c.err)
+			continue
+		}
+		if err != nil {
+			continue
+		}
+		for ri, r := range entry.Refs {
+			wantLocal, wantWeight := r.Object == c0, 1.0
+			if r.Optional {
+				wantWeight = pg.Optional[refIndex(pg, ri, r)].Prob
+			}
+			if entry.Local[ri] != wantLocal || entry.Weight[ri] != wantWeight {
+				t.Errorf("%s: ref %d (M%d) local=%v weight=%v, want %v and %v",
+					c.name, ri, r.Object, entry.Local[ri], entry.Weight[ri], wantLocal, wantWeight)
+			}
+		}
+	}
+
+	twice := w.Derive()
+	twice.Pages[pid].Compulsory = append([]workload.ObjectID{c0}, pg.Compulsory...)
+	want := fmt.Sprintf("htmlrefs: page %d parsed %d/%d refs, workload has %d/%d", pid, nc, no, nc+1, no)
+	if _, err := BuildRefDB(twice, 0, model.AllRemote(twice), base); fmt.Sprint(err) != want {
+		t.Errorf("page listing M%d twice: error %q, want %q", c0, err, want)
 	}
 }
